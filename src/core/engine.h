@@ -54,9 +54,25 @@ void compute_vertex(const GraphT& g, JumpPolicy jump, vertex_t v, Ops ops,
 template <ParentOps Ops>
 void finalize_vertex(FinalizePolicy policy, vertex_t v, Ops ops) {
   switch (policy) {
-    case FinalizePolicy::kIntermediate:
-      ops.store(v, find_intermediate(v, ops));
+    case FinalizePolicy::kIntermediate: {
+      // Path halving whose skips are CASes: a plain store could overwrite a
+      // vertex that another thread has already finalized with the stale
+      // grandparent it read earlier, leaving the output non-flat. No hooks
+      // run during finalization, so every parent only ever decreases and a
+      // skip that loses its CAS has nothing left to do.
+      vertex_t par = ops.load(v);
+      if (par != v) {
+        vertex_t next;
+        vertex_t prev = v;
+        while (par > (next = ops.load(par))) {
+          ops.cas(prev, par, next);
+          prev = par;
+          par = next;
+        }
+      }
+      ops.store(v, par);
       return;
+    }
     case FinalizePolicy::kMultiple:
       ops.store(v, find_multiple(v, ops));
       return;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -31,6 +32,12 @@ class IncrementalCC {
       }
     }
   }
+
+  /// Replaces the components with those of a canonical labelling
+  /// (label[v] <= v, label[label[v]] == label[v]; e.g. labels() or a
+  /// checkpoint), which becomes the union-find's parent array as is: O(n),
+  /// no unions. Quiescent call: no concurrent add_edge or query.
+  void assign_labels(std::span<const vertex_t> labels) { dsu_.assign_parents(labels); }
 
   /// Inserts the undirected edge (u, v). Thread-safe.
   void add_edge(vertex_t u, vertex_t v) { dsu_.unite(u, v); }

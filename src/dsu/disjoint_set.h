@@ -8,6 +8,7 @@
 // Kruskal's MST, which the paper's conclusion calls out).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/types.h"
@@ -73,6 +74,14 @@ class ConcurrentDisjointSet {
  public:
   explicit ConcurrentDisjointSet(vertex_t n) : parent_(n) {
     for (vertex_t v = 0; v < n; ++v) parent_[v] = v;
+  }
+
+  /// Replaces the sets with the forest `parents` describes, copied in as
+  /// the parent array with no unions. Precondition: parents[v] <= v for
+  /// every v (the invariant hooks maintain and find relies on) — e.g. a
+  /// flattened labelling, the paper's Fini output. Quiescent call.
+  void assign_parents(std::span<const vertex_t> parents) {
+    parent_.assign(parents.begin(), parents.end());
   }
 
   /// Representative of v's set, compressing the path by halving.

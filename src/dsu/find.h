@@ -102,13 +102,17 @@ vertex_t find_intermediate(vertex_t v, Ops ops, Rec* rec = nullptr) {
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
 vertex_t find_single(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
-  vertex_t root = ops.load(v);
+  const vertex_t first = ops.load(v);
+  vertex_t root = first;
   vertex_t next;
   while (root > (next = ops.load(root))) {
     root = next;
     ++steps;
   }
-  if (root != ops.load(v)) ops.store(v, root);
+  // Compared against the first read, not a fresh one: if v was a root then
+  // and has been hooked since, re-reading parent[v] would see the hook and
+  // overwrite it with v itself, undoing a union.
+  if (root != first) ops.store(v, root);
   if (rec != nullptr) rec->record(steps);
   return root;
 }

@@ -5,6 +5,8 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -16,11 +18,31 @@ namespace ecl::svc {
 
 namespace {
 
+// The label array moves between disk and memory as raw bytes, with no
+// per-word encode or decode; that is only the documented little-endian
+// layout on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "checkpoint labels are read and written as raw little-endian u32");
+
 constexpr char kCkptMagic[8] = {'E', 'C', 'L', 'C', 'K', 'P', 'T', '1'};
 constexpr std::uint32_t kCkptVersion = 1;
 // magic + crc + (version, n, watermark, epoch, wal_seq)
 constexpr std::size_t kHeaderBytes = 8 + 4;
 constexpr std::size_t kFixedPayloadBytes = 4 + 4 + 8 + 8 + 8;
+// Everything before the label array (44 bytes).
+constexpr std::size_t kImageHeaderBytes = kHeaderBytes + kFixedPayloadBytes;
+// Label bytes read per syscall; small enough to checksum while in L2.
+constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
+
+/// label[v] <= v and label[label[v]] == label[v] for every v: each vertex
+/// points straight at a root that is its component's minimum ID.
+bool is_canonical_forest(const std::vector<vertex_t>& labels) {
+  for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
+    const vertex_t l = labels[v];
+    if (l > v || labels[l] != l) return false;
+  }
+  return true;
+}
 
 void put_u32(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v);
@@ -97,52 +119,56 @@ std::uint64_t CheckpointStore::latest_seq() const {
 
 bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
                                 std::string* err) {
+  const auto fail = [&](const std::string& what) {
+    if (err != nullptr) *err = "ckpt " + path + ": " + what;
+    return false;
+  };
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (err != nullptr) *err = errno_str("ckpt open " + path);
     return false;
   }
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
   struct stat st{};
-  if (::fstat(fd, &st) != 0 ||
-      static_cast<std::size_t>(st.st_size) < kHeaderBytes + kFixedPayloadBytes) {
-    if (err != nullptr) *err = "ckpt " + path + ": truncated header";
-    ::close(fd);
-    return false;
+  std::array<std::uint8_t, kImageHeaderBytes> hdr{};
+  if (::fstat(fd, &st) != 0 || static_cast<std::size_t>(st.st_size) < hdr.size() ||
+      !read_exact(fd, hdr.data(), hdr.size())) {
+    return fail("truncated header");
   }
-  std::vector<std::uint8_t> img(static_cast<std::size_t>(st.st_size));
-  if (!read_exact(fd, img.data(), img.size())) {
-    if (err != nullptr) *err = errno_str("ckpt read " + path);
-    ::close(fd);
-    return false;
-  }
-  ::close(fd);
-
-  if (std::memcmp(img.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) {
-    if (err != nullptr) *err = "ckpt " + path + ": bad magic";
-    return false;
-  }
-  const std::uint8_t* payload = img.data() + kHeaderBytes;
-  const std::size_t payload_len = img.size() - kHeaderBytes;
-  if (crc32(payload, payload_len) != get_u32(img.data() + 8)) {
-    if (err != nullptr) *err = "ckpt " + path + ": CRC mismatch (torn or corrupt)";
-    return false;
-  }
-  if (get_u32(payload) != kCkptVersion) {
-    if (err != nullptr) *err = "ckpt " + path + ": unsupported version";
-    return false;
-  }
+  if (std::memcmp(hdr.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) return fail("bad magic");
+  const std::uint8_t* payload = hdr.data() + kHeaderBytes;
   CheckpointData data;
   data.n = get_u32(payload + 4);
   data.watermark = get_u64(payload + 8);
   data.epoch = get_u64(payload + 16);
   data.wal_seq = get_u64(payload + 24);
-  if (payload_len != kFixedPayloadBytes + static_cast<std::size_t>(data.n) * 4) {
-    if (err != nullptr) *err = "ckpt " + path + ": label array length mismatch";
-    return false;
+  // Checked against the file size before anything is allocated, so a torn
+  // or corrupt n can never drive a huge resize.
+  const std::size_t label_bytes = static_cast<std::size_t>(data.n) * sizeof(vertex_t);
+  if (static_cast<std::size_t>(st.st_size) != hdr.size() + label_bytes) {
+    return fail("label array length mismatch");
   }
+
+  // Labels land in their final buffer in bounded chunks, each checksummed
+  // while it is still in cache.
   data.labels.resize(data.n);
-  const std::uint8_t* lp = payload + kFixedPayloadBytes;
-  for (std::uint32_t v = 0; v < data.n; ++v) data.labels[v] = get_u32(lp + 4ull * v);
+  std::uint32_t crc = crc32(payload, kFixedPayloadBytes);
+  auto* dst = reinterpret_cast<std::uint8_t*>(data.labels.data());
+  for (std::size_t done = 0; done < label_bytes;) {
+    const std::size_t chunk = std::min(kReadChunkBytes, label_bytes - done);
+    if (!read_exact(fd, dst + done, chunk)) {
+      if (err != nullptr) *err = errno_str("ckpt read " + path);
+      return false;
+    }
+    crc = crc32_update(crc, dst + done, chunk);
+    done += chunk;
+  }
+  if (crc != get_u32(hdr.data() + 8)) return fail("CRC mismatch (torn or corrupt)");
+  if (get_u32(payload) != kCkptVersion) return fail("unsupported version");
+  if (!is_canonical_forest(data.labels)) return fail("labels are not a canonical forest");
   *out = std::move(data);
   return true;
 }
@@ -169,35 +195,42 @@ CheckpointLoadResult CheckpointStore::load_latest_valid() const {
   return out;
 }
 
-CheckpointWriteResult CheckpointStore::write(const CheckpointData& data) {
+CheckpointWriteResult CheckpointStore::write(const CheckpointHeader& header,
+                                             std::span<const vertex_t> labels) {
   CheckpointWriteResult out;
   const std::uint64_t seq = latest_seq() + 1;
   const std::string final_path = numbered_path(base_, seq);
   const std::string tmp_path = base_ + ".tmp";
-
-  std::vector<std::uint8_t> img(kHeaderBytes + kFixedPayloadBytes +
-                                static_cast<std::size_t>(data.n) * 4);
-  std::memcpy(img.data(), kCkptMagic, sizeof(kCkptMagic));
-  std::uint8_t* payload = img.data() + kHeaderBytes;
-  put_u32(payload, kCkptVersion);
-  put_u32(payload + 4, data.n);
-  put_u64(payload + 8, data.watermark);
-  put_u64(payload + 16, data.epoch);
-  put_u64(payload + 24, data.wal_seq);
-  std::uint8_t* lp = payload + kFixedPayloadBytes;
-  for (std::uint32_t v = 0; v < data.n; ++v) put_u32(lp + 4ull * v, data.labels[v]);
-  put_u32(img.data() + 8, crc32(payload, img.size() - kHeaderBytes));
-
   const auto fail = [&](const std::string& what) {
     out.error = what;
     ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.write_errors", 1);
     return out;
   };
+  if (labels.size() != header.n) return fail("ckpt write: label count differs from n");
+
+  std::array<std::uint8_t, kImageHeaderBytes> hdr{};
+  std::memcpy(hdr.data(), kCkptMagic, sizeof(kCkptMagic));
+  std::uint8_t* payload = hdr.data() + kHeaderBytes;
+  put_u32(payload, kCkptVersion);
+  put_u32(payload + 4, header.n);
+  put_u64(payload + 8, header.watermark);
+  put_u64(payload + 16, header.epoch);
+  put_u64(payload + 24, header.wal_seq);
+  const std::size_t label_bytes = static_cast<std::size_t>(header.n) * sizeof(vertex_t);
+  put_u32(hdr.data() + 8, crc32_update(crc32(payload, kFixedPayloadBytes),
+                                       labels.data(), label_bytes));
+  const std::size_t image_bytes = hdr.size() + label_bytes;
 
   // O_TRUNC: a leftover .tmp from a crashed writer is garbage by contract —
   // only the rename publishes a checkpoint.
   const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return fail(errno_str("ckpt create " + tmp_path));
+  // The first `limit` bytes of the image: the header, then the labels
+  // straight from the caller's buffer.
+  const auto write_prefix = [&](std::size_t limit) {
+    const std::size_t head = std::min(limit, hdr.size());
+    return write_all(fd, hdr.data(), head) && write_all(fd, labels.data(), limit - head);
+  };
 
   // Fault semantics mirror the WAL append: kShort leaves a truncated image
   // behind (what a mid-write crash leaves), kFail dies before bytes land.
@@ -207,11 +240,10 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointData& data) {
                      outcome.action == fault::Action::kOom ||
                      outcome.action == fault::Action::kKill;
   if (outcome.action == fault::Action::kShort) {
-    const std::size_t partial = std::min<std::size_t>(outcome.arg, img.size());
-    (void)write_all(fd, img.data(), partial);
+    (void)write_prefix(std::min<std::size_t>(outcome.arg, image_bytes));
     write_fault = true;
   }
-  if (write_fault || !write_all(fd, img.data(), img.size())) {
+  if (write_fault || !write_prefix(image_bytes)) {
     ::close(fd);
     return fail("ckpt write " + tmp_path + (write_fault ? ": injected fault"
                                                         : errno_str("")));
@@ -232,7 +264,7 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointData& data) {
   Entry e;
   e.seq = seq;
   e.path = final_path;
-  e.wal_seq = data.wal_seq;
+  e.wal_seq = header.wal_seq;
   e.wal_seq_known = true;
   entries_.push_back(std::move(e));
 
@@ -248,9 +280,9 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointData& data) {
 
   out.ok = true;
   out.seq = seq;
-  out.bytes = img.size();
+  out.bytes = image_bytes;
   ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.writes", 1);
-  ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.bytes", img.size());
+  ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.bytes", image_bytes);
   return out;
 }
 

@@ -18,6 +18,12 @@
 //   payload  u32 version (=1) | u32 n | u64 watermark | u64 epoch |
 //            u64 wal_seq | n x u32 labels
 //
+// The labels are the paper's finalized (Fini) output: every vertex points
+// straight at its component's minimum ID, so label[v] <= v and
+// label[label[v]] == label[v]. That makes the array a flat union-find parent
+// array the service installs as-is on restart; a file whose labels are not
+// such a canonical forest is rejected as corrupt even when its CRC matches.
+//
 // Checkpoints are numbered files `<base>.000001, <base>.000002, ...`
 // (shared naming with WAL segments, svc/wal.h). Writes are crash-atomic:
 // the image is written to `<base>.tmp`, fsynced, renamed over the final
@@ -31,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,13 +45,20 @@
 
 namespace ecl::svc {
 
-/// The logical content of one checkpoint.
-struct CheckpointData {
+/// Everything in a checkpoint except its label array.
+struct CheckpointHeader {
   std::uint32_t n = 0;            // label-array length (vertex universe)
   std::uint64_t watermark = 0;    // edges folded into these labels
   std::uint64_t epoch = 0;        // snapshot epoch the labels came from
   std::uint64_t wal_seq = 0;      // WAL segments <= this are fully covered
-  std::vector<vertex_t> labels;   // canonical (minimum-ID) component labels
+};
+
+/// The logical content of one checkpoint.
+struct CheckpointData : CheckpointHeader {
+  /// Canonical (minimum-ID) component labels: label[v] <= v and
+  /// label[label[v]] == label[v], so the array is also a flat union-find
+  /// parent array. read_file() rejects any file whose labels are not.
+  std::vector<vertex_t> labels;
 };
 
 struct CheckpointWriteResult {
@@ -81,8 +95,13 @@ class CheckpointStore {
   /// Writes `data` as the next checkpoint (seq = newest + 1) via the
   /// crash-atomic temp -> fsync -> rename -> dir-fsync protocol, then
   /// applies retention (unlinking checkpoints beyond the keep count).
-  /// Counted in ecl.svc.ckpt.writes / .write_errors / .bytes.
-  [[nodiscard]] CheckpointWriteResult write(const CheckpointData& data);
+  /// Counted in ecl.svc.ckpt.writes / .write_errors / .bytes. The labels
+  /// are written straight from `labels` (n of them), with no file image.
+  [[nodiscard]] CheckpointWriteResult write(const CheckpointHeader& header,
+                                            std::span<const vertex_t> labels);
+  [[nodiscard]] CheckpointWriteResult write(const CheckpointData& data) {
+    return write(data, data.labels);
+  }
 
   /// The highest WAL segment seq that is safe to retire: the wal_seq of the
   /// *oldest retained* checkpoint (0 when fewer than `keep` checkpoints
@@ -94,7 +113,9 @@ class CheckpointStore {
   [[nodiscard]] std::uint64_t latest_seq() const;
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
 
-  /// Parses one checkpoint file. Exposed for tests and fallback logic.
+  /// Parses one checkpoint file: the header, then the label array read
+  /// straight into out->labels with the CRC chained over it, then the
+  /// canonical-forest check. Exposed for tests and fallback logic.
   [[nodiscard]] static bool read_file(const std::string& path, CheckpointData* out,
                                       std::string* err);
 

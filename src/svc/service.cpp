@@ -44,7 +44,6 @@ SnapshotPtr make_identity_snapshot(vertex_t n) {
 ConnectivityService::ConnectivityService(vertex_t n, ServiceOptions opts)
     : num_vertices_(n), opts_(opts), live_(n), queue_(opts.queue_capacity) {
   replica_.store(opts_.replica, std::memory_order_release);
-  snapshot_.store(make_identity_snapshot(n));
   init_durability();
   start_threads();
 }
@@ -98,42 +97,42 @@ void ConnectivityService::init_durability() {
           std::to_string(num_vertices_));
     }
     if (load.ok && load.data.watermark < applied_edges_.load(std::memory_order_acquire)) {
-      // Predates the seed graph this ctor was given: folding it in would
+      // Predates the seed graph this ctor was given: installing it would
       // drop seed edges from the watermark accounting. Start from the seed.
       std::fprintf(stderr,
                    "[ecl::svc] ignoring checkpoint older than the seed graph\n");
     } else if (load.ok) {
-      base_labels_ = std::move(load.data.labels);
-      base_watermark_ = load.data.watermark;
       covered_seq = load.data.wal_seq;
-      // Fold the checkpointed components into the live union-find: one
-      // (v, label) union per non-root vertex reconstructs them exactly.
-      std::vector<Edge> fold;
-      for (vertex_t v = 0; v < num_vertices_; ++v) {
-        if (base_labels_[v] != v) fold.emplace_back(v, base_labels_[v]);
-      }
-      live_.add_edges(fold.data(), fold.size());
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        log_.clear();  // seed edges (if any) are covered by the checkpoint
-        applied_edges_.store(base_watermark_, std::memory_order_release);
-      }
-      // Publish the checkpoint's labels directly — no ECL-CC run over
-      // history. This is the bounded-recovery payoff: restart cost is
-      // checkpoint load + tail replay, independent of lifetime ingest.
+      // read_file() has checked that the labels are a canonical forest —
+      // the paper's Fini output, every vertex pointing straight at its
+      // component's minimum. That is already a valid flat parent array, so
+      // it is installed as the live union-find with one copy and no unions,
+      // and published as the first snapshot, which doubles as the
+      // compaction base. Restart cost is read + CRC + validate + copy,
+      // independent of lifetime ingest.
       auto snap = std::make_shared<Snapshot>();
       snap->epoch = load.data.epoch;
-      snap->watermark = base_watermark_;
-      snap->labels = base_labels_;
+      snap->watermark = load.data.watermark;
+      snap->labels = std::move(load.data.labels);
       snap->num_components = count_labels(snap->labels);
-      snapshot_.store(std::move(snap));
+      live_.assign_labels(snap->labels);
+      {
+        std::lock_guard<std::mutex> lock(log_mu_);
+        log_.clear();  // the checkpoint supersedes the seed graph (if any)
+        base_ = snap;
+        applied_edges_.store(snap->watermark, std::memory_order_release);
+      }
       has_ckpt_.store(true, std::memory_order_release);
-      last_ckpt_epoch_.store(load.data.epoch, std::memory_order_relaxed);
-      last_ckpt_watermark_.store(base_watermark_, std::memory_order_relaxed);
+      last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
+      last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
       last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
       ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loads", 1);
-      ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", base_watermark_);
+      ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", snap->watermark);
+      snapshot_.store(std::move(snap));
     }
+  }
+  if (snapshot_.load(std::memory_order_relaxed) == nullptr) {
+    snapshot_.store(make_identity_snapshot(num_vertices_));
   }
 
   ckpt_covered_seq_ = covered_seq;  // ctor: threads not running, no lock
@@ -447,13 +446,12 @@ bool ConnectivityService::do_checkpoint() {
   run_compaction();
   const auto snap = snapshot_.load(std::memory_order_acquire);
 
-  CheckpointData data;
-  data.n = static_cast<std::uint32_t>(num_vertices_);
-  data.watermark = snap->watermark;
-  data.epoch = snap->epoch;
-  data.wal_seq = cut_seq;
-  data.labels = snap->labels;
-  auto wr = ckpt_store_.write(data);
+  CheckpointHeader header;
+  header.n = static_cast<std::uint32_t>(num_vertices_);
+  header.watermark = snap->watermark;
+  header.epoch = snap->epoch;
+  header.wal_seq = cut_seq;
+  auto wr = ckpt_store_.write(header, snap->labels);
   if (!wr.ok) {
     std::fprintf(stderr, "[ecl::svc] checkpoint write failed: %s\n", wr.error.c_str());
     ckpt_attempts_.fetch_add(1, std::memory_order_release);
@@ -463,13 +461,12 @@ bool ConnectivityService::do_checkpoint() {
 
   // The checkpoint is durable: everything at or before its watermark is
   // redundant in memory. Trim log_ to the un-checkpointed suffix and make
-  // the labels the new compaction base.
+  // the snapshot the new compaction base.
   {
     std::lock_guard<std::mutex> lock(log_mu_);
-    const std::uint64_t drop = snap->watermark - base_watermark_;
+    const std::uint64_t drop = snap->watermark - (base_ ? base_->watermark : 0);
     log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    base_labels_ = std::move(data.labels);
-    base_watermark_ = snap->watermark;
+    base_ = snap;
     ckpt_covered_seq_ = cut_seq;
     ECL_OBS_GAUGE_SET("ecl.svc.log.edges", static_cast<double>(log_.size()));
   }
@@ -527,22 +524,23 @@ void ConnectivityService::run_compaction() {
   ECL_OBS_SPAN(span, "svc.compact", "svc");
   Timer t;
   std::vector<Edge> edges;
-  std::uint64_t watermark = 0;
+  SnapshotPtr base;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     edges = log_;
-    // log_ holds only the suffix since the last checkpoint; the watermark
-    // stays cumulative so staleness arithmetic against applied_edges_ holds.
-    watermark = base_watermark_ + edges.size();
-    // Seed the graph with the checkpointed components: one (v, label) edge
-    // per non-root vertex reproduces them without replaying their history —
-    // compaction cost is O(n + tail), not O(lifetime ingest). Folded under
-    // log_mu_ because on a replica the Replicator's rebase_to_checkpoint()
-    // swaps base_labels_ out from its own thread.
-    if (!base_labels_.empty()) {
-      for (vertex_t v = 0; v < num_vertices_; ++v) {
-        if (base_labels_[v] != v) edges.emplace_back(v, base_labels_[v]);
-      }
+    base = base_;
+  }
+  // log_ holds only the suffix since the last checkpoint; the watermark
+  // stays cumulative so staleness arithmetic against applied_edges_ holds.
+  const std::uint64_t watermark = (base ? base->watermark : 0) + edges.size();
+  // Seed the graph with the checkpointed components: one (v, label) edge
+  // per non-root vertex reproduces them without replaying their history —
+  // compaction cost is O(n + tail), not O(lifetime ingest). The base is
+  // immutable, so this runs outside log_mu_ even if a replica's
+  // rebase_to_checkpoint() swaps base_ meanwhile.
+  if (base) {
+    for (vertex_t v = 0; v < num_vertices_; ++v) {
+      if (base->labels[v] != v) edges.emplace_back(v, base->labels[v]);
     }
   }
 
@@ -767,11 +765,15 @@ bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
     if (data.labels[v] != v) fold.emplace_back(v, data.labels[v]);
   }
   live_.add_edges(fold.data(), fold.size());
+  auto base = std::make_shared<Snapshot>();
+  base->epoch = data.epoch;
+  base->watermark = data.watermark;
+  base->labels = data.labels;
+  base->num_components = count_labels(base->labels);
   {
     std::lock_guard<std::mutex> lock(log_mu_);
-    if (data.watermark < base_watermark_) return false;
-    base_labels_ = data.labels;
-    base_watermark_ = data.watermark;
+    if (base_ && data.watermark < base_->watermark) return false;
+    base_ = std::move(base);
     log_.clear();
     const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
     applied_edges_.store(std::max(applied, data.watermark),

@@ -197,12 +197,14 @@ class ConnectivityService {
  public:
   using EdgeBatch = std::vector<Edge>;
 
-  /// A universe of n vertices, all singletons; snapshot epoch 0 is
-  /// published (synchronously) before the constructor returns.
+  /// A universe of n vertices, all singletons (or the recovered state); the
+  /// first snapshot is published (synchronously) before the constructor
+  /// returns.
   explicit ConnectivityService(vertex_t n, ServiceOptions opts = {});
 
   /// Seeds the service with an existing graph: the seed's edges count as
-  /// applied (watermark > 0) and epoch 0 reflects its components.
+  /// applied (watermark > 0) and epoch 0 reflects its components. A valid
+  /// checkpoint whose watermark covers the seed's edges supersedes it.
   explicit ConnectivityService(const Graph& seed, ServiceOptions opts = {});
 
   /// Drains and stops (see stop()).
@@ -318,8 +320,10 @@ class ConnectivityService {
 
   /// Replica side: rebases onto a newer checkpoint fetched from the primary
   /// after falling behind retention. Folds the checkpoint's labels into the
-  /// live structure (monotone-safe: connectivity only grows), replaces the
-  /// compaction base, clears the edge log, and advances the watermark.
+  /// live structure (monotone-safe: connectivity only grows — the live
+  /// structure keeps taking reads, so its array cannot simply be replaced),
+  /// replaces the compaction base, clears the edge log, and advances the
+  /// watermark.
   /// False when not a replica, on a vertex-count mismatch, or if the
   /// checkpoint would move the watermark backwards.
   [[nodiscard]] bool rebase_to_checkpoint(const CheckpointData& data);
@@ -347,20 +351,23 @@ class ConnectivityService {
   void ingest_loop();
   void ingest_loop_body();
   void compact_loop();
-  /// Builds and publishes a snapshot covering base_labels_ (the last
-  /// checkpoint's components) plus the log's current contents.
+  /// Builds and publishes a snapshot covering base_ (the last checkpoint's
+  /// components) plus the log's current contents.
   void run_compaction();
-  /// Ctor-only recovery: load the newest valid checkpoint (publishing its
-  /// labels as the initial snapshot — no ECL-CC run), replay only the WAL
-  /// tail segments past it, then open the WAL for appending. Throws
-  /// std::runtime_error on an unusable WAL/checkpoint state.
+  /// Ctor-only recovery: load the newest valid checkpoint and install its
+  /// labels both as the live union-find's parent array and as the initial
+  /// snapshot — no unions, no ECL-CC run — then replay only the WAL tail
+  /// segments past it and open the WAL for appending. Publishes the
+  /// all-singleton snapshot when nothing was loaded and none was seeded.
+  /// Throws std::runtime_error on an unusable WAL/checkpoint state.
   void init_durability();
   /// Compaction-thread: writes a checkpoint when forced, due by interval,
   /// or on the final drain — see do_checkpoint().
   void maybe_checkpoint(bool force, bool exiting);
   /// The checkpoint cut: rotate the WAL, wait for every batch accepted at
-  /// the cut to be applied, compact, persist the labels, trim log_ to the
-  /// un-checkpointed suffix, retire covered WAL segments.
+  /// the cut to be applied, compact, persist the snapshot's labels, make
+  /// that snapshot the base and trim log_ to the un-checkpointed suffix,
+  /// retire covered WAL segments.
   bool do_checkpoint();
   /// Milliseconds since service construction (steady clock).
   [[nodiscard]] std::uint64_t now_ms() const;
@@ -378,13 +385,14 @@ class ConnectivityService {
   std::mutex log_mu_;
   std::vector<Edge> log_;
 
-  // Checkpoint base: components already folded into the last checkpoint.
+  // Checkpoint base: the snapshot the last checkpoint wrote or loaded (null
+  // before the first), so log_ holds exactly the edges past its watermark.
   // Compaction seeds its graph from these labels instead of replaying the
-  // full history. Guarded by log_mu_ since the replication PR: on a replica
-  // the Replicator's rebase_to_checkpoint() replaces the base from its own
-  // thread while the compaction thread reads it.
-  std::vector<vertex_t> base_labels_;
-  std::uint64_t base_watermark_ = 0;
+  // full history. Shared with snapshot_ rather than copied: after a restart
+  // both point at the checkpoint's one label buffer. Guarded by log_mu_: on
+  // a replica the Replicator's rebase_to_checkpoint() replaces the base
+  // from its own thread while the compaction thread reads it.
+  SnapshotPtr base_;
   std::uint64_t ckpt_covered_seq_ = 0;  // wal_seq of the recovered checkpoint
 
   std::atomic<SnapshotPtr> snapshot_;

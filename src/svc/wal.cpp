@@ -126,21 +126,48 @@ bool fsync_parent_dir(const std::string& path) {
   return ok;
 }
 
-std::uint32_t crc32(const void* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
+namespace {
+
+// Slice-by-8 tables: t[0] is the classic byte table; t[k][b] is the CRC
+// register after byte b is followed by k zero bytes, so eight table lookups
+// advance the register by eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
     for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      t[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
     }
-    return t;
-  }();
-  std::uint32_t c = 0xFFFFFFFFu;
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  }
+  return t;
 }
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+}  // namespace
+
+std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n) {
+  const auto& t = kCrcTables;
+  std::uint32_t c = ~crc;
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ get_u32(p);
+    const std::uint32_t hi = get_u32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return ~c;
+}
+
+std::uint32_t crc32(const void* data, std::size_t n) { return crc32_update(0, data, n); }
 
 const char* to_string(FsyncPolicy p) {
   switch (p) {

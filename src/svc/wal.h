@@ -267,9 +267,14 @@ class WalSegmentReader {
                                          std::uint64_t offset, std::uint32_t max_bytes);
 };
 
-/// CRC32 (reflected 0xEDB88320, zlib-compatible). Exposed for tests that
-/// hand-craft torn or corrupt WAL images.
+/// CRC32 (reflected 0xEDB88320, zlib-compatible), computed slice-by-8.
+/// Exposed for tests that hand-craft torn or corrupt WAL images.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n);
+
+/// Extends a finished CRC32 over n more bytes, like zlib's crc32(crc, ...):
+/// crc32_update(crc32(a), b) == crc32(a followed by b), and crc 0 starts a
+/// fresh checksum. Lets a reader checksum a file chunk by chunk.
+[[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n);
 
 /// The 8-byte magic opening every WAL segment ("ECLWAL01"). Exposed so the
 /// replication path can validate mirrored segment headers without reparsing

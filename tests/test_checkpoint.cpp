@@ -14,6 +14,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -117,6 +118,46 @@ TEST_F(NumberedFilesTest, ListingSortsBySeqAndIgnoresStrays) {
   EXPECT_EQ(files[0].bytes, 1u);
 }
 
+// --------------------------------------------------------------- crc32 ----
+
+/// The byte-at-a-time definition the WAL and checkpoint formats were
+/// written with; the slice-by-8 implementation must match it bit for bit.
+std::uint32_t reference_crc32(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32_update(0, "123456789", 9), 0xCBF43926u);
+}
+
+TEST(Crc32Test, ChainedUpdateMatchesOneShotAtEverySplit) {
+  std::vector<std::uint8_t> buf(64);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  // Start offsets 0..7 and lengths up to 40 put the 8-byte steps at every
+  // alignment and leave every tail length; splits 0..15 cut inside and
+  // across them.
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::uint8_t* p = buf.data() + off;
+    for (std::size_t len = 0; len <= 40; ++len) {
+      const std::uint32_t one_shot = crc32(p, len);
+      ASSERT_EQ(one_shot, reference_crc32(p, len)) << "off " << off << " len " << len;
+      for (std::size_t split = 0; split <= std::min<std::size_t>(15, len); ++split) {
+        ASSERT_EQ(crc32_update(crc32(p, split), p + split, len - split), one_shot)
+            << "off " << off << " len " << len << " split " << split;
+      }
+    }
+  }
+}
+
 // ----------------------------------------------------- checkpoint store ----
 
 using CheckpointStoreTest = DurabilityTest;
@@ -189,6 +230,36 @@ TEST_F(CheckpointStoreTest, CorruptNewestFallsBackToPrevious) {
   EXPECT_EQ(load.seq, 1u);
   EXPECT_EQ(load.fallbacks, 1u);
   EXPECT_EQ(load.data.watermark, 10u);
+}
+
+TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
+  // The restart installs the labels as the live union-find's parent array,
+  // so a CRC-valid image whose labels are not a canonical forest is as
+  // unusable as a torn one: the loader must skip it for the older file.
+  const std::vector<std::vector<vertex_t>> bad = {
+      {0, 2, 2, 3},  // label[1] = 2 > 1: not its component's minimum
+      {0, 0, 1, 3},  // label[2] = 1 but label[1] = 0: a chain, not flat
+  };
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    const std::string base = path("ckpt" + std::to_string(i));
+    CheckpointStore store;
+    store.open(base);
+    ASSERT_TRUE(store.write(sample_data(4, 10, 1, 1)).ok);
+    auto data = sample_data(4, 20, 2, 2);
+    data.labels = bad[i];
+    ASSERT_TRUE(store.write(data).ok);  // the writer trusts its caller
+
+    CheckpointData out;
+    std::string err;
+    EXPECT_FALSE(CheckpointStore::read_file(numbered_path(base, 2), &out, &err)) << i;
+    EXPECT_NE(err.find("canonical forest"), std::string::npos) << err;
+
+    const auto load = store.load_latest_valid();
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.seq, 1u) << i;
+    EXPECT_EQ(load.fallbacks, 1u) << i;
+    EXPECT_EQ(load.data.watermark, 10u) << i;
+  }
 }
 
 TEST_F(CheckpointStoreTest, TornNewestFallsBackToPrevious) {
@@ -493,6 +564,7 @@ TEST_F(ServiceCheckpointTest, CleanStopCheckpointsAndRestartSkipsReplay) {
   EXPECT_GT(h.last_checkpoint_epoch, 0u);
   const auto stats = revived.stats();
   EXPECT_EQ(stats.watermark, 3u);  // snapshot already reflects the labels
+  EXPECT_EQ(stats.epoch, h.last_checkpoint_epoch);  // published as loaded
   revived.stop();
 }
 
@@ -503,7 +575,7 @@ TEST_F(ServiceCheckpointTest, RestartReplaysOnlyTheUncheckpointedTail) {
   opts.checkpoint_interval_ms = 0;
   {
     ConnectivityService service(64, opts);
-    ASSERT_EQ(service.submit({{1, 2}, {2, 3}}), Admission::kAccepted);
+    ASSERT_EQ(service.submit({{1, 2}, {2, 3}, {10, 12}, {12, 11}}), Admission::kAccepted);
     service.flush();
     ASSERT_TRUE(service.checkpoint_now());
     ASSERT_EQ(service.submit({{20, 21}}), Admission::kAccepted);
@@ -520,6 +592,28 @@ TEST_F(ServiceCheckpointTest, RestartReplaysOnlyTheUncheckpointedTail) {
   EXPECT_TRUE(revived.connected(1, 3));     // from the checkpoint labels
   EXPECT_TRUE(revived.connected(20, 21));   // from the tail replay
   EXPECT_FALSE(revived.connected(1, 20));
+
+  // The installed labels are a working union-find, not just a label copy:
+  // the live structure agrees with the snapshot on every vertex...
+  const auto modes_agree = [&revived] {
+    for (vertex_t v = 0; v < revived.num_vertices(); ++v) {
+      if (revived.component_of(v, ReadMode::kFresh) !=
+          revived.component_of(v, ReadMode::kSnapshot)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(modes_agree());
+  // ...and an ingest joining two checkpointed components through non-root
+  // members merges them in both read modes.
+  ASSERT_EQ(revived.submit({{11, 3}}), Admission::kAccepted);
+  revived.flush();
+  EXPECT_TRUE(revived.connected(2, 12, ReadMode::kFresh));
+  (void)revived.compact_now();
+  EXPECT_TRUE(revived.connected(2, 12, ReadMode::kSnapshot));
+  EXPECT_EQ(revived.component_of(12, ReadMode::kSnapshot), 1u);
+  EXPECT_TRUE(modes_agree());
   revived.stop();
 }
 
@@ -529,6 +623,9 @@ TEST_F(ServiceCheckpointTest, CheckpointNowRetiresCoveredSegments) {
   opts.checkpoint_path = path("ckpt");
   opts.checkpoint_interval_ms = 0;
   opts.wal_segment_bytes = 256;  // rotate every few batches
+  // Room for all 100 batches below: each rotation fsyncs, so the worker can
+  // trail the submit loop by more than the default 64 and shed one.
+  opts.queue_capacity = 128;
 
   ConnectivityService service(1024, opts);
   for (vertex_t i = 0; i + 1 < 200; i += 2) {
