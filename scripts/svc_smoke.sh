@@ -55,6 +55,13 @@ echo "   metrics exporter on port $MPORT"
 echo "== client round trips"
 "$CLIENT" --unix="$SOCK" ping
 "$CLIENT" --unix="$SOCK" ingest 1 2 2 3
+# Neither the ingest ack nor a snapshot read promises visibility (snapshots
+# are stale by up to one compaction interval, docs/SERVICE.md), so poll the
+# snapshot read for up to ~5 s before asserting it.
+for _ in $(seq 1 50); do
+  [[ "$("$CLIENT" --unix="$SOCK" connected 1 3)" == "connected" ]] && break
+  sleep 0.1
+done
 "$CLIENT" --unix="$SOCK" connected 1 3 | grep -qx "connected"
 "$CLIENT" --unix="$SOCK" connected 1 4 | grep -qx "not-connected"
 "$CLIENT" --unix="$SOCK" stats

@@ -39,16 +39,22 @@ class IncrementalCC {
   /// no unions. Quiescent call: no concurrent add_edge or query.
   void assign_labels(std::span<const vertex_t> labels) { dsu_.assign_parents(labels); }
 
+  /// Copies the union-find's parent array into `out` (num_vertices()
+  /// elements). Every parent[v] <= v, so one ascending pass
+  /// label[v] = label[label[v]] (the paper's Fini) turns the copy into the
+  /// canonical labelling. Precondition: no concurrent hook (add_edge /
+  /// add_edges); concurrent connected / component_of calls are fine.
+  void copy_parents(std::span<vertex_t> out) { dsu_.copy_parents(out); }
+
   /// Inserts the undirected edge (u, v). Thread-safe.
   void add_edge(vertex_t u, vertex_t v) { dsu_.unite(u, v); }
 
-  /// Bulk insert of `count` undirected edges, parallelized across the batch
-  /// with OpenMP (each hook is the same lock-free CAS as add_edge, so the
-  /// batch needs no ordering). Thread-safe with respect to concurrent
-  /// add_edge/add_edges/connected calls. This is the service ingest path:
-  /// one call per batch instead of one virtual dispatch per edge.
+  /// Bulk insert of `count` undirected edges, in order, on the calling
+  /// thread (each hook is the same lock-free CAS as add_edge). Thread-safe
+  /// with respect to concurrent add_edge/add_edges/connected calls. This is
+  /// the service ingest path: one call per batch instead of one virtual
+  /// dispatch per edge.
   void add_edges(const std::pair<vertex_t, vertex_t>* edges, std::size_t count) {
-#pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < count; ++i) {
       dsu_.unite(edges[i].first, edges[i].second);
     }

@@ -13,6 +13,11 @@ void ConcurrentDisjointSet::flatten() {
   }
 }
 
+void ConcurrentDisjointSet::copy_parents(std::span<vertex_t> out) {
+  AtomicParentOps ops(parent_.data());
+  for (vertex_t v = 0; v < size(); ++v) out[v] = ops.load(v);
+}
+
 vertex_t ConcurrentDisjointSet::count() const {
   vertex_t sets = 0;
   for (vertex_t v = 0; v < size(); ++v) {

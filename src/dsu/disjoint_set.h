@@ -115,6 +115,13 @@ class ConcurrentDisjointSet {
   /// Read-only view of the parent array (labels after flatten()).
   [[nodiscard]] const std::vector<vertex_t>& parents() const { return parent_; }
 
+  /// Copies the parent array into `out` (size() elements) with relaxed
+  /// atomic loads, so it may overlap concurrent find()s: path halving only
+  /// re-points an element at an ancestor in its own tree. It must not
+  /// overlap a unite(): the copy could read a root, miss that root's hook,
+  /// then read a member already halved onto the new root, splitting a set.
+  void copy_parents(std::span<vertex_t> out);
+
  private:
   std::vector<vertex_t> parent_;
 };

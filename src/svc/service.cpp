@@ -13,9 +13,7 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "core/ecl_cc.h"
 #include "fault/fault.h"
-#include "graph/builder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -23,20 +21,25 @@ namespace ecl::svc {
 
 namespace {
 
-vertex_t count_labels(const std::vector<vertex_t>& labels) {
+/// The paper's finalization phase (Fini) on a parent forest with
+/// parent[v] <= v: ascending, every parent is final before its children
+/// read it, so one pass points each vertex at its root, the minimum ID of
+/// its tree. Returns the number of roots (components).
+vertex_t finalize(std::vector<vertex_t>& labels) {
   vertex_t components = 0;
   for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
+    labels[v] = labels[labels[v]];
     if (labels[v] == v) ++components;
   }
   return components;
 }
 
-SnapshotPtr make_identity_snapshot(vertex_t n) {
-  auto snap = std::make_shared<Snapshot>();
-  snap->labels.resize(n);
-  for (vertex_t v = 0; v < n; ++v) snap->labels[v] = v;
-  snap->num_components = n;
-  return snap;
+vertex_t count_roots(const std::vector<vertex_t>& labels) {
+  vertex_t components = 0;
+  for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
+    if (labels[v] == v) ++components;
+  }
+  return components;
 }
 
 }  // namespace
@@ -54,22 +57,12 @@ ConnectivityService::ConnectivityService(const Graph& seed, ServiceOptions opts)
       live_(seed),
       queue_(opts.queue_capacity) {
   replica_.store(opts_.replica, std::memory_order_release);
+  // live_ already holds the seed's components; count its edges as applied.
+  std::uint64_t edges = 0;
   for (vertex_t v = 0; v < num_vertices_; ++v) {
-    for (const vertex_t u : seed.neighbors(v)) {
-      if (u < v) log_.emplace_back(v, u);
-    }
+    for (const vertex_t u : seed.neighbors(v)) edges += u < v ? 1 : 0;
   }
-  applied_edges_.store(log_.size());
-
-  auto snap = std::make_shared<Snapshot>();
-  snap->watermark = log_.size();
-  EclOptions eopts;
-  eopts.num_threads = opts_.num_threads;
-  Timer t;
-  snap->labels = num_vertices_ > 0 ? ecl_cc_omp(seed, eopts) : std::vector<vertex_t>{};
-  snap->build_ms = t.millis();
-  snap->num_components = count_labels(snap->labels);
-  snapshot_.store(std::move(snap));
+  applied_edges_.store(edges);
   init_durability();
   start_threads();
 }
@@ -106,22 +99,17 @@ void ConnectivityService::init_durability() {
       // read_file() has checked that the labels are a canonical forest —
       // the paper's Fini output, every vertex pointing straight at its
       // component's minimum. That is already a valid flat parent array, so
-      // it is installed as the live union-find with one copy and no unions,
-      // and published as the first snapshot, which doubles as the
-      // compaction base. Restart cost is read + CRC + validate + copy,
-      // independent of lifetime ingest.
+      // it is installed as the live union-find with one copy and no unions
+      // (superseding the seed graph, if any), and published as the first
+      // snapshot. Restart cost is read + CRC + validate + copy, independent
+      // of lifetime ingest.
       auto snap = std::make_shared<Snapshot>();
       snap->epoch = load.data.epoch;
       snap->watermark = load.data.watermark;
       snap->labels = std::move(load.data.labels);
-      snap->num_components = count_labels(snap->labels);
+      snap->num_components = count_roots(snap->labels);
       live_.assign_labels(snap->labels);
-      {
-        std::lock_guard<std::mutex> lock(log_mu_);
-        log_.clear();  // the checkpoint supersedes the seed graph (if any)
-        base_ = snap;
-        applied_edges_.store(snap->watermark, std::memory_order_release);
-      }
+      applied_edges_.store(snap->watermark, std::memory_order_release);
       has_ckpt_.store(true, std::memory_order_release);
       last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
       last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
@@ -131,11 +119,8 @@ void ConnectivityService::init_durability() {
       snapshot_.store(std::move(snap));
     }
   }
-  if (snapshot_.load(std::memory_order_relaxed) == nullptr) {
-    snapshot_.store(make_identity_snapshot(num_vertices_));
-  }
-
-  ckpt_covered_seq_ = covered_seq;  // ctor: threads not running, no lock
+  if (snapshot_.load(std::memory_order_relaxed) == nullptr) run_compaction();
+  ckpt_covered_seq_.store(covered_seq, std::memory_order_relaxed);
 
   if (opts_.wal_path.empty()) return;
   std::string err;
@@ -153,12 +138,9 @@ void ConnectivityService::init_durability() {
     std::erase_if(rep.edges, [this](const Edge& e) {
       return e.first >= num_vertices_ || e.second >= num_vertices_;
     });
+    // Ctor: no other thread runs yet, so no apply_mu_.
     live_.add_edges(rep.edges.data(), rep.edges.size());
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      log_.insert(log_.end(), rep.edges.begin(), rep.edges.end());
-      applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
-    }
+    applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
     replayed_edges_ = rep.edges.size();
     // Synchronous: threads are not running yet, and the first published
     // snapshot must already reflect everything the WAL recovered.
@@ -309,55 +291,70 @@ void ConnectivityService::ingest_loop_body() {
     if (opts_.ingest_delay_us > 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(opts_.ingest_delay_us));
     }
-    // Drop edges outside the vertex universe; everything else is applied.
-    const std::size_t before = batch.size();
-    std::erase_if(batch, [this](const Edge& e) {
-      return e.first >= num_vertices_ || e.second >= num_vertices_;
-    });
-    if (const std::size_t invalid = before - batch.size(); invalid > 0) {
-      ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
-    }
-
-    live_.add_edges(batch.data(), batch.size());
-    {
-      std::lock_guard<std::mutex> lock(log_mu_);
-      log_.insert(log_.end(), batch.begin(), batch.end());
-      // Incremented inside log_mu_ so a compaction (which takes its
-      // watermark from the log size under the same lock) can never observe
-      // watermark > applied_edges_ — the unsigned staleness arithmetic
-      // depends on applied >= watermark.
-      applied_edges_.fetch_add(batch.size(), std::memory_order_release);
-    }
+    apply_batch(batch);
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.edges", batch.size());
     ECL_OBS_HISTOGRAM_RECORD("ecl.svc.batch_apply_us",
                              ::ecl::obs::Histogram::pow2_bounds(22),
                              static_cast<std::uint64_t>(t.micros()));
     ECL_OBS_GAUGE_SET("ecl.svc.queue.depth", static_cast<double>(queue_.size()));
     span.arg("edges", static_cast<std::uint64_t>(batch.size()));
-    {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      applied_batches_.fetch_add(1, std::memory_order_release);
-    }
-    progress_cv_.notify_all();
-    compact_cv_.notify_all();
   }
 }
 
+void ConnectivityService::apply_batch(EdgeBatch& batch) {
+  // Drop edges outside the vertex universe; everything else is applied.
+  const std::size_t before = batch.size();
+  std::erase_if(batch, [this](const Edge& e) {
+    return e.first >= num_vertices_ || e.second >= num_vertices_;
+  });
+  if (const std::size_t invalid = before - batch.size(); invalid > 0) {
+    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
+  }
+  {
+    // The count advances with the hooks, under the lock the compaction's
+    // copy takes, so every snapshot's watermark is exactly the edges its
+    // labels reflect — and never exceeds applied_edges_, which the unsigned
+    // staleness arithmetic depends on.
+    std::lock_guard<std::mutex> lock(apply_mu_);
+    live_.add_edges(batch.data(), batch.size());
+    applied_edges_.fetch_add(batch.size(), std::memory_order_release);
+  }
+  {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    applied_batches_.fetch_add(1, std::memory_order_release);
+  }
+  progress_cv_.notify_all();
+  compact_cv_.notify_all();
+}
+
 void ConnectivityService::compact_loop() {
+  using Clock = std::chrono::steady_clock;
   const auto interval = std::chrono::milliseconds(
       std::max(1, opts_.compact_interval_ms));
+  // An unforced compaction starts no sooner than kCooldownFactor times the
+  // previous one's duration after it ended, and never later than the
+  // interval. Each copy blocks the apply path, so on a large universe
+  // (copies of milliseconds) they run about once per interval, while on a
+  // small one (copies of microseconds) each applied batch wakes one.
+  constexpr int kCooldownFactor = 4;
+  Clock::time_point ready_at = Clock::now();
   for (;;) {
     bool exiting = false;
     bool want_ckpt = false;
     {
       std::unique_lock<std::mutex> lock(progress_mu_);
-      compact_cv_.wait_for(lock, interval, [&] {
-        const auto snap = snapshot_.load(std::memory_order_acquire);
+      const Clock::time_point deadline = Clock::now() + interval;
+      for (;;) {
+        if (stopping_ || force_checkpoint_ || rebase_pending()) break;
+        const std::uint64_t watermark = snapshot_.load(std::memory_order_acquire)->watermark;
         const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-        return stopping_ || force_checkpoint_ || force_watermark_ > snap->watermark ||
-               (applied > snap->watermark &&
-                applied - snap->watermark >= opts_.compact_min_new_edges);
-      });
+        if (force_watermark_ > watermark) break;
+        const bool enough =
+            applied > watermark && applied - watermark >= opts_.compact_min_new_edges;
+        const Clock::time_point now = Clock::now();
+        if (now >= deadline || (enough && now >= ready_at)) break;
+        compact_cv_.wait_until(lock, enough ? ready_at : deadline);
+      }
       exiting = stopping_;
       want_ckpt = force_checkpoint_;
       force_checkpoint_ = false;
@@ -370,9 +367,13 @@ void ConnectivityService::compact_loop() {
       forced = force_watermark_ > snap->watermark;
     }
     const bool pending = applied > snap->watermark;
-    if (pending && (forced || exiting ||
-                    applied - snap->watermark >= opts_.compact_min_new_edges)) {
+    if (rebase_pending() ||
+        (pending && (forced || exiting ||
+                     applied - snap->watermark >= opts_.compact_min_new_edges))) {
+      const auto start = Clock::now();
       run_compaction();
+      const auto end = Clock::now();
+      ready_at = end + std::min<Clock::duration>(interval, kCooldownFactor * (end - start));
     }
     // Checkpoint after compaction so the drained/exit path persists the
     // final snapshot: a clean stop leaves a checkpoint covering everything,
@@ -459,18 +460,7 @@ bool ConnectivityService::do_checkpoint() {
     return false;
   }
 
-  // The checkpoint is durable: everything at or before its watermark is
-  // redundant in memory. Trim log_ to the un-checkpointed suffix and make
-  // the snapshot the new compaction base.
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    const std::uint64_t drop = snap->watermark - (base_ ? base_->watermark : 0);
-    log_.erase(log_.begin(), log_.begin() + static_cast<std::ptrdiff_t>(drop));
-    base_ = snap;
-    ckpt_covered_seq_ = cut_seq;
-    ECL_OBS_GAUGE_SET("ecl.svc.log.edges", static_cast<double>(log_.size()));
-  }
-
+  ckpt_covered_seq_.store(cut_seq, std::memory_order_relaxed);
   has_ckpt_.store(true, std::memory_order_release);
   ckpt_written_.fetch_add(1, std::memory_order_release);
   last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
@@ -523,43 +513,27 @@ bool ConnectivityService::checkpoint_now() {
 void ConnectivityService::run_compaction() {
   ECL_OBS_SPAN(span, "svc.compact", "svc");
   Timer t;
-  std::vector<Edge> edges;
-  SnapshotPtr base;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    edges = log_;
-    base = base_;
-  }
-  // log_ holds only the suffix since the last checkpoint; the watermark
-  // stays cumulative so staleness arithmetic against applied_edges_ holds.
-  const std::uint64_t watermark = (base ? base->watermark : 0) + edges.size();
-  // Seed the graph with the checkpointed components: one (v, label) edge
-  // per non-root vertex reproduces them without replaying their history —
-  // compaction cost is O(n + tail), not O(lifetime ingest). The base is
-  // immutable, so this runs outside log_mu_ even if a replica's
-  // rebase_to_checkpoint() swaps base_ meanwhile.
-  if (base) {
-    for (vertex_t v = 0; v < num_vertices_; ++v) {
-      if (base->labels[v] != v) edges.emplace_back(v, base->labels[v]);
-    }
-  }
-
   auto snap = std::make_shared<Snapshot>();
-  snap->epoch = snapshot_.load(std::memory_order_acquire)->epoch + 1;
-  snap->watermark = watermark;
-  if (num_vertices_ > 0) {
-    const Graph g = build_graph(num_vertices_, edges);
-    EclOptions eopts;
-    eopts.num_threads = opts_.num_threads;
-    snap->labels = ecl_cc_omp(g, eopts);
+  const SnapshotPtr prev = snapshot_.load(std::memory_order_acquire);
+  snap->epoch = prev ? prev->epoch + 1 : 0;
+  // Sized (and its pages faulted in) before the lock: the critical section
+  // is the copy alone.
+  snap->labels.resize(num_vertices_);
+  std::uint64_t rebases = 0;
+  {
+    std::lock_guard<std::mutex> lock(apply_mu_);
+    live_.copy_parents(snap->labels);
+    snap->watermark = applied_edges_.load(std::memory_order_relaxed);
+    rebases = rebases_.load(std::memory_order_relaxed);
   }
-  snap->num_components = count_labels(snap->labels);
+  snap->num_components = finalize(snap->labels);
   snap->build_ms = t.millis();
 
   span.arg("epoch", snap->epoch);
   span.arg("watermark", snap->watermark);
   span.arg("components", static_cast<std::uint64_t>(snap->num_components));
   snapshot_.store(snap, std::memory_order_release);
+  published_rebases_.store(rebases, std::memory_order_release);
 
   ECL_OBS_COUNTER_ADD("ecl.svc.compactions", 1);
   ECL_OBS_GAUGE_SET("ecl.svc.epoch", static_cast<double>(snap->epoch));
@@ -588,6 +562,7 @@ void ConnectivityService::flush() {
 std::uint64_t ConnectivityService::compact_now() {
   flush();
   const std::uint64_t target = applied_edges_.load(std::memory_order_acquire);
+  const std::uint64_t target_rebases = rebases_.load(std::memory_order_acquire);
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     force_watermark_ = std::max(force_watermark_, target);
@@ -595,7 +570,8 @@ std::uint64_t ConnectivityService::compact_now() {
   compact_cv_.notify_all();
   std::unique_lock<std::mutex> lock(progress_mu_);
   compact_cv_.wait(lock, [&] {
-    return snapshot_.load(std::memory_order_acquire)->watermark >= target ||
+    return (snapshot_.load(std::memory_order_acquire)->watermark >= target &&
+            published_rebases_.load(std::memory_order_acquire) >= target_rebases) ||
            stopped_.load(std::memory_order_acquire);
   });
   return snapshot_.load(std::memory_order_acquire)->epoch;
@@ -713,31 +689,10 @@ ServiceHealth ConnectivityService::health() const {
 // ------------------------------------------------------- replication ----
 
 void ConnectivityService::apply_replicated(EdgeBatch batch) {
-  // Mirrors ingest_loop_body()'s apply path so every downstream invariant —
-  // compaction triggers, staleness gauges, flush()/health() batch
-  // arithmetic — holds for replicated writes too.
   accepted_batches_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t before = batch.size();
-  std::erase_if(batch, [this](const Edge& e) {
-    return e.first >= num_vertices_ || e.second >= num_vertices_;
-  });
-  if (const std::size_t invalid = before - batch.size(); invalid > 0) {
-    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
-  }
-  live_.add_edges(batch.data(), batch.size());
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    log_.insert(log_.end(), batch.begin(), batch.end());
-    applied_edges_.fetch_add(batch.size(), std::memory_order_release);
-  }
+  apply_batch(batch);
   wal_records_.fetch_add(1, std::memory_order_relaxed);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.applied_edges", batch.size());
-  {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    applied_batches_.fetch_add(1, std::memory_order_release);
-  }
-  progress_cv_.notify_all();
-  compact_cv_.notify_all();
 }
 
 void ConnectivityService::set_replication_lag(std::uint64_t lag_seq,
@@ -757,44 +712,43 @@ void ConnectivityService::set_replica_wal_stats(std::uint64_t segments,
 bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
   if (!replica_.load(std::memory_order_acquire)) return false;
   if (data.n != num_vertices_) return false;
-  // Folding the checkpoint's components into the live union-find is safe
-  // even though some may already be present: unions are idempotent, and
-  // connectivity on a replica only ever grows.
-  std::vector<Edge> fold;
-  for (vertex_t v = 0; v < num_vertices_; ++v) {
-    if (data.labels[v] != v) fold.emplace_back(v, data.labels[v]);
-  }
-  live_.add_edges(fold.data(), fold.size());
-  auto base = std::make_shared<Snapshot>();
-  base->epoch = data.epoch;
-  base->watermark = data.watermark;
-  base->labels = data.labels;
-  base->num_components = count_labels(base->labels);
   {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    if (base_ && data.watermark < base_->watermark) return false;
-    base_ = std::move(base);
-    log_.clear();
-    const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-    applied_edges_.store(std::max(applied, data.watermark),
-                         std::memory_order_release);
-    ckpt_covered_seq_ = data.wal_seq;
+    std::lock_guard<std::mutex> lock(apply_mu_);
+    if (has_ckpt_.load(std::memory_order_acquire) &&
+        data.watermark < last_ckpt_watermark_.load(std::memory_order_relaxed)) {
+      return false;
+    }
+    // Uniting each vertex with its label is safe even where the live
+    // structure already has the component: unions are idempotent, and
+    // connectivity on a replica only ever grows. The labels' edges count as
+    // applied, so the watermark covers a superset of them from here on.
+    for (vertex_t v = 0; v < num_vertices_; ++v) {
+      if (data.labels[v] != v) live_.add_edge(v, data.labels[v]);
+    }
+    const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
+    applied_edges_.store(std::max(applied, data.watermark), std::memory_order_release);
+    ckpt_covered_seq_.store(data.wal_seq, std::memory_order_relaxed);
+    has_ckpt_.store(true, std::memory_order_release);
+    last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
+    last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
+    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+    // Counted even when applied_edges_ did not rise: the compaction loop
+    // publishes the rebased labels at once (as epoch + 1: publishing the
+    // checkpoint's own epoch could move it backwards relative to what
+    // readers already saw).
+    rebases_.fetch_add(1, std::memory_order_release);
   }
-  has_ckpt_.store(true, std::memory_order_release);
-  last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
-  last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
-  last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.rebases", 1);
-  // The next compaction republishes a snapshot covering the new base (epoch
-  // stays monotone; publishing the checkpoint labels directly could move
-  // the epoch backwards relative to what readers already saw).
+  {
+    // Orders the count before the compaction loop's next predicate check.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+  }
   compact_cv_.notify_all();
   return true;
 }
 
 std::uint64_t ConnectivityService::checkpoint_covered_wal_seq() {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return ckpt_covered_seq_;
+  return ckpt_covered_seq_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t ConnectivityService::replica_fetch_floor() {
@@ -936,11 +890,7 @@ bool ConnectivityService::promote(std::string* err) {
     if (err != nullptr) *err = "promote: service is stopped";
     return false;
   }
-  std::uint64_t covered = 0;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    covered = ckpt_covered_seq_;
-  }
+  const std::uint64_t covered = ckpt_covered_seq_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
     if (!opts_.wal_path.empty()) {

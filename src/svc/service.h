@@ -8,16 +8,16 @@
 //   writer side   Edge batches are admitted through a bounded queue
 //                 (explicit shed on overflow — see svc/queue.h) and applied
 //                 by a single ingest worker to the lock-free IncrementalCC
-//                 union-find plus an append-only edge log.
+//                 union-find — the paper's hooking phase, kept live.
 //
 //   reader side   Queries are answered against an immutable epoch Snapshot:
-//                 a canonical label array produced by running the batch
-//                 ECL-CC engine (ecl_cc_omp) over the logged edges. A
-//                 background compaction thread rebuilds and atomically
-//                 swaps the snapshot; readers take one atomic shared_ptr
-//                 load and never block writers (double buffering falls out
-//                 of shared_ptr lifetime: the old epoch stays alive until
-//                 its last reader drops it).
+//                 a canonical label array produced by the paper's
+//                 finalization phase (Fini) on a copy of that union-find.
+//                 A background compaction thread takes the copy between
+//                 batches and atomically swaps the snapshot; readers take
+//                 one atomic shared_ptr load and never block writers
+//                 (double buffering falls out of shared_ptr lifetime: the
+//                 old epoch stays alive until its last reader drops it).
 //
 // Two read modes are exposed: kSnapshot (stale but epoch-consistent, pure
 // array reads, no synchronization with writers) and kFresh (reads the live
@@ -53,13 +53,14 @@ struct ServiceOptions {
   /// Maximum number of *batches* admitted but not yet applied. A full queue
   /// sheds (Admission::kShed) instead of blocking.
   std::size_t queue_capacity = 64;
-  /// Background compaction wakes at this period to check for new edges.
+  /// Longest wait before new edges are compacted into a snapshot. Applied
+  /// batches wake the compaction sooner once four times the previous
+  /// compaction's duration has passed since it ended (compact_now(),
+  /// checkpoints and stop() compact at once).
   int compact_interval_ms = 20;
   /// Skip a compaction cycle unless at least this many edges arrived since
   /// the published snapshot's watermark (forced compactions ignore it).
   std::uint64_t compact_min_new_edges = 1;
-  /// OpenMP threads for the compaction's ECL-CC run; 0 = runtime default.
-  int num_threads = 0;
   /// Test hook: artificial delay (microseconds) per applied batch, to make
   /// backpressure reproducible in unit tests. 0 in production.
   int ingest_delay_us = 0;
@@ -78,10 +79,9 @@ struct ServiceOptions {
   std::uint64_t wal_segment_bytes = 64ull << 20;
   /// Checkpoint base path; empty disables checkpoints. When set, the
   /// compaction thread persists the snapshot's label array every
-  /// checkpoint_interval_ms, trims the in-memory edge log to the
-  /// un-checkpointed suffix, and retires WAL segments the checkpoint chain
-  /// covers — bounding restart time, disk, and memory by the tail instead
-  /// of lifetime ingest (docs/ROBUSTNESS.md "Checkpoints").
+  /// checkpoint_interval_ms and retires WAL segments the checkpoint chain
+  /// covers — bounding restart time and disk by the tail instead of
+  /// lifetime ingest (docs/ROBUSTNESS.md "Checkpoints").
   std::string checkpoint_path;
   /// Minimum period between automatic checkpoints (0 = only explicit
   /// checkpoint_now() / the final checkpoint on clean stop()).
@@ -305,9 +305,9 @@ class ConnectivityService {
   [[nodiscard]] bool promote(std::string* err = nullptr);
 
   /// Replica side: applies one primary WAL record's edges (the Replicator
-  /// calls this after mirroring the bytes locally). Follows the ingest
-  /// worker's apply path — live union-find, edge log, batch accounting —
-  /// so compaction, staleness, and health arithmetic hold unchanged.
+  /// calls this after mirroring the bytes locally) through the ingest
+  /// worker's apply path, so compaction, staleness, and health arithmetic
+  /// hold unchanged.
   void apply_replicated(EdgeBatch batch);
 
   /// Replica side: lag sample pushed by the Replicator after each fetch
@@ -319,13 +319,15 @@ class ConnectivityService {
   void set_replica_wal_stats(std::uint64_t segments, std::uint64_t bytes);
 
   /// Replica side: rebases onto a newer checkpoint fetched from the primary
-  /// after falling behind retention. Folds the checkpoint's labels into the
-  /// live structure (monotone-safe: connectivity only grows — the live
-  /// structure keeps taking reads, so its array cannot simply be replaced),
-  /// replaces the compaction base, clears the edge log, and advances the
-  /// watermark.
-  /// False when not a replica, on a vertex-count mismatch, or if the
-  /// checkpoint would move the watermark backwards.
+  /// after falling behind retention. Unites every vertex with its label in
+  /// the live structure (monotone-safe: connectivity only grows — the live
+  /// structure keeps taking reads, so its array cannot simply be replaced)
+  /// and raises applied edges to at least the checkpoint's watermark; the
+  /// compaction publishes the result at once, even when the watermark did
+  /// not rise.
+  /// False, changing nothing, when not a replica, on a vertex-count
+  /// mismatch, or for a checkpoint older than the last one written, loaded
+  /// or rebased onto.
   [[nodiscard]] bool rebase_to_checkpoint(const CheckpointData& data);
 
   /// wal_seq covered by the checkpoint this service recovered from (0 when
@@ -351,23 +353,29 @@ class ConnectivityService {
   void ingest_loop();
   void ingest_loop_body();
   void compact_loop();
-  /// Builds and publishes a snapshot covering base_ (the last checkpoint's
-  /// components) plus the log's current contents.
+  /// The one apply path, shared by the ingest worker and apply_replicated():
+  /// drops out-of-range edges, hooks the rest into live_ and advances
+  /// applied_edges_ under apply_mu_, then counts the batch as applied.
+  void apply_batch(EdgeBatch& batch);
+  /// Publishes the next epoch: copies live_'s parent array and the applied
+  /// edge count under apply_mu_ — between batches, so the copy holds
+  /// exactly the first `watermark` applied edges — then runs Fini on the
+  /// copy outside it. The first call (no snapshot yet) publishes epoch 0.
   void run_compaction();
   /// Ctor-only recovery: load the newest valid checkpoint and install its
   /// labels both as the live union-find's parent array and as the initial
   /// snapshot — no unions, no ECL-CC run — then replay only the WAL tail
-  /// segments past it and open the WAL for appending. Publishes the
-  /// all-singleton snapshot when nothing was loaded and none was seeded.
+  /// segments past it and open the WAL for appending. Without a checkpoint
+  /// the first snapshot is the copy + Fini of the live union-find (the
+  /// seed graph's components, or all singletons).
   /// Throws std::runtime_error on an unusable WAL/checkpoint state.
   void init_durability();
   /// Compaction-thread: writes a checkpoint when forced, due by interval,
   /// or on the final drain — see do_checkpoint().
   void maybe_checkpoint(bool force, bool exiting);
   /// The checkpoint cut: rotate the WAL, wait for every batch accepted at
-  /// the cut to be applied, compact, persist the snapshot's labels, make
-  /// that snapshot the base and trim log_ to the un-checkpointed suffix,
-  /// retire covered WAL segments.
+  /// the cut to be applied, compact, persist the snapshot's labels, retire
+  /// covered WAL segments.
   bool do_checkpoint();
   /// Milliseconds since service construction (steady clock).
   [[nodiscard]] std::uint64_t now_ms() const;
@@ -380,20 +388,22 @@ class ConnectivityService {
   IncrementalCC live_;
   BoundedQueue<EdgeBatch> queue_;
 
-  // Edge log since the last checkpoint; the compaction thread copies it
-  // under log_mu_ and trims the checkpointed prefix after each checkpoint.
-  std::mutex log_mu_;
-  std::vector<Edge> log_;
-
-  // Checkpoint base: the snapshot the last checkpoint wrote or loaded (null
-  // before the first), so log_ holds exactly the edges past its watermark.
-  // Compaction seeds its graph from these labels instead of replaying the
-  // full history. Shared with snapshot_ rather than copied: after a restart
-  // both point at the checkpoint's one label buffer. Guarded by log_mu_: on
-  // a replica the Replicator's rebase_to_checkpoint() replaces the base
-  // from its own thread while the compaction thread reads it.
-  SnapshotPtr base_;
-  std::uint64_t ckpt_covered_seq_ = 0;  // wal_seq of the recovered checkpoint
+  // The apply mutex: every hook into live_ (apply_batch, the replica's
+  // rebase) and the applied_edges_ advance that counts it happen under it,
+  // and so does the compaction's parent-array copy. A copy overlapping a
+  // hook could split a component; kFresh finds need no lock.
+  std::mutex apply_mu_;
+  // rebase_to_checkpoint() calls, counted under apply_mu_, and the count the
+  // published snapshot's copy saw: a rebase can add unions without raising
+  // applied_edges_, so the compaction loop publishes while they differ.
+  std::atomic<std::uint64_t> rebases_{0};
+  std::atomic<std::uint64_t> published_rebases_{0};
+  [[nodiscard]] bool rebase_pending() const {
+    return rebases_.load(std::memory_order_acquire) >
+           published_rebases_.load(std::memory_order_acquire);
+  }
+  // wal_seq of the newest checkpoint loaded, written or rebased onto.
+  std::atomic<std::uint64_t> ckpt_covered_seq_{0};
 
   std::atomic<SnapshotPtr> snapshot_;
 
@@ -405,7 +415,7 @@ class ConnectivityService {
   std::atomic<std::uint64_t> accepted_batches_{0};
   std::atomic<std::uint64_t> applied_batches_{0};
   std::atomic<std::uint64_t> shed_batches_{0};
-  std::atomic<std::uint64_t> applied_edges_{0};
+  std::atomic<std::uint64_t> applied_edges_{0};  // advanced under apply_mu_
   std::uint64_t force_watermark_ = 0;  // compaction must reach this
   bool force_checkpoint_ = false;      // checkpoint_now() pending
   bool stopping_ = false;

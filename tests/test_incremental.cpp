@@ -1,7 +1,9 @@
 // Tests for the streaming/incremental connectivity API.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "core/incremental.h"
 #include "core/verify.h"
@@ -180,6 +182,47 @@ TEST(IncrementalCC, AssignedLabelsActAsTheUnionFind) {
   cc.add_edge(members[1], members[0]);
   EXPECT_TRUE(cc.connected(labels[members[0]], labels[members[1]]));
   EXPECT_EQ(cc.num_components(), count_components(g) - 1);
+}
+
+// copy_parents may overlap finds (never hooks): path halving only re-points
+// a vertex at an ancestor in its own tree, so every copy is a forest
+// (parent <= child) whose trees are exactly the live components. Descending
+// path inserts build long chains, so the readers' finds keep halving while
+// the copies run (a plain memcpy here is what ThreadSanitizer would flag).
+TEST(IncrementalCC, ParentCopyOverlappingFindsIsTheLiveForest) {
+  constexpr vertex_t kN = 1 << 14;
+  constexpr vertex_t kChain = 1 << 10;
+  IncrementalCC cc(kN);
+  for (vertex_t v = kN - 1; v > 0; --v) {
+    if (v % kChain != 0) cc.add_edge(v - 1, v);  // chain v -> v-1 -> ... -> root
+  }
+  std::vector<vertex_t> want(kN);
+  for (vertex_t v = 0; v < kN; ++v) want[v] = v - v % kChain;
+
+  std::atomic<bool> done{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      vertex_t v = kN - 1 - static_cast<vertex_t>(r);
+      while (!done.load(std::memory_order_acquire)) {
+        (void)cc.component_of(v);
+        (void)cc.connected(v, (v * 31 + 7) % kN);
+        v = (v + kN - 97) % kN;
+      }
+    });
+  }
+  std::vector<vertex_t> copy(kN);
+  bool forest = true;
+  for (int round = 0; round < 50 && forest; ++round) {
+    cc.copy_parents(copy);
+    for (vertex_t v = 0; v < kN; ++v) forest = forest && copy[v] <= v;
+    EXPECT_TRUE(forest) << "round " << round;
+    if (!forest) break;
+    for (vertex_t v = 0; v < kN; ++v) copy[v] = copy[copy[v]];  // Fini
+    EXPECT_TRUE(copy == want) << "round " << round;
+  }
+  done.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
 }
 
 TEST(IncrementalCC, LabelsAreCanonicalMinima) {

@@ -3,6 +3,7 @@
 // rotation/retirement-safe WalSegmentReader (regression: a reader iterating
 // while the writer rotates must keep making progress), the service-level
 // replica contract (submit sheds, apply_replicated feeds the live structure,
+// rebase_to_checkpoint unites a newer checkpoint and refuses an older one,
 // promote flips to writable), the retention floor interaction (a slow
 // replica pins segments; a dead one is released after replica_hold_ms), and
 // an end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
@@ -337,6 +338,82 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   ConnectivityService restarted(16, ropts);
   EXPECT_TRUE(restarted.connected(2, 3, ReadMode::kFresh));
   restarted.stop();
+}
+
+// rebase_to_checkpoint on its own: the checkpoint's components are united
+// into the live structure (kFresh sees them at once, the next snapshot as a
+// later epoch), applied edges rise to max(applied, checkpoint watermark),
+// and an older checkpoint is refused without changing anything.
+TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
+  constexpr vertex_t kN = 16;
+  const auto checkpoint = [](std::uint64_t watermark, std::uint64_t epoch,
+                             std::uint64_t wal_seq,
+                             std::vector<std::pair<vertex_t, vertex_t>> joins) {
+    CheckpointData data;
+    data.n = kN;
+    data.watermark = watermark;
+    data.epoch = epoch;
+    data.wal_seq = wal_seq;
+    data.labels.resize(kN);
+    for (vertex_t v = 0; v < kN; ++v) data.labels[v] = v;
+    for (const auto& [v, label] : joins) data.labels[v] = label;  // canonical
+    return data;
+  };
+  ServiceOptions opts;
+  opts.replica = true;
+  opts.compact_interval_ms = 3600 * 1000;  // explicit compactions only
+  opts.compact_min_new_edges = ~0ull;
+  ConnectivityService svc(kN, opts);
+  svc.apply_replicated({{0, 1}, {2, 3}, {8, 9}});
+  const std::uint64_t epoch = svc.compact_now();
+  EXPECT_EQ(svc.stats().applied_edges, 3u);
+
+  // A vertex-count mismatch is refused.
+  CheckpointData wrong_n = checkpoint(10, 7, 4, {});
+  wrong_n.n = kN / 2;
+  wrong_n.labels.resize(kN / 2);
+  EXPECT_FALSE(svc.rebase_to_checkpoint(wrong_n));
+
+  // Newer checkpoint: {0, 1, 2, 3} and {4, 5} joined, watermark 10 > 3.
+  ASSERT_TRUE(svc.rebase_to_checkpoint(checkpoint(10, 7, 4, {{1, 0}, {2, 0}, {3, 0}, {5, 4}})));
+  EXPECT_TRUE(svc.connected(1, 3, ReadMode::kFresh));
+  EXPECT_TRUE(svc.connected(4, 5, ReadMode::kFresh));
+  EXPECT_TRUE(svc.connected(8, 9, ReadMode::kFresh));
+  EXPECT_FALSE(svc.connected(0, 4, ReadMode::kFresh));
+  EXPECT_EQ(svc.stats().applied_edges, 10u);
+  EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
+  EXPECT_EQ(svc.health().last_checkpoint_epoch, 7u);
+
+  const std::uint64_t rebased_epoch = svc.compact_now();
+  EXPECT_GT(rebased_epoch, epoch);
+  const SnapshotPtr snap = svc.snapshot();
+  EXPECT_EQ(snap->watermark, 10u);
+  EXPECT_TRUE(snap->connected(1, 3));
+  EXPECT_TRUE(snap->connected(4, 5));
+  EXPECT_TRUE(snap->connected(8, 9));
+  EXPECT_EQ(snap->num_components, kN - 5);
+
+  // Older checkpoint (watermark 6 < 10): refused, nothing changes.
+  svc.apply_replicated({{10, 11}});
+  EXPECT_FALSE(svc.rebase_to_checkpoint(checkpoint(6, 5, 2, {{7, 6}})));
+  EXPECT_FALSE(svc.connected(6, 7, ReadMode::kFresh));
+  EXPECT_EQ(svc.stats().applied_edges, 11u);
+  EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
+  EXPECT_EQ(svc.health().last_checkpoint_epoch, 7u);
+
+  // Applied edges stay the max of the two: 11 applied > watermark 10. The
+  // snapshot already covers all 11, so the watermark does not rise, yet
+  // the next snapshot must still show the rebased union.
+  const std::uint64_t caught_up_epoch = svc.compact_now();
+  EXPECT_EQ(svc.snapshot()->watermark, 11u);
+  ASSERT_TRUE(svc.rebase_to_checkpoint(checkpoint(10, 8, 5, {{13, 12}})));
+  EXPECT_TRUE(svc.connected(12, 13, ReadMode::kFresh));
+  EXPECT_EQ(svc.stats().applied_edges, 11u);
+  EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 5u);
+  EXPECT_GT(svc.compact_now(), caught_up_epoch);
+  EXPECT_TRUE(svc.connected(12, 13));
+  EXPECT_EQ(svc.snapshot()->watermark, 11u);
+  svc.stop();
 }
 
 // Satellite 4: retention x replica floor. A live replica mid-fetch on an

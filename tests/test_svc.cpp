@@ -8,11 +8,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/incremental.h"
 #include "graph/builder.h"
 #include "svc/client.h"
 #include "svc/net.h"
@@ -267,6 +269,88 @@ TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
   svc.compact_now();
   EXPECT_TRUE(svc.connected(0, kN - 1));
   EXPECT_EQ(svc.component_count(), 1u);
+}
+
+// Snapshot exactness: compaction copies the live union-find between
+// batches, so every published snapshot is exactly the components of the
+// first `watermark` applied edges — never a torn mix. One submitter streams
+// random edges (queue order = apply order), a kFresh reader keeps path
+// halving running during the copies, and a recorder checks each new epoch
+// against a reference union-find advanced to that watermark, and against
+// the previous epoch (snapshots may only coarsen).
+TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
+  constexpr vertex_t kN = 1 << 16;
+  constexpr std::size_t kEdges = 1 << 18;
+  constexpr std::size_t kBatch = 64;
+  std::vector<Edge> edges(kEdges);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto next = [&x] {  // xorshift64
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<vertex_t>(x % kN);
+  };
+  for (auto& e : edges) e = {next(), next()};
+
+  ServiceOptions opts;
+  opts.compact_interval_ms = 1;
+  ConnectivityService svc(kN, opts);
+
+  std::atomic<bool> done{false};
+  std::thread submitter([&] {
+    for (std::size_t off = 0; off < kEdges; off += kBatch) {
+      const ConnectivityService::EdgeBatch batch(edges.begin() + off,
+                                                 edges.begin() + off + kBatch);
+      while (svc.submit(batch) == Admission::kShed) std::this_thread::yield();
+    }
+    svc.compact_now();
+    done.store(true, std::memory_order_release);
+  });
+  std::thread fresh_reader([&] {
+    vertex_t v = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      (void)svc.component_of(v, ReadMode::kFresh);
+      v = (v + 7919) % kN;
+    }
+  });
+
+  IncrementalCC ref(kN);
+  std::size_t ref_edges = 0;
+  const auto check = [&](const Snapshot& snap, const Snapshot& older) -> std::string {
+    if (snap.epoch <= older.epoch) return "epoch did not advance";
+    if (snap.watermark < ref_edges || snap.watermark > kEdges) return "watermark out of order";
+    for (; ref_edges < snap.watermark; ++ref_edges) {
+      ref.add_edge(edges[ref_edges].first, edges[ref_edges].second);
+    }
+    const std::vector<vertex_t> want = ref.labels();
+    for (vertex_t v = 0; v < kN; ++v) {
+      if (snap.labels[v] != want[v]) return "label differs from the prefix at " + std::to_string(v);
+      if (snap.labels[older.labels[v]] != snap.labels[v]) return "splits " + std::to_string(v);
+    }
+    return {};
+  };
+  SnapshotPtr prev = svc.snapshot();
+  int checked = 0;
+  for (bool last = false; !last;) {
+    last = done.load(std::memory_order_acquire);
+    const SnapshotPtr snap = svc.snapshot();
+    if (snap->epoch == prev->epoch) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      continue;
+    }
+    const std::string err = check(*snap, *prev);
+    if (!err.empty()) {
+      ADD_FAILURE() << "epoch " << snap->epoch << " (watermark " << snap->watermark
+                    << "): " << err;
+      break;
+    }
+    prev = snap;
+    ++checked;
+  }
+  submitter.join();
+  fresh_reader.join();
+  EXPECT_EQ(prev->watermark, kEdges);
+  EXPECT_GE(checked, 2);
 }
 
 // ------------------------------------------------------------- protocol ----

@@ -3,7 +3,8 @@
 // Serves connected(u,v) / component_of(v) / component_count() queries and
 // streaming edge ingest over the ecl::svc binary protocol, on a TCP or
 // Unix-domain socket, against a ConnectivityService (snapshot reads, lock-
-// free ingest, background ECL-CC compaction; see docs/SERVICE.md).
+// free ingest, background compaction by the paper's finalization phase;
+// see docs/SERVICE.md).
 //
 //   $ ecl_ccd --vertices=100000 --unix=/tmp/ecl.sock
 //   $ ecl_ccd --graph=web.eclg --port=4280
@@ -19,7 +20,6 @@
 //   --queue-capacity=N      ingest admission queue, in batches (default 64)
 //   --compact-interval-ms=N background compaction cadence (default 20)
 //   --compact-min-edges=N   min new edges before compacting (default 1)
-//   --threads=N             OpenMP threads for compaction (0 = default)
 //   --wal=PATH              write-ahead edge log (segments PATH.000001, ...):
 //                           replay the tail on startup (truncating any torn
 //                           final record) and append every accepted batch
@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
   sopts.compact_interval_ms = static_cast<int>(args.get_int("compact-interval-ms", 20));
   sopts.compact_min_new_edges =
       static_cast<std::uint64_t>(args.get_int("compact-min-edges", 1));
-  sopts.num_threads = static_cast<int>(args.get_int("threads", 0));
   sopts.wal_path = args.get("wal", "");
   const std::string fsync_policy = args.get("wal-fsync", "batch");
   if (!svc::parse_fsync_policy(fsync_policy, &sopts.wal.fsync_policy)) {
