@@ -652,7 +652,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: cannot read service stats (or empty universe)\n");
     return 1;
   }
-  cfg.num_vertices = st.num_vertices;
+  cfg.num_vertices = static_cast<vertex_t>(st.num_vertices);
   if (cfg.connections.empty()) {
     std::printf("target: %u vertices, epoch %llu; %d workers, %s, %.0f%% ingest\n",
                 cfg.num_vertices, static_cast<unsigned long long>(st.epoch),

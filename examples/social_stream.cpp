@@ -96,10 +96,11 @@ int main(int argc, char** argv) {
 
   const auto stats = service.stats();
   std::printf("\nservice: %llu batches accepted, %llu shed-retries, epoch %llu, "
-              "%u communities\n",
+              "%llu communities\n",
               static_cast<unsigned long long>(stats.accepted_batches),
               static_cast<unsigned long long>(sheds),
-              static_cast<unsigned long long>(stats.epoch), stats.num_components);
+              static_cast<unsigned long long>(stats.epoch),
+              static_cast<unsigned long long>(stats.num_components));
   service.stop();
   return 0;
 }

@@ -187,7 +187,7 @@ def parse_stats(body):
         off += 10
     return fields
 
-QUEUE_DEPTH = 7  # svc::StatsField tag
+QUEUE_DEPTH = 7  # ECL_SVC_STATS_FIELDS tag (src/svc/service.h)
 for _ in range(200):  # drain: late acks may still sit in the admission queue
     status, body = request(s, 5)
     assert status == 0, f'stats status {status}'

@@ -28,7 +28,7 @@
 #   kill-replica    WAL-shipping replica (docs/REPLICATION.md) SIGKILLed
 #                   mid-stream: the primary must not notice, and the revived
 #                   replica resumes from its local mirror, catches up (lag
-#                   observable via kHealth + /metrics), and serves every
+#                   observable via kStats + /metrics), and serves every
 #                   acked edge
 #   kill-primary-then-promote  the primary is SIGKILLed mid-ingest; the
 #                   replica is promoted over the wire (kPromote) and every
@@ -132,15 +132,10 @@ print(f'{len(edges)} acked edges to verify')
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sock_path)
 
-# The kStats body is tag-indexed (u8 format | u16 count | count x (u16 tag,
-# u64 value)); a pre-tagging daemon sends exactly 13 x u64 instead. Tags
-# match svc::StatsField.
+# The kStats body is tag-indexed: u8 format | u16 count | count x (u16 tag,
+# u64 value). Tags are the ECL_SVC_STATS_FIELDS rows in src/svc/service.h.
 def parse_stats(body):
     fields = {}
-    if len(body) == 13 * 8:  # legacy fixed layout, declaration order
-        for i, v in enumerate(struct.unpack_from('<13Q', body, 0), start=1):
-            fields[i] = v
-        return fields
     fmt, count = struct.unpack_from('<BH', body, 0)
     assert fmt == 1, f'unknown stats format byte {fmt}'
     assert len(body) == 3 + 10 * count, (len(body), count)
@@ -151,7 +146,8 @@ def parse_stats(body):
         off += 10
     return fields
 
-QUEUE_DEPTH, DEGRADED = 7, 14  # svc::StatsField tags
+QUEUE_DEPTH, LAST_CKPT_EPOCH, WAL_SEGMENTS, DEGRADED, REPLAYED_EDGES = 7, 11, 12, 14, 16
+WORKER_ALIVE, WAL_ENABLED, WAL_HEALTHY, CKPT_ENABLED = 25, 26, 27, 32
 
 # Drain: batches acked in the loadgen's final moments may still sit in the
 # admission queue; wait for queue_depth == 0 before reading (kStats = 5).
@@ -164,17 +160,17 @@ for _ in range(200):
     time.sleep(0.05)
 else:
     sys.exit('ingest queue never drained after restart')
-assert stats.get(DEGRADED, 0) == 0, 'stats report a degraded daemon after restart'
 
-# kHealth (7): the revived daemon must be fully healthy, with a WAL. New
-# checkpoint fields are appended after the original 4 x u8 + 6 x u64 body.
-status, body = request(s, 7)
-assert status == 0, f'health status {status}'
-degraded, worker_alive, wal_enabled, wal_healthy = struct.unpack_from('<4B', body, 0)
-replayed = struct.unpack_from('<Q', body, 4 + 4 * 8)[0]
-ckpt_enabled = struct.unpack_from('<B', body, 4 + 6 * 8)[0]
-last_ckpt_epoch, = struct.unpack_from('<Q', body, 4 + 6 * 8 + 1 + 8)
-wal_segments, = struct.unpack_from('<Q', body, 4 + 6 * 8 + 1 + 3 * 8)
+# The same drained sample: the revived daemon must be fully healthy, with a
+# WAL.
+degraded = stats.get(DEGRADED, 0)
+worker_alive = stats.get(WORKER_ALIVE, 0)
+wal_enabled = stats.get(WAL_ENABLED, 0)
+wal_healthy = stats.get(WAL_HEALTHY, 0)
+replayed = stats.get(REPLAYED_EDGES, 0)
+ckpt_enabled = stats.get(CKPT_ENABLED, 0)
+last_ckpt_epoch = stats.get(LAST_CKPT_EPOCH, 0)
+wal_segments = stats.get(WAL_SEGMENTS, 0)
 assert not degraded, 'daemon is degraded after restart'
 assert worker_alive and wal_enabled and wal_healthy, \
     f'bad health: worker={worker_alive} wal={wal_enabled}/{wal_healthy}'

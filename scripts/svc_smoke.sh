@@ -84,7 +84,9 @@ python3 "$SCRIPT_DIR/check_metrics_export.py" \
     --require=ecl_svc_up --require=ecl_svc_epoch \
     --require=ecl_svc_requests_served_total --require=ecl_svc_queue_depth \
     --require=ecl_wal_enabled --require=ecl_ckpt_enabled \
-    --require=ecl_svc_op_us_connected --require=ecl_exporter_scrapes_total
+    --require=ecl_svc_op_us_connected --require=ecl_exporter_scrapes_total \
+    --require=ecl_svc_num_vertices --require=ecl_svc_applied_batches_total \
+    --require=ecl_svc_degraded_entries_total
 
 echo "== graceful shutdown"
 "$CLIENT" --unix="$SOCK" shutdown

@@ -1,11 +1,7 @@
 #include "obs/exporter.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -13,6 +9,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+
+#include "common/sock.h"
 
 namespace ecl::obs {
 
@@ -49,15 +47,6 @@ void append_gauge(std::string& out, const std::string& name, double v) {
   out += '\n';
 }
 
-void set_socket_timeouts(int fd, int timeout_ms) {
-  if (timeout_ms <= 0) return;
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-}
-
 std::uint64_t mono_ms() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
                                         std::chrono::steady_clock::now().time_since_epoch())
@@ -89,40 +78,13 @@ std::string MetricsExporter::sanitize_name(std::string_view name) {
 
 bool MetricsExporter::start(std::string* err) {
   if (running_.load(std::memory_order_acquire)) return true;
-  auto fail = [&](const char* what) {
-    if (err != nullptr) {
-      *err = what;
-      *err += ": ";
-      *err += std::strerror(errno);
-    }
-    if (listen_fd_ >= 0) ::close(listen_fd_);
+  listen_fd_ = listen_tcp(opts_.host, opts_.port, 16, &port_, err);
+  if (listen_fd_ < 0) return false;
+  if (::pipe(wake_pipe_) != 0) {
+    if (err != nullptr) *err = std::string("pipe: ") + std::strerror(errno);
+    ::close(listen_fd_);
     listen_fd_ = -1;
-    for (int& p : wake_pipe_) {
-      if (p >= 0) ::close(p);
-      p = -1;
-    }
     return false;
-  };
-  if (::pipe(wake_pipe_) != 0) return fail("pipe");
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return fail("socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(opts_.port));
-  if (::inet_pton(AF_INET, opts_.host.c_str(), &addr.sin_addr) != 1) {
-    errno = EINVAL;
-    return fail("inet_pton");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
-    return fail("bind");
-  }
-  if (::listen(listen_fd_, 16) != 0) return fail("listen");
-  sockaddr_in bound{};
-  socklen_t len = sizeof bound;
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    port_ = static_cast<int>(ntohs(bound.sin_port));
   }
   // First sample before the thread starts: a scrape that races startup still
   // sees every already-registered metric (windows just aren't valid yet).
@@ -175,7 +137,7 @@ void MetricsExporter::serve_loop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
     if (client_fd < 0) continue;
-    set_socket_timeouts(client_fd, opts_.io_timeout_ms);
+    set_io_timeouts(client_fd, opts_.io_timeout_ms, opts_.io_timeout_ms);
     handle_client(client_fd);
     ::close(client_fd);
   }

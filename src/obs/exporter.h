@@ -25,8 +25,8 @@
 //     exposition
 //
 // This header lives in obs (not svc) deliberately: the service library
-// links obs, so the exporter cannot use svc::net without a cycle — it
-// carries its own ~100 lines of POSIX socket plumbing instead.
+// links obs, so the exporter cannot use svc::net without a cycle. Its
+// listener comes from common/sock.h, the one the svc server uses too.
 #pragma once
 
 #include <atomic>

@@ -158,7 +158,6 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
     MetricSnapshot s;
     s.name = name;
     s.kind = MetricSnapshot::Kind::kHistogram;
-    s.count = h->count();
     s.sum = h->sum();
     s.max = h->max();
     s.value = h->average();
@@ -170,6 +169,9 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
     s.buckets.reserve(bounds.size());
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       s.buckets.emplace_back(bounds[i], counts[i]);
+      // The count is the total of this one bucket read, so a record()
+      // racing the snapshot cannot make _count and the +Inf bucket differ.
+      s.count += counts[i];
     }
     out.push_back(std::move(s));
   }

@@ -7,6 +7,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/sock.h"
 #include "obs/metrics.h"
 
 namespace ecl::svc {
@@ -19,7 +20,7 @@ Client::Client(int fd, ClientOptions opts, bool is_unix, std::string host_or_pat
       host_or_path_(std::move(host_or_path)),
       port_(port),
       jitter_(opts.backoff_seed) {
-  net::set_io_timeouts(fd_, opts_.op_timeout_ms, opts_.op_timeout_ms);
+  set_io_timeouts(fd_, opts_.op_timeout_ms, opts_.op_timeout_ms);
   // Seed != default: start the id sequence at a seed-derived 64-bit base
   // (splitmix64 finalizer) so concurrent clients — loadgen workers already
   // scramble their seeds — stamp distinguishable ids into the slow log.
@@ -60,7 +61,7 @@ bool Client::reconnect() {
                                         opts_.connect_timeout_ms);
   if (fd < 0) return false;
   fd_ = fd;
-  net::set_io_timeouts(fd_, opts_.op_timeout_ms, opts_.op_timeout_ms);
+  set_io_timeouts(fd_, opts_.op_timeout_ms, opts_.op_timeout_ms);
   ++reconnects_;
   ECL_OBS_COUNTER_ADD("ecl.svc.client.reconnects", 1);
   return true;
@@ -177,15 +178,6 @@ bool Client::stats(ServiceStats& out) {
   Response resp;
   if (!call(req, resp) || resp.status != Status::kOk) return false;
   out = resp.stats;
-  return true;
-}
-
-bool Client::health(ServiceHealth& out) {
-  Request req;
-  req.type = MsgType::kHealth;
-  Response resp;
-  if (!call(req, resp) || resp.status != Status::kOk) return false;
-  out = resp.health;
   return true;
 }
 

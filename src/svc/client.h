@@ -89,11 +89,9 @@ class Client {
   /// Snapshot component count. False on failure.
   [[nodiscard]] bool component_count(std::uint64_t& count);
 
-  /// Full service stats sample. False on failure.
+  /// Full service stats sample: every ECL_SVC_STATS_FIELDS row the
+  /// server sent. False on failure.
   [[nodiscard]] bool stats(ServiceStats& out);
-
-  /// Liveness/durability sample (kHealth). False on failure.
-  [[nodiscard]] bool health(ServiceHealth& out);
 
   /// Asks the daemon to shut down gracefully. True if acknowledged. Never
   /// retried: re-sending shutdown to a dying server is noise.

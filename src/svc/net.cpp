@@ -11,9 +11,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 
+#include "common/sock.h"
 #include "fault/fault.h"
 #include "svc/protocol.h"
 
@@ -25,9 +25,9 @@ void set_error(std::string* err, const std::string& what) {
   if (err != nullptr) *err = what + ": " + std::strerror(errno);
 }
 
-/// Injected read fault, shared by both read paths. Mutates `budget` (the
-/// bytes this read may still deliver before simulating a dead peer) and
-/// returns true when the read should fail right now.
+/// Injected read fault. Mutates `budget` (the bytes this read may still
+/// deliver before simulating a dead peer) and returns true when the read
+/// should fail right now.
 bool read_fault_fires(std::size_t& budget) {
   const auto outcome = ECL_FAULT_POINT("svc.net.read");
   switch (outcome.action) {
@@ -54,217 +54,57 @@ bool write_fault_fires() {
          outcome.action == fault::Action::kShort;
 }
 
-timeval millis_to_timeval(int ms) {
-  timeval tv{};
-  tv.tv_sec = ms / 1000;
-  tv.tv_usec = static_cast<suseconds_t>(ms % 1000) * 1000;
-  return tv;
-}
-
-using clock_type = std::chrono::steady_clock;
-
-/// Remaining milliseconds until `deadline`, clamped to >= 0; -1 when there
-/// is no deadline (poll's "wait forever").
-int remaining_ms(bool bounded, clock_type::time_point deadline) {
-  if (!bounded) return -1;
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-      deadline - clock_type::now());
-  return static_cast<int>(std::max<long long>(0, left.count()));
-}
-
-/// Reads exactly n bytes with an optional absolute deadline enforced by
-/// poll() before every recv. `fault_budget` is the injected short-read
-/// allowance threaded through from the caller.
-IoStatus read_n_deadline(int fd, std::uint8_t* p, std::size_t n, bool bounded,
-                         clock_type::time_point deadline, std::size_t* got,
-                         std::size_t& fault_budget) {
-  std::size_t done = 0;
-  const auto finish = [&](IoStatus st) {
-    if (got != nullptr) *got = done;
-    return st;
-  };
-  while (done < n) {
-    const int wait = remaining_ms(bounded, deadline);
-    if (bounded && wait == 0) return finish(IoStatus::kTimeout);
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, wait);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return finish(IoStatus::kError);
-    }
-    if (ready == 0) return finish(IoStatus::kTimeout);
-    if (read_fault_fires(fault_budget)) return finish(IoStatus::kError);
-    std::size_t want = n - done;
-    if (fault_budget != SIZE_MAX) want = std::min(want, fault_budget);
-    const ssize_t r = ::recv(fd, p + done, want, 0);
-    if (r == 0) return finish(done == 0 ? IoStatus::kEof : IoStatus::kError);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return finish(IoStatus::kTimeout);
-      return finish(IoStatus::kError);
-    }
-    done += static_cast<std::size_t>(r);
-    if (fault_budget != SIZE_MAX) {
-      fault_budget -= static_cast<std::size_t>(r);
-      if (fault_budget == 0 && done < n) return finish(IoStatus::kError);
-    }
-  }
-  return finish(IoStatus::kOk);
-}
-
 }  // namespace
 
-void set_io_timeouts(int fd, int recv_timeout_ms, int send_timeout_ms) {
-  if (recv_timeout_ms > 0) {
-    const timeval tv = millis_to_timeval(recv_timeout_ms);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  }
-  if (send_timeout_ms > 0) {
-    const timeval tv = millis_to_timeval(send_timeout_ms);
-    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  }
-}
-
-IoStatus read_full_io(int fd, void* buf, std::size_t n, std::size_t* got) {
+bool read_full(int fd, void* buf, std::size_t n) {
   auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t done = 0;
   std::size_t fault_budget = SIZE_MAX;
-  const auto finish = [&](IoStatus st) {
-    if (got != nullptr) *got = done;
-    return st;
-  };
-  while (done < n) {
-    if (read_fault_fires(fault_budget)) return finish(IoStatus::kError);
-    std::size_t want = n - done;
-    if (fault_budget != SIZE_MAX) want = std::min(want, fault_budget);
-    const ssize_t r = ::recv(fd, p + done, want, 0);
-    if (r == 0) return finish(done == 0 ? IoStatus::kEof : IoStatus::kError);
+  while (n > 0) {
+    if (read_fault_fires(fault_budget)) return false;
+    const std::size_t want = std::min(n, fault_budget);
+    const ssize_t r = ::recv(fd, p, want, 0);
+    if (r == 0) return false;
     if (r < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return finish(IoStatus::kTimeout);
-      return finish(IoStatus::kError);
+      return false;  // error, or SO_RCVTIMEO expired (EAGAIN)
     }
-    done += static_cast<std::size_t>(r);
+    p += r;
+    n -= static_cast<std::size_t>(r);
     if (fault_budget != SIZE_MAX) {
       fault_budget -= static_cast<std::size_t>(r);
-      if (fault_budget == 0 && done < n) return finish(IoStatus::kError);
+      if (fault_budget == 0 && n > 0) return false;
     }
   }
-  return finish(IoStatus::kOk);
+  return true;
 }
 
-IoStatus write_full_io(int fd, const void* buf, std::size_t n) {
+bool write_full(int fd, const void* buf, std::size_t n) {
   const auto* p = static_cast<const std::uint8_t*>(buf);
   while (n > 0) {
-    if (write_fault_fires()) return IoStatus::kError;
+    if (write_fault_fires()) return false;
     const ssize_t put = ::send(fd, p, n, MSG_NOSIGNAL);
     if (put < 0) {
       if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) return IoStatus::kTimeout;
-      return IoStatus::kError;
+      return false;  // error, or SO_SNDTIMEO expired (EAGAIN)
     }
     p += put;
     n -= static_cast<std::size_t>(put);
   }
-  return IoStatus::kOk;
-}
-
-IoStatus read_frame_deadline(int fd, std::vector<std::uint8_t>& payload,
-                             int idle_timeout_ms, int frame_timeout_ms) {
-  // Phase 1: wait (idle, unbounded work is fine) for the first byte.
-  for (;;) {
-    pollfd pfd{fd, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, idle_timeout_ms > 0 ? idle_timeout_ms : -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return IoStatus::kError;
-    }
-    if (ready == 0) return IoStatus::kIdle;
-    break;
-  }
-  // Phase 2: a frame has started; it must complete before the deadline.
-  const bool bounded = frame_timeout_ms > 0;
-  const auto deadline =
-      clock_type::now() + std::chrono::milliseconds(frame_timeout_ms);
-  std::size_t fault_budget = SIZE_MAX;
-
-  std::uint8_t prefix[4];
-  IoStatus st = read_n_deadline(fd, prefix, sizeof(prefix), bounded, deadline,
-                                nullptr, fault_budget);
-  if (st != IoStatus::kOk) return st;
-  std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
-  if (len > kMaxFrameBytes) return IoStatus::kError;
-  payload.resize(len);
-  if (len == 0) return IoStatus::kOk;
-  st = read_n_deadline(fd, payload.data(), len, bounded, deadline, nullptr,
-                       fault_budget);
-  // A peer that closed or died mid-payload tore the frame: surface kError,
-  // never a "clean EOF".
-  return st == IoStatus::kEof ? IoStatus::kError : st;
-}
-
-bool read_full(int fd, void* buf, std::size_t n) {
-  return read_full_io(fd, buf, n) == IoStatus::kOk;
-}
-
-bool write_full(int fd, const void* buf, std::size_t n) {
-  return write_full_io(fd, buf, n) == IoStatus::kOk;
+  return true;
 }
 
 bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
   std::uint8_t prefix[4];
-  if (read_full_io(fd, prefix, sizeof(prefix)) != IoStatus::kOk) return false;
+  if (!read_full(fd, prefix, sizeof(prefix))) return false;
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) len |= static_cast<std::uint32_t>(prefix[i]) << (8 * i);
   if (len > kMaxFrameBytes) return false;
   payload.resize(len);
-  return len == 0 || read_full_io(fd, payload.data(), len) == IoStatus::kOk;
+  return len == 0 || read_full(fd, payload.data(), len);
 }
 
 bool write_frame(int fd, const std::vector<std::uint8_t>& bytes) {
-  return write_full_io(fd, bytes.data(), bytes.size()) == IoStatus::kOk;
-}
-
-IoStatus write_frame_io(int fd, const std::vector<std::uint8_t>& bytes) {
-  return write_full_io(fd, bytes.data(), bytes.size());
-}
-
-int listen_tcp(const std::string& host, int port, int backlog, int* bound_port,
-               std::string* err) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    set_error(err, "socket");
-    return -1;
-  }
-  const int one = 1;
-  (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (err != nullptr) *err = "listen_tcp: host must be a numeric IPv4 address: " + host;
-    ::close(fd);
-    return -1;
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    set_error(err, "bind " + host);
-    ::close(fd);
-    return -1;
-  }
-  if (::listen(fd, backlog) != 0) {
-    set_error(err, "listen");
-    ::close(fd);
-    return -1;
-  }
-  if (bound_port != nullptr) {
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-      *bound_port = ntohs(bound.sin_port);
-    }
-  }
-  return fd;
+  return write_full(fd, bytes.data(), bytes.size());
 }
 
 int listen_unix(const std::string& path, int backlog, std::string* err) {

@@ -1,17 +1,15 @@
 // POSIX socket plumbing shared by the svc server and client: full-buffer
 // read/write loops (EINTR-safe), frame I/O matching protocol.h's length
-// prefix, and listener/connector constructors for TCP and Unix-domain
+// prefix, a Unix-domain listener, and connectors for TCP and Unix-domain
 // stream sockets. Kept separate from protocol.h so the byte-level codec
 // stays free of OS dependencies.
 //
 // Robustness contract (docs/ROBUSTNESS.md): every blocking call here is
 // bounded. Connectors take a connect timeout and stamp SO_RCVTIMEO /
-// SO_SNDTIMEO defaults onto the new socket, so even callers using the plain
-// bool read/write API can never hang forever on a dead peer; the IoStatus
-// API additionally distinguishes *why* an operation stopped (EOF vs timeout
-// vs error), which the server's slow-client eviction and the client's
-// retry policy both depend on. All paths carry ecl::fault injection points
-// (svc.net.read / svc.net.write / svc.net.connect).
+// SO_SNDTIMEO defaults onto the new socket, so a read or write can never
+// hang forever on a dead peer. All paths carry ecl::fault injection points
+// (svc.net.read / svc.net.write / svc.net.connect). The TCP listener and
+// set_io_timeouts live in common/sock.h, shared with the metrics exporter.
 #pragma once
 
 #include <cstdint>
@@ -20,49 +18,18 @@
 
 namespace ecl::svc::net {
 
-/// Why an I/O operation stopped.
-enum class IoStatus {
-  kOk,       // completed fully
-  kEof,      // orderly EOF before any byte of the unit was read
-  kIdle,     // no first byte within the idle window (frame reads only)
-  kTimeout,  // started but stalled past the deadline (slow/stuck peer)
-  kError,    // socket error, oversized frame, or injected fault
-};
-
 /// Default backstop timeouts stamped on every connected/accepted socket by
 /// the helpers below. Callers layer tighter per-op deadlines on top; these
 /// only guarantee that *no* blocking call is unbounded.
 inline constexpr int kDefaultConnectTimeoutMs = 5000;
 inline constexpr int kDefaultSocketTimeoutMs = 30000;
 
-/// Applies SO_RCVTIMEO / SO_SNDTIMEO (milliseconds; 0 leaves that side
-/// unbounded). Best effort: setsockopt failures are ignored.
-void set_io_timeouts(int fd, int recv_timeout_ms, int send_timeout_ms);
-
-/// Reads exactly n bytes. kTimeout when SO_RCVTIMEO expires mid-buffer;
-/// kEof only when the peer closed before the first byte; a close after
-/// partial data is kError (torn unit). `got`, when non-null, receives the
-/// byte count actually read (for "did the frame start?" decisions).
-[[nodiscard]] IoStatus read_full_io(int fd, void* buf, std::size_t n,
-                                    std::size_t* got = nullptr);
-
-/// Writes exactly n bytes (SIGPIPE suppressed via MSG_NOSIGNAL). kTimeout
-/// when SO_SNDTIMEO expires with the send buffer still full.
-[[nodiscard]] IoStatus write_full_io(int fd, const void* buf, std::size_t n);
-
-/// Reads one frame (u32 length prefix + payload) under two deadlines:
-/// `idle_timeout_ms` bounds the wait for the frame's first byte (kIdle when
-/// it expires — the peer is merely quiet, not broken), `frame_timeout_ms`
-/// bounds first byte -> complete frame (kTimeout — the peer stalled
-/// mid-frame). 0 disables either bound. A length above kMaxFrameBytes is
-/// kError.
-[[nodiscard]] IoStatus read_frame_deadline(int fd, std::vector<std::uint8_t>& payload,
-                                           int idle_timeout_ms, int frame_timeout_ms);
-
-/// Reads exactly n bytes. False on EOF, error, or peer shutdown.
+/// Reads exactly n bytes. False on EOF, error, peer shutdown, or an expired
+/// SO_RCVTIMEO; EINTR is retried.
 [[nodiscard]] bool read_full(int fd, void* buf, std::size_t n);
 
-/// Writes exactly n bytes (SIGPIPE suppressed via MSG_NOSIGNAL).
+/// Writes exactly n bytes (SIGPIPE suppressed via MSG_NOSIGNAL). False on
+/// error or an expired SO_SNDTIMEO; EINTR is retried.
 [[nodiscard]] bool write_full(int fd, const void* buf, std::size_t n);
 
 /// Reads one frame: the u32 length prefix, then the payload into `payload`
@@ -71,16 +38,6 @@ void set_io_timeouts(int fd, int recv_timeout_ms, int send_timeout_ms);
 
 /// Writes pre-encoded frame bytes (length prefix already included).
 [[nodiscard]] bool write_frame(int fd, const std::vector<std::uint8_t>& bytes);
-
-/// IoStatus twin of write_frame, for callers that must distinguish a stuck
-/// peer (kTimeout -> evict) from a vanished one (kError).
-[[nodiscard]] IoStatus write_frame_io(int fd, const std::vector<std::uint8_t>& bytes);
-
-/// Creates a listening TCP socket on host:port (numeric IPv4 only;
-/// port 0 picks an ephemeral port, reported through *bound_port).
-/// Returns the fd, or -1 with *err filled in.
-[[nodiscard]] int listen_tcp(const std::string& host, int port, int backlog,
-                             int* bound_port, std::string* err);
 
 /// Creates a listening Unix-domain stream socket at `path` (unlinking any
 /// stale socket file first). Returns the fd, or -1 with *err filled in.

@@ -1,8 +1,6 @@
 #include "svc/protocol.h"
 
 #include <cstring>
-#include <iterator>
-#include <utility>
 
 namespace ecl::svc {
 
@@ -86,44 +84,23 @@ void finish_frame(std::vector<std::uint8_t>& out, std::size_t frame_start) {
   }
 }
 
-/// The tagged kStats body: every field as a (tag, u64) pair behind a count,
-/// so readers index by tag instead of by offset.
+/// The tagged kStats body: one (tag, u64) pair per table row, so readers
+/// index by tag instead of by offset.
 void encode_stats_body(const ServiceStats& st, std::vector<std::uint8_t>& out) {
-  const std::pair<StatsField, std::uint64_t> fields[] = {
-      {StatsField::kEpoch, st.epoch},
-      {StatsField::kWatermark, st.watermark},
-      {StatsField::kAppliedEdges, st.applied_edges},
-      {StatsField::kAcceptedBatches, st.accepted_batches},
-      {StatsField::kAppliedBatches, st.applied_batches},
-      {StatsField::kShedBatches, st.shed_batches},
-      {StatsField::kQueueDepth, st.queue_depth},
-      {StatsField::kNumComponents, st.num_components},
-      {StatsField::kNumVertices, st.num_vertices},
-      {StatsField::kCheckpoints, st.checkpoints},
-      {StatsField::kLastCheckpointEpoch, st.last_checkpoint_epoch},
-      {StatsField::kWalSegments, st.wal_segments},
-      {StatsField::kWalBytes, st.wal_bytes},
-      {StatsField::kDegraded, st.degraded ? 1u : 0u},
-      {StatsField::kUptimeMs, st.uptime_ms},
-      {StatsField::kReplayedEdges, st.replayed_edges},
-      {StatsField::kRequestsServed, st.requests_served},
-      {StatsField::kOpenConnections, st.open_connections},
-      {StatsField::kEpollWakeups, st.epoll_wakeups},
-      {StatsField::kWriteBufHwmBytes, st.write_buf_hwm_bytes},
-      {StatsField::kEvictedIdle, st.evicted_idle},
-      {StatsField::kEvictedSlow, st.evicted_slow},
-      {StatsField::kEvictedBackpressure, st.evicted_backpressure},
-      {StatsField::kAcceptShedFds, st.accept_shed_fds},
-  };
+  std::uint16_t count = 0;
+#define ECL_SVC_COUNT_ROW(tag, member, family, type) ++count;
+  ECL_SVC_STATS_FIELDS(ECL_SVC_COUNT_ROW)
+#undef ECL_SVC_COUNT_ROW
   put_u8(out, kStatsTaggedFormat);
-  put_u16(out, static_cast<std::uint16_t>(std::size(fields)));
-  for (const auto& [tag, value] : fields) {
-    put_u16(out, static_cast<std::uint16_t>(tag));
-    put_u64(out, value);
-  }
+  put_u16(out, count);
+#define ECL_SVC_ENCODE_ROW(tag, member, family, type) \
+  put_u16(out, tag);                                   \
+  put_u64(out, st.member);
+  ECL_SVC_STATS_FIELDS(ECL_SVC_ENCODE_ROW)
+#undef ECL_SVC_ENCODE_ROW
 }
 
-bool decode_stats_body_tagged(Reader& r, ServiceStats& st) {
+bool decode_stats_body(Reader& r, ServiceStats& st) {
   std::uint8_t format = 0;
   if (!r.u8(format) || format != kStatsTaggedFormat) return false;
   std::uint16_t field_count = 0;
@@ -133,35 +110,13 @@ bool decode_stats_body_tagged(Reader& r, ServiceStats& st) {
     std::uint16_t tag = 0;
     std::uint64_t value = 0;
     if (!r.u16(tag) || !r.u64(value)) return false;
-    switch (static_cast<StatsField>(tag)) {
-      case StatsField::kEpoch: st.epoch = value; break;
-      case StatsField::kWatermark: st.watermark = value; break;
-      case StatsField::kAppliedEdges: st.applied_edges = value; break;
-      case StatsField::kAcceptedBatches: st.accepted_batches = value; break;
-      case StatsField::kAppliedBatches: st.applied_batches = value; break;
-      case StatsField::kShedBatches: st.shed_batches = value; break;
-      case StatsField::kQueueDepth: st.queue_depth = value; break;
-      case StatsField::kNumComponents:
-        st.num_components = static_cast<vertex_t>(value);
-        break;
-      case StatsField::kNumVertices:
-        st.num_vertices = static_cast<vertex_t>(value);
-        break;
-      case StatsField::kCheckpoints: st.checkpoints = value; break;
-      case StatsField::kLastCheckpointEpoch: st.last_checkpoint_epoch = value; break;
-      case StatsField::kWalSegments: st.wal_segments = value; break;
-      case StatsField::kWalBytes: st.wal_bytes = value; break;
-      case StatsField::kDegraded: st.degraded = value != 0; break;
-      case StatsField::kUptimeMs: st.uptime_ms = value; break;
-      case StatsField::kReplayedEdges: st.replayed_edges = value; break;
-      case StatsField::kRequestsServed: st.requests_served = value; break;
-      case StatsField::kOpenConnections: st.open_connections = value; break;
-      case StatsField::kEpollWakeups: st.epoll_wakeups = value; break;
-      case StatsField::kWriteBufHwmBytes: st.write_buf_hwm_bytes = value; break;
-      case StatsField::kEvictedIdle: st.evicted_idle = value; break;
-      case StatsField::kEvictedSlow: st.evicted_slow = value; break;
-      case StatsField::kEvictedBackpressure: st.evicted_backpressure = value; break;
-      case StatsField::kAcceptShedFds: st.accept_shed_fds = value; break;
+    switch (tag) {
+#define ECL_SVC_DECODE_ROW(tag, member, family, type) \
+  case tag:                                            \
+    st.member = value;                                 \
+    break;
+      ECL_SVC_STATS_FIELDS(ECL_SVC_DECODE_ROW)
+#undef ECL_SVC_DECODE_ROW
       default:
         break;  // a newer server's field: skip, never fail
     }
@@ -169,61 +124,10 @@ bool decode_stats_body_tagged(Reader& r, ServiceStats& st) {
   return true;
 }
 
-/// The tagged kHealth tail, appended after the fixed 93-byte body. Same
-/// append-only discipline as the stats body: new fields get new tags, old
-/// decoders skip what they don't know, and the fixed offsets the chaos
-/// harness's wire verifier depends on never move.
-void encode_health_tail(const ServiceHealth& h, std::vector<std::uint8_t>& out) {
-  const std::pair<HealthField, std::uint64_t> fields[] = {
-      {HealthField::kRole, h.replica ? 1u : 0u},
-      {HealthField::kReplicaLagSeq, h.replica_lag_seq},
-      {HealthField::kReplicaLagMs, h.replica_lag_ms},
-      {HealthField::kReplicasConnected, h.replicas_connected},
-  };
-  put_u8(out, kHealthTaggedFormat);
-  put_u16(out, static_cast<std::uint16_t>(std::size(fields)));
-  for (const auto& [tag, value] : fields) {
-    put_u16(out, static_cast<std::uint16_t>(tag));
-    put_u64(out, value);
-  }
-}
-
-bool decode_health_tail(Reader& r, ServiceHealth& h) {
-  std::uint8_t format = 0;
-  if (!r.u8(format) || format != kHealthTaggedFormat) return false;
-  std::uint16_t field_count = 0;
-  if (!r.u16(field_count)) return false;
-  if (r.remaining() != static_cast<std::size_t>(field_count) * 10) return false;
-  for (std::uint16_t i = 0; i < field_count; ++i) {
-    std::uint16_t tag = 0;
-    std::uint64_t value = 0;
-    if (!r.u16(tag) || !r.u64(value)) return false;
-    switch (static_cast<HealthField>(tag)) {
-      case HealthField::kRole: h.replica = value != 0; break;
-      case HealthField::kReplicaLagSeq: h.replica_lag_seq = value; break;
-      case HealthField::kReplicaLagMs: h.replica_lag_ms = value; break;
-      case HealthField::kReplicasConnected: h.replicas_connected = value; break;
-      default:
-        break;  // a newer server's field: skip, never fail
-    }
-  }
-  return true;
-}
-
-/// The pre-tagging fixed body: exactly 13 x u64 in declaration order.
-bool decode_stats_body_legacy(Reader& r, ServiceStats& st) {
-  std::uint64_t components = 0;
-  std::uint64_t vertices = 0;
-  if (!r.u64(st.epoch) || !r.u64(st.watermark) || !r.u64(st.applied_edges) ||
-      !r.u64(st.accepted_batches) || !r.u64(st.applied_batches) ||
-      !r.u64(st.shed_batches) || !r.u64(st.queue_depth) || !r.u64(components) ||
-      !r.u64(vertices) || !r.u64(st.checkpoints) || !r.u64(st.last_checkpoint_epoch) ||
-      !r.u64(st.wal_segments) || !r.u64(st.wal_bytes)) {
-    return false;
-  }
-  st.num_components = static_cast<vertex_t>(components);
-  st.num_vertices = static_cast<vertex_t>(vertices);
-  return true;
+/// Type bytes naming an op. 7 is retired, so it is rejected like any
+/// unknown type.
+bool known_type(std::uint8_t type) {
+  return type <= static_cast<std::uint8_t>(MsgType::kPromote) && type != 7;
 }
 
 }  // namespace
@@ -244,8 +148,6 @@ const char* msg_type_name(MsgType t) {
       return "stats";
     case MsgType::kShutdown:
       return "shutdown";
-    case MsgType::kHealth:
-      return "health";
     case MsgType::kFetchCkpt:
       return "fetch_ckpt";
     case MsgType::kFetchWal:
@@ -306,7 +208,6 @@ void encode_request(const Request& req, std::vector<std::uint8_t>& out) {
     case MsgType::kComponentCount:
     case MsgType::kStats:
     case MsgType::kShutdown:
-    case MsgType::kHealth:
     case MsgType::kFetchCkpt:
     case MsgType::kPromote:
       break;
@@ -328,25 +229,6 @@ void encode_response(const Response& resp, std::vector<std::uint8_t>& out) {
       break;
     case MsgType::kStats:
       encode_stats_body(resp.stats, out);
-      break;
-    case MsgType::kHealth:
-      put_u8(out, resp.health.degraded ? 1 : 0);
-      put_u8(out, resp.health.ingest_worker_alive ? 1 : 0);
-      put_u8(out, resp.health.wal_enabled ? 1 : 0);
-      put_u8(out, resp.health.wal_healthy ? 1 : 0);
-      put_u64(out, resp.health.queue_depth);
-      put_u64(out, resp.health.staleness_edges);
-      put_u64(out, resp.health.ingest_lag_batches);
-      put_u64(out, resp.health.wal_records);
-      put_u64(out, resp.health.replayed_edges);
-      put_u64(out, resp.health.degraded_entries);
-      put_u8(out, resp.health.checkpoint_enabled ? 1 : 0);
-      put_u64(out, resp.health.checkpoints_written);
-      put_u64(out, resp.health.last_checkpoint_epoch);
-      put_u64(out, resp.health.last_checkpoint_age_ms);
-      put_u64(out, resp.health.wal_segments);
-      put_u64(out, resp.health.wal_bytes);
-      encode_health_tail(resp.health, out);
       break;
     case MsgType::kFetchCkpt:
       put_u8(out, resp.ckpt.has ? 1 : 0);
@@ -377,7 +259,7 @@ void encode_response(const Response& resp, std::vector<std::uint8_t>& out) {
 bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
   Reader r(payload);
   std::uint8_t type = 0;
-  if (!r.u8(type) || type > static_cast<std::uint8_t>(MsgType::kPromote)) return false;
+  if (!r.u8(type) || !known_type(type)) return false;
   req.type = static_cast<MsgType>(type);
   if (!r.u64(req.id)) return false;
   req.u = 0;
@@ -423,7 +305,6 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
     case MsgType::kComponentCount:
     case MsgType::kStats:
     case MsgType::kShutdown:
-    case MsgType::kHealth:
     case MsgType::kFetchCkpt:
     case MsgType::kPromote:
       break;
@@ -435,7 +316,7 @@ bool decode_response(std::span<const std::uint8_t> payload, Response& resp) {
   Reader r(payload);
   std::uint8_t type = 0;
   std::uint8_t status = 0;
-  if (!r.u8(type) || type > static_cast<std::uint8_t>(MsgType::kPromote)) return false;
+  if (!r.u8(type) || !known_type(type)) return false;
   resp.type = static_cast<MsgType>(type);
   if (!r.u64(resp.id)) return false;
   if (!r.u8(status) || status > static_cast<std::uint8_t>(Status::kNotPrimary)) {
@@ -444,7 +325,6 @@ bool decode_response(std::span<const std::uint8_t> payload, Response& resp) {
   resp.status = static_cast<Status>(status);
   resp.value = 0;
   resp.stats = ServiceStats{};
-  resp.health = ServiceHealth{};
   resp.ckpt = CkptImage{};
   resp.wal = WalChunk{};
   switch (resp.type) {
@@ -453,49 +333,9 @@ bool decode_response(std::span<const std::uint8_t> payload, Response& resp) {
     case MsgType::kComponentCount:
       if (!r.u64(resp.value)) return false;
       break;
-    case MsgType::kStats: {
-      // A legacy daemon's body is exactly 13 x u64 = 104 bytes; a tagged
-      // body is 3 + 10n bytes, which is never 104, so the length picks the
-      // parser unambiguously.
-      if (r.remaining() == 13 * 8) {
-        if (!decode_stats_body_legacy(r, resp.stats)) return false;
-      } else {
-        if (!decode_stats_body_tagged(r, resp.stats)) return false;
-      }
+    case MsgType::kStats:
+      if (!decode_stats_body(r, resp.stats)) return false;
       break;
-    }
-    case MsgType::kHealth: {
-      std::uint8_t degraded = 0;
-      std::uint8_t alive = 0;
-      std::uint8_t wal_enabled = 0;
-      std::uint8_t wal_healthy = 0;
-      if (!r.u8(degraded) || degraded > 1 || !r.u8(alive) || alive > 1 ||
-          !r.u8(wal_enabled) || wal_enabled > 1 || !r.u8(wal_healthy) ||
-          wal_healthy > 1 || !r.u64(resp.health.queue_depth) ||
-          !r.u64(resp.health.staleness_edges) ||
-          !r.u64(resp.health.ingest_lag_batches) ||
-          !r.u64(resp.health.wal_records) || !r.u64(resp.health.replayed_edges) ||
-          !r.u64(resp.health.degraded_entries)) {
-        return false;
-      }
-      std::uint8_t ckpt_enabled = 0;
-      if (!r.u8(ckpt_enabled) || ckpt_enabled > 1 ||
-          !r.u64(resp.health.checkpoints_written) ||
-          !r.u64(resp.health.last_checkpoint_epoch) ||
-          !r.u64(resp.health.last_checkpoint_age_ms) ||
-          !r.u64(resp.health.wal_segments) || !r.u64(resp.health.wal_bytes)) {
-        return false;
-      }
-      resp.health.degraded = degraded != 0;
-      resp.health.ingest_worker_alive = alive != 0;
-      resp.health.wal_enabled = wal_enabled != 0;
-      resp.health.wal_healthy = wal_healthy != 0;
-      resp.health.checkpoint_enabled = ckpt_enabled != 0;
-      // Bytes past the fixed body are the tagged replication tail; absent
-      // from pre-replication daemons (the fields keep their zero defaults).
-      if (!r.exhausted() && !decode_health_tail(r, resp.health)) return false;
-      break;
-    }
     case MsgType::kFetchCkpt: {
       std::uint8_t has = 0;
       std::uint32_t image_len = 0;

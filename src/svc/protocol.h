@@ -15,7 +15,6 @@
 //   kComponentCount  (empty)
 //   kStats           (empty)
 //   kShutdown        (empty)
-//   kHealth          (empty)
 //   kFetchCkpt       (empty)
 //   kFetchWal        u64 replica_id | u64 seq | u64 offset | u32 max_bytes
 //   kPromote         (empty)
@@ -25,41 +24,12 @@
 //   kConnected                    u64 value (0/1)
 //   kComponentOf                  u64 value (label; kInvalidVertex if bad v)
 //   kComponentCount               u64 value
-//   kStats                        tagged fields (since the telemetry PR):
-//                                 u8 format (= 1) | u16 field_count |
-//                                 field_count x (u16 tag | u64 value), tags
-//                                 from StatsField below. Unknown tags are
-//                                 skipped on decode, so new stats never
-//                                 break old clients again. The decoder also
-//                                 accepts the legacy fixed body — exactly
-//                                 13 x u64 (epoch, watermark, applied_edges,
-//                                 accepted_batches, applied_batches,
-//                                 shed_batches, queue_depth, num_components,
-//                                 num_vertices, checkpoints,
-//                                 last_checkpoint_epoch, wal_segments,
-//                                 wal_bytes = 104 bytes, a length no tagged
-//                                 body can have: 3 + 10 x n != 104) — so new
-//                                 clients interoperate with old daemons.
-//   kHealth                       4 x u8: degraded, ingest_worker_alive,
-//                                 wal_enabled, wal_healthy; then 6 x u64:
-//                                 queue_depth, staleness_edges,
-//                                 ingest_lag_batches, wal_records,
-//                                 replayed_edges, degraded_entries; then
-//                                 u8 checkpoint_enabled and 5 x u64:
-//                                 checkpoints_written, last_checkpoint_epoch,
-//                                 last_checkpoint_age_ms, wal_segments,
-//                                 wal_bytes (new fields append at the end so
-//                                 fixed-offset readers keep working); since
-//                                 the replication PR a *tagged* tail follows
-//                                 the fixed body: u8 format (= 1) |
-//                                 u16 field_count | field_count x
-//                                 (u16 tag | u64 value), tags from
-//                                 HealthField below. Unknown tags are
-//                                 skipped; a pre-replication daemon sends no
-//                                 tail and the fields decode as their zero
-//                                 defaults. Fixed-offset readers (the chaos
-//                                 harness's wire verifier) are unaffected —
-//                                 the first 93 bytes never move.
+//   kStats                        u8 format (= 1) | u16 field_count |
+//                                 field_count x (u16 tag | u64 value), one
+//                                 pair per ECL_SVC_STATS_FIELDS row
+//                                 (svc/service.h). Unknown tags are skipped
+//                                 on decode, so a new row never breaks an
+//                                 old client.
 //   kFetchCkpt                    u8 has | u64 ckpt_seq | u64 wal_seq |
 //                                 u32 image_len | image_len raw bytes (the
 //                                 newest valid checkpoint file, verbatim)
@@ -97,7 +67,7 @@ enum class MsgType : std::uint8_t {
   kComponentCount = 4,
   kStats = 5,
   kShutdown = 6,
-  kHealth = 7,
+  // 7 is retired and fails to decode; never reuse it.
   // Replication (docs/REPLICATION.md): a replica bootstraps with kFetchCkpt,
   // then streams raw segment bytes with kFetchWal; kPromote flips a replica
   // into a writable primary for failover.
@@ -120,53 +90,8 @@ enum class Status : std::uint8_t {
 /// Protocol op name ("ping", "ingest", ...), for logs and dashboards.
 [[nodiscard]] const char* msg_type_name(MsgType t);
 
-/// Field tags for the tagged kStats response body. Values are wire protocol:
-/// never renumber, only append. A decoder skips tags it does not know.
-enum class StatsField : std::uint16_t {
-  kEpoch = 1,
-  kWatermark = 2,
-  kAppliedEdges = 3,
-  kAcceptedBatches = 4,
-  kAppliedBatches = 5,
-  kShedBatches = 6,
-  kQueueDepth = 7,
-  kNumComponents = 8,
-  kNumVertices = 9,
-  kCheckpoints = 10,
-  kLastCheckpointEpoch = 11,
-  kWalSegments = 12,
-  kWalBytes = 13,
-  kDegraded = 14,
-  kUptimeMs = 15,
-  kReplayedEdges = 16,
-  kRequestsServed = 17,
-  // Connection telemetry (the executor/event-loop PR).
-  kOpenConnections = 18,
-  kEpollWakeups = 19,
-  kWriteBufHwmBytes = 20,
-  kEvictedIdle = 21,
-  kEvictedSlow = 22,
-  kEvictedBackpressure = 23,
-  kAcceptShedFds = 24,
-};
-
-/// Marker byte opening a tagged kStats body (the legacy fixed body is
-/// recognized by its exact 104-byte length instead).
+/// Marker byte opening the tagged kStats body.
 inline constexpr std::uint8_t kStatsTaggedFormat = 1;
-
-/// Field tags for the tagged tail of the kHealth response body. Same wire
-/// discipline as StatsField: never renumber, only append; decoders skip
-/// unknown tags.
-enum class HealthField : std::uint16_t {
-  kRole = 1,               // 0 = primary, 1 = replica
-  kReplicaLagSeq = 2,      // segments the replica trails the primary by
-  kReplicaLagMs = 3,       // ms since the replica was last fully caught up
-  kReplicasConnected = 4,  // live registered replicas (primary side)
-};
-
-/// Marker byte opening the tagged kHealth tail (appended after the fixed
-/// 93-byte body; absent entirely from pre-replication daemons).
-inline constexpr std::uint8_t kHealthTaggedFormat = 1;
 
 /// Server-side clamp on one kFetchWal chunk; a client asking for more gets
 /// this much. Well under kMaxFrameBytes so the response header always fits.
@@ -203,7 +128,6 @@ struct Response {
   Status status = Status::kOk;
   std::uint64_t value = 0;  // kConnected / kComponentOf / kComponentCount
   ServiceStats stats;       // kStats only
-  ServiceHealth health;     // kHealth only
   CkptImage ckpt;           // kFetchCkpt only
   WalChunk wal;             // kFetchWal only
 };

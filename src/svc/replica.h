@@ -30,7 +30,7 @@
 //
 // Lag is observable, not bounded by backpressure: after every fetch round
 // the Replicator pushes (lag_seq, lag_ms) into the service, which surfaces
-// them through kHealth's tagged tail and the Prometheus exporter. Failover
+// them through kStats (tags 35-36) and the Prometheus exporter. Failover
 // loses at most the un-shipped tail — the chaos harness freezes its acked
 // set and waits for replica wal_bytes to cover it before killing the
 // primary, proving zero loss for everything the barrier covered.

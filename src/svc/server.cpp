@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/sock.h"
 #include "common/timer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -45,9 +46,6 @@ void record_op_latency(MsgType type, std::uint64_t us) {
     case MsgType::kStats:
       ECL_OBS_HISTOGRAM_RECORD("ecl.svc.op_us.stats", bounds(), us);
       break;
-    case MsgType::kHealth:
-      ECL_OBS_HISTOGRAM_RECORD("ecl.svc.op_us.health", bounds(), us);
-      break;
     case MsgType::kFetchCkpt:
       ECL_OBS_HISTOGRAM_RECORD("ecl.svc.op_us.fetch_ckpt", bounds(), us);
       break;
@@ -79,7 +77,7 @@ bool Server::start(std::string* err) {
   if (!opts_.unix_path.empty()) {
     listen_fd_ = net::listen_unix(opts_.unix_path, opts_.backlog, err);
   } else {
-    listen_fd_ = net::listen_tcp(opts_.host, opts_.port, opts_.backlog, &bound_port_, err);
+    listen_fd_ = listen_tcp(opts_.host, opts_.port, opts_.backlog, &bound_port_, err);
   }
   if (listen_fd_ < 0) return false;
   set_nonblocking(listen_fd_);
@@ -116,10 +114,10 @@ std::size_t Server::active_connections() const {
       pool_->counters().open_conns.load(std::memory_order_relaxed));
 }
 
-ServerConnStats Server::conn_stats() const {
-  ServerConnStats s;
+void Server::add_conn_stats(ServiceStats& s) const {
+  s.requests_served = requests_served();
   s.accept_shed_fds = accept_shed_.load(std::memory_order_relaxed);
-  if (!pool_) return s;
+  if (!pool_) return;
   const auto& c = pool_->counters();
   s.open_connections = c.open_conns.load(std::memory_order_relaxed);
   s.epoll_wakeups = c.wakeups.load(std::memory_order_relaxed);
@@ -128,6 +126,17 @@ ServerConnStats Server::conn_stats() const {
   s.evicted_slow = c.evicted_frame.load(std::memory_order_relaxed);
   s.evicted_backpressure = c.evicted_stall.load(std::memory_order_relaxed) +
                            c.evicted_overflow.load(std::memory_order_relaxed);
+}
+
+ServiceStats Server::conn_stats() const {
+  ServiceStats s;
+  add_conn_stats(s);
+  return s;
+}
+
+ServiceStats Server::stats() const {
+  ServiceStats s = service_.stats();
+  add_conn_stats(s);
   return s;
 }
 
@@ -352,24 +361,12 @@ Response Server::dispatch(const Request& req) {
     case MsgType::kComponentCount:
       resp.value = service_.component_count();
       break;
-    case MsgType::kStats: {
-      resp.stats = service_.stats();
-      resp.stats.requests_served = requests_served();
-      const ServerConnStats cs = conn_stats();
-      resp.stats.open_connections = cs.open_connections;
-      resp.stats.epoll_wakeups = cs.epoll_wakeups;
-      resp.stats.write_buf_hwm_bytes = cs.write_buf_hwm_bytes;
-      resp.stats.evicted_idle = cs.evicted_idle;
-      resp.stats.evicted_slow = cs.evicted_slow;
-      resp.stats.evicted_backpressure = cs.evicted_backpressure;
-      resp.stats.accept_shed_fds = cs.accept_shed_fds;
-      ECL_OBS_GAUGE_SET("ecl.svc.conn.open", static_cast<double>(cs.open_connections));
+    case MsgType::kStats:
+      resp.stats = stats();
+      ECL_OBS_GAUGE_SET("ecl.svc.conn.open",
+                        static_cast<double>(resp.stats.open_connections));
       ECL_OBS_GAUGE_SET("ecl.svc.conn.write_buf_hwm_bytes",
-                        static_cast<double>(cs.write_buf_hwm_bytes));
-      break;
-    }
-    case MsgType::kHealth:
-      resp.health = service_.health();
+                        static_cast<double>(resp.stats.write_buf_hwm_bytes));
       break;
     case MsgType::kFetchCkpt: {
       if (service_.is_replica()) {

@@ -88,18 +88,6 @@ struct ServerOptions {
   std::function<bool()> promote;
 };
 
-/// Connection-level telemetry sample (also appended to kStats as tagged
-/// fields; see protocol.h StatsField tags >= 18).
-struct ServerConnStats {
-  std::uint64_t open_connections = 0;
-  std::uint64_t epoll_wakeups = 0;
-  std::uint64_t write_buf_hwm_bytes = 0;
-  std::uint64_t evicted_idle = 0;
-  std::uint64_t evicted_slow = 0;          // mid-frame deadline
-  std::uint64_t evicted_backpressure = 0;  // write stall + overflow
-  std::uint64_t accept_shed_fds = 0;
-};
-
 class Server {
  public:
   /// The service must outlive the server. The server does not stop() the
@@ -136,8 +124,13 @@ class Server {
   /// Connections currently owned by the I/O loops.
   [[nodiscard]] std::size_t active_connections() const;
 
-  /// Point-in-time connection telemetry (the kStats tagged fields).
-  [[nodiscard]] ServerConnStats conn_stats() const;
+  /// The server's own rows only: requests_served and the connection fields
+  /// (open_connections .. accept_shed_fds); every service row is zero.
+  [[nodiscard]] ServiceStats conn_stats() const;
+
+  /// The full sample: ConnectivityService::stats() plus conn_stats()' rows.
+  /// kStats answers with it and ecl_ccd's /metrics collector renders it.
+  [[nodiscard]] ServiceStats stats() const;
 
  private:
   void on_accept_ready();
@@ -146,6 +139,8 @@ class Server {
   void on_frame(exec::Conn& conn, std::span<const std::uint8_t> payload);
   void on_close(exec::Conn& conn, exec::CloseReason reason);
   Response dispatch(const Request& req);
+  /// Fills the server's rows of `s` (see conn_stats()).
+  void add_conn_stats(ServiceStats& s) const;
   /// Post-write bookkeeping for one served request: the per-request trace
   /// event (when the tracer is on) and the slow-request log offer.
   void finish_request(const Request& req, const Response& resp, double start_us,

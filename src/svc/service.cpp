@@ -634,10 +634,11 @@ SnapshotPtr ConnectivityService::snapshot() const {
 
 ServiceStats ConnectivityService::stats() const {
   const auto snap = snapshot_.load(std::memory_order_acquire);
+  const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
   ServiceStats s;
   s.epoch = snap->epoch;
   s.watermark = snap->watermark;
-  s.applied_edges = applied_edges_.load(std::memory_order_acquire);
+  s.applied_edges = applied;
   s.accepted_batches = accepted_batches_.load(std::memory_order_relaxed);
   s.applied_batches = applied_batches_.load(std::memory_order_relaxed);
   s.shed_batches = shed_batches_.load(std::memory_order_relaxed);
@@ -648,42 +649,40 @@ ServiceStats ConnectivityService::stats() const {
   s.last_checkpoint_epoch = last_ckpt_epoch_.load(std::memory_order_relaxed);
   s.wal_segments = wal_segments_.load(std::memory_order_relaxed);
   s.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
-  s.degraded = degraded_.load(std::memory_order_acquire);
+  s.degraded = degraded_.load(std::memory_order_acquire) ? 1 : 0;
   s.uptime_ms = now_ms();
   s.replayed_edges = replayed_edges_;
+  s.ingest_worker_alive = ingest_alive_.load(std::memory_order_acquire) ? 1 : 0;
+  s.wal_enabled = opts_.wal_path.empty() ? 0 : 1;
+  s.wal_healthy = wal_healthy_.load(std::memory_order_acquire) ? 1 : 0;
+  s.staleness_edges = applied > snap->watermark ? applied - snap->watermark : 0;
+  s.ingest_lag_batches =
+      s.accepted_batches > s.applied_batches ? s.accepted_batches - s.applied_batches : 0;
+  s.wal_records = wal_records_.load(std::memory_order_relaxed);
+  s.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
+  s.checkpoint_enabled = opts_.checkpoint_path.empty() ? 0 : 1;
+  const std::uint64_t ckpt_at = last_ckpt_ms_.load(std::memory_order_relaxed);
+  s.last_checkpoint_age_ms =
+      has_ckpt_.load(std::memory_order_acquire) && s.uptime_ms > ckpt_at
+          ? s.uptime_ms - ckpt_at
+          : 0;
+  s.replica = replica_.load(std::memory_order_acquire) ? 1 : 0;
+  s.replica_lag_seq = repl_lag_seq_.load(std::memory_order_relaxed);
+  s.replica_lag_ms = repl_lag_ms_.load(std::memory_order_relaxed);
+  s.replicas_connected = replicas_connected_.load(std::memory_order_relaxed);
   return s;
 }
 
-ServiceHealth ConnectivityService::health() const {
-  ServiceHealth h;
-  h.degraded = degraded_.load(std::memory_order_acquire);
-  h.ingest_worker_alive = ingest_alive_.load(std::memory_order_acquire);
-  h.wal_enabled = !opts_.wal_path.empty();
-  h.wal_healthy = wal_healthy_.load(std::memory_order_acquire);
-  h.queue_depth = queue_.size();
-  const auto snap = snapshot_.load(std::memory_order_acquire);
-  const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-  h.staleness_edges = applied > snap->watermark ? applied - snap->watermark : 0;
-  const std::uint64_t accepted = accepted_batches_.load(std::memory_order_relaxed);
-  const std::uint64_t done = applied_batches_.load(std::memory_order_relaxed);
-  h.ingest_lag_batches = accepted > done ? accepted - done : 0;
-  h.wal_records = wal_records_.load(std::memory_order_relaxed);
-  h.replayed_edges = replayed_edges_;
-  h.degraded_entries = degraded_entries_.load(std::memory_order_relaxed);
-  h.checkpoint_enabled = !opts_.checkpoint_path.empty();
-  h.checkpoints_written = ckpt_written_.load(std::memory_order_relaxed);
-  h.last_checkpoint_epoch = last_ckpt_epoch_.load(std::memory_order_relaxed);
-  h.last_checkpoint_age_ms =
-      has_ckpt_.load(std::memory_order_acquire)
-          ? now_ms() - last_ckpt_ms_.load(std::memory_order_relaxed)
-          : 0;
-  h.wal_segments = wal_segments_.load(std::memory_order_relaxed);
-  h.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
-  h.replica = replica_.load(std::memory_order_acquire);
-  h.replica_lag_seq = repl_lag_seq_.load(std::memory_order_relaxed);
-  h.replica_lag_ms = repl_lag_ms_.load(std::memory_order_relaxed);
-  h.replicas_connected = replicas_connected_.load(std::memory_order_relaxed);
-  return h;
+void render_prometheus(const ServiceStats& s, std::string& out) {
+  out += "# TYPE ecl_svc_up gauge\necl_svc_up 1\n";
+  char value[24];
+#define ECL_SVC_RENDER_ROW(tag, member, family, type)                                    \
+  std::snprintf(value, sizeof value, "%llu", static_cast<unsigned long long>(s.member)); \
+  out += "# TYPE " family " " type "\n" family " ";                                      \
+  out += value;                                                                          \
+  out += '\n';
+  ECL_SVC_STATS_FIELDS(ECL_SVC_RENDER_ROW)
+#undef ECL_SVC_RENDER_ROW
 }
 
 // ------------------------------------------------------- replication ----

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -104,64 +105,63 @@ enum class ReadMode : std::uint8_t {
   kFresh = 1,     // sees applied edges immediately; not epoch-consistent
 };
 
-/// One service-wide state sample, for the stats RPC and tests.
+/// Every service quantity, one row each:
+///   X(wire tag, ServiceStats member, Prometheus family, Prometheus type)
+/// The ServiceStats struct, the tagged kStats body (svc/protocol.cpp), the
+/// /metrics families (render_prometheus) and the `ecl_cc_client stats`
+/// listing are all expanded from this table. Tags are wire protocol: never
+/// renumber or reuse one, only append. Flags travel as 0/1.
+#define ECL_SVC_STATS_FIELDS(X)                                                      \
+  X(1, epoch, "ecl_svc_epoch", "gauge")                                              \
+  X(2, watermark, "ecl_svc_watermark", "gauge")  /* edges in the snapshot */         \
+  X(3, applied_edges, "ecl_svc_applied_edges_total", "counter")  /* to live DSU */   \
+  X(4, accepted_batches, "ecl_svc_accepted_batches_total", "counter")                \
+  X(5, applied_batches, "ecl_svc_applied_batches_total", "counter")                  \
+  X(6, shed_batches, "ecl_svc_shed_batches_total", "counter")                        \
+  X(7, queue_depth, "ecl_svc_queue_depth", "gauge")                                  \
+  X(8, num_components, "ecl_svc_num_components", "gauge")  /* of the snapshot */     \
+  X(9, num_vertices, "ecl_svc_num_vertices", "gauge")                                \
+  X(10, checkpoints, "ecl_ckpt_written_total", "counter")  /* by this process */     \
+  X(11, last_checkpoint_epoch, "ecl_ckpt_last_epoch", "gauge")  /* written/loaded */ \
+  X(12, wal_segments, "ecl_wal_segments", "gauge")  /* retained, active incl. */     \
+  X(13, wal_bytes, "ecl_wal_bytes", "gauge")  /* on disk across them */              \
+  X(14, degraded, "ecl_svc_degraded", "gauge")  /* read-only mode */                 \
+  X(15, uptime_ms, "ecl_svc_uptime_ms", "gauge")                                     \
+  X(16, replayed_edges, "ecl_wal_replayed_edges", "gauge")  /* at startup */         \
+  X(17, requests_served, "ecl_svc_requests_served_total", "counter")                 \
+  X(18, open_connections, "ecl_svc_open_connections", "gauge")                       \
+  X(19, epoll_wakeups, "ecl_svc_epoll_wakeups_total", "counter")  /* all loops */    \
+  X(20, write_buf_hwm_bytes, "ecl_svc_write_buf_hwm_bytes", "gauge")                 \
+  X(21, evicted_idle, "ecl_svc_evicted_idle_total", "counter")                       \
+  X(22, evicted_slow, "ecl_svc_evicted_slow_total", "counter")  /* mid-frame */      \
+  X(23, evicted_backpressure, "ecl_svc_evicted_backpressure_total", "counter")       \
+  X(24, accept_shed_fds, "ecl_svc_accept_shed_fds_total", "counter")  /* EMFILE */   \
+  X(25, ingest_worker_alive, "ecl_svc_ingest_worker_alive", "gauge")                 \
+  X(26, wal_enabled, "ecl_wal_enabled", "gauge")                                     \
+  X(27, wal_healthy, "ecl_wal_healthy", "gauge")  /* 0 after a WAL I/O failure */    \
+  X(28, staleness_edges, "ecl_svc_staleness_edges", "gauge")  /* not in snapshot */  \
+  X(29, ingest_lag_batches, "ecl_svc_ingest_lag_batches", "gauge")  /* unapplied */  \
+  X(30, wal_records, "ecl_wal_records_total", "counter")  /* this process */         \
+  X(31, degraded_entries, "ecl_svc_degraded_entries_total", "counter")               \
+  X(32, checkpoint_enabled, "ecl_ckpt_enabled", "gauge")                             \
+  X(33, last_checkpoint_age_ms, "ecl_ckpt_age_ms", "gauge")  /* 0 if none */         \
+  X(34, replica, "ecl_svc_role", "gauge")  /* 0 primary, 1 replica */                \
+  X(35, replica_lag_seq, "ecl_svc_replica_lag_seq", "gauge")  /* segments */         \
+  X(36, replica_lag_ms, "ecl_svc_replica_lag_ms", "gauge")  /* since caught up */    \
+  X(37, replicas_connected, "ecl_svc_replicas_connected", "gauge")  /* primary */
+
+/// One sample of every service quantity (ECL_SVC_STATS_FIELDS). The service
+/// fills everything except requests_served and the connection fields
+/// (open_connections .. accept_shed_fds), which Server::stats() adds.
 struct ServiceStats {
-  std::uint64_t epoch = 0;
-  std::uint64_t watermark = 0;        // edges reflected by the snapshot
-  std::uint64_t applied_edges = 0;    // edges applied to the live structure
-  std::uint64_t accepted_batches = 0;
-  std::uint64_t applied_batches = 0;
-  std::uint64_t shed_batches = 0;
-  std::uint64_t queue_depth = 0;
-  vertex_t num_components = 0;        // of the published snapshot
-  vertex_t num_vertices = 0;
-  std::uint64_t checkpoints = 0;            // written by this process
-  std::uint64_t last_checkpoint_epoch = 0;  // 0 if none written or loaded
-  std::uint64_t wal_segments = 0;           // retained segments, active incl.
-  std::uint64_t wal_bytes = 0;              // on-disk bytes across them
-  // Tagged-only fields (absent from the legacy 13 x u64 wire body; decoded
-  // as their zero defaults when talking to an old server).
-  bool degraded = false;                 // read-only mode (docs/ROBUSTNESS.md)
-  std::uint64_t uptime_ms = 0;           // since service construction
-  std::uint64_t replayed_edges = 0;      // recovered from the WAL at startup
-  std::uint64_t requests_served = 0;     // filled by the server front end
-  // Connection-level telemetry, filled by the server front end (zero when
-  // talking to a pre-executor daemon).
-  std::uint64_t open_connections = 0;
-  std::uint64_t epoll_wakeups = 0;          // cumulative, all I/O loops
-  std::uint64_t write_buf_hwm_bytes = 0;    // worst per-connection backlog
-  std::uint64_t evicted_idle = 0;
-  std::uint64_t evicted_slow = 0;           // mid-frame deadline eviction
-  std::uint64_t evicted_backpressure = 0;   // write stall + buffer overflow
-  std::uint64_t accept_shed_fds = 0;        // connections shed under EMFILE
+#define ECL_SVC_STATS_MEMBER(tag, member, family, type) std::uint64_t member = 0;
+  ECL_SVC_STATS_FIELDS(ECL_SVC_STATS_MEMBER)
+#undef ECL_SVC_STATS_MEMBER
 };
 
-/// One liveness/durability sample, for the kHealth RPC and the chaos tests
-/// (docs/ROBUSTNESS.md "Degraded mode"). All fields are lock-free reads.
-struct ServiceHealth {
-  bool degraded = false;            // read-only mode: ingest sheds, reads serve
-  bool ingest_worker_alive = true;  // false once the worker thread has died
-  bool wal_enabled = false;
-  bool wal_healthy = true;          // false after a WAL I/O failure
-  std::uint64_t queue_depth = 0;
-  std::uint64_t staleness_edges = 0;    // applied edges not yet in the snapshot
-  std::uint64_t ingest_lag_batches = 0; // accepted but not yet applied
-  std::uint64_t wal_records = 0;        // records appended this process
-  std::uint64_t replayed_edges = 0;     // edges recovered at startup
-  std::uint64_t degraded_entries = 0;   // times degraded mode was entered
-  bool checkpoint_enabled = false;
-  std::uint64_t checkpoints_written = 0;      // by this process
-  std::uint64_t last_checkpoint_epoch = 0;    // from a write or startup load
-  std::uint64_t last_checkpoint_age_ms = 0;   // since last write/load; 0 if none
-  std::uint64_t wal_segments = 0;             // retained segments, active incl.
-  std::uint64_t wal_bytes = 0;                // on-disk bytes across them
-  // Replication (the tagged kHealth tail; zero defaults when talking to a
-  // pre-replication daemon).
-  bool replica = false;                  // serving as a read-only replica
-  std::uint64_t replica_lag_seq = 0;     // segments behind the primary
-  std::uint64_t replica_lag_ms = 0;      // ms since last fully caught up
-  std::uint64_t replicas_connected = 0;  // live registered replicas (primary)
-};
+/// Appends one Prometheus family per table row ("# TYPE" line + value),
+/// preceded by the constant `ecl_svc_up 1`.
+void render_prometheus(const ServiceStats& s, std::string& out);
 
 /// kFetchCkpt payload: the primary's newest valid checkpoint as a raw file
 /// image, plus where it sits in the checkpoint/WAL chains. `has == false`
@@ -266,7 +266,14 @@ class ConnectivityService {
   [[nodiscard]] SnapshotPtr snapshot() const;
 
   [[nodiscard]] vertex_t num_vertices() const { return num_vertices_; }
+
+  /// The one service sampler: every table row except the server's fields.
+  /// All reads are lock-free except the queue depth's.
   [[nodiscard]] ServiceStats stats() const;
+
+  /// Exists only for a benchmark call site that is kept unchanged
+  /// (benchmark/driver/service_bench.cpp); use stats().
+  [[nodiscard]] ServiceStats health() const { return stats(); }
 
   /// Current ingest-queue depth (admitted, not yet applied batches). Cheap
   /// enough for per-request logging, unlike a full stats() sample.
@@ -280,9 +287,6 @@ class ConnectivityService {
   [[nodiscard]] bool degraded() const {
     return degraded_.load(std::memory_order_acquire);
   }
-
-  /// Liveness/durability sample (the kHealth RPC body).
-  [[nodiscard]] ServiceHealth health() const;
 
   /// Edges recovered from the WAL by this constructor (0 without a WAL).
   [[nodiscard]] std::uint64_t replayed_edges() const { return replayed_edges_; }
@@ -311,11 +315,11 @@ class ConnectivityService {
   void apply_replicated(EdgeBatch batch);
 
   /// Replica side: lag sample pushed by the Replicator after each fetch
-  /// round (surfaced through health() and the Prometheus exporter).
+  /// round (surfaced through stats() and the Prometheus exporter).
   void set_replication_lag(std::uint64_t lag_seq, std::uint64_t lag_ms);
 
   /// Replica side: local WAL mirror geometry pushed by the Replicator, so
-  /// stats()/health() wal_segments/wal_bytes stay meaningful on replicas.
+  /// stats() wal_segments/wal_bytes stay meaningful on replicas.
   void set_replica_wal_stats(std::uint64_t segments, std::uint64_t bytes);
 
   /// Replica side: rebases onto a newer checkpoint fetched from the primary
@@ -430,7 +434,7 @@ class ConnectivityService {
 
   // Robustness state. wal_mu_ serializes appends from concurrent submit()
   // callers (and the checkpoint cut's rotation/retirement against them);
-  // the flags are read lock-free by health() and submit().
+  // the flags are read lock-free by stats() and submit().
   std::mutex wal_mu_;
   SegmentedWal wal_;
   std::uint64_t replayed_edges_ = 0;
@@ -441,7 +445,7 @@ class ConnectivityService {
   std::atomic<std::uint64_t> degraded_entries_{0};
 
   // Checkpoint state. The store is compaction-thread-only (plus ctor); the
-  // atomics are read lock-free by health()/stats().
+  // atomics are read lock-free by stats().
   CheckpointStore ckpt_store_;
   std::chrono::steady_clock::time_point start_tp_ =
       std::chrono::steady_clock::now();

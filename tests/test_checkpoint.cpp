@@ -559,7 +559,7 @@ TEST_F(ServiceCheckpointTest, CleanStopCheckpointsAndRestartSkipsReplay) {
   EXPECT_TRUE(revived.connected(1, 3));
   EXPECT_TRUE(revived.connected(10, 11));
   EXPECT_FALSE(revived.connected(1, 10));
-  const auto h = revived.health();
+  const auto h = revived.stats();
   EXPECT_TRUE(h.checkpoint_enabled);
   EXPECT_GT(h.last_checkpoint_epoch, 0u);
   const auto stats = revived.stats();
@@ -721,7 +721,7 @@ TEST_F(ServiceCheckpointTest, ShortWriteMidRecordDegradesWithoutLosingAcks) {
   EXPECT_EQ(revived.replayed_edges(), 2u);
   EXPECT_TRUE(revived.connected(1, 3));
   EXPECT_FALSE(revived.connected(40, 41));  // shed, so rightly absent
-  const auto h = revived.health();
+  const auto h = revived.stats();
   EXPECT_FALSE(h.degraded);
   EXPECT_TRUE(h.wal_healthy);
   revived.stop();

@@ -3,7 +3,7 @@
 // through the svc net paths, the write-ahead log (torn tails, CRC
 // corruption, replay idempotence, fsync-policy matrix), degraded mode
 // (ingest-worker death, WAL failure), the client retry/reconnect policy,
-// server slow/idle-client eviction, and the kHealth RPC end to end.
+// server slow/idle-client eviction, and the health rows of kStats end to end.
 //
 // Every test that arms the process-wide fault registry disarms it again in
 // TearDown — gtest_discover_tests runs cases in separate processes, but the
@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/sock.h"
 #include "fault/fault.h"
 #include "obs/exporter.h"
 #include "svc/client.h"
@@ -177,11 +178,11 @@ TEST_F(NetFaultTest, InjectedReadFailureSurfacesAsError) {
 
   arm("svc.net.read", fault::Action::kFail, 1);
   char buf[8] = {};
-  EXPECT_EQ(net::read_full_io(fds_[1], buf, sizeof(buf)), net::IoStatus::kError);
+  EXPECT_FALSE(net::read_full(fds_[1], buf, sizeof(buf)));
   EXPECT_EQ(reg().fired("svc.net.read"), 1u);
 
   // times=1 exhausted: the bytes are still in the socket, the next read wins.
-  EXPECT_EQ(net::read_full_io(fds_[1], buf, sizeof(buf)), net::IoStatus::kOk);
+  EXPECT_TRUE(net::read_full(fds_[1], buf, sizeof(buf)));
   EXPECT_EQ(std::memcmp(buf, msg, sizeof(msg)), 0);
 }
 
@@ -191,18 +192,23 @@ TEST_F(NetFaultTest, InjectedShortReadDeliversBudgetThenFails) {
 
   arm("svc.net.read", fault::Action::kShort, 1, /*arg=*/3);
   char buf[8] = {};
-  std::size_t got = 0;
-  EXPECT_EQ(net::read_full_io(fds_[1], buf, sizeof(buf), &got),
-            net::IoStatus::kError);
-  EXPECT_EQ(got, 3u);  // exactly the injected budget arrived before the cut
-  EXPECT_EQ(std::memcmp(buf, msg, 3), 0);
+  EXPECT_FALSE(net::read_full(fds_[1], buf, sizeof(buf)));
+  EXPECT_EQ(std::memcmp(buf, msg, 3), 0);  // the budget arrived before the cut
+
+  // Exactly the 3-byte budget was consumed: the other 5 bytes are still in
+  // the socket, and nothing beyond them.
+  char rest[5] = {};
+  ASSERT_TRUE(net::read_full(fds_[1], rest, sizeof(rest)));
+  EXPECT_EQ(std::memcmp(rest, msg + 3, sizeof(rest)), 0);
+  char extra = 0;
+  EXPECT_LT(::recv(fds_[1], &extra, 1, MSG_DONTWAIT), 0);
 }
 
 TEST_F(NetFaultTest, InjectedWriteFailureSurfacesAsError) {
   arm("svc.net.write", fault::Action::kFail, 1);
   const char msg[4] = "abc";
-  EXPECT_EQ(net::write_full_io(fds_[0], msg, sizeof(msg)), net::IoStatus::kError);
-  EXPECT_EQ(net::write_full_io(fds_[0], msg, sizeof(msg)), net::IoStatus::kOk);
+  EXPECT_FALSE(net::write_full(fds_[0], msg, sizeof(msg)));
+  EXPECT_TRUE(net::write_full(fds_[0], msg, sizeof(msg)));
 }
 
 TEST_F(NetFaultTest, InjectedConnectFailure) {
@@ -219,47 +225,6 @@ TEST_F(NetFaultTest, InjectedConnectFailure) {
   if (fd >= 0) ::close(fd);
   ::close(listener);
   std::remove(path.c_str());
-}
-
-TEST_F(NetFaultTest, FrameReadDistinguishesIdleFromMidFrameStall) {
-  std::vector<std::uint8_t> payload;
-  // No bytes at all within the idle window: kIdle (quiet, not broken).
-  EXPECT_EQ(net::read_frame_deadline(fds_[1], payload, /*idle=*/50, /*frame=*/1000),
-            net::IoStatus::kIdle);
-
-  // Two bytes of the length prefix, then silence: the frame started but
-  // never finished — kTimeout, the slow-client eviction signal.
-  const std::uint8_t partial_prefix[2] = {8, 0};
-  ASSERT_TRUE(net::write_full(fds_[0], partial_prefix, sizeof(partial_prefix)));
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(net::read_frame_deadline(fds_[1], payload, /*idle=*/5000, /*frame=*/100),
-            net::IoStatus::kTimeout);
-  const auto elapsed = std::chrono::steady_clock::now() - t0;
-  EXPECT_LT(elapsed, std::chrono::seconds(4));  // bounded, nowhere near idle
-}
-
-TEST_F(NetFaultTest, FrameReadCleanEofVsTornFrame) {
-  std::vector<std::uint8_t> payload;
-  {
-    // Peer closes between frames: orderly kEof.
-    ::close(fds_[0]);
-    fds_[0] = -1;
-    EXPECT_EQ(net::read_frame_deadline(fds_[1], payload, 100, 100),
-              net::IoStatus::kEof);
-  }
-
-  // Fresh pair: peer sends a prefix promising 8 bytes, delivers 4, closes.
-  // That is a torn frame — kError, never kEof.
-  int pair[2] = {-1, -1};
-  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
-  const std::uint8_t prefix[4] = {8, 0, 0, 0};
-  const std::uint8_t half[4] = {1, 2, 3, 4};
-  ASSERT_TRUE(net::write_full(pair[0], prefix, sizeof(prefix)));
-  ASSERT_TRUE(net::write_full(pair[0], half, sizeof(half)));
-  ::close(pair[0]);
-  EXPECT_EQ(net::read_frame_deadline(pair[1], payload, 1000, 1000),
-            net::IoStatus::kError);
-  ::close(pair[1]);
 }
 
 // --------------------------------------------------------------- WAL ----
@@ -489,7 +454,7 @@ TEST_F(ServiceWalTest, AckedBatchesSurviveRestart) {
   EXPECT_TRUE(revived.connected(1, 3));  // snapshot already reflects replay
   EXPECT_TRUE(revived.connected(10, 11));
   EXPECT_FALSE(revived.connected(1, 10));
-  const auto h = revived.health();
+  const auto h = revived.stats();
   EXPECT_TRUE(h.wal_enabled);
   EXPECT_TRUE(h.wal_healthy);
   EXPECT_EQ(h.replayed_edges, 3u);
@@ -554,7 +519,7 @@ TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {
   EXPECT_EQ(service.submit({{3, 4}}), Admission::kShed);
   EXPECT_TRUE(service.degraded());
 
-  const auto h = service.health();
+  const auto h = service.stats();
   EXPECT_TRUE(h.degraded);
   EXPECT_FALSE(h.wal_healthy);
   EXPECT_TRUE(h.ingest_worker_alive);  // the worker itself is fine
@@ -581,7 +546,7 @@ TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
   ASSERT_EQ(service.submit({{3, 4}}), Admission::kAccepted);  // poison pill
   ASSERT_TRUE(eventually([&] { return service.degraded(); }));
 
-  const auto h = service.health();
+  const auto h = service.stats();
   EXPECT_TRUE(h.degraded);
   EXPECT_FALSE(h.ingest_worker_alive);
   EXPECT_GE(h.degraded_entries, 1u);
@@ -629,12 +594,8 @@ TEST_F(DegradedModeTest, MetricsExporterKeepsServingWhileDegraded) {
   obs::ExporterOptions eopts;
   eopts.port = 0;
   obs::MetricsExporter exporter(eopts);
-  exporter.add_collector([&service](std::string& out) {
-    const auto h = service.health();
-    out += "# TYPE ecl_svc_degraded gauge\necl_svc_degraded ";
-    out += h.degraded ? '1' : '0';
-    out += '\n';
-  });
+  exporter.add_collector(
+      [&service](std::string& out) { render_prometheus(service.stats(), out); });
   std::string err;
   ASSERT_TRUE(exporter.start(&err)) << err;
 
@@ -740,8 +701,8 @@ TEST_F(RetryTest, ShedIsRetriedThenReportedAsShed) {
   // Queries still round-trip against the degraded service.
   std::uint64_t count = 0;
   EXPECT_TRUE(client->component_count(count));
-  ServiceHealth h{};
-  ASSERT_TRUE(client->health(h));
+  ServiceStats h{};
+  ASSERT_TRUE(client->stats(h));
   EXPECT_TRUE(h.degraded);
 }
 
@@ -764,8 +725,8 @@ TEST_F(RetryTest, ClientSurvivesServerRestart) {
 TEST_F(RetryTest, HealthRpcEndToEnd) {
   auto client = Client::connect_unix(unix_path_, nullptr, fast_opts());
   ASSERT_NE(client, nullptr);
-  ServiceHealth h{};
-  ASSERT_TRUE(client->health(h));
+  ServiceStats h{};
+  ASSERT_TRUE(client->stats(h));
   EXPECT_FALSE(h.degraded);
   EXPECT_TRUE(h.ingest_worker_alive);
   EXPECT_FALSE(h.wal_enabled);  // this fixture runs WAL-less
@@ -799,7 +760,7 @@ class EvictionTest : public FaultTest {
 
   /// Blocks until the server closes `fd` (recv returns 0), or fails.
   static bool wait_for_eviction(int fd) {
-    net::set_io_timeouts(fd, /*recv=*/5000, /*send=*/0);
+    set_io_timeouts(fd, /*recv=*/5000, /*send=*/0);
     char byte = 0;
     return ::recv(fd, &byte, 1, 0) == 0;
   }

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -359,6 +360,28 @@ TEST(ObsRegistry, SnapshotCarriesPercentiles) {
     EXPECT_LE(m.p99, 40.0);
   }
   EXPECT_TRUE(found);
+}
+
+TEST(ObsRegistry, HistogramSnapshotCountIsItsBucketTotalUnderConcurrentRecords) {
+  // A scrape during ingest: the exposition's _count must equal its +Inf
+  // bucket even while another thread records into the histogram.
+  obs::Histogram& h = obs::registry().histogram("test.obs.racing_snapshot", {10, 20});
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) h.record(i % 30);
+  });
+  int mismatches = 0;
+  for (int round = 0; round < 2000; ++round) {
+    for (const auto& m : obs::registry().snapshot()) {
+      if (m.name != "test.obs.racing_snapshot") continue;
+      std::uint64_t total = 0;
+      for (const auto& [bound, n] : m.buckets) total += n;
+      if (total != m.count) ++mismatches;
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(ObsRegistry, LookupsReturnSameInstance) {

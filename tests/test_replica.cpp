@@ -1,5 +1,5 @@
 // Tests for WAL-shipping replication (docs/REPLICATION.md): the kFetchCkpt /
-// kFetchWal / kPromote wire round-trips and the tagged kHealth tail, the
+// kFetchWal / kPromote wire round-trips and the replication rows of kStats, the
 // rotation/retirement-safe WalSegmentReader (regression: a reader iterating
 // while the writer rotates must keep making progress), the service-level
 // replica contract (submit sheds, apply_replicated feeds the live structure,
@@ -158,39 +158,27 @@ TEST(ReplicaProtocol, FetchWalResponseRoundTrip) {
   EXPECT_EQ(out.wal.data, in.wal.data);
 }
 
-TEST(ReplicaProtocol, HealthTaggedTailRoundTrip) {
+TEST(ReplicaProtocol, ReplicationRowsRoundTripInStats) {
   Response in;
-  in.type = MsgType::kHealth;
+  in.type = MsgType::kStats;
   in.id = 1;
-  in.health.wal_enabled = true;
-  in.health.wal_records = 55;
-  in.health.replica = true;
-  in.health.replica_lag_seq = 3;
-  in.health.replica_lag_ms = 450;
-  in.health.replicas_connected = 2;
+  in.stats.wal_enabled = 1;
+  in.stats.wal_records = 55;
+  in.stats.replica = 1;
+  in.stats.replica_lag_seq = 3;
+  in.stats.replica_lag_ms = 450;
+  in.stats.replicas_connected = 2;
   std::vector<std::uint8_t> buf;
   encode_response(in, buf);
 
   Response out;
   ASSERT_TRUE(decode_response(payload_of(buf), out));
-  EXPECT_TRUE(out.health.wal_enabled);     // fixed body still decodes
-  EXPECT_EQ(out.health.wal_records, 55u);
-  EXPECT_TRUE(out.health.replica);         // tagged tail decodes
-  EXPECT_EQ(out.health.replica_lag_seq, 3u);
-  EXPECT_EQ(out.health.replica_lag_ms, 450u);
-  EXPECT_EQ(out.health.replicas_connected, 2u);
-
-  // The fixed prefix must never move: the chaos harness's wire verifier
-  // reads the first 93 payload bytes at fixed offsets. payload = u8 type +
-  // u64 id + u8 status + 93-byte fixed body + tagged tail.
-  ASSERT_GE(payload_of(buf).size(), 10u + 93u);
-  // A truncated pre-replication body (no tagged tail) still decodes, with
-  // the replication fields at their zero defaults.
-  std::vector<std::uint8_t> legacy(buf.begin(), buf.begin() + 4 + 10 + 93);
-  Response old;
-  ASSERT_TRUE(decode_response(payload_of(legacy), old));
-  EXPECT_FALSE(old.health.replica);
-  EXPECT_EQ(old.health.replica_lag_seq, 0u);
+  EXPECT_TRUE(out.stats.wal_enabled);
+  EXPECT_EQ(out.stats.wal_records, 55u);
+  EXPECT_TRUE(out.stats.replica);
+  EXPECT_EQ(out.stats.replica_lag_seq, 3u);
+  EXPECT_EQ(out.stats.replica_lag_ms, 450u);
+  EXPECT_EQ(out.stats.replicas_connected, 2u);
 }
 
 TEST(ReplicaProtocol, NotPrimaryStatusRoundTrip) {
@@ -306,7 +294,7 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   opts.checkpoint_path = path("ckpt");
   ConnectivityService svc(16, opts);
   EXPECT_TRUE(svc.is_replica());
-  EXPECT_TRUE(svc.health().replica);
+  EXPECT_TRUE(svc.stats().replica);
   EXPECT_EQ(svc.submit({{0, 1}}), Admission::kShed);
 
   // Replicated records flow through the normal apply path.
@@ -315,12 +303,12 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   EXPECT_EQ(svc.stats().applied_edges, 2u);
 
   svc.set_replication_lag(5, 1234);
-  const ServiceHealth h = svc.health();
+  const ServiceStats h = svc.stats();
   EXPECT_EQ(h.replica_lag_seq, 5u);
   EXPECT_EQ(h.replica_lag_ms, 1234u);
 
   // Promotion: submit starts accepting, the WAL opens for appending, and
-  // the role flips in health. Idempotent on a second call.
+  // the role flips in stats. Idempotent on a second call.
   std::string err;
   ASSERT_TRUE(svc.promote(&err)) << err;
   EXPECT_FALSE(svc.is_replica());
@@ -328,7 +316,7 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   EXPECT_EQ(svc.submit({{2, 3}}), Admission::kAccepted);
   svc.flush();
   EXPECT_TRUE(svc.connected(0, 3, ReadMode::kFresh));
-  EXPECT_GE(svc.health().wal_records, 1u);
+  EXPECT_GE(svc.stats().wal_records, 1u);
   svc.stop();
 
   // The promoted node's WAL is a real one: a restart replays it.
@@ -382,7 +370,7 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   EXPECT_FALSE(svc.connected(0, 4, ReadMode::kFresh));
   EXPECT_EQ(svc.stats().applied_edges, 10u);
   EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
-  EXPECT_EQ(svc.health().last_checkpoint_epoch, 7u);
+  EXPECT_EQ(svc.stats().last_checkpoint_epoch, 7u);
 
   const std::uint64_t rebased_epoch = svc.compact_now();
   EXPECT_GT(rebased_epoch, epoch);
@@ -399,7 +387,7 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   EXPECT_FALSE(svc.connected(6, 7, ReadMode::kFresh));
   EXPECT_EQ(svc.stats().applied_edges, 11u);
   EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
-  EXPECT_EQ(svc.health().last_checkpoint_epoch, 7u);
+  EXPECT_EQ(svc.stats().last_checkpoint_epoch, 7u);
 
   // Applied edges stay the max of the two: 11 applied > watermark 10. The
   // snapshot already covers all 11, so the watermark does not rise, yet
@@ -582,20 +570,20 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   ASSERT_EQ(pc->ingest({{3, 4}, {4, 5}}), Status::kOk);
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(0, 5, ReadMode::kFresh); }));
-  ASSERT_TRUE(wait_until([&] { return replica_->health().replica_lag_seq == 0; }));
+  ASSERT_TRUE(wait_until([&] { return replica_->stats().replica_lag_seq == 0; }));
 
   // The primary sees exactly one registered replica; replica reads serve
   // through its own server while writes bounce with kNotPrimary.
   ASSERT_TRUE(wait_until(
-      [&] { return primary_->health().replicas_connected == 1; }));
+      [&] { return primary_->stats().replicas_connected == 1; }));
   auto rc = Client::connect_unix(path("replica.sock"), &err);
   ASSERT_NE(rc, nullptr) << err;
   Status qst = Status::kOk;
   EXPECT_TRUE(rc->connected(0, 5, ReadMode::kFresh, &qst));
   EXPECT_EQ(qst, Status::kOk);
   EXPECT_EQ(rc->ingest({{9, 10}}), Status::kNotPrimary);
-  ServiceHealth rh{};
-  ASSERT_TRUE(rc->health(rh));
+  ServiceStats rh{};
+  ASSERT_TRUE(rc->stats(rh));
   EXPECT_TRUE(rh.replica);
 
   // Failover: promote over the wire (the hook stops the Replicator first).
@@ -604,7 +592,7 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   EXPECT_EQ(rc->ingest({{9, 10}}), Status::kOk);
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(9, 10, ReadMode::kFresh); }));
-  ASSERT_TRUE(rc->health(rh));
+  ASSERT_TRUE(rc->stats(rh));
   EXPECT_FALSE(rh.replica);
   // Everything replicated before the failover survived the promotion.
   EXPECT_TRUE(replica_->connected(0, 5, ReadMode::kFresh));

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -441,49 +442,99 @@ TEST(Protocol, ResponseRoundTripCarriesStatsAndStatus) {
   EXPECT_EQ(out.status, Status::kShed);
 }
 
+// Every ECL_SVC_STATS_FIELDS row, with a pointer to its member.
+struct StatsRow {
+  std::uint16_t tag;
+  const char* member;
+  const char* family;
+  const char* type;
+  std::uint64_t ServiceStats::*field;
+};
+
+const std::vector<StatsRow>& stats_rows() {
+  static const std::vector<StatsRow> rows = {
+#define ECL_TEST_ROW(tag, member, family, type) {tag, #member, family, type, &ServiceStats::member},
+      ECL_SVC_STATS_FIELDS(ECL_TEST_ROW)
+#undef ECL_TEST_ROW
+  };
+  return rows;
+}
+
+/// A sample with every row set to a distinct value wider than 32 bits.
+ServiceStats distinct_stats() {
+  ServiceStats s;
+  for (const auto& row : stats_rows()) s.*row.field = (std::uint64_t{1} << 40) + row.tag;
+  return s;
+}
+
+TEST(Protocol, StatsTagsAndFamiliesAreUnique) {
+  std::set<std::uint16_t> tags;
+  std::set<std::string> families;
+  for (const auto& row : stats_rows()) {
+    EXPECT_TRUE(tags.insert(row.tag).second) << "duplicate tag " << row.tag;
+    EXPECT_TRUE(families.insert(row.family).second) << "duplicate family " << row.family;
+    EXPECT_TRUE(std::string(row.type) == "gauge" || std::string(row.type) == "counter")
+        << row.member;
+  }
+}
+
 TEST(Protocol, StatsTaggedRoundTripCarriesEveryField) {
   Response in;
   in.type = MsgType::kStats;
   in.id = 7;
-  in.status = Status::kOk;
-  in.stats.epoch = 11;
-  in.stats.watermark = 22;
-  in.stats.applied_edges = 33;
-  in.stats.accepted_batches = 44;
-  in.stats.applied_batches = 43;
-  in.stats.shed_batches = 1;
-  in.stats.queue_depth = 5;
-  in.stats.num_components = 66;
-  in.stats.num_vertices = 77;
-  in.stats.checkpoints = 2;
-  in.stats.last_checkpoint_epoch = 9;
-  in.stats.wal_segments = 3;
-  in.stats.wal_bytes = 88;
-  // Fields that only exist in the tagged encoding:
-  in.stats.degraded = true;
-  in.stats.uptime_ms = 123456;
-  in.stats.replayed_edges = 999;
-  in.stats.requests_served = 31337;
+  in.stats = distinct_stats();
   std::vector<std::uint8_t> buf;
   encode_response(in, buf);
+  // u32 length | u8 type | u64 id | u8 status | u8 format | u16 count | rows
+  EXPECT_EQ(buf.size(), 4u + 10 + 3 + 10 * stats_rows().size());
 
   Response out;
   ASSERT_TRUE(decode_response(payload_of(buf), out));
-  EXPECT_EQ(out.stats.epoch, 11u);
-  EXPECT_EQ(out.stats.watermark, 22u);
-  EXPECT_EQ(out.stats.applied_edges, 33u);
-  EXPECT_EQ(out.stats.queue_depth, 5u);
-  EXPECT_EQ(out.stats.num_components, 66u);
-  EXPECT_EQ(out.stats.num_vertices, 77u);
-  EXPECT_EQ(out.stats.wal_bytes, 88u);
-  EXPECT_TRUE(out.stats.degraded);
-  EXPECT_EQ(out.stats.uptime_ms, 123456u);
-  EXPECT_EQ(out.stats.replayed_edges, 999u);
-  EXPECT_EQ(out.stats.requests_served, 31337u);
+  for (const auto& row : stats_rows()) {
+    EXPECT_EQ(out.stats.*row.field, in.stats.*row.field) << row.member;
+  }
 }
 
-// Byte-level builders for hand-rolled stats bodies (a legacy peer's encoder
-// and a future peer's unknown tags don't exist in this codebase to call).
+TEST(Protocol, RetiredTypeSevenFailsToDecode) {
+  std::vector<std::uint8_t> req(9, 0);  // u8 type | u64 id, empty body
+  req[0] = 7;
+  Request r;
+  EXPECT_FALSE(decode_request(req, r));
+
+  std::vector<std::uint8_t> resp(10, 0);  // ... | u8 status
+  resp[0] = 7;
+  Response out;
+  EXPECT_FALSE(decode_response(resp, out));
+  resp.resize(10 + 93);  // with a body of the retired op's size
+  EXPECT_FALSE(decode_response(resp, out));
+}
+
+TEST(Protocol, PrometheusRenderEmitsEveryRowOnce) {
+  std::string out;
+  render_prometheus(distinct_stats(), out);
+  const auto count = [&](const std::string& needle) {
+    std::size_t n = 0;
+    for (auto pos = out.find(needle); pos != std::string::npos;
+         pos = out.find(needle, pos + 1)) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(count("# TYPE ecl_svc_up gauge\necl_svc_up 1\n"), 1u);
+  for (const auto& row : stats_rows()) {
+    const std::string family = row.family;
+    EXPECT_EQ(count("# TYPE " + family + " "), 1u) << family;
+    EXPECT_EQ(count("\n" + family + " "), 1u) << family;
+    const std::string value = std::to_string((std::uint64_t{1} << 40) + row.tag);
+    EXPECT_EQ(count("# TYPE " + family + " " + row.type + "\n" + family + " " + value +
+                    "\n"),
+              1u)
+        << family;
+  }
+}
+
+// Byte-level builders for hand-rolled stats bodies (a future peer's unknown
+// tags and malformed bodies don't exist in this codebase to call).
 void push_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -501,40 +552,17 @@ std::vector<std::uint8_t> stats_response_header() {
   return p;
 }
 
-TEST(Protocol, StatsLegacyFixedBodyStillDecodes) {
-  // A pre-tagging daemon's body: exactly 13 x u64 in declaration order.
-  std::vector<std::uint8_t> p = stats_response_header();
-  for (std::uint64_t v = 1; v <= 13; ++v) push_u64(p, v * 100);
-  ASSERT_EQ(p.size(), 1u + 8 + 1 + 13 * 8);
-
-  Response out;
-  ASSERT_TRUE(decode_response(p, out));
-  EXPECT_EQ(out.id, 42u);
-  EXPECT_EQ(out.stats.epoch, 100u);
-  EXPECT_EQ(out.stats.watermark, 200u);
-  EXPECT_EQ(out.stats.applied_edges, 300u);
-  EXPECT_EQ(out.stats.queue_depth, 700u);
-  EXPECT_EQ(out.stats.num_components, 800u);
-  EXPECT_EQ(out.stats.num_vertices, 900u);
-  EXPECT_EQ(out.stats.wal_bytes, 1300u);
-  // Tagged-only fields default cleanly when the peer predates them.
-  EXPECT_FALSE(out.stats.degraded);
-  EXPECT_EQ(out.stats.uptime_ms, 0u);
-  EXPECT_EQ(out.stats.replayed_edges, 0u);
-  EXPECT_EQ(out.stats.requests_served, 0u);
-}
-
 TEST(Protocol, StatsUnknownTagsAreSkipped) {
   // A future daemon sends a field this build doesn't know: decode keeps the
   // fields it recognizes and ignores the rest.
   std::vector<std::uint8_t> p = stats_response_header();
   p.push_back(kStatsTaggedFormat);
   push_u16(p, 3);
-  push_u16(p, static_cast<std::uint16_t>(StatsField::kEpoch));
+  push_u16(p, 1);  // epoch
   push_u64(p, 5);
   push_u16(p, 999);  // unknown tag
   push_u64(p, 0xdeadbeef);
-  push_u16(p, static_cast<std::uint16_t>(StatsField::kRequestsServed));
+  push_u16(p, 17);  // requests_served
   push_u64(p, 77);
 
   Response out;
@@ -550,7 +578,7 @@ TEST(Protocol, StatsMalformedTaggedBodiesFail) {
     std::vector<std::uint8_t> p = stats_response_header();
     p.push_back(kStatsTaggedFormat);
     push_u16(p, 2);
-    push_u16(p, static_cast<std::uint16_t>(StatsField::kEpoch));
+    push_u16(p, 1);  // epoch
     push_u64(p, 5);
     Response out;
     EXPECT_FALSE(decode_response(p, out));
@@ -560,7 +588,7 @@ TEST(Protocol, StatsMalformedTaggedBodiesFail) {
     std::vector<std::uint8_t> p = stats_response_header();
     p.push_back(kStatsTaggedFormat);
     push_u16(p, 1);
-    push_u16(p, static_cast<std::uint16_t>(StatsField::kEpoch));
+    push_u16(p, 1);  // epoch
     push_u64(p, 5);
     p.push_back(0xab);
     Response out;
@@ -580,7 +608,6 @@ TEST(Protocol, MsgTypeNamesAreStable) {
   EXPECT_STREQ(msg_type_name(MsgType::kPing), "ping");
   EXPECT_STREQ(msg_type_name(MsgType::kIngest), "ingest");
   EXPECT_STREQ(msg_type_name(MsgType::kStats), "stats");
-  EXPECT_STREQ(msg_type_name(MsgType::kHealth), "health");
 }
 
 TEST(Protocol, RejectsMalformedPayloads) {
@@ -908,7 +935,7 @@ TEST_F(SvcBackpressureTest, UnreadClientIsEvictedNotServedForever) {
   ASSERT_GT(sent_requests, 0u);
 
   // Never reading drives the ladder to eviction within send_timeout_ms.
-  ServerConnStats cs = server_->conn_stats();
+  ServiceStats cs = server_->conn_stats();
   for (int tries = 0; tries < 250 && cs.evicted_backpressure == 0; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     cs = server_->conn_stats();

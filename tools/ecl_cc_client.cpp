@@ -7,6 +7,7 @@
 //   $ ecl_cc_client --port=4280 ingest 1 2 2 3 3 4
 //   $ ecl_cc_client --port=4280 ingest-file edges.txt
 //   $ ecl_cc_client --port=4280 stats
+//   $ ecl_cc_client --port=4280 health      # stats; exit 2 when degraded
 //   $ ecl_cc_client --port=4280 shutdown
 //
 // Endpoint flags: --unix=PATH, or --host=A (default 127.0.0.1) --port=P.
@@ -21,7 +22,8 @@
 // (default 5000).
 //
 // Exit codes: 0 success, 1 usage/transport error, 2 request rejected
-// (invalid vertex, queue shed after retries, or service closed).
+// (invalid vertex, queue shed after retries, or service closed) or, for
+// health, a degraded daemon.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -48,8 +50,8 @@ int usage() {
                "  count                     snapshot component count\n"
                "  ingest U V [U V ...]      insert edges from the command line\n"
                "  ingest-file FILE          insert 'u v' edge lines from FILE\n"
-               "  stats                     service statistics\n"
-               "  health                    liveness / durability sample\n"
+               "  stats                     every service quantity, one per line\n"
+               "  health                    stats, but exit 2 when degraded\n"
                "  promote                   flip a replica into a writable primary\n"
                "  shutdown                  ask the daemon to shut down\n");
   return 1;
@@ -202,87 +204,18 @@ int main(int argc, char** argv) {
     return shed > 0 ? 2 : 0;
   }
 
-  if (cmd == "stats") {
+  if (cmd == "stats" || cmd == "health") {
     svc::ServiceStats st{};
     if (!client->stats(st)) {
       std::fprintf(stderr, "error: request failed\n");
       return 1;
     }
-    std::printf("epoch             %llu\n", static_cast<unsigned long long>(st.epoch));
-    std::printf("watermark         %llu\n",
-                static_cast<unsigned long long>(st.watermark));
-    std::printf("applied_edges     %llu\n",
-                static_cast<unsigned long long>(st.applied_edges));
-    std::printf("accepted_batches  %llu\n",
-                static_cast<unsigned long long>(st.accepted_batches));
-    std::printf("applied_batches   %llu\n",
-                static_cast<unsigned long long>(st.applied_batches));
-    std::printf("shed_batches      %llu\n",
-                static_cast<unsigned long long>(st.shed_batches));
-    std::printf("queue_depth       %llu\n",
-                static_cast<unsigned long long>(st.queue_depth));
-    std::printf("num_components    %u\n", st.num_components);
-    std::printf("num_vertices      %u\n", st.num_vertices);
-    std::printf("checkpoints       %llu\n",
-                static_cast<unsigned long long>(st.checkpoints));
-    std::printf("last_ckpt_epoch   %llu\n",
-                static_cast<unsigned long long>(st.last_checkpoint_epoch));
-    std::printf("wal_segments      %llu\n",
-                static_cast<unsigned long long>(st.wal_segments));
-    std::printf("wal_bytes         %llu\n",
-                static_cast<unsigned long long>(st.wal_bytes));
-    std::printf("degraded          %s\n", st.degraded ? "yes" : "no");
-    std::printf("uptime_ms         %llu\n",
-                static_cast<unsigned long long>(st.uptime_ms));
-    std::printf("replayed_edges    %llu\n",
-                static_cast<unsigned long long>(st.replayed_edges));
-    std::printf("requests_served   %llu\n",
-                static_cast<unsigned long long>(st.requests_served));
-    return 0;
-  }
-
-  if (cmd == "health") {
-    svc::ServiceHealth h{};
-    if (!client->health(h)) {
-      std::fprintf(stderr, "error: request failed\n");
-      return 1;
-    }
-    std::printf("degraded            %s\n", h.degraded ? "yes" : "no");
-    std::printf("ingest_worker       %s\n", h.ingest_worker_alive ? "alive" : "dead");
-    std::printf("wal                 %s\n",
-                !h.wal_enabled ? "disabled" : (h.wal_healthy ? "healthy" : "failed"));
-    std::printf("queue_depth         %llu\n",
-                static_cast<unsigned long long>(h.queue_depth));
-    std::printf("staleness_edges     %llu\n",
-                static_cast<unsigned long long>(h.staleness_edges));
-    std::printf("ingest_lag_batches  %llu\n",
-                static_cast<unsigned long long>(h.ingest_lag_batches));
-    std::printf("wal_records         %llu\n",
-                static_cast<unsigned long long>(h.wal_records));
-    std::printf("replayed_edges      %llu\n",
-                static_cast<unsigned long long>(h.replayed_edges));
-    std::printf("degraded_entries    %llu\n",
-                static_cast<unsigned long long>(h.degraded_entries));
-    std::printf("checkpoints         %s\n", h.checkpoint_enabled ? "enabled" : "disabled");
-    std::printf("checkpoints_written %llu\n",
-                static_cast<unsigned long long>(h.checkpoints_written));
-    std::printf("last_ckpt_epoch     %llu\n",
-                static_cast<unsigned long long>(h.last_checkpoint_epoch));
-    std::printf("last_ckpt_age_ms    %llu\n",
-                static_cast<unsigned long long>(h.last_checkpoint_age_ms));
-    std::printf("wal_segments        %llu\n",
-                static_cast<unsigned long long>(h.wal_segments));
-    std::printf("wal_bytes           %llu\n",
-                static_cast<unsigned long long>(h.wal_bytes));
-    std::printf("role                %s\n", h.replica ? "replica" : "primary");
-    std::printf("replica_lag_seq     %llu\n",
-                static_cast<unsigned long long>(h.replica_lag_seq));
-    std::printf("replica_lag_ms      %llu\n",
-                static_cast<unsigned long long>(h.replica_lag_ms));
-    std::printf("replicas_connected  %llu\n",
-                static_cast<unsigned long long>(h.replicas_connected));
-    // Exit 0 healthy, 2 degraded: lets scripts use this as a health probe.
-    return h.degraded ? 2 : 0;
+#define ECL_PRINT_ROW(tag, member, family, type) \
+  std::printf("%s %llu\n", #member, static_cast<unsigned long long>(st.member));
+    ECL_SVC_STATS_FIELDS(ECL_PRINT_ROW)
+#undef ECL_PRINT_ROW
+    // health exits 2 when degraded, so scripts can use it as a probe.
+    return cmd == "health" && st.degraded != 0 ? 2 : 0;
   }
 
   if (cmd == "promote") {

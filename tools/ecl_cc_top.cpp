@@ -4,7 +4,7 @@
 //   $ ecl_cc_top --host=127.0.0.1 --port=4280 --interval-ms=500
 //   $ ecl_cc_top --port=4280 --iterations=3 --plain      # scripted snapshot
 //
-// Polls the kStats/kHealth RPCs on a fixed cadence and renders one screen
+// Polls the kStats RPC (one request per tick) and renders one screen
 // per sample: request and ingest throughput (rates come from differencing
 // consecutive samples, the same way the exporter's windowed gauges do),
 // snapshot epoch/watermark lag, queue depth, WAL and checkpoint activity,
@@ -35,7 +35,6 @@ using namespace ecl;
 
 struct Sample {
   svc::ServiceStats stats;
-  svc::ServiceHealth health;
   double t_s = 0.0;  // steady-clock seconds at sample time
 };
 
@@ -61,14 +60,13 @@ void render(const std::string& endpoint, const Sample& cur, const Sample* prev,
   if (!plain) std::printf("\x1b[H\x1b[2J");  // home + clear
   const double dt = prev != nullptr ? cur.t_s - prev->t_s : 0.0;
   const auto& st = cur.stats;
-  const auto& h = cur.health;
 
   std::printf("ecl_cc_top — %s   uptime %.1fs", endpoint.c_str(),
               static_cast<double>(st.uptime_ms) / 1000.0);
-  if (h.replica) {
+  if (st.replica != 0) {
     std::printf(plain ? "   [REPLICA]" : "   \x1b[1;44m REPLICA \x1b[0m");
   }
-  if (h.degraded) {
+  if (st.degraded != 0) {
     std::printf(plain ? "   [DEGRADED: read-only]" : "   \x1b[1;41m DEGRADED: read-only \x1b[0m");
   }
   std::printf("\n\n");
@@ -87,24 +85,25 @@ void render(const std::string& endpoint, const Sample& cur, const Sample* prev,
   }
   std::printf("   queue %llu   lag %llu batches   shed %llu\n",
               static_cast<unsigned long long>(st.queue_depth),
-              static_cast<unsigned long long>(h.ingest_lag_batches),
+              static_cast<unsigned long long>(st.ingest_lag_batches),
               static_cast<unsigned long long>(st.shed_batches));
 
   std::printf("snapshot    epoch %llu", static_cast<unsigned long long>(st.epoch));
   if (prev != nullptr) {
     std::printf(" (+%.2f/s)", rate(st.epoch, prev->stats.epoch, dt));
   }
-  std::printf("   watermark %llu   staleness %llu edges   %u components\n",
+  std::printf("   watermark %llu   staleness %llu edges   %llu components\n",
               static_cast<unsigned long long>(st.watermark),
-              static_cast<unsigned long long>(h.staleness_edges), st.num_components);
+              static_cast<unsigned long long>(st.staleness_edges),
+              static_cast<unsigned long long>(st.num_components));
 
   std::printf("wal         ");
-  if (!h.wal_enabled) {
+  if (st.wal_enabled == 0) {
     std::printf("disabled\n");
   } else {
     std::printf("%s   %llu records   %llu segments   ",
-                h.wal_healthy ? "healthy" : (plain ? "FAILED" : "\x1b[1;31mFAILED\x1b[0m"),
-                static_cast<unsigned long long>(h.wal_records),
+                st.wal_healthy != 0 ? "healthy" : (plain ? "FAILED" : "\x1b[1;31mFAILED\x1b[0m"),
+                static_cast<unsigned long long>(st.wal_records),
                 static_cast<unsigned long long>(st.wal_segments));
     print_bytes(static_cast<double>(st.wal_bytes));
     if (prev != nullptr && st.wal_bytes >= prev->stats.wal_bytes) {
@@ -116,29 +115,27 @@ void render(const std::string& endpoint, const Sample& cur, const Sample* prev,
   }
 
   std::printf("checkpoint  ");
-  if (!h.checkpoint_enabled) {
+  if (st.checkpoint_enabled == 0) {
     std::printf("disabled\n");
   } else {
     std::printf("%llu written   epoch %llu   age %.1fs\n",
-                static_cast<unsigned long long>(h.checkpoints_written),
-                static_cast<unsigned long long>(h.last_checkpoint_epoch),
-                static_cast<double>(h.last_checkpoint_age_ms) / 1000.0);
+                static_cast<unsigned long long>(st.checkpoints),
+                static_cast<unsigned long long>(st.last_checkpoint_epoch),
+                static_cast<double>(st.last_checkpoint_age_ms) / 1000.0);
   }
 
   // Replication panel. A replica shows how far behind the primary it is; a
-  // primary shows how many replicas are currently fetching from it. Both
-  // read zeros against a pre-replication daemon (tagged tail absent).
-  if (h.replica) {
+  // primary shows how many replicas are currently fetching from it.
+  if (st.replica != 0) {
     std::printf("replication replica   lag %llu segments / %llu ms behind primary\n",
-                static_cast<unsigned long long>(h.replica_lag_seq),
-                static_cast<unsigned long long>(h.replica_lag_ms));
-  } else if (h.replicas_connected > 0) {
+                static_cast<unsigned long long>(st.replica_lag_seq),
+                static_cast<unsigned long long>(st.replica_lag_ms));
+  } else if (st.replicas_connected > 0) {
     std::printf("replication primary   %llu replicas streaming\n",
-                static_cast<unsigned long long>(h.replicas_connected));
+                static_cast<unsigned long long>(st.replicas_connected));
   }
 
-  // Connection panel (zeros against a pre-event-loop daemon, whose tagged
-  // stats simply lack these fields).
+  // Connection panel.
   std::printf("conns       %llu open",
               static_cast<unsigned long long>(st.open_connections));
   if (prev != nullptr) {
@@ -200,7 +197,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
     Sample cur;
-    if (!client->stats(cur.stats) || !client->health(cur.health)) {
+    if (!client->stats(cur.stats)) {
       std::fprintf(stderr, "error: daemon stopped answering\n");
       return 1;
     }

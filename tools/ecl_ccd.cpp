@@ -102,75 +102,6 @@ void handle_signal(int) {
   if (g_server != nullptr) g_server->request_shutdown();  // async-signal-safe
 }
 
-void append_family(std::string& out, const char* name, const char* type,
-                   std::uint64_t value) {
-  out += "# TYPE ";
-  out += name;
-  out += ' ';
-  out += type;
-  out += '\n';
-  out += name;
-  out += ' ';
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(value));
-  out += buf;
-  out += '\n';
-}
-
-/// Exporter collector: service/WAL/checkpoint families rendered from a fresh
-/// stats()+health() sample on every scrape, under the wire-stable names
-/// documented in docs/OBSERVABILITY.md. The degraded flag in particular must
-/// come from here — it is service state, not a registry metric — so the
-/// endpoint keeps answering `ecl_svc_degraded 1` after a WAL failure.
-void collect_service_families(const ecl::svc::ConnectivityService& service,
-                              const ecl::svc::Server& server, std::string& out) {
-  const auto st = service.stats();
-  const auto h = service.health();
-  append_family(out, "ecl_svc_up", "gauge", 1);
-  append_family(out, "ecl_svc_degraded", "gauge", h.degraded ? 1 : 0);
-  append_family(out, "ecl_svc_ingest_worker_alive", "gauge",
-                h.ingest_worker_alive ? 1 : 0);
-  append_family(out, "ecl_svc_uptime_ms", "gauge", st.uptime_ms);
-  append_family(out, "ecl_svc_requests_served_total", "counter",
-                server.requests_served());
-  append_family(out, "ecl_svc_epoch", "gauge", st.epoch);
-  append_family(out, "ecl_svc_watermark", "gauge", st.watermark);
-  append_family(out, "ecl_svc_applied_edges_total", "counter", st.applied_edges);
-  append_family(out, "ecl_svc_accepted_batches_total", "counter",
-                st.accepted_batches);
-  append_family(out, "ecl_svc_shed_batches_total", "counter", st.shed_batches);
-  append_family(out, "ecl_svc_queue_depth", "gauge", st.queue_depth);
-  append_family(out, "ecl_svc_staleness_edges", "gauge", h.staleness_edges);
-  append_family(out, "ecl_svc_ingest_lag_batches", "gauge", h.ingest_lag_batches);
-  append_family(out, "ecl_svc_num_components", "gauge", st.num_components);
-  append_family(out, "ecl_wal_enabled", "gauge", h.wal_enabled ? 1 : 0);
-  append_family(out, "ecl_wal_healthy", "gauge", h.wal_healthy ? 1 : 0);
-  append_family(out, "ecl_wal_records_total", "counter", h.wal_records);
-  append_family(out, "ecl_wal_replayed_edges", "gauge", h.replayed_edges);
-  append_family(out, "ecl_wal_segments", "gauge", st.wal_segments);
-  append_family(out, "ecl_wal_bytes", "gauge", st.wal_bytes);
-  append_family(out, "ecl_ckpt_enabled", "gauge", h.checkpoint_enabled ? 1 : 0);
-  append_family(out, "ecl_ckpt_written_total", "counter", h.checkpoints_written);
-  append_family(out, "ecl_ckpt_last_epoch", "gauge", h.last_checkpoint_epoch);
-  append_family(out, "ecl_ckpt_age_ms", "gauge", h.last_checkpoint_age_ms);
-  // Replication (docs/REPLICATION.md): role flips 1 -> 0 on promotion; lag
-  // is meaningful on replicas, replicas_connected on primaries.
-  append_family(out, "ecl_svc_role", "gauge", h.replica ? 1 : 0);
-  append_family(out, "ecl_svc_replica_lag_seq", "gauge", h.replica_lag_seq);
-  append_family(out, "ecl_svc_replica_lag_ms", "gauge", h.replica_lag_ms);
-  append_family(out, "ecl_svc_replicas_connected", "gauge", h.replicas_connected);
-  // Connection-level telemetry from the event-loop front end.
-  const auto cs = server.conn_stats();
-  append_family(out, "ecl_svc_open_connections", "gauge", cs.open_connections);
-  append_family(out, "ecl_svc_epoll_wakeups_total", "counter", cs.epoll_wakeups);
-  append_family(out, "ecl_svc_write_buf_hwm_bytes", "gauge", cs.write_buf_hwm_bytes);
-  append_family(out, "ecl_svc_evicted_idle_total", "counter", cs.evicted_idle);
-  append_family(out, "ecl_svc_evicted_slow_total", "counter", cs.evicted_slow);
-  append_family(out, "ecl_svc_evicted_backpressure_total", "counter",
-                cs.evicted_backpressure);
-  append_family(out, "ecl_svc_accept_shed_fds_total", "counter", cs.accept_shed_fds);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -306,11 +237,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(service->replayed_edges()));
   }
   if (!sopts.checkpoint_path.empty()) {
-    const auto h = service->health();
+    const auto st = service->stats();
     std::printf("checkpoint %s (interval %d ms): recovered epoch %llu, watermark %llu\n",
                 sopts.checkpoint_path.c_str(), sopts.checkpoint_interval_ms,
-                static_cast<unsigned long long>(h.last_checkpoint_epoch),
-                static_cast<unsigned long long>(service->stats().watermark));
+                static_cast<unsigned long long>(st.last_checkpoint_epoch),
+                static_cast<unsigned long long>(st.watermark));
   }
 
   std::unique_ptr<svc::Replicator> replicator;
@@ -348,9 +279,12 @@ int main(int argc, char** argv) {
 
   obs::MetricsExporter exporter(eopts);
   if (exporter_enabled) {
-    exporter.add_collector([&service, &server](std::string& out) {
-      collect_service_families(*service, server, out);
-    });
+    // Service families come from the same Server::stats() sample kStats
+    // answers with. The degraded flag in particular must come from here: it
+    // is service state, not a registry metric, so the endpoint keeps
+    // answering `ecl_svc_degraded 1` after a WAL failure.
+    exporter.add_collector(
+        [&server](std::string& out) { svc::render_prometheus(server.stats(), out); });
     std::string eerr;
     if (!exporter.start(&eerr)) {
       std::fprintf(stderr, "error: cannot start metrics exporter: %s\n", eerr.c_str());
@@ -403,12 +337,12 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "shutdown: served %llu requests; epoch %llu, %llu edges applied, "
-      "%llu batches shed, %u components\n",
+      "%llu batches shed, %llu components\n",
       static_cast<unsigned long long>(server.requests_served()),
       static_cast<unsigned long long>(stats.epoch),
       static_cast<unsigned long long>(stats.applied_edges),
       static_cast<unsigned long long>(stats.shed_batches),
-      stats.num_components);
+      static_cast<unsigned long long>(stats.num_components));
   if (!slow_log_file.empty()) {
     std::printf("slow-request log: %llu lines in %s\n",
                 static_cast<unsigned long long>(slow_log.lines()),
