@@ -1,7 +1,6 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 
 namespace ecl {
@@ -13,61 +12,81 @@ void GraphBuilder::add_edge(vertex_t u, vertex_t v) {
   edges_.emplace_back(u, v);
 }
 
-void GraphBuilder::add_edges(const std::vector<Edge>& edges) {
+void GraphBuilder::add_edges(std::span<const Edge> edges) {
   edges_.reserve(edges_.size() + edges.size());
   for (const auto& [u, v] : edges) add_edge(u, v);
 }
 
 Graph GraphBuilder::build(const BuildOptions& opts) {
-  std::vector<Edge> edges = std::move(edges_);
+  const std::vector<Edge> edges = std::move(edges_);
   edges_.clear();
-
-  if (opts.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
-  }
-
-  if (opts.symmetrize) {
-    const std::size_t original = edges.size();
-    edges.reserve(original * 2);
-    for (std::size_t i = 0; i < original; ++i) {
-      edges.emplace_back(edges[i].second, edges[i].first);
-    }
-  }
-
-  // Counting-sort style CSR construction: sorting the full edge list once
-  // handles grouping by tail, intra-list ordering, and deduplication.
-  std::sort(edges.begin(), edges.end());
-  if (opts.deduplicate) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-
-  std::vector<edge_t> offsets(static_cast<std::size_t>(num_vertices_) + 1, 0);
-  for (const auto& [u, v] : edges) ++offsets[u + 1];
-  for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-
-  std::vector<vertex_t> adjacency;
-  adjacency.reserve(edges.size());
-  for (const auto& [u, v] : edges) adjacency.push_back(v);
-
-  if (!opts.sort_neighbors) {
-    // The sorted construction above always yields sorted lists; callers that
-    // want unsorted lists get a deterministic pseudo-shuffle per list so that
-    // order-sensitive policies (Init3) can be exercised on unsorted input.
-    for (vertex_t v = 0; v < num_vertices_; ++v) {
-      auto first = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-      auto last = adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-      std::reverse(first, last);
-    }
-  }
-
-  return Graph(std::move(offsets), std::move(adjacency));
+  return build_graph(num_vertices_, edges, opts);
 }
 
-Graph build_graph(vertex_t num_vertices, const std::vector<Edge>& edges,
+Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
                   const BuildOptions& opts) {
-  GraphBuilder builder(num_vertices);
-  builder.add_edges(edges);
-  return builder.build(opts);
+  const std::size_t n = num_vertices;
+  auto kept = [&opts](const Edge& e) { return !opts.remove_self_loops || e.first != e.second; };
+
+  // Count pass: offsets[u + 1] counts the arcs with tail u, by_head[v + 1]
+  // those with head v.
+  std::vector<edge_t> offsets(n + 1, 0);
+  std::vector<edge_t> by_head(n + 1, 0);
+  for (const Edge& e : edges) {
+    if (e.first >= n || e.second >= n) {
+      throw std::out_of_range("build_graph: endpoint out of range");
+    }
+    if (!kept(e)) continue;
+    ++offsets[e.first + 1];
+    ++by_head[e.second + 1];
+    if (opts.symmetrize) {
+      ++offsets[e.second + 1];
+      ++by_head[e.first + 1];
+    }
+  }
+  for (std::size_t v = 1; v <= n; ++v) {
+    offsets[v] += offsets[v - 1];
+    by_head[v] += by_head[v - 1];
+  }
+
+  // Two stable scatters, an LSD radix sort of the arcs on (tail, head):
+  // first each tail into its head's slots, then, walking heads in ascending
+  // order, each head into its tail's slots, so every list comes out sorted
+  // with its duplicates adjacent. Each cursor array ends at the end of each
+  // vertex's slots: by_head[h] bounds h's tails, offsets[u] ends u's list.
+  std::vector<vertex_t> tails(by_head[n]);
+  for (const Edge& e : edges) {
+    if (!kept(e)) continue;
+    tails[by_head[e.second]++] = e.first;
+    if (opts.symmetrize) tails[by_head[e.first]++] = e.second;
+  }
+  std::vector<vertex_t> adjacency(offsets[n]);
+  for (edge_t i = 0, h = 0; h < n; ++h) {
+    for (; i < by_head[h]; ++i) adjacency[offsets[tails[i]]++] = static_cast<vertex_t>(h);
+  }
+  tails = {};
+
+  // Per list: drop duplicates, orient, and slide the list down over the
+  // slots freed by earlier lists' duplicates; offsets[v] becomes v's start.
+  vertex_t* const adj = adjacency.data();
+  edge_t begin = 0;
+  edge_t write = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const edge_t end = offsets[v];
+    vertex_t* list_end = adj + end;
+    if (opts.deduplicate) list_end = std::unique(adj + begin, list_end);
+    if (!opts.sort_neighbors) std::reverse(adj + begin, list_end);
+    if (write != begin) std::move(adj + begin, list_end, adj + write);
+    offsets[v] = write;
+    write += static_cast<edge_t>(list_end - (adj + begin));
+    begin = end;
+  }
+  offsets[n] = write;
+  if (write < adjacency.size()) {
+    adjacency.resize(write);
+    adjacency.shrink_to_fit();
+  }
+  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace ecl

@@ -123,6 +123,7 @@ Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
   // in Table 2: dmin = 0 (isolated pages), very large dmax (hubs), many
   // small components plus one giant one.
   std::vector<vertex_t> hubs;
+  std::vector<vertex_t> linked_pages;  // reused across sites
   vertex_t v = 0;
   while (v < n) {
     const vertex_t site_size =
@@ -134,7 +135,7 @@ Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
     const bool connected_site = rng.uniform() > 0.02;
     // ~3% of pages are crawled but never linked: the dmin = 0 vertices of
     // Table 2. Decide them up front so navigation links can avoid them.
-    std::vector<vertex_t> linked_pages;
+    linked_pages.clear();
     for (vertex_t page = v + 1; page < end; ++page) {
       if (rng.uniform() >= 0.03) linked_pages.push_back(page);
     }

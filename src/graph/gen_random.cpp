@@ -24,8 +24,15 @@ Graph gen_uniform_random(vertex_t n, edge_t num_undirected_edges, std::uint64_t 
 
 Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t seed) {
   if (scale <= 0 || scale >= 31) throw std::invalid_argument("gen_rmat: bad scale");
+  // `!(x >= 0)` also catches NaN. Non-negative probabilities keep the three
+  // quadrant thresholds below in ascending order, which the descent needs.
+  for (const double q : {p.a, p.b, p.c, p.d}) {
+    if (!(q >= 0.0)) throw std::invalid_argument("gen_rmat: negative or NaN probability");
+  }
   const double total = p.a + p.b + p.c + p.d;
-  if (total <= 0.0) throw std::invalid_argument("gen_rmat: bad probabilities");
+  if (total <= 0.0 || !std::isfinite(total)) {
+    throw std::invalid_argument("gen_rmat: bad probabilities");
+  }
 
   const vertex_t n = vertex_t{1} << scale;
   const edge_t m = edge_factor * static_cast<edge_t>(n);
@@ -43,18 +50,17 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
       // Recursively descend into one of the four adjacency-matrix quadrants
       // with a little noise per level, as in the Graph500 reference code, so
       // the degree distribution stays heavy-tailed instead of collapsing.
+      // The quadrant is the number of ascending thresholds r reaches:
+      // 0 top-left, 1 top-right (v bit), 2 bottom-left (u bit), 3 both bits.
+      // Branch-free: the outcome is random at every level, so branches on
+      // it would mispredict.
       const double noise = 0.9 + 0.2 * rng.uniform();
       const double r = rng.uniform();
-      if (r < pa * noise) {
-        // top-left: both bits 0
-      } else if (r < (pa + pb) * noise) {
-        v |= vertex_t{1} << bit;
-      } else if (r < (pa + pb + pc) * noise) {
-        u |= vertex_t{1} << bit;
-      } else {
-        u |= vertex_t{1} << bit;
-        v |= vertex_t{1} << bit;
-      }
+      const bool past_a = r >= pa * noise;
+      const bool past_b = r >= (pa + pb) * noise;
+      const bool past_c = r >= (pa + pb + pc) * noise;
+      u |= vertex_t{past_b} << bit;
+      v |= static_cast<vertex_t>(past_a ^ past_b ^ past_c) << bit;
     }
     edges.emplace_back(u, v);
   }

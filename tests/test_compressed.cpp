@@ -67,7 +67,7 @@ TEST(Compressed, EmptyAndEdgeless) {
 TEST(Compressed, RejectsUnsortedAdjacency) {
   BuildOptions opts;
   opts.sort_neighbors = false;  // reversed lists
-  const Graph g = build_graph(5, {{0, 1}, {0, 2}, {0, 3}}, opts);
+  const Graph g = build_graph(5, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}}, opts);
   EXPECT_THROW((void)CompressedGraph::compress(g), std::invalid_argument);
 }
 

@@ -57,7 +57,7 @@ TEST(InitialParent, FirstSmallerRespectsListOrder) {
 }
 
 TEST(InitialParent, IsolatedVertexKeepsSelf) {
-  const Graph g = build_graph(3, {{0, 1}});
+  const Graph g = build_graph(3, std::vector<Edge>{{0, 1}});
   for (const auto policy : {InitPolicy::kSelf, InitPolicy::kMinNeighbor,
                             InitPolicy::kFirstSmallerNeighbor}) {
     EXPECT_EQ(detail::initial_parent(g, policy, 2), 2u);
@@ -66,7 +66,7 @@ TEST(InitialParent, IsolatedVertexKeepsSelf) {
 
 TEST(ComputeVertex, ProcessesOnlyLowerNeighbors) {
   // Triangle 0-1-2. Processing vertex 0 must do nothing (no neighbor < 0).
-  const Graph g = build_graph(3, {{0, 1}, {1, 2}, {0, 2}});
+  const Graph g = build_graph(3, std::vector<Edge>{{0, 1}, {1, 2}, {0, 2}});
   std::vector<vertex_t> parent{0, 1, 2};
   SerialParentOps ops(parent.data());
   detail::compute_vertex(g, JumpPolicy::kIntermediate, 0, ops);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 
 #include "graph/generators.h"
 #include "graph/stats.h"
@@ -69,6 +71,18 @@ TEST(GenRmat, RejectsBadScale) {
   EXPECT_THROW(gen_rmat(31, 8, RmatParams{}, 1), std::invalid_argument);
 }
 
+TEST(GenRmat, RejectsNegativeProbability) {
+  // The total is positive, but a probability below zero does not exist.
+  EXPECT_THROW(gen_rmat(8, 4, RmatParams{0.8, -0.1, 0.2, 0.1}, 1), std::invalid_argument);
+  EXPECT_THROW(gen_rmat(8, 4, RmatParams{0.5, 0.3, 0.3, -0.1}, 1), std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(gen_rmat(8, 4, RmatParams{nan, 0.2, 0.2, 0.1}, 1), std::invalid_argument);
+  EXPECT_THROW(gen_rmat(8, 4, RmatParams{0.5, 0.2, 0.2, nan}, 1), std::invalid_argument);
+  EXPECT_THROW(gen_rmat(8, 4, RmatParams{0.0, 0.0, 0.0, 0.0}, 1), std::invalid_argument);
+  // Zero is a probability: a quadrant that is never chosen.
+  EXPECT_EQ(gen_rmat(8, 4, RmatParams{0.5, 0.0, 0.5, 0.0}, 1).num_vertices(), 256u);
+}
+
 TEST(GenKronecker, MoreSkewedThanDefaultRmat) {
   const auto kron = compute_stats(gen_kronecker(13, 16, 5), "kron");
   const auto rmat = compute_stats(gen_rmat(13, 16, RmatParams{}, 5), "rmat");
@@ -116,6 +130,47 @@ TEST(GenSmallWorld, RingDegreeWithoutRewiring) {
 
 TEST(GenSmallWorld, RejectsTooLargeK) {
   EXPECT_THROW(gen_small_world(10, 5, 0.1, 1), std::invalid_argument);
+}
+
+/// FNV-1a over the bytes of `offsets` then `adjacency`, each value taken
+/// least significant byte first.
+std::uint64_t csr_hash(const Graph& g) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  auto mix = [&h](auto values) {
+    for (const auto x : values) {
+      for (std::size_t i = 0; i < sizeof(x); ++i) {
+        h ^= (static_cast<std::uint64_t>(x) >> (8 * i)) & 0xffu;
+        h *= 0x100000001b3ull;
+      }
+    }
+  };
+  mix(g.offsets());
+  mix(g.adjacency());
+  return h;
+}
+
+// Pins every generator's exact output, so a change to a generator or to the
+// builder under them cannot alter the graphs a benchmark or paper table runs
+// on without this test noticing.
+TEST(Generators, OutputIsBitStable) {
+  struct Case {
+    const char* name;
+    Graph g;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"road", gen_road_network(4000, 7), 0xa219e24b66030dbaull},
+      {"grid", gen_grid2d(40, 50), 0x196f8f59d75103cdull},
+      {"kron", gen_kronecker(10, 16, 7), 0xe521e4b8990d1051ull},
+      {"web", gen_web_graph(4000, 7), 0x5ef9fa5aec10ccebull},
+      {"rmat", gen_rmat(10, 8, RmatParams{}, 7), 0x0794f84b02319692ull},
+      {"uniform", gen_uniform_random(2000, 6000, 7), 0xcfa99d28deaaaa11ull},
+      {"pa", gen_preferential_attachment(2000, 4, 7), 0xfeebf1c6092770f9ull},
+      {"citation", gen_citation(2000, 4, 0.7, 7), 0x56854614eb484970ull},
+      {"small_world", gen_small_world(2000, 3, 0.1, 7), 0xa2d8774f72d79e90ull},
+      {"delaunay", gen_delaunay_like(40, 50), 0xbdd457bea0d26f4bull},
+  };
+  for (const auto& c : cases) EXPECT_EQ(csr_hash(c.g), c.hash) << c.name;
 }
 
 TEST(Suite, AllEighteenGraphsPresent) {

@@ -20,7 +20,7 @@ TEST(Graph, EmptyGraph) {
 }
 
 TEST(Builder, SymmetrizesEdges) {
-  const Graph g = build_graph(3, {{0, 1}});
+  const Graph g = build_graph(3, std::vector<Edge>{{0, 1}});
   EXPECT_EQ(g.num_edges(), 2u);  // both directions present
   ASSERT_EQ(g.degree(0), 1u);
   ASSERT_EQ(g.degree(1), 1u);
@@ -30,19 +30,19 @@ TEST(Builder, SymmetrizesEdges) {
 }
 
 TEST(Builder, RemovesSelfLoops) {
-  const Graph g = build_graph(2, {{0, 0}, {0, 1}, {1, 1}});
+  const Graph g = build_graph(2, std::vector<Edge>{{0, 0}, {0, 1}, {1, 1}});
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.degree(0), 1u);
   EXPECT_EQ(g.degree(1), 1u);
 }
 
 TEST(Builder, DeduplicatesParallelEdges) {
-  const Graph g = build_graph(2, {{0, 1}, {0, 1}, {1, 0}});
+  const Graph g = build_graph(2, std::vector<Edge>{{0, 1}, {0, 1}, {1, 0}});
   EXPECT_EQ(g.num_edges(), 2u);
 }
 
 TEST(Builder, SortsAdjacencyLists) {
-  const Graph g = build_graph(5, {{2, 4}, {2, 0}, {2, 3}, {2, 1}});
+  const Graph g = build_graph(5, std::vector<Edge>{{2, 4}, {2, 0}, {2, 3}, {2, 1}});
   const auto nbrs = g.neighbors(2);
   EXPECT_TRUE(std::is_sorted(nbrs.begin(), nbrs.end()));
   EXPECT_EQ(nbrs.size(), 4u);
@@ -51,7 +51,7 @@ TEST(Builder, SortsAdjacencyLists) {
 TEST(Builder, UnsortedOptionReversesLists) {
   BuildOptions opts;
   opts.sort_neighbors = false;
-  const Graph g = build_graph(5, {{2, 4}, {2, 0}, {2, 3}}, opts);
+  const Graph g = build_graph(5, std::vector<Edge>{{2, 4}, {2, 0}, {2, 3}}, opts);
   const auto nbrs = g.neighbors(2);
   EXPECT_TRUE(std::is_sorted(nbrs.rbegin(), nbrs.rend()));
 }
@@ -59,7 +59,7 @@ TEST(Builder, UnsortedOptionReversesLists) {
 TEST(Builder, KeepSelfLoopsWhenAsked) {
   BuildOptions opts;
   opts.remove_self_loops = false;
-  const Graph g = build_graph(2, {{0, 0}}, opts);
+  const Graph g = build_graph(2, std::vector<Edge>{{0, 0}}, opts);
   // Symmetrization duplicates the loop and deduplication collapses it back.
   EXPECT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.neighbors(0)[0], 0u);

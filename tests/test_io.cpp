@@ -164,7 +164,7 @@ void expect_identical(const Graph& a, const Graph& b) {
 TEST_F(IoTest, EveryFormatPairRoundTrips) {
   // A graph with multiple components and an isolated vertex: build from
   // explicit edges so vertex 6 stays isolated.
-  const Graph g = build_graph(7, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {3, 5}});
+  const Graph g = build_graph(7, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {3, 5}});
   const std::vector<std::string> exts = {"eclg", "gr", "mtx"};
 
   // Header-carrying formats round-trip exactly, via every format pair:
@@ -240,7 +240,7 @@ TEST_F(IoTest, EdgeListRoundTripPreservesStructure) {
 }
 
 TEST_F(IoTest, TextWritersEmitLoadableHeaders) {
-  const Graph g = build_graph(3, {{0, 1}});
+  const Graph g = build_graph(3, std::vector<Edge>{{0, 1}});
   std::ostringstream gr;
   write_dimacs(g, gr);
   EXPECT_NE(gr.str().find("p sp 3 1"), std::string::npos);

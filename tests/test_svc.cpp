@@ -128,7 +128,7 @@ TEST(ConnectivityService, SnapshotPinsItsEpoch) {
 
 TEST(ConnectivityService, SeedGraphCountsAsEpochZero) {
   // 0-1-2 path plus isolated 3.
-  const Graph g = build_graph(4, {{0, 1}, {1, 2}});
+  const Graph g = build_graph(4, std::vector<Edge>{{0, 1}, {1, 2}});
   ConnectivityService svc(g);
   EXPECT_TRUE(svc.connected(0, 2));
   EXPECT_FALSE(svc.connected(0, 3));
