@@ -2,6 +2,7 @@
 // phase kernels: the per-operation costs behind the paper-level results.
 #include <benchmark/benchmark.h>
 
+#include "common/rng.h"
 #include "core/ecl_cc.h"
 #include "dsu/disjoint_set.h"
 #include "dsu/rank_dsu.h"
@@ -121,12 +122,25 @@ void BM_EclSerialOnKron(benchmark::State& state) {
 }
 BENCHMARK(BM_EclSerialOnKron)->Arg(12)->Arg(15);
 
+// gen_rmat runs OpenMP-parallel, so time the wall clock, not the calling
+// thread's CPU. Scale 17 is core_solve's kron input.
 void BM_GraphGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen_rmat(static_cast<int>(state.range(0)), 8, RmatParams{}, 3));
   }
 }
-BENCHMARK(BM_GraphGeneration)->Arg(12)->Arg(15);
+BENCHMARK(BM_GraphGeneration)->Arg(12)->Arg(15)->Arg(17)->UseRealTime();
+
+// The jump-ahead that splits gen_rmat's stream. core_solve's kron input
+// (2^21 edges of 34 draws, in 4 chunks) jumps by up to ~2^25.7 draws.
+void BM_XoshiroDiscard(benchmark::State& state) {
+  Xoshiro256 rng(3);
+  for (auto _ : state) {
+    rng.discard(static_cast<std::uint64_t>(state.range(0)));
+    benchmark::DoNotOptimize(rng);
+  }
+}
+BENCHMARK(BM_XoshiroDiscard)->Arg(1 << 10)->Arg(1 << 25);
 
 }  // namespace
 

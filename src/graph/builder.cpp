@@ -1,6 +1,7 @@
 #include "graph/builder.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace ecl {
@@ -29,24 +30,27 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
   auto kept = [&opts](const Edge& e) { return !opts.remove_self_loops || e.first != e.second; };
 
   // Count pass: offsets[u + 1] counts the arcs with tail u, by_head[v + 1]
-  // those with head v.
+  // those with head v. Symmetrized, every in-degree equals the out-degree,
+  // so by_head is a copy of offsets.
   std::vector<edge_t> offsets(n + 1, 0);
-  std::vector<edge_t> by_head(n + 1, 0);
+  std::vector<edge_t> by_head(opts.symmetrize ? 0 : n + 1, 0);
   for (const Edge& e : edges) {
     if (e.first >= n || e.second >= n) {
       throw std::out_of_range("build_graph: endpoint out of range");
     }
     if (!kept(e)) continue;
     ++offsets[e.first + 1];
-    ++by_head[e.second + 1];
     if (opts.symmetrize) {
       ++offsets[e.second + 1];
-      ++by_head[e.first + 1];
+    } else {
+      ++by_head[e.second + 1];
     }
   }
-  for (std::size_t v = 1; v <= n; ++v) {
-    offsets[v] += offsets[v - 1];
-    by_head[v] += by_head[v - 1];
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  if (opts.symmetrize) {
+    by_head = offsets;
+  } else {
+    std::partial_sum(by_head.begin(), by_head.end(), by_head.begin());
   }
 
   // Two stable scatters, an LSD radix sort of the arcs on (tail, head):
@@ -82,10 +86,7 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
     begin = end;
   }
   offsets[n] = write;
-  if (write < adjacency.size()) {
-    adjacency.resize(write);
-    adjacency.shrink_to_fit();
-  }
+  adjacency.resize(write);
   return Graph(std::move(offsets), std::move(adjacency));
 }
 

@@ -1,5 +1,7 @@
 // Randomized generators: uniform random, R-MAT/Kronecker, small world.
+#include <algorithm>
 #include <cmath>
+#include <omp.h>
 #include <stdexcept>
 #include <vector>
 
@@ -40,29 +42,43 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
   const double pb = p.b / total;
   const double pc = p.c / total;
 
-  Xoshiro256 rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(m);
-  for (edge_t e = 0; e < m; ++e) {
-    vertex_t u = 0;
-    vertex_t v = 0;
-    for (int bit = scale - 1; bit >= 0; --bit) {
-      // Recursively descend into one of the four adjacency-matrix quadrants
-      // with a little noise per level, as in the Graph500 reference code, so
-      // the degree distribution stays heavy-tailed instead of collapsing.
-      // The quadrant is the number of ascending thresholds r reaches:
-      // 0 top-left, 1 top-right (v bit), 2 bottom-left (u bit), 3 both bits.
-      // Branch-free: the outcome is random at every level, so branches on
-      // it would mispredict.
-      const double noise = 0.9 + 0.2 * rng.uniform();
-      const double r = rng.uniform();
-      const bool past_a = r >= pa * noise;
-      const bool past_b = r >= (pa + pb) * noise;
-      const bool past_c = r >= (pa + pb + pc) * noise;
-      u |= vertex_t{past_b} << bit;
-      v |= static_cast<vertex_t>(past_a ^ past_b ^ past_c) << bit;
+  // Every edge draws exactly 2 * scale numbers, so the chunk starting at
+  // edge lo draws from the seed's stream advanced by 2 * scale * lo: the
+  // edges are the same however many chunks, and threads, there are. A chunk
+  // of at least 2^16 edges (2^17 draws or more) outweighs its jump, which
+  // costs about 256 draws plus 64 polynomial products.
+  constexpr edge_t kMinChunkEdges = edge_t{1} << 16;
+  const edge_t max_chunks = static_cast<edge_t>(omp_get_max_threads());
+  const edge_t chunks = std::clamp<edge_t>(m / kMinChunkEdges, 1, max_chunks);
+  const auto draws_per_edge = static_cast<std::uint64_t>(2 * scale);
+  std::vector<Edge> edges(m);
+#pragma omp parallel for schedule(static)
+  for (edge_t c = 0; c < chunks; ++c) {
+    const edge_t lo = m * c / chunks;
+    const edge_t hi = m * (c + 1) / chunks;
+    Xoshiro256 rng(seed);
+    rng.discard(draws_per_edge * lo);
+    for (edge_t e = lo; e < hi; ++e) {
+      vertex_t u = 0;
+      vertex_t v = 0;
+      for (int bit = scale - 1; bit >= 0; --bit) {
+        // Recursively descend into one of the four adjacency-matrix quadrants
+        // with a little noise per level, as in the Graph500 reference code,
+        // so the degree distribution stays heavy-tailed instead of
+        // collapsing. The quadrant is the number of ascending thresholds r
+        // reaches: 0 top-left, 1 top-right (v bit), 2 bottom-left (u bit),
+        // 3 both bits. Branch-free: the outcome is random at every level, so
+        // branches on it would mispredict.
+        const double noise = 0.9 + 0.2 * rng.uniform();
+        const double r = rng.uniform();
+        const bool past_a = r >= pa * noise;
+        const bool past_b = r >= (pa + pb) * noise;
+        const bool past_c = r >= (pa + pb + pc) * noise;
+        u |= vertex_t{past_b} << bit;
+        v |= static_cast<vertex_t>(past_a ^ past_b ^ past_c) << bit;
+      }
+      edges[e] = {u, v};
     }
-    edges.emplace_back(u, v);
   }
   return build_graph(n, edges);
 }

@@ -34,10 +34,14 @@ struct RmatParams {
   double c = 0.22;
   double d = 0.11;
 };
+/// Draws its edges OpenMP-parallel, each thread from the seed's stream jumped
+/// ahead to its slice (Xoshiro256::discard), so the graph is the same for
+/// every thread count.
 [[nodiscard]] Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& params,
                              std::uint64_t seed);
 
-/// Graph500 Kronecker parameters (a=0.57, b=0.19, c=0.19, d=0.05).
+/// Graph500 Kronecker parameters (a=0.57, b=0.19, c=0.19, d=0.05); gen_rmat,
+/// so also OpenMP-parallel and independent of the thread count.
 [[nodiscard]] Graph gen_kronecker(int scale, edge_t edge_factor, std::uint64_t seed);
 
 /// Road-map-like graph ("europe_osm", "USA-road-d.*"): vertices embedded on

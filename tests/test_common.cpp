@@ -148,6 +148,34 @@ TEST(Rng, DifferentSeedsDiverge) {
   EXPECT_LT(equal, 5);
 }
 
+TEST(Rng, DiscardMatchesRepeatedNext) {
+  for (const std::uint64_t k : {0ull, 1ull, 63ull, 64ull, 65ull, 255ull, 256ull, 257ull,
+                                1000003ull}) {
+    Xoshiro256 stepped(2024);
+    for (std::uint64_t i = 0; i < k; ++i) stepped.next();
+    Xoshiro256 jumped(2024);
+    jumped.discard(k);
+    EXPECT_TRUE(jumped == stepped) << "k = " << k;
+    EXPECT_EQ(jumped.next(), stepped.next()) << "k = " << k;
+  }
+
+  // Jumps compose.
+  Xoshiro256 twice(7);
+  twice.discard(12345);
+  twice.discard(678901);
+  Xoshiro256 once(7);
+  once.discard(12345 + 678901);
+  EXPECT_TRUE(twice == once);
+
+  // A discarded copy leaves the original stream untouched.
+  Xoshiro256 original(99);
+  Xoshiro256 reference(99);
+  Xoshiro256 copy = original;
+  copy.discard(1u << 20);
+  EXPECT_FALSE(copy == original);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(original.next(), reference.next());
+}
+
 TEST(Rng, BoundedStaysInRange) {
   Xoshiro256 rng(99);
   std::set<std::uint64_t> seen;

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <omp.h>
+#include <vector>
 
 #include "graph/generators.h"
 #include "graph/stats.h"
@@ -169,8 +171,26 @@ TEST(Generators, OutputIsBitStable) {
       {"citation", gen_citation(2000, 4, 0.7, 7), 0x56854614eb484970ull},
       {"small_world", gen_small_world(2000, 3, 0.1, 7), 0xa2d8774f72d79e90ull},
       {"delaunay", gen_delaunay_like(40, 50), 0xbdd457bea0d26f4bull},
+      // 262,144 edges each: gen_rmat splits these across up to 4 chunks.
+      {"kron_chunked", gen_kronecker(14, 16, 7), 0xe07638e9006d8c45ull},
+      {"rmat_chunked", gen_rmat(15, 8, RmatParams{}, 7), 0x94bff71adabc5059ull},
   };
   for (const auto& c : cases) EXPECT_EQ(csr_hash(c.g), c.hash) << c.name;
+}
+
+// gen_rmat splits its edges into one chunk per OpenMP thread, each drawing
+// from a jumped-ahead copy of the stream: the chunk count must not show.
+TEST(GenRmat, OutputIndependentOfThreadCount) {
+  const int previous = omp_get_max_threads();
+  std::vector<std::uint64_t> first;
+  for (int threads = 1; threads <= 4; ++threads) {
+    omp_set_num_threads(threads);
+    const std::vector<std::uint64_t> hashes = {
+        csr_hash(gen_kronecker(14, 16, 7)), csr_hash(gen_rmat(15, 8, RmatParams{}, 7))};
+    if (first.empty()) first = hashes;
+    EXPECT_EQ(hashes, first) << threads << " threads";
+  }
+  omp_set_num_threads(previous);
 }
 
 TEST(Suite, AllEighteenGraphsPresent) {
