@@ -41,9 +41,10 @@ class IncrementalCC {
 
   /// Copies the union-find's parent array into `out` (num_vertices()
   /// elements). Every parent[v] <= v, so one ascending pass
-  /// label[v] = label[label[v]] (the paper's Fini) turns the copy into the
-  /// canonical labelling. Precondition: no concurrent hook (add_edge /
-  /// add_edges); concurrent connected / component_of calls are fine.
+  /// label[v] = label[label[v]] (the paper's Fini) turns the copy into a
+  /// canonical labelling. Thread-safe: under concurrent inserts and queries
+  /// that labelling contains every edge inserted before the call and no edge
+  /// whose insertion had not begun when it returned.
   void copy_parents(std::span<vertex_t> out) { dsu_.copy_parents(out); }
 
   /// Inserts the undirected edge (u, v). Thread-safe.

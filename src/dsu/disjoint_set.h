@@ -66,10 +66,11 @@ class DisjointSet {
 };
 
 /// Lock-free concurrent union-find: the ECL-CC substrate as a reusable data
-/// structure. Thread-safe: find() and unite() may be called concurrently
-/// from any number of threads without locks (benign races per paper §3).
-/// Representatives are always the minimum element of their set once all
-/// unites have completed and flatten() has run.
+/// structure. Thread-safe: find(), unite() and copy_parents() may be called
+/// concurrently from any number of threads without locks (benign races per
+/// paper §3). Representatives are always the minimum element of their set
+/// once all unites have completed and flatten() has run. Accesses use
+/// OrderedParentOps, whose ordering the concurrent copy needs.
 class ConcurrentDisjointSet {
  public:
   explicit ConcurrentDisjointSet(vertex_t n) : parent_(n) {
@@ -86,12 +87,12 @@ class ConcurrentDisjointSet {
 
   /// Representative of v's set, compressing the path by halving.
   [[nodiscard]] vertex_t find(vertex_t v) {
-    return find_intermediate(v, AtomicParentOps(parent_.data()));
+    return find_intermediate(v, OrderedParentOps(parent_.data()));
   }
 
   /// Merges the sets of a and b (smaller representative wins).
   void unite(vertex_t a, vertex_t b) {
-    AtomicParentOps ops(parent_.data());
+    OrderedParentOps ops(parent_.data());
     const vertex_t ra = find_intermediate(a, ops);
     const vertex_t rb = find_intermediate(b, ops);
     hook_representatives(ra, rb, ops);
@@ -115,11 +116,10 @@ class ConcurrentDisjointSet {
   /// Read-only view of the parent array (labels after flatten()).
   [[nodiscard]] const std::vector<vertex_t>& parents() const { return parent_; }
 
-  /// Copies the parent array into `out` (size() elements) with relaxed
-  /// atomic loads, so it may overlap concurrent find()s: path halving only
-  /// re-points an element at an ancestor in its own tree. It must not
-  /// overlap a unite(): the copy could read a root, miss that root's hook,
-  /// then read a member already halved onto the new root, splitting a set.
+  /// Copies the parent array into `out` (size() elements), in descending
+  /// order, while find()s and unite()s may run. The paper's Fini on the copy
+  /// gives sets that contain every set existing when the copy began and
+  /// lie within the sets existing when it ended (proof at the definition).
   void copy_parents(std::span<vertex_t> out);
 
  private:

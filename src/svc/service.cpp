@@ -123,10 +123,6 @@ void ConnectivityService::init_durability() {
   ckpt_covered_seq_.store(covered_seq, std::memory_order_relaxed);
 
   if (opts_.wal_path.empty()) return;
-  std::string err;
-  if (!SegmentedWal::adopt_legacy(opts_.wal_path, &err)) {
-    throw std::runtime_error("ecl::svc WAL adopt failed: " + err);
-  }
   auto rep = SegmentedWal::replay(opts_.wal_path, covered_seq);
   if (!rep.ok || rep.truncate_failed) {
     // truncate_failed: the recovered edges are fine but the tail segment
@@ -138,7 +134,6 @@ void ConnectivityService::init_durability() {
     std::erase_if(rep.edges, [this](const Edge& e) {
       return e.first >= num_vertices_ || e.second >= num_vertices_;
     });
-    // Ctor: no other thread runs yet, so no apply_mu_.
     live_.add_edges(rep.edges.data(), rep.edges.size());
     applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
     replayed_edges_ = rep.edges.size();
@@ -164,6 +159,7 @@ void ConnectivityService::init_durability() {
   SegmentedWalOptions sopts;
   sopts.wal = opts_.wal;
   sopts.segment_bytes = opts_.wal_segment_bytes;
+  std::string err;
   if (!wal_.open(opts_.wal_path, sopts, covered_seq + 1, &err)) {
     throw std::runtime_error("ecl::svc WAL open failed: " + err);
   }
@@ -233,36 +229,42 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
     return Admission::kShed;
   }
-  const bool wal_on = wal_healthy_.load(std::memory_order_acquire) && !opts_.wal_path.empty();
-  EdgeBatch wal_copy;
-  if (wal_on) wal_copy = batch;
-  const Admission verdict = queue_.try_push(std::move(batch));
-  switch (verdict) {
-    case Admission::kAccepted:
-      accepted_batches_.fetch_add(1, std::memory_order_relaxed);
-      ECL_OBS_COUNTER_ADD("ecl.svc.ingest.batches", 1);
-      break;
-    case Admission::kShed:
-      shed_batches_.fetch_add(1, std::memory_order_relaxed);
-      ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
-      break;
-    case Admission::kClosed:
-      break;
-  }
-  ECL_OBS_GAUGE_SET("ecl.svc.queue.depth", static_cast<double>(queue_.size()));
-  if (verdict == Admission::kAccepted && wal_on) {
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    if (!wal_.append(wal_copy)) {
+  Admission verdict = Admission::kShed;
+  {
+    // Log before enqueue: a batch reaches the worker (and with it kFresh
+    // reads, snapshots and checkpoints) only once its record is written, and
+    // a failed append queues nothing. With a WAL every push and count happens
+    // under wal_mu_, so the room checked here is still there at the push,
+    // and the checkpoint cut, which rotates and reads accepted_batches_ under
+    // wal_mu_, counts exactly the batches whose records it sealed. A stop()
+    // racing the append answers kClosed and leaves an unacked record.
+    std::unique_lock<std::mutex> lock(wal_mu_, std::defer_lock);
+    if (!opts_.wal_path.empty()) lock.lock();
+    if (queue_.closed()) {
+      verdict = Admission::kClosed;
+    } else if (queue_.size() >= queue_.capacity()) {
+      verdict = Admission::kShed;
+    } else if (lock.owns_lock() && !wal_.append(batch)) {
       wal_healthy_.store(false, std::memory_order_release);
       enter_degraded("WAL append/fsync failed");
-      // The batch is already queued and will be applied, but durability was
-      // not achieved: answer kShed so the caller does not treat it as acked.
-      return Admission::kShed;
+    } else {
+      if (lock.owns_lock()) {
+        wal_records_.fetch_add(1, std::memory_order_relaxed);
+        wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
+        wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+      }
+      verdict = queue_.try_push(std::move(batch));
+      if (verdict == Admission::kAccepted) {
+        accepted_batches_.fetch_add(1, std::memory_order_relaxed);
+        ECL_OBS_COUNTER_ADD("ecl.svc.ingest.batches", 1);
+      }
     }
-    wal_records_.fetch_add(1, std::memory_order_relaxed);
-    wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-    wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
   }
+  if (verdict == Admission::kShed) {
+    shed_batches_.fetch_add(1, std::memory_order_relaxed);
+    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
+  }
+  ECL_OBS_GAUGE_SET("ecl.svc.queue.depth", static_cast<double>(queue_.size()));
   return verdict;
 }
 
@@ -310,15 +312,10 @@ void ConnectivityService::apply_batch(EdgeBatch& batch) {
   if (const std::size_t invalid = before - batch.size(); invalid > 0) {
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
   }
-  {
-    // The count advances with the hooks, under the lock the compaction's
-    // copy takes, so every snapshot's watermark is exactly the edges its
-    // labels reflect — and never exceeds applied_edges_, which the unsigned
-    // staleness arithmetic depends on.
-    std::lock_guard<std::mutex> lock(apply_mu_);
-    live_.add_edges(batch.data(), batch.size());
-    applied_edges_.fetch_add(batch.size(), std::memory_order_release);
-  }
+  // The count advances after the hooks, with release: a compaction that
+  // reads it (acquire) before its copy sees all of those edges.
+  live_.add_edges(batch.data(), batch.size());
+  applied_edges_.fetch_add(batch.size(), std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(progress_mu_);
     applied_batches_.fetch_add(1, std::memory_order_release);
@@ -328,53 +325,30 @@ void ConnectivityService::apply_batch(EdgeBatch& batch) {
 }
 
 void ConnectivityService::compact_loop() {
-  using Clock = std::chrono::steady_clock;
   const auto interval = std::chrono::milliseconds(
       std::max(1, opts_.compact_interval_ms));
-  // An unforced compaction starts no sooner than kCooldownFactor times the
-  // previous one's duration after it ended, and never later than the
-  // interval. Each copy blocks the apply path, so on a large universe
-  // (copies of milliseconds) they run about once per interval, while on a
-  // small one (copies of microseconds) each applied batch wakes one.
-  constexpr int kCooldownFactor = 4;
-  Clock::time_point ready_at = Clock::now();
   for (;;) {
     bool exiting = false;
     bool want_ckpt = false;
+    bool compact = false;
     {
+      // The copy blocks no hook, so enough applied edges wake a compaction
+      // at once; otherwise the wait is at most one interval.
       std::unique_lock<std::mutex> lock(progress_mu_);
-      const Clock::time_point deadline = Clock::now() + interval;
-      for (;;) {
-        if (stopping_ || force_checkpoint_ || rebase_pending()) break;
+      const auto due = [&] {
         const std::uint64_t watermark = snapshot_.load(std::memory_order_acquire)->watermark;
         const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-        if (force_watermark_ > watermark) break;
-        const bool enough =
-            applied > watermark && applied - watermark >= opts_.compact_min_new_edges;
-        const Clock::time_point now = Clock::now();
-        if (now >= deadline || (enough && now >= ready_at)) break;
-        compact_cv_.wait_until(lock, enough ? ready_at : deadline);
-      }
+        return rebase_pending() || force_watermark_ > watermark ||
+               (applied > watermark &&
+                (stopping_ || applied - watermark >= opts_.compact_min_new_edges));
+      };
+      compact_cv_.wait_for(lock, interval, [&] { return stopping_ || force_checkpoint_ || due(); });
       exiting = stopping_;
       want_ckpt = force_checkpoint_;
       force_checkpoint_ = false;
+      compact = due();
     }
-    const auto snap = snapshot_.load(std::memory_order_acquire);
-    const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-    bool forced = false;
-    {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      forced = force_watermark_ > snap->watermark;
-    }
-    const bool pending = applied > snap->watermark;
-    if (rebase_pending() ||
-        (pending && (forced || exiting ||
-                     applied - snap->watermark >= opts_.compact_min_new_edges))) {
-      const auto start = Clock::now();
-      run_compaction();
-      const auto end = Clock::now();
-      ready_at = end + std::min<Clock::duration>(interval, kCooldownFactor * (end - start));
-    }
+    if (compact) run_compaction();
     // Checkpoint after compaction so the drained/exit path persists the
     // final snapshot: a clean stop leaves a checkpoint covering everything,
     // making the *next* boot instant.
@@ -408,11 +382,11 @@ bool ConnectivityService::do_checkpoint() {
   Timer t;
 
   // The cut. Rotating under wal_mu_ seals every record appended so far;
-  // reading accepted_batches_ inside the same critical section means every
-  // batch whose record landed in a sealed segment is counted (submit()
-  // increments before it appends, and its wal_mu_ release happens-before
-  // our acquire). Waiting for applied >= that count below therefore
-  // guarantees the compacted snapshot covers all sealed segments.
+  // reading accepted_batches_ inside the same critical section counts
+  // exactly the batches whose records landed in a sealed segment (submit()
+  // appends, queues and counts under wal_mu_). Waiting for applied >= that
+  // count below therefore guarantees the compacted snapshot covers all
+  // sealed segments.
   std::uint64_t cut_seq = 0;
   std::uint64_t accepted_at_cut = 0;
   {
@@ -516,16 +490,16 @@ void ConnectivityService::run_compaction() {
   auto snap = std::make_shared<Snapshot>();
   const SnapshotPtr prev = snapshot_.load(std::memory_order_acquire);
   snap->epoch = prev ? prev->epoch + 1 : 0;
-  // Sized (and its pages faulted in) before the lock: the critical section
-  // is the copy alone.
   snap->labels.resize(num_vertices_);
-  std::uint64_t rebases = 0;
-  {
-    std::lock_guard<std::mutex> lock(apply_mu_);
-    live_.copy_parents(snap->labels);
-    snap->watermark = applied_edges_.load(std::memory_order_relaxed);
-    rebases = rebases_.load(std::memory_order_relaxed);
-  }
+  // Both counts advance with release after their hooks, so read before the
+  // copy they are covered by it: the labels hold at least the first
+  // `watermark` applied edges (and every rebase counted), and at most the
+  // edges applied by the copy's end, a batch being hooked possibly in part.
+  // The watermark never exceeds applied_edges_, which the unsigned
+  // staleness arithmetic depends on.
+  snap->watermark = applied_edges_.load(std::memory_order_acquire);
+  const std::uint64_t rebases = rebases_.load(std::memory_order_acquire);
+  live_.copy_parents(snap->labels);
   snap->num_components = finalize(snap->labels);
   snap->build_ms = t.millis();
 
@@ -711,32 +685,31 @@ void ConnectivityService::set_replica_wal_stats(std::uint64_t segments,
 bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
   if (!replica_.load(std::memory_order_acquire)) return false;
   if (data.n != num_vertices_) return false;
-  {
-    std::lock_guard<std::mutex> lock(apply_mu_);
-    if (has_ckpt_.load(std::memory_order_acquire) &&
-        data.watermark < last_ckpt_watermark_.load(std::memory_order_relaxed)) {
-      return false;
-    }
-    // Uniting each vertex with its label is safe even where the live
-    // structure already has the component: unions are idempotent, and
-    // connectivity on a replica only ever grows. The labels' edges count as
-    // applied, so the watermark covers a superset of them from here on.
-    for (vertex_t v = 0; v < num_vertices_; ++v) {
-      if (data.labels[v] != v) live_.add_edge(v, data.labels[v]);
-    }
-    const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
-    applied_edges_.store(std::max(applied, data.watermark), std::memory_order_release);
-    ckpt_covered_seq_.store(data.wal_seq, std::memory_order_relaxed);
-    has_ckpt_.store(true, std::memory_order_release);
-    last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
-    last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
-    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
-    // Counted even when applied_edges_ did not rise: the compaction loop
-    // publishes the rebased labels at once (as epoch + 1: publishing the
-    // checkpoint's own epoch could move it backwards relative to what
-    // readers already saw).
-    rebases_.fetch_add(1, std::memory_order_release);
+  // Runs only on the Replicator's task, as does apply_replicated(), the
+  // replica's only other writer of these fields: check-then-update is safe.
+  if (has_ckpt_.load(std::memory_order_acquire) &&
+      data.watermark < last_ckpt_watermark_.load(std::memory_order_relaxed)) {
+    return false;
   }
+  // Uniting each vertex with its label is safe even where the live
+  // structure already has the component: unions are idempotent, and
+  // connectivity on a replica only ever grows. The labels' edges count as
+  // applied, so the watermark covers a superset of them from here on.
+  for (vertex_t v = 0; v < num_vertices_; ++v) {
+    if (data.labels[v] != v) live_.add_edge(v, data.labels[v]);
+  }
+  const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
+  applied_edges_.store(std::max(applied, data.watermark), std::memory_order_release);
+  ckpt_covered_seq_.store(data.wal_seq, std::memory_order_relaxed);
+  has_ckpt_.store(true, std::memory_order_release);
+  last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
+  last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
+  last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+  // Counted even when applied_edges_ did not rise: the compaction loop
+  // publishes the rebased labels at once (as epoch + 1: publishing the
+  // checkpoint's own epoch could move it backwards relative to what
+  // readers already saw).
+  rebases_.fetch_add(1, std::memory_order_release);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.rebases", 1);
   {
     // Orders the count before the compaction loop's next predicate check.
@@ -750,27 +723,23 @@ std::uint64_t ConnectivityService::checkpoint_covered_wal_seq() {
   return ckpt_covered_seq_.load(std::memory_order_relaxed);
 }
 
-std::uint64_t ConnectivityService::replica_fetch_floor() {
+void ConnectivityService::prune_replicas() {
   const std::uint64_t now = now_ms();
-  const std::uint64_t hold =
-      static_cast<std::uint64_t>(std::max(0, opts_.replica_hold_ms));
+  const auto hold = static_cast<std::uint64_t>(std::max(0, opts_.replica_hold_ms));
+  std::erase_if(replicas_, [&](const auto& peer) {
+    return now - peer.second.last_seen_ms > hold;  // dead: stop holding retention
+  });
+  replicas_connected_.store(replicas_.size(), std::memory_order_relaxed);
+  ECL_OBS_GAUGE_SET("ecl.svc.replica.connected", static_cast<double>(replicas_.size()));
+}
+
+std::uint64_t ConnectivityService::replica_fetch_floor() {
   std::uint64_t floor = UINT64_MAX;
-  std::size_t live = 0;
-  {
-    std::lock_guard<std::mutex> lock(replicas_mu_);
-    for (auto it = replicas_.begin(); it != replicas_.end();) {
-      if (now - it->second.last_seen_ms > hold) {
-        it = replicas_.erase(it);  // dead replica: stop holding retention
-        continue;
-      }
-      ++live;
-      const std::uint64_t need = it->second.fetch_seq;
-      floor = std::min(floor, need > 0 ? need - 1 : 0);
-      ++it;
-    }
+  std::lock_guard<std::mutex> lock(replicas_mu_);
+  prune_replicas();
+  for (const auto& [id, peer] : replicas_) {
+    floor = std::min(floor, peer.fetch_seq > 0 ? peer.fetch_seq - 1 : 0);
   }
-  replicas_connected_.store(live, std::memory_order_relaxed);
-  ECL_OBS_GAUGE_SET("ecl.svc.replica.connected", static_cast<double>(live));
   return floor;
 }
 
@@ -849,23 +818,9 @@ WalChunk ConnectivityService::fetch_wal_chunk(std::uint64_t replica_id,
     // replica before the next checkpoint's retirement pass runs. Stale
     // peers are pruned here too (not just on the checkpoint path) so the
     // connected count stays honest on a primary that never checkpoints.
-    const std::uint64_t now = now_ms();
-    const auto hold = static_cast<std::uint64_t>(
-        opts_.replica_hold_ms > 0 ? opts_.replica_hold_ms : 0);
     std::lock_guard<std::mutex> lock(replicas_mu_);
-    auto& peer = replicas_[replica_id];
-    peer.fetch_seq = seq;
-    peer.last_seen_ms = now;
-    for (auto it = replicas_.begin(); it != replicas_.end();) {
-      if (now - it->second.last_seen_ms > hold) {
-        it = replicas_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    replicas_connected_.store(replicas_.size(), std::memory_order_release);
-    ECL_OBS_GAUGE_SET("ecl.svc.replica.connected",
-                      static_cast<double>(replicas_.size()));
+    replicas_[replica_id] = ReplicaPeer{.fetch_seq = seq, .last_seen_ms = now_ms()};
+    prune_replicas();
   }
   // File I/O deliberately outside wal_mu_: a slow disk serving a replica
   // must not stall ingest appends. WalSegmentReader is rotation/retirement

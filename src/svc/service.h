@@ -13,8 +13,8 @@
 //   reader side   Queries are answered against an immutable epoch Snapshot:
 //                 a canonical label array produced by the paper's
 //                 finalization phase (Fini) on a copy of that union-find.
-//                 A background compaction thread takes the copy between
-//                 batches and atomically swaps the snapshot; readers take
+//                 A background compaction thread takes the copy while the
+//                 worker hooks and atomically swaps the snapshot; readers take
 //                 one atomic shared_ptr load and never block writers
 //                 (double buffering falls out of shared_ptr lifetime: the
 //                 old epoch stays alive until its last reader drops it).
@@ -54,10 +54,9 @@ struct ServiceOptions {
   /// Maximum number of *batches* admitted but not yet applied. A full queue
   /// sheds (Admission::kShed) instead of blocking.
   std::size_t queue_capacity = 64;
-  /// Longest wait before new edges are compacted into a snapshot. Applied
-  /// batches wake the compaction sooner once four times the previous
-  /// compaction's duration has passed since it ended (compact_now(),
-  /// checkpoints and stop() compact at once).
+  /// Longest wait of the compaction thread between checks. An applied batch
+  /// bringing compact_min_new_edges wakes it at once (as do compact_now(),
+  /// checkpoints and stop()).
   int compact_interval_ms = 20;
   /// Skip a compaction cycle unless at least this many edges arrived since
   /// the published snapshot's watermark (forced compactions ignore it).
@@ -70,8 +69,7 @@ struct ServiceOptions {
   /// truncating any torn tail in the final segment), folds the recovered
   /// edges into the live structure and initial snapshot, and appends every
   /// subsequently accepted batch before acking it (docs/ROBUSTNESS.md
-  /// "Crash recovery"). A pre-segmentation single-file WAL at `path` is
-  /// adopted as segment 1 on first open.
+  /// "Crash recovery").
   std::string wal_path;
   /// Durability policy for the WAL (ignored when wal_path is empty).
   WalOptions wal;
@@ -358,13 +356,14 @@ class ConnectivityService {
   void ingest_loop_body();
   void compact_loop();
   /// The one apply path, shared by the ingest worker and apply_replicated():
-  /// drops out-of-range edges, hooks the rest into live_ and advances
-  /// applied_edges_ under apply_mu_, then counts the batch as applied.
+  /// drops out-of-range edges, hooks the rest into live_, then advances
+  /// applied_edges_ and counts the batch as applied.
   void apply_batch(EdgeBatch& batch);
-  /// Publishes the next epoch: copies live_'s parent array and the applied
-  /// edge count under apply_mu_ — between batches, so the copy holds
-  /// exactly the first `watermark` applied edges — then runs Fini on the
-  /// copy outside it. The first call (no snapshot yet) publishes epoch 0.
+  /// Publishes the next epoch: reads the applied edge count as the
+  /// watermark, copies live_'s parent array with no lock while hooks run,
+  /// and runs Fini on the copy. The labels hold at least the first
+  /// `watermark` applied edges and at most those applied by the copy's end.
+  /// The first call (no snapshot yet) publishes epoch 0.
   void run_compaction();
   /// Ctor-only recovery: load the newest valid checkpoint and install its
   /// labels both as the live union-find's parent array and as the initial
@@ -392,14 +391,10 @@ class ConnectivityService {
   IncrementalCC live_;
   BoundedQueue<EdgeBatch> queue_;
 
-  // The apply mutex: every hook into live_ (apply_batch, the replica's
-  // rebase) and the applied_edges_ advance that counts it happen under it,
-  // and so does the compaction's parent-array copy. A copy overlapping a
-  // hook could split a component; kFresh finds need no lock.
-  std::mutex apply_mu_;
-  // rebase_to_checkpoint() calls, counted under apply_mu_, and the count the
-  // published snapshot's copy saw: a rebase can add unions without raising
-  // applied_edges_, so the compaction loop publishes while they differ.
+  // rebase_to_checkpoint() calls, counted after their hooks, and the count
+  // the published snapshot's copy covers: a rebase can add unions without
+  // raising applied_edges_, so the compaction loop publishes while they
+  // differ.
   std::atomic<std::uint64_t> rebases_{0};
   std::atomic<std::uint64_t> published_rebases_{0};
   [[nodiscard]] bool rebase_pending() const {
@@ -419,7 +414,7 @@ class ConnectivityService {
   std::atomic<std::uint64_t> accepted_batches_{0};
   std::atomic<std::uint64_t> applied_batches_{0};
   std::atomic<std::uint64_t> shed_batches_{0};
-  std::atomic<std::uint64_t> applied_edges_{0};  // advanced under apply_mu_
+  std::atomic<std::uint64_t> applied_edges_{0};  // advanced after the hooks
   std::uint64_t force_watermark_ = 0;  // compaction must reach this
   bool force_checkpoint_ = false;      // checkpoint_now() pending
   bool stopping_ = false;
@@ -476,6 +471,9 @@ class ConnectivityService {
   /// Prunes peers unseen for replica_hold_ms and returns the highest seq
   /// retirable without cutting a live replica off (~0 when none are live).
   [[nodiscard]] std::uint64_t replica_fetch_floor();
+  /// Drops peers unseen for replica_hold_ms and republishes the connected
+  /// count. Caller holds replicas_mu_.
+  void prune_replicas();
 
   // Declared last so it is destroyed first: ~Executor drains, so no task
   // can still be touching the members above while they are torn down.

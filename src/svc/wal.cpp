@@ -413,36 +413,6 @@ WalReplayResult WriteAheadLog::replay_and_truncate(const std::string& path,
 
 // ------------------------------------------------------- SegmentedWal ----
 
-bool SegmentedWal::adopt_legacy(const std::string& base, std::string* err) {
-  struct stat st{};
-  if (::stat(base.c_str(), &st) != 0) {
-    if (errno == ENOENT) return true;  // nothing to adopt
-    set_error(err, "wal adopt stat " + base);
-    return false;
-  }
-  if (!S_ISREG(st.st_mode)) {
-    if (err != nullptr) *err = "wal adopt " + base + ": not a regular file";
-    return false;
-  }
-  const std::string target = numbered_path(base, 1);
-  struct stat t{};
-  if (::stat(target.c_str(), &t) == 0) {
-    if (err != nullptr) {
-      *err = "wal adopt " + base + ": both legacy file and " + target + " exist";
-    }
-    return false;
-  }
-  if (::rename(base.c_str(), target.c_str()) != 0) {
-    set_error(err, "wal adopt rename " + base);
-    return false;
-  }
-  if (!fsync_parent_dir(target)) {
-    set_error(err, "wal adopt dir-sync " + base);
-    return false;
-  }
-  return true;
-}
-
 SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& base,
                                                 std::uint64_t after_seq) {
   ReplayResult out;

@@ -164,11 +164,6 @@ struct SegmentedWalOptions {
 /// access under its WAL mutex.
 class SegmentedWal {
  public:
-  /// Adopts a pre-segmentation single-file WAL: if `base` exists as a plain
-  /// file it is renamed to `<base>.000001` (and the rename made durable).
-  /// No-op when `base` does not exist. False on rename failure.
-  [[nodiscard]] static bool adopt_legacy(const std::string& base, std::string* err);
-
   /// Replays every segment with seq > after_seq, in sequence order, exactly
   /// like WriteAheadLog::replay_and_truncate per segment. A torn tail is
   /// only legal in the *final* segment (the only one a crash can tear);

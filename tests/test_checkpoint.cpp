@@ -385,28 +385,6 @@ TEST_F(CheckpointStoreTest, InjectedWriteFaultLeavesOldChainIntact) {
 
 using SegmentedWalTest = DurabilityTest;
 
-TEST_F(SegmentedWalTest, AdoptLegacyRenamesBareFile) {
-  const std::string base = path("wal");
-  {
-    WriteAheadLog legacy;
-    std::string err;
-    ASSERT_TRUE(legacy.open(base, {}, &err)) << err;
-    ASSERT_TRUE(legacy.append({{1, 2}}));
-    legacy.close();
-  }
-  std::string err;
-  ASSERT_TRUE(SegmentedWal::adopt_legacy(base, &err)) << err;
-  EXPECT_FALSE(exists(base));
-  EXPECT_TRUE(exists(base + ".000001"));
-  ASSERT_TRUE(SegmentedWal::adopt_legacy(base, &err)) << err;  // idempotent
-
-  const auto rep = SegmentedWal::replay(base, 0);
-  ASSERT_TRUE(rep.ok) << rep.error;
-  EXPECT_EQ(rep.segments, 1u);
-  ASSERT_EQ(rep.edges.size(), 1u);
-  EXPECT_EQ(rep.edges[0], (Edge{1, 2}));
-}
-
 TEST_F(SegmentedWalTest, SizeRotationSplitsAndReplayPreservesOrder) {
   const std::string base = path("wal");
   SegmentedWalOptions opts;

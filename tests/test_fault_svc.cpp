@@ -241,9 +241,9 @@ class WalTest : public FaultTest {
     FaultTest::TearDown();
   }
 
-  /// Removes the bare file and its segment family: the service renames the
-  /// WAL to `<path>.000001` (SegmentedWal::adopt_legacy), so cleaning only
-  /// the bare path would leak segments into the next same-process case.
+  /// Removes the bare file and its segment family: the WalTest cases write
+  /// the bare path, the service writes segments `<path>.000001, ...`, and
+  /// leftovers of either would leak into the next same-process case.
   void remove_wal_files() {
     std::remove(path_.c_str());
     for (const auto& seg : list_numbered_files(path_)) {
@@ -527,6 +527,10 @@ TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {
 
   EXPECT_EQ(service.submit({{5, 6}}), Admission::kShed);  // ingest stays shut
   EXPECT_TRUE(service.connected(1, 2, ReadMode::kFresh)); // reads keep serving
+  // The batch whose record failed was never queued: it is not applied, so
+  // it can never be visible without being durable.
+  service.flush();
+  EXPECT_FALSE(service.connected(3, 4, ReadMode::kFresh));
   service.stop();  // and shutdown still drains cleanly
 }
 

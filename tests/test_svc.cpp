@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -272,14 +273,16 @@ TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
   EXPECT_EQ(svc.component_count(), 1u);
 }
 
-// Snapshot exactness: compaction copies the live union-find between
-// batches, so every published snapshot is exactly the components of the
-// first `watermark` applied edges — never a torn mix. One submitter streams
-// random edges (queue order = apply order), a kFresh reader keeps path
-// halving running during the copies, and a recorder checks each new epoch
-// against a reference union-find advanced to that watermark, and against
-// the previous epoch (snapshots may only coarsen).
-TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
+// The snapshot sandwich: compaction copies the live union-find while the
+// worker hooks, so each published snapshot holds at least the first
+// `watermark` applied edges and at most the edges hooked by the end of its
+// copy. One submitter streams random edges (queue order = apply order), a
+// kFresh reader keeps path halving running during the copies, and a
+// recorder checks each new epoch against reference union-finds advanced to
+// those two prefixes, and against the previous epoch (snapshots may only
+// coarsen). The upper prefix is stats().applied_edges, read after the
+// snapshot, plus one batch: the single worker may be hooking the next one.
+TEST(ConnectivityService, SnapshotsAreSandwichedAndOnlyCoarsen) {
   constexpr vertex_t kN = 1 << 16;
   constexpr std::size_t kEdges = 1 << 18;
   constexpr std::size_t kBatch = 64;
@@ -315,17 +318,33 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
     }
   });
 
-  IncrementalCC ref(kN);
-  std::size_t ref_edges = 0;
-  const auto check = [&](const Snapshot& snap, const Snapshot& older) -> std::string {
-    if (snap.epoch <= older.epoch) return "epoch did not advance";
-    if (snap.watermark < ref_edges || snap.watermark > kEdges) return "watermark out of order";
-    for (; ref_edges < snap.watermark; ++ref_edges) {
-      ref.add_edge(edges[ref_edges].first, edges[ref_edges].second);
+  // A reference union-find advanced to `edges` edges, and its labels.
+  struct Prefix {
+    IncrementalCC uf{kN};
+    std::size_t edges = 0;
+    std::vector<vertex_t> labels;
+    void advance(const std::vector<Edge>& all, std::size_t to) {
+      for (; edges < to; ++edges) uf.add_edge(all[edges].first, all[edges].second);
+      labels = uf.labels();
     }
-    const std::vector<vertex_t> want = ref.labels();
+  };
+  Prefix lower;
+  Prefix upper;
+  const auto check = [&](const Snapshot& snap, const Snapshot& older,
+                         std::size_t applied) -> std::string {
+    if (snap.epoch <= older.epoch) return "epoch did not advance";
+    if (snap.watermark < lower.edges || snap.watermark > applied) {
+      return "watermark out of order";
+    }
+    lower.advance(edges, snap.watermark);
+    upper.advance(edges, std::min(kEdges, applied + kBatch));
     for (vertex_t v = 0; v < kN; ++v) {
-      if (snap.labels[v] != want[v]) return "label differs from the prefix at " + std::to_string(v);
+      if (snap.labels[lower.labels[v]] != snap.labels[v]) {
+        return "splits the watermark prefix at " + std::to_string(v);
+      }
+      if (upper.labels[snap.labels[v]] != upper.labels[v]) {
+        return "joins beyond the applied edges at " + std::to_string(v);
+      }
       if (snap.labels[older.labels[v]] != snap.labels[v]) return "splits " + std::to_string(v);
     }
     return {};
@@ -335,14 +354,15 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   for (bool last = false; !last;) {
     last = done.load(std::memory_order_acquire);
     const SnapshotPtr snap = svc.snapshot();
+    const std::size_t applied = svc.stats().applied_edges;
     if (snap->epoch == prev->epoch) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
       continue;
     }
-    const std::string err = check(*snap, *prev);
+    const std::string err = check(*snap, *prev, applied);
     if (!err.empty()) {
       ADD_FAILURE() << "epoch " << snap->epoch << " (watermark " << snap->watermark
-                    << "): " << err;
+                    << ", applied " << applied << "): " << err;
       break;
     }
     prev = snap;
