@@ -34,7 +34,10 @@
 #                   replica is promoted over the wire (kPromote) and every
 #                   batch acked *and replicated* before the kill (frozen via
 #                   a wal_bytes catch-up barrier) must be durable and
-#                   queryable on the promoted node, which then accepts writes
+#                   queryable on the promoted node, which then accepts writes;
+#                   after its graceful shutdown it restarts as a plain
+#                   primary on its own r/ state and must still serve the
+#                   frozen acked set and its post-promotion writes
 #
 #   observability rider: every daemon run also serves /metrics on an
 #   ephemeral port; the harness scrapes and lint-checks the exposition both
@@ -635,6 +638,20 @@ rccd_exit=0
 wait "$RCCD_PID" || rccd_exit=$?
 RCCD_PID=
 [[ "$rccd_exit" -eq 0 ]] || { echo "promoted node exit code $rccd_exit"; cat "$FDIR/r.log"; exit 1; }
+
+echo "== restarting the promoted node as a plain primary on its own r/ state"
+"$CCD" --vertices=20000 --unix="$FDIR/r.sock" --wal="$FDIR/r/wal" \
+       --checkpoint="$FDIR/r/ckpt" --wal-fsync=batch \
+       --ready-file="$FDIR/ready_r2" --metrics-port=0 >"$FDIR/r2.log" 2>&1 &
+RCCD_PID=$!
+wait_ready "$FDIR/ready_r2" "$RCCD_PID" "$FDIR/r2.log"
+python3 "$VERIFY" "$FDIR/r.sock" "$FDIR/acked_frozen.txt" ckpt
+"$CLIENT" --unix="$FDIR/r.sock" connected 1 3 | grep -qx "connected"
+"$CLIENT" --unix="$FDIR/r.sock" shutdown
+rccd_exit=0
+wait "$RCCD_PID" || rccd_exit=$?
+RCCD_PID=
+[[ "$rccd_exit" -eq 0 ]] || { echo "restarted node exit code $rccd_exit"; cat "$FDIR/r2.log"; exit 1; }
 echo "==== scenario kill-primary-then-promote: OK"
 
 echo "svc_chaos: OK"

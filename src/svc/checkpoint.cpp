@@ -44,21 +44,9 @@ bool is_canonical_forest(const std::vector<vertex_t>& labels) {
   return true;
 }
 
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
 void put_u64(std::uint8_t* p, std::uint64_t v) {
   put_u32(p, static_cast<std::uint32_t>(v));
   put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 std::uint64_t get_u64(const std::uint8_t* p) {
@@ -66,37 +54,13 @@ std::uint64_t get_u64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-bool write_all(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::write(fd, p, n);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += put;
-    n -= static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-bool read_exact(int fd, void* buf, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::read(fd, p + done, n - done);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (r == 0) return false;
-    done += static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
 std::string errno_str(const std::string& what) {
   return what + ": " + std::strerror(errno);
+}
+
+CheckpointWriteResult write_failed(std::string error) {
+  ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.write_errors", 1);
+  return {.error = std::move(error)};
 }
 
 }  // namespace
@@ -135,7 +99,7 @@ bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
   struct stat st{};
   std::array<std::uint8_t, kImageHeaderBytes> hdr{};
   if (::fstat(fd, &st) != 0 || static_cast<std::size_t>(st.st_size) < hdr.size() ||
-      !read_exact(fd, hdr.data(), hdr.size())) {
+      !read_upto(fd, hdr.data(), hdr.size())) {
     return fail("truncated header");
   }
   if (std::memcmp(hdr.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) return fail("bad magic");
@@ -159,7 +123,7 @@ bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
   auto* dst = reinterpret_cast<std::uint8_t*>(data.labels.data());
   for (std::size_t done = 0; done < label_bytes;) {
     const std::size_t chunk = std::min(kReadChunkBytes, label_bytes - done);
-    if (!read_exact(fd, dst + done, chunk)) {
+    if (!read_upto(fd, dst + done, chunk)) {
       if (err != nullptr) *err = errno_str("ckpt read " + path);
       return false;
     }
@@ -197,17 +161,7 @@ CheckpointLoadResult CheckpointStore::load_latest_valid() const {
 
 CheckpointWriteResult CheckpointStore::write(const CheckpointHeader& header,
                                              std::span<const vertex_t> labels) {
-  CheckpointWriteResult out;
-  const std::uint64_t seq = latest_seq() + 1;
-  const std::string final_path = numbered_path(base_, seq);
-  const std::string tmp_path = base_ + ".tmp";
-  const auto fail = [&](const std::string& what) {
-    out.error = what;
-    ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.write_errors", 1);
-    return out;
-  };
-  if (labels.size() != header.n) return fail("ckpt write: label count differs from n");
-
+  if (labels.size() != header.n) return write_failed("ckpt write: label count differs from n");
   std::array<std::uint8_t, kImageHeaderBytes> hdr{};
   std::memcpy(hdr.data(), kCkptMagic, sizeof(kCkptMagic));
   std::uint8_t* payload = hdr.data() + kHeaderBytes;
@@ -216,20 +170,43 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointHeader& header,
   put_u64(payload + 8, header.watermark);
   put_u64(payload + 16, header.epoch);
   put_u64(payload + 24, header.wal_seq);
-  const std::size_t label_bytes = static_cast<std::size_t>(header.n) * sizeof(vertex_t);
+  // The labels are written straight from the caller's buffer.
+  const std::span<const std::uint8_t> label_bytes(
+      reinterpret_cast<const std::uint8_t*>(labels.data()), labels.size_bytes());
   put_u32(hdr.data() + 8, crc32_update(crc32(payload, kFixedPayloadBytes),
-                                       labels.data(), label_bytes));
-  const std::size_t image_bytes = hdr.size() + label_bytes;
+                                       label_bytes.data(), label_bytes.size()));
+  std::string err;
+  if (!stage(hdr, label_bytes, &err)) return write_failed(err);
+  return publish(header.wal_seq, hdr.size() + label_bytes.size());
+}
 
+CheckpointWriteResult CheckpointStore::install(
+    std::span<const std::uint8_t> image, CheckpointData* data,
+    const std::function<bool(const CheckpointData&)>& accept) {
+  std::string err;
+  if (!stage(image, {}, &err)) return write_failed(err);
+  if (!read_file(tmp_path(), data, &err) || (accept && !accept(*data))) {
+    (void)::unlink(tmp_path().c_str());
+    return write_failed(err.empty() ? "ckpt install: image refused" : err);
+  }
+  return publish(data->wal_seq, image.size());
+}
+
+bool CheckpointStore::stage(std::span<const std::uint8_t> head,
+                            std::span<const std::uint8_t> tail, std::string* err) {
+  const std::string tmp = tmp_path();
+  const std::size_t image_bytes = head.size() + tail.size();
   // O_TRUNC: a leftover .tmp from a crashed writer is garbage by contract —
   // only the rename publishes a checkpoint.
-  const int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return fail(errno_str("ckpt create " + tmp_path));
-  // The first `limit` bytes of the image: the header, then the labels
-  // straight from the caller's buffer.
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    *err = errno_str("ckpt create " + tmp);
+    return false;
+  }
+  // The first `limit` bytes of the image.
   const auto write_prefix = [&](std::size_t limit) {
-    const std::size_t head = std::min(limit, hdr.size());
-    return write_all(fd, hdr.data(), head) && write_all(fd, labels.data(), limit - head);
+    const std::size_t h = std::min(limit, head.size());
+    return write_all(fd, head.data(), h) && write_all(fd, tail.data(), limit - h);
   };
 
   // Fault semantics mirror the WAL append: kShort leaves a truncated image
@@ -245,26 +222,35 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointHeader& header,
   }
   if (write_fault || !write_prefix(image_bytes)) {
     ::close(fd);
-    return fail("ckpt write " + tmp_path + (write_fault ? ": injected fault"
-                                                        : errno_str("")));
+    *err = "ckpt write " + tmp + (write_fault ? ": injected fault" : errno_str(""));
+    return false;
   }
   if (ECL_FAULT_POINT("svc.ckpt.fsync").fired() || ::fsync(fd) != 0) {
     ::close(fd);
-    return fail(errno_str("ckpt fsync " + tmp_path));
+    *err = errno_str("ckpt fsync " + tmp);
+    return false;
   }
   ::close(fd);
+  return true;
+}
+
+CheckpointWriteResult CheckpointStore::publish(std::uint64_t wal_seq,
+                                               std::uint64_t image_bytes) {
+  const std::uint64_t seq = latest_seq() + 1;
+  const std::string tmp = tmp_path();
+  const std::string final_path = numbered_path(base_, seq);
   if (ECL_FAULT_POINT("svc.ckpt.rename").fired() ||
-      ::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    return fail(errno_str("ckpt rename " + tmp_path + " -> " + final_path));
+      ::rename(tmp.c_str(), final_path.c_str()) != 0) {
+    return write_failed(errno_str("ckpt rename " + tmp + " -> " + final_path));
   }
   if (!fsync_parent_dir(final_path)) {
-    return fail(errno_str("ckpt dir-sync " + final_path));
+    return write_failed(errno_str("ckpt dir-sync " + final_path));
   }
 
   Entry e;
   e.seq = seq;
   e.path = final_path;
-  e.wal_seq = header.wal_seq;
+  e.wal_seq = wal_seq;
   e.wal_seq_known = true;
   entries_.push_back(std::move(e));
 
@@ -278,12 +264,9 @@ CheckpointWriteResult CheckpointStore::write(const CheckpointHeader& header,
     entries_.erase(entries_.begin());
   }
 
-  out.ok = true;
-  out.seq = seq;
-  out.bytes = image_bytes;
   ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.writes", 1);
   ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.bytes", image_bytes);
-  return out;
+  return {.ok = true, .error = {}, .seq = seq, .bytes = image_bytes};
 }
 
 std::uint64_t CheckpointStore::retention_floor_wal_seq() const {
@@ -294,6 +277,43 @@ std::uint64_t CheckpointStore::retention_floor_wal_seq() const {
   std::string err;
   if (!read_file(oldest.path, &data, &err)) return 0;
   return data.wal_seq;
+}
+
+CkptImage CheckpointStore::read_newest_image(const std::string& base) {
+  CkptImage out;
+  // Checkpoint files are written tmp -> rename and only ever unlinked, never
+  // modified in place, so a file that validates is immutable. Retry by
+  // listing again if the newest file vanishes under us (keep-2 rotation).
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    bool raced = false;
+    const auto files = list_numbered_files(base);
+    for (auto it = files.rbegin(); it != files.rend() && !raced; ++it) {
+      CheckpointData data;
+      std::string err;
+      const bool valid = read_file(it->path, &data, &err);
+      const int fd = valid ? ::open(it->path.c_str(), O_RDONLY | O_CLOEXEC) : -1;
+      struct stat st{};
+      if (fd < 0 || ::fstat(fd, &st) != 0) {
+        // Gone since the listing: rotation won, take a fresh one. Otherwise
+        // the file is genuinely invalid: fall back to the next-newest.
+        raced = ::stat(it->path.c_str(), &st) != 0 && errno == ENOENT;
+        if (fd >= 0) ::close(fd);
+        continue;
+      }
+      std::vector<std::uint8_t> image(static_cast<std::size_t>(st.st_size));
+      const bool read_ok = read_upto(fd, image.data(), image.size());
+      ::close(fd);
+      if (!read_ok) continue;
+      out.has = true;
+      out.seq = it->seq;
+      out.wal_seq = data.wal_seq;
+      out.image = std::move(image);
+      ECL_OBS_COUNTER_ADD("ecl.svc.replica.ckpt_serves", 1);
+      return out;
+    }
+    if (!raced) break;
+  }
+  return out;
 }
 
 }  // namespace ecl::svc

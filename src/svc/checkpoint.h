@@ -25,18 +25,25 @@
 // such a canonical forest is rejected as corrupt even when its CRC matches.
 //
 // Checkpoints are numbered files `<base>.000001, <base>.000002, ...`
-// (shared naming with WAL segments, svc/wal.h). Writes are crash-atomic:
-// the image is written to `<base>.tmp`, fsynced, renamed over the final
-// numbered name, and the parent directory fsynced — a crash at any point
-// leaves either the previous checkpoint set intact or a complete new file.
-// The loader walks checkpoints newest-first and falls back past any torn
-// or corrupt file (counted in ecl.svc.ckpt.load_fallbacks). Retention
-// keeps the newest two so that fallback always has somewhere to land.
+// (shared naming with WAL segments, svc/wal.h). CheckpointStore is the only
+// code that names, writes, installs, lists, serves and retires them. A
+// file lands crash-atomically: the image is written to `<base>.tmp`,
+// fsynced, renamed over the final numbered name, and the parent directory
+// fsynced — a crash at any point leaves either the previous checkpoint set
+// intact or a complete new file. Both ways in share that sequence: write()
+// (a snapshot this service compacted) and install() (an image fetched from
+// a primary, validated before the rename). Either way the file takes the
+// store's own next number, so a replica's numbers are local and need not
+// match its primary's. The loader walks checkpoints newest-first and falls
+// back past any torn or corrupt file (counted in
+// ecl.svc.ckpt.load_fallbacks). Retention keeps the newest two, installs
+// included, so that fallback always has somewhere to land.
 //
 // Fault points: svc.ckpt.write, svc.ckpt.fsync, svc.ckpt.rename.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -77,9 +84,23 @@ struct CheckpointLoadResult {
   CheckpointData data;
 };
 
+/// kFetchCkpt payload: the primary's newest valid checkpoint as a raw file
+/// image, plus where it sits in the checkpoint/WAL chains. `has == false`
+/// (and empty image) when the primary has no valid checkpoint — the replica
+/// then streams the WAL from segment 1, which is complete because a primary
+/// that never checkpointed never retired anything.
+struct CkptImage {
+  bool has = false;
+  std::uint64_t seq = 0;      // the primary's file number (diagnostic only)
+  std::uint64_t wal_seq = 0;  // WAL segments <= this are covered by it
+  std::vector<std::uint8_t> image;
+};
+
 /// Owns the `<base>.NNNNNN` checkpoint chain: atomic writes, keep-newest-2
-/// retention, and fallback loading. Not thread-safe — the service calls it
-/// from the compaction thread only (plus the constructor, pre-threads).
+/// retention, fallback loading, and installs of fetched images. Not
+/// thread-safe — a primary service calls it from the compaction thread
+/// only, a replica from its Replicator's task only (plus the constructor,
+/// pre-threads).
 class CheckpointStore {
  public:
   /// Binds the store to `base` and scans for existing checkpoints. Never
@@ -103,6 +124,15 @@ class CheckpointStore {
     return write(data, data.labels);
   }
 
+  /// Installs a fetched checkpoint image (CkptImage::image) as the next
+  /// checkpoint, through write()'s sequence and fault points: the image
+  /// goes to the temp file and is fsynced, then read_file() validates it
+  /// into *data and `accept` (when set) may still refuse it; only then is it
+  /// renamed into the chain, registered and retention applied.
+  [[nodiscard]] CheckpointWriteResult install(
+      std::span<const std::uint8_t> image, CheckpointData* data,
+      const std::function<bool(const CheckpointData&)>& accept = {});
+
   /// The highest WAL segment seq that is safe to retire: the wal_seq of the
   /// *oldest retained* checkpoint (0 when fewer than `keep` checkpoints
   /// exist). Using the oldest — not the newest — means a fallback load
@@ -119,7 +149,22 @@ class CheckpointStore {
   [[nodiscard]] static bool read_file(const std::string& path, CheckpointData* out,
                                       std::string* err);
 
+  /// The newest valid checkpoint under `base` as a raw file image (the
+  /// primary's side of kFetchCkpt). Reads by name, retrying with a fresh
+  /// listing when the file vanishes, because the compaction thread's keep-2
+  /// rotation may unlink it concurrently. has == false when none is valid.
+  [[nodiscard]] static CkptImage read_newest_image(const std::string& base);
+
  private:
+  /// The crash-atomic sequence write() and install() share. stage():
+  /// `head` then `tail` to `<base>.tmp`, fsync. publish(): rename it to the
+  /// next number, fsync the directory, register it, apply retention.
+  [[nodiscard]] bool stage(std::span<const std::uint8_t> head,
+                           std::span<const std::uint8_t> tail, std::string* err);
+  [[nodiscard]] CheckpointWriteResult publish(std::uint64_t wal_seq,
+                                              std::uint64_t image_bytes);
+  [[nodiscard]] std::string tmp_path() const { return base_ + ".tmp"; }
+
   struct Entry {
     std::uint64_t seq = 0;
     std::string path;

@@ -1,14 +1,11 @@
 #include "svc/replica.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -18,25 +15,6 @@
 namespace ecl::svc {
 
 namespace {
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-bool write_all_fd(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::write(fd, p, n);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += put;
-    n -= static_cast<std::size_t>(put);
-  }
-  return true;
-}
 
 std::uint64_t mono_ms() {
   return static_cast<std::uint64_t>(
@@ -52,49 +30,15 @@ std::unique_ptr<Client> connect_primary(const ReplicatorOptions& opts,
              : Client::connect_unix(opts.unix_path, err, opts.client);
 }
 
-/// Installs a fetched checkpoint image as `<base>.NNNNNN` via the same
-/// crash-atomic protocol CheckpointStore::write uses: tmp file, fsync,
-/// rename into place, directory fsync. A crash mid-install leaves either no
-/// checkpoint (bootstrap reruns) or a complete one.
-bool install_ckpt_image(const std::string& base, const CkptImage& img,
-                        std::string* err) {
-  const std::string tmp = base + ".rtmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) {
-    if (err != nullptr) *err = "replica ckpt tmp open " + tmp + ": " + std::strerror(errno);
-    return false;
-  }
-  if (!write_all_fd(fd, img.image.data(), img.image.size()) || ::fsync(fd) != 0) {
-    if (err != nullptr) *err = "replica ckpt tmp write " + tmp + ": " + std::strerror(errno);
-    ::close(fd);
-    (void)::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  const std::string target = numbered_path(base, img.seq);
-  if (::rename(tmp.c_str(), target.c_str()) != 0) {
-    if (err != nullptr) *err = "replica ckpt rename " + target + ": " + std::strerror(errno);
-    (void)::unlink(tmp.c_str());
-    return false;
-  }
-  if (!fsync_parent_dir(target)) {
-    if (err != nullptr) *err = "replica ckpt dir-sync " + target + ": " + std::strerror(errno);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 bool Replicator::bootstrap(const ReplicatorOptions& opts, std::string* err) {
   // Resume from local state when any exists: a valid checkpoint, or a WAL
   // mirror (a replica that bootstrapped from a checkpoint-less primary has
   // only the latter). The service ctor recovers from both natively.
-  {
-    CheckpointStore store;
-    store.open(opts.checkpoint_path);
-    if (store.load_latest_valid().ok) return true;
-  }
+  CheckpointStore store;
+  store.open(opts.checkpoint_path);
+  if (store.load_latest_valid().ok) return true;
   if (!list_numbered_files(opts.wal_path).empty()) return true;
 
   auto client = connect_primary(opts, err);
@@ -109,14 +53,12 @@ bool Replicator::bootstrap(const ReplicatorOptions& opts, std::string* err) {
     return false;
   }
   if (!img.has) return true;  // stream from segment 1; nothing was retired
-  if (!install_ckpt_image(opts.checkpoint_path, img, err)) return false;
-  // Validate what landed before declaring the bootstrap good — a truncated
-  // or corrupt image must fail here, not as a mysterious ctor throw.
+  // The store validates the image before renaming it into place, so a
+  // truncated or corrupt one fails here, not as a mysterious ctor throw.
   CheckpointData data;
-  std::string verr;
-  if (!CheckpointStore::read_file(numbered_path(opts.checkpoint_path, img.seq), &data,
-                                  &verr)) {
-    if (err != nullptr) *err = "replica bootstrap: fetched checkpoint invalid: " + verr;
+  const auto wr = store.install(img.image, &data);
+  if (!wr.ok) {
+    if (err != nullptr) *err = "replica bootstrap: " + wr.error;
     return false;
   }
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.bootstraps", 1);
@@ -151,8 +93,7 @@ bool Replicator::start(std::string* err) {
       cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
       file_bytes_ = 0;
     }
-    magic_checked_ = file_bytes_ >= kWalMagicBytes;
-    parse_buf_.clear();
+    decoder_ = WalDecoder(file_bytes_);
     caught_up_at_ms_ = mono_ms();
   }
   publish_wal_stats();
@@ -236,14 +177,20 @@ bool Replicator::fetch_once() {
     // Mirror first, then parse: a record is applied only once its bytes are
     // in the local segment file, so a replica crash replays everything it
     // ever applied (same WAL-before-state discipline as the primary).
-    if (!write_all_fd(seg_fd_, chunk.data.data(), chunk.data.size())) {
+    if (!write_all(seg_fd_, chunk.data.data(), chunk.data.size())) {
       fetch_errors_.fetch_add(1, std::memory_order_relaxed);
       close_segment(/*fsync_it=*/false);
       return false;
     }
     file_bytes_ += chunk.data.size();
-    parse_buf_.insert(parse_buf_.end(), chunk.data.begin(), chunk.data.end());
-    if (!drain_parse_buf()) {
+    decoder_.feed(chunk.data);
+    std::vector<Edge> batch;
+    auto verdict = WalDecoder::Status::kRecord;
+    while ((verdict = decoder_.next(&batch)) == WalDecoder::Status::kRecord) {
+      service_.apply_replicated(std::exchange(batch, {}));
+      applied_records_.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (verdict != WalDecoder::Status::kNeedMore) {
       // Framing/CRC mismatch: the mirror diverged from the primary (disk
       // fault, or a primary that was itself replaced). Start over.
       ECL_OBS_COUNTER_ADD("ecl.svc.replica.parse_errors", 1);
@@ -252,10 +199,8 @@ bool Replicator::fetch_once() {
     publish_wal_stats();
   }
 
-  const bool segment_done =
-      chunk.sealed && file_bytes_ >= chunk.segment_bytes && magic_checked_;
-  if (segment_done) {
-    if (!parse_buf_.empty()) {
+  if (chunk.sealed && file_bytes_ >= chunk.segment_bytes && decoder_.offset() > 0) {
+    if (decoder_.pending() > 0) {
       // A sealed segment always ends on a record boundary on the primary;
       // leftover bytes mean our mirror of it diverged.
       ECL_OBS_COUNTER_ADD("ecl.svc.replica.parse_errors", 1);
@@ -264,7 +209,7 @@ bool Replicator::fetch_once() {
     close_segment(/*fsync_it=*/true);
     ++cur_seq_;
     file_bytes_ = 0;
-    magic_checked_ = false;
+    decoder_ = WalDecoder();
     publish_lag(chunk.active_seq, /*caught_up=*/false);
     return true;  // keep draining into the next segment
   }
@@ -273,42 +218,6 @@ bool Replicator::fetch_once() {
                          file_bytes_ >= chunk.segment_bytes;
   publish_lag(chunk.active_seq, caught_up);
   return !chunk.data.empty() && !caught_up;
-}
-
-bool Replicator::drain_parse_buf() {
-  std::size_t pos = 0;
-  const auto avail = [&] { return parse_buf_.size() - pos; };
-  if (!magic_checked_) {
-    if (avail() < kWalMagicBytes) {
-      parse_buf_.erase(parse_buf_.begin(),
-                       parse_buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-      return true;
-    }
-    if (std::memcmp(parse_buf_.data() + pos, wal_magic(), kWalMagicBytes) != 0) {
-      return false;
-    }
-    pos += kWalMagicBytes;
-    magic_checked_ = true;
-  }
-  while (avail() >= kWalRecordHeaderBytes) {
-    const std::uint32_t len = get_u32(parse_buf_.data() + pos);
-    const std::uint32_t want_crc = get_u32(parse_buf_.data() + pos + 4);
-    if (len == 0 || len % 8 != 0 || len > kMaxFrameBytes) return false;
-    if (avail() < kWalRecordHeaderBytes + len) break;  // partial record: wait
-    const std::uint8_t* payload = parse_buf_.data() + pos + kWalRecordHeaderBytes;
-    if (crc32(payload, len) != want_crc) return false;
-    std::vector<Edge> batch;
-    batch.reserve(len / 8);
-    for (std::uint32_t i = 0; i < len; i += 8) {
-      batch.emplace_back(get_u32(payload + i), get_u32(payload + i + 4));
-    }
-    service_.apply_replicated(std::move(batch));
-    applied_records_.fetch_add(1, std::memory_order_relaxed);
-    pos += kWalRecordHeaderBytes + len;
-  }
-  parse_buf_.erase(parse_buf_.begin(),
-                   parse_buf_.begin() + static_cast<std::ptrdiff_t>(pos));
-  return true;
 }
 
 bool Replicator::rebootstrap() {
@@ -325,19 +234,8 @@ bool Replicator::rebootstrap() {
     return false;
   }
   std::string err;
-  if (!install_ckpt_image(opts_.checkpoint_path, img, &err)) {
+  if (!service_.rebase_to_image(img.image, &err)) {
     std::fprintf(stderr, "[ecl::svc::replica] rebootstrap: %s\n", err.c_str());
-    return false;
-  }
-  CheckpointData data;
-  if (!CheckpointStore::read_file(numbered_path(opts_.checkpoint_path, img.seq), &data,
-                                  &err)) {
-    std::fprintf(stderr, "[ecl::svc::replica] rebootstrap: bad image: %s\n",
-                 err.c_str());
-    return false;
-  }
-  if (!service_.rebase_to_checkpoint(data)) {
-    std::fprintf(stderr, "[ecl::svc::replica] rebootstrap: rebase refused\n");
     return false;
   }
   // The old mirror is strictly behind the new base; wipe it so a restart
@@ -347,16 +245,15 @@ bool Replicator::rebootstrap() {
     (void)::unlink(seg.path.c_str());
   }
   (void)fsync_parent_dir(opts_.wal_path);
-  cur_seq_ = data.wal_seq + 1;
+  cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
   file_bytes_ = 0;
-  parse_buf_.clear();
-  magic_checked_ = false;
+  decoder_ = WalDecoder();
   publish_wal_stats();
   std::fprintf(stderr,
-               "[ecl::svc::replica] re-bootstrapped from checkpoint %llu "
+               "[ecl::svc::replica] re-bootstrapped from the primary's checkpoint %llu "
                "(wal_seq %llu)\n",
                static_cast<unsigned long long>(img.seq),
-               static_cast<unsigned long long>(data.wal_seq));
+               static_cast<unsigned long long>(cur_seq_ - 1));
   return true;
 }
 

@@ -8,25 +8,29 @@
 //   bootstrap   Before the service is constructed: if the local checkpoint
 //               or WAL mirror already holds state, resume from it; else
 //               fetch the primary's newest checkpoint image (kFetchCkpt)
-//               and install it crash-atomically into the local checkpoint
-//               directory. The service ctor then recovers from it exactly
-//               like a primary restarting.
+//               and install it through a CheckpointStore on the local
+//               checkpoint base (validated, crash-atomic, numbered locally).
+//               The service ctor then recovers from it exactly like a
+//               primary restarting.
 //
 //   stream      A periodic executor task fetches bounded chunks of the
 //               primary's WAL segments (kFetchWal), mirrors the raw bytes
 //               into identically-numbered local segment files (so a
 //               replica restart — or promotion — replays them natively),
-//               parses complete records out of the mirrored stream, and
-//               applies each through ConnectivityService::apply_replicated.
+//               decodes complete records out of the mirrored stream with
+//               the same WalDecoder replay uses, and applies each through
+//               ConnectivityService::apply_replicated.
 //               Positions are (segment seq, byte offset); a sealed segment
 //               consumed to its end advances to seq + 1.
 //
 //   rebootstrap If the primary answers `retired` (this replica fell behind
 //               the retention floor — e.g. it was dead past the primary's
 //               replica_hold_ms), the Replicator fetches a fresh
-//               checkpoint, rebases the live service onto it
-//               (rebase_to_checkpoint), wipes the stale mirror, and resumes
-//               streaming past the new checkpoint's covered segment.
+//               checkpoint and hands it to the service, which installs it
+//               into its own checkpoint chain and rebases the live state
+//               onto it (rebase_to_image); the Replicator then wipes the
+//               stale mirror and resumes streaming past the new
+//               checkpoint's covered segment.
 //
 // Lag is observable, not bounded by backpressure: after every fetch round
 // the Replicator pushes (lag_seq, lag_ms) into the service, which surfaces
@@ -82,8 +86,9 @@ class Replicator {
   /// One-time, *pre-service* bootstrap: ensures the local checkpoint/WAL
   /// state is good enough to construct the replica's ConnectivityService.
   /// Resumes from existing local state when present; otherwise fetches the
-  /// primary's newest checkpoint image and installs it crash-atomically
-  /// (tmp -> fsync -> rename -> dir-fsync). A primary with no checkpoint is
+  /// primary's newest checkpoint image and installs it with
+  /// CheckpointStore::install (validate, then tmp -> fsync -> rename ->
+  /// dir-fsync). A primary with no checkpoint is
   /// fine — the replica streams the WAL from segment 1. False only when
   /// the primary is unreachable (or serves an unusable image) *and* there
   /// is no local state to fall back on.
@@ -134,9 +139,6 @@ class Replicator {
   [[nodiscard]] bool fetch_once();
   /// Ensures the fetch client exists (reconnecting lazily after failures).
   [[nodiscard]] bool ensure_client();
-  /// Parses complete records out of parse_buf_ and applies them. False on
-  /// a framing/CRC mismatch (the mirror is diverged: rebootstrap).
-  [[nodiscard]] bool drain_parse_buf();
   /// Fell behind retention: fetch a fresh checkpoint, rebase the service,
   /// wipe the mirror, reset the position past the checkpoint.
   [[nodiscard]] bool rebootstrap();
@@ -155,10 +157,9 @@ class Replicator {
   std::uint64_t cur_seq_ = 1;     // segment currently being mirrored
   std::uint64_t file_bytes_ = 0;  // bytes of it already on local disk
   int seg_fd_ = -1;               // local mirror fd (append-only)
-  /// Unparsed tail of the mirrored stream (bytes past the last complete
-  /// record — at most one partial record plus maybe the 8-byte magic).
-  std::vector<std::uint8_t> parse_buf_;
-  bool magic_checked_ = false;  // consumed cur_seq_'s 8-byte header yet?
+  /// Decodes the mirrored stream of cur_seq_; holds at most one partial
+  /// record (or the partial magic) between fetches.
+  WalDecoder decoder_;
   std::uint64_t caught_up_at_ms_ = 0;  // mono_ms() of last full catch-up
 
   std::atomic<std::uint64_t> fetch_rounds_{0};

@@ -1,11 +1,6 @@
 #include "svc/service.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <stdexcept>
@@ -682,15 +677,34 @@ void ConnectivityService::set_replica_wal_stats(std::uint64_t segments,
   wal_bytes_.store(bytes, std::memory_order_relaxed);
 }
 
-bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
-  if (!replica_.load(std::memory_order_acquire)) return false;
-  if (data.n != num_vertices_) return false;
+bool ConnectivityService::may_rebase_to(const CheckpointData& data) const {
   // Runs only on the Replicator's task, as does apply_replicated(), the
   // replica's only other writer of these fields: check-then-update is safe.
-  if (has_ckpt_.load(std::memory_order_acquire) &&
-      data.watermark < last_ckpt_watermark_.load(std::memory_order_relaxed)) {
+  return replica_.load(std::memory_order_acquire) && data.n == num_vertices_ &&
+         !(has_ckpt_.load(std::memory_order_acquire) &&
+           data.watermark < last_ckpt_watermark_.load(std::memory_order_relaxed));
+}
+
+bool ConnectivityService::rebase_to_image(std::span<const std::uint8_t> image,
+                                          std::string* err) {
+  if (opts_.checkpoint_path.empty()) {
+    if (err != nullptr) *err = "rebase: the service has no checkpoint path";
     return false;
   }
+  // The image joins this service's own chain (its next number, keep-2
+  // retention), so a later restart, promoted or not, finds it in order.
+  CheckpointData data;
+  const auto wr = ckpt_store_.install(
+      image, &data, [this](const CheckpointData& d) { return may_rebase_to(d); });
+  if (!wr.ok) {
+    if (err != nullptr) *err = wr.error;
+    return false;
+  }
+  return rebase_to_checkpoint(data);
+}
+
+bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
+  if (!may_rebase_to(data)) return false;
   // Uniting each vertex with its label is safe even where the live
   // structure already has the component: unions are idempotent, and
   // connectivity on a replica only ever grows. The labels' edges count as
@@ -744,61 +758,8 @@ std::uint64_t ConnectivityService::replica_fetch_floor() {
 }
 
 CkptImage ConnectivityService::fetch_checkpoint_image() const {
-  CkptImage out;
-  if (opts_.checkpoint_path.empty()) return out;
-  // Checkpoint files are written tmp -> rename and only ever unlinked, never
-  // modified in place, so a successfully opened file is immutable. Retry by
-  // listing again if the newest file vanishes under us (keep-2 rotation).
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    auto files = list_numbered_files(opts_.checkpoint_path);
-    bool raced = false;
-    for (auto it = files.rbegin(); it != files.rend(); ++it) {
-      CheckpointData data;
-      std::string err;
-      if (!CheckpointStore::read_file(it->path, &data, &err)) {
-        struct stat st{};
-        if (::stat(it->path.c_str(), &st) != 0 && errno == ENOENT) {
-          raced = true;
-          break;  // rotation won; take a fresh listing
-        }
-        continue;  // genuinely invalid file: fall back to the next-newest
-      }
-      const int fd = ::open(it->path.c_str(), O_RDONLY | O_CLOEXEC);
-      if (fd < 0) {
-        raced = errno == ENOENT;
-        if (raced) break;
-        continue;
-      }
-      struct stat st{};
-      if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        continue;
-      }
-      std::vector<std::uint8_t> image(static_cast<std::size_t>(st.st_size));
-      std::size_t done = 0;
-      bool read_ok = true;
-      while (done < image.size()) {
-        const ssize_t r = ::read(fd, image.data() + done, image.size() - done);
-        if (r < 0) {
-          if (errno == EINTR) continue;
-          read_ok = false;
-          break;
-        }
-        if (r == 0) break;
-        done += static_cast<std::size_t>(r);
-      }
-      ::close(fd);
-      if (!read_ok || done != image.size()) continue;
-      out.has = true;
-      out.seq = it->seq;
-      out.wal_seq = data.wal_seq;
-      out.image = std::move(image);
-      ECL_OBS_COUNTER_ADD("ecl.svc.replica.ckpt_serves", 1);
-      return out;
-    }
-    if (!raced) break;
-  }
-  return out;
+  if (opts_.checkpoint_path.empty()) return {};
+  return CheckpointStore::read_newest_image(opts_.checkpoint_path);
 }
 
 WalChunk ConnectivityService::fetch_wal_chunk(std::uint64_t replica_id,

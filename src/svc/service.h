@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -160,18 +161,6 @@ struct ServiceStats {
 /// Appends one Prometheus family per table row ("# TYPE" line + value),
 /// preceded by the constant `ecl_svc_up 1`.
 void render_prometheus(const ServiceStats& s, std::string& out);
-
-/// kFetchCkpt payload: the primary's newest valid checkpoint as a raw file
-/// image, plus where it sits in the checkpoint/WAL chains. `has == false`
-/// (and empty image) when the primary has no valid checkpoint — the replica
-/// then streams the WAL from segment 1, which is complete because a primary
-/// that never checkpointed never retired anything.
-struct CkptImage {
-  bool has = false;
-  std::uint64_t seq = 0;      // checkpoint file sequence number
-  std::uint64_t wal_seq = 0;  // WAL segments <= this are covered by it
-  std::vector<std::uint8_t> image;
-};
 
 /// kFetchWal payload: one bounded chunk of raw segment bytes. `retired`
 /// means the requested segment is gone on the primary (the replica fell
@@ -332,15 +321,22 @@ class ConnectivityService {
   /// or rebased onto.
   [[nodiscard]] bool rebase_to_checkpoint(const CheckpointData& data);
 
+  /// Replica side of a rebootstrap: installs a fetched checkpoint image
+  /// (CkptImage::image) into this service's own checkpoint chain, then
+  /// rebase_to_checkpoint()s onto it. The image is renamed into the chain
+  /// only once it validates and rebase_to_checkpoint() would accept it.
+  /// False, with *err set, otherwise; nothing changes then.
+  [[nodiscard]] bool rebase_to_image(std::span<const std::uint8_t> image,
+                                     std::string* err = nullptr);
+
   /// wal_seq covered by the checkpoint this service recovered from (0 when
   /// none); the Replicator resumes streaming at the next segment.
   [[nodiscard]] std::uint64_t checkpoint_covered_wal_seq();
 
-  /// Primary serving side of kFetchCkpt: the newest valid checkpoint as a
-  /// raw file image. Reads by name with retry, so the compaction thread
-  /// rotating checkpoints concurrently is harmless. has == false when
-  /// checkpoints are disabled, none exists yet, or every file failed
-  /// validation (the replica streams from segment 1 then).
+  /// Primary serving side of kFetchCkpt: CheckpointStore::read_newest_image
+  /// on this service's chain. has == false when checkpoints are disabled,
+  /// none exists yet, or every file failed validation (the replica streams
+  /// from segment 1 then).
   [[nodiscard]] CkptImage fetch_checkpoint_image() const;
 
   /// Primary serving side of kFetchWal: registers/refreshes the replica in
@@ -401,6 +397,9 @@ class ConnectivityService {
     return rebases_.load(std::memory_order_acquire) >
            published_rebases_.load(std::memory_order_acquire);
   }
+  // rebase_to_checkpoint()'s precondition: a replica, the same vertex
+  // count, and no older than the last checkpoint loaded or rebased onto.
+  [[nodiscard]] bool may_rebase_to(const CheckpointData& data) const;
   // wal_seq of the newest checkpoint loaded, written or rebased onto.
   std::atomic<std::uint64_t> ckpt_covered_seq_{0};
 
@@ -439,8 +438,10 @@ class ConnectivityService {
   std::atomic<bool> ingest_alive_{true};
   std::atomic<std::uint64_t> degraded_entries_{0};
 
-  // Checkpoint state. The store is compaction-thread-only (plus ctor); the
-  // atomics are read lock-free by stats().
+  // Checkpoint state. The store is used by the ctor, then by the compaction
+  // thread while primary and by the Replicator's task (rebase_to_image)
+  // while replica — never both, since promote() follows Replicator::stop().
+  // The atomics are read lock-free by stats().
   CheckpointStore ckpt_store_;
   std::chrono::steady_clock::time_point start_tp_ =
       std::chrono::steady_clock::now();

@@ -20,51 +20,11 @@ namespace {
 
 constexpr char kMagic[8] = {'E', 'C', 'L', 'W', 'A', 'L', '0', '1'};
 constexpr std::size_t kRecordHeaderBytes = 8;  // u32 len + u32 crc
-constexpr std::uint32_t kMaxRecordBytes = 1u << 26;
-
-void put_u32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-bool write_all(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t put = ::write(fd, p, n);
-    if (put < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += put;
-    n -= static_cast<std::size_t>(put);
-  }
-  return true;
-}
-
-/// Reads up to n bytes, stopping early only at EOF. Returns false on error.
-bool read_upto(int fd, void* buf, std::size_t n, std::size_t* got) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  std::size_t done = 0;
-  while (done < n) {
-    const ssize_t r = ::read(fd, p + done, n - done);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      *got = done;
-      return false;
-    }
-    if (r == 0) break;
-    done += static_cast<std::size_t>(r);
-  }
-  *got = done;
-  return true;
-}
+// The one record-size limit, equal to the wire's kMaxFrameBytes: a batch
+// the protocol can carry always fits in one record.
+constexpr std::uint32_t kMaxPayloadBytes = 1u << 26;
+// Replay reads a segment this many bytes at a time.
+constexpr std::size_t kReplayChunkBytes = std::size_t{1} << 20;
 
 void set_error(std::string* err, const std::string& what) {
   if (err != nullptr) *err = what + ": " + std::strerror(errno);
@@ -123,6 +83,37 @@ bool fsync_parent_dir(const std::string& path) {
   if (fd < 0) return false;
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
+  return ok;
+}
+
+bool write_all(int fd, const void* buf, std::size_t n) {
+  const auto* p = static_cast<const std::uint8_t*>(buf);
+  while (n > 0) {
+    const ssize_t put = ::write(fd, p, n);
+    if (put < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    p += put;
+    n -= static_cast<std::size_t>(put);
+  }
+  return true;
+}
+
+bool read_upto(int fd, void* buf, std::size_t n, std::size_t* got) {
+  auto* p = static_cast<std::uint8_t*>(buf);
+  std::size_t done = 0;
+  bool ok = true;
+  while (done < n) {
+    const ssize_t r = ::read(fd, p + done, n - done);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) {
+      ok = r == 0 && got != nullptr;  // EOF is only an error for exact reads
+      break;
+    }
+    done += static_cast<std::size_t>(r);
+  }
+  if (got != nullptr) *got = done;
   return ok;
 }
 
@@ -306,6 +297,38 @@ void WriteAheadLog::close() {
   fd_ = -1;
 }
 
+void WalDecoder::feed(std::span<const std::uint8_t> bytes) {
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
+  pos_ = 0;
+  buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+}
+
+WalDecoder::Status WalDecoder::next(std::vector<Edge>* edges) {
+  if (offset_ == 0) {
+    if (pending() < sizeof(kMagic)) return Status::kNeedMore;
+    if (std::memcmp(buf_.data() + pos_, kMagic, sizeof(kMagic)) != 0) {
+      return Status::kBadMagic;
+    }
+    pos_ += sizeof(kMagic);
+    offset_ = sizeof(kMagic);
+  }
+  if (pending() < kRecordHeaderBytes) return Status::kNeedMore;
+  const std::uint8_t* hdr = buf_.data() + pos_;
+  const std::uint32_t len = get_u32(hdr);
+  // Corrupt framing: nothing past here is trustworthy.
+  if (len == 0 || len % 8 != 0 || len > kMaxPayloadBytes) return Status::kCorrupt;
+  if (pending() < kRecordHeaderBytes + len) return Status::kNeedMore;
+  const std::uint8_t* payload = hdr + kRecordHeaderBytes;
+  if (crc32(payload, len) != get_u32(hdr + 4)) return Status::kCorrupt;
+  if (edges->empty()) edges->reserve(len / 8);  // a fresh per-record batch
+  for (std::uint32_t i = 0; i < len; i += 8) {
+    edges->emplace_back(get_u32(payload + i), get_u32(payload + i + 4));
+  }
+  pos_ += kRecordHeaderBytes + len;
+  offset_ += kRecordHeaderBytes + len;
+  return Status::kRecord;
+}
+
 WalReplayResult WriteAheadLog::replay_and_truncate(const std::string& path,
                                                    bool truncate_tail) {
   WalReplayResult out;
@@ -326,83 +349,48 @@ WalReplayResult WriteAheadLog::replay_and_truncate(const std::string& path,
   }
   const std::uint64_t file_size = static_cast<std::uint64_t>(st.st_size);
 
-  const auto truncate_to = [&](std::uint64_t offset) {
-    out.truncated_bytes = file_size - offset;
-    // Read-only validation (sealed segments): report the damage, never cut.
-    if (!truncate_tail) return;
-    // A truncate that silently fails leaves the corrupt tail in place, and
-    // the next append would write *after* it — every record from then on
-    // would be unreachable by replay. Surface the failure so the caller
-    // refuses to reopen the file for appending.
-    if (ECL_FAULT_POINT("svc.wal.truncate").fired() ||
-        ::ftruncate(fd, static_cast<off_t>(offset)) != 0 || ::fsync(fd) != 0) {
-      out.truncate_failed = true;
-      out.error = "wal truncate " + path + ": " + std::strerror(errno);
-      ECL_OBS_COUNTER_ADD("ecl.svc.wal.truncate_errors", 1);
+  WalDecoder decoder;
+  auto verdict = WalDecoder::Status::kNeedMore;
+  std::vector<std::uint8_t> chunk(
+      static_cast<std::size_t>(std::min<std::uint64_t>(file_size, kReplayChunkBytes)));
+  while (verdict == WalDecoder::Status::kNeedMore) {
+    std::size_t got = 0;
+    if (!read_upto(fd, chunk.data(), chunk.size(), &got)) {
+      out.error = "wal replay read " + path + ": " + std::strerror(errno);
+      ::close(fd);
+      return out;
     }
-    ECL_OBS_COUNTER_ADD("ecl.svc.wal.truncated_bytes", out.truncated_bytes);
-  };
-
-  char magic[sizeof(kMagic)] = {};
-  std::size_t got = 0;
-  if (!read_upto(fd, magic, sizeof(magic), &got)) {
-    out.error = "wal replay read " + path + ": " + std::strerror(errno);
-    ::close(fd);
-    return out;
+    if (got == 0) break;  // EOF
+    decoder.feed({chunk.data(), got});
+    while ((verdict = decoder.next(&out.edges)) == WalDecoder::Status::kRecord) {
+      ++out.records;
+    }
   }
-  if (got == 0) {
-    out.ok = true;  // empty file; open() will stamp the header
-    ::close(fd);
-    return out;
-  }
-  if (got < sizeof(kMagic)) {
-    // Crash while creating the file: nothing durable was ever acked.
-    truncate_to(0);
-    out.ok = true;
-    ::close(fd);
-    return out;
-  }
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  if (verdict == WalDecoder::Status::kBadMagic) {
     out.error = "wal replay " + path + ": not a WAL file (bad magic)";
     ::close(fd);
     return out;
   }
 
-  std::uint64_t offset = sizeof(kMagic);
-  std::vector<std::uint8_t> payload;
-  for (;;) {
-    std::uint8_t hdr[kRecordHeaderBytes];
-    if (!read_upto(fd, hdr, sizeof(hdr), &got)) {
-      out.error = "wal replay read " + path + ": " + std::strerror(errno);
-      ::close(fd);
-      return out;
+  // Whatever follows the last whole record is a torn or corrupt tail (or a
+  // magic cut short while creating the file, before anything was acked).
+  if (decoder.offset() < file_size) {
+    out.truncated_bytes = file_size - decoder.offset();
+    // Read-only validation (sealed segments) reports the damage, never cuts.
+    // A truncate that silently fails leaves the corrupt tail in place, and
+    // the next append would write *after* it — every record from then on
+    // would be unreachable by replay. Surface the failure so the caller
+    // refuses to reopen the file for appending.
+    if (truncate_tail) {
+      if (ECL_FAULT_POINT("svc.wal.truncate").fired() ||
+          ::ftruncate(fd, static_cast<off_t>(decoder.offset())) != 0 ||
+          ::fsync(fd) != 0) {
+        out.truncate_failed = true;
+        out.error = "wal truncate " + path + ": " + std::strerror(errno);
+        ECL_OBS_COUNTER_ADD("ecl.svc.wal.truncate_errors", 1);
+      }
+      ECL_OBS_COUNTER_ADD("ecl.svc.wal.truncated_bytes", out.truncated_bytes);
     }
-    if (got == 0) break;  // clean end
-    if (got < sizeof(hdr)) {
-      truncate_to(offset);
-      break;
-    }
-    const std::uint32_t len = get_u32(hdr);
-    const std::uint32_t want_crc = get_u32(hdr + 4);
-    if (len == 0 || len % 8 != 0 || len > kMaxRecordBytes) {
-      truncate_to(offset);  // corrupt framing: nothing past here is trustworthy
-      break;
-    }
-    payload.resize(len);
-    if (!read_upto(fd, payload.data(), len, &got)) {
-      out.error = "wal replay read " + path + ": " + std::strerror(errno);
-      ::close(fd);
-      return out;
-    }
-    if (got < len || crc32(payload.data(), len) != want_crc) {
-      truncate_to(offset);  // torn or bit-flipped record
-      break;
-    }
-    for (std::uint32_t i = 0; i < len; i += 8) {
-      out.edges.emplace_back(get_u32(payload.data() + i), get_u32(payload.data() + i + 4));
-    }
-    ++out.records;
-    offset += sizeof(hdr) + len;
   }
   ::close(fd);
   out.ok = true;
@@ -420,6 +408,16 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& base,
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const auto& seg = segments[i];
     if (seg.seq <= after_seq) continue;
+    // Past a checkpoint the chain must be unbroken: a missing segment held
+    // acked edges nothing else covers. (Below after_seq a hole is harmless:
+    // a failed unlink during retirement can leave one.)
+    if (const std::uint64_t want = after_seq + out.segments + 1;
+        after_seq > 0 && seg.seq != want) {
+      out.error = "wal replay " + base + ": segment " + std::to_string(want) +
+                  " is missing (checkpoint covers through " +
+                  std::to_string(after_seq) + ")";
+      return out;
+    }
     const bool is_last = i + 1 == segments.size();
     // Sealed segments are validated read-only: damage there is refused
     // below, and truncating would destroy any acked records past the
@@ -526,8 +524,6 @@ bool SegmentedWal::append(const std::vector<Edge>& batch) {
 
 // -------------------------------------------------- WalSegmentReader ----
 
-const char* wal_magic() { return kMagic; }
-
 SegmentChunk WalSegmentReader::read(const std::string& base, std::uint64_t seq,
                                     std::uint64_t offset, std::uint32_t max_bytes) {
   SegmentChunk out;
@@ -573,18 +569,14 @@ SegmentChunk WalSegmentReader::read(const std::string& base, std::uint64_t seq,
           max_bytes, out.segment_bytes - offset);
       out.data.resize(static_cast<std::size_t>(want));
       std::size_t done = 0;
-      while (done < out.data.size()) {
-        const ssize_t r = ::pread(fd, out.data.data() + done, out.data.size() - done,
-                                  static_cast<off_t>(offset + done));
-        if (r < 0) {
-          if (errno == EINTR) continue;
-          out.error = "wal chunk pread " + path + ": " + std::strerror(errno);
-          out.data.clear();
-          ::close(fd);
-          return out;
-        }
-        if (r == 0) break;  // raced a concurrent truncate; serve the prefix
-        done += static_cast<std::size_t>(r);
+      // A short read means the reader raced a concurrent truncate: serve
+      // the prefix.
+      if (::lseek(fd, static_cast<off_t>(offset), SEEK_SET) < 0 ||
+          !read_upto(fd, out.data.data(), out.data.size(), &done)) {
+        out.error = "wal chunk read " + path + ": " + std::strerror(errno);
+        out.data.clear();
+        ::close(fd);
+        return out;
       }
       out.data.resize(done);
     }

@@ -13,6 +13,11 @@
 //   record   u32 payload_len | u32 crc32(payload) | payload
 //   payload  payload_len/8 edges, each u32 u | u32 v
 //
+// This file owns that framing: WriteAheadLog::append() is its one writer and
+// WalDecoder its one reader. Replay (restart, promotion) and the replica's
+// stream (svc/replica.h) both feed bytes to a WalDecoder, so the two can
+// never disagree on what a valid record is.
+//
 // A crash can tear the final record (partial write, or payload written but
 // CRC not). Replay validates each record's CRC and, at the first torn or
 // corrupt record, ftruncates the file back to the last good record so the
@@ -30,9 +35,15 @@
 // checkpoints (svc/checkpoint.h), disk usage and recovery time are bounded
 // by the un-checkpointed *tail* instead of lifetime ingest
 // (docs/ROBUSTNESS.md "Segmented WAL + checkpoints").
+//
+// The byte and fd helpers at the bottom (get_u32/put_u32, write_all,
+// read_upto, numbered_path, fsync_parent_dir, crc32) are the shared file
+// primitives of both on-disk formats; svc/checkpoint.cpp uses them too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,6 +84,43 @@ struct WalReplayResult {
   bool truncate_failed = false;
 };
 
+/// Incremental reader of the WAL framing, the only code that parses it:
+/// feed() takes chunks of any size, next() yields one whole record at a
+/// time. A record is valid when 0 < len, len % 8 == 0, len <= 2^26 and its
+/// CRC matches; nothing past an invalid one is trusted. kBadMagic and
+/// kCorrupt are sticky.
+class WalDecoder {
+ public:
+  enum class Status : std::uint8_t {
+    kRecord,    // one record's edges were appended
+    kNeedMore,  // the buffered bytes end inside the magic or a record
+    kBadMagic,  // the stream does not start with "ECLWAL01"
+    kCorrupt,   // invalid framing or CRC mismatch at offset()
+  };
+
+  /// `resume_at` is the segment offset the first fed byte sits at: 0 for a
+  /// fresh segment (the magic comes first), or a record boundary past the
+  /// magic (a replayed mirror's file size).
+  explicit WalDecoder(std::uint64_t resume_at = 0) : offset_(resume_at) {}
+
+  /// Buffers `bytes` after any partial record left from earlier calls.
+  void feed(std::span<const std::uint8_t> bytes);
+
+  /// Decodes the next whole record, appending its edges to *edges.
+  [[nodiscard]] Status next(std::vector<Edge>* edges);
+
+  /// Segment offset just past the magic and the last whole record decoded:
+  /// the length a torn file is cut back to (0 while the magic is partial).
+  [[nodiscard]] std::uint64_t offset() const { return offset_; }
+  /// Bytes fed but not yet decoded into a record.
+  [[nodiscard]] std::size_t pending() const { return buf_.size() - pos_; }
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  // first undecoded byte of buf_
+  std::uint64_t offset_ = 0;
+};
+
 class WriteAheadLog {
  public:
   WriteAheadLog() = default;
@@ -106,9 +154,10 @@ class WriteAheadLog {
   /// open; drives SegmentedWal's rotation decision.
   [[nodiscard]] std::uint64_t size_bytes() const { return file_bytes_; }
 
-  /// Reads `path`, validates header + per-record CRCs, and truncates any
-  /// torn tail in place. A missing file is a clean empty result (ok, no
-  /// edges) so first boot and restart share one code path.
+  /// Feeds `path` to a WalDecoder in bounded chunks and truncates any torn
+  /// tail in place, back to the decoder's offset(). A missing file is a
+  /// clean empty result (ok, no edges) so first boot and restart share one
+  /// code path.
   ///
   /// With `truncate_tail == false` the file is never modified: a torn tail
   /// is still reported via truncated_bytes, but left on disk. SegmentedWal
@@ -168,15 +217,12 @@ class SegmentedWal {
   /// like WriteAheadLog::replay_and_truncate per segment. A torn tail is
   /// only legal in the *final* segment (the only one a crash can tear);
   /// torn or corrupt records in an earlier segment fail the replay
-  /// (ok == false) rather than silently dropping later acked edges.
-  struct ReplayResult {
-    bool ok = false;
-    std::string error;
-    std::vector<Edge> edges;
-    std::uint64_t records = 0;
-    std::uint64_t truncated_bytes = 0;
+  /// (ok == false) rather than silently dropping later acked edges. With
+  /// after_seq > 0 (a checkpoint covers the segments up to it) the rest
+  /// must run after_seq + 1, after_seq + 2, ... with no hole: a missing
+  /// segment fails the replay, naming its seq.
+  struct ReplayResult : WalReplayResult {
     std::uint64_t segments = 0;  // segments replayed
-    bool truncate_failed = false;
   };
   [[nodiscard]] static ReplayResult replay(const std::string& base,
                                            std::uint64_t after_seq);
@@ -271,12 +317,27 @@ class WalSegmentReader {
 /// fresh checksum. Lets a reader checksum a file chunk by chunk.
 [[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n);
 
-/// The 8-byte magic opening every WAL segment ("ECLWAL01"). Exposed so the
-/// replication path can validate mirrored segment headers without reparsing
-/// whole files.
-[[nodiscard]] const char* wal_magic();
-inline constexpr std::size_t kWalMagicBytes = 8;
-/// Bytes of one record header (u32 payload_len | u32 crc).
-inline constexpr std::size_t kWalRecordHeaderBytes = 8;
+/// Little-endian u32 at p (both on-disk formats are little-endian).
+inline void put_u32(std::uint8_t* p, std::uint32_t v) {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
+}
+
+[[nodiscard]] inline std::uint32_t get_u32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
+
+/// Writes all n bytes, retrying short writes and EINTR. False on error
+/// (errno preserved).
+[[nodiscard]] bool write_all(int fd, const void* buf, std::size_t n);
+
+/// Reads up to n bytes into buf, stopping early only at EOF; *got is the
+/// count read. False on error (errno preserved) and, when `got` is null
+/// (the caller needs exactly n bytes), on an early EOF too.
+[[nodiscard]] bool read_upto(int fd, void* buf, std::size_t n,
+                             std::size_t* got = nullptr);
 
 }  // namespace ecl::svc

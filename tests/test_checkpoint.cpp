@@ -1,12 +1,13 @@
 // Durability tests for the checkpoint + segmented-WAL layer
 // (docs/ROBUSTNESS.md "Checkpoint format", "Segmented WAL + checkpoints"):
 // the numbered-file naming shared by segments and checkpoints, the
-// CheckpointStore write/load/retention protocol (including fallback past a
-// torn or corrupt newest checkpoint), SegmentedWal rotation / tail-only
-// replay / retirement, and the service-level contract — bounded restart
-// (checkpoint load + tail replay), WAL segments retired once covered, a
-// short write mid-record degrading the service without losing acked edges,
-// and a failed torn-tail truncation refusing the reopen.
+// CheckpointStore write/install/load/retention protocol (including fallback
+// past a torn or corrupt newest checkpoint), SegmentedWal rotation /
+// tail-only replay / retirement / refusal of a segment hole, and the
+// service-level contract — bounded restart (checkpoint load + tail replay),
+// WAL segments retired once covered, a short write mid-record degrading the
+// service without losing acked edges, and a failed torn-tail truncation or
+// a segment hole refusing the restart.
 //
 // Same registry discipline as test_fault_svc.cpp: every case that arms the
 // process-wide fault registry disarms it again in TearDown.
@@ -18,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -381,6 +383,41 @@ TEST_F(CheckpointStoreTest, InjectedWriteFaultLeavesOldChainIntact) {
   }
 }
 
+// install() runs write()'s sequence and fault points, validates the image
+// before the rename, and numbers the file after its own chain.
+TEST_F(CheckpointStoreTest, InstallValidatesFirstAndTakesTheNextLocalNumber) {
+  CheckpointStore source;
+  source.open(path("src"));
+  for (std::uint64_t i = 1; i <= 3; ++i) ASSERT_TRUE(source.write(sample_data(4, 20, 2, 9)).ok);
+  const CkptImage img = CheckpointStore::read_newest_image(path("src"));
+  ASSERT_TRUE(img.has);
+  EXPECT_EQ(img.seq, 3u);
+
+  CheckpointStore store;
+  store.open(path("ckpt"));
+  ASSERT_TRUE(store.write(sample_data(4, 10, 1, 1)).ok);
+  CheckpointData data;
+  for (const char* point : {"svc.ckpt.write", "svc.ckpt.fsync", "svc.ckpt.rename"}) {
+    arm(point, fault::Action::kFail, 1);
+    EXPECT_FALSE(store.install(img.image, &data).ok) << point;
+    EXPECT_EQ(store.load_latest_valid().data.watermark, 10u) << point;
+    reg().disarm_all();
+  }
+
+  std::vector<std::uint8_t> torn = img.image;
+  torn.pop_back();
+  EXPECT_FALSE(store.install(torn, &data).ok);
+  EXPECT_FALSE(store.install(img.image, &data, [](const CheckpointData&) { return false; }).ok);
+  EXPECT_EQ(list_numbered_files(path("ckpt")).size(), 1u);
+  EXPECT_FALSE(exists(path("ckpt.tmp")));
+
+  const auto w = store.install(img.image, &data);
+  ASSERT_TRUE(w.ok) << w.error;
+  EXPECT_EQ(w.seq, 2u);
+  EXPECT_EQ(data.wal_seq, 9u);
+  EXPECT_EQ(store.retention_floor_wal_seq(), 1u);
+}
+
 // -------------------------------------------------------- segmented WAL ----
 
 using SegmentedWalTest = DurabilityTest;
@@ -514,6 +551,53 @@ TEST_F(SegmentedWalTest, TornSealedSegmentFailsReplay) {
   EXPECT_EQ(file_size(base + ".000001"), before);  // refused, not truncated
 }
 
+// Past a checkpoint (after_seq > 0) the segments must run after_seq + 1,
+// after_seq + 2, ... : a missing one held acked edges nothing else covers,
+// so replay refuses, naming it, instead of silently skipping them.
+TEST_F(SegmentedWalTest, MissingMiddleSegmentFailsReplay) {
+  const std::string base = path("wal");
+  SegmentedWal wal;
+  std::string err;
+  ASSERT_TRUE(wal.open(base, {}, 1, &err)) << err;
+  ASSERT_TRUE(wal.append({{0, 1}}));
+  for (vertex_t v = 1; v < 4; ++v) {
+    ASSERT_TRUE(wal.rotate(&err)) << err;
+    ASSERT_TRUE(wal.append({{v, v + 1}}));
+  }
+  wal.close();
+  ASSERT_EQ(::unlink(numbered_path(base, 3).c_str()), 0);
+
+  const auto rep = SegmentedWal::replay(base, /*after_seq=*/1);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("segment 3 is missing"), std::string::npos) << rep.error;
+
+  // Without a checkpoint (after_seq == 0) the chain is replayed as found.
+  const auto all = SegmentedWal::replay(base, 0);
+  ASSERT_TRUE(all.ok) << all.error;
+  EXPECT_EQ(all.segments, 3u);
+}
+
+TEST_F(SegmentedWalTest, MissingFirstSegmentAfterCheckpointFailsReplay) {
+  const std::string base = path("wal");
+  SegmentedWal wal;
+  std::string err;
+  ASSERT_TRUE(wal.open(base, {}, 1, &err)) << err;
+  ASSERT_TRUE(wal.append({{1, 2}}));
+  ASSERT_TRUE(wal.rotate(&err)) << err;
+  ASSERT_TRUE(wal.append({{3, 4}}));
+  ASSERT_TRUE(wal.rotate(&err)) << err;
+  ASSERT_TRUE(wal.append({{5, 6}}));
+  wal.close();
+  ASSERT_EQ(::unlink(numbered_path(base, 2).c_str()), 0);
+
+  const auto rep = SegmentedWal::replay(base, /*after_seq=*/1);
+  EXPECT_FALSE(rep.ok);
+  EXPECT_NE(rep.error.find("segment 2 is missing"), std::string::npos) << rep.error;
+  // A hole at or below the checkpoint's coverage is harmless (a failed
+  // retirement unlink can leave one).
+  EXPECT_TRUE(SegmentedWal::replay(base, /*after_seq=*/2).ok);
+}
+
 // ------------------------------------------------- service integration ----
 
 using ServiceCheckpointTest = DurabilityTest;
@@ -633,6 +717,28 @@ TEST_F(ServiceCheckpointTest, CheckpointNowRetiresCoveredSegments) {
   EXPECT_TRUE(revived.connected(500, 501));
   EXPECT_FALSE(revived.connected(0, 2));
   revived.stop();
+}
+
+// The service refuses to start on a hole after its checkpoint, as it does
+// on a torn sealed segment, rather than come up without acked edges.
+TEST_F(ServiceCheckpointTest, HoleAfterTheCheckpointRefusesTheRestart) {
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  {
+    ConnectivityService service(64, opts);
+    ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
+    ASSERT_TRUE(service.checkpoint_now());  // covers segment 1
+    ASSERT_EQ(service.submit({{3, 4}}), Admission::kAccepted);
+    service.flush();
+    arm("svc.ckpt.write", fault::Action::kFail, 100);  // no final checkpoint
+    service.stop();
+  }
+  reg().disarm_all();
+  // Segment 2 alone holds {3, 4}.
+  ASSERT_EQ(::unlink(numbered_path(path("wal"), 2).c_str()), 0);
+  EXPECT_THROW(ConnectivityService(64, opts), std::runtime_error);
 }
 
 TEST_F(ServiceCheckpointTest, CorruptNewestCheckpointFallsBackOnRestart) {

@@ -1,7 +1,8 @@
 // Chaos tests for the robustness layer (docs/ROBUSTNESS.md): the ecl::fault
 // registry itself (spec parsing, deterministic firing), fault injection
 // through the svc net paths, the write-ahead log (torn tails, CRC
-// corruption, replay idempotence, fsync-policy matrix), degraded mode
+// corruption, replay idempotence, fsync-policy matrix, WalDecoder fed in
+// chunks, a file cut at every byte), degraded mode
 // (ingest-worker death, WAL failure), the client retry/reconnect policy,
 // server slow/idle-client eviction, and the health rows of kStats end to end.
 //
@@ -21,7 +22,9 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/sock.h"
@@ -275,6 +278,15 @@ class WalTest : public FaultTest {
                                            : 0;
   }
 
+  std::vector<std::uint8_t> read_all() {
+    std::vector<std::uint8_t> bytes(file_size());
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    if (f == nullptr) return {};
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+    std::fclose(f);
+    return bytes;
+  }
+
   std::string path_;
 };
 
@@ -385,6 +397,86 @@ TEST_F(WalTest, ForeignFileIsRefusedNotTruncated) {
   WriteAheadLog wal;  // open() must refuse it too
   std::string err;
   EXPECT_FALSE(wal.open(path_, {}, &err));
+}
+
+// WalDecoder is the one reader of the record framing, for replay and the
+// replica's stream alike. The segment image below holds a 1-edge record and
+// one larger than a 4096-byte chunk, so chunked feeds split the magic, a
+// record header and a payload at every kind of boundary.
+std::vector<std::vector<Edge>> decoder_batches() {
+  std::vector<Edge> large;
+  for (vertex_t v = 0; v < 600; ++v) large.emplace_back(v, v + 1);
+  return {{{7, 9}}, {{1, 2}, {2, 3}, {3, 4}}, large, {{5, 6}, {0, 8}}};
+}
+
+std::vector<Edge> flatten(const std::vector<std::vector<Edge>>& batches) {
+  std::vector<Edge> out;
+  for (const auto& b : batches) out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+class WalDecoderChunkTest : public WalTest,
+                            public ::testing::WithParamInterface<std::size_t> {};
+
+// Fed in chunks of any size (0 = the whole image at once), the decoder
+// yields exactly the batches replay_and_truncate reads from the file.
+TEST_P(WalDecoderChunkTest, YieldsTheBatchesReplayReads) {
+  const auto batches = decoder_batches();
+  write_batches(batches);
+  const std::vector<std::uint8_t> image = read_all();
+
+  const auto replay = WriteAheadLog::replay_and_truncate(path_);
+  ASSERT_TRUE(replay.ok) << replay.error;
+  EXPECT_EQ(replay.records, batches.size());
+  EXPECT_EQ(replay.edges, flatten(batches));
+
+  const std::size_t step = GetParam() == 0 ? image.size() : GetParam();
+  WalDecoder decoder;
+  std::vector<std::vector<Edge>> got;
+  for (std::size_t at = 0; at < image.size(); at += step) {
+    decoder.feed(std::span<const std::uint8_t>(image).subspan(
+        at, std::min(step, image.size() - at)));
+    std::vector<Edge> batch;
+    auto verdict = WalDecoder::Status::kRecord;
+    while ((verdict = decoder.next(&batch)) == WalDecoder::Status::kRecord) {
+      got.push_back(std::exchange(batch, {}));
+    }
+    ASSERT_EQ(verdict, WalDecoder::Status::kNeedMore) << "at " << at;
+  }
+  EXPECT_EQ(got, batches);
+  EXPECT_EQ(decoder.offset(), image.size());
+  EXPECT_EQ(decoder.pending(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Chunks, WalDecoderChunkTest,
+                         ::testing::Values(1, 3, 8, 9, 4096, 0));
+
+// A file cut at any byte keeps exactly the whole records before the cut and
+// is truncated back to the last record boundary (to 0 inside the magic).
+TEST_F(WalTest, CutAtEveryOffsetKeepsTheWholeRecordsBeforeIt) {
+  const auto batches = decoder_batches();
+  write_batches(batches);
+  const std::vector<std::uint8_t> image = read_all();
+  std::vector<std::uint64_t> ends;  // offset just past each record
+  std::uint64_t end = 8;
+  for (const auto& b : batches) ends.push_back(end += 8 + 8 * b.size());
+  ASSERT_EQ(ends.back(), image.size());
+
+  for (std::size_t cut = 0; cut <= image.size(); ++cut) {
+    std::FILE* f = std::fopen(path_.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
+    std::fclose(f);
+    const auto r = WriteAheadLog::replay_and_truncate(path_);
+    ASSERT_TRUE(r.ok) << "cut " << cut << ": " << r.error;
+    std::size_t whole = 0;
+    while (whole < ends.size() && ends[whole] <= cut) ++whole;
+    const std::uint64_t boundary = cut < 8 ? 0 : whole == 0 ? 8 : ends[whole - 1];
+    ASSERT_EQ(r.records, whole) << "cut " << cut;
+    ASSERT_EQ(r.edges, flatten({batches.begin(), batches.begin() + whole})) << "cut " << cut;
+    ASSERT_EQ(r.truncated_bytes, cut - boundary) << "cut " << cut;
+    ASSERT_EQ(file_size(), boundary) << "cut " << cut;
+  }
 }
 
 TEST_F(WalTest, FsyncPolicyMatrixRoundTrips) {

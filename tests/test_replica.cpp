@@ -4,8 +4,10 @@
 // while the writer rotates must keep making progress), the service-level
 // replica contract (submit sheds, apply_replicated feeds the live structure,
 // rebase_to_checkpoint unites a newer checkpoint and refuses an older one,
-// promote flips to writable), the retention floor interaction (a slow
-// replica pins segments; a dead one is released after replica_hold_ms), and
+// promote flips to writable), installed checkpoints (numbered locally under
+// keep-2; a replica promoted after a rebootstrap restarts from its own
+// chain), the retention floor interaction (a slow replica pins segments; a
+// dead one is released after replica_hold_ms), and
 // an end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
 // against a live Server + Replicator pair.
 #include <gtest/gtest.h>
@@ -13,7 +15,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <memory>
@@ -209,8 +210,14 @@ TEST_F(SegmentReaderTest, ReadsActiveSegmentAndClassifiesMissing) {
   EXPECT_TRUE(c.exists);
   EXPECT_FALSE(c.retired);
   EXPECT_EQ(c.data.size(), c.segment_bytes);
-  ASSERT_GE(c.data.size(), kWalMagicBytes);
-  EXPECT_EQ(0, std::memcmp(c.data.data(), wal_magic(), kWalMagicBytes));
+  // The chunk is the whole segment: the magic, then the one record.
+  WalDecoder decoder;
+  decoder.feed(c.data);
+  std::vector<Edge> edges;
+  EXPECT_EQ(decoder.next(&edges), WalDecoder::Status::kRecord);
+  EXPECT_EQ(edges, (std::vector<Edge>{{0, 1}, {1, 2}}));
+  EXPECT_EQ(decoder.next(&edges), WalDecoder::Status::kNeedMore);
+  EXPECT_EQ(decoder.offset(), c.data.size());
 
   // A segment the writer has not created yet is "not exists", not retired.
   c = WalSegmentReader::read(path("wal"), 99, 0, 1024);
@@ -285,7 +292,56 @@ TEST_F(SegmentReaderTest, RetiredSegmentClassifiedForRebootstrap) {
 
 // ------------------------------------------------- service-level replica ----
 
-using ReplicaServiceTest = ReplicaTest;
+// The in-process bootstrap -> rebootstrap -> promote tests start a primary
+// service in p/ and build the replica in r/. Each checkpoint_now() seals one
+// more WAL segment, so after k cuts the newest checkpoint is number k and
+// covers segments 1..k.
+class ReplicaServiceTest : public ReplicaTest {
+ protected:
+  static constexpr vertex_t kVertices = 256;
+
+  void start_primary() {
+    ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+    ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+    ServiceOptions popts;
+    popts.wal_path = path("p/wal");
+    popts.checkpoint_path = path("p/ckpt");
+    popts.checkpoint_interval_ms = 0;  // explicit checkpoints only
+    primary_ = std::make_unique<ConnectivityService>(kVertices, popts);
+  }
+  void TearDown() override {
+    if (primary_) primary_->stop();
+    ReplicaTest::TearDown();
+  }
+
+  /// Ingests {u, u + 1} on the primary, cuts a checkpoint, and returns the
+  /// image kFetchCkpt would serve.
+  CkptImage checkpoint_with(vertex_t u) {
+    EXPECT_EQ(primary_->submit({{u, u + 1}}), Admission::kAccepted);
+    EXPECT_TRUE(primary_->checkpoint_now());
+    return primary_->fetch_checkpoint_image();
+  }
+
+  /// What Replicator::bootstrap does with a fetched image.
+  void bootstrap_install(const CkptImage& img) {
+    CheckpointStore store;
+    store.open(path("r/ckpt"));
+    CheckpointData data;
+    const auto wr = store.install(img.image, &data);
+    ASSERT_TRUE(wr.ok) << wr.error;
+  }
+
+  ServiceOptions replica_options() const {
+    ServiceOptions o;
+    o.replica = true;
+    o.wal_path = path("r/wal");
+    o.checkpoint_path = path("r/ckpt");
+    o.checkpoint_interval_ms = 0;
+    return o;
+  }
+
+  std::unique_ptr<ConnectivityService> primary_;
+};
 
 TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   ServiceOptions opts;
@@ -475,6 +531,80 @@ TEST_F(ReplicaServiceTest, FetchCheckpointImageServesNewestValid) {
   EXPECT_EQ(data.n, 32u);
   EXPECT_EQ(data.wal_seq, img.wal_seq);
   EXPECT_EQ(data.labels[1], data.labels[2]);
+}
+
+// Regression: a rebootstrap used to rename the primary's image into the
+// replica's directory under the primary's number (6), behind the store's
+// back. Promoted, the node then wrote its own checkpoints as 2 and 3,
+// retention retired segment 7 (which held {100, 101}), and a restart loaded
+// the stale checkpoint 6 and replayed only segments 8 and 9.
+TEST_F(ReplicaServiceTest, PromotedAfterRebootstrapKeepsAckedEdgesAcrossRestart) {
+  start_primary();
+  const CkptImage first = checkpoint_with(0);
+  ASSERT_TRUE(first.has);
+  bootstrap_install(first);
+  auto replica = std::make_unique<ConnectivityService>(kVertices, replica_options());
+  EXPECT_TRUE(replica->connected(0, 1, ReadMode::kFresh));
+
+  CkptImage newest;
+  for (vertex_t u = 2; u < 12; u += 2) newest = checkpoint_with(u);
+  ASSERT_EQ(newest.seq, 6u);
+  ASSERT_EQ(newest.wal_seq, 6u);
+  std::string err;
+  ASSERT_TRUE(replica->rebase_to_image(newest.image, &err)) << err;
+  EXPECT_TRUE(replica->connected(10, 11, ReadMode::kFresh));
+
+  ASSERT_TRUE(replica->promote(&err)) << err;
+  ASSERT_EQ(replica->submit({{100, 101}}), Admission::kAccepted);
+  ASSERT_TRUE(replica->checkpoint_now());
+  ASSERT_EQ(replica->submit({{102, 103}}), Admission::kAccepted);
+  ASSERT_TRUE(replica->checkpoint_now());
+  replica->stop();
+  replica.reset();
+
+  ServiceOptions plain;
+  plain.wal_path = path("r/wal");
+  plain.checkpoint_path = path("r/ckpt");
+  ConnectivityService restarted(kVertices, plain);
+  EXPECT_TRUE(restarted.connected(100, 101, ReadMode::kFresh));
+  EXPECT_TRUE(restarted.connected(102, 103, ReadMode::kFresh));
+  EXPECT_TRUE(restarted.connected(10, 11, ReadMode::kFresh));
+  restarted.stop();
+}
+
+// Installs take the replica's own next number and fall under keep-2
+// retention like written checkpoints, and an image rebase_to_checkpoint
+// would refuse never enters the chain.
+TEST_F(ReplicaServiceTest, InstalledCheckpointsKeepNewestTwo) {
+  start_primary();
+  const CkptImage first = checkpoint_with(0);
+  bootstrap_install(first);
+  auto replica = std::make_unique<ConnectivityService>(kVertices, replica_options());
+  (void)checkpoint_with(2);
+  const CkptImage second = checkpoint_with(4);
+  (void)checkpoint_with(6);
+  const CkptImage third = checkpoint_with(8);
+  std::string err;
+  ASSERT_TRUE(replica->rebase_to_image(second.image, &err)) << err;
+  ASSERT_TRUE(replica->rebase_to_image(third.image, &err)) << err;
+
+  const auto files = list_numbered_files(path("r/ckpt"));
+  ASSERT_EQ(files.size(), 2u);
+  EXPECT_EQ(files.back().seq, 3u);  // local numbering, not the primary's 5
+  EXPECT_FALSE(std::filesystem::exists(path("r/ckpt.tmp")));
+
+  // An older image is refused before it is renamed into the chain.
+  EXPECT_FALSE(replica->rebase_to_image(second.image, &err));
+  EXPECT_EQ(list_numbered_files(path("r/ckpt")).size(), 2u);
+  EXPECT_FALSE(std::filesystem::exists(path("r/ckpt.tmp")));
+  replica->stop();
+
+  CheckpointStore store;
+  store.open(path("r/ckpt"));
+  const auto load = store.load_latest_valid();
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.seq, 3u);
+  EXPECT_EQ(load.data.wal_seq, third.wal_seq);
 }
 
 // --------------------------------------------------------- end to end ----
