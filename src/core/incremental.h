@@ -33,11 +33,10 @@ class IncrementalCC {
     }
   }
 
-  /// Replaces the components with those of a canonical labelling
-  /// (label[v] <= v, label[label[v]] == label[v]; e.g. labels() or a
-  /// checkpoint), which becomes the union-find's parent array as is: O(n),
-  /// no unions. Quiescent call: no concurrent add_edge or query.
-  void assign_labels(std::span<const vertex_t> labels) { dsu_.assign_parents(labels); }
+  /// Starts from the components of a canonical labelling (label[v] <= v,
+  /// label[label[v]] == label[v]; e.g. labels() or a checkpoint), copied
+  /// once as the union-find's parent array: O(n), no unions.
+  explicit IncrementalCC(std::span<const vertex_t> labels) : dsu_(labels) {}
 
   /// Copies the union-find's parent array into `out` (num_vertices()
   /// elements). Every parent[v] <= v, so one ascending pass

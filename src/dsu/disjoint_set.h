@@ -8,9 +8,11 @@
 // Kruskal's MST, which the paper's conclusion calls out).
 #pragma once
 
+#include <numeric>
 #include <span>
 #include <vector>
 
+#include "common/huge_pages.h"
 #include "common/types.h"
 #include "dsu/find.h"
 #include "dsu/hook.h"
@@ -73,15 +75,18 @@ class DisjointSet {
 /// OrderedParentOps, whose ordering the concurrent copy needs.
 class ConcurrentDisjointSet {
  public:
-  explicit ConcurrentDisjointSet(vertex_t n) : parent_(n) {
-    for (vertex_t v = 0; v < n; ++v) parent_[v] = v;
+  /// n singletons.
+  explicit ConcurrentDisjointSet(vertex_t n) : parent_(huge_page_vector<vertex_t>(n)) {
+    parent_.resize(n);
+    std::iota(parent_.begin(), parent_.end(), vertex_t{0});
   }
 
-  /// Replaces the sets with the forest `parents` describes, copied in as
-  /// the parent array with no unions. Precondition: parents[v] <= v for
-  /// every v (the invariant hooks maintain and find relies on) — e.g. a
-  /// flattened labelling, the paper's Fini output. Quiescent call.
-  void assign_parents(std::span<const vertex_t> parents) {
+  /// The sets of the forest `parents` describes, copied once into a fresh
+  /// parent array with no unions. Precondition: parents[v] <= v for every v
+  /// (the invariant hooks maintain and find relies on) — e.g. a flattened
+  /// labelling, the paper's Fini output.
+  explicit ConcurrentDisjointSet(std::span<const vertex_t> parents)
+      : parent_(huge_page_vector<vertex_t>(parents.size())) {
     parent_.assign(parents.begin(), parents.end());
   }
 

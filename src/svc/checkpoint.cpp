@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/huge_pages.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "svc/wal.h"
@@ -31,18 +32,6 @@ constexpr std::size_t kHeaderBytes = 8 + 4;
 constexpr std::size_t kFixedPayloadBytes = 4 + 4 + 8 + 8 + 8;
 // Everything before the label array (44 bytes).
 constexpr std::size_t kImageHeaderBytes = kHeaderBytes + kFixedPayloadBytes;
-// Label bytes read per syscall; small enough to checksum while in L2.
-constexpr std::size_t kReadChunkBytes = std::size_t{1} << 20;
-
-/// label[v] <= v and label[label[v]] == label[v] for every v: each vertex
-/// points straight at a root that is its component's minimum ID.
-bool is_canonical_forest(const std::vector<vertex_t>& labels) {
-  for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
-    const vertex_t l = labels[v];
-    if (l > v || labels[l] != l) return false;
-  }
-  return true;
-}
 
 void put_u64(std::uint8_t* p, std::uint64_t v) {
   put_u32(p, static_cast<std::uint32_t>(v));
@@ -53,6 +42,74 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return static_cast<std::uint64_t>(get_u32(p)) |
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
+
+// Label bytes read and checked per step; small enough to stay in L2.
+constexpr std::size_t kChunkLabels = (std::size_t{1} << 20) / sizeof(vertex_t);
+
+/// Parses the image header `hdr` into *data (labels untouched). Checks the
+/// magic and, before anything is allocated, that the image is exactly the
+/// header plus n labels, so a torn or corrupt n can never drive a huge
+/// resize. Returns why it refuses, or nullptr.
+const char* parse_header(const std::uint8_t* hdr, std::uint64_t image_bytes,
+                         CheckpointData* data) {
+  if (std::memcmp(hdr, kCkptMagic, sizeof(kCkptMagic)) != 0) return "bad magic";
+  const std::uint8_t* payload = hdr + kHeaderBytes;
+  data->n = get_u32(payload + 4);
+  data->watermark = get_u64(payload + 8);
+  data->epoch = get_u64(payload + 16);
+  data->wal_seq = get_u64(payload + 24);
+  if (image_bytes != kImageHeaderBytes + std::uint64_t{data->n} * sizeof(vertex_t)) {
+    return "label array length mismatch";
+  }
+  return nullptr;
+}
+
+/// The one validation pass over a label array, fed in ascending chunks
+/// while each is in cache: the CRC chained over its bytes, then the
+/// canonical-forest test label[v] <= v && label[label[v]] == label[v] with
+/// the root count. Since label[v] <= v, label[label[v]] lies in this chunk
+/// or an earlier one.
+class LabelCheck {
+ public:
+  /// `hdr` is the image header; the CRC covers its fixed payload first.
+  explicit LabelCheck(const std::uint8_t* hdr)
+      : crc_(crc32(hdr + kHeaderBytes, kFixedPayloadBytes)) {}
+
+  /// Checks labels [lo, hi); `labels` holds at least the first hi labels
+  /// as little-endian bytes.
+  void scan(const std::uint8_t* labels, vertex_t lo, vertex_t hi) {
+    crc_ = crc32_update(crc_, labels + std::size_t{lo} * sizeof(vertex_t),
+                        std::size_t{hi - lo} * sizeof(vertex_t));
+    const auto label = [labels](vertex_t v) {
+      return get_u32(labels + std::size_t{v} * sizeof(vertex_t));
+    };
+    bool canonical = true;
+    vertex_t roots = 0;
+    for (vertex_t v = lo; v < hi; ++v) {
+      const vertex_t l = label(v);
+      if (l > v || label(l) != l) canonical = false;
+      roots += l == v ? 1 : 0;
+    }
+    canonical_ = canonical_ && canonical;
+    roots_ += roots;
+  }
+
+  /// The verdict once every label was scanned, checked in the format's
+  /// order (CRC, version, forest): why it refuses, or nullptr.
+  [[nodiscard]] const char* verdict(const std::uint8_t* hdr) const {
+    if (crc_ != get_u32(hdr + 8)) return "CRC mismatch (torn or corrupt)";
+    if (get_u32(hdr + kHeaderBytes) != kCkptVersion) return "unsupported version";
+    if (!canonical_) return "labels are not a canonical forest";
+    return nullptr;
+  }
+
+  [[nodiscard]] vertex_t roots() const { return roots_; }
+
+ private:
+  std::uint32_t crc_;
+  bool canonical_ = true;
+  vertex_t roots_ = 0;
+};
 
 std::string errno_str(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -102,37 +159,28 @@ bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
       !read_upto(fd, hdr.data(), hdr.size())) {
     return fail("truncated header");
   }
-  if (std::memcmp(hdr.data(), kCkptMagic, sizeof(kCkptMagic)) != 0) return fail("bad magic");
-  const std::uint8_t* payload = hdr.data() + kHeaderBytes;
   CheckpointData data;
-  data.n = get_u32(payload + 4);
-  data.watermark = get_u64(payload + 8);
-  data.epoch = get_u64(payload + 16);
-  data.wal_seq = get_u64(payload + 24);
-  // Checked against the file size before anything is allocated, so a torn
-  // or corrupt n can never drive a huge resize.
-  const std::size_t label_bytes = static_cast<std::size_t>(data.n) * sizeof(vertex_t);
-  if (static_cast<std::size_t>(st.st_size) != hdr.size() + label_bytes) {
-    return fail("label array length mismatch");
-  }
-
-  // Labels land in their final buffer in bounded chunks, each checksummed
-  // while it is still in cache.
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+  if (const char* why = parse_header(hdr.data(), file_bytes, &data)) return fail(why);
+  // The labels are read straight into their final, huge-page-advised
+  // buffer and checked chunk by chunk as they arrive.
+  data.labels = huge_page_vector<vertex_t>(data.n);
   data.labels.resize(data.n);
-  std::uint32_t crc = crc32(payload, kFixedPayloadBytes);
   auto* dst = reinterpret_cast<std::uint8_t*>(data.labels.data());
-  for (std::size_t done = 0; done < label_bytes;) {
-    const std::size_t chunk = std::min(kReadChunkBytes, label_bytes - done);
-    if (!read_upto(fd, dst + done, chunk)) {
+  LabelCheck check(hdr.data());
+  for (vertex_t lo = 0; lo < data.n;) {
+    const auto hi =
+        static_cast<vertex_t>(lo + std::min<std::size_t>(kChunkLabels, data.n - lo));
+    if (!read_upto(fd, dst + std::size_t{lo} * sizeof(vertex_t),
+                   std::size_t{hi - lo} * sizeof(vertex_t))) {
       if (err != nullptr) *err = errno_str("ckpt read " + path);
       return false;
     }
-    crc = crc32_update(crc, dst + done, chunk);
-    done += chunk;
+    check.scan(dst, lo, hi);
+    lo = hi;
   }
-  if (crc != get_u32(hdr.data() + 8)) return fail("CRC mismatch (torn or corrupt)");
-  if (get_u32(payload) != kCkptVersion) return fail("unsupported version");
-  if (!is_canonical_forest(data.labels)) return fail("labels are not a canonical forest");
+  if (const char* why = check.verdict(hdr.data())) return fail(why);
+  data.components = check.roots();
   *out = std::move(data);
   return true;
 }
@@ -288,22 +336,27 @@ CkptImage CheckpointStore::read_newest_image(const std::string& base) {
     bool raced = false;
     const auto files = list_numbered_files(base);
     for (auto it = files.rbegin(); it != files.rend() && !raced; ++it) {
-      CheckpointData data;
-      std::string err;
-      const bool valid = read_file(it->path, &data, &err);
-      const int fd = valid ? ::open(it->path.c_str(), O_RDONLY | O_CLOEXEC) : -1;
+      // One read of the whole file, validated in memory as read_file()
+      // validates it from disk.
+      const int fd = ::open(it->path.c_str(), O_RDONLY | O_CLOEXEC);
       struct stat st{};
       if (fd < 0 || ::fstat(fd, &st) != 0) {
-        // Gone since the listing: rotation won, take a fresh one. Otherwise
-        // the file is genuinely invalid: fall back to the next-newest.
-        raced = ::stat(it->path.c_str(), &st) != 0 && errno == ENOENT;
+        // Gone since the listing: rotation won, take a fresh one.
+        raced = fd < 0 && errno == ENOENT;
         if (fd >= 0) ::close(fd);
         continue;
       }
       std::vector<std::uint8_t> image(static_cast<std::size_t>(st.st_size));
       const bool read_ok = read_upto(fd, image.data(), image.size());
       ::close(fd);
-      if (!read_ok) continue;
+      CheckpointData data;
+      if (!read_ok || image.size() < kImageHeaderBytes ||
+          parse_header(image.data(), image.size(), &data) != nullptr) {
+        continue;  // invalid: fall back to the next-newest
+      }
+      LabelCheck check(image.data());
+      check.scan(image.data() + kImageHeaderBytes, 0, data.n);
+      if (check.verdict(image.data()) != nullptr) continue;
       out.has = true;
       out.seq = it->seq;
       out.wal_seq = data.wal_seq;

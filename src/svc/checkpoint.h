@@ -66,6 +66,9 @@ struct CheckpointData : CheckpointHeader {
   /// label[label[v]] == label[v], so the array is also a flat union-find
   /// parent array. read_file() rejects any file whose labels are not.
   std::vector<vertex_t> labels;
+  /// Roots among the labels (components), counted by read_file()'s
+  /// validation pass; not written.
+  vertex_t components = 0;
 };
 
 struct CheckpointWriteResult {
@@ -144,15 +147,18 @@ class CheckpointStore {
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
 
   /// Parses one checkpoint file: the header, then the label array read
-  /// straight into out->labels with the CRC chained over it, then the
-  /// canonical-forest check. Exposed for tests and fallback logic.
+  /// straight into out->labels in chunks, each checked as it arrives (CRC,
+  /// canonical forest, root count) in one pass. Exposed for tests and
+  /// fallback logic.
   [[nodiscard]] static bool read_file(const std::string& path, CheckpointData* out,
                                       std::string* err);
 
   /// The newest valid checkpoint under `base` as a raw file image (the
-  /// primary's side of kFetchCkpt). Reads by name, retrying with a fresh
-  /// listing when the file vanishes, because the compaction thread's keep-2
-  /// rotation may unlink it concurrently. has == false when none is valid.
+  /// primary's side of kFetchCkpt). Reads each file once and validates the
+  /// bytes in memory with read_file()'s checks. Reads by name, retrying
+  /// with a fresh listing when the file vanishes, because the compaction
+  /// thread's keep-2 rotation may unlink it concurrently. has == false when
+  /// none is valid.
   [[nodiscard]] static CkptImage read_newest_image(const std::string& base);
 
  private:

@@ -29,37 +29,60 @@ vertex_t finalize(std::vector<vertex_t>& labels) {
   return components;
 }
 
-vertex_t count_roots(const std::vector<vertex_t>& labels) {
-  vertex_t components = 0;
-  for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
-    if (labels[v] == v) ++components;
-  }
-  return components;
-}
-
 }  // namespace
 
 ConnectivityService::ConnectivityService(vertex_t n, ServiceOptions opts)
-    : num_vertices_(n), opts_(opts), live_(n), queue_(opts.queue_capacity) {
+    : ConnectivityService(recover_checkpoint(n, nullptr, opts), opts) {}
+
+ConnectivityService::ConnectivityService(const Graph& seed, ServiceOptions opts)
+    : ConnectivityService(recover_checkpoint(seed.num_vertices(), &seed, opts), opts) {}
+
+ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
+    : num_vertices_(rec.n),
+      opts_(opts),
+      live_(rec.ckpt ? IncrementalCC(std::span<const vertex_t>(rec.ckpt->labels))
+            : rec.seed != nullptr ? IncrementalCC(*rec.seed)
+                                  : IncrementalCC(rec.n)),
+      queue_(opts.queue_capacity),
+      ckpt_store_(std::move(rec.store)) {
   replica_.store(opts_.replica, std::memory_order_release);
-  init_durability();
+  applied_edges_.store(rec.seed_edges);
+  init_durability(std::move(rec.ckpt));
   start_threads();
 }
 
-ConnectivityService::ConnectivityService(const Graph& seed, ServiceOptions opts)
-    : num_vertices_(seed.num_vertices()),
-      opts_(opts),
-      live_(seed),
-      queue_(opts.queue_capacity) {
-  replica_.store(opts_.replica, std::memory_order_release);
-  // live_ already holds the seed's components; count its edges as applied.
-  std::uint64_t edges = 0;
-  for (vertex_t v = 0; v < num_vertices_; ++v) {
-    for (const vertex_t u : seed.neighbors(v)) edges += u < v ? 1 : 0;
+ConnectivityService::Recovered ConnectivityService::recover_checkpoint(
+    vertex_t n, const Graph* seed, const ServiceOptions& opts) {
+  Recovered rec;
+  rec.n = n;
+  rec.seed = seed;
+  if (seed != nullptr) {
+    for (vertex_t v = 0; v < n; ++v) {
+      for (const vertex_t u : seed->neighbors(v)) rec.seed_edges += u < v ? 1 : 0;
+    }
   }
-  applied_edges_.store(edges);
-  init_durability();
-  start_threads();
+  if (opts.checkpoint_path.empty()) return rec;
+  rec.store.open(opts.checkpoint_path);
+  auto load = rec.store.load_latest_valid();
+  if (load.found_any && !load.ok) {
+    std::fprintf(stderr,
+                 "[ecl::svc] no valid checkpoint (%s); falling back to full WAL replay\n",
+                 load.error.c_str());
+  }
+  if (!load.ok) return rec;
+  if (load.data.n != n) {
+    throw std::runtime_error("ecl::svc checkpoint vertex count mismatch: checkpoint has " +
+                             std::to_string(load.data.n) + ", service has " +
+                             std::to_string(n));
+  }
+  if (load.data.watermark < rec.seed_edges) {
+    // Predates the seed graph this ctor was given: installing it would
+    // drop seed edges from the watermark accounting. Start from the seed.
+    std::fprintf(stderr, "[ecl::svc] ignoring checkpoint older than the seed graph\n");
+    return rec;
+  }
+  rec.ckpt = std::move(load.data);
+  return rec;
 }
 
 std::uint64_t ConnectivityService::now_ms() const {
@@ -68,51 +91,29 @@ std::uint64_t ConnectivityService::now_ms() const {
                                         .count());
 }
 
-void ConnectivityService::init_durability() {
+void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
   std::uint64_t covered_seq = 0;  // WAL segments <= this are in the checkpoint
-  if (!opts_.checkpoint_path.empty()) {
-    ckpt_store_.open(opts_.checkpoint_path);
-    auto load = ckpt_store_.load_latest_valid();
-    if (load.found_any && !load.ok) {
-      std::fprintf(stderr,
-                   "[ecl::svc] no valid checkpoint (%s); falling back to full WAL replay\n",
-                   load.error.c_str());
-    }
-    if (load.ok && load.data.n != num_vertices_) {
-      throw std::runtime_error(
-          "ecl::svc checkpoint vertex count mismatch: checkpoint has " +
-          std::to_string(load.data.n) + ", service has " +
-          std::to_string(num_vertices_));
-    }
-    if (load.ok && load.data.watermark < applied_edges_.load(std::memory_order_acquire)) {
-      // Predates the seed graph this ctor was given: installing it would
-      // drop seed edges from the watermark accounting. Start from the seed.
-      std::fprintf(stderr,
-                   "[ecl::svc] ignoring checkpoint older than the seed graph\n");
-    } else if (load.ok) {
-      covered_seq = load.data.wal_seq;
-      // read_file() has checked that the labels are a canonical forest —
-      // the paper's Fini output, every vertex pointing straight at its
-      // component's minimum. That is already a valid flat parent array, so
-      // it is installed as the live union-find with one copy and no unions
-      // (superseding the seed graph, if any), and published as the first
-      // snapshot. Restart cost is read + CRC + validate + copy, independent
-      // of lifetime ingest.
-      auto snap = std::make_shared<Snapshot>();
-      snap->epoch = load.data.epoch;
-      snap->watermark = load.data.watermark;
-      snap->labels = std::move(load.data.labels);
-      snap->num_components = count_roots(snap->labels);
-      live_.assign_labels(snap->labels);
-      applied_edges_.store(snap->watermark, std::memory_order_release);
-      has_ckpt_.store(true, std::memory_order_release);
-      last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
-      last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
-      last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
-      ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loads", 1);
-      ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", snap->watermark);
-      snapshot_.store(std::move(snap));
-    }
+  if (ckpt) {
+    covered_seq = ckpt->wal_seq;
+    // read_file() has checked that the labels are a canonical forest — the
+    // paper's Fini output, every vertex pointing straight at its
+    // component's minimum — and counted its roots. live_ was built from a
+    // copy of them (superseding the seed graph, if any); the loaded array
+    // itself becomes the first snapshot. Restart cost is read + CRC and
+    // validation in one pass + one copy, independent of lifetime ingest.
+    auto snap = std::make_shared<Snapshot>();
+    snap->epoch = ckpt->epoch;
+    snap->watermark = ckpt->watermark;
+    snap->labels = std::move(ckpt->labels);
+    snap->num_components = ckpt->components;
+    applied_edges_.store(snap->watermark, std::memory_order_release);
+    has_ckpt_.store(true, std::memory_order_release);
+    last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
+    last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
+    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+    ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loads", 1);
+    ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", snap->watermark);
+    snapshot_.store(std::move(snap));
   }
   if (snapshot_.load(std::memory_order_relaxed) == nullptr) run_compaction();
   ckpt_covered_seq_.store(covered_seq, std::memory_order_relaxed);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -361,14 +362,31 @@ class ConnectivityService {
   /// `watermark` applied edges and at most those applied by the copy's end.
   /// The first call (no snapshot yet) publishes epoch 0.
   void run_compaction();
-  /// Ctor-only recovery: load the newest valid checkpoint and install its
-  /// labels both as the live union-find's parent array and as the initial
-  /// snapshot — no unions, no ECL-CC run — then replay only the WAL tail
+  /// What recovery knows before the live union-find exists: the opened
+  /// checkpoint chain and, when usable, its newest valid checkpoint.
+  struct Recovered {
+    vertex_t n = 0;
+    const Graph* seed = nullptr;
+    std::uint64_t seed_edges = 0;  // the seed's edges, applied before any WAL
+    CheckpointStore store;
+    std::optional<CheckpointData> ckpt;
+  };
+  /// Ctor-only: opens the checkpoint chain and loads its newest valid
+  /// checkpoint, unless it predates the seed graph. Throws
+  /// std::runtime_error on a vertex-count mismatch.
+  [[nodiscard]] static Recovered recover_checkpoint(vertex_t n, const Graph* seed,
+                                                    const ServiceOptions& opts);
+  /// Both public constructors: live_ starts from the checkpoint's labels
+  /// (copied once, no unions, no ECL-CC run), else from the seed graph,
+  /// else as singletons.
+  ConnectivityService(Recovered rec, ServiceOptions opts);
+  /// Ctor-only recovery: publish the checkpoint's labels (moved, not
+  /// copied) as the initial snapshot, then replay only the WAL tail
   /// segments past it and open the WAL for appending. Without a checkpoint
   /// the first snapshot is the copy + Fini of the live union-find (the
   /// seed graph's components, or all singletons).
-  /// Throws std::runtime_error on an unusable WAL/checkpoint state.
-  void init_durability();
+  /// Throws std::runtime_error on an unusable WAL state.
+  void init_durability(std::optional<CheckpointData> ckpt);
   /// Compaction-thread: writes a checkpoint when forced, due by interval,
   /// or on the final drain — see do_checkpoint().
   void maybe_checkpoint(bool force, bool exiting);

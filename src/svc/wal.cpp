@@ -124,11 +124,13 @@ namespace {
 // advance the register by eight input bytes at once.
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
+constexpr std::uint32_t kCrcPoly = 0xEDB88320u;
+
 constexpr CrcTables make_crc_tables() {
   CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? kCrcPoly ^ (c >> 1) : c >> 1;
     t[0][i] = c;
   }
   for (std::size_t k = 1; k < 8; ++k) {
@@ -141,20 +143,80 @@ constexpr CrcTables make_crc_tables() {
 
 constexpr CrcTables kCrcTables = make_crc_tables();
 
+/// Advances the CRC register c over the 8 bytes at p.
+inline std::uint32_t crc_step8(std::uint32_t c, const std::uint8_t* p) {
+  const auto& t = kCrcTables;
+  const std::uint32_t lo = c ^ get_u32(p);
+  const std::uint32_t hi = get_u32(p + 4);
+  return t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+         t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+         t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+}
+
+// Four-lane CRC. The register update is linear over GF(2), so the register
+// after lanes A|B|C|D is S(S(S(r_A) ^ r_B) ^ r_C) ^ r_D, where r_A starts
+// from the incoming register, r_B..r_D start from 0, and S feeds a lane's
+// worth of zero bytes: multiplication by x^(8 * kCrcLaneBytes) mod P (zlib's
+// crc32_combine). The four lanes are independent dependency chains, so one
+// loop over them runs about twice as fast as a single slice-by-8 chain,
+// which waits on its own table lookups every 8 bytes.
+constexpr std::size_t kCrcLaneBytes = kCrc32LaneThresholdBytes / 4;
+
+/// a(x) * b(x) mod P in the reflected representation (bit 31 is x^0).
+constexpr std::uint32_t crc_multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t p = 0;
+  for (std::uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) p ^= b;
+    b = (b & 1u) ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
+
+/// S as four byte tables: S(c) = t[0][c & 0xFF] ^ ... ^ t[3][c >> 24].
+using CrcShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
+
+constexpr CrcShiftTables make_crc_lane_shift() {
+  // x^(8 * kCrcLaneBytes) mod P by square-and-multiply.
+  std::uint32_t shift = 1u << 31;  // x^0
+  std::uint32_t square = 1u << 30;  // x^1
+  for (std::size_t e = 8 * kCrcLaneBytes; e != 0; e >>= 1) {
+    if ((e & 1u) != 0) shift = crc_multmodp(shift, square);
+    square = crc_multmodp(square, square);
+  }
+  CrcShiftTables t{};
+  for (std::uint32_t k = 0; k < 4; ++k) {
+    for (std::uint32_t b = 0; b < 256; ++b) t[k][b] = crc_multmodp(shift, b << (8 * k));
+  }
+  return t;
+}
+
+constexpr CrcShiftTables kCrcLaneShift = make_crc_lane_shift();
+
+inline std::uint32_t crc_lane_shift(std::uint32_t c) {
+  const auto& t = kCrcLaneShift;
+  return t[0][c & 0xFFu] ^ t[1][(c >> 8) & 0xFFu] ^ t[2][(c >> 16) & 0xFFu] ^ t[3][c >> 24];
+}
+
 }  // namespace
 
 std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n) {
-  const auto& t = kCrcTables;
   std::uint32_t c = ~crc;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = c ^ get_u32(p);
-    const std::uint32_t hi = get_u32(p + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  for (; n >= kCrc32LaneThresholdBytes;
+       p += kCrc32LaneThresholdBytes, n -= kCrc32LaneThresholdBytes) {
+    std::uint32_t c1 = 0;
+    std::uint32_t c2 = 0;
+    std::uint32_t c3 = 0;
+    for (std::size_t i = 0; i < kCrcLaneBytes; i += 8) {
+      c = crc_step8(c, p + i);
+      c1 = crc_step8(c1, p + kCrcLaneBytes + i);
+      c2 = crc_step8(c2, p + 2 * kCrcLaneBytes + i);
+      c3 = crc_step8(c3, p + 3 * kCrcLaneBytes + i);
+    }
+    c = crc_lane_shift(crc_lane_shift(crc_lane_shift(c) ^ c1) ^ c2) ^ c3;
   }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) c = crc_step8(c, p);
+  for (; n > 0; ++p, --n) c = kCrcTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return ~c;
 }
 
@@ -226,19 +288,36 @@ bool WriteAheadLog::open(const std::string& path, WalOptions opts, std::string* 
   return true;
 }
 
+std::size_t encode_wal_records(std::span<const Edge> batch, std::uint32_t max_payload_bytes,
+                               std::vector<std::uint8_t>* out) {
+  const std::size_t per_record = std::max<std::size_t>(max_payload_bytes / 8, 1);
+  const std::size_t records = (batch.size() + per_record - 1) / per_record;
+  out->resize(records * kRecordHeaderBytes + batch.size() * 8);
+  std::uint8_t* rec = out->data();
+  for (std::size_t first = 0; first < batch.size(); first += per_record) {
+    const auto edges = batch.subspan(first, std::min(per_record, batch.size() - first));
+    const auto payload_len = static_cast<std::uint32_t>(edges.size() * 8);
+    std::uint8_t* payload = rec + kRecordHeaderBytes;
+    std::uint8_t* p = payload;
+    for (const auto& [u, v] : edges) {
+      put_u32(p, u);
+      put_u32(p + 4, v);
+      p += 8;
+    }
+    put_u32(rec, payload_len);
+    put_u32(rec + 4, crc32(payload, payload_len));
+    rec = p;
+  }
+  return records;
+}
+
 bool WriteAheadLog::append(const std::vector<Edge>& batch) {
   if (fd_ < 0) return false;
   if (batch.empty()) return true;
-  const std::uint32_t payload_len = static_cast<std::uint32_t>(batch.size() * 8);
-  std::vector<std::uint8_t> rec(kRecordHeaderBytes + payload_len);
-  std::uint8_t* p = rec.data() + kRecordHeaderBytes;
-  for (const auto& [u, v] : batch) {
-    put_u32(p, u);
-    put_u32(p + 4, v);
-    p += 8;
-  }
-  put_u32(rec.data(), payload_len);
-  put_u32(rec.data() + 4, crc32(rec.data() + kRecordHeaderBytes, payload_len));
+  // Every record must be one the decoder accepts, or a restart would cut
+  // this acked batch off as a corrupt tail.
+  std::vector<std::uint8_t> rec;
+  const std::size_t records = encode_wal_records(batch, kMaxPayloadBytes, &rec);
 
   // Injected faults: kFail dies before any byte lands, kShort writes `arg`
   // bytes of the record first (the mid-record crash the torn-tail replay
@@ -262,7 +341,7 @@ bool WriteAheadLog::append(const std::vector<Edge>& batch) {
     return false;
   }
   file_bytes_ += rec.size();
-  ++appended_records_;
+  appended_records_ += records;
   ++unsynced_appends_;
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.appends", 1);
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.appended_edges", batch.size());

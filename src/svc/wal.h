@@ -13,10 +13,12 @@
 //   record   u32 payload_len | u32 crc32(payload) | payload
 //   payload  payload_len/8 edges, each u32 u | u32 v
 //
-// This file owns that framing: WriteAheadLog::append() is its one writer and
-// WalDecoder its one reader. Replay (restart, promotion) and the replica's
-// stream (svc/replica.h) both feed bytes to a WalDecoder, so the two can
-// never disagree on what a valid record is.
+// This file owns that framing: encode_wal_records() (through
+// WriteAheadLog::append()) is its one writer and WalDecoder its one reader,
+// and both hold records to the same 2^26-byte payload limit. Replay
+// (restart, promotion) and the replica's stream (svc/replica.h) both feed
+// bytes to a WalDecoder, so the two can never disagree on what a valid
+// record is.
 //
 // A crash can tear the final record (partial write, or payload written but
 // CRC not). Replay validates each record's CRC and, at the first torn or
@@ -121,6 +123,13 @@ class WalDecoder {
   std::uint64_t offset_ = 0;
 };
 
+/// Frames `batch` as WAL records in order, each holding at most
+/// `max_payload_bytes` (>= 8) of payload, into *out (replacing its
+/// contents); returns the record count. WriteAheadLog::append passes the
+/// decoder's limit; a small limit splits small batches the same way.
+std::size_t encode_wal_records(std::span<const Edge> batch, std::uint32_t max_payload_bytes,
+                               std::vector<std::uint8_t>* out);
+
 class WriteAheadLog {
  public:
   WriteAheadLog() = default;
@@ -135,8 +144,9 @@ class WriteAheadLog {
   /// at end-of-file. Returns false with *err filled in on failure.
   [[nodiscard]] bool open(const std::string& path, WalOptions opts, std::string* err);
 
-  /// Appends one batch as a single CRC-framed record and applies the fsync
-  /// policy. False on any I/O failure (the log is closed: a WAL that can no
+  /// Appends one batch as CRC-framed records (one, unless the batch exceeds
+  /// the decoder's 2^26-byte payload limit) with one write, and applies the
+  /// fsync policy. False on any I/O failure (the log is closed: a WAL that can no
   /// longer persist must not pretend to — the service reacts by entering
   /// degraded mode). Empty batches are a no-op.
   [[nodiscard]] bool append(const std::vector<Edge>& batch);
@@ -308,9 +318,15 @@ class WalSegmentReader {
                                          std::uint64_t offset, std::uint32_t max_bytes);
 };
 
-/// CRC32 (reflected 0xEDB88320, zlib-compatible), computed slice-by-8.
-/// Exposed for tests that hand-craft torn or corrupt WAL images.
+/// CRC32 (reflected 0xEDB88320, zlib-compatible), computed slice-by-8;
+/// every whole kCrc32LaneThresholdBytes stripe of the input runs as four
+/// interleaved lanes whose CRCs are then combined. Exposed for tests that
+/// hand-craft torn or corrupt WAL images.
 [[nodiscard]] std::uint32_t crc32(const void* data, std::size_t n);
+
+/// Inputs shorter than this (a WAL record of a few hundred edges) take the
+/// single-lane slice-by-8 loop only.
+inline constexpr std::size_t kCrc32LaneThresholdBytes = 16 * 1024;
 
 /// Extends a finished CRC32 over n more bytes, like zlib's crc32(crc, ...):
 /// crc32_update(crc32(a), b) == crc32(a followed by b), and crc 0 starts a

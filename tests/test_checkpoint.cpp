@@ -140,19 +140,37 @@ TEST(Crc32Test, KnownAnswer) {
 }
 
 TEST(Crc32Test, ChainedUpdateMatchesOneShotAtEverySplit) {
-  std::vector<std::uint8_t> buf(64);
+  constexpr std::size_t kStripe = kCrc32LaneThresholdBytes;
+  constexpr std::size_t kLane = kStripe / 4;
+  constexpr std::size_t kLarge = (std::size_t{3} << 20) + 5;
+  std::vector<std::uint8_t> buf(kLarge + 8);
   for (std::size_t i = 0; i < buf.size(); ++i) {
-    buf[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    buf[i] = static_cast<std::uint8_t>(i * 131 + 7 + (i >> 11));
   }
-  // Start offsets 0..7 and lengths up to 40 put the 8-byte steps at every
-  // alignment and leave every tail length; splits 0..15 cut inside and
-  // across them.
+  // Lengths up to 40 put the 8-byte steps at every alignment and leave
+  // every tail length; the lengths around kStripe enter the four-lane path
+  // with every tail, and kLarge runs it over many stripes. Start offsets
+  // 0..7 misalign each of them.
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 40; ++len) lengths.push_back(len);
+  for (std::size_t len = kStripe - 1; len <= kStripe + 8; ++len) lengths.push_back(len);
+  lengths.push_back(kLarge);
   for (std::size_t off = 0; off < 8; ++off) {
     const std::uint8_t* p = buf.data() + off;
-    for (std::size_t len = 0; len <= 40; ++len) {
+    for (const std::size_t len : lengths) {
       const std::uint32_t one_shot = crc32(p, len);
       ASSERT_EQ(one_shot, reference_crc32(p, len)) << "off " << off << " len " << len;
-      for (std::size_t split = 0; split <= std::min<std::size_t>(15, len); ++split) {
+      // Splits 0..15 cut inside and across the 8-byte steps; the rest cut
+      // inside a lane and at lane and stripe boundaries, so a chained
+      // update starts a stripe mid-input.
+      std::vector<std::size_t> splits;
+      for (std::size_t split = 0; split <= 15; ++split) splits.push_back(split);
+      for (const std::size_t split : {kLane / 2, kLane, kLane + 3, 3 * kLane - 1, kStripe,
+                                      kStripe + kLane + 1, len / 2, len - 1}) {
+        splits.push_back(split);
+      }
+      for (const std::size_t split : splits) {
+        if (split > len) continue;
         ASSERT_EQ(crc32_update(crc32(p, split), p + split, len - split), one_shot)
             << "off " << off << " len " << len << " split " << split;
       }
@@ -232,23 +250,38 @@ TEST_F(CheckpointStoreTest, CorruptNewestFallsBackToPrevious) {
   EXPECT_EQ(load.seq, 1u);
   EXPECT_EQ(load.fallbacks, 1u);
   EXPECT_EQ(load.data.watermark, 10u);
+  EXPECT_EQ(CheckpointStore::read_newest_image(path("ckpt")).seq, 1u);  // served likewise
 }
 
 TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
   // The restart installs the labels as the live union-find's parent array,
   // so a CRC-valid image whose labels are not a canonical forest is as
-  // unusable as a torn one: the loader must skip it for the older file.
-  const std::vector<std::vector<vertex_t>> bad = {
-      {0, 2, 2, 3},  // label[1] = 2 > 1: not its component's minimum
-      {0, 0, 1, 3},  // label[2] = 1 but label[1] = 0: a chain, not flat
+  // unusable as a torn one: the loader must skip it for the older file,
+  // and so must the kFetchCkpt server. The labels are checked one 1 MiB
+  // chunk at a time, so the violations below also sit at the last vertex
+  // and at the first vertex of a later chunk.
+  struct Case {
+    std::uint32_t n;
+    vertex_t v;      // the vertex whose label breaks the forest
+    vertex_t label;  // its label
+  };
+  constexpr std::uint32_t kChunk = (1u << 20) / sizeof(vertex_t);
+  constexpr std::uint32_t kN = 2 * kChunk + 5;  // sample_data: label = v / 2 * 2
+  const std::vector<Case> bad = {
+      {4, 1, 2},                 // label[1] = 2 > 1: not its component's minimum
+      {4, 2, 1},                 // label[2] = 1 but label[1] = 0: a chain, not flat
+      {kN, kN - 1, kN},          // label > v at the last vertex (out of range too)
+      {kN, kN - 1, 3},           // a chain at the last vertex
+      {kN, kChunk, kChunk + 1},  // label > v at the second chunk's first vertex
+      {kN, kChunk, 1},           // a chain there
   };
   for (std::size_t i = 0; i < bad.size(); ++i) {
     const std::string base = path("ckpt" + std::to_string(i));
     CheckpointStore store;
     store.open(base);
-    ASSERT_TRUE(store.write(sample_data(4, 10, 1, 1)).ok);
-    auto data = sample_data(4, 20, 2, 2);
-    data.labels = bad[i];
+    ASSERT_TRUE(store.write(sample_data(bad[i].n, 10, 1, 1)).ok);
+    auto data = sample_data(bad[i].n, 20, 2, 2);
+    data.labels[bad[i].v] = bad[i].label;
     ASSERT_TRUE(store.write(data).ok);  // the writer trusts its caller
 
     CheckpointData out;
@@ -261,6 +294,8 @@ TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
     EXPECT_EQ(load.seq, 1u) << i;
     EXPECT_EQ(load.fallbacks, 1u) << i;
     EXPECT_EQ(load.data.watermark, 10u) << i;
+    EXPECT_EQ(load.data.components, (bad[i].n + 1) / 2) << i;
+    EXPECT_EQ(CheckpointStore::read_newest_image(base).seq, 1u) << i;
   }
 }
 
@@ -676,6 +711,51 @@ TEST_F(ServiceCheckpointTest, RestartReplaysOnlyTheUncheckpointedTail) {
   EXPECT_TRUE(revived.connected(2, 12, ReadMode::kSnapshot));
   EXPECT_EQ(revived.component_of(12, ReadMode::kSnapshot), 1u);
   EXPECT_TRUE(modes_agree());
+  revived.stop();
+}
+
+// At a service-sized universe the loaded label array and the live
+// union-find's parent array span many 2 MiB regions, so the restart runs
+// the huge-page-advised allocations and the four-lane CRC.
+TEST_F(ServiceCheckpointTest, LargeRestartKeepsComponentsAndTakesNewJoins) {
+  constexpr vertex_t kN = (1u << 20) + 3;
+  constexpr vertex_t kRun = 1000;  // components are runs of 1000 vertices
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  {
+    ConnectivityService service(kN, opts);
+    ConnectivityService::EdgeBatch batch;
+    for (vertex_t v = 0; v + 1 < kN; ++v) {
+      if ((v + 1) % kRun != 0) batch.emplace_back(v + 1, v);
+      if (batch.size() == 50000 || v + 2 == kN) {
+        while (service.submit(batch) != Admission::kAccepted) service.flush();
+        batch.clear();
+      }
+    }
+    service.flush();
+    service.stop();  // writes the final checkpoint
+  }
+  ConnectivityService revived(kN, opts);
+  EXPECT_EQ(revived.replayed_edges(), 0u);
+  constexpr vertex_t kComponents = (kN + kRun - 1) / kRun;
+  EXPECT_EQ(revived.snapshot()->num_components, kComponents);
+  for (const ReadMode mode : {ReadMode::kSnapshot, ReadMode::kFresh}) {
+    EXPECT_TRUE(revived.connected(0, kRun - 1, mode));
+    EXPECT_FALSE(revived.connected(kRun - 1, kRun, mode));
+    EXPECT_TRUE(revived.connected(kN - 1, kN / kRun * kRun, mode));
+    EXPECT_EQ(revived.component_of(kN - 1, mode), kN / kRun * kRun);
+  }
+
+  // Join two checkpointed components through non-root members.
+  ASSERT_EQ(revived.submit({{5 * kRun + 7, 2 * kRun + 500}}), Admission::kAccepted);
+  revived.flush();
+  EXPECT_TRUE(revived.connected(2 * kRun, 6 * kRun - 1, ReadMode::kFresh));
+  (void)revived.compact_now();
+  EXPECT_TRUE(revived.connected(2 * kRun, 6 * kRun - 1, ReadMode::kSnapshot));
+  EXPECT_EQ(revived.component_of(5 * kRun, ReadMode::kSnapshot), 2 * kRun);
+  EXPECT_EQ(revived.snapshot()->num_components, kComponents - 1);
   revived.stop();
 }
 

@@ -384,6 +384,34 @@ TEST_F(WalTest, HandCraftedRecordMatchesTheWriterFormat) {
   EXPECT_EQ(r.edges[0], (Edge{7, 9}));
 }
 
+// A batch over the record limit is written as several records, so the
+// decoder never refuses (and a restart never cuts off) an acked batch.
+// append() splits at the decoder's 2^26-byte limit; the same encoder with a
+// 24-byte limit splits a 7-edge batch into records of 3, 3 and 1 edges.
+TEST_F(WalTest, BatchOverTheRecordLimitSplitsAndReplaysInOrder) {
+  const std::vector<Edge> batch = {{1, 2}, {3, 4}, {5, 6}, {7, 8},
+                                   {9, 10}, {11, 12}, {13, 14}};
+  std::vector<std::uint8_t> records;
+  ASSERT_EQ(encode_wal_records(batch, /*max_payload_bytes=*/24, &records), 3u);
+  ASSERT_EQ(records.size(), 3 * 8 + batch.size() * 8);
+  write_batches({});  // a WAL holding just its magic
+  append_raw(records.data(), records.size());
+
+  const auto whole = WriteAheadLog::replay_and_truncate(path_);
+  ASSERT_TRUE(whole.ok) << whole.error;
+  EXPECT_EQ(whole.records, 3u);
+  EXPECT_EQ(whole.truncated_bytes, 0u);
+  EXPECT_EQ(whole.edges, batch);
+
+  // Torn inside the second record: only the first record replays.
+  ASSERT_EQ(::truncate(path_.c_str(), 8 + (8 + 24) + 8 + 5), 0);
+  const auto torn = WriteAheadLog::replay_and_truncate(path_);
+  ASSERT_TRUE(torn.ok) << torn.error;
+  EXPECT_EQ(torn.records, 1u);
+  EXPECT_EQ(torn.edges, std::vector<Edge>(batch.begin(), batch.begin() + 3));
+  EXPECT_EQ(file_size(), 8u + 8 + 24);
+}
+
 TEST_F(WalTest, ForeignFileIsRefusedNotTruncated) {
   const char junk[] = "NOT A WAL, DO NOT EAT";
   append_raw(junk, sizeof(junk));

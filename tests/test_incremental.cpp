@@ -163,12 +163,11 @@ TEST(IncrementalCC, ConcurrentBulkAddAndQuery) {
 }
 
 TEST(IncrementalCC, AssignedLabelsActAsTheUnionFind) {
-  // A canonical labelling installed as the parent array answers like the
-  // structure that produced it, and later insertions merge across it.
+  // A structure built from a canonical labelling answers like the one that
+  // produced it, and later insertions merge across it.
   const Graph g = gen_uniform_random(2000, 1500, 41);
   const auto labels = reference_components(g);
-  IncrementalCC cc(g.num_vertices());
-  cc.assign_labels(labels);
+  IncrementalCC cc{std::span<const vertex_t>(labels)};
   EXPECT_EQ(cc.num_components(), count_components(g));
   for (vertex_t v = 0; v < g.num_vertices(); ++v) ASSERT_EQ(cc.component_of(v), labels[v]);
 
