@@ -79,53 +79,57 @@ Replicator::~Replicator() { stop(); }
 
 bool Replicator::start(std::string* err) {
   std::lock_guard<std::mutex> lock(stop_mu_);
-  if (started_) return true;
-  {
-    std::lock_guard<std::mutex> tick_lock(tick_mu_);
-    // Resume where the mirror ends. The service ctor already replayed (and
-    // torn-tail-truncated) every mirrored segment, so the highest file's
-    // size *is* the parse position — everything before it is applied.
-    const auto segments = list_numbered_files(opts_.wal_path);
-    if (!segments.empty()) {
-      cur_seq_ = segments.back().seq;
-      file_bytes_ = segments.back().bytes;
-    } else {
-      cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
-      file_bytes_ = 0;
-    }
-    decoder_ = WalDecoder(file_bytes_);
-    caught_up_at_ms_ = mono_ms();
-  }
-  publish_wal_stats();
-  ECL_OBS_GAUGE_SET("ecl.svc.role", 1.0);
-  task_id_ = exec_.submit_periodic(std::max(1, opts_.fetch_interval_ms),
-                                   [this] { fetch_tick(); });
-  if (task_id_ == 0) {
-    if (err != nullptr) *err = "replicator: executor refused the fetch task";
+  if (thread_.joinable()) return true;
+  if (stopping_.load(std::memory_order_acquire)) {
+    if (err != nullptr) *err = "replicator: stopped; start a fresh Replicator";
     return false;
   }
-  // First periodic firing is one period out; fetch immediately so a replica
-  // starts converging (and registering for retention) without that delay.
-  (void)exec_.submit([this] { fetch_tick(); });
-  started_ = true;
+  // Resume where the mirror ends. The service ctor already replayed (and
+  // torn-tail-truncated) every mirrored segment, so the highest file's
+  // size *is* the parse position — everything before it is applied.
+  const auto segments = list_numbered_files(opts_.wal_path);
+  if (!segments.empty()) {
+    cur_seq_ = segments.back().seq;
+    file_bytes_ = segments.back().bytes;
+  } else {
+    cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
+    file_bytes_ = 0;
+  }
+  decoder_ = WalDecoder(file_bytes_);
+  caught_up_at_ms_ = mono_ms();
+  publish_wal_stats();
+  ECL_OBS_GAUGE_SET("ecl.svc.role", 1.0);
+  thread_ = std::thread([this] { run(); });
   return true;
 }
 
 void Replicator::stop() {
   std::lock_guard<std::mutex> lock(stop_mu_);
-  if (!started_) return;
-  stopping_.store(true, std::memory_order_release);
-  (void)exec_.cancel(task_id_);
-  exec_.drain();  // joins the worker: no fetch_tick() can be running now
-  std::lock_guard<std::mutex> tick_lock(tick_mu_);
+  {
+    std::lock_guard<std::mutex> wake(wake_mu_);
+    stopping_.store(true, std::memory_order_release);
+  }
+  wake_cv_.notify_all();
+  if (!thread_.joinable()) return;
+  thread_.join();
   close_segment(/*fsync_it=*/true);
-  started_ = false;
+}
+
+void Replicator::run() {
+  // The first tick runs at once, so a replica starts converging (and
+  // registering for retention) without waiting out an interval.
+  const auto interval = std::chrono::milliseconds(std::max(1, opts_.fetch_interval_ms));
+  for (;;) {
+    fetch_tick();
+    std::unique_lock<std::mutex> lock(wake_mu_);
+    if (wake_cv_.wait_for(lock, interval,
+                          [this] { return stopping_.load(std::memory_order_acquire); })) {
+      return;
+    }
+  }
 }
 
 void Replicator::fetch_tick() {
-  if (stopping_.load(std::memory_order_acquire)) return;
-  std::unique_lock<std::mutex> lock(tick_mu_, std::try_to_lock);
-  if (!lock.owns_lock()) return;  // a slow previous firing still runs
   fetch_rounds_.fetch_add(1, std::memory_order_relaxed);
   // Drain until caught up (or stalled), bounded so one tick can't spin
   // forever against a primary ingesting faster than we parse.

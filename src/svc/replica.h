@@ -13,7 +13,7 @@
 //               The service ctor then recovers from it exactly like a
 //               primary restarting.
 //
-//   stream      A periodic executor task fetches bounded chunks of the
+//   stream      The Replicator's thread fetches bounded chunks of the
 //               primary's WAL segments (kFetchWal), mirrors the raw bytes
 //               into identically-numbered local segment files (so a
 //               replica restart — or promotion — replays them natively),
@@ -39,21 +39,24 @@
 // set and waits for replica wal_bytes to cover it before killing the
 // primary, proving zero loss for everything the barrier covered.
 //
-// Threading: all streaming state is owned by the fetch task, which runs on
-// the Replicator's own single-worker executor under a try_lock guard (the
-// executor's fixed-rate periodic can overlap a slow run; overlapping runs
-// skip). stop() cancels the task and drains the executor, after which no
-// more bytes land in the mirror — the precondition for promote().
+// Threading: the Replicator owns one thread, which alone touches the
+// streaming state between start() and the join in stop(). It runs a fetch
+// tick at once, then one tick per fetch_interval_ms, each interval counted
+// from the end of the previous tick (fixed delay: a slow tick never queues
+// a burst of catch-up ticks). stop() wakes the interval wait and joins the
+// thread, after which no more bytes land in the mirror — the precondition
+// for promote().
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "exec/executor.h"
 #include "svc/client.h"
 #include "svc/service.h"
 
@@ -68,8 +71,9 @@ struct ReplicatorOptions {
   /// the replica's durable identity across restarts and after promotion.
   std::string wal_path;
   std::string checkpoint_path;
-  /// Fetch cadence. Lag in steady state is bounded by roughly one interval
-  /// plus one chunk's transfer time.
+  /// Pause between the end of one fetch tick and the start of the next.
+  /// Lag in steady state is bounded by roughly one interval plus one
+  /// chunk's transfer time.
   int fetch_interval_ms = 150;
   /// Bytes requested per kFetchWal (server clamps to kMaxWalChunkBytes).
   std::uint32_t fetch_max_bytes = 1u << 20;
@@ -77,7 +81,7 @@ struct ReplicatorOptions {
   /// pid so two replicas on one host don't alias.
   std::uint64_t replica_id = 0;
   /// Transport policy for the fetch client. Retries stay modest: the
-  /// periodic task itself is the outer retry loop.
+  /// fetch loop itself is the outer retry loop.
   ClientOptions client;
 };
 
@@ -103,16 +107,16 @@ class Replicator {
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Resumes the stream position from local disk and starts the periodic
-  /// fetch task. False if the executor refused the task.
+  /// Resumes the stream position from local disk and starts the fetch
+  /// thread, whose first tick runs at once. False after stop().
   [[nodiscard]] bool start(std::string* err = nullptr);
 
-  /// Cancels the fetch task and drains the executor. After stop() returns
-  /// no more bytes land in the WAL mirror — call this before promoting the
-  /// service. Idempotent and *terminal*: the drained executor refuses new
-  /// tasks, so resuming the stream means constructing a fresh Replicator
-  /// (which resumes from the on-disk mirror, exactly like a process
-  /// restart).
+  /// Wakes the fetch thread out of its interval wait and joins it. After
+  /// stop() returns no more bytes land in the WAL mirror — call this before
+  /// promoting the service. Idempotent and *terminal*: start() refuses
+  /// afterwards, so resuming the stream means constructing a fresh
+  /// Replicator (which resumes from the on-disk mirror, exactly like a
+  /// process restart).
   void stop();
 
   /// Counters for tests and the daemon's exit log.
@@ -130,8 +134,9 @@ class Replicator {
   }
 
  private:
-  /// One periodic firing: loops fetch_once() until caught up (or no
-  /// progress), then publishes lag. Guarded by try_lock against overlap.
+  /// The fetch thread: fetch_tick(), then wait one interval, until stop().
+  void run();
+  /// One tick: loops fetch_once() until caught up (or no progress).
   void fetch_tick();
   /// One kFetchWal round trip: mirror bytes, parse records, apply edges,
   /// advance the (seq, offset) position. Returns false when the tick
@@ -152,7 +157,7 @@ class Replicator {
   ConnectivityService& service_;
   ReplicatorOptions opts_;  // replica_id may be derived in the constructor
 
-  std::mutex tick_mu_;  // overlap guard; all state below is tick-owned
+  // Streaming state, owned by the fetch thread while it runs.
   std::unique_ptr<Client> client_;
   std::uint64_t cur_seq_ = 1;     // segment currently being mirrored
   std::uint64_t file_bytes_ = 0;  // bytes of it already on local disk
@@ -167,12 +172,11 @@ class Replicator {
   std::atomic<std::uint64_t> rebootstraps_{0};
   std::atomic<std::uint64_t> applied_records_{0};
 
-  std::uint64_t task_id_ = 0;
-  std::atomic<bool> stopping_{false};
-  bool started_ = false;
-  std::mutex stop_mu_;
-
-  exec::Executor exec_{exec::ExecutorOptions{.num_workers = 1}};
+  std::mutex stop_mu_;  // serializes start() and stop()
+  std::mutex wake_mu_;  // guards the interval wait on wake_cv_
+  std::condition_variable wake_cv_;
+  std::atomic<bool> stopping_{false};  // set under wake_mu_
+  std::thread thread_;
 };
 
 }  // namespace ecl::svc

@@ -48,7 +48,14 @@ ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
   replica_.store(opts_.replica, std::memory_order_release);
   applied_edges_.store(rec.seed_edges);
   init_durability(std::move(rec.ckpt));
-  start_threads();
+  ingest_thread_ = std::thread([this] { ingest_loop(); });
+  try {
+    compact_thread_ = std::thread([this] { compact_loop(); });
+  } catch (...) {
+    queue_.close();  // the ingest thread exits; join it before members die
+    ingest_thread_.join();
+    throw;
+  }
 }
 
 ConnectivityService::Recovered ConnectivityService::recover_checkpoint(
@@ -173,41 +180,6 @@ void ConnectivityService::enter_degraded(const char* reason) {
 
 ConnectivityService::~ConnectivityService() { stop(); }
 
-void ConnectivityService::start_threads() {
-  // Two long-lived tasks park on the executor's two workers for the
-  // service's whole lifetime. The done flags stand in for thread joins:
-  // stop() waits on them (under progress_mu_) instead of calling join(),
-  // and only then drains the executor.
-  const bool ingest_ok = exec_.submit([this] {
-    ingest_loop();
-    {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      ingest_done_ = true;
-    }
-    progress_cv_.notify_all();
-    compact_cv_.notify_all();
-  });
-  const bool compact_ok = exec_.submit([this] {
-    try {
-      compact_loop();
-    } catch (const std::exception& e) {
-      // A compaction failure (e.g. allocation) must not strand stop()
-      // waiters or crash the process; degrade and keep serving reads.
-      std::fprintf(stderr, "[ecl::svc] compaction worker died: %s\n", e.what());
-      enter_degraded("compaction worker died");
-    }
-    {
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      compact_done_ = true;
-    }
-    progress_cv_.notify_all();
-    compact_cv_.notify_all();
-  });
-  if (!ingest_ok || !compact_ok) {
-    throw std::runtime_error("ecl::svc executor rejected a background loop");
-  }
-}
-
 Admission ConnectivityService::submit(EdgeBatch batch) {
   if (stopped_.load(std::memory_order_acquire)) return Admission::kClosed;
   if (degraded_.load(std::memory_order_acquire)) {
@@ -269,7 +241,10 @@ void ConnectivityService::ingest_loop() {
     ingest_loop_body();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "[ecl::svc] ingest worker died: %s\n", e.what());
-    ingest_alive_.store(false, std::memory_order_release);
+    {
+      std::lock_guard<std::mutex> lock(progress_mu_);
+      ingest_alive_.store(false, std::memory_order_release);
+    }
     enter_degraded("ingest worker died");
     // Wake flush()/compact_now() waiters — progress will never advance, and
     // their predicates check ingest_alive_ precisely so they don't hang.
@@ -321,6 +296,24 @@ void ConnectivityService::apply_batch(EdgeBatch& batch) {
 }
 
 void ConnectivityService::compact_loop() {
+  try {
+    compact_loop_body();
+  } catch (const std::exception& e) {
+    // A compaction failure (e.g. allocation) must not crash the process;
+    // degrade and keep serving reads from the last published epoch.
+    std::fprintf(stderr, "[ecl::svc] compaction worker died: %s\n", e.what());
+    {
+      // Under the mutex, so a compact_now()/checkpoint_now() waiter cannot
+      // check its predicate between the store and the notify.
+      std::lock_guard<std::mutex> lock(progress_mu_);
+      compact_alive_.store(false, std::memory_order_release);
+    }
+    enter_degraded("compaction worker died");
+    compact_cv_.notify_all();
+  }
+}
+
+void ConnectivityService::compact_loop_body() {
   const auto interval = std::chrono::milliseconds(
       std::max(1, opts_.compact_interval_ms));
   for (;;) {
@@ -343,6 +336,9 @@ void ConnectivityService::compact_loop() {
       want_ckpt = force_checkpoint_;
       force_checkpoint_ = false;
       compact = due();
+    }
+    if (ECL_FAULT_POINT("svc.compact.worker").fired()) {
+      throw std::runtime_error("injected fault: svc.compact.worker");
     }
     if (compact) run_compaction();
     // Checkpoint after compaction so the drained/exit path persists the
@@ -475,6 +471,7 @@ bool ConnectivityService::checkpoint_now() {
   std::unique_lock<std::mutex> lock(progress_mu_);
   compact_cv_.wait(lock, [&] {
     return ckpt_attempts_.load(std::memory_order_acquire) >= target ||
+           !compact_alive_.load(std::memory_order_acquire) ||
            stopped_.load(std::memory_order_acquire);
   });
   return ckpt_written_.load(std::memory_order_acquire) > written_before;
@@ -542,6 +539,7 @@ std::uint64_t ConnectivityService::compact_now() {
   compact_cv_.wait(lock, [&] {
     return (snapshot_.load(std::memory_order_acquire)->watermark >= target &&
             published_rebases_.load(std::memory_order_acquire) >= target_rebases) ||
+           !compact_alive_.load(std::memory_order_acquire) ||
            stopped_.load(std::memory_order_acquire);
   });
   return snapshot_.load(std::memory_order_acquire)->epoch;
@@ -556,22 +554,20 @@ void ConnectivityService::stop() {
   if (stopped_.load(std::memory_order_acquire)) return;
   stopped_.store(true, std::memory_order_release);
   queue_.close();
+  ingest_thread_.join();  // every admitted batch is applied (or the worker died)
   {
-    std::unique_lock<std::mutex> lock(progress_mu_);
-    progress_cv_.wait(lock, [&] { return ingest_done_; });
+    std::lock_guard<std::mutex> lock(progress_mu_);
     stopping_ = true;
   }
-  // Both cvs, *before* the wait: the compaction task may be blocked in
-  // do_checkpoint()'s progress_cv_ wait, whose predicate reads stopping_.
+  // Both cvs: the compaction thread may be blocked in do_checkpoint()'s
+  // progress_cv_ wait, whose predicate reads stopping_. It then runs the
+  // final compaction and checkpoint and exits.
   compact_cv_.notify_all();
   progress_cv_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(progress_mu_);
-    compact_cv_.wait(lock, [&] { return compact_done_; });
-  }
+  compact_thread_.join();
+  // Wake flush()/compact_now()/checkpoint_now() callers: they see stopped_.
   progress_cv_.notify_all();
   compact_cv_.notify_all();
-  exec_.drain();
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
     wal_.close();  // fsyncs any unsynced tail (per policy) before closing
@@ -679,7 +675,7 @@ void ConnectivityService::set_replica_wal_stats(std::uint64_t segments,
 }
 
 bool ConnectivityService::may_rebase_to(const CheckpointData& data) const {
-  // Runs only on the Replicator's task, as does apply_replicated(), the
+  // Runs only on the Replicator's thread, as does apply_replicated(), the
   // replica's only other writer of these fields: check-then-update is safe.
   return replica_.load(std::memory_order_acquire) && data.n == num_vertices_ &&
          !(has_ckpt_.load(std::memory_order_acquire) &&

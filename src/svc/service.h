@@ -38,12 +38,12 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
 #include "core/incremental.h"
-#include "exec/executor.h"
 #include "graph/graph.h"
 #include "svc/checkpoint.h"
 #include "svc/queue.h"
@@ -218,13 +218,15 @@ class ConnectivityService {
   void flush();
 
   /// flush(), then forces a compaction whose watermark covers every edge
-  /// applied at call time, and waits for it. Returns the new epoch.
+  /// applied at call time, and waits for it. Returns the new epoch, or the
+  /// current one if the compaction thread has died.
   std::uint64_t compact_now();
 
   /// Forces the compaction thread to write a checkpoint now and waits for
   /// the attempt to finish. Returns true if a checkpoint was durably
   /// written; false when checkpoints are disabled, the service is stopped,
-  /// or the write failed (counted in ecl.svc.ckpt.write_errors).
+  /// the compaction thread has died, or the write failed (counted in
+  /// ecl.svc.ckpt.write_errors).
   [[nodiscard]] bool checkpoint_now();
 
   /// Graceful drain-and-shutdown: refuses new batches, applies everything
@@ -269,8 +271,9 @@ class ConnectivityService {
 
   // --- robustness ----------------------------------------------------------
 
-  /// True once the service has dropped to read-only degraded mode (ingest
-  /// worker died, or the WAL hit an I/O error). Queries keep serving;
+  /// True once the service has dropped to read-only degraded mode (the
+  /// ingest or compaction thread died, or the WAL hit an I/O error).
+  /// Queries keep serving, the snapshot ones from the last epoch;
   /// submit() sheds. There is no way back up short of a restart.
   [[nodiscard]] bool degraded() const {
     return degraded_.load(std::memory_order_acquire);
@@ -348,10 +351,10 @@ class ConnectivityService {
                                          std::uint64_t offset, std::uint32_t max_bytes);
 
  private:
-  void start_threads();
   void ingest_loop();
   void ingest_loop_body();
   void compact_loop();
+  void compact_loop_body();
   /// The one apply path, shared by the ingest worker and apply_replicated():
   /// drops out-of-range edges, hooks the rest into live_, then advances
   /// applied_edges_ and counts the batch as applied.
@@ -436,11 +439,6 @@ class ConnectivityService {
   bool force_checkpoint_ = false;      // checkpoint_now() pending
   bool stopping_ = false;
 
-  // Both background loops run as long-lived tasks on the executor (one
-  // worker each); the done flags — guarded by progress_mu_, signaled on
-  // their cvs — replace thread joins so stop() keeps its exact ordering.
-  bool ingest_done_ = false;   // ingest task exited (drained or died)
-  bool compact_done_ = false;  // compact task exited
   std::mutex stop_mu_;  // serializes stop(): only one caller runs the drain
   std::atomic<bool> stopped_{false};
 
@@ -454,10 +452,11 @@ class ConnectivityService {
   std::atomic<bool> wal_healthy_{true};
   std::atomic<bool> degraded_{false};
   std::atomic<bool> ingest_alive_{true};
+  std::atomic<bool> compact_alive_{true};
   std::atomic<std::uint64_t> degraded_entries_{0};
 
   // Checkpoint state. The store is used by the ctor, then by the compaction
-  // thread while primary and by the Replicator's task (rebase_to_image)
+  // thread while primary and by the Replicator's thread (rebase_to_image)
   // while replica — never both, since promote() follows Replicator::stop().
   // The atomics are read lock-free by stats().
   CheckpointStore ckpt_store_;
@@ -494,9 +493,9 @@ class ConnectivityService {
   /// count. Caller holds replicas_mu_.
   void prune_replicas();
 
-  // Declared last so it is destroyed first: ~Executor drains, so no task
-  // can still be touching the members above while they are torn down.
-  exec::Executor exec_{exec::ExecutorOptions{.num_workers = 2}};
+  // The two background loops, started by the ctor and joined by stop().
+  std::thread ingest_thread_;
+  std::thread compact_thread_;
 };
 
 }  // namespace ecl::svc

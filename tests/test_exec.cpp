@@ -1,159 +1,28 @@
-// Tests for the ecl::exec subsystem: the task executor (submit/deferred/
-// periodic admission, drain ordering, error isolation, fault injection), the
-// timer wheel's lazy re-arm semantics, and the epoll event loop (framing,
-// pipelining, backpressure pause/eviction, post()/stop ordering).
+// Tests for the ecl::exec subsystem: the timer wheel's lazy re-arm
+// semantics and the epoll event loop (framing, pipelining, protocol-error
+// and EOF closes, idle eviction, post()/stop ordering). Waits block on a
+// condition variable or future with a deadline instead of polling.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "exec/event_loop.h"
-#include "exec/executor.h"
 #include "exec/timer_wheel.h"
-#include "fault/fault.h"
 
 namespace ecl::exec {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ------------------------------------------------------------- executor ----
-
-TEST(Executor, RunsSubmittedTasks) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 32; ++i) {
-    ASSERT_TRUE(ex.submit([&] { ran.fetch_add(1); }));
-  }
-  ex.drain();
-  EXPECT_EQ(ran.load(), 32);
-  EXPECT_GE(ex.tasks_run(), 32u);
-}
-
-TEST(Executor, DrainRunsEverythingAlreadyReadyThenRefusesAdmission) {
-  Executor ex{ExecutorOptions{.num_workers = 1}};
-  std::atomic<int> ran{0};
-  std::atomic<bool> release{false};
-  // Park the single worker so the rest of the queue is provably "ready but
-  // not started" when drain() begins.
-  ASSERT_TRUE(ex.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(1ms);
-  }));
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(ex.submit([&] { ran.fetch_add(1); }));
-  }
-  std::thread t([&] {
-    std::this_thread::sleep_for(20ms);
-    release.store(true);
-  });
-  ex.drain();  // must run all 8 queued tasks before joining
-  t.join();
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_FALSE(ex.submit([&] { ran.fetch_add(1); }));  // admission closed
-  ex.drain();                                          // idempotent
-  EXPECT_EQ(ran.load(), 8);
-}
-
-TEST(Executor, SubmitAfterFiresOnceAfterDelay) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  const auto t0 = std::chrono::steady_clock::now();
-  std::atomic<std::int64_t> fired_after_ms{-1};
-  ASSERT_TRUE(ex.submit_after(30, [&] {
-    fired_after_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count());
-    ran.fetch_add(1);
-  }));
-  std::this_thread::sleep_for(120ms);
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_GE(fired_after_ms.load(), 25);  // scheduler jitter tolerance
-  ex.drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(Executor, PendingDeferredTasksAreDroppedByDrain) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(ex.submit_after(60'000, [&] { ran.fetch_add(1); }));
-  ex.drain();
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(Executor, PeriodicRepeatsUntilCanceled) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  const std::uint64_t id = ex.submit_periodic(10, [&] { ran.fetch_add(1); });
-  ASSERT_NE(id, 0u);
-  // Wait for at least three firings rather than a fixed sleep: CI schedulers
-  // stall, but the period keeps producing runs eventually.
-  for (int spin = 0; spin < 500 && ran.load() < 3; ++spin) {
-    std::this_thread::sleep_for(5ms);
-  }
-  EXPECT_GE(ran.load(), 3);
-  EXPECT_TRUE(ex.cancel(id));
-  EXPECT_FALSE(ex.cancel(id));  // already gone
-  const int at_cancel = ran.load();
-  std::this_thread::sleep_for(60ms);
-  // At most one already-promoted run may land after cancel().
-  EXPECT_LE(ran.load(), at_cancel + 1);
-  ex.drain();
-}
-
-TEST(Executor, TaskExceptionIsCountedNotFatal) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  ASSERT_TRUE(ex.submit([] { throw std::runtime_error("boom"); }));
-  ASSERT_TRUE(ex.submit([&] { ran.fetch_add(1); }));  // worker survived
-  ex.drain();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_EQ(ex.task_errors(), 1u);
-}
-
-class ExecFaultTest : public ::testing::Test {
- protected:
-  void SetUp() override { fault::Registry::instance().disarm_all(); }
-  void TearDown() override { fault::Registry::instance().disarm_all(); }
-
-  static void arm(const char* point, fault::Action action, std::uint64_t times) {
-    fault::PointSpec spec;
-    spec.point = point;
-    spec.action = action;
-    spec.times = times;
-    fault::Registry::instance().arm_point(std::move(spec));
-  }
-};
-
-TEST_F(ExecFaultTest, SubmitFaultShedsAdmission) {
-  Executor ex;
-  std::atomic<int> ran{0};
-  arm("exec.submit", fault::Action::kFail, 1);
-  EXPECT_FALSE(ex.submit([&] { ran.fetch_add(1); }));  // shed by the fault
-  EXPECT_TRUE(ex.submit([&] { ran.fetch_add(1); }));   // budget spent
-  ex.drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST_F(ExecFaultTest, TaskFaultIsContained) {
-  Executor ex{ExecutorOptions{.num_workers = 1}};
-  arm("exec.task", fault::Action::kFail, 2);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(ex.submit([&] { ran.fetch_add(1); }));
-  }
-  ex.drain();
-  // Two task bodies were killed by the injected fault, two ran; the worker
-  // itself survived all four.
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(ex.task_errors(), 2u);
-}
 
 // ---------------------------------------------------------- timer wheel ----
 
@@ -229,9 +98,12 @@ class EchoLoopTest : public ::testing::Test {
       c.send_frame(p.data(), p.size());
     };
     cbs.on_close = [this](Conn&, CloseReason r) {
-      std::lock_guard<std::mutex> lock(mu_);
-      close_reason_ = r;
-      closed_ = true;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        close_reason_ = r;
+        closed_ = true;
+      }
+      closed_cv_.notify_all();
     };
     ConnOptions copts;
     copts.max_frame_bytes = 1 << 16;
@@ -246,15 +118,9 @@ class EchoLoopTest : public ::testing::Test {
     ::close(fds_[1]);
   }
 
-  bool wait_closed(int ms = 2000) {
-    for (int i = 0; i < ms; ++i) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (closed_) return true;
-      }
-      std::this_thread::sleep_for(1ms);
-    }
-    return false;
+  bool wait_closed(std::chrono::milliseconds timeout = 2000ms) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return closed_cv_.wait_for(lock, timeout, [this] { return closed_; });
   }
 
   CloseReason close_reason() {
@@ -281,6 +147,7 @@ class EchoLoopTest : public ::testing::Test {
   int fds_[2] = {-1, -1};
   std::atomic<int> frames_{0};
   std::mutex mu_;
+  std::condition_variable closed_cv_;
   bool closed_ = false;
   CloseReason close_reason_ = CloseReason::kAppClose;
 };
@@ -343,19 +210,19 @@ TEST_F(EchoLoopTest, PeerCloseReportsEof) {
 }
 
 TEST(EventLoop, PostRunsOnLoopThreadAndStopClosesConns) {
+  // Declared before the loop, so the loop's thread is joined before they go.
+  std::promise<void> ran;
+  std::promise<void> adopted;
+  std::atomic<bool> closed{false};
+  std::atomic<CloseReason> reason{CloseReason::kAppClose};
   EventLoop loop;
   std::string err;
   ASSERT_TRUE(loop.start(&err)) << err;
-  std::atomic<bool> ran{false};
-  loop.post([&] { ran.store(true); });
-  for (int i = 0; i < 2000 && !ran.load(); ++i) std::this_thread::sleep_for(1ms);
-  EXPECT_TRUE(ran.load());
+  loop.post([&] { ran.set_value(); });
+  ASSERT_EQ(ran.get_future().wait_for(2s), std::future_status::ready);
 
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::atomic<bool> adopted{false};
-  std::atomic<bool> closed{false};
-  std::atomic<CloseReason> reason{CloseReason::kAppClose};
   loop.post([&] {
     ConnCallbacks cbs;
     cbs.on_frame = [](Conn&, std::span<const std::uint8_t>) {};
@@ -364,10 +231,9 @@ TEST(EventLoop, PostRunsOnLoopThreadAndStopClosesConns) {
       closed.store(true);
     };
     EXPECT_NE(loop.adopt(fds[0], std::move(cbs), ConnOptions{}), nullptr);
-    adopted.store(true);
+    adopted.set_value();
   });
-  for (int i = 0; i < 2000 && !adopted.load(); ++i) std::this_thread::sleep_for(1ms);
-  ASSERT_TRUE(adopted.load());
+  ASSERT_EQ(adopted.get_future().wait_for(2s), std::future_status::ready);
   loop.request_stop();
   loop.join();
   EXPECT_TRUE(closed.load());
@@ -376,25 +242,21 @@ TEST(EventLoop, PostRunsOnLoopThreadAndStopClosesConns) {
 }
 
 TEST(EventLoop, IdleTimeoutEvicts) {
+  std::promise<CloseReason> closed;
   EventLoop loop;
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-  std::atomic<bool> closed{false};
-  std::atomic<CloseReason> reason{CloseReason::kAppClose};
   ConnCallbacks cbs;
   cbs.on_frame = [](Conn&, std::span<const std::uint8_t>) {};
-  cbs.on_close = [&](Conn&, CloseReason r) {
-    reason.store(r);
-    closed.store(true);
-  };
+  cbs.on_close = [&](Conn&, CloseReason r) { closed.set_value(r); };
   ConnOptions copts;
   copts.idle_timeout_ms = 50;
   ASSERT_NE(loop.adopt(fds[0], std::move(cbs), copts), nullptr);
   std::string err;
   ASSERT_TRUE(loop.start(&err)) << err;
-  for (int i = 0; i < 3000 && !closed.load(); ++i) std::this_thread::sleep_for(1ms);
-  EXPECT_TRUE(closed.load());
-  EXPECT_EQ(reason.load(), CloseReason::kIdleTimeout);
+  auto reason = closed.get_future();
+  ASSERT_EQ(reason.wait_for(3s), std::future_status::ready);
+  EXPECT_EQ(reason.get(), CloseReason::kIdleTimeout);
   loop.request_stop();
   loop.join();
   ::close(fds[1]);

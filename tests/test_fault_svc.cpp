@@ -2,8 +2,8 @@
 // registry itself (spec parsing, deterministic firing), fault injection
 // through the svc net paths, the write-ahead log (torn tails, CRC
 // corruption, replay idempotence, fsync-policy matrix, WalDecoder fed in
-// chunks, a file cut at every byte), degraded mode
-// (ingest-worker death, WAL failure), the client retry/reconnect policy,
+// chunks, a file cut at every byte), degraded mode (ingest- or
+// compaction-worker death, WAL failure), the client retry/reconnect policy,
 // server slow/idle-client eviction, and the health rows of kStats end to end.
 //
 // Every test that arms the process-wide fault registry disarms it again in
@@ -681,6 +681,35 @@ TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
   EXPECT_TRUE(service.connected(1, 2));
   EXPECT_EQ(service.component_of(9), 9u);
   service.stop();  // joins the already-dead worker without deadlock
+}
+
+TEST_F(DegradedModeTest, CompactionWorkerDeathDegradesButReadsServe) {
+  ServiceOptions opts;
+  opts.compact_interval_ms = 5;
+  opts.compact_min_new_edges = 1u << 30;  // compact only when forced
+  opts.checkpoint_path = temp_path("compact_death.ckpt");
+  opts.checkpoint_interval_ms = 0;
+  ConnectivityService service(64, opts);
+  ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
+  const std::uint64_t epoch = service.compact_now();
+  // Applied but never compacted: only a forced compaction would publish it.
+  ASSERT_EQ(service.submit({{3, 4}}), Admission::kAccepted);
+  service.flush();
+
+  arm("svc.compact.worker", fault::Action::kKill, 1);
+  ASSERT_TRUE(eventually([&] { return service.degraded(); }));
+  EXPECT_TRUE(service.stats().ingest_worker_alive);  // only compaction died
+
+  // Snapshot reads keep serving the last published epoch.
+  EXPECT_EQ(service.snapshot()->epoch, epoch);
+  EXPECT_TRUE(service.connected(1, 2));
+  EXPECT_FALSE(service.connected(3, 4));
+  EXPECT_TRUE(service.connected(3, 4, ReadMode::kFresh));
+  EXPECT_EQ(service.submit({{5, 6}}), Admission::kShed);
+  // Neither waits forever on a thread that will never publish again.
+  EXPECT_EQ(service.compact_now(), epoch);
+  EXPECT_FALSE(service.checkpoint_now());
+  service.stop();  // joins the already-dead compaction thread
 }
 
 // A raw-socket GET against the local exporter, so the test exercises the

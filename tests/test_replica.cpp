@@ -7,8 +7,9 @@
 // promote flips to writable), installed checkpoints (numbered locally under
 // keep-2; a replica promoted after a rebootstrap restarts from its own
 // chain), the retention floor interaction (a slow replica pins segments; a
-// dead one is released after replica_hold_ms), and
-// an end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
+// dead one is released after replica_hold_ms), the fetch loop's cadence (an
+// immediate first fetch; stop() cuts the interval wait short), and an
+// end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
 // against a live Server + Replicator pair.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -605,6 +606,46 @@ TEST_F(ReplicaServiceTest, InstalledCheckpointsKeepNewestTwo) {
   ASSERT_TRUE(load.ok) << load.error;
   EXPECT_EQ(load.seq, 3u);
   EXPECT_EQ(load.data.wal_seq, third.wal_seq);
+}
+
+// --------------------------------------------------------- fetch loop ----
+
+TEST_F(ReplicaTest, FirstFetchIsImmediateAndStopSkipsTheInterval) {
+  constexpr vertex_t kN = 64;
+  ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+  ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+  ServiceOptions popts;
+  popts.wal_path = path("p/wal");
+  ConnectivityService primary(kN, popts);
+  ServerOptions sopts;
+  sopts.unix_path = path("primary.sock");
+  Server server(primary, sopts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ASSERT_EQ(primary.submit({{1, 2}}), Admission::kAccepted);
+
+  ReplicatorOptions ropts;
+  ropts.unix_path = sopts.unix_path;
+  ropts.wal_path = path("r/wal");
+  ropts.checkpoint_path = path("r/ckpt");
+  ropts.fetch_interval_ms = 60000;  // far past wait_until's deadline
+  ASSERT_TRUE(Replicator::bootstrap(ropts, &err)) << err;
+  ServiceOptions o;
+  o.replica = true;
+  o.wal_path = ropts.wal_path;
+  o.checkpoint_path = ropts.checkpoint_path;
+  ConnectivityService replica(kN, o);
+  Replicator replicator(replica, ropts);
+  ASSERT_TRUE(replicator.start(&err)) << err;
+  EXPECT_TRUE(wait_until([&] { return replica.connected(1, 2, ReadMode::kFresh); }))
+      << "the first fetch must not wait out the interval";
+
+  const auto t0 = std::chrono::steady_clock::now();
+  replicator.stop();  // wakes the interval wait instead of sleeping through it
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_EQ(replicator.fetch_rounds(), 1u);
+  EXPECT_FALSE(replicator.start(&err)) << "stop() is terminal";
+  server.stop();
 }
 
 // --------------------------------------------------------- end to end ----
