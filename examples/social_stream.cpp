@@ -1,9 +1,9 @@
 // Streaming connectivity on a growing social network, driven through the
 // ecl::svc ConnectivityService in-process: friendship batches are submitted
 // through the bounded admission queue (retrying on backpressure shed), a
-// background thread compacts epoch snapshots by running the batch ECL-CC
-// engine, and queries are answered in both read modes — the epoch snapshot
-// (stale but canonical) and the live union-find (fresh).
+// background thread compacts epoch snapshots from the roots the ingest
+// worker hooked, and queries are answered in both read modes — the epoch
+// snapshot (stale but canonical) and the live union-find (fresh).
 //
 //   $ ./social_stream [--users=N] [--batches=N] [--seed=N]
 //

@@ -38,25 +38,19 @@ class IncrementalCC {
   /// once as the union-find's parent array: O(n), no unions.
   explicit IncrementalCC(std::span<const vertex_t> labels) : dsu_(labels) {}
 
-  /// Copies the union-find's parent array into `out` (num_vertices()
-  /// elements). Every parent[v] <= v, so one ascending pass
-  /// label[v] = label[label[v]] (the paper's Fini) turns the copy into a
-  /// canonical labelling. Thread-safe: under concurrent inserts and queries
-  /// that labelling contains every edge inserted before the call and no edge
-  /// whose insertion had not begun when it returned.
-  void copy_parents(std::span<vertex_t> out) { dsu_.copy_parents(out); }
-
-  /// Inserts the undirected edge (u, v). Thread-safe.
-  void add_edge(vertex_t u, vertex_t v) { dsu_.unite(u, v); }
+  /// Inserts the undirected edge (u, v). Thread-safe. `log` as in add_edges.
+  void add_edge(vertex_t u, vertex_t v, HookLog* log = nullptr) { dsu_.unite(u, v, log); }
 
   /// Bulk insert of `count` undirected edges, in order, on the calling
   /// thread (each hook is the same lock-free CAS as add_edge). Thread-safe
   /// with respect to concurrent add_edge/add_edges/connected calls. This is
   /// the service ingest path: one call per batch instead of one virtual
-  /// dispatch per edge.
-  void add_edges(const std::pair<vertex_t, vertex_t>* edges, std::size_t count) {
+  /// dispatch per edge. A `log` gets every hook, in order: with one hooking
+  /// thread, exactly what turns the labels() before into those after.
+  void add_edges(const std::pair<vertex_t, vertex_t>* edges, std::size_t count,
+                 HookLog* log = nullptr) {
     for (std::size_t i = 0; i < count; ++i) {
-      dsu_.unite(edges[i].first, edges[i].second);
+      dsu_.unite(edges[i].first, edges[i].second, log);
     }
   }
 

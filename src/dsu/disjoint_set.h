@@ -68,11 +68,10 @@ class DisjointSet {
 };
 
 /// Lock-free concurrent union-find: the ECL-CC substrate as a reusable data
-/// structure. Thread-safe: find(), unite() and copy_parents() may be called
-/// concurrently from any number of threads without locks (benign races per
-/// paper §3). Representatives are always the minimum element of their set
-/// once all unites have completed and flatten() has run. Accesses use
-/// OrderedParentOps, whose ordering the concurrent copy needs.
+/// structure. Thread-safe: find() and unite() may be called concurrently
+/// from any number of threads without locks (benign races per paper §3).
+/// Representatives are always the minimum element of their set once all
+/// unites have completed and flatten() has run.
 class ConcurrentDisjointSet {
  public:
   /// n singletons.
@@ -92,15 +91,16 @@ class ConcurrentDisjointSet {
 
   /// Representative of v's set, compressing the path by halving.
   [[nodiscard]] vertex_t find(vertex_t v) {
-    return find_intermediate(v, OrderedParentOps(parent_.data()));
+    return find_intermediate(v, AtomicParentOps(parent_.data()));
   }
 
-  /// Merges the sets of a and b (smaller representative wins).
-  void unite(vertex_t a, vertex_t b) {
-    OrderedParentOps ops(parent_.data());
+  /// Merges the sets of a and b (smaller representative wins). A `log`
+  /// records the hook, if one happens.
+  void unite(vertex_t a, vertex_t b, HookLog* log = nullptr) {
+    AtomicParentOps ops(parent_.data());
     const vertex_t ra = find_intermediate(a, ops);
     const vertex_t rb = find_intermediate(b, ops);
-    hook_representatives(ra, rb, ops);
+    hook_representatives(ra, rb, ops, log);
   }
 
   /// True if a and b are currently in the same set. Only stable once all
@@ -120,12 +120,6 @@ class ConcurrentDisjointSet {
 
   /// Read-only view of the parent array (labels after flatten()).
   [[nodiscard]] const std::vector<vertex_t>& parents() const { return parent_; }
-
-  /// Copies the parent array into `out` (size() elements), in descending
-  /// order, while find()s and unite()s may run. The paper's Fini on the copy
-  /// gives sets that contain every set existing when the copy began and
-  /// lie within the sets existing when it ended (proof at the definition).
-  void copy_parents(std::span<vertex_t> out);
 
  private:
   std::vector<vertex_t> parent_;

@@ -3,11 +3,33 @@
 #pragma once
 
 #include <algorithm>
+#include <vector>
 
 #include "dsu/find.h"
 #include "dsu/parent_ops.h"
 
 namespace ecl {
+
+/// One successful hook: the root `child` was linked under the root `parent`.
+struct Hook {
+  vertex_t child;
+  vertex_t parent;
+};
+
+/// A recorder (see hook_representatives) that also logs every successful
+/// hook, in order. Not thread-safe: one per hooking thread.
+struct HookLog : ComputeStats {
+  std::vector<Hook> hooks;
+
+  void hooked(vertex_t child, vertex_t parent) { hooks.push_back({child, parent}); }
+};
+
+/// Tallies a successful hook into `rec`, and logs it when `rec` keeps a log.
+template <typename Rec>
+void record_hook(Rec* rec, vertex_t child, vertex_t parent) {
+  ++rec->hooks_performed;
+  if constexpr (requires { rec->hooked(child, parent); }) rec->hooked(child, parent);
+}
 
 /// Hooks the edge whose endpoint representatives are currently `v_rep` and
 /// `u_rep` (the latter freshly computed by the caller): the larger
@@ -22,7 +44,7 @@ namespace ecl {
 /// are tallied into its plain thread-local fields (the caller flushes them
 /// to the `ecl.hook.*` registry counters once per thread per phase); atomic
 /// or static-initialized counters here would wreck the compute loop's
-/// inlining and codegen.
+/// inlining and codegen. A HookLog also records each successful hook.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
 vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
                               Rec* rec = nullptr) {
@@ -37,7 +59,7 @@ vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
           repeat = true;
           if (rec != nullptr) ++rec->cas_retries;
         } else {
-          if (rec != nullptr) ++rec->hooks_performed;
+          if (rec != nullptr) record_hook(rec, u_rep, v_rep);
         }
       } else {
         if ((ret = ops.cas(v_rep, v_rep, u_rep)) != v_rep) {
@@ -45,7 +67,7 @@ vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
           repeat = true;
           if (rec != nullptr) ++rec->cas_retries;
         } else {
-          if (rec != nullptr) ++rec->hooks_performed;
+          if (rec != nullptr) record_hook(rec, v_rep, u_rep);
         }
       }
     }

@@ -10,10 +10,6 @@
 //     paper's CUDA/OpenMP code (aligned word accesses + CAS). Using
 //     atomic_ref makes the paper's "benign data races" well-defined C++
 //     instead of UB while compiling to the same instructions.
-//   * OrderedParentOps — the same accesses with acquire loads, release
-//     stores and acq_rel CASes, for ConcurrentDisjointSet, whose parent
-//     array is copied while it is being hooked (see copy_parents). On
-//     x86-64 these compile to the same instructions as relaxed ones.
 //   * gpusim's SimParentOps — routes every access through the simulated
 //     memory hierarchy so cache statistics (paper Table 3) can be collected.
 //
@@ -55,26 +51,27 @@ class SerialParentOps {
   vertex_t* parent_;
 };
 
-/// Lock-free concurrent accesses through std::atomic_ref, with the given
-/// memory orders for loads (also a failed CAS), stores and CASes.
-template <std::memory_order kLoad, std::memory_order kStore, std::memory_order kCas>
-class AtomicRefParentOps {
+/// Lock-free concurrent accesses through std::atomic_ref, all relaxed, as in
+/// the paper's kernels. Relaxed is sufficient per the paper's §3 argument:
+/// any torn-free value read from the parent array is a valid waypoint toward
+/// the representative, and the CAS in the hook retries until it wins.
+class AtomicParentOps {
  public:
-  explicit AtomicRefParentOps(vertex_t* parent) : parent_(parent) {}
+  explicit AtomicParentOps(vertex_t* parent) : parent_(parent) {}
 
   [[nodiscard]] vertex_t load(vertex_t i) const {
-    return std::atomic_ref<vertex_t>(parent_[i]).load(kLoad);
+    return std::atomic_ref<vertex_t>(parent_[i]).load(std::memory_order_relaxed);
   }
 
   void store(vertex_t i, vertex_t value) {
-    std::atomic_ref<vertex_t>(parent_[i]).store(value, kStore);
+    std::atomic_ref<vertex_t>(parent_[i]).store(value, std::memory_order_relaxed);
   }
 
   /// atomicCAS semantics from CUDA: returns the value observed at parent[i];
   /// the store happened iff the return value equals `expected`.
   vertex_t cas(vertex_t i, vertex_t expected, vertex_t desired) {
     std::atomic_ref<vertex_t> slot(parent_[i]);
-    slot.compare_exchange_strong(expected, desired, kCas, kLoad);
+    slot.compare_exchange_strong(expected, desired, std::memory_order_relaxed);
     return expected;  // updated to the observed value on failure
   }
 
@@ -82,21 +79,7 @@ class AtomicRefParentOps {
   vertex_t* parent_;
 };
 
-/// Relaxed accesses, as in the paper's kernels. Relaxed is sufficient per
-/// the paper's §3 argument: any torn-free value read from the parent array
-/// is a valid waypoint toward the representative, and the CAS in the hook
-/// retries until it wins.
-using AtomicParentOps = AtomicRefParentOps<std::memory_order_relaxed, std::memory_order_relaxed,
-                                           std::memory_order_relaxed>;
-
-/// Acquire loads, release stores and acq_rel CASes: a reader that loads a
-/// link sees every hook and halving that produced it, which the descending
-/// parent-array copy of ConcurrentDisjointSet::copy_parents relies on.
-using OrderedParentOps = AtomicRefParentOps<std::memory_order_acquire, std::memory_order_release,
-                                            std::memory_order_acq_rel>;
-
 static_assert(ParentOps<SerialParentOps>);
 static_assert(ParentOps<AtomicParentOps>);
-static_assert(ParentOps<OrderedParentOps>);
 
 }  // namespace ecl

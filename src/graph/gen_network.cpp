@@ -20,7 +20,8 @@ Graph gen_road_network(vertex_t n, std::uint64_t seed) {
   // like europe_osm / USA-road-d.
   const auto side = static_cast<vertex_t>(std::ceil(std::sqrt(static_cast<double>(n))));
   Xoshiro256 rng(seed);
-  GraphBuilder b(n);
+  std::vector<Edge> edges;
+  edges.reserve(2 * static_cast<std::size_t>(n));  // ~1.89 per vertex expected
   auto id = [side](vertex_t r, vertex_t c) { return r * side + c; };
   for (vertex_t r = 0; r < side; ++r) {
     for (vertex_t c = 0; c < side; ++c) {
@@ -29,17 +30,17 @@ Graph gen_road_network(vertex_t n, std::uint64_t seed) {
       const bool right_ok = c + 1 < side && id(r, c + 1) < n;
       const bool down_ok = r + 1 < side && id(r + 1, c) < n;
       if (right_ok && rng.uniform() < 0.92) {
-        b.add_edge(static_cast<vertex_t>(u), id(r, c + 1));
+        edges.emplace_back(static_cast<vertex_t>(u), id(r, c + 1));
       }
       if (down_ok && rng.uniform() < 0.92) {
-        b.add_edge(static_cast<vertex_t>(u), id(r + 1, c));
+        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c));
       }
       if (right_ok && down_ok && id(r + 1, c + 1) < n && rng.uniform() < 0.05) {
-        b.add_edge(static_cast<vertex_t>(u), id(r + 1, c + 1));
+        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c + 1));
       }
     }
   }
-  return b.build();
+  return build_graph(n, edges);
 }
 
 Graph gen_preferential_attachment(vertex_t n, vertex_t edges_per_vertex, std::uint64_t seed) {

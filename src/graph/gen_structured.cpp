@@ -2,6 +2,7 @@
 // cliques. These have exactly known component structure and are the
 // backbone of the correctness tests.
 #include <stdexcept>
+#include <vector>
 
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -13,15 +14,16 @@ Graph gen_grid2d(vertex_t rows, vertex_t cols) {
   if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
     throw std::invalid_argument("gen_grid2d: grid too large");
   }
-  GraphBuilder b(static_cast<vertex_t>(n));
+  std::vector<Edge> edges;
+  edges.reserve(2 * n);
   auto id = [cols](vertex_t r, vertex_t c) { return r * cols + c; };
   for (vertex_t r = 0; r < rows; ++r) {
     for (vertex_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) b.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) b.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
     }
   }
-  return b.build();
+  return build_graph(static_cast<vertex_t>(n), edges);
 }
 
 Graph gen_delaunay_like(vertex_t rows, vertex_t cols) {

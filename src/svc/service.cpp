@@ -5,8 +5,10 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
+#include "common/huge_pages.h"
 #include "common/timer.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -16,17 +18,28 @@ namespace ecl::svc {
 
 namespace {
 
-/// The paper's finalization phase (Fini) on a parent forest with
-/// parent[v] <= v: ascending, every parent is final before its children
-/// read it, so one pass points each vertex at its root, the minimum ID of
-/// its tree. Returns the number of roots (components).
-vertex_t finalize(std::vector<vertex_t>& labels) {
-  vertex_t components = 0;
-  for (vertex_t v = 0; v < static_cast<vertex_t>(labels.size()); ++v) {
-    labels[v] = labels[labels[v]];
-    if (labels[v] == v) ++components;
+/// The canonical labels `prev` after `hooks`, applied in order to the
+/// union-find whose labels `prev` were. A hook links a root under a root,
+/// which never becomes a root again, so a hook's parent can only be hooked
+/// later: resolving the hooks last to first finds each parent's final root
+/// before its children need it. One streaming pass then relabels.
+std::vector<vertex_t> remap_labels(const std::vector<vertex_t>& prev,
+                                   const std::vector<Hook>& hooks) {
+  std::unordered_map<vertex_t, vertex_t> final_root;
+  final_root.reserve(hooks.size());
+  std::vector<bool> hooked(prev.size());
+  for (auto h = hooks.rbegin(); h != hooks.rend(); ++h) {
+    const auto up = final_root.find(h->parent);
+    final_root.emplace(h->child, up == final_root.end() ? h->parent : up->second);
+    hooked[h->child] = true;
   }
-  return components;
+  // Copy, then relabel in place: faster than one fused pass into fresh pages.
+  std::vector<vertex_t> labels = huge_page_vector<vertex_t>(prev.size());
+  labels.assign(prev.begin(), prev.end());
+  for (vertex_t& root : labels) {
+    if (hooked[root]) root = final_root.find(root)->second;
+  }
+  return labels;
 }
 
 }  // namespace
@@ -114,6 +127,7 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     snap->labels = std::move(ckpt->labels);
     snap->num_components = ckpt->components;
     applied_edges_.store(snap->watermark, std::memory_order_release);
+    live_components_ = snap->num_components;
     has_ckpt_.store(true, std::memory_order_release);
     last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
     last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
@@ -122,28 +136,39 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", snap->watermark);
     snapshot_.store(std::move(snap));
   }
-  if (snapshot_.load(std::memory_order_relaxed) == nullptr) run_compaction();
   ckpt_covered_seq_.store(covered_seq, std::memory_order_relaxed);
 
-  if (opts_.wal_path.empty()) return;
-  auto rep = SegmentedWal::replay(opts_.wal_path, covered_seq);
-  if (!rep.ok || rep.truncate_failed) {
-    // truncate_failed: the recovered edges are fine but the tail segment
-    // still ends in garbage a future append would land after — refuse to
-    // reopen it for writing rather than strand those future records.
-    throw std::runtime_error("ecl::svc WAL replay failed: " + rep.error);
-  }
-  if (!rep.edges.empty()) {
+  if (!opts_.wal_path.empty()) {
+    auto rep = SegmentedWal::replay(opts_.wal_path, covered_seq);
+    if (!rep.ok || rep.truncate_failed) {
+      // truncate_failed: the recovered edges are fine but the tail segment
+      // still ends in garbage a future append would land after — refuse to
+      // reopen it for writing rather than strand those future records.
+      throw std::runtime_error("ecl::svc WAL replay failed: " + rep.error);
+    }
     std::erase_if(rep.edges, [this](const Edge& e) {
       return e.first >= num_vertices_ || e.second >= num_vertices_;
     });
-    live_.add_edges(rep.edges.data(), rep.edges.size());
-    applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
     replayed_edges_ = rep.edges.size();
-    // Synchronous: threads are not running yet, and the first published
-    // snapshot must already reflect everything the WAL recovered.
+    live_.add_edges(rep.edges.data(), rep.edges.size(), ckpt ? &batch_hooks_ : nullptr);
+    applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
+  }
+  // The first snapshot reflects everything recovered, built before any thread
+  // runs: the live union-find itself (seed graph, whole WAL, or singletons),
+  // or the checkpoint's labels remapped through the tail's hooks.
+  if (!ckpt) {
+    auto snap = std::make_shared<Snapshot>();
+    snap->watermark = applied_edges_.load(std::memory_order_relaxed);
+    snap->labels = live_.labels();
+    snap->num_components = live_.num_components();
+    live_components_ = snap->num_components;
+    snapshot_.store(std::move(snap));
+  } else if (replayed_edges_ > 0) {
+    hand_over_hooks();
     run_compaction();
   }
+
+  if (opts_.wal_path.empty()) return;
   if (opts_.replica) {
     // A replica never appends: the Replicator mirrors the primary's raw
     // segment bytes into these same files, and opening one for writing
@@ -256,14 +281,13 @@ void ConnectivityService::ingest_loop() {
 void ConnectivityService::ingest_loop_body() {
   EdgeBatch batch;
   while (queue_.pop(batch)) {
-    if (ECL_FAULT_POINT("svc.ingest.worker").fired()) {
+    const fault::Outcome fault = ECL_FAULT_POINT("svc.ingest.worker");
+    if (fault.fired() && fault.action != fault::Action::kDelay) {
       throw std::runtime_error("injected fault: svc.ingest.worker");
     }
     ECL_OBS_SPAN(span, "svc.batch", "svc");
     Timer t;
-    if (opts_.ingest_delay_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(opts_.ingest_delay_us));
-    }
+    fault::apply_delay(fault);
     apply_batch(batch);
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.edges", batch.size());
     ECL_OBS_HISTOGRAM_RECORD("ecl.svc.batch_apply_us",
@@ -283,16 +307,23 @@ void ConnectivityService::apply_batch(EdgeBatch& batch) {
   if (const std::size_t invalid = before - batch.size(); invalid > 0) {
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
   }
-  // The count advances after the hooks, with release: a compaction that
-  // reads it (acquire) before its copy sees all of those edges.
-  live_.add_edges(batch.data(), batch.size());
-  applied_edges_.fetch_add(batch.size(), std::memory_order_release);
+  live_.add_edges(batch.data(), batch.size(), &batch_hooks_);
   {
+    // The batch's hooks and its edges reach the compaction together.
     std::lock_guard<std::mutex> lock(progress_mu_);
+    hand_over_hooks();
+    applied_edges_.fetch_add(batch.size(), std::memory_order_release);
     applied_batches_.fetch_add(1, std::memory_order_release);
   }
   progress_cv_.notify_all();
   compact_cv_.notify_all();
+}
+
+void ConnectivityService::hand_over_hooks() {
+  pending_hooks_.insert(pending_hooks_.end(), batch_hooks_.hooks.begin(),
+                        batch_hooks_.hooks.end());
+  live_components_ -= static_cast<vertex_t>(batch_hooks_.hooks.size());
+  batch_hooks_.hooks.clear();
 }
 
 void ConnectivityService::compact_loop() {
@@ -321,15 +352,15 @@ void ConnectivityService::compact_loop_body() {
     bool want_ckpt = false;
     bool compact = false;
     {
-      // The copy blocks no hook, so enough applied edges wake a compaction
-      // at once; otherwise the wait is at most one interval.
+      // A compaction blocks no hook, so enough applied edges wake one at
+      // once; otherwise the wait is at most one interval.
       std::unique_lock<std::mutex> lock(progress_mu_);
       const auto due = [&] {
-        const std::uint64_t watermark = snapshot_.load(std::memory_order_acquire)->watermark;
-        const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-        return rebase_pending() || force_watermark_ > watermark ||
-               (applied > watermark &&
-                (stopping_ || applied - watermark >= opts_.compact_min_new_edges));
+        const SnapshotPtr snap = snapshot_.load(std::memory_order_acquire);
+        const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
+        return force_watermark_ > snap->watermark || force_components_ < snap->num_components ||
+               (applied > snap->watermark &&
+                (stopping_ || applied - snap->watermark >= opts_.compact_min_new_edges));
       };
       compact_cv_.wait_for(lock, interval, [&] { return stopping_ || force_checkpoint_ || due(); });
       exiting = stopping_;
@@ -481,26 +512,25 @@ void ConnectivityService::run_compaction() {
   ECL_OBS_SPAN(span, "svc.compact", "svc");
   Timer t;
   auto snap = std::make_shared<Snapshot>();
+  std::vector<Hook> hooks;
+  {
+    // The hooks and the watermark describe the same batch boundary.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    hooks.swap(pending_hooks_);
+    snap->watermark = applied_edges_.load(std::memory_order_relaxed);
+  }
+  // Only this thread (or the constructor) publishes: the hooks start at prev.
   const SnapshotPtr prev = snapshot_.load(std::memory_order_acquire);
-  snap->epoch = prev ? prev->epoch + 1 : 0;
-  snap->labels.resize(num_vertices_);
-  // Both counts advance with release after their hooks, so read before the
-  // copy they are covered by it: the labels hold at least the first
-  // `watermark` applied edges (and every rebase counted), and at most the
-  // edges applied by the copy's end, a batch being hooked possibly in part.
-  // The watermark never exceeds applied_edges_, which the unsigned
-  // staleness arithmetic depends on.
-  snap->watermark = applied_edges_.load(std::memory_order_acquire);
-  const std::uint64_t rebases = rebases_.load(std::memory_order_acquire);
-  live_.copy_parents(snap->labels);
-  snap->num_components = finalize(snap->labels);
+  snap->epoch = prev->epoch + 1;
+  snap->labels = remap_labels(prev->labels, hooks);
+  snap->num_components = prev->num_components - static_cast<vertex_t>(hooks.size());
   snap->build_ms = t.millis();
 
   span.arg("epoch", snap->epoch);
   span.arg("watermark", snap->watermark);
+  span.arg("hooks", static_cast<std::uint64_t>(hooks.size()));
   span.arg("components", static_cast<std::uint64_t>(snap->num_components));
   snapshot_.store(snap, std::memory_order_release);
-  published_rebases_.store(rebases, std::memory_order_release);
 
   ECL_OBS_COUNTER_ADD("ecl.svc.compactions", 1);
   ECL_OBS_GAUGE_SET("ecl.svc.epoch", static_cast<double>(snap->epoch));
@@ -528,17 +558,15 @@ void ConnectivityService::flush() {
 
 std::uint64_t ConnectivityService::compact_now() {
   flush();
-  const std::uint64_t target = applied_edges_.load(std::memory_order_acquire);
-  const std::uint64_t target_rebases = rebases_.load(std::memory_order_acquire);
-  {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    force_watermark_ = std::max(force_watermark_, target);
-  }
-  compact_cv_.notify_all();
   std::unique_lock<std::mutex> lock(progress_mu_);
+  const std::uint64_t target = applied_edges_.load(std::memory_order_relaxed);
+  const vertex_t target_components = live_components_;
+  force_watermark_ = std::max(force_watermark_, target);
+  force_components_ = std::min(force_components_, target_components);
+  compact_cv_.notify_all();
   compact_cv_.wait(lock, [&] {
-    return (snapshot_.load(std::memory_order_acquire)->watermark >= target &&
-            published_rebases_.load(std::memory_order_acquire) >= target_rebases) ||
+    const SnapshotPtr snap = snapshot_.load(std::memory_order_acquire);
+    return (snap->watermark >= target && snap->num_components <= target_components) ||
            !compact_alive_.load(std::memory_order_acquire) ||
            stopped_.load(std::memory_order_acquire);
   });
@@ -707,26 +735,27 @@ bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
   // connectivity on a replica only ever grows. The labels' edges count as
   // applied, so the watermark covers a superset of them from here on.
   for (vertex_t v = 0; v < num_vertices_; ++v) {
-    if (data.labels[v] != v) live_.add_edge(v, data.labels[v]);
+    if (data.labels[v] != v) live_.add_edge(v, data.labels[v], &batch_hooks_);
   }
-  const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
-  applied_edges_.store(std::max(applied, data.watermark), std::memory_order_release);
+  {
+    // Handed over like a batch's hooks, and published at once whatever
+    // compact_min_new_edges says (as a new epoch: publishing the
+    // checkpoint's own could move the epoch backwards for readers).
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    hand_over_hooks();
+    const std::uint64_t applied =
+        std::max(applied_edges_.load(std::memory_order_relaxed), data.watermark);
+    applied_edges_.store(applied, std::memory_order_release);
+    force_watermark_ = std::max(force_watermark_, applied);
+    force_components_ = std::min(force_components_, live_components_);
+  }
+  compact_cv_.notify_all();
   ckpt_covered_seq_.store(data.wal_seq, std::memory_order_relaxed);
   has_ckpt_.store(true, std::memory_order_release);
   last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
   last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
   last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
-  // Counted even when applied_edges_ did not rise: the compaction loop
-  // publishes the rebased labels at once (as epoch + 1: publishing the
-  // checkpoint's own epoch could move it backwards relative to what
-  // readers already saw).
-  rebases_.fetch_add(1, std::memory_order_release);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.rebases", 1);
-  {
-    // Orders the count before the compaction loop's next predicate check.
-    std::lock_guard<std::mutex> lock(progress_mu_);
-  }
-  compact_cv_.notify_all();
   return true;
 }
 

@@ -11,13 +11,13 @@
 //                 union-find — the paper's hooking phase, kept live.
 //
 //   reader side   Queries are answered against an immutable epoch Snapshot:
-//                 a canonical label array produced by the paper's
-//                 finalization phase (Fini) on a copy of that union-find.
-//                 A background compaction thread takes the copy while the
-//                 worker hooks and atomically swaps the snapshot; readers take
-//                 one atomic shared_ptr load and never block writers
-//                 (double buffering falls out of shared_ptr lifetime: the
-//                 old epoch stays alive until its last reader drops it).
+//                 the canonical labels of exactly the first `watermark`
+//                 applied edges. A compaction thread remaps the previous
+//                 snapshot through the roots the worker hooked since, and
+//                 atomically swaps it in; readers take one atomic shared_ptr
+//                 load and never block writers (double buffering falls out
+//                 of shared_ptr lifetime: the old epoch stays alive until its
+//                 last reader drops it).
 //
 // Two read modes are exposed: kSnapshot (stale but epoch-consistent, pure
 // array reads, no synchronization with writers) and kFresh (reads the live
@@ -63,9 +63,6 @@ struct ServiceOptions {
   /// Skip a compaction cycle unless at least this many edges arrived since
   /// the published snapshot's watermark (forced compactions ignore it).
   std::uint64_t compact_min_new_edges = 1;
-  /// Test hook: artificial delay (microseconds) per applied batch, to make
-  /// backpressure reproducible in unit tests. 0 in production.
-  int ingest_delay_us = 0;
   /// Write-ahead log base path; empty disables the WAL. When set, the
   /// constructor replays the segment chain (`<path>.000001, ...`,
   /// truncating any torn tail in the final segment), folds the recovered
@@ -318,8 +315,8 @@ class ConnectivityService {
   /// the live structure (monotone-safe: connectivity only grows — the live
   /// structure keeps taking reads, so its array cannot simply be replaced)
   /// and raises applied edges to at least the checkpoint's watermark; the
-  /// compaction publishes the result at once, even when the watermark did
-  /// not rise.
+  /// compaction publishes any change at once, even when the watermark did
+  /// not rise. Runs on the Replicator's thread, the replica's one hooker.
   /// False, changing nothing, when not a replica, on a vertex-count
   /// mismatch, or for a checkpoint older than the last one written, loaded
   /// or rebased onto.
@@ -356,14 +353,15 @@ class ConnectivityService {
   void compact_loop();
   void compact_loop_body();
   /// The one apply path, shared by the ingest worker and apply_replicated():
-  /// drops out-of-range edges, hooks the rest into live_, then advances
-  /// applied_edges_ and counts the batch as applied.
+  /// drops out-of-range edges, hooks the rest into live_, then hands their
+  /// hooks over with applied_edges_ and counts the batch as applied.
   void apply_batch(EdgeBatch& batch);
-  /// Publishes the next epoch: reads the applied edge count as the
-  /// watermark, copies live_'s parent array with no lock while hooks run,
-  /// and runs Fini on the copy. The labels hold at least the first
-  /// `watermark` applied edges and at most those applied by the copy's end.
-  /// The first call (no snapshot yet) publishes epoch 0.
+  /// Moves batch_hooks_ to pending_hooks_. Caller holds progress_mu_ (or is
+  /// the constructor) and advances applied_edges_ in the same section.
+  void hand_over_hooks();
+  /// Publishes the next epoch: takes the pending hooks and the applied edge
+  /// count (the watermark) in one critical section and remaps the previous
+  /// snapshot's labels through those hooks, exactly `watermark` edges.
   void run_compaction();
   /// What recovery knows before the live union-find exists: the opened
   /// checkpoint chain and, when usable, its newest valid checkpoint.
@@ -385,10 +383,10 @@ class ConnectivityService {
   ConnectivityService(Recovered rec, ServiceOptions opts);
   /// Ctor-only recovery: publish the checkpoint's labels (moved, not
   /// copied) as the initial snapshot, then replay only the WAL tail
-  /// segments past it and open the WAL for appending. Without a checkpoint
-  /// the first snapshot is the copy + Fini of the live union-find (the
-  /// seed graph's components, or all singletons).
-  /// Throws std::runtime_error on an unusable WAL state.
+  /// segments past it, remapping the snapshot through the tail's hooks, and
+  /// open the WAL for appending. Without a checkpoint the first snapshot is
+  /// the labels of the live union-find after the seed graph and the whole
+  /// WAL. Throws std::runtime_error on an unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
   /// Compaction-thread: writes a checkpoint when forced, due by interval,
   /// or on the final drain — see do_checkpoint().
@@ -408,16 +406,12 @@ class ConnectivityService {
   IncrementalCC live_;
   BoundedQueue<EdgeBatch> queue_;
 
-  // rebase_to_checkpoint() calls, counted after their hooks, and the count
-  // the published snapshot's copy covers: a rebase can add unions without
-  // raising applied_edges_, so the compaction loop publishes while they
-  // differ.
-  std::atomic<std::uint64_t> rebases_{0};
-  std::atomic<std::uint64_t> published_rebases_{0};
-  [[nodiscard]] bool rebase_pending() const {
-    return rebases_.load(std::memory_order_acquire) >
-           published_rebases_.load(std::memory_order_acquire);
-  }
+  // One thread at a time hooks live_, and logs its hooks here: the
+  // constructor's WAL replay, then the ingest worker on a primary, or the
+  // Replicator's thread (apply_replicated, rebase_to_checkpoint) on a
+  // replica, whose queue stays empty (promote() follows Replicator::stop()).
+  // kFresh finds racing it halve only non-root links (paper §3).
+  HookLog batch_hooks_;
   // rebase_to_checkpoint()'s precondition: a replica, the same vertex
   // count, and no older than the last checkpoint loaded or rebased onto.
   [[nodiscard]] bool may_rebase_to(const CheckpointData& data) const;
@@ -435,7 +429,13 @@ class ConnectivityService {
   std::atomic<std::uint64_t> applied_batches_{0};
   std::atomic<std::uint64_t> shed_batches_{0};
   std::atomic<std::uint64_t> applied_edges_{0};  // advanced after the hooks
-  std::uint64_t force_watermark_ = 0;  // compaction must reach this
+  // The hooks from the last snapshot taken to applied_edges_, in order, and
+  // the components left after them (one fewer per hook).
+  std::vector<Hook> pending_hooks_;
+  vertex_t live_components_ = 0;
+  // What a forced compaction (compact_now(), a rebase) must reach.
+  std::uint64_t force_watermark_ = 0;
+  vertex_t force_components_ = kInvalidVertex;
   bool force_checkpoint_ = false;      // checkpoint_now() pending
   bool stopping_ = false;
 

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "core/incremental.h"
 #include "core/verify.h"
 #include "graph/generators.h"
@@ -182,133 +181,6 @@ TEST(IncrementalCC, AssignedLabelsActAsTheUnionFind) {
   cc.add_edge(members[1], members[0]);
   EXPECT_TRUE(cc.connected(labels[members[0]], labels[members[1]]));
   EXPECT_EQ(cc.num_components(), count_components(g) - 1);
-}
-
-// With no concurrent hook, path halving only re-points a vertex at an
-// ancestor in its own tree, so every copy is a forest (parent <= child)
-// whose trees are exactly the live components. Descending path inserts
-// build long chains, so the readers' finds keep halving while the copies
-// run (a plain memcpy here is what ThreadSanitizer would flag).
-TEST(IncrementalCC, ParentCopyOverlappingFindsIsTheLiveForest) {
-  constexpr vertex_t kN = 1 << 14;
-  constexpr vertex_t kChain = 1 << 10;
-  IncrementalCC cc(kN);
-  for (vertex_t v = kN - 1; v > 0; --v) {
-    if (v % kChain != 0) cc.add_edge(v - 1, v);  // chain v -> v-1 -> ... -> root
-  }
-  std::vector<vertex_t> want(kN);
-  for (vertex_t v = 0; v < kN; ++v) want[v] = v - v % kChain;
-
-  std::atomic<bool> done{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&, r] {
-      vertex_t v = kN - 1 - static_cast<vertex_t>(r);
-      while (!done.load(std::memory_order_acquire)) {
-        (void)cc.component_of(v);
-        (void)cc.connected(v, (v * 31 + 7) % kN);
-        v = (v + kN - 97) % kN;
-      }
-    });
-  }
-  std::vector<vertex_t> copy(kN);
-  bool forest = true;
-  for (int round = 0; round < 50 && forest; ++round) {
-    cc.copy_parents(copy);
-    for (vertex_t v = 0; v < kN; ++v) forest = forest && copy[v] <= v;
-    EXPECT_TRUE(forest) << "round " << round;
-    if (!forest) break;
-    for (vertex_t v = 0; v < kN; ++v) copy[v] = copy[copy[v]];  // Fini
-    EXPECT_TRUE(copy == want) << "round " << round;
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-}
-
-// copy_parents under live hooks, modelled on the service: one thread
-// inserts batches in order, publishing how many edges it has begun and
-// finished; two readers keep path halving running on the endpoints just
-// inserted; a copier reads the finished count W0, copies the parent array,
-// reads the begun count W1, and checks that the Fini of its copy holds every
-// edge of prefix(W0) and joins nothing beyond prefix(W1). The inserter runs
-// at most a window of edges past the last check, and each copy starts once
-// it is hooking, so on separate cores the hooks land inside the copies.
-// Mostly-local edges, two per vertex, keep many trees hooking for the whole
-// stream. An ascending copy fails it: in a typical run about half of its
-// copies split a prefix(W0) set.
-TEST(IncrementalCC, DescendingCopyUnderHooksIsSandwiched) {
-  constexpr vertex_t kN = 1 << 15;
-  constexpr std::size_t kEdges = 1 << 16;
-  constexpr std::size_t kBatch = 64;
-  constexpr std::size_t kWindow = 32 * kBatch;
-  std::size_t copies = 0;
-  std::size_t violations = 0;
-  for (const std::uint64_t seed : {1, 2, 3, 4, 5, 6}) {
-    Xoshiro256 rng(seed);
-    std::vector<Edge> edges(kEdges);
-    for (auto& [u, v] : edges) {
-      u = static_cast<vertex_t>(rng.next() % kN);
-      const auto r = rng.next();
-      v = r % 8 == 0 ? static_cast<vertex_t>((r >> 3) % kN)
-                     : static_cast<vertex_t>((u + (r >> 3) % 64) % kN);
-    }
-    IncrementalCC cc(kN);
-    std::atomic<std::size_t> allowed{0};
-    std::atomic<std::size_t> begun{0};
-    std::atomic<std::size_t> finished{0};
-    std::thread inserter([&] {
-      for (std::size_t off = 0; off < kEdges; off += kBatch) {
-        while (off >= allowed.load(std::memory_order_acquire)) std::this_thread::yield();
-        begun.store(off + kBatch, std::memory_order_release);
-        cc.add_edges(edges.data() + off, kBatch);
-        finished.store(off + kBatch, std::memory_order_release);
-      }
-    });
-    std::vector<std::thread> readers;
-    for (std::size_t r = 0; r < 2; ++r) {
-      readers.emplace_back([&, r] {
-        for (std::size_t k = r; finished.load(std::memory_order_acquire) < kEdges; ++k) {
-          const std::size_t at = begun.load(std::memory_order_acquire);
-          if (at == 0) continue;
-          const Edge& e = edges[at - 1 - k % std::min<std::size_t>(at, kWindow)];
-          (void)cc.component_of(e.first);
-          (void)cc.component_of(e.second);
-        }
-      });
-    }
-
-    DisjointSet lower(kN);  // prefix(W0)
-    DisjointSet upper(kN);  // prefix(W1)
-    std::size_t lower_edges = 0;
-    std::size_t upper_edges = 0;
-    std::vector<vertex_t> copy(kN);
-    for (std::size_t w0 = 0; w0 < kEdges;) {
-      allowed.store(upper_edges + kWindow, std::memory_order_release);
-      while (upper_edges < kEdges && begun.load(std::memory_order_acquire) == upper_edges) {
-        std::this_thread::yield();
-      }
-      w0 = finished.load(std::memory_order_acquire);
-      cc.copy_parents(copy);
-      const std::size_t w1 = begun.load(std::memory_order_acquire);
-      for (vertex_t v = 0; v < kN; ++v) copy[v] = copy[copy[v]];  // Fini
-      for (; lower_edges < w0; ++lower_edges) {
-        lower.unite(edges[lower_edges].first, edges[lower_edges].second);
-      }
-      for (; upper_edges < w1; ++upper_edges) {
-        upper.unite(edges[upper_edges].first, edges[upper_edges].second);
-      }
-      bool ok = true;
-      for (vertex_t v = 0; v < kN && ok; ++v) {
-        ok = copy[lower.find(v)] == copy[v] && upper.same(v, copy[v]);
-      }
-      ++copies;
-      violations += ok ? 0 : 1;
-    }
-    inserter.join();
-    for (auto& t : readers) t.join();
-  }
-  EXPECT_EQ(violations, 0u) << "in " << copies << " copies";
-  EXPECT_GE(copies, kEdges / kWindow);
 }
 
 TEST(IncrementalCC, LabelsAreCanonicalMinima) {

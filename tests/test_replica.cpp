@@ -4,7 +4,9 @@
 // while the writer rotates must keep making progress), the service-level
 // replica contract (submit sheds, apply_replicated feeds the live structure,
 // rebase_to_checkpoint unites a newer checkpoint and refuses an older one,
-// promote flips to writable), installed checkpoints (numbered locally under
+// promote flips to writable), exact snapshots (every epoch is the prefix of
+// its watermark across a checkpoint restart and a rebase), installed
+// checkpoints (numbered locally under
 // keep-2; a replica promoted after a rebootstrap restarts from its own
 // chain), the retention floor interaction (a slow replica pins segments; a
 // dead one is released after replica_hold_ms), the fetch loop's cadence (an
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +27,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/incremental.h"
+#include "fault/fault.h"
 #include "svc/checkpoint.h"
 #include "svc/client.h"
 #include "svc/protocol.h"
@@ -459,6 +465,136 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   EXPECT_TRUE(svc.connected(12, 13));
   EXPECT_EQ(svc.snapshot()->watermark, 11u);
   svc.stop();
+}
+
+// Every epoch a service publishes is exactly the first `watermark` edges of
+// one random stream, across two events that start from a checkpoint: a
+// restart that remaps a WAL tail onto the checkpoint's labels, and a
+// replica's rebase onto a newer checkpoint, at a random point of its own
+// stream before or after the checkpoint's watermark. Compactions run only
+// when forced, so each one is checked to publish exactly one epoch, while a
+// kFresh reader keeps path halving running against the hooks.
+TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
+  constexpr vertex_t kN = 1 << 12;
+  constexpr std::size_t kEdges = 3 * kN / 2;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::filesystem::remove_all(path("p"));
+    std::filesystem::remove_all(path("r"));
+    ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+    ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+    Xoshiro256 rng(seed);
+    std::vector<Edge> edges(kEdges);
+    for (auto& [u, v] : edges) {  // mostly local, so small trees keep hooking
+      u = static_cast<vertex_t>(rng.bounded(kN));
+      v = rng.bounded(4) == 0 ? static_cast<vertex_t>(rng.bounded(kN))
+                              : static_cast<vertex_t>((u + rng.bounded(32)) % kN);
+    }
+    const auto expect_prefix = [&](const std::vector<vertex_t>& labels,
+                                   std::uint64_t watermark, vertex_t components) {
+      IncrementalCC ref(kN);
+      ref.add_edges(edges.data(), watermark);
+      EXPECT_TRUE(labels == ref.labels()) << "watermark " << watermark;
+      EXPECT_EQ(components, ref.num_components()) << "watermark " << watermark;
+    };
+    // The one epoch published since `epoch`, checked against its prefix.
+    const auto expect_next_epoch = [&](const ConnectivityService& svc, std::uint64_t& epoch,
+                                       std::uint64_t watermark) {
+      const SnapshotPtr snap = svc.snapshot();
+      EXPECT_EQ(snap->epoch, epoch + 1);
+      EXPECT_EQ(snap->watermark, watermark);
+      expect_prefix(snap->labels, snap->watermark, snap->num_components);
+      epoch = snap->epoch;
+    };
+    // Streams edges [from, to) into `apply` in random batches, forcing a
+    // compaction after a random number of them.
+    const auto stream = [&](ConnectivityService& svc, std::size_t from, std::size_t to,
+                            const std::function<void(ConnectivityService::EdgeBatch)>& apply) {
+      std::uint64_t epoch = svc.snapshot()->epoch;
+      std::atomic<bool> done{false};
+      std::thread fresh_reader([&] {
+        for (vertex_t v = 0; !done.load(std::memory_order_acquire); v = (v + 97) % kN) {
+          (void)svc.component_of(v, ReadMode::kFresh);
+        }
+      });
+      while (from < to) {
+        for (std::uint64_t b = 1 + rng.bounded(4); b > 0 && from < to; --b) {
+          const std::size_t end = std::min(to, from + 1 + rng.bounded(32));
+          apply({edges.begin() + from, edges.begin() + end});
+          from = end;
+        }
+        (void)svc.compact_now();
+        expect_next_epoch(svc, epoch, from);
+      }
+      done.store(true, std::memory_order_release);
+      fresh_reader.join();
+    };
+    const auto submit = [](ConnectivityService& svc) {
+      return [&svc](ConnectivityService::EdgeBatch batch) {
+        ASSERT_EQ(svc.submit(std::move(batch)), Admission::kAccepted);
+      };
+    };
+    ServiceOptions opts;
+    opts.wal_path = path("p/wal");
+    opts.checkpoint_path = path("p/ckpt");
+    opts.checkpoint_interval_ms = 0;
+    opts.compact_interval_ms = 3600 * 1000;  // forced compactions only
+    opts.compact_min_new_edges = ~0ull;
+    const std::size_t cut = kEdges / 4 + rng.bounded(kEdges / 4);
+    const std::size_t crash = cut + 1 + rng.bounded(kEdges / 4);
+    {
+      ConnectivityService primary(kN, opts);
+      stream(primary, 0, cut, submit(primary));
+      ASSERT_TRUE(primary.checkpoint_now());
+      stream(primary, cut, crash, submit(primary));
+      // A failed final checkpoint leaves [cut, crash) WAL-only, as a crash
+      // would.
+      ASSERT_TRUE(fault::Registry::instance().arm("svc.ckpt.write=fail"));
+      primary.stop();
+      fault::Registry::instance().disarm_all();
+    }
+    {
+      CheckpointStore store;
+      store.open(path("p/ckpt"));
+      const auto load = store.load_latest_valid();
+      ASSERT_TRUE(load.ok) << load.error;
+      EXPECT_EQ(load.data.watermark, cut);
+      expect_prefix(load.data.labels, load.data.watermark, load.data.components);
+    }
+
+    ConnectivityService restarted(kN, opts);
+    EXPECT_EQ(restarted.replayed_edges(), crash - cut);
+    std::uint64_t epoch = restarted.stats().last_checkpoint_epoch;
+    expect_next_epoch(restarted, epoch, crash);  // the tail remapped once
+    const std::size_t newest = crash + 1 + rng.bounded(kEdges / 4);
+    stream(restarted, crash, newest, submit(restarted));
+    ASSERT_TRUE(restarted.checkpoint_now());
+    const CkptImage image = restarted.fetch_checkpoint_image();
+    ASSERT_TRUE(image.has);
+
+    ServiceOptions ropts = replica_options();
+    ropts.compact_interval_ms = opts.compact_interval_ms;
+    ropts.compact_min_new_edges = opts.compact_min_new_edges;
+    ConnectivityService replica(kN, ropts);
+    const auto replicate = [&replica](ConnectivityService::EdgeBatch batch) {
+      replica.apply_replicated(std::move(batch));
+    };
+    const std::size_t rebase_at =  // before the checkpoint on odd seeds, else after
+        seed % 2 == 1 ? rng.bounded(newest) : newest + rng.bounded(kEdges - newest);
+    stream(replica, 0, rebase_at, replicate);
+    epoch = replica.snapshot()->epoch;
+    std::string err;
+    ASSERT_TRUE(replica.rebase_to_image(image.image, &err)) << err;
+    (void)replica.compact_now();
+    if (rebase_at < newest) {
+      expect_next_epoch(replica, epoch, newest);
+    } else {
+      EXPECT_EQ(replica.snapshot()->epoch, epoch);  // the checkpoint added nothing
+    }
+    stream(replica, std::max(rebase_at, newest), kEdges, replicate);
+    restarted.stop();
+    replica.stop();
+  }
 }
 
 // Satellite 4: retention x replica floor. A live replica mid-fetch on an

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/incremental.h"
+#include "fault/fault.h"
 #include "graph/builder.h"
 #include "svc/client.h"
 #include "svc/net.h"
@@ -150,10 +151,22 @@ TEST(ConnectivityService, OutOfRangeVerticesAreSafe) {
   EXPECT_EQ(svc.stats().applied_edges, 1u);
 }
 
+/// Slows the ingest worker by `us` microseconds per batch until destroyed.
+class SlowIngest {
+ public:
+  explicit SlowIngest(int us) {
+    EXPECT_TRUE(fault::Registry::instance().arm("svc.ingest.worker=delay,arg=" +
+                                                std::to_string(us)));
+  }
+  ~SlowIngest() { fault::Registry::instance().disarm_all(); }
+  SlowIngest(const SlowIngest&) = delete;
+  SlowIngest& operator=(const SlowIngest&) = delete;
+};
+
 TEST(ConnectivityService, BackpressureShedsInsteadOfBlocking) {
+  const SlowIngest slow(2000);  // slow consumer → queue fills
   ServiceOptions opts;
   opts.queue_capacity = 2;
-  opts.ingest_delay_us = 2000;  // slow consumer → queue fills
   opts.compact_interval_ms = 3600 * 1000;
   opts.compact_min_new_edges = ~0ull;
   ConnectivityService svc(1000, opts);
@@ -182,9 +195,9 @@ TEST(ConnectivityService, BackpressureShedsInsteadOfBlocking) {
 }
 
 TEST(ConnectivityService, GracefulShutdownAppliesInFlightBatches) {
+  const SlowIngest slow(500);  // keep batches in flight at stop() time
   ServiceOptions opts;
   opts.queue_capacity = 64;
-  opts.ingest_delay_us = 500;  // keep batches in flight at stop() time
   opts.compact_interval_ms = 3600 * 1000;
   opts.compact_min_new_edges = ~0ull;
   ConnectivityService svc(64, opts);
@@ -273,16 +286,12 @@ TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
   EXPECT_EQ(svc.component_count(), 1u);
 }
 
-// The snapshot sandwich: compaction copies the live union-find while the
-// worker hooks, so each published snapshot holds at least the first
-// `watermark` applied edges and at most the edges hooked by the end of its
-// copy. One submitter streams random edges (queue order = apply order), a
-// kFresh reader keeps path halving running during the copies, and a
-// recorder checks each new epoch against reference union-finds advanced to
-// those two prefixes, and against the previous epoch (snapshots may only
-// coarsen). The upper prefix is stats().applied_edges, read after the
-// snapshot, plus one batch: the single worker may be hooking the next one.
-TEST(ConnectivityService, SnapshotsAreSandwichedAndOnlyCoarsen) {
+// Every epoch is exactly the first `watermark` applied edges: a recorder
+// checks each new epoch against a reference union-find advanced to its
+// watermark, and against the previous epoch (snapshots may only coarsen),
+// while a kFresh reader keeps path halving running against the worker's
+// hooks.
+TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   constexpr vertex_t kN = 1 << 16;
   constexpr std::size_t kEdges = 1 << 18;
   constexpr std::size_t kBatch = 64;
@@ -318,33 +327,18 @@ TEST(ConnectivityService, SnapshotsAreSandwichedAndOnlyCoarsen) {
     }
   });
 
-  // A reference union-find advanced to `edges` edges, and its labels.
-  struct Prefix {
-    IncrementalCC uf{kN};
-    std::size_t edges = 0;
-    std::vector<vertex_t> labels;
-    void advance(const std::vector<Edge>& all, std::size_t to) {
-      for (; edges < to; ++edges) uf.add_edge(all[edges].first, all[edges].second);
-      labels = uf.labels();
-    }
-  };
-  Prefix lower;
-  Prefix upper;
-  const auto check = [&](const Snapshot& snap, const Snapshot& older,
-                         std::size_t applied) -> std::string {
+  IncrementalCC reference(kN);  // advanced to `prefix` edges
+  std::size_t prefix = 0;
+  const auto check = [&](const Snapshot& snap, const Snapshot& older) -> std::string {
     if (snap.epoch <= older.epoch) return "epoch did not advance";
-    if (snap.watermark < lower.edges || snap.watermark > applied) {
-      return "watermark out of order";
+    if (snap.watermark < prefix || snap.watermark > kEdges) return "watermark out of order";
+    if (snap.watermark % kBatch != 0) return "watermark inside a batch";
+    for (; prefix < snap.watermark; ++prefix) {
+      reference.add_edge(edges[prefix].first, edges[prefix].second);
     }
-    lower.advance(edges, snap.watermark);
-    upper.advance(edges, std::min(kEdges, applied + kBatch));
+    if (snap.labels != reference.labels()) return "labels differ from the prefix";
+    if (snap.num_components != reference.num_components()) return "component count";
     for (vertex_t v = 0; v < kN; ++v) {
-      if (snap.labels[lower.labels[v]] != snap.labels[v]) {
-        return "splits the watermark prefix at " + std::to_string(v);
-      }
-      if (upper.labels[snap.labels[v]] != upper.labels[v]) {
-        return "joins beyond the applied edges at " + std::to_string(v);
-      }
       if (snap.labels[older.labels[v]] != snap.labels[v]) return "splits " + std::to_string(v);
     }
     return {};
@@ -354,15 +348,14 @@ TEST(ConnectivityService, SnapshotsAreSandwichedAndOnlyCoarsen) {
   for (bool last = false; !last;) {
     last = done.load(std::memory_order_acquire);
     const SnapshotPtr snap = svc.snapshot();
-    const std::size_t applied = svc.stats().applied_edges;
     if (snap->epoch == prev->epoch) {
       std::this_thread::sleep_for(std::chrono::microseconds(100));
       continue;
     }
-    const std::string err = check(*snap, *prev, applied);
+    const std::string err = check(*snap, *prev);
     if (!err.empty()) {
       ADD_FAILURE() << "epoch " << snap->epoch << " (watermark " << snap->watermark
-                    << ", applied " << applied << "): " << err;
+                    << "): " << err;
       break;
     }
     prev = snap;
