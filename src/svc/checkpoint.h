@@ -1,13 +1,13 @@
 // Durable label-array checkpoints for ConnectivityService
 // (docs/ROBUSTNESS.md "Checkpoint format").
 //
-// A checkpoint persists one compacted snapshot — the canonical component
-// labels plus the watermark/epoch that produced them and the WAL segment
-// sequence number it covers. Once a checkpoint is durable, every WAL
-// segment with seq <= wal_seq is redundant for recovery: restart becomes
+// A checkpoint persists the snapshot published exactly at a WAL cut: the
+// canonical labels of exactly the first `watermark` edges, its epoch, and
+// `wal_seq`, whose segments (seq <= wal_seq) hold exactly those edges. Once
+// the checkpoint is durable they are redundant for recovery: restart becomes
 // "load checkpoint + replay tail segments" instead of "replay lifetime
 // ingest", which is what bounds recovery time and steady-state disk/memory
-// (ISSUE: static/incremental split of Hong, Dhulipala & Shun,
+// (the static/incremental split of Hong, Dhulipala & Shun,
 // arXiv:2008.11839 — the static snapshot makes history before its
 // watermark redundant).
 //
@@ -55,9 +55,9 @@ namespace ecl::svc {
 /// Everything in a checkpoint except its label array.
 struct CheckpointHeader {
   std::uint32_t n = 0;            // label-array length (vertex universe)
-  std::uint64_t watermark = 0;    // edges folded into these labels
+  std::uint64_t watermark = 0;    // labels of exactly the first this-many edges
   std::uint64_t epoch = 0;        // snapshot epoch the labels came from
-  std::uint64_t wal_seq = 0;      // WAL segments <= this are fully covered
+  std::uint64_t wal_seq = 0;      // WAL segments <= this hold exactly those edges
 };
 
 /// The logical content of one checkpoint.

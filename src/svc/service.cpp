@@ -42,6 +42,14 @@ std::vector<vertex_t> remap_labels(const std::vector<vertex_t>& prev,
   return labels;
 }
 
+/// Drops the edges with an endpoint outside [0, n), counted in
+/// ecl.svc.ingest.invalid_edges.
+void drop_out_of_universe(std::vector<Edge>& edges, vertex_t n) {
+  const std::size_t dropped =
+      std::erase_if(edges, [n](const Edge& e) { return e.first >= n || e.second >= n; });
+  if (dropped > 0) ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", dropped);
+}
+
 }  // namespace
 
 ConnectivityService::ConnectivityService(vertex_t n, ServiceOptions opts)
@@ -61,9 +69,14 @@ ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
   replica_.store(opts_.replica, std::memory_order_release);
   applied_edges_.store(rec.seed_edges);
   init_durability(std::move(rec.ckpt));
-  ingest_thread_ = std::thread([this] { ingest_loop(); });
+  logged_edges_ = applied_edges_.load(std::memory_order_relaxed);
+  ingest_thread_ = std::thread([this] {
+    run_loop(&ConnectivityService::ingest_loop, ingest_alive_, "ingest worker died");
+  });
   try {
-    compact_thread_ = std::thread([this] { compact_loop(); });
+    compact_thread_ = std::thread([this] {
+      run_loop(&ConnectivityService::compact_loop, compact_alive_, "compaction worker died");
+    });
   } catch (...) {
     queue_.close();  // the ingest thread exits; join it before members die
     ingest_thread_.join();
@@ -146,9 +159,7 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
       // reopen it for writing rather than strand those future records.
       throw std::runtime_error("ecl::svc WAL replay failed: " + rep.error);
     }
-    std::erase_if(rep.edges, [this](const Edge& e) {
-      return e.first >= num_vertices_ || e.second >= num_vertices_;
-    });
+    drop_out_of_universe(rep.edges, num_vertices_);
     replayed_edges_ = rep.edges.size();
     live_.add_edges(rep.edges.data(), rep.edges.size(), ckpt ? &batch_hooks_ : nullptr);
     applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
@@ -165,7 +176,7 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     snapshot_.store(std::move(snap));
   } else if (replayed_edges_ > 0) {
     hand_over_hooks();
-    run_compaction();
+    (void)run_compaction();
   }
 
   if (opts_.wal_path.empty()) return;
@@ -207,47 +218,44 @@ ConnectivityService::~ConnectivityService() { stop(); }
 
 Admission ConnectivityService::submit(EdgeBatch batch) {
   if (stopped_.load(std::memory_order_acquire)) return Admission::kClosed;
-  if (degraded_.load(std::memory_order_acquire)) {
-    // Read-only mode: shed instead of accepting writes we can neither
-    // durably log nor (if the worker died) ever apply.
+  if (degraded_.load(std::memory_order_acquire) || replica_.load(std::memory_order_acquire)) {
+    // Read-only mode sheds writes it can neither durably log nor (if the
+    // worker died) ever apply. A replica takes writes only from the
+    // replication stream; the server answers kNotPrimary before submit().
     shed_batches_.fetch_add(1, std::memory_order_relaxed);
     ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
     return Admission::kShed;
   }
-  if (replica_.load(std::memory_order_acquire)) {
-    // Replicas take writes only from the replication stream. The server
-    // maps this to Status::kNotPrimary before even calling submit(); this
-    // guard covers in-process callers.
-    shed_batches_.fetch_add(1, std::memory_order_relaxed);
-    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
-    return Admission::kShed;
-  }
+  // A record holds exactly the edges the ingest thread will apply.
+  drop_out_of_universe(batch, num_vertices_);
   Admission verdict = Admission::kShed;
   {
     // Log before enqueue: a batch reaches the worker (and with it kFresh
     // reads, snapshots and checkpoints) only once its record is written, and
-    // a failed append queues nothing. With a WAL every push and count happens
-    // under wal_mu_, so the room checked here is still there at the push,
-    // and the checkpoint cut, which rotates and reads accepted_batches_ under
-    // wal_mu_, counts exactly the batches whose records it sealed. A stop()
-    // racing the append answers kClosed and leaves an unacked record.
-    std::unique_lock<std::mutex> lock(wal_mu_, std::defer_lock);
-    if (!opts_.wal_path.empty()) lock.lock();
+    // a failed append queues nothing. Every push and count happens under
+    // wal_mu_, so the room checked here is still there at the push, and a
+    // cut, which reads logged_edges_ and rotates under wal_mu_, counts
+    // exactly the edges of the records it seals. A stop() racing the append
+    // answers kClosed and leaves an unacked, uncounted record.
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    const bool logging = !opts_.wal_path.empty();
     if (queue_.closed()) {
       verdict = Admission::kClosed;
     } else if (queue_.size() >= queue_.capacity()) {
       verdict = Admission::kShed;
-    } else if (lock.owns_lock() && !wal_.append(batch)) {
+    } else if (logging && !wal_.append(batch)) {
       wal_healthy_.store(false, std::memory_order_release);
       enter_degraded("WAL append/fsync failed");
     } else {
-      if (lock.owns_lock()) {
+      if (logging) {
         wal_records_.fetch_add(1, std::memory_order_relaxed);
         wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
         wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
       }
+      const std::size_t edges = batch.size();
       verdict = queue_.try_push(std::move(batch));
       if (verdict == Admission::kAccepted) {
+        logged_edges_ += edges;
         accepted_batches_.fetch_add(1, std::memory_order_relaxed);
         ECL_OBS_COUNTER_ADD("ecl.svc.ingest.batches", 1);
       }
@@ -261,24 +269,27 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
   return verdict;
 }
 
-void ConnectivityService::ingest_loop() {
+void ConnectivityService::run_loop(void (ConnectivityService::*loop)(),
+                                   std::atomic<bool>& alive, const char* death) {
   try {
-    ingest_loop_body();
+    (this->*loop)();
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "[ecl::svc] ingest worker died: %s\n", e.what());
+    // A failure (e.g. allocation) must not crash the process: degrade, and
+    // keep serving reads, the snapshot ones from the last published epoch.
+    std::fprintf(stderr, "[ecl::svc] %s: %s\n", death, e.what());
     {
+      // Under the mutex, so a flush(), compact_now() or checkpoint_now()
+      // waiter cannot check its predicate between the store and the notify.
       std::lock_guard<std::mutex> lock(progress_mu_);
-      ingest_alive_.store(false, std::memory_order_release);
+      alive.store(false, std::memory_order_release);
     }
-    enter_degraded("ingest worker died");
-    // Wake flush()/compact_now() waiters — progress will never advance, and
-    // their predicates check ingest_alive_ precisely so they don't hang.
+    enter_degraded(death);
     progress_cv_.notify_all();
     compact_cv_.notify_all();
   }
 }
 
-void ConnectivityService::ingest_loop_body() {
+void ConnectivityService::ingest_loop() {
   EdgeBatch batch;
   while (queue_.pop(batch)) {
     const fault::Outcome fault = ECL_FAULT_POINT("svc.ingest.worker");
@@ -299,21 +310,18 @@ void ConnectivityService::ingest_loop_body() {
 }
 
 void ConnectivityService::apply_batch(EdgeBatch& batch) {
-  // Drop edges outside the vertex universe; everything else is applied.
-  const std::size_t before = batch.size();
-  std::erase_if(batch, [this](const Edge& e) {
-    return e.first >= num_vertices_ || e.second >= num_vertices_;
-  });
-  if (const std::size_t invalid = before - batch.size(); invalid > 0) {
-    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.invalid_edges", invalid);
-  }
+  // Replicated records may come from a log written before submit() filtered.
+  drop_out_of_universe(batch, num_vertices_);
   live_.add_edges(batch.data(), batch.size(), &batch_hooks_);
   {
-    // The batch's hooks and its edges reach the compaction together.
+    // The batch's hooks and its edges reach the compaction together, and a
+    // cut is crossed on this batch boundary.
     std::lock_guard<std::mutex> lock(progress_mu_);
     hand_over_hooks();
-    applied_edges_.fetch_add(batch.size(), std::memory_order_release);
+    const std::uint64_t applied =
+        applied_edges_.fetch_add(batch.size(), std::memory_order_release) + batch.size();
     applied_batches_.fetch_add(1, std::memory_order_release);
+    if (cut_ && !cut_->hooks && cut_->edges == applied) cut_->hooks = pending_hooks_.size();
   }
   progress_cv_.notify_all();
   compact_cv_.notify_all();
@@ -327,200 +335,173 @@ void ConnectivityService::hand_over_hooks() {
 }
 
 void ConnectivityService::compact_loop() {
-  try {
-    compact_loop_body();
-  } catch (const std::exception& e) {
-    // A compaction failure (e.g. allocation) must not crash the process;
-    // degrade and keep serving reads from the last published epoch.
-    std::fprintf(stderr, "[ecl::svc] compaction worker died: %s\n", e.what());
-    {
-      // Under the mutex, so a compact_now()/checkpoint_now() waiter cannot
-      // check its predicate between the store and the notify.
-      std::lock_guard<std::mutex> lock(progress_mu_);
-      compact_alive_.store(false, std::memory_order_release);
-    }
-    enter_degraded("compaction worker died");
-    compact_cv_.notify_all();
-  }
-}
-
-void ConnectivityService::compact_loop_body() {
   const auto interval = std::chrono::milliseconds(
       std::max(1, opts_.compact_interval_ms));
+  const auto due = [this] {
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    return compaction_due();
+  };
   for (;;) {
     bool exiting = false;
-    bool want_ckpt = false;
-    bool compact = false;
+    bool cut_pending = false;
     {
       // A compaction blocks no hook, so enough applied edges wake one at
       // once; otherwise the wait is at most one interval.
       std::unique_lock<std::mutex> lock(progress_mu_);
-      const auto due = [&] {
-        const SnapshotPtr snap = snapshot_.load(std::memory_order_acquire);
-        const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
-        return force_watermark_ > snap->watermark || force_components_ < snap->num_components ||
-               (applied > snap->watermark &&
-                (stopping_ || applied - snap->watermark >= opts_.compact_min_new_edges));
-      };
-      compact_cv_.wait_for(lock, interval, [&] { return stopping_ || force_checkpoint_ || due(); });
+      compact_cv_.wait_for(lock, interval, [&] { return stopping_ || compaction_due(); });
       exiting = stopping_;
-      want_ckpt = force_checkpoint_;
-      force_checkpoint_ = false;
-      compact = due();
+      cut_pending = cut_.has_value();
     }
     if (ECL_FAULT_POINT("svc.compact.worker").fired()) {
       throw std::runtime_error("injected fault: svc.compact.worker");
     }
-    if (compact) run_compaction();
-    // Checkpoint after compaction so the drained/exit path persists the
-    // final snapshot: a clean stop leaves a checkpoint covering everything,
-    // making the *next* boot instant.
-    maybe_checkpoint(want_ckpt, exiting);
+    // On exit the ingest thread has applied every logged edge, so the final
+    // cut is reached at once: a clean stop leaves a checkpoint covering
+    // everything, making the next boot instant.
+    if (checkpoint_due(exiting, cut_pending)) (void)cut_wal();
+    // A compaction that reaches a cut is followed by one catching up past
+    // it before the write, so readers do not wait out its fsync. A newer cut
+    // reached by the second replaces the first.
+    std::optional<Cut> cut;
+    SnapshotPtr at_cut;
+    for (int pass = 0; pass < (cut ? 2 : 1) && due(); ++pass) {
+      if (auto reached = run_compaction()) {
+        cut = reached;
+        at_cut = snapshot_.load(std::memory_order_acquire);
+      }
+    }
+    if (cut) write_checkpoint(*cut, *at_cut);
     if (exiting) return;
   }
 }
 
-void ConnectivityService::maybe_checkpoint(bool force, bool exiting) {
-  if (opts_.checkpoint_path.empty()) return;
-  // Replicas never checkpoint: their durable state is the mirrored WAL +
-  // the bootstrap checkpoint, and a checkpoint cut would rotate a WAL this
-  // service does not own. Promotion flips replica_ and the next compaction
-  // cycle resumes checkpointing naturally.
-  if (replica_.load(std::memory_order_acquire)) return;
-  const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-  const bool progressed =
-      !has_ckpt_.load(std::memory_order_acquire) ||
-      applied > last_ckpt_watermark_.load(std::memory_order_relaxed);
-  bool due = force;
-  if (!due && exiting) due = progressed;
-  if (!due && opts_.checkpoint_interval_ms > 0 && progressed && applied > 0) {
-    due = now_ms() - last_ckpt_ms_.load(std::memory_order_relaxed) >=
-          static_cast<std::uint64_t>(opts_.checkpoint_interval_ms);
-  }
-  if (due) (void)do_checkpoint();
+bool ConnectivityService::compaction_due() const {
+  const SnapshotPtr snap = snapshot_.load(std::memory_order_acquire);
+  const std::uint64_t applied = applied_edges_.load(std::memory_order_relaxed);
+  return (cut_ && cut_->hooks) || force_watermark_ > snap->watermark ||
+         force_components_ < snap->num_components ||
+         (applied > snap->watermark &&
+          (stopping_ || applied - snap->watermark >= opts_.compact_min_new_edges));
 }
 
-bool ConnectivityService::do_checkpoint() {
+bool ConnectivityService::checkpoint_due(bool exiting, bool cut_pending) const {
+  // Replicas never cut: their durable state is the mirrored WAL + the
+  // bootstrap checkpoint, and a cut would rotate a WAL this service does
+  // not own. After promote() the next cycle cuts again.
+  if (opts_.checkpoint_path.empty() || replica_.load(std::memory_order_acquire)) return false;
+  const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
+  const bool progressed = !has_ckpt_.load(std::memory_order_acquire) ||
+                          applied > last_ckpt_watermark_.load(std::memory_order_relaxed);
+  if (exiting) return progressed;
+  return !cut_pending && progressed && applied > 0 && opts_.checkpoint_interval_ms > 0 &&
+         now_ms() - last_ckpt_ms_.load(std::memory_order_relaxed) >=
+             static_cast<std::uint64_t>(opts_.checkpoint_interval_ms);
+}
+
+std::uint64_t ConnectivityService::cut_wal() {
+  std::lock_guard<std::mutex> wal_lock(wal_mu_);
+  Cut cut{.seq = wal_.active_seq(), .edges = logged_edges_, .hooks = {}};
+  std::string err;
+  if (wal_.is_open() && !wal_.rotate(&err)) {
+    // The segments <= seq are intact and hold exactly `edges`: the cut
+    // stands, and the closed log takes no record past it.
+    wal_healthy_.store(false, std::memory_order_release);
+    enter_degraded(("WAL rotate failed: " + err).c_str());
+  }
+  {
+    // Nothing logged past the cut is queued before wal_mu_ is released, so
+    // the ingest thread is at or before it.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    cut.ticket = ++cuts_;
+    if (applied_edges_.load(std::memory_order_relaxed) == cut.edges) {
+      cut.hooks = pending_hooks_.size();
+    }
+    cut_ = cut;  // covers more than a pending older cut
+  }
+  compact_cv_.notify_all();
+  return cut.ticket;
+}
+
+void ConnectivityService::write_checkpoint(const Cut& cut, const Snapshot& snap) {
   ECL_OBS_SPAN(span, "svc.checkpoint", "svc");
   Timer t;
-
-  // The cut. Rotating under wal_mu_ seals every record appended so far;
-  // reading accepted_batches_ inside the same critical section counts
-  // exactly the batches whose records landed in a sealed segment (submit()
-  // appends, queues and counts under wal_mu_). Waiting for applied >= that
-  // count below therefore guarantees the compacted snapshot covers all
-  // sealed segments.
-  std::uint64_t cut_seq = 0;
-  std::uint64_t accepted_at_cut = 0;
-  {
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    cut_seq = wal_.active_seq();
-    if (wal_.is_open()) {
-      std::string err;
-      if (!wal_.rotate(&err)) {
-        wal_healthy_.store(false, std::memory_order_release);
-        enter_degraded(("WAL rotate failed: " + err).c_str());
-        // The sealed segments (<= cut_seq) are still intact on disk; the
-        // checkpoint below remains correct and worth writing.
-      }
+  const CheckpointHeader header{.n = static_cast<std::uint32_t>(num_vertices_),
+                                .watermark = snap.watermark,
+                                .epoch = snap.epoch,
+                                .wal_seq = cut.seq};
+  const auto wr = ckpt_store_.write(header, snap.labels);
+  if (wr.ok) {
+    ckpt_covered_seq_.store(cut.seq, std::memory_order_relaxed);
+    has_ckpt_.store(true, std::memory_order_release);
+    ckpt_written_.fetch_add(1, std::memory_order_release);
+    last_ckpt_epoch_.store(snap.epoch, std::memory_order_relaxed);
+    last_ckpt_watermark_.store(snap.watermark, std::memory_order_relaxed);
+    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+    ECL_OBS_GAUGE_SET("ecl.svc.ckpt.last_epoch", static_cast<double>(snap.epoch));
+    ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt_ms", ::ecl::obs::Histogram::pow2_bounds(16),
+                             static_cast<std::uint64_t>(t.millis()));
+    // Retire the segments the *oldest retained* checkpoint covers, so a
+    // fallback load never misses one, and none a live replica still fetches
+    // (one unseen past replica_hold_ms re-bootstraps instead).
+    const std::uint64_t floor =
+        std::min(ckpt_store_.retention_floor_wal_seq(), replica_fetch_floor());
+    {
+      std::lock_guard<std::mutex> lock(wal_mu_);
+      if (floor > 0 && floor != UINT64_MAX) (void)wal_.retire_through(floor);
+      wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
+      wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
     }
-    accepted_at_cut = accepted_batches_.load(std::memory_order_acquire);
-  }
-  {
-    std::unique_lock<std::mutex> lock(progress_mu_);
-    progress_cv_.wait(lock, [&] {
-      return applied_batches_.load(std::memory_order_acquire) >= accepted_at_cut ||
-             !ingest_alive_.load(std::memory_order_acquire) || stopping_;
-    });
-    if (applied_batches_.load(std::memory_order_acquire) < accepted_at_cut) {
-      // Worker died (or we are draining) with batches unapplied: a
-      // checkpoint here could cover sealed records that were never folded
-      // in. Skip; the WAL still has everything.
-      ckpt_attempts_.fetch_add(1, std::memory_order_release);
-      compact_cv_.notify_all();
-      return false;
-    }
-  }
-  run_compaction();
-  const auto snap = snapshot_.load(std::memory_order_acquire);
-
-  CheckpointHeader header;
-  header.n = static_cast<std::uint32_t>(num_vertices_);
-  header.watermark = snap->watermark;
-  header.epoch = snap->epoch;
-  header.wal_seq = cut_seq;
-  auto wr = ckpt_store_.write(header, snap->labels);
-  if (!wr.ok) {
+    span.arg("epoch", snap.epoch);
+    span.arg("watermark", snap.watermark);
+    span.arg("bytes", wr.bytes);
+  } else {
     std::fprintf(stderr, "[ecl::svc] checkpoint write failed: %s\n", wr.error.c_str());
-    ckpt_attempts_.fetch_add(1, std::memory_order_release);
-    compact_cv_.notify_all();
-    return false;
   }
-
-  ckpt_covered_seq_.store(cut_seq, std::memory_order_relaxed);
-  has_ckpt_.store(true, std::memory_order_release);
-  ckpt_written_.fetch_add(1, std::memory_order_release);
-  last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
-  last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
-  last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
-  ECL_OBS_GAUGE_SET("ecl.svc.ckpt.last_epoch", static_cast<double>(snap->epoch));
-  ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt_ms", ::ecl::obs::Histogram::pow2_bounds(16),
-                           static_cast<std::uint64_t>(t.millis()));
-
-  // Retention: retire segments the *oldest retained* checkpoint covers, so
-  // a fallback load (corrupt newest checkpoint) never misses a segment —
-  // further lowered to the slowest live replica's fetch position, so a
-  // lagging replica is never cut off mid-stream (a replica unseen past
-  // replica_hold_ms stops holding the floor and re-bootstraps instead).
-  const std::uint64_t floor =
-      std::min(ckpt_store_.retention_floor_wal_seq(), replica_fetch_floor());
   {
-    std::lock_guard<std::mutex> lock(wal_mu_);
-    if (floor > 0 && floor != UINT64_MAX) (void)wal_.retire_through(floor);
-    wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-    wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    cuts_settled_ = cut.ticket;
+    if (wr.ok) cuts_written_ = cut.ticket;
   }
-  span.arg("epoch", snap->epoch);
-  span.arg("watermark", snap->watermark);
-  span.arg("bytes", wr.bytes);
-  ckpt_attempts_.fetch_add(1, std::memory_order_release);
   compact_cv_.notify_all();
-  return true;
 }
 
 bool ConnectivityService::checkpoint_now() {
-  if (opts_.checkpoint_path.empty() || stopped_.load(std::memory_order_acquire)) {
+  if (opts_.checkpoint_path.empty() || stopped_.load(std::memory_order_acquire) ||
+      replica_.load(std::memory_order_acquire)) {
     return false;
   }
-  const std::uint64_t written_before = ckpt_written_.load(std::memory_order_acquire);
-  const std::uint64_t target = ckpt_attempts_.load(std::memory_order_acquire) + 1;
-  {
-    std::lock_guard<std::mutex> lock(progress_mu_);
-    force_checkpoint_ = true;
-  }
-  compact_cv_.notify_all();
+  const std::uint64_t ticket = cut_wal();
   std::unique_lock<std::mutex> lock(progress_mu_);
   compact_cv_.wait(lock, [&] {
-    return ckpt_attempts_.load(std::memory_order_acquire) >= target ||
-           !compact_alive_.load(std::memory_order_acquire) ||
+    return cuts_settled_ >= ticket || !compact_alive_.load(std::memory_order_acquire) ||
+           !ingest_alive_.load(std::memory_order_acquire) ||
            stopped_.load(std::memory_order_acquire);
   });
-  return ckpt_written_.load(std::memory_order_acquire) > written_before;
+  return cuts_written_ >= ticket;
 }
 
-void ConnectivityService::run_compaction() {
+std::optional<ConnectivityService::Cut> ConnectivityService::run_compaction() {
   ECL_OBS_SPAN(span, "svc.compact", "svc");
   Timer t;
   auto snap = std::make_shared<Snapshot>();
   std::vector<Hook> hooks;
+  std::optional<Cut> cut;
   {
-    // The hooks and the watermark describe the same batch boundary.
+    // The hooks and the watermark describe the same batch boundary: a
+    // reached cut's, or else the last applied batch's.
     std::lock_guard<std::mutex> lock(progress_mu_);
     hooks.swap(pending_hooks_);
     snap->watermark = applied_edges_.load(std::memory_order_relaxed);
+    if (cut_ && cut_->hooks) {
+      cut.swap(cut_);
+      pending_hooks_.assign(hooks.begin() + *cut->hooks, hooks.end());
+      hooks.resize(*cut->hooks);
+      snap->watermark = cut->edges;
+    }
   }
   // Only this thread (or the constructor) publishes: the hooks start at prev.
   const SnapshotPtr prev = snapshot_.load(std::memory_order_acquire);
+  if (cut && prev->watermark == cut->edges) return cut;  // already published
   snap->epoch = prev->epoch + 1;
   snap->labels = remap_labels(prev->labels, hooks);
   snap->num_components = prev->num_components - static_cast<vertex_t>(hooks.size());
@@ -545,6 +526,7 @@ void ConnectivityService::run_compaction() {
     std::lock_guard<std::mutex> lock(progress_mu_);
   }
   compact_cv_.notify_all();
+  return cut;
 }
 
 void ConnectivityService::flush() {
@@ -587,11 +569,8 @@ void ConnectivityService::stop() {
     std::lock_guard<std::mutex> lock(progress_mu_);
     stopping_ = true;
   }
-  // Both cvs: the compaction thread may be blocked in do_checkpoint()'s
-  // progress_cv_ wait, whose predicate reads stopping_. It then runs the
-  // final compaction and checkpoint and exits.
+  // The compaction thread runs the final compaction and checkpoint.
   compact_cv_.notify_all();
-  progress_cv_.notify_all();
   compact_thread_.join();
   // Wake flush()/compact_now()/checkpoint_now() callers: they see stopped_.
   progress_cv_.notify_all();
@@ -834,6 +813,7 @@ bool ConnectivityService::promote(std::string* err) {
   const std::uint64_t covered = ckpt_covered_seq_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
+    logged_edges_ = applied_edges_.load(std::memory_order_acquire);
     if (!opts_.wal_path.empty()) {
       // The mirror's final segment may end mid-record (the Replicator was
       // stopped between chunks). Those bytes were never parsed or applied,

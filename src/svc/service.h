@@ -205,8 +205,8 @@ class ConnectivityService {
   /// configured — has been durably logged per the fsync policy; kShed means
   /// the queue was full (or the service is degraded) and the caller should
   /// retry later; kClosed means the service is draining. Edges with
-  /// endpoints >= num_vertices() are dropped at apply time (counted in
-  /// ecl.svc.ingest.invalid_edges).
+  /// endpoints >= num_vertices() are dropped before the batch is logged
+  /// (counted in ecl.svc.ingest.invalid_edges).
   [[nodiscard]] Admission submit(EdgeBatch batch);
 
   /// Blocks until every batch accepted so far has been applied to the live
@@ -219,11 +219,11 @@ class ConnectivityService {
   /// current one if the compaction thread has died.
   std::uint64_t compact_now();
 
-  /// Forces the compaction thread to write a checkpoint now and waits for
-  /// the attempt to finish. Returns true if a checkpoint was durably
-  /// written; false when checkpoints are disabled, the service is stopped,
-  /// the compaction thread has died, or the write failed (counted in
-  /// ecl.svc.ckpt.write_errors).
+  /// Cuts the WAL on the calling thread and waits until the compaction
+  /// thread has written the snapshot at that cut (or a newer one). Returns
+  /// true if such a checkpoint was durably written; false when checkpoints
+  /// are disabled, on a replica, when the service stopped, a worker died, or
+  /// the write failed (counted in ecl.svc.ckpt.write_errors).
   [[nodiscard]] bool checkpoint_now();
 
   /// Graceful drain-and-shutdown: refuses new batches, applies everything
@@ -349,9 +349,10 @@ class ConnectivityService {
 
  private:
   void ingest_loop();
-  void ingest_loop_body();
   void compact_loop();
-  void compact_loop_body();
+  /// Runs a loop on its thread; an exception clears `alive` and degrades (`death`).
+  void run_loop(void (ConnectivityService::*loop)(), std::atomic<bool>& alive,
+                const char* death);
   /// The one apply path, shared by the ingest worker and apply_replicated():
   /// drops out-of-range edges, hooks the rest into live_, then hands their
   /// hooks over with applied_edges_ and counts the batch as applied.
@@ -359,10 +360,26 @@ class ConnectivityService {
   /// Moves batch_hooks_ to pending_hooks_. Caller holds progress_mu_ (or is
   /// the constructor) and advances applied_edges_ in the same section.
   void hand_over_hooks();
+  /// A checkpoint cut: WAL segments <= seq hold exactly `edges` edges. Once
+  /// applied_edges_ is there, `hooks` pending_hooks_ entries precede it.
+  struct Cut {
+    std::uint64_t ticket = 0;  // cuts taken so far, this one included
+    std::uint64_t seq = 0;
+    std::uint64_t edges = 0;
+    std::optional<std::size_t> hooks;
+  };
+  /// Seals the active WAL segment at the logged edge count and hands that
+  /// cut to the compaction, replacing a pending one. Returns its ticket.
+  std::uint64_t cut_wal();
+  /// A reached cut, a forced target or enough new edges; progress_mu_ held.
+  [[nodiscard]] bool compaction_due() const;
+  /// Compaction thread: whether an interval or exit checkpoint should cut.
+  [[nodiscard]] bool checkpoint_due(bool exiting, bool cut_pending) const;
   /// Publishes the next epoch: takes the pending hooks and the applied edge
   /// count (the watermark) in one critical section and remaps the previous
-  /// snapshot's labels through those hooks, exactly `watermark` edges.
-  void run_compaction();
+  /// snapshot's labels through those hooks, exactly `watermark` edges. It
+  /// stops at a reached cut and returns it, its epoch published.
+  std::optional<Cut> run_compaction();
   /// What recovery knows before the live union-find exists: the opened
   /// checkpoint chain and, when usable, its newest valid checkpoint.
   struct Recovered {
@@ -388,13 +405,9 @@ class ConnectivityService {
   /// the labels of the live union-find after the seed graph and the whole
   /// WAL. Throws std::runtime_error on an unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
-  /// Compaction-thread: writes a checkpoint when forced, due by interval,
-  /// or on the final drain — see do_checkpoint().
-  void maybe_checkpoint(bool force, bool exiting);
-  /// The checkpoint cut: rotate the WAL, wait for every batch accepted at
-  /// the cut to be applied, compact, persist the snapshot's labels, retire
-  /// covered WAL segments.
-  bool do_checkpoint();
+  /// Compaction thread: persists the snapshot published at `cut`, retires
+  /// covered WAL segments and settles the cut for checkpoint_now().
+  void write_checkpoint(const Cut& cut, const Snapshot& snap);
   /// Milliseconds since service construction (steady clock).
   [[nodiscard]] std::uint64_t now_ms() const;
   /// One-way transition into read-only mode; logs and counts the entry.
@@ -436,7 +449,12 @@ class ConnectivityService {
   // What a forced compaction (compact_now(), a rebase) must reach.
   std::uint64_t force_watermark_ = 0;
   vertex_t force_components_ = kInvalidVertex;
-  bool force_checkpoint_ = false;      // checkpoint_now() pending
+  // The pending cut, the cuts taken so far, and the newest tickets settled
+  // (written, or dropped by a failed write) and written.
+  std::optional<Cut> cut_;
+  std::uint64_t cuts_ = 0;
+  std::uint64_t cuts_settled_ = 0;
+  std::uint64_t cuts_written_ = 0;
   bool stopping_ = false;
 
   std::mutex stop_mu_;  // serializes stop(): only one caller runs the drain
@@ -447,6 +465,7 @@ class ConnectivityService {
   // the flags are read lock-free by stats() and submit().
   std::mutex wal_mu_;
   SegmentedWal wal_;
+  std::uint64_t logged_edges_ = 0;  // a cut's count: applied at open + accepted since
   std::uint64_t replayed_edges_ = 0;
   std::atomic<std::uint64_t> wal_records_{0};
   std::atomic<bool> wal_healthy_{true};
@@ -463,7 +482,6 @@ class ConnectivityService {
   std::chrono::steady_clock::time_point start_tp_ =
       std::chrono::steady_clock::now();
   std::atomic<std::uint64_t> ckpt_written_{0};
-  std::atomic<std::uint64_t> ckpt_attempts_{0};   // writes tried (ok or not)
   std::atomic<std::uint64_t> last_ckpt_epoch_{0};
   std::atomic<std::uint64_t> last_ckpt_watermark_{0};
   std::atomic<std::uint64_t> last_ckpt_ms_{0};    // now_ms() of write/load

@@ -5,9 +5,10 @@
 // past a torn or corrupt newest checkpoint), SegmentedWal rotation /
 // tail-only replay / retirement / refusal of a segment hole, and the
 // service-level contract — bounded restart (checkpoint load + tail replay),
-// WAL segments retired once covered, a short write mid-record degrading the
-// service without losing acked edges, and a failed torn-tail truncation or
-// a segment hole refusing the restart.
+// WAL segments retired once covered, checkpoints cut under live ingest
+// counting exactly the edges of their segments, a short write mid-record
+// degrading the service without losing acked edges, and a failed torn-tail
+// truncation or a segment hole refusing the restart.
 //
 // Same registry discipline as test_fault_svc.cpp: every case that arms the
 // process-wide fault registry disarms it again in TearDown.
@@ -19,10 +20,14 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "core/incremental.h"
 #include "fault/fault.h"
 #include "svc/checkpoint.h"
 #include "svc/service.h"
@@ -856,6 +861,92 @@ TEST_F(ServiceCheckpointTest, CorruptNewestCheckpointFallsBackOnRestart) {
   EXPECT_TRUE(revived.connected(3, 4));  // replayed from the retained tail
   EXPECT_FALSE(revived.connected(1, 3));
   revived.stop();
+}
+
+// A checkpoint is the snapshot published at its WAL cut. Under flat-out
+// ingest each checkpoint's watermark adds exactly the in-universe edges
+// logged in the segments since the previous one's wal_seq (keep-2
+// retention still holds them), its labels are exactly those edges', and a
+// crash image restarts to exactly the logged records, none counted twice.
+TEST_F(ServiceCheckpointTest, CheckpointUnderLiveIngestCountsExactlyItsSegments) {
+  constexpr vertex_t kN = 1 << 14;
+  const auto in_universe = [](const Edge& e) { return e.first < kN && e.second < kN; };
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  opts.wal.fsync_policy = FsyncPolicy::kNone;
+  ConnectivityService service(kN, opts);
+  const auto newest = [&] {
+    CheckpointStore store;
+    store.open(path("ckpt"));
+    auto load = store.load_latest_valid();
+    EXPECT_TRUE(load.ok) << load.error;
+    return load.data;
+  };
+  ASSERT_TRUE(service.checkpoint_now());  // starts the chain, before any ingest
+  std::uint64_t seq = newest().wal_seq;
+
+  std::vector<Edge> logged;  // accepted in-universe edges, in log order
+  // A failed assertion returns with it running: the jthread stops and joins.
+  std::jthread submitter([&](const std::stop_token& stop) {
+    Xoshiro256 rng(23);
+    while (!stop.stop_requested()) {
+      ConnectivityService::EdgeBatch batch(64);
+      for (auto& [u, v] : batch) {  // 1 in 32 endpoints past the universe
+        u = static_cast<vertex_t>(rng.bounded(kN + kN / 32));
+        v = static_cast<vertex_t>(rng.bounded(kN));
+      }
+      ConnectivityService::EdgeBatch kept;
+      std::copy_if(batch.begin(), batch.end(), std::back_inserter(kept), in_universe);
+      if (service.submit(std::move(batch)) == Admission::kAccepted) {
+        logged.insert(logged.end(), kept.begin(), kept.end());
+      }
+    }
+  });
+
+  IncrementalCC segments_ref(kN);  // the in-universe edges of segments <= seq
+  std::uint64_t segment_edges = 0;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_TRUE(service.checkpoint_now());
+    const CheckpointData ckpt = newest();
+    for (++seq; seq <= ckpt.wal_seq; ++seq) {
+      auto rep = WriteAheadLog::replay_and_truncate(numbered_path(path("wal"), seq), false);
+      ASSERT_TRUE(rep.ok) << rep.error;
+      ASSERT_EQ(rep.truncated_bytes, 0u) << "sealed segment " << seq;
+      std::erase_if(rep.edges, [&](const Edge& e) { return !in_universe(e); });
+      segments_ref.add_edges(rep.edges.data(), rep.edges.size());
+      segment_edges += rep.edges.size();
+    }
+    seq = ckpt.wal_seq;
+    ASSERT_EQ(ckpt.watermark, segment_edges) << "checkpoint " << i << ", wal_seq " << seq;
+    ASSERT_TRUE(ckpt.labels == segments_ref.labels()) << "checkpoint " << i;
+  }
+  submitter.request_stop();
+  submitter.join();
+  service.flush();
+  ASSERT_GT(segment_edges, 0u);
+
+  // The crash image: the files as they are, before stop() checkpoints.
+  std::filesystem::create_directory(path("crash"));
+  for (const std::string base : {"wal", "ckpt"}) {
+    for (const auto& f : list_numbered_files(path(base))) {
+      std::filesystem::copy_file(
+          f.path, path("crash/" + base) + f.path.substr(f.path.rfind('.')));
+    }
+  }
+  service.stop();
+
+  ServiceOptions crash_opts = opts;
+  crash_opts.wal_path = path("crash/wal");
+  crash_opts.checkpoint_path = path("crash/ckpt");
+  ConnectivityService restarted(kN, crash_opts);
+  IncrementalCC ref(kN);
+  ref.add_edges(logged.data(), logged.size());
+  EXPECT_EQ(restarted.stats().applied_edges, logged.size());
+  EXPECT_EQ(restarted.snapshot()->watermark, logged.size());
+  EXPECT_TRUE(restarted.snapshot()->labels == ref.labels());
+  restarted.stop();
 }
 
 TEST_F(ServiceCheckpointTest, ShortWriteMidRecordDegradesWithoutLosingAcks) {

@@ -5,7 +5,8 @@
 // replica contract (submit sheds, apply_replicated feeds the live structure,
 // rebase_to_checkpoint unites a newer checkpoint and refuses an older one,
 // promote flips to writable), exact snapshots (every epoch is the prefix of
-// its watermark across a checkpoint restart and a rebase), installed
+// its watermark across a checkpoint restart and a rebase, also a rebase onto
+// a checkpoint cut under live ingest followed by its WAL tail), installed
 // checkpoints (numbered locally under
 // keep-2; a replica promoted after a rebootstrap restarts from its own
 // chain), the retention floor interaction (a slow replica pins segments; a
@@ -20,11 +21,14 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -595,6 +599,91 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
     restarted.stop();
     replica.stop();
   }
+}
+
+// Replicas rebase onto checkpoints cut while the primary ingests flat out,
+// then stream the primary's WAL after each checkpoint's wal_seq record by
+// record. Every epoch they publish is exactly the first `watermark` logged
+// edges: a checkpoint's watermark counts exactly the records of the
+// segments it covers, so the tail adds no edge twice.
+TEST_F(ReplicaServiceTest, RebaseOntoACheckpointCutUnderLiveIngestThenStreamTheTail) {
+  constexpr vertex_t kN = 1 << 14;
+  ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+  ServiceOptions opts;
+  opts.wal_path = path("p/wal");
+  opts.checkpoint_path = path("p/ckpt");
+  opts.checkpoint_interval_ms = 0;
+  opts.wal.fsync_policy = FsyncPolicy::kNone;
+  ConnectivityService primary(kN, opts);
+  ASSERT_TRUE(primary.fetch_wal_chunk(/*replica_id=*/7, 1, 0, 1).ok);  // retains every segment
+  std::vector<Edge> logged;  // accepted edges, in log order
+  // A failed assertion returns with it running: the jthread stops and joins.
+  std::jthread submitter([&](const std::stop_token& stop) {
+    Xoshiro256 rng(5);
+    while (!stop.stop_requested()) {
+      ConnectivityService::EdgeBatch batch(64);
+      for (auto& [u, v] : batch) {
+        u = static_cast<vertex_t>(rng.bounded(kN));
+        v = static_cast<vertex_t>((u + 1 + rng.bounded(64)) % kN);
+      }
+      const ConnectivityService::EdgeBatch copy = batch;
+      if (primary.submit(std::move(batch)) == Admission::kAccepted) {
+        logged.insert(logged.end(), copy.begin(), copy.end());
+      }
+    }
+  });
+  std::vector<CkptImage> images;
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(primary.checkpoint_now());
+    images.push_back(primary.fetch_checkpoint_image());
+    ASSERT_TRUE(images.back().has);
+  }
+  submitter.request_stop();
+  submitter.join();
+  primary.flush();
+
+  for (const CkptImage& image : images) {
+    SCOPED_TRACE("checkpoint wal_seq " + std::to_string(image.wal_seq));
+    std::filesystem::remove_all(path("r"));
+    ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+    ServiceOptions ropts = replica_options();
+    ropts.compact_interval_ms = 3600 * 1000;  // forced compactions only
+    ropts.compact_min_new_edges = ~0ull;
+    ConnectivityService replica(kN, ropts);
+    IncrementalCC ref(kN);
+    std::uint64_t ref_edges = 0;
+    const auto expect_prefix = [&] {
+      (void)replica.compact_now();
+      const SnapshotPtr snap = replica.snapshot();
+      ASSERT_LE(snap->watermark, logged.size());
+      ASSERT_GE(snap->watermark, ref_edges);
+      ref.add_edges(logged.data() + ref_edges, snap->watermark - ref_edges);
+      ref_edges = snap->watermark;
+      EXPECT_TRUE(snap->labels == ref.labels()) << "watermark " << snap->watermark;
+      EXPECT_EQ(snap->num_components, ref.num_components()) << "watermark " << snap->watermark;
+    };
+    std::string err;
+    ASSERT_TRUE(replica.rebase_to_image(image.image, &err)) << err;
+    expect_prefix();
+    std::size_t records = 0;
+    for (std::uint64_t seq = image.wal_seq + 1;; ++seq) {
+      std::ifstream in(numbered_path(path("p/wal"), seq), std::ios::binary);
+      if (!in) break;
+      const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in), {}};
+      WalDecoder decoder;
+      decoder.feed(bytes);
+      ConnectivityService::EdgeBatch record;
+      while (decoder.next(&record) == WalDecoder::Status::kRecord) {
+        replica.apply_replicated(std::exchange(record, {}));
+        if (++records % 256 == 0) expect_prefix();
+      }
+      ASSERT_EQ(decoder.pending(), 0u) << "segment " << seq;
+      expect_prefix();
+    }
+    EXPECT_EQ(replica.snapshot()->watermark, logged.size());
+    replica.stop();
+  }
+  primary.stop();
 }
 
 // Satellite 4: retention x replica floor. A live replica mid-fetch on an
