@@ -4,15 +4,20 @@
 # exercises it with ecl_cc_client and svc_loadgen, renders a scripted
 # ecl_cc_top snapshot, validates the Prometheus scrape and the run-report
 # JSON, and checks that every op the loadgen observed as slow appears in the
-# daemon's slow-request log under the same request id.
+# daemon's slow-request log under the same request id. Then it starts
+# ecl_ccd once more, seeded with a graph file that graph_convert writes, and
+# checks that its component count equals the one ecl_cc prints for the file.
 #
 #   usage: svc_smoke.sh <ecl_ccd> <ecl_cc_client> <svc_loadgen> <ecl_cc_top>
+#                       <ecl_cc> <graph_convert>
 set -euo pipefail
 
 CCD=$1
 CLIENT=$2
 LOADGEN=$3
 TOP=$4
+ECL_CC=$5
+CONVERT=$6
 SCRIPT_DIR=$(cd "$(dirname "${BASH_SOURCE[0]}")" && pwd)
 
 WORK=$(mktemp -d "${TMPDIR:-/tmp}/ecl_svc_smoke.XXXXXX")
@@ -34,6 +39,16 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# Waits up to ~10 s for the daemon CCD_PID to write ready file $1; $2 is its log.
+wait_ready() {
+  for _ in $(seq 1 100); do
+    [[ -f "$1" ]] && return 0
+    kill -0 "$CCD_PID" 2>/dev/null || { echo "daemon died:"; cat "$2"; exit 1; }
+    sleep 0.1
+  done
+  echo "daemon never became ready"; cat "$2"; exit 1
+}
+
 echo "== starting ecl_ccd on $SOCK (exporter + slow log enabled)"
 # --slow-threshold-us=0 logs every served request, so the client-side slow
 # file below must join against it on request id.
@@ -41,13 +56,7 @@ echo "== starting ecl_ccd on $SOCK (exporter + slow log enabled)"
        --report="$CCD_REPORT" --metrics-port=0 \
        --slow-log="$SLOW_LOG" --slow-threshold-us=0 >"$CCD_LOG" 2>&1 &
 CCD_PID=$!
-
-for _ in $(seq 1 100); do
-  [[ -f "$READY" ]] && break
-  kill -0 "$CCD_PID" 2>/dev/null || { echo "daemon died:"; cat "$CCD_LOG"; exit 1; }
-  sleep 0.1
-done
-[[ -f "$READY" ]] || { echo "daemon never became ready"; cat "$CCD_LOG"; exit 1; }
+wait_ready "$READY" "$CCD_LOG"
 MPORT=$(awk '/^metrics /{print $2}' "$READY")
 [[ -n "$MPORT" ]] || { echo "no metrics port in ready file:"; cat "$READY"; exit 1; }
 echo "   metrics exporter on port $MPORT"
@@ -153,5 +162,23 @@ assert op_hists and all(m['p50'] <= m['p99'] for m in op_hists)
 print('daemon report ok: %d metrics, %d per-op histograms' %
       (len(d['metrics']), len(op_hists)))
 EOF
+
+echo "== seeded daemon: component count matches ecl_cc on the same file"
+SEED="$WORK/seed.eclg"
+SEED_SOCK="$WORK/seeded.sock"
+SEED_READY="$WORK/seeded_ready.txt"
+SEED_LOG="$WORK/seeded.log"
+"$CONVERT" --gen=internet --scale=0.2 "$SEED" >/dev/null
+WANT=$("$ECL_CC" "$SEED" | awk '/^components:/{print $2}')
+[[ -n "$WANT" ]] || { echo "ecl_cc printed no components line"; exit 1; }
+"$CCD" --graph="$SEED" --unix="$SEED_SOCK" --ready-file="$SEED_READY" >"$SEED_LOG" 2>&1 &
+CCD_PID=$!
+wait_ready "$SEED_READY" "$SEED_LOG"
+# Epoch 0 holds the seed's components before the daemon reports ready.
+GOT=$("$CLIENT" --unix="$SEED_SOCK" count)
+[[ "$GOT" == "$WANT" ]] || { echo "seeded daemon counts $GOT components, ecl_cc $WANT"; exit 1; }
+echo "   $GOT components from both"
+"$CLIENT" --unix="$SEED_SOCK" shutdown
+wait "$CCD_PID"
 
 echo "svc smoke: PASS"

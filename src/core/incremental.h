@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dsu/disjoint_set.h"
-#include "graph/graph.h"
 
 namespace ecl {
 
@@ -24,18 +23,10 @@ class IncrementalCC {
   /// A universe of n vertices, initially all singletons.
   explicit IncrementalCC(vertex_t n) : dsu_(n) {}
 
-  /// Starts from an existing graph's components.
-  explicit IncrementalCC(const Graph& g) : dsu_(g.num_vertices()) {
-    for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-      for (const vertex_t u : g.neighbors(v)) {
-        if (u < v) dsu_.unite(v, u);
-      }
-    }
-  }
-
   /// Starts from the components of a canonical labelling (label[v] <= v,
-  /// label[label[v]] == label[v]; e.g. labels() or a checkpoint), copied
-  /// once as the union-find's parent array: O(n), no unions.
+  /// label[label[v]] == label[v]; e.g. labels(), ECL-CC's output or a
+  /// checkpoint), copied once as the union-find's parent array: O(n), no
+  /// unions.
   explicit IncrementalCC(std::span<const vertex_t> labels) : dsu_(labels) {}
 
   /// Inserts the undirected edge (u, v). Thread-safe. `log` as in add_edges.

@@ -18,40 +18,28 @@ void GraphBuilder::add_edges(std::span<const Edge> edges) {
   for (const auto& [u, v] : edges) add_edge(u, v);
 }
 
-Graph GraphBuilder::build(const BuildOptions& opts) {
+Graph GraphBuilder::build() {
   const std::vector<Edge> edges = std::move(edges_);
   edges_.clear();
-  return build_graph(num_vertices_, edges, opts);
+  return build_graph(num_vertices_, edges);
 }
 
-Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
-                  const BuildOptions& opts) {
+Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges) {
   const std::size_t n = num_vertices;
-  auto kept = [&opts](const Edge& e) { return !opts.remove_self_loops || e.first != e.second; };
 
-  // Count pass: offsets[u + 1] counts the arcs with tail u, by_head[v + 1]
-  // those with head v. Symmetrized, every in-degree equals the out-degree,
-  // so by_head is a copy of offsets.
+  // Count pass: offsets[u + 1] counts the arcs with tail u. Both arcs of
+  // every kept edge are counted, so every in-degree equals the out-degree.
   std::vector<edge_t> offsets(n + 1, 0);
-  std::vector<edge_t> by_head(opts.symmetrize ? 0 : n + 1, 0);
   for (const Edge& e : edges) {
     if (e.first >= n || e.second >= n) {
       throw std::out_of_range("build_graph: endpoint out of range");
     }
-    if (!kept(e)) continue;
+    if (e.first == e.second) continue;
     ++offsets[e.first + 1];
-    if (opts.symmetrize) {
-      ++offsets[e.second + 1];
-    } else {
-      ++by_head[e.second + 1];
-    }
+    ++offsets[e.second + 1];
   }
   std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
-  if (opts.symmetrize) {
-    by_head = offsets;
-  } else {
-    std::partial_sum(by_head.begin(), by_head.end(), by_head.begin());
-  }
+  std::vector<edge_t> by_head = offsets;
 
   // Two stable scatters, an LSD radix sort of the arcs on (tail, head):
   // first each tail into its head's slots, then, walking heads in ascending
@@ -60,9 +48,9 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
   // vertex's slots: by_head[h] bounds h's tails, offsets[u] ends u's list.
   std::vector<vertex_t> tails(by_head[n]);
   for (const Edge& e : edges) {
-    if (!kept(e)) continue;
+    if (e.first == e.second) continue;
     tails[by_head[e.second]++] = e.first;
-    if (opts.symmetrize) tails[by_head[e.first]++] = e.second;
+    tails[by_head[e.first]++] = e.second;
   }
   std::vector<vertex_t> adjacency(offsets[n]);
   for (edge_t i = 0, h = 0; h < n; ++h) {
@@ -70,16 +58,14 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
   }
   tails = {};
 
-  // Per list: drop duplicates, orient, and slide the list down over the
-  // slots freed by earlier lists' duplicates; offsets[v] becomes v's start.
+  // Per list: drop duplicates and slide the list down over the slots freed
+  // by earlier lists' duplicates; offsets[v] becomes v's start.
   vertex_t* const adj = adjacency.data();
   edge_t begin = 0;
   edge_t write = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const edge_t end = offsets[v];
-    vertex_t* list_end = adj + end;
-    if (opts.deduplicate) list_end = std::unique(adj + begin, list_end);
-    if (!opts.sort_neighbors) std::reverse(adj + begin, list_end);
+    vertex_t* const list_end = std::unique(adj + begin, adj + end);
     if (write != begin) std::move(adj + begin, list_end, adj + write);
     offsets[v] = write;
     write += static_cast<edge_t>(list_end - (adj + begin));

@@ -1,8 +1,15 @@
 // GraphBuilder: edge list -> clean CSR graph.
 //
-// Reproduces the paper's input conditioning (§4): "we modified the graphs to
-// eliminate loops and multiple edges between the same two vertices. We added
-// any missing back edges to make the graphs undirected."
+// Every graph the library loads or generates goes through build_graph, which
+// applies the paper's input conditioning (§4) and nothing else: "we modified
+// the graphs to eliminate loops and multiple edges between the same two
+// vertices. We added any missing back edges to make the graphs undirected."
+// The conditioning is fixed because ECL-CC depends on it: each vertex v
+// processes only its neighbors u < v, so an undirected edge is handled once,
+// from its larger endpoint's list, and is missed if only the smaller
+// endpoint stores it. Init3 ("first neighbor with a smaller ID") reads list
+// order, so every adjacency list is also sorted ascending, which makes runs
+// deterministic.
 //
 // The CSR is built by counting sorts, not a comparison sort: one pass counts
 // each vertex's arcs, then two stable scatters (by head, then by tail) leave
@@ -18,19 +25,6 @@
 
 namespace ecl {
 
-struct BuildOptions {
-  /// Add (v,u) for every (u,v) so the graph is undirected.
-  bool symmetrize = true;
-  /// Drop (u,u) edges.
-  bool remove_self_loops = true;
-  /// Collapse parallel edges.
-  bool deduplicate = true;
-  /// Sort each adjacency list ascending. The paper's CSR inputs are sorted;
-  /// Init3 ("first neighbor with a smaller ID") depends on list order, so
-  /// keeping this on makes runs deterministic. Off, each list is descending.
-  bool sort_neighbors = true;
-};
-
 class GraphBuilder {
  public:
   /// `num_vertices` fixes n; edges may then reference vertices [0, n).
@@ -45,9 +39,9 @@ class GraphBuilder {
   /// Number of raw (pre-conditioning) edges added so far.
   [[nodiscard]] std::size_t raw_edge_count() const { return edges_.size(); }
 
-  /// Conditions the edge list per `opts` and emits the CSR graph.
-  /// The builder is left empty afterwards.
-  [[nodiscard]] Graph build(const BuildOptions& opts = {});
+  /// Conditions the edge list and emits the CSR graph. The builder is left
+  /// empty afterwards.
+  [[nodiscard]] Graph build();
 
  private:
   vertex_t num_vertices_;
@@ -56,7 +50,6 @@ class GraphBuilder {
 
 /// Builds a conditioned graph straight from an edge list, without copying
 /// it. Throws std::out_of_range if an endpoint is >= num_vertices.
-[[nodiscard]] Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges,
-                                const BuildOptions& opts = {});
+[[nodiscard]] Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges);
 
 }  // namespace ecl

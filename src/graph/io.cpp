@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/builder.h"
+
 namespace ecl {
 
 namespace {
@@ -56,7 +58,7 @@ class IdCompactor {
 
 }  // namespace
 
-Graph read_edge_list(std::istream& in, const BuildOptions& opts) {
+Graph read_edge_list(std::istream& in) {
   IdCompactor compact;
   std::vector<Edge> edges;
   std::string line;
@@ -68,15 +70,15 @@ Graph read_edge_list(std::istream& in, const BuildOptions& opts) {
     if (!(ss >> u >> v)) fail("malformed edge list line: " + line);
     edges.emplace_back(compact.map(u), compact.map(v));
   }
-  return build_graph(compact.size(), edges, opts);
+  return build_graph(compact.size(), edges);
 }
 
-Graph load_edge_list(const std::string& path, const BuildOptions& opts) {
+Graph load_edge_list(const std::string& path) {
   auto in = open_or_throw(path);
-  return read_edge_list(in, opts);
+  return read_edge_list(in);
 }
 
-Graph read_dimacs(std::istream& in, const BuildOptions& opts) {
+Graph read_dimacs(std::istream& in) {
   std::string line;
   vertex_t n = 0;
   std::vector<Edge> edges;
@@ -104,15 +106,15 @@ Graph read_dimacs(std::istream& in, const BuildOptions& opts) {
     }
   }
   if (!saw_problem) fail("DIMACS file has no problem line");
-  return build_graph(n, edges, opts);
+  return build_graph(n, edges);
 }
 
-Graph load_dimacs(const std::string& path, const BuildOptions& opts) {
+Graph load_dimacs(const std::string& path) {
   auto in = open_or_throw(path);
-  return read_dimacs(in, opts);
+  return read_dimacs(in);
 }
 
-Graph read_matrix_market(std::istream& in, const BuildOptions& opts) {
+Graph read_matrix_market(std::istream& in) {
   std::string line;
   if (!std::getline(in, line) || line.rfind("%%MatrixMarket", 0) != 0) {
     fail("not a MatrixMarket file");
@@ -141,12 +143,12 @@ Graph read_matrix_market(std::istream& in, const BuildOptions& opts) {
     if (r == 0 || c == 0 || r > n || c > n) fail("MatrixMarket entry out of range: " + line);
     edges.emplace_back(static_cast<vertex_t>(r - 1), static_cast<vertex_t>(c - 1));
   }
-  return build_graph(n, edges, opts);
+  return build_graph(n, edges);
 }
 
-Graph load_matrix_market(const std::string& path, const BuildOptions& opts) {
+Graph load_matrix_market(const std::string& path) {
   auto in = open_or_throw(path);
-  return read_matrix_market(in, opts);
+  return read_matrix_market(in);
 }
 
 void save_binary(const Graph& g, const std::string& path) {

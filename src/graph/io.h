@@ -12,32 +12,34 @@
 //     "<rows> <cols> <nnz>" size line, 1-based entries.
 //   * ECL binary (.eclg): little-endian [magic, n, m, offsets, adjacency].
 //
-// All loaders condition the input through GraphBuilder (symmetrize, drop
-// self-loops, dedupe), matching the paper's preprocessing.
+// Every text loader conditions its input through build_graph, the paper's
+// fixed preprocessing (§4, see graph/builder.h): loops and parallel edges
+// are dropped and missing back edges added, since ECL-CC handles each
+// undirected edge once, from its larger endpoint. The binary container is an
+// exact round trip of a graph that was conditioned when it was built.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "graph/builder.h"
 #include "graph/graph.h"
 
 namespace ecl {
 
 /// Loads a SNAP-style edge list. Vertex IDs are compacted to [0, n).
 /// Throws std::runtime_error on unreadable/malformed input.
-[[nodiscard]] Graph load_edge_list(const std::string& path, const BuildOptions& opts = {});
-[[nodiscard]] Graph read_edge_list(std::istream& in, const BuildOptions& opts = {});
+[[nodiscard]] Graph load_edge_list(const std::string& path);
+[[nodiscard]] Graph read_edge_list(std::istream& in);
 
 /// Loads a DIMACS challenge-9 .gr file (edge weights are ignored; CC does
 /// not use them). Throws std::runtime_error on malformed input.
-[[nodiscard]] Graph load_dimacs(const std::string& path, const BuildOptions& opts = {});
-[[nodiscard]] Graph read_dimacs(std::istream& in, const BuildOptions& opts = {});
+[[nodiscard]] Graph load_dimacs(const std::string& path);
+[[nodiscard]] Graph read_dimacs(std::istream& in);
 
 /// Loads a MatrixMarket coordinate-format sparse matrix as a graph
 /// (pattern/real/integer; values ignored). Throws on malformed input.
-[[nodiscard]] Graph load_matrix_market(const std::string& path, const BuildOptions& opts = {});
-[[nodiscard]] Graph read_matrix_market(std::istream& in, const BuildOptions& opts = {});
+[[nodiscard]] Graph load_matrix_market(const std::string& path);
+[[nodiscard]] Graph read_matrix_market(std::istream& in);
 
 /// Binary CSR container: exact round-trip of the in-memory representation.
 void save_binary(const Graph& g, const std::string& path);

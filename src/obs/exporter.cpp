@@ -16,6 +16,11 @@ namespace ecl::obs {
 
 namespace {
 
+/// Ring capacity per metric; 64 x 1 s ~= a one-minute window.
+constexpr std::size_t kWindowSamples = 64;
+/// Per-scrape socket deadline: a stuck scraper is dropped, never waited on.
+constexpr int kIoTimeoutMs = 2000;
+
 void append_number(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
@@ -56,7 +61,7 @@ std::uint64_t mono_ms() {
 }  // namespace
 
 MetricsExporter::MetricsExporter(ExporterOptions opts) : opts_(std::move(opts)),
-                                                         series_(opts_.window_samples) {}
+                                                         series_(kWindowSamples) {}
 
 MetricsExporter::~MetricsExporter() { stop(); }
 
@@ -137,7 +142,7 @@ void MetricsExporter::serve_loop() {
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
     if (client_fd < 0) continue;
-    set_io_timeouts(client_fd, opts_.io_timeout_ms, opts_.io_timeout_ms);
+    set_io_timeouts(client_fd, kIoTimeoutMs, kIoTimeoutMs);
     handle_client(client_fd);
     ::close(client_fd);
   }

@@ -47,10 +47,6 @@ struct ExporterOptions {
   int port = 0;
   /// Registry sampling cadence for the windowed stats.
   int sample_interval_ms = 1000;
-  /// Ring capacity per metric; 64 x 1 s ~= a one-minute window.
-  std::size_t window_samples = 64;
-  /// Per-scrape socket deadline: a stuck scraper is dropped, never waited on.
-  int io_timeout_ms = 2000;
 };
 
 class MetricsExporter {

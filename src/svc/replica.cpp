@@ -26,8 +26,8 @@ std::uint64_t mono_ms() {
 std::unique_ptr<Client> connect_primary(const ReplicatorOptions& opts,
                                         std::string* err) {
   return opts.unix_path.empty()
-             ? Client::connect_tcp(opts.host, opts.port, err, opts.client)
-             : Client::connect_unix(opts.unix_path, err, opts.client);
+             ? Client::connect_tcp(opts.host, opts.port, err)
+             : Client::connect_unix(opts.unix_path, err);
 }
 
 }  // namespace

@@ -80,9 +80,6 @@ struct ReplicatorOptions {
   /// Identity in the primary's retention registry. 0 derives one from the
   /// pid so two replicas on one host don't alias.
   std::uint64_t replica_id = 0;
-  /// Transport policy for the fetch client. Retries stay modest: the
-  /// fetch loop itself is the outer retry loop.
-  ClientOptions client;
 };
 
 class Replicator {

@@ -23,6 +23,9 @@ namespace ecl::svc {
 
 namespace {
 
+/// Listener pause after shedding on EMFILE/ENFILE before retrying.
+constexpr int kAcceptBackoffMs = 100;
+
 /// Per-op latency sink; one switch so every op keeps its own cached
 /// function-local static histogram reference.
 void record_op_latency(MsgType type, std::uint64_t us) {
@@ -161,7 +164,7 @@ void Server::on_accept_ready() {
         }
         auto& loop0 = pool_->at(0);
         loop0.unwatch(listen_fd_);
-        loop0.post_after(opts_.accept_backoff_ms, [this] { rearm_accept(); });
+        loop0.post_after(kAcceptBackoffMs, [this] { rearm_accept(); });
         return;
       }
       continue;  // ECONNABORTED and friends: transient, try the next one

@@ -69,8 +69,6 @@ struct ServerOptions {
   std::size_t write_buffer_pause = 1u << 20;
   /// Evict a connection whose buffered responses would exceed this.
   std::size_t write_buffer_limit = 64u << 20;
-  /// Listener pause after shedding on EMFILE/ENFILE before retrying.
-  int accept_backoff_ms = 100;
   /// Test hook: shrink SO_SNDBUF on accepted sockets (0 = OS default) so
   /// write-buffer backpressure triggers with small payloads.
   int sndbuf_bytes = 0;

@@ -10,6 +10,7 @@
 
 #include "common/huge_pages.h"
 #include "common/timer.h"
+#include "core/ecl_cc.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -62,14 +63,13 @@ ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
     : num_vertices_(rec.n),
       opts_(opts),
       live_(rec.ckpt ? IncrementalCC(std::span<const vertex_t>(rec.ckpt->labels))
-            : rec.seed != nullptr ? IncrementalCC(*rec.seed)
+            : rec.seed != nullptr ? IncrementalCC(ecl_cc_omp(*rec.seed))
                                   : IncrementalCC(rec.n)),
       queue_(opts.queue_capacity),
       ckpt_store_(std::move(rec.store)) {
   replica_.store(opts_.replica, std::memory_order_release);
   applied_edges_.store(rec.seed_edges);
   init_durability(std::move(rec.ckpt));
-  logged_edges_ = applied_edges_.load(std::memory_order_relaxed);
   ingest_thread_ = std::thread([this] {
     run_loop(&ConnectivityService::ingest_loop, ingest_alive_, "ingest worker died");
   });
@@ -179,12 +179,13 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     (void)run_compaction();
   }
 
-  if (opts_.wal_path.empty()) return;
   if (opts_.replica) {
     // A replica never appends: the Replicator mirrors the primary's raw
     // segment bytes into these same files, and opening one for writing
     // here would stamp a header into (or fsync-race) the mirror. Recovery
     // above already replayed everything; just surface the mirror geometry.
+    // promote() opens the WAL later.
+    if (opts_.wal_path.empty()) return;
     std::uint64_t segs = 0;
     std::uint64_t bytes = 0;
     for (const auto& f : list_numbered_files(opts_.wal_path)) {
@@ -195,15 +196,22 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     wal_bytes_.store(bytes, std::memory_order_relaxed);
     return;
   }
+  std::string err;
+  if (!open_wal_for_appends(covered_seq, &err)) {
+    throw std::runtime_error("ecl::svc WAL open failed: " + err);
+  }
+}
+
+bool ConnectivityService::open_wal_for_appends(std::uint64_t covered_seq, std::string* err) {
+  logged_edges_ = applied_edges_.load(std::memory_order_acquire);
+  if (opts_.wal_path.empty()) return true;
   SegmentedWalOptions sopts;
   sopts.wal = opts_.wal;
   sopts.segment_bytes = opts_.wal_segment_bytes;
-  std::string err;
-  if (!wal_.open(opts_.wal_path, sopts, covered_seq + 1, &err)) {
-    throw std::runtime_error("ecl::svc WAL open failed: " + err);
-  }
+  if (!wal_.open(opts_.wal_path, sopts, covered_seq + 1, err)) return false;
   wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
   wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+  return true;
 }
 
 void ConnectivityService::enter_degraded(const char* reason) {
@@ -813,7 +821,6 @@ bool ConnectivityService::promote(std::string* err) {
   const std::uint64_t covered = ckpt_covered_seq_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
-    logged_edges_ = applied_edges_.load(std::memory_order_acquire);
     if (!opts_.wal_path.empty()) {
       // The mirror's final segment may end mid-record (the Replicator was
       // stopped between chunks). Those bytes were never parsed or applied,
@@ -830,16 +837,11 @@ bool ConnectivityService::promote(std::string* err) {
           return false;
         }
       }
-      SegmentedWalOptions sopts;
-      sopts.wal = opts_.wal;
-      sopts.segment_bytes = opts_.wal_segment_bytes;
-      std::string werr;
-      if (!wal_.open(opts_.wal_path, sopts, covered + 1, &werr)) {
-        if (err != nullptr) *err = "promote: WAL open failed: " + werr;
-        return false;
-      }
-      wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-      wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+    }
+    std::string werr;
+    if (!open_wal_for_appends(covered, &werr)) {
+      if (err != nullptr) *err = "promote: WAL open failed: " + werr;
+      return false;
     }
   }
   replica_.store(false, std::memory_order_release);

@@ -188,8 +188,9 @@ class ConnectivityService {
   explicit ConnectivityService(vertex_t n, ServiceOptions opts = {});
 
   /// Seeds the service with an existing graph: the seed's edges count as
-  /// applied (watermark > 0) and epoch 0 reflects its components. A valid
-  /// checkpoint whose watermark covers the seed's edges supersedes it.
+  /// applied (watermark > 0) and epoch 0 reflects its components, which
+  /// ecl_cc_omp finds. A valid checkpoint whose watermark covers the seed's
+  /// edges supersedes it, and the seed is then not solved at all.
   explicit ConnectivityService(const Graph& seed, ServiceOptions opts = {});
 
   /// Drains and stops (see stop()).
@@ -395,8 +396,8 @@ class ConnectivityService {
   [[nodiscard]] static Recovered recover_checkpoint(vertex_t n, const Graph* seed,
                                                     const ServiceOptions& opts);
   /// Both public constructors: live_ starts from the checkpoint's labels
-  /// (copied once, no unions, no ECL-CC run), else from the seed graph,
-  /// else as singletons.
+  /// (copied once, no unions, no ECL-CC run), else from ecl_cc_omp's
+  /// labels of the seed graph, else as singletons.
   ConnectivityService(Recovered rec, ServiceOptions opts);
   /// Ctor-only recovery: publish the checkpoint's labels (moved, not
   /// copied) as the initial snapshot, then replay only the WAL tail
@@ -405,6 +406,11 @@ class ConnectivityService {
   /// the labels of the live union-find after the seed graph and the whole
   /// WAL. Throws std::runtime_error on an unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
+  /// Ctor (no thread running yet) and promote() (under wal_mu_): counts
+  /// every applied edge as logged and, with a WAL path, opens the WAL for
+  /// appends after the checkpoint's segment `covered_seq`. False, with
+  /// `err` set, if the WAL cannot be opened.
+  [[nodiscard]] bool open_wal_for_appends(std::uint64_t covered_seq, std::string* err);
   /// Compaction thread: persists the snapshot published at `cut`, retires
   /// covered WAL segments and settles the cut for checkpoint_now().
   void write_checkpoint(const Cut& cut, const Snapshot& snap);

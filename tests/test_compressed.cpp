@@ -13,6 +13,7 @@ namespace ecl {
 namespace {
 
 using testing::correctness_graphs;
+using testing::with_descending_lists;
 
 TEST(Compressed, RoundTripsEveryFixtureGraph) {
   for (const auto& [name, g] : correctness_graphs()) {
@@ -65,9 +66,8 @@ TEST(Compressed, EmptyAndEdgeless) {
 }
 
 TEST(Compressed, RejectsUnsortedAdjacency) {
-  BuildOptions opts;
-  opts.sort_neighbors = false;  // reversed lists
-  const Graph g = build_graph(5, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}}, opts);
+  const Graph g =
+      with_descending_lists(build_graph(5, std::vector<Edge>{{0, 1}, {0, 2}, {0, 3}}));
   EXPECT_THROW((void)CompressedGraph::compress(g), std::invalid_argument);
 }
 

@@ -6,9 +6,12 @@
 
 #include "core/engine.h"
 #include "graph/builder.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {
+
+using testing::with_descending_lists;
 
 /// Star around vertex 5: neighbors of 5 are {0,1,2,3,4,6,7} (sorted CSR).
 Graph star_around_5() {
@@ -48,9 +51,7 @@ TEST(InitialParent, FirstSmallerRespectsListOrder) {
   for (vertex_t v = 0; v < 8; ++v) {
     if (v != 5) b.add_edge(5, v);
   }
-  BuildOptions opts;
-  opts.sort_neighbors = false;  // builder reverses the sorted list
-  const Graph g = b.build(opts);
+  const Graph g = with_descending_lists(b.build());
   EXPECT_EQ(detail::initial_parent(g, InitPolicy::kFirstSmallerNeighbor, 5), 4u);
   // Init2 is order-independent.
   EXPECT_EQ(detail::initial_parent(g, InitPolicy::kMinNeighbor, 5), 0u);

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <span>
 #include <thread>
@@ -28,7 +29,10 @@
 #include <vector>
 
 #include "common/sock.h"
+#include "core/ecl_cc.h"
 #include "fault/fault.h"
+#include "graph/builder.h"
+#include "graph/generators.h"
 #include "obs/exporter.h"
 #include "svc/client.h"
 #include "svc/net.h"
@@ -624,6 +628,75 @@ TEST_F(ServiceWalTest, ReplayedOutOfRangeEdgesAreDropped) {
   EXPECT_TRUE(small.connected(2, 3));
   EXPECT_FALSE(small.connected(4, 5));
   small.stop();
+}
+
+// A seeded service restarts to its seed plus its log. From a crash image
+// with only the WAL, the restart labels the same seed again and replays the
+// whole log over it; once checkpoint_now() has cut, the checkpoint covers
+// the seed, supersedes it, and only the log past the cut is replayed.
+TEST_F(ServiceWalTest, SeededServiceRestartsToSeedPlusLog) {
+  const Graph seed = gen_web_graph(3000, 13);
+  const vertex_t n = seed.num_vertices();
+  const std::uint64_t seed_edges = seed.num_edges() / 2;
+  const std::vector<ConnectivityService::EdgeBatch> before_cut = {
+      {{0, n - 1}, {17, 2500}, {5, 5}}, {{1000, 2000}, {2999, 4}}};
+  const std::vector<ConnectivityService::EdgeBatch> after_cut = {
+      {{6, 2998}, {1234, 321}}, {{42, 2042}}};
+  for (const bool checkpointed : {false, true}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint_now() before the last batches" : "WAL only");
+    const std::string dir = temp_path(checkpointed ? "seeded_ckpt" : "seeded_wal");
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(std::filesystem::create_directory(dir));
+    ServiceOptions opts;
+    opts.wal_path = dir + "/wal";
+    if (checkpointed) opts.checkpoint_path = dir + "/ckpt";
+    opts.checkpoint_interval_ms = 0;
+
+    std::vector<Edge> logged;
+    {
+      ConnectivityService service(seed, opts);
+      for (const auto& batch : before_cut) {
+        ASSERT_EQ(service.submit(batch), Admission::kAccepted);
+        logged.insert(logged.end(), batch.begin(), batch.end());
+      }
+      service.flush();
+      if (checkpointed) {
+        ASSERT_TRUE(service.checkpoint_now());
+      }
+      for (const auto& batch : after_cut) {
+        ASSERT_EQ(service.submit(batch), Admission::kAccepted);
+        logged.insert(logged.end(), batch.begin(), batch.end());
+      }
+      service.flush();
+      // The crash image: the files as they are, before stop() checkpoints.
+      for (const std::string base : {"wal", "ckpt"}) {
+        for (const auto& f : list_numbered_files(dir + "/" + base)) {
+          std::filesystem::copy_file(
+              f.path, dir + "/crash_" + base + f.path.substr(f.path.rfind('.')));
+        }
+      }
+      service.stop();
+    }
+
+    ServiceOptions crash_opts = opts;
+    crash_opts.wal_path = dir + "/crash_wal";
+    if (checkpointed) crash_opts.checkpoint_path = dir + "/crash_ckpt";
+    ConnectivityService restarted(seed, crash_opts);
+    std::vector<Edge> all = logged;
+    for (vertex_t v = 0; v < n; ++v) {
+      for (const vertex_t u : seed.neighbors(v)) {
+        if (u < v) all.emplace_back(v, u);
+      }
+    }
+    EXPECT_EQ(restarted.snapshot()->labels, ecl_cc_serial(build_graph(n, all)));
+    EXPECT_EQ(restarted.stats().applied_edges, seed_edges + logged.size());
+    std::size_t after_cut_edges = 0;
+    for (const auto& batch : after_cut) after_cut_edges += batch.size();
+    EXPECT_EQ(restarted.replayed_edges(), checkpointed ? after_cut_edges : logged.size());
+    EXPECT_EQ(restarted.stats().last_checkpoint_epoch > 0, checkpointed);
+    restarted.stop();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {

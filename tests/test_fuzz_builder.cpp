@@ -1,14 +1,13 @@
 // Fuzz-style tests: random messy edge lists (self-loops, duplicates, both
 // directions, skewed endpoints) conditioned by GraphBuilder must match a
-// naive set-based reference and, bit for bit under every BuildOptions
-// setting, the sort-based builder the library used before; the resulting
-// graphs must be labeled identically by all core implementations.
+// naive set-based reference and, bit for bit, the sort-based builder the
+// library used before; the resulting graphs must be labeled identically by
+// all core implementations.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -34,61 +33,31 @@ std::set<std::pair<vertex_t, vertex_t>> reference_edge_set(const std::vector<Edg
 
 /// The sort-based builder the library used before its counting sort, kept
 /// as an oracle: drop loops, append the reverse arcs, sort all arcs once,
-/// unique them, cut the sorted run into lists, and reverse each list when
-/// unsorted lists are asked for.
-Graph sort_oracle(vertex_t n, std::vector<Edge> edges, const BuildOptions& opts) {
-  if (opts.remove_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
-  }
-  if (opts.symmetrize) {
-    const std::size_t original = edges.size();
-    for (std::size_t i = 0; i < original; ++i) {
-      edges.emplace_back(edges[i].second, edges[i].first);
-    }
+/// unique them and cut the sorted run into lists.
+Graph sort_oracle(vertex_t n, std::vector<Edge> edges) {
+  std::erase_if(edges, [](const Edge& e) { return e.first == e.second; });
+  const std::size_t original = edges.size();
+  for (std::size_t i = 0; i < original; ++i) {
+    edges.emplace_back(edges[i].second, edges[i].first);
   }
   std::sort(edges.begin(), edges.end());
-  if (opts.deduplicate) edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) ++offsets[u + 1];
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
   std::vector<vertex_t> adjacency;
   for (const auto& [u, v] : edges) adjacency.push_back(v);
-  if (!opts.sort_neighbors) {
-    for (vertex_t v = 0; v < n; ++v) {
-      std::reverse(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                   adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
-    }
-  }
   return Graph(std::move(offsets), std::move(adjacency));
 }
 
-/// Every one of the 16 BuildOptions settings.
-std::vector<BuildOptions> every_build_option() {
-  std::vector<BuildOptions> out;
-  for (int bits = 0; bits < 16; ++bits) {
-    out.push_back(
-        BuildOptions{(bits & 1) != 0, (bits & 2) != 0, (bits & 4) != 0, (bits & 8) != 0});
-  }
-  return out;
-}
-
-std::string describe(const BuildOptions& o) {
-  return "symmetrize=" + std::to_string(o.symmetrize) +
-         " remove_self_loops=" + std::to_string(o.remove_self_loops) +
-         " deduplicate=" + std::to_string(o.deduplicate) +
-         " sort_neighbors=" + std::to_string(o.sort_neighbors);
-}
-
-/// Builds `edges` with both the library and the oracle under every
-/// BuildOptions setting and requires identical CSR arrays.
+/// Builds `edges` with both the library and the oracle and requires
+/// identical CSR arrays.
 void expect_matches_oracle(vertex_t n, const std::vector<Edge>& edges) {
-  for (const BuildOptions& opts : every_build_option()) {
-    const Graph got = build_graph(n, edges, opts);
-    const Graph want = sort_oracle(n, edges, opts);
-    EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets())) << describe(opts);
-    EXPECT_TRUE(std::ranges::equal(got.adjacency(), want.adjacency())) << describe(opts);
-  }
+  const Graph got = build_graph(n, edges);
+  const Graph want = sort_oracle(n, edges);
+  EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets()));
+  EXPECT_TRUE(std::ranges::equal(got.adjacency(), want.adjacency()));
 }
 
 std::vector<Edge> random_messy_edges(std::uint64_t seed, vertex_t n, std::size_t count) {
@@ -179,17 +148,6 @@ TEST(BuilderOracle, EdgeCasesMatchUnderEveryOption) {
   hub.emplace_back(1, 1);
   hub.emplace_back(20, 20);
   expect_matches_oracle(42, hub);
-}
-
-TEST(BuilderOracle, SymmetrizedLoopIsKeptTwiceWithoutDeduplication) {
-  BuildOptions opts;
-  opts.remove_self_loops = false;
-  opts.deduplicate = false;
-  const Graph g = build_graph(3, std::vector<Edge>{{1, 1}, {0, 2}}, opts);
-  ASSERT_EQ(g.degree(1), 2u);
-  EXPECT_EQ(g.neighbors(1)[0], 1u);
-  EXPECT_EQ(g.neighbors(1)[1], 1u);
-  EXPECT_EQ(g.num_edges(), 4u);
 }
 
 TEST(BuilderOracle, OutOfRangeEndpointThrows) {

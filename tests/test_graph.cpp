@@ -48,23 +48,6 @@ TEST(Builder, SortsAdjacencyLists) {
   EXPECT_EQ(nbrs.size(), 4u);
 }
 
-TEST(Builder, UnsortedOptionReversesLists) {
-  BuildOptions opts;
-  opts.sort_neighbors = false;
-  const Graph g = build_graph(5, std::vector<Edge>{{2, 4}, {2, 0}, {2, 3}}, opts);
-  const auto nbrs = g.neighbors(2);
-  EXPECT_TRUE(std::is_sorted(nbrs.rbegin(), nbrs.rend()));
-}
-
-TEST(Builder, KeepSelfLoopsWhenAsked) {
-  BuildOptions opts;
-  opts.remove_self_loops = false;
-  const Graph g = build_graph(2, std::vector<Edge>{{0, 0}}, opts);
-  // Symmetrization duplicates the loop and deduplication collapses it back.
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_EQ(g.neighbors(0)[0], 0u);
-}
-
 TEST(Builder, RejectsOutOfRangeEndpoint) {
   GraphBuilder b(3);
   EXPECT_THROW(b.add_edge(0, 3), std::out_of_range);

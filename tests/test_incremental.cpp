@@ -49,12 +49,6 @@ TEST(IncrementalCC, DuplicateAndReversedEdgesAreIdempotent) {
   EXPECT_EQ(cc.num_components(), 3u);
 }
 
-TEST(IncrementalCC, SeededFromGraphMatchesBatchLabels) {
-  const Graph g = gen_web_graph(3000, 13);
-  IncrementalCC cc(g);
-  EXPECT_EQ(cc.labels(), reference_components(g));
-}
-
 TEST(IncrementalCC, StreamingMatchesBatchOnFinalGraph) {
   // Insert the edges of a random graph one by one; the final labeling must
   // equal the batch computation on the whole graph.

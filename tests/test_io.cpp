@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "core/verify.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/stats.h"

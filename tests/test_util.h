@@ -1,6 +1,8 @@
 // Shared fixtures/helpers for the test suite.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +52,18 @@ inline std::vector<NamedGraph> correctness_graphs() {
     graphs.push_back({"path_plus_star", b.build()});
   }
   return graphs;
+}
+
+/// `g` with every adjacency list reversed (descending), for tests of code
+/// that reads list order; build_graph always sorts lists ascending.
+inline Graph with_descending_lists(const Graph& g) {
+  std::vector<vertex_t> adjacency(g.adjacency().begin(), g.adjacency().end());
+  const auto offsets = g.offsets();
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    std::reverse(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
+                 adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+  }
+  return Graph(std::vector<edge_t>(offsets.begin(), offsets.end()), std::move(adjacency));
 }
 
 /// A few larger graphs for stress tests.
