@@ -15,7 +15,9 @@
 // With checkpoints the restart cost is O(n + tail) and stays flat as H
 // grows; without them it replays and re-solves the whole history, growing
 // linearly. --report= writes the cells as JSON (cell graph = "history_<H>",
-// code = mode, rep_ms = restart times) for the CI artifact.
+// code = mode, rep_ms = restart times) for the CI artifact; each wal+ckpt
+// cell also carries load_ms, the mean checkpoint load (mapping plus checks)
+// per restart, read from the ecl.svc.ckpt.load_ms histogram.
 //
 //   $ recovery_time --vertices=200000 --base-edges=200000 --reps=3 \
 //       --report=recovery_time.json
@@ -25,10 +27,12 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.h"
 #include "common/timer.h"
+#include "obs/metrics.h"
 #include "obs/report.h"
 #include "svc/service.h"
 
@@ -40,6 +44,7 @@ using ecl::svc::ServiceOptions;
 
 struct ModeResult {
   double restart_ms = 0;
+  double load_ms = 0;  // ecl.svc.ckpt.load_ms recorded during the restart
   std::uint64_t watermark = 0;
   std::uint64_t wal_bytes = 0;
 };
@@ -86,9 +91,13 @@ ModeResult run_mode(const std::string& dir, ecl::vertex_t n, std::uint64_t edges
     svc.stop();
   }
   ModeResult r;
+  const auto& load_ms = ecl::obs::registry().histogram(
+      "ecl.svc.ckpt.load_ms", ecl::obs::Histogram::pow2_bounds(16));
+  const std::uint64_t load_ms_before = load_ms.sum();
   ecl::Timer t;
   ConnectivityService revived(n, make_opts(dir, checkpoints));
   r.restart_ms = t.millis();
+  r.load_ms = static_cast<double>(load_ms.sum() - load_ms_before);
   const auto stats = revived.stats();
   r.watermark = stats.watermark;
   r.wal_bytes = stats.wal_bytes;
@@ -122,6 +131,7 @@ int main(int argc, char** argv) {
     for (const bool ckpt : {false, true}) {
       const char* mode = ckpt ? "wal+ckpt" : "wal-only";
       std::vector<double> rep_ms;
+      double load_ms = 0;
       ModeResult last;
       for (int rep = 0; rep < reps; ++rep) {
         char tmpl[] = "/tmp/ecl_recovery_XXXXXX";
@@ -132,6 +142,7 @@ int main(int argc, char** argv) {
         const std::string dir = tmpl;
         last = run_mode(dir, n, edges, ckpt);
         rep_ms.push_back(last.restart_ms);
+        load_ms += last.load_ms / reps;
         std::system(("rm -rf " + dir).c_str());
       }
       std::printf("%-14llu %-10s %12.2f %14llu %12llu\n",
@@ -139,8 +150,10 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(last.watermark),
                   static_cast<unsigned long long>(last.wal_bytes));
       std::fflush(stdout);
+      std::vector<std::pair<std::string, double>> extra;
+      if (ckpt) extra.emplace_back("load_ms", load_ms);
       ecl::obs::run_report().add_cell("history_" + std::to_string(edges), mode,
-                                      rep_ms);
+                                      rep_ms, std::move(extra));
     }
   }
 

@@ -29,6 +29,10 @@ class IncrementalCC {
   /// unions.
   explicit IncrementalCC(std::span<const vertex_t> labels) : dsu_(labels) {}
 
+  /// The same, adopting a writable `labels` as the parent array with no copy
+  /// (a checkpoint's copy-on-write mapping, on restart).
+  explicit IncrementalCC(PageArray labels) : dsu_(std::move(labels)) {}
+
   /// Inserts the undirected edge (u, v). Thread-safe. `log` as in add_edges.
   void add_edge(vertex_t u, vertex_t v, HookLog* log = nullptr) { dsu_.unite(u, v, log); }
 
@@ -61,7 +65,8 @@ class IncrementalCC {
   /// v's component). Quiescent call: no concurrent add_edge.
   [[nodiscard]] std::vector<vertex_t> labels() {
     dsu_.flatten();
-    return dsu_.parents();
+    const auto parents = dsu_.parents();
+    return {parents.begin(), parents.end()};
   }
 
   [[nodiscard]] vertex_t num_vertices() const { return dsu_.size(); }

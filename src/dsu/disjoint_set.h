@@ -10,9 +10,10 @@
 
 #include <numeric>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "common/huge_pages.h"
+#include "common/page_array.h"
 #include "common/types.h"
 #include "dsu/find.h"
 #include "dsu/hook.h"
@@ -75,8 +76,7 @@ class DisjointSet {
 class ConcurrentDisjointSet {
  public:
   /// n singletons.
-  explicit ConcurrentDisjointSet(vertex_t n) : parent_(huge_page_vector<vertex_t>(n)) {
-    parent_.resize(n);
+  explicit ConcurrentDisjointSet(vertex_t n) : parent_(PageArray::uninitialized(n)) {
     std::iota(parent_.begin(), parent_.end(), vertex_t{0});
   }
 
@@ -84,10 +84,12 @@ class ConcurrentDisjointSet {
   /// parent array with no unions. Precondition: parents[v] <= v for every v
   /// (the invariant hooks maintain and find relies on) — e.g. a flattened
   /// labelling, the paper's Fini output.
-  explicit ConcurrentDisjointSet(std::span<const vertex_t> parents)
-      : parent_(huge_page_vector<vertex_t>(parents.size())) {
-    parent_.assign(parents.begin(), parents.end());
-  }
+  explicit ConcurrentDisjointSet(std::span<const vertex_t> parents) : parent_(parents) {}
+
+  /// The same, adopting `parents` itself as the parent array, with no copy
+  /// (e.g. a copy-on-write mapping of a checkpoint's labels). It must be
+  /// writable.
+  explicit ConcurrentDisjointSet(PageArray parents) : parent_(std::move(parents)) {}
 
   /// Representative of v's set, compressing the path by halving.
   [[nodiscard]] vertex_t find(vertex_t v) {
@@ -119,10 +121,10 @@ class ConcurrentDisjointSet {
   [[nodiscard]] vertex_t size() const { return static_cast<vertex_t>(parent_.size()); }
 
   /// Read-only view of the parent array (labels after flatten()).
-  [[nodiscard]] const std::vector<vertex_t>& parents() const { return parent_; }
+  [[nodiscard]] std::span<const vertex_t> parents() const { return parent_; }
 
  private:
-  std::vector<vertex_t> parent_;
+  PageArray parent_;
 };
 
 }  // namespace ecl

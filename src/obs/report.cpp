@@ -133,9 +133,10 @@ void RunReport::set_config(double scale, int reps) {
   reps_ = reps;
 }
 
-void RunReport::add_cell(std::string graph, std::string code, std::vector<double> rep_ms) {
+void RunReport::add_cell(std::string graph, std::string code, std::vector<double> rep_ms,
+                         std::vector<std::pair<std::string, double>> extra) {
   std::lock_guard<std::mutex> lock(mu_);
-  cells_.push_back({std::move(graph), std::move(code), std::move(rep_ms)});
+  cells_.push_back({std::move(graph), std::move(code), std::move(rep_ms), std::move(extra)});
 }
 
 std::size_t RunReport::cell_count() const {
@@ -203,6 +204,10 @@ void RunReport::write(std::ostream& os) const {
     w.value(sorted_stat(cell.rep_ms, 0.5));
     w.key("max_ms");
     w.value(sorted_stat(cell.rep_ms, 1.0));
+    for (const auto& [name, value] : cell.extra) {
+      w.key(name);
+      w.value(value);
+    }
     w.end_object();
   }
   w.end_array();

@@ -15,7 +15,8 @@
 //     "metadata": {"compiler": "...", "build_type": "...", "hostname": "...",
 //                  "hardware_threads": 8, "timestamp_utc": "..."},
 //     "cells": [{"graph": "...", "code": "...",
-//                "rep_ms": [..], "min_ms": .., "median_ms": .., "max_ms": ..}],
+//                "rep_ms": [..], "min_ms": .., "median_ms": .., "max_ms": ..,
+//                "<extra name>": .., ...}],
 //     "metrics": [{"name": "...", "kind": "counter", "count": 123} |
 //                 {"name": "...", "kind": "gauge", "value": 1.5} |
 //                 {"name": "...", "kind": "histogram", "count": .., "sum": ..,
@@ -29,6 +30,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ecl::obs {
@@ -37,6 +39,9 @@ struct ReportCell {
   std::string graph;
   std::string code;
   std::vector<double> rep_ms;  // raw per-repetition times, in run order
+  // Further named per-cell values, written after max_ms (e.g.
+  // recovery_time's load_ms).
+  std::vector<std::pair<std::string, double>> extra;
 };
 
 class RunReport {
@@ -45,7 +50,8 @@ class RunReport {
   void set_bench_name(const std::string& name);
   void set_config(double scale, int reps);
 
-  void add_cell(std::string graph, std::string code, std::vector<double> rep_ms);
+  void add_cell(std::string graph, std::string code, std::vector<double> rep_ms,
+                std::vector<std::pair<std::string, double>> extra = {});
 
   [[nodiscard]] std::size_t cell_count() const;
   void clear();

@@ -10,7 +10,8 @@
 #include <cerrno>
 #include <cstring>
 
-#include "common/huge_pages.h"
+#include "common/page_array.h"
+#include "common/timer.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "svc/wal.h"
@@ -43,13 +44,14 @@ std::uint64_t get_u64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-// Label bytes read and checked per step; small enough to stay in L2.
+// Label bytes checked per step; small enough to stay in L2.
 constexpr std::size_t kChunkLabels = (std::size_t{1} << 20) / sizeof(vertex_t);
 
 /// Parses the image header `hdr` into *data (labels untouched). Checks the
-/// magic and, before anything is allocated, that the image is exactly the
-/// header plus n labels, so a torn or corrupt n can never drive a huge
-/// resize. Returns why it refuses, or nullptr.
+/// magic and, before anything is mapped or allocated, that the image is
+/// exactly the header plus n labels, so a torn or corrupt n can never drive
+/// an access past the end of the file or a huge allocation. Returns why it
+/// refuses, or nullptr.
 const char* parse_header(const std::uint8_t* hdr, std::uint64_t image_bytes,
                          CheckpointData* data) {
   if (std::memcmp(hdr, kCkptMagic, sizeof(kCkptMagic)) != 0) return "bad magic";
@@ -64,52 +66,39 @@ const char* parse_header(const std::uint8_t* hdr, std::uint64_t image_bytes,
   return nullptr;
 }
 
-/// The one validation pass over a label array, fed in ascending chunks
-/// while each is in cache: the CRC chained over its bytes, then the
-/// canonical-forest test label[v] <= v && label[label[v]] == label[v] with
-/// the root count. Since label[v] <= v, label[label[v]] lies in this chunk
-/// or an earlier one.
-class LabelCheck {
- public:
-  /// `hdr` is the image header; the CRC covers its fixed payload first.
-  explicit LabelCheck(const std::uint8_t* hdr)
-      : crc_(crc32(hdr + kHeaderBytes, kFixedPayloadBytes)) {}
-
-  /// Checks labels [lo, hi); `labels` holds at least the first hi labels
-  /// as little-endian bytes.
-  void scan(const std::uint8_t* labels, vertex_t lo, vertex_t hi) {
-    crc_ = crc32_update(crc_, labels + std::size_t{lo} * sizeof(vertex_t),
-                        std::size_t{hi - lo} * sizeof(vertex_t));
-    const auto label = [labels](vertex_t v) {
-      return get_u32(labels + std::size_t{v} * sizeof(vertex_t));
-    };
-    bool canonical = true;
-    vertex_t roots = 0;
+/// The one validation pass over the n labels (little-endian bytes) of the
+/// image whose header is `hdr`, one chunk at a time while it is in cache:
+/// the CRC chained over the chunk's bytes, then the canonical-forest test
+/// label[v] <= v && label[label[v]] == label[v] with the root count. The
+/// verdict follows the format's order (CRC, version, forest): why it
+/// refuses, or nullptr with the root count in *roots.
+const char* check_labels(const std::uint8_t* hdr, const std::uint8_t* labels, vertex_t n,
+                         vertex_t* roots) {
+  const auto label = [labels](vertex_t v) {
+    return get_u32(labels + std::size_t{v} * sizeof(vertex_t));
+  };
+  std::uint32_t crc = crc32(hdr + kHeaderBytes, kFixedPayloadBytes);
+  bool canonical = true;
+  vertex_t count = 0;
+  for (vertex_t lo = 0; lo < n;) {
+    const auto hi = static_cast<vertex_t>(lo + std::min<std::size_t>(kChunkLabels, n - lo));
+    crc = crc32_update(crc, labels + std::size_t{lo} * sizeof(vertex_t),
+                       std::size_t{hi - lo} * sizeof(vertex_t));
     for (vertex_t v = lo; v < hi; ++v) {
       const vertex_t l = label(v);
+      // l > v first: label(l) of a corrupt l >= n would read past the
+      // labels, off the end of a mapped file.
       if (l > v || label(l) != l) canonical = false;
-      roots += l == v ? 1 : 0;
+      count += l == v ? 1 : 0;
     }
-    canonical_ = canonical_ && canonical;
-    roots_ += roots;
+    lo = hi;
   }
-
-  /// The verdict once every label was scanned, checked in the format's
-  /// order (CRC, version, forest): why it refuses, or nullptr.
-  [[nodiscard]] const char* verdict(const std::uint8_t* hdr) const {
-    if (crc_ != get_u32(hdr + 8)) return "CRC mismatch (torn or corrupt)";
-    if (get_u32(hdr + kHeaderBytes) != kCkptVersion) return "unsupported version";
-    if (!canonical_) return "labels are not a canonical forest";
-    return nullptr;
-  }
-
-  [[nodiscard]] vertex_t roots() const { return roots_; }
-
- private:
-  std::uint32_t crc_;
-  bool canonical_ = true;
-  vertex_t roots_ = 0;
-};
+  if (crc != get_u32(hdr + 8)) return "CRC mismatch (torn or corrupt)";
+  if (get_u32(hdr + kHeaderBytes) != kCkptVersion) return "unsupported version";
+  if (!canonical) return "labels are not a canonical forest";
+  *roots = count;
+  return nullptr;
+}
 
 std::string errno_str(const std::string& what) {
   return what + ": " + std::strerror(errno);
@@ -118,6 +107,47 @@ std::string errno_str(const std::string& what) {
 CheckpointWriteResult write_failed(std::string error) {
   ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.write_errors", 1);
   return {.error = std::move(error)};
+}
+
+/// read_file() without its timing: the checks, and the labels mapped.
+bool map_checkpoint(const std::string& path, CheckpointData* out, std::string* err) {
+  const auto fail = [&](const std::string& what) {
+    if (err != nullptr) *err = "ckpt " + path + ": " + what;
+    return false;
+  };
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (err != nullptr) *err = errno_str("ckpt open " + path);
+    return false;
+  }
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
+  struct stat st{};
+  std::array<std::uint8_t, kImageHeaderBytes> hdr{};
+  if (::fstat(fd, &st) != 0 || static_cast<std::size_t>(st.st_size) < hdr.size() ||
+      !read_upto(fd, hdr.data(), hdr.size())) {
+    return fail("truncated header");
+  }
+  CheckpointData data;
+  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
+  if (const char* why = parse_header(hdr.data(), file_bytes, &data)) return fail(why);
+  // The file is exactly the header and n labels, so the mapping covers
+  // every label the check reads, and the labels are checked in place.
+  auto labels = PageArray::map_file(fd, kImageHeaderBytes, data.n);
+  if (!labels) {
+    if (err != nullptr) *err = errno_str("ckpt mmap " + path);
+    return false;
+  }
+  if (const char* why =
+          check_labels(hdr.data(), reinterpret_cast<const std::uint8_t*>(labels->data()),
+                       data.n, &data.components)) {
+    return fail(why);
+  }
+  data.labels = std::move(*labels);
+  *out = std::move(data);
+  return true;
 }
 
 }  // namespace
@@ -140,49 +170,11 @@ std::uint64_t CheckpointStore::latest_seq() const {
 
 bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
                                 std::string* err) {
-  const auto fail = [&](const std::string& what) {
-    if (err != nullptr) *err = "ckpt " + path + ": " + what;
-    return false;
-  };
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (err != nullptr) *err = errno_str("ckpt open " + path);
-    return false;
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-  struct stat st{};
-  std::array<std::uint8_t, kImageHeaderBytes> hdr{};
-  if (::fstat(fd, &st) != 0 || static_cast<std::size_t>(st.st_size) < hdr.size() ||
-      !read_upto(fd, hdr.data(), hdr.size())) {
-    return fail("truncated header");
-  }
-  CheckpointData data;
-  const auto file_bytes = static_cast<std::uint64_t>(st.st_size);
-  if (const char* why = parse_header(hdr.data(), file_bytes, &data)) return fail(why);
-  // The labels are read straight into their final, huge-page-advised
-  // buffer and checked chunk by chunk as they arrive.
-  data.labels = huge_page_vector<vertex_t>(data.n);
-  data.labels.resize(data.n);
-  auto* dst = reinterpret_cast<std::uint8_t*>(data.labels.data());
-  LabelCheck check(hdr.data());
-  for (vertex_t lo = 0; lo < data.n;) {
-    const auto hi =
-        static_cast<vertex_t>(lo + std::min<std::size_t>(kChunkLabels, data.n - lo));
-    if (!read_upto(fd, dst + std::size_t{lo} * sizeof(vertex_t),
-                   std::size_t{hi - lo} * sizeof(vertex_t))) {
-      if (err != nullptr) *err = errno_str("ckpt read " + path);
-      return false;
-    }
-    check.scan(dst, lo, hi);
-    lo = hi;
-  }
-  if (const char* why = check.verdict(hdr.data())) return fail(why);
-  data.components = check.roots();
-  *out = std::move(data);
-  return true;
+  Timer t;
+  const bool ok = map_checkpoint(path, out, err);
+  ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt.load_ms", ::ecl::obs::Histogram::pow2_bounds(16),
+                           static_cast<std::uint64_t>(t.millis()));
+  return ok;
 }
 
 CheckpointLoadResult CheckpointStore::load_latest_valid() const {
@@ -354,9 +346,10 @@ CkptImage CheckpointStore::read_newest_image(const std::string& base) {
           parse_header(image.data(), image.size(), &data) != nullptr) {
         continue;  // invalid: fall back to the next-newest
       }
-      LabelCheck check(image.data());
-      check.scan(image.data() + kImageHeaderBytes, 0, data.n);
-      if (check.verdict(image.data()) != nullptr) continue;
+      if (check_labels(image.data(), image.data() + kImageHeaderBytes, data.n,
+                       &data.components) != nullptr) {
+        continue;
+      }
       out.has = true;
       out.seq = it->seq;
       out.wal_seq = data.wal_seq;

@@ -23,6 +23,10 @@
 // label[label[v]] == label[v]. That makes the array a flat union-find parent
 // array the service installs as-is on restart; a file whose labels are not
 // such a canonical forest is rejected as corrupt even when its CRC matches.
+// A restart maps the file instead of reading it: the checked read-only
+// mapping is the first snapshot, and a copy-on-write mapping of the same
+// range is the live union-find's parent array, so a restart is one
+// validation pass over page-cache pages with no fill and no copy.
 //
 // Checkpoints are numbered files `<base>.000001, <base>.000002, ...`
 // (shared naming with WAL segments, svc/wal.h). CheckpointStore is the only
@@ -37,7 +41,9 @@
 // match its primary's. The loader walks checkpoints newest-first and falls
 // back past any torn or corrupt file (counted in
 // ecl.svc.ckpt.load_fallbacks). Retention keeps the newest two, installs
-// included, so that fallback always has somewhere to land.
+// included, so that fallback always has somewhere to land. Files are only
+// ever renamed into place and unlinked, never modified in place, which is
+// what lets a mapping outlive its file's retirement.
 //
 // Fault points: svc.ckpt.write, svc.ckpt.fsync, svc.ckpt.rename.
 #pragma once
@@ -48,6 +54,7 @@
 #include <string>
 #include <vector>
 
+#include "common/page_array.h"
 #include "common/types.h"
 
 namespace ecl::svc {
@@ -64,8 +71,9 @@ struct CheckpointHeader {
 struct CheckpointData : CheckpointHeader {
   /// Canonical (minimum-ID) component labels: label[v] <= v and
   /// label[label[v]] == label[v], so the array is also a flat union-find
-  /// parent array. read_file() rejects any file whose labels are not.
-  std::vector<vertex_t> labels;
+  /// parent array. read_file() rejects any file whose labels are not, and
+  /// leaves a read-only mapping of the file here.
+  PageArray labels;
   /// Roots among the labels (components), counted by read_file()'s
   /// validation pass; not written.
   vertex_t components = 0;
@@ -146,10 +154,11 @@ class CheckpointStore {
   [[nodiscard]] std::uint64_t latest_seq() const;
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
 
-  /// Parses one checkpoint file: the header, then the label array read
-  /// straight into out->labels in chunks, each checked as it arrives (CRC,
-  /// canonical forest, root count) in one pass. Exposed for tests and
-  /// fallback logic.
+  /// Parses one checkpoint file: the header and its length check, then the
+  /// label array mapped read-only into out->labels and checked in place
+  /// (CRC, canonical forest, root count) in one pass. Each call is timed
+  /// in the ecl.svc.ckpt.load_ms histogram. Exposed for tests and fallback
+  /// logic.
   [[nodiscard]] static bool read_file(const std::string& path, CheckpointData* out,
                                       std::string* err);
 

@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/huge_pages.h"
 #include "common/timer.h"
 #include "core/ecl_cc.h"
 #include "fault/fault.h"
@@ -24,8 +23,7 @@ namespace {
 /// which never becomes a root again, so a hook's parent can only be hooked
 /// later: resolving the hooks last to first finds each parent's final root
 /// before its children need it. One streaming pass then relabels.
-std::vector<vertex_t> remap_labels(const std::vector<vertex_t>& prev,
-                                   const std::vector<Hook>& hooks) {
+PageArray remap_labels(const PageArray& prev, const std::vector<Hook>& hooks) {
   std::unordered_map<vertex_t, vertex_t> final_root;
   final_root.reserve(hooks.size());
   std::vector<bool> hooked(prev.size());
@@ -35,8 +33,7 @@ std::vector<vertex_t> remap_labels(const std::vector<vertex_t>& prev,
     hooked[h->child] = true;
   }
   // Copy, then relabel in place: faster than one fused pass into fresh pages.
-  std::vector<vertex_t> labels = huge_page_vector<vertex_t>(prev.size());
-  labels.assign(prev.begin(), prev.end());
+  PageArray labels(prev);
   for (vertex_t& root : labels) {
     if (hooked[root]) root = final_root.find(root)->second;
   }
@@ -62,7 +59,7 @@ ConnectivityService::ConnectivityService(const Graph& seed, ServiceOptions opts)
 ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
     : num_vertices_(rec.n),
       opts_(opts),
-      live_(rec.ckpt ? IncrementalCC(std::span<const vertex_t>(rec.ckpt->labels))
+      live_(rec.ckpt ? IncrementalCC(rec.ckpt->labels.writable_copy())
             : rec.seed != nullptr ? IncrementalCC(ecl_cc_omp(*rec.seed))
                                   : IncrementalCC(rec.n)),
       queue_(opts.queue_capacity),
@@ -130,10 +127,12 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     covered_seq = ckpt->wal_seq;
     // read_file() has checked that the labels are a canonical forest — the
     // paper's Fini output, every vertex pointing straight at its
-    // component's minimum — and counted its roots. live_ was built from a
-    // copy of them (superseding the seed graph, if any); the loaded array
-    // itself becomes the first snapshot. Restart cost is read + CRC and
-    // validation in one pass + one copy, independent of lifetime ingest.
+    // component's minimum — and counted its roots. live_ adopted a
+    // copy-on-write mapping of them (superseding the seed graph, if any);
+    // the checked read-only mapping itself becomes the first snapshot.
+    // Restart cost is one validation pass over page-cache pages, plus a
+    // 4 KiB page copy per page the hooks first write, independent of
+    // lifetime ingest.
     auto snap = std::make_shared<Snapshot>();
     snap->epoch = ckpt->epoch;
     snap->watermark = ckpt->watermark;
@@ -170,7 +169,7 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
   if (!ckpt) {
     auto snap = std::make_shared<Snapshot>();
     snap->watermark = applied_edges_.load(std::memory_order_relaxed);
-    snap->labels = live_.labels();
+    snap->labels = PageArray(live_.labels());
     snap->num_components = live_.num_components();
     live_components_ = snap->num_components;
     snapshot_.store(std::move(snap));

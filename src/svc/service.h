@@ -395,12 +395,12 @@ class ConnectivityService {
   /// std::runtime_error on a vertex-count mismatch.
   [[nodiscard]] static Recovered recover_checkpoint(vertex_t n, const Graph* seed,
                                                     const ServiceOptions& opts);
-  /// Both public constructors: live_ starts from the checkpoint's labels
-  /// (copied once, no unions, no ECL-CC run), else from ecl_cc_omp's
-  /// labels of the seed graph, else as singletons.
+  /// Both public constructors: live_ starts from a copy-on-write mapping of
+  /// the checkpoint's labels (no copy, no unions, no ECL-CC run), else from
+  /// ecl_cc_omp's labels of the seed graph, else as singletons.
   ConnectivityService(Recovered rec, ServiceOptions opts);
-  /// Ctor-only recovery: publish the checkpoint's labels (moved, not
-  /// copied) as the initial snapshot, then replay only the WAL tail
+  /// Ctor-only recovery: publish the checkpoint's read-only mapping (moved,
+  /// not copied) as the initial snapshot, then replay only the WAL tail
   /// segments past it, remapping the snapshot through the tail's hooks, and
   /// open the WAL for appending. Without a checkpoint the first snapshot is
   /// the labels of the live union-find after the seed graph and the whole

@@ -15,8 +15,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
+#include "common/page_array.h"
 #include "common/types.h"
 
 namespace ecl::svc {
@@ -28,8 +28,10 @@ struct Snapshot {
   /// Number of applied edges this snapshot reflects (ingest watermark).
   std::uint64_t watermark = 0;
   /// Canonical labels, size num_vertices: label[v] = min vertex of v's
-  /// component.
-  std::vector<vertex_t> labels;
+  /// component. A restart's first snapshot is the loaded checkpoint's
+  /// read-only mapping (page-cache pages, no copy); every compaction builds
+  /// an anonymous array.
+  PageArray labels;
   /// Number of distinct components in `labels`.
   vertex_t num_components = 0;
   /// Wall-clock cost of the compaction that built this snapshot.

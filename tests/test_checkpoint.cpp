@@ -21,14 +21,18 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/ecl_cc.h"
 #include "core/incremental.h"
 #include "fault/fault.h"
+#include "graph/builder.h"
 #include "svc/checkpoint.h"
 #include "svc/service.h"
 #include "svc/wal.h"
@@ -91,8 +95,9 @@ class DurabilityTest : public ::testing::Test {
     d.watermark = watermark;
     d.epoch = epoch;
     d.wal_seq = wal_seq;
-    d.labels.resize(n);
-    for (std::uint32_t v = 0; v < n; ++v) d.labels[v] = v / 2 * 2;  // pairs
+    std::vector<vertex_t> labels(n);
+    for (std::uint32_t v = 0; v < n; ++v) labels[v] = v / 2 * 2;  // pairs
+    d.labels = PageArray(labels);
     return d;
   }
 
@@ -276,6 +281,7 @@ TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
       {4, 1, 2},                 // label[1] = 2 > 1: not its component's minimum
       {4, 2, 1},                 // label[2] = 1 but label[1] = 0: a chain, not flat
       {kN, kN - 1, kN},          // label > v at the last vertex (out of range too)
+      {kN, kN - 1, 0xFFFFFFFE},  // label > v, and far past the end of the file
       {kN, kN - 1, 3},           // a chain at the last vertex
       {kN, kChunk, kChunk + 1},  // label > v at the second chunk's first vertex
       {kN, kChunk, 1},           // a chain there
@@ -305,20 +311,33 @@ TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
 }
 
 TEST_F(CheckpointStoreTest, TornNewestFallsBackToPrevious) {
-  CheckpointStore store;
-  store.open(path("ckpt"));
-  ASSERT_TRUE(store.write(sample_data(4, 10, 1, 1)).ok);
-  ASSERT_TRUE(store.write(sample_data(4, 20, 2, 2)).ok);
-
   // Crash mid-write would normally leave only the .tmp, but simulate the
-  // worst case anyway: a short final image under the numbered name.
-  const std::string newest = numbered_path(path("ckpt"), 2);
-  ASSERT_EQ(::truncate(newest.c_str(), 10), 0);
+  // worst case anyway: a short final image under the numbered name, cut in
+  // its header or in the middle of its labels. The length check refuses
+  // the latter before the file is mapped, so no access passes its end.
+  constexpr std::uint32_t kN = 4096;  // four pages of labels
+  const std::vector<std::pair<off_t, std::string>> cuts = {
+      {10, "truncated header"},
+      {44 + kN / 2 * sizeof(vertex_t) + 2, "label array length mismatch"},
+  };
+  for (const auto& [bytes, why] : cuts) {
+    const std::string base = path("ckpt" + std::to_string(bytes));
+    CheckpointStore store;
+    store.open(base);
+    ASSERT_TRUE(store.write(sample_data(kN, 10, 1, 1)).ok);
+    ASSERT_TRUE(store.write(sample_data(kN, 20, 2, 2)).ok);
+    const std::string newest = numbered_path(base, 2);
+    ASSERT_EQ(::truncate(newest.c_str(), bytes), 0);
 
-  const auto load = store.load_latest_valid();
-  ASSERT_TRUE(load.ok) << load.error;
-  EXPECT_EQ(load.seq, 1u);
-  EXPECT_EQ(load.fallbacks, 1u);
+    CheckpointData out;
+    std::string err;
+    EXPECT_FALSE(CheckpointStore::read_file(newest, &out, &err));
+    EXPECT_NE(err.find(why), std::string::npos) << err;
+    const auto load = store.load_latest_valid();
+    ASSERT_TRUE(load.ok) << load.error;
+    EXPECT_EQ(load.seq, 1u);
+    EXPECT_EQ(load.fallbacks, 1u);
+  }
 }
 
 TEST_F(CheckpointStoreTest, AllCorruptReportsErrorNotGarbage) {
@@ -762,6 +781,129 @@ TEST_F(ServiceCheckpointTest, LargeRestartKeepsComponentsAndTakesNewJoins) {
   EXPECT_EQ(revived.component_of(5 * kRun, ReadMode::kSnapshot), 2 * kRun);
   EXPECT_EQ(revived.snapshot()->num_components, kComponents - 1);
   revived.stop();
+}
+
+// A restart maps its checkpoint twice: read-only for the first snapshot and
+// copy-on-write for the live union-find. Hooks that write every page of the
+// label range must leave the file as it was, so it still validates and a
+// later restart from it plus the WAL tail is exact.
+TEST_F(ServiceCheckpointTest, RestartNeverWritesItsCheckpointFile) {
+  constexpr vertex_t kN = 1u << 16;  // 64 pages of labels
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  std::vector<Edge> all = {{1, 2}, {2, 3}, {10, 11}, {kN - 1, kN - 2}};
+  {
+    ConnectivityService service(kN, opts);
+    ASSERT_EQ(service.submit(all), Admission::kAccepted);
+    service.flush();
+    service.stop();  // writes ckpt.000001
+  }
+  const std::string loaded = numbered_path(path("ckpt"), 1);
+  const auto read_bytes = [](const std::string& p) {
+    std::vector<char> bytes(std::filesystem::file_size(p));
+    std::FILE* f = std::fopen(p.c_str(), "rb");
+    EXPECT_NE(f, nullptr);
+    if (f == nullptr) return bytes;
+    EXPECT_EQ(std::fread(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+    return bytes;
+  };
+  const std::vector<char> original = read_bytes(loaded);
+
+  {
+    ConnectivityService revived(kN, opts);
+    // A singleton in every page hooks under vertex 0 (its parent entry is
+    // written), then 1..3 and 10..11 join: path halving runs as well.
+    ConnectivityService::EdgeBatch batch;
+    for (vertex_t v = 512; v < kN - 2; v += 1024) batch.emplace_back(v, 0);
+    batch.emplace_back(kN - 1, 0);
+    batch.emplace_back(11, 3);
+    ASSERT_EQ(revived.submit(batch), Admission::kAccepted);
+    all.insert(all.end(), batch.begin(), batch.end());
+    revived.flush();
+    (void)revived.compact_now();
+    EXPECT_TRUE(revived.connected(512, kN - 2, ReadMode::kFresh));
+    EXPECT_TRUE(revived.connected(1, 10, ReadMode::kSnapshot));
+    EXPECT_EQ(read_bytes(loaded), original);
+
+    // The crash image: the loaded checkpoint and the WAL tail, before stop()
+    // checkpoints again.
+    ASSERT_TRUE(std::filesystem::create_directory(path("crash")));
+    std::filesystem::copy_file(loaded, path("crash/ckpt.000001"));
+    for (const auto& f : list_numbered_files(path("wal"))) {
+      std::filesystem::copy_file(f.path, path("crash/wal") + f.path.substr(f.path.rfind('.')));
+    }
+    revived.stop();
+  }
+  EXPECT_EQ(read_bytes(loaded), original);
+  CheckpointData data;
+  std::string err;
+  ASSERT_TRUE(CheckpointStore::read_file(loaded, &data, &err)) << err;
+
+  ServiceOptions crash_opts = opts;
+  crash_opts.wal_path = path("crash/wal");
+  crash_opts.checkpoint_path = path("crash/ckpt");
+  ConnectivityService restarted(kN, crash_opts);
+  EXPECT_EQ(restarted.replayed_edges(), all.size() - 4);
+  EXPECT_EQ(restarted.snapshot()->labels, ecl_cc_serial(build_graph(kN, all)));
+  restarted.stop();
+}
+
+// Keep-2 retention unlinks the file the first snapshot and the live
+// union-find map; both mappings stay valid, so reads and new hooks go on
+// as before, and the next restart loads the newest checkpoint.
+TEST_F(ServiceCheckpointTest, MappedCheckpointOutlivesRetirement) {
+  constexpr vertex_t kN = 1u << 14;
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  std::vector<Edge> all = {{1, 2}, {2, 3}, {10, 11}, {kN - 1, 7}};
+  {
+    ConnectivityService service(kN, opts);
+    ASSERT_EQ(service.submit(all), Admission::kAccepted);
+    service.flush();
+    service.stop();  // writes ckpt.000001
+  }
+  const auto expect_components = [&](ConnectivityService& svc) {
+    const std::vector<vertex_t> ref = ecl_cc_serial(build_graph(kN, all));
+    const std::size_t roots = std::ranges::count_if(
+        std::views::iota(vertex_t{0}, kN), [&ref](vertex_t v) { return ref[v] == v; });
+    EXPECT_EQ(svc.component_count(), roots);
+    EXPECT_EQ(svc.snapshot()->labels, ref);
+    for (vertex_t v = 0; v < kN; ++v) {
+      ASSERT_EQ(svc.component_of(v, ReadMode::kFresh), ref[v]) << v;
+      ASSERT_EQ(svc.component_of(v, ReadMode::kSnapshot), ref[v]) << v;
+    }
+  };
+
+  {
+    ConnectivityService revived(kN, opts);
+    const std::uint64_t loaded_epoch = revived.snapshot()->epoch;
+    ASSERT_TRUE(revived.checkpoint_now());
+    ASSERT_TRUE(revived.checkpoint_now());
+    EXPECT_FALSE(exists(numbered_path(path("ckpt"), 1)));  // retired while mapped
+    EXPECT_EQ(revived.snapshot()->epoch, loaded_epoch);     // still the mapping
+    expect_components(revived);
+
+    // New hooks write the unlinked file's copy-on-write pages.
+    const ConnectivityService::EdgeBatch batch = {{3, 10}, {kN - 2, kN - 1}, {5000, 6}};
+    ASSERT_EQ(revived.submit(batch), Admission::kAccepted);
+    all.insert(all.end(), batch.begin(), batch.end());
+    revived.flush();
+    (void)revived.compact_now();
+    expect_components(revived);
+    revived.stop();  // writes ckpt.000004
+  }
+  CheckpointStore store;
+  store.open(path("ckpt"));
+  EXPECT_EQ(store.latest_seq(), 4u);
+  ConnectivityService restarted(kN, opts);
+  EXPECT_EQ(restarted.replayed_edges(), 0u);  // the newest covers every edge
+  expect_components(restarted);
+  restarted.stop();
 }
 
 TEST_F(ServiceCheckpointTest, CheckpointNowRetiresCoveredSegments) {

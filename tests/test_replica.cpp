@@ -409,9 +409,10 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
     data.watermark = watermark;
     data.epoch = epoch;
     data.wal_seq = wal_seq;
-    data.labels.resize(kN);
-    for (vertex_t v = 0; v < kN; ++v) data.labels[v] = v;
-    for (const auto& [v, label] : joins) data.labels[v] = label;  // canonical
+    std::vector<vertex_t> labels(kN);
+    for (vertex_t v = 0; v < kN; ++v) labels[v] = v;
+    for (const auto& [v, label] : joins) labels[v] = label;  // canonical
+    data.labels = PageArray(labels);
     return data;
   };
   ServiceOptions opts;
@@ -426,7 +427,7 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   // A vertex-count mismatch is refused.
   CheckpointData wrong_n = checkpoint(10, 7, 4, {});
   wrong_n.n = kN / 2;
-  wrong_n.labels.resize(kN / 2);
+  wrong_n.labels = PageArray(std::span<const vertex_t>(wrong_n.labels).first(kN / 2));
   EXPECT_FALSE(svc.rebase_to_checkpoint(wrong_n));
 
   // Newer checkpoint: {0, 1, 2, 3} and {4, 5} joined, watermark 10 > 3.
@@ -494,7 +495,7 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
       v = rng.bounded(4) == 0 ? static_cast<vertex_t>(rng.bounded(kN))
                               : static_cast<vertex_t>((u + rng.bounded(32)) % kN);
     }
-    const auto expect_prefix = [&](const std::vector<vertex_t>& labels,
+    const auto expect_prefix = [&](const PageArray& labels,
                                    std::uint64_t watermark, vertex_t components) {
       IncrementalCC ref(kN);
       ref.add_edges(edges.data(), watermark);
