@@ -27,7 +27,7 @@
 #                   (retention keeps segments the *oldest* checkpoint needs)
 #   kill-replica    WAL-shipping replica (docs/REPLICATION.md) SIGKILLed
 #                   mid-stream: the primary must not notice, and the revived
-#                   replica resumes from its local mirror, catches up (lag
+#                   replica resumes from its local WAL, catches up (lag
 #                   observable via kStats + /metrics), and serves every
 #                   acked edge
 #   kill-primary-then-promote  the primary is SIGKILLed mid-ingest; the
@@ -466,7 +466,7 @@ wait_caught_up() {
 }
 
 # SIGKILL the replica mid-stream: the primary must be unaffected, and the
-# revived replica (same mirror dirs) must resume, catch up, and serve every
+# revived replica (same dirs) must resume, catch up, and serve every
 # edge the *primary* acked. --replica-hold-ms is generous so the dead
 # replica's segments survive the outage and the revival streams the gap
 # instead of re-bootstrapping.
@@ -513,7 +513,7 @@ health_exit=0
 [[ "$health_exit" -eq 0 ]] || { echo "primary degraded after replica death"; exit 1; }
 
 sleep 0.5
-echo "== reviving the replica on the same mirror"
+echo "== reviving the replica on the same dirs"
 "$CCD" --vertices=20000 --unix="$KDIR/r.sock" --replica-of="$KDIR/p.sock" \
        --wal="$KDIR/r/wal" --checkpoint="$KDIR/r/ckpt" \
        --replica-fetch-interval-ms=25 \
@@ -559,7 +559,7 @@ echo "==== scenario kill-replica: OK"
 # wire, and require every batch acked *and shipped* before the kill to be
 # queryable on the promoted node. The frozen acked set is fenced by a
 # wal_bytes barrier: freeze the file, sample the primary's wal_bytes W,
-# wait until the replica's mirrored wal_bytes >= W (no checkpoints in this
+# wait until the replica's logged wal_bytes >= W (no checkpoints in this
 # run, so the primary never retires segments and the two byte counts are
 # directly comparable) — then everything frozen is provably on the replica.
 echo "==== scenario: kill-primary-then-promote"

@@ -1,6 +1,5 @@
 #include "svc/replica.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -34,8 +33,8 @@ std::unique_ptr<Client> connect_primary(const ReplicatorOptions& opts,
 
 bool Replicator::bootstrap(const ReplicatorOptions& opts, std::string* err) {
   // Resume from local state when any exists: a valid checkpoint, or a WAL
-  // mirror (a replica that bootstrapped from a checkpoint-less primary has
-  // only the latter). The service ctor recovers from both natively.
+  // (a replica that bootstrapped from a checkpoint-less primary has only
+  // the latter). The service ctor recovers from both natively.
   CheckpointStore store;
   store.open(opts.checkpoint_path);
   if (store.load_latest_valid().ok) return true;
@@ -84,9 +83,9 @@ bool Replicator::start(std::string* err) {
     if (err != nullptr) *err = "replicator: stopped; start a fresh Replicator";
     return false;
   }
-  // Resume where the mirror ends. The service ctor already replayed (and
-  // torn-tail-truncated) every mirrored segment, so the highest file's
-  // size *is* the parse position — everything before it is applied.
+  // Resume where the local WAL ends. The service ctor replayed it and
+  // opened its highest segment, whose size is a record boundary (records
+  // are logged whole) with everything before it applied.
   const auto segments = list_numbered_files(opts_.wal_path);
   if (!segments.empty()) {
     cur_seq_ = segments.back().seq;
@@ -97,7 +96,6 @@ bool Replicator::start(std::string* err) {
   }
   decoder_ = WalDecoder(file_bytes_);
   caught_up_at_ms_ = mono_ms();
-  publish_wal_stats();
   ECL_OBS_GAUGE_SET("ecl.svc.role", 1.0);
   thread_ = std::thread([this] { run(); });
   return true;
@@ -110,9 +108,7 @@ void Replicator::stop() {
     stopping_.store(true, std::memory_order_release);
   }
   wake_cv_.notify_all();
-  if (!thread_.joinable()) return;
-  thread_.join();
-  close_segment(/*fsync_it=*/true);
+  if (thread_.joinable()) thread_.join();
 }
 
 void Replicator::run() {
@@ -132,8 +128,11 @@ void Replicator::run() {
 void Replicator::fetch_tick() {
   fetch_rounds_.fetch_add(1, std::memory_order_relaxed);
   // Drain until caught up (or stalled), bounded so one tick can't spin
-  // forever against a primary ingesting faster than we parse.
-  for (int i = 0; i < 256 && !stopping_.load(std::memory_order_acquire); ++i) {
+  // forever against a primary ingesting faster than we parse. A degraded
+  // service logs nothing more until restart, so it fetches nothing more.
+  for (int i = 0; i < 256 && !stopping_.load(std::memory_order_acquire) &&
+                  !service_.degraded();
+       ++i) {
     if (!fetch_once()) break;
   }
 }
@@ -170,47 +169,32 @@ bool Replicator::fetch_once() {
   }
 
   if (!chunk.data.empty()) {
-    if (seg_fd_ < 0) {
-      const std::string path = numbered_path(opts_.wal_path, cur_seq_);
-      seg_fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-      if (seg_fd_ < 0) {
-        fetch_errors_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-    // Mirror first, then parse: a record is applied only once its bytes are
-    // in the local segment file, so a replica crash replays everything it
-    // ever applied (same WAL-before-state discipline as the primary).
-    if (!write_all(seg_fd_, chunk.data.data(), chunk.data.size())) {
-      fetch_errors_.fetch_add(1, std::memory_order_relaxed);
-      close_segment(/*fsync_it=*/false);
-      return false;
-    }
+    // A record partly fetched stays in the decoder, never in the local WAL:
+    // apply_replicated() logs each whole record before applying it.
     file_bytes_ += chunk.data.size();
     decoder_.feed(chunk.data);
     std::vector<Edge> batch;
     auto verdict = WalDecoder::Status::kRecord;
     while ((verdict = decoder_.next(&batch)) == WalDecoder::Status::kRecord) {
-      service_.apply_replicated(std::exchange(batch, {}));
+      if (!service_.apply_replicated(std::exchange(batch, {}))) return false;  // degraded
       applied_records_.fetch_add(1, std::memory_order_relaxed);
     }
     if (verdict != WalDecoder::Status::kNeedMore) {
-      // Framing/CRC mismatch: the mirror diverged from the primary (disk
+      // Framing/CRC mismatch: the stream diverged from the primary (disk
       // fault, or a primary that was itself replaced). Start over.
       ECL_OBS_COUNTER_ADD("ecl.svc.replica.parse_errors", 1);
       return rebootstrap() && false;
     }
-    publish_wal_stats();
   }
 
   if (chunk.sealed && file_bytes_ >= chunk.segment_bytes && decoder_.offset() > 0) {
     if (decoder_.pending() > 0) {
       // A sealed segment always ends on a record boundary on the primary;
-      // leftover bytes mean our mirror of it diverged.
+      // leftover bytes mean our stream of it diverged.
       ECL_OBS_COUNTER_ADD("ecl.svc.replica.parse_errors", 1);
       return rebootstrap() && false;
     }
-    close_segment(/*fsync_it=*/true);
+    service_.seal_replicated_segment();
     ++cur_seq_;
     file_bytes_ = 0;
     decoder_ = WalDecoder();
@@ -242,40 +226,16 @@ bool Replicator::rebootstrap() {
     std::fprintf(stderr, "[ecl::svc::replica] rebootstrap: %s\n", err.c_str());
     return false;
   }
-  // The old mirror is strictly behind the new base; wipe it so a restart
-  // recovers from the fresh checkpoint plus whatever streams after it.
-  close_segment(/*fsync_it=*/false);
-  for (const auto& seg : list_numbered_files(opts_.wal_path)) {
-    (void)::unlink(seg.path.c_str());
-  }
-  (void)fsync_parent_dir(opts_.wal_path);
+  // The service reset its WAL to the segment after the checkpoint's.
   cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
   file_bytes_ = 0;
   decoder_ = WalDecoder();
-  publish_wal_stats();
   std::fprintf(stderr,
                "[ecl::svc::replica] re-bootstrapped from the primary's checkpoint %llu "
                "(wal_seq %llu)\n",
                static_cast<unsigned long long>(img.seq),
                static_cast<unsigned long long>(cur_seq_ - 1));
   return true;
-}
-
-void Replicator::close_segment(bool fsync_it) {
-  if (seg_fd_ < 0) return;
-  if (fsync_it) (void)::fsync(seg_fd_);
-  ::close(seg_fd_);
-  seg_fd_ = -1;
-}
-
-void Replicator::publish_wal_stats() {
-  std::uint64_t segs = 0;
-  std::uint64_t bytes = 0;
-  for (const auto& f : list_numbered_files(opts_.wal_path)) {
-    ++segs;
-    bytes += f.bytes;
-  }
-  service_.set_replica_wal_stats(segs, bytes);
 }
 
 void Replicator::publish_lag(std::uint64_t active_seq, bool caught_up) {

@@ -6,7 +6,7 @@
 // plus one Replicator, which drives the whole lifecycle:
 //
 //   bootstrap   Before the service is constructed: if the local checkpoint
-//               or WAL mirror already holds state, resume from it; else
+//               or WAL already holds state, resume from it; else
 //               fetch the primary's newest checkpoint image (kFetchCkpt)
 //               and install it through a CheckpointStore on the local
 //               checkpoint base (validated, crash-atomic, numbered locally).
@@ -14,23 +14,26 @@
 //               primary restarting.
 //
 //   stream      The Replicator's thread fetches bounded chunks of the
-//               primary's WAL segments (kFetchWal), mirrors the raw bytes
-//               into identically-numbered local segment files (so a
-//               replica restart — or promotion — replays them natively),
-//               decodes complete records out of the mirrored stream with
-//               the same WalDecoder replay uses, and applies each through
-//               ConnectivityService::apply_replicated.
-//               Positions are (segment seq, byte offset); a sealed segment
-//               consumed to its end advances to seq + 1.
+//               primary's WAL segments (kFetchWal), decodes whole records
+//               out of them with the same WalDecoder replay uses, and hands
+//               each to ConnectivityService::apply_replicated, which logs it
+//               through the service's own WAL (the one writer of segment
+//               files) before applying it. A re-encoded record is the
+//               primary's byte for byte, so the local log is the primary's,
+//               cut at a record boundary: a restart replays it natively and
+//               promotion appends to it as it is. A record partly fetched
+//               stays in the decoder. Positions are (segment seq, byte
+//               offset); a sealed segment consumed to its end makes the
+//               service seal its copy and advances to seq + 1.
 //
 //   rebootstrap If the primary answers `retired` (this replica fell behind
 //               the retention floor — e.g. it was dead past the primary's
 //               replica_hold_ms), the Replicator fetches a fresh
 //               checkpoint and hands it to the service, which installs it
-//               into its own checkpoint chain and rebases the live state
-//               onto it (rebase_to_image); the Replicator then wipes the
-//               stale mirror and resumes streaming past the new
-//               checkpoint's covered segment.
+//               into its own checkpoint chain, rebases the live state onto
+//               it and resets its WAL past it (rebase_to_image); the
+//               Replicator resumes streaming past the new checkpoint's
+//               covered segment.
 //
 // Lag is observable, not bounded by backpressure: after every fetch round
 // the Replicator pushes (lag_seq, lag_ms) into the service, which surfaces
@@ -43,9 +46,10 @@
 // streaming state between start() and the join in stop(). It runs a fetch
 // tick at once, then one tick per fetch_interval_ms, each interval counted
 // from the end of the previous tick (fixed delay: a slow tick never queues
-// a burst of catch-up ticks). stop() wakes the interval wait and joins the
-// thread, after which no more bytes land in the mirror — the precondition
-// for promote().
+// a burst of catch-up ticks). A degraded service (say, after a failed WAL
+// append) stops the fetching until restart. stop() wakes the interval wait
+// and joins the thread, after which no more records are logged — the
+// precondition for promote().
 #pragma once
 
 #include <atomic>
@@ -67,8 +71,9 @@ struct ReplicatorOptions {
   std::string unix_path;
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Local WAL mirror base and checkpoint base. Both required — they are
-  /// the replica's durable identity across restarts and after promotion.
+  /// Local WAL base and checkpoint base, the service's. Both required —
+  /// they are the replica's durable identity across restarts and after
+  /// promotion.
   std::string wal_path;
   std::string checkpoint_path;
   /// Pause between the end of one fetch tick and the start of the next.
@@ -109,10 +114,10 @@ class Replicator {
   [[nodiscard]] bool start(std::string* err = nullptr);
 
   /// Wakes the fetch thread out of its interval wait and joins it. After
-  /// stop() returns no more bytes land in the WAL mirror — call this before
+  /// stop() returns no more records are logged — call this before
   /// promoting the service. Idempotent and *terminal*: start() refuses
   /// afterwards, so resuming the stream means constructing a fresh
-  /// Replicator (which resumes from the on-disk mirror, exactly like a
+  /// Replicator (which resumes where the local WAL ends, exactly like a
   /// process restart).
   void stop();
 
@@ -135,19 +140,15 @@ class Replicator {
   void run();
   /// One tick: loops fetch_once() until caught up (or no progress).
   void fetch_tick();
-  /// One kFetchWal round trip: mirror bytes, parse records, apply edges,
-  /// advance the (seq, offset) position. Returns false when the tick
-  /// should stop looping (caught up, transport error, or rebootstrap).
+  /// One kFetchWal round trip: parse records, log and apply each, advance
+  /// the (seq, offset) position. Returns false when the tick should stop
+  /// looping (caught up, transport error, degraded, or rebootstrap).
   [[nodiscard]] bool fetch_once();
   /// Ensures the fetch client exists (reconnecting lazily after failures).
   [[nodiscard]] bool ensure_client();
-  /// Fell behind retention: fetch a fresh checkpoint, rebase the service,
-  /// wipe the mirror, reset the position past the checkpoint.
+  /// Fell behind retention: fetch a fresh checkpoint, rebase the service
+  /// (which resets its WAL), reset the position past the checkpoint.
   [[nodiscard]] bool rebootstrap();
-  /// Closes and fsyncs the current mirror segment fd, if open.
-  void close_segment(bool fsync_it);
-  /// Recomputes local mirror geometry and pushes it into the service.
-  void publish_wal_stats();
   /// Publishes (lag_seq, lag_ms) into the service.
   void publish_lag(std::uint64_t active_seq, bool caught_up);
 
@@ -156,11 +157,10 @@ class Replicator {
 
   // Streaming state, owned by the fetch thread while it runs.
   std::unique_ptr<Client> client_;
-  std::uint64_t cur_seq_ = 1;     // segment currently being mirrored
-  std::uint64_t file_bytes_ = 0;  // bytes of it already on local disk
-  int seg_fd_ = -1;               // local mirror fd (append-only)
-  /// Decodes the mirrored stream of cur_seq_; holds at most one partial
-  /// record (or the partial magic) between fetches.
+  std::uint64_t cur_seq_ = 1;     // segment currently being streamed
+  std::uint64_t file_bytes_ = 0;  // bytes of it fetched (the next offset)
+  /// Decodes the stream of cur_seq_; holds at most one partial record (or
+  /// the partial magic) between fetches.
   WalDecoder decoder_;
   std::uint64_t caught_up_at_ms_ = 0;  // mono_ms() of last full catch-up
 

@@ -78,7 +78,7 @@ struct ServerOptions {
   obs::RequestLog* slow_log = nullptr;
   /// kPromote handler. The daemon sets this to a hook that stops its
   /// Replicator *before* calling ConnectivityService::promote() (the
-  /// service assumes no more bytes land in the WAL mirror once promoted).
+  /// service assumes no replicated record is logged once promoted).
   /// Unset, kPromote calls service.promote() directly — fine for in-process
   /// tests that own no Replicator. Runs inline on an I/O thread; promotion
   /// is rare and bounded (one tail truncate + WAL open), so briefly

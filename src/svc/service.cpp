@@ -178,39 +178,48 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     (void)run_compaction();
   }
 
-  if (opts_.replica) {
-    // A replica never appends: the Replicator mirrors the primary's raw
-    // segment bytes into these same files, and opening one for writing
-    // here would stamp a header into (or fsync-race) the mirror. Recovery
-    // above already replayed everything; just surface the mirror geometry.
-    // promote() opens the WAL later.
-    if (opts_.wal_path.empty()) return;
-    std::uint64_t segs = 0;
-    std::uint64_t bytes = 0;
-    for (const auto& f : list_numbered_files(opts_.wal_path)) {
-      ++segs;
-      bytes += f.bytes;
-    }
-    wal_segments_.store(segs, std::memory_order_relaxed);
-    wal_bytes_.store(bytes, std::memory_order_relaxed);
-    return;
-  }
+  // A replica's segments end where the primary's do, so it never rotates on
+  // size (promote() reopens the log with size rotation).
   std::string err;
-  if (!open_wal_for_appends(covered_seq, &err)) {
+  if (!open_wal_for_appends(covered_seq, opts_.replica ? 0 : opts_.wal_segment_bytes, &err)) {
     throw std::runtime_error("ecl::svc WAL open failed: " + err);
   }
 }
 
-bool ConnectivityService::open_wal_for_appends(std::uint64_t covered_seq, std::string* err) {
+bool ConnectivityService::open_wal_for_appends(std::uint64_t covered_seq,
+                                               std::uint64_t segment_bytes, std::string* err) {
   logged_edges_ = applied_edges_.load(std::memory_order_acquire);
   if (opts_.wal_path.empty()) return true;
-  SegmentedWalOptions sopts;
-  sopts.wal = opts_.wal;
-  sopts.segment_bytes = opts_.wal_segment_bytes;
-  if (!wal_.open(opts_.wal_path, sopts, covered_seq + 1, err)) return false;
+  if (!wal_.open(opts_.wal_path, {.wal = opts_.wal, .segment_bytes = segment_bytes},
+                 covered_seq + 1, err)) {
+    return false;
+  }
   wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
   wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
   return true;
+}
+
+bool ConnectivityService::log_batch(const EdgeBatch& batch) {
+  if (opts_.wal_path.empty()) return true;
+  if (!wal_.append(batch)) {
+    wal_healthy_.store(false, std::memory_order_release);
+    enter_degraded("WAL append/fsync failed");
+    return false;
+  }
+  wal_records_.fetch_add(1, std::memory_order_relaxed);
+  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
+  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+  return true;
+}
+
+void ConnectivityService::rotate_wal() {
+  std::string err;
+  if (wal_.is_open() && !wal_.rotate(&err)) {
+    wal_healthy_.store(false, std::memory_order_release);
+    enter_degraded(("WAL rotate failed: " + err).c_str());
+  }
+  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
+  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
 }
 
 void ConnectivityService::enter_degraded(const char* reason) {
@@ -245,20 +254,9 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
     // exactly the edges of the records it seals. A stop() racing the append
     // answers kClosed and leaves an unacked, uncounted record.
     std::lock_guard<std::mutex> lock(wal_mu_);
-    const bool logging = !opts_.wal_path.empty();
     if (queue_.closed()) {
       verdict = Admission::kClosed;
-    } else if (queue_.size() >= queue_.capacity()) {
-      verdict = Admission::kShed;
-    } else if (logging && !wal_.append(batch)) {
-      wal_healthy_.store(false, std::memory_order_release);
-      enter_degraded("WAL append/fsync failed");
-    } else {
-      if (logging) {
-        wal_records_.fetch_add(1, std::memory_order_relaxed);
-        wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-        wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
-      }
+    } else if (queue_.size() < queue_.capacity() && log_batch(batch)) {
       const std::size_t edges = batch.size();
       verdict = queue_.try_push(std::move(batch));
       if (verdict == Admission::kAccepted) {
@@ -392,9 +390,9 @@ bool ConnectivityService::compaction_due() const {
 }
 
 bool ConnectivityService::checkpoint_due(bool exiting, bool cut_pending) const {
-  // Replicas never cut: their durable state is the mirrored WAL + the
-  // bootstrap checkpoint, and a cut would rotate a WAL this service does
-  // not own. After promote() the next cycle cuts again.
+  // Replicas never cut: their WAL rotates only where the primary's segments
+  // end, and their checkpoints are the primary's images. After promote()
+  // the next cycle cuts again.
   if (opts_.checkpoint_path.empty() || replica_.load(std::memory_order_acquire)) return false;
   const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
   const bool progressed = !has_ckpt_.load(std::memory_order_acquire) ||
@@ -408,13 +406,9 @@ bool ConnectivityService::checkpoint_due(bool exiting, bool cut_pending) const {
 std::uint64_t ConnectivityService::cut_wal() {
   std::lock_guard<std::mutex> wal_lock(wal_mu_);
   Cut cut{.seq = wal_.active_seq(), .edges = logged_edges_, .hooks = {}};
-  std::string err;
-  if (wal_.is_open() && !wal_.rotate(&err)) {
-    // The segments <= seq are intact and hold exactly `edges`: the cut
-    // stands, and the closed log takes no record past it.
-    wal_healthy_.store(false, std::memory_order_release);
-    enter_degraded(("WAL rotate failed: " + err).c_str());
-  }
+  // A failed rotation leaves the segments <= seq intact and holding exactly
+  // `edges`: the cut stands, and the closed log takes no record past it.
+  rotate_wal();
   {
     // Nothing logged past the cut is queued before wal_mu_ is released, so
     // the ingest thread is at or before it.
@@ -667,11 +661,23 @@ void render_prometheus(const ServiceStats& s, std::string& out) {
 
 // ------------------------------------------------------- replication ----
 
-void ConnectivityService::apply_replicated(EdgeBatch batch) {
+bool ConnectivityService::apply_replicated(EdgeBatch batch) {
+  {
+    // Log before apply, as submit() does, so a replica crash replays every
+    // record it applied. The record is logged whole, out-of-universe edges
+    // included, so this log stays the primary's byte for byte.
+    std::lock_guard<std::mutex> lock(wal_mu_);
+    if (!log_batch(batch)) return false;
+  }
   accepted_batches_.fetch_add(1, std::memory_order_relaxed);
   apply_batch(batch);
-  wal_records_.fetch_add(1, std::memory_order_relaxed);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.applied_edges", batch.size());
+  return true;
+}
+
+void ConnectivityService::seal_replicated_segment() {
+  std::lock_guard<std::mutex> lock(wal_mu_);
+  rotate_wal();
 }
 
 void ConnectivityService::set_replication_lag(std::uint64_t lag_seq,
@@ -680,12 +686,6 @@ void ConnectivityService::set_replication_lag(std::uint64_t lag_seq,
   repl_lag_ms_.store(lag_ms, std::memory_order_relaxed);
   ECL_OBS_GAUGE_SET("ecl.svc.replica.lag_seq", static_cast<double>(lag_seq));
   ECL_OBS_GAUGE_SET("ecl.svc.replica.lag_ms", static_cast<double>(lag_ms));
-}
-
-void ConnectivityService::set_replica_wal_stats(std::uint64_t segments,
-                                                std::uint64_t bytes) {
-  wal_segments_.store(segments, std::memory_order_relaxed);
-  wal_bytes_.store(bytes, std::memory_order_relaxed);
 }
 
 bool ConnectivityService::may_rebase_to(const CheckpointData& data) const {
@@ -711,7 +711,18 @@ bool ConnectivityService::rebase_to_image(std::span<const std::uint8_t> image,
     if (err != nullptr) *err = wr.error;
     return false;
   }
-  return rebase_to_checkpoint(data);
+  if (!rebase_to_checkpoint(data)) return false;
+  // The log behind the new base goes, and the stream resumes in an empty
+  // segment past it, so a restart replays only what streams after it.
+  std::lock_guard<std::mutex> lock(wal_mu_);
+  std::string werr;
+  if (wal_.is_open() && !wal_.reset(data.wal_seq + 1, &werr)) {
+    wal_healthy_.store(false, std::memory_order_release);
+    enter_degraded(("WAL reset failed: " + werr).c_str());
+  }
+  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
+  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+  return true;
 }
 
 bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
@@ -820,25 +831,9 @@ bool ConnectivityService::promote(std::string* err) {
   const std::uint64_t covered = ckpt_covered_seq_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
-    if (!opts_.wal_path.empty()) {
-      // The mirror's final segment may end mid-record (the Replicator was
-      // stopped between chunks). Those bytes were never parsed or applied,
-      // so cutting them loses nothing — and the WAL must end on a record
-      // boundary before it can take appends again.
-      const auto segments = list_numbered_files(opts_.wal_path);
-      if (!segments.empty()) {
-        auto rep = WriteAheadLog::replay_and_truncate(segments.back().path,
-                                                      /*truncate_tail=*/true);
-        if (!rep.ok || rep.truncate_failed) {
-          if (err != nullptr) {
-            *err = "promote: mirrored WAL tail unusable: " + rep.error;
-          }
-          return false;
-        }
-      }
-    }
+    wal_.close();
     std::string werr;
-    if (!open_wal_for_appends(covered, &werr)) {
+    if (!open_wal_for_appends(covered, opts_.wal_segment_bytes, &werr)) {
       if (err != nullptr) *err = "promote: WAL open failed: " + werr;
       return false;
     }

@@ -85,9 +85,9 @@ struct ServiceOptions {
   /// checkpoint_now() / the final checkpoint on clean stop()).
   int checkpoint_interval_ms = 5000;
   /// Replica mode (docs/REPLICATION.md): recover from the local checkpoint
-  /// and WAL mirror exactly like a primary, but never open the WAL for
-  /// appending (a Replicator streams the primary's segment bytes into it),
-  /// never write checkpoints, and shed submit() until promote().
+  /// and WAL exactly like a primary, log the replication stream through the
+  /// same WAL (rotating only where the primary's segments end, never on
+  /// size), never write checkpoints, and shed submit() until promote().
   bool replica = false;
   /// Primary side: a registered replica unseen for longer than this stops
   /// holding the WAL retention floor (a dead replica must not wedge
@@ -288,28 +288,30 @@ class ConnectivityService {
     return replica_.load(std::memory_order_acquire);
   }
 
-  /// Replica -> primary failover: truncates any half-fetched record off the
-  /// mirrored WAL tail (those bytes were never parsed, so nothing applied is
-  /// lost), opens the WAL for appending at that tail, and starts accepting
-  /// submit(). Checkpointing (and with it local segment retirement) resumes
-  /// on the next compaction cycle. The caller must stop the Replicator
-  /// first — promote() assumes no more bytes are landing in the mirror.
+  /// Replica -> primary failover: reopens the WAL with size rotation (the
+  /// replica's log holds whole records only, so it takes appends as it is)
+  /// and starts accepting submit(). Checkpointing (and with it local segment
+  /// retirement) resumes on the next compaction cycle. The caller must stop
+  /// the Replicator first, so no replicated record is logged after this.
   /// Idempotent: true immediately on an already-primary service.
   [[nodiscard]] bool promote(std::string* err = nullptr);
 
-  /// Replica side: applies one primary WAL record's edges (the Replicator
-  /// calls this after mirroring the bytes locally) through the ingest
-  /// worker's apply path, so compaction, staleness, and health arithmetic
-  /// hold unchanged.
-  void apply_replicated(EdgeBatch batch);
+  /// Replica side: logs one primary WAL record through this service's WAL
+  /// under wal_mu_ (re-encoded, so byte for byte the primary's), then
+  /// applies its edges through the ingest worker's apply path, so
+  /// compaction, staleness, and health arithmetic hold unchanged. False,
+  /// applying nothing, when the append fails: the service degrades until
+  /// restart, as a primary does.
+  bool apply_replicated(EdgeBatch batch);
+
+  /// Replica side: the Replicator has consumed a sealed primary segment;
+  /// seals the local one too and opens the next, so segment numbers and
+  /// contents stay the primary's. A failed rotation degrades the service.
+  void seal_replicated_segment();
 
   /// Replica side: lag sample pushed by the Replicator after each fetch
   /// round (surfaced through stats() and the Prometheus exporter).
   void set_replication_lag(std::uint64_t lag_seq, std::uint64_t lag_ms);
-
-  /// Replica side: local WAL mirror geometry pushed by the Replicator, so
-  /// stats() wal_segments/wal_bytes stay meaningful on replicas.
-  void set_replica_wal_stats(std::uint64_t segments, std::uint64_t bytes);
 
   /// Replica side: rebases onto a newer checkpoint fetched from the primary
   /// after falling behind retention. Unites every vertex with its label in
@@ -325,9 +327,11 @@ class ConnectivityService {
 
   /// Replica side of a rebootstrap: installs a fetched checkpoint image
   /// (CkptImage::image) into this service's own checkpoint chain, then
-  /// rebase_to_checkpoint()s onto it. The image is renamed into the chain
-  /// only once it validates and rebase_to_checkpoint() would accept it.
-  /// False, with *err set, otherwise; nothing changes then.
+  /// rebase_to_checkpoint()s onto it and resets the WAL to one empty
+  /// segment, the checkpoint's wal_seq + 1, where the stream resumes. The
+  /// image is renamed into the chain only once it validates and
+  /// rebase_to_checkpoint() would accept it. False, with *err set,
+  /// otherwise; nothing changes then. A failed WAL reset degrades.
   [[nodiscard]] bool rebase_to_image(std::span<const std::uint8_t> image,
                                      std::string* err = nullptr);
 
@@ -408,9 +412,17 @@ class ConnectivityService {
   void init_durability(std::optional<CheckpointData> ckpt);
   /// Ctor (no thread running yet) and promote() (under wal_mu_): counts
   /// every applied edge as logged and, with a WAL path, opens the WAL for
-  /// appends after the checkpoint's segment `covered_seq`. False, with
-  /// `err` set, if the WAL cannot be opened.
-  [[nodiscard]] bool open_wal_for_appends(std::uint64_t covered_seq, std::string* err);
+  /// appends after the checkpoint's segment `covered_seq`, rotating at
+  /// `segment_bytes` (0: only when asked). False, with `err` set, if the
+  /// WAL cannot be opened.
+  [[nodiscard]] bool open_wal_for_appends(std::uint64_t covered_seq,
+                                          std::uint64_t segment_bytes, std::string* err);
+  /// Under wal_mu_: appends `batch` (true without a WAL) and publishes the
+  /// log's size; a failed append degrades the service.
+  [[nodiscard]] bool log_batch(const EdgeBatch& batch);
+  /// Under wal_mu_: seals the active segment, if the WAL is open, and
+  /// publishes the log's size; a failed rotation degrades the service.
+  void rotate_wal();
   /// Compaction thread: persists the snapshot published at `cut`, retires
   /// covered WAL segments and settles the cut for checkpoint_now().
   void write_checkpoint(const Cut& cut, const Snapshot& snap);
@@ -467,8 +479,9 @@ class ConnectivityService {
   std::atomic<bool> stopped_{false};
 
   // Robustness state. wal_mu_ serializes appends from concurrent submit()
-  // callers (and the checkpoint cut's rotation/retirement against them);
-  // the flags are read lock-free by stats() and submit().
+  // callers or the Replicator's thread (and the checkpoint cut's
+  // rotation/retirement against them); the flags are read lock-free by
+  // stats() and submit().
   std::mutex wal_mu_;
   SegmentedWal wal_;
   std::uint64_t logged_edges_ = 0;  // a cut's count: applied at open + accepted since

@@ -487,11 +487,11 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& base,
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const auto& seg = segments[i];
     if (seg.seq <= after_seq) continue;
-    // Past a checkpoint the chain must be unbroken: a missing segment held
-    // acked edges nothing else covers. (Below after_seq a hole is harmless:
-    // a failed unlink during retirement can leave one.)
-    if (const std::uint64_t want = after_seq + out.segments + 1;
-        after_seq > 0 && seg.seq != want) {
+    // Past the checkpoint (or from segment 1 without one) the chain must be
+    // unbroken: a missing segment held acked edges nothing else covers.
+    // (Below after_seq a hole is harmless: a failed unlink during retirement
+    // can leave one.)
+    if (const std::uint64_t want = after_seq + out.segments + 1; seg.seq != want) {
       out.error = "wal replay " + base + ": segment " + std::to_string(want) +
                   " is missing (checkpoint covers through " +
                   std::to_string(after_seq) + ")";
@@ -558,6 +558,12 @@ bool SegmentedWal::open(const std::string& base, SegmentedWalOptions opts,
     }
   }
   return open_segment(open_seq, err);
+}
+
+bool SegmentedWal::reset(std::uint64_t first_seq, std::string* err) {
+  close();
+  for (const auto& seg : list_numbered_files(base_)) (void)::unlink(seg.path.c_str());
+  return open(base_, opts_, first_seq, err);  // creating it fsyncs the directory
 }
 
 bool SegmentedWal::rotate(std::string* err) {

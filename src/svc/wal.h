@@ -15,10 +15,11 @@
 //
 // This file owns that framing: encode_wal_records() (through
 // WriteAheadLog::append()) is its one writer and WalDecoder its one reader,
-// and both hold records to the same 2^26-byte payload limit. Replay
-// (restart, promotion) and the replica's stream (svc/replica.h) both feed
-// bytes to a WalDecoder, so the two can never disagree on what a valid
-// record is.
+// and both hold records to the same 2^26-byte payload limit. Restart replay
+// and the replica's stream (svc/replica.h) both feed bytes to a WalDecoder,
+// so the two can never disagree on what a valid record is; a replica logs
+// each decoded record through its own WriteAheadLog, which re-encodes it
+// byte for byte.
 //
 // A crash can tear the final record (partial write, or payload written but
 // CRC not). Replay validates each record's CRC and, at the first torn or
@@ -102,7 +103,7 @@ class WalDecoder {
 
   /// `resume_at` is the segment offset the first fed byte sits at: 0 for a
   /// fresh segment (the magic comes first), or a record boundary past the
-  /// magic (a replayed mirror's file size).
+  /// magic (a replica's replayed log size).
   explicit WalDecoder(std::uint64_t resume_at = 0) : offset_(resume_at) {}
 
   /// Buffers `bytes` after any partial record left from earlier calls.
@@ -227,10 +228,10 @@ class SegmentedWal {
   /// like WriteAheadLog::replay_and_truncate per segment. A torn tail is
   /// only legal in the *final* segment (the only one a crash can tear);
   /// torn or corrupt records in an earlier segment fail the replay
-  /// (ok == false) rather than silently dropping later acked edges. With
-  /// after_seq > 0 (a checkpoint covers the segments up to it) the rest
-  /// must run after_seq + 1, after_seq + 2, ... with no hole: a missing
-  /// segment fails the replay, naming its seq.
+  /// (ok == false) rather than silently dropping later acked edges. The
+  /// segments past after_seq (a checkpoint covers those up to it; 0 when
+  /// none does) must run after_seq + 1, after_seq + 2, ... with no hole: a
+  /// missing segment fails the replay, naming its seq.
   struct ReplayResult : WalReplayResult {
     std::uint64_t segments = 0;  // segments replayed
   };
@@ -252,6 +253,11 @@ class SegmentedWal {
   /// Fault point svc.wal.rotate. On failure the log is closed and false is
   /// returned. Counted in ecl.svc.wal.rotations.
   [[nodiscard]] bool rotate(std::string* err);
+
+  /// Deletes every segment, then opens an empty one numbered first_seq: a
+  /// replica rebased onto a checkpoint covering first_seq - 1 drops the
+  /// log behind it. False, with *err set, when the open fails.
+  [[nodiscard]] bool reset(std::uint64_t first_seq, std::string* err);
 
   /// Deletes sealed segments with seq <= upto (never the active segment).
   /// Fault point svc.wal.retire. Returns the number of segments deleted;

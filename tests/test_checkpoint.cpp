@@ -8,7 +8,8 @@
 // WAL segments retired once covered, checkpoints cut under live ingest
 // counting exactly the edges of their segments, a short write mid-record
 // degrading the service without losing acked edges, and a failed torn-tail
-// truncation or a segment hole refusing the restart.
+// truncation, a segment hole or a WAL-only fallback past retired segments
+// refusing the restart.
 //
 // Same registry discipline as test_fault_svc.cpp: every case that arms the
 // process-wide fault registry disarms it again in TearDown.
@@ -544,7 +545,8 @@ TEST_F(SegmentedWalTest, RetireThroughDeletesSealedOnly) {
   EXPECT_EQ(wal.segment_count(), 1u);
   wal.close();
 
-  const auto rep = SegmentedWal::replay(base, 0);
+  // Retiring through 2 presumes a checkpoint covering segment 2.
+  const auto rep = SegmentedWal::replay(base, /*after_seq=*/2);
   ASSERT_TRUE(rep.ok) << rep.error;
   ASSERT_EQ(rep.edges.size(), 1u);
   EXPECT_EQ(rep.edges[0], (Edge{5, 6}));
@@ -610,9 +612,9 @@ TEST_F(SegmentedWalTest, TornSealedSegmentFailsReplay) {
   EXPECT_EQ(file_size(base + ".000001"), before);  // refused, not truncated
 }
 
-// Past a checkpoint (after_seq > 0) the segments must run after_seq + 1,
-// after_seq + 2, ... : a missing one held acked edges nothing else covers,
-// so replay refuses, naming it, instead of silently skipping them.
+// Past a checkpoint the segments must run after_seq + 1, after_seq + 2, ...
+// (1, 2, ... without one): a missing one held acked edges nothing else
+// covers, so replay refuses, naming it, instead of silently skipping them.
 TEST_F(SegmentedWalTest, MissingMiddleSegmentFailsReplay) {
   const std::string base = path("wal");
   SegmentedWal wal;
@@ -630,10 +632,10 @@ TEST_F(SegmentedWalTest, MissingMiddleSegmentFailsReplay) {
   EXPECT_FALSE(rep.ok);
   EXPECT_NE(rep.error.find("segment 3 is missing"), std::string::npos) << rep.error;
 
-  // Without a checkpoint (after_seq == 0) the chain is replayed as found.
+  // Without a checkpoint (after_seq == 0) the hole fails the replay too.
   const auto all = SegmentedWal::replay(base, 0);
-  ASSERT_TRUE(all.ok) << all.error;
-  EXPECT_EQ(all.segments, 3u);
+  EXPECT_FALSE(all.ok);
+  EXPECT_NE(all.error.find("segment 3 is missing"), std::string::npos) << all.error;
 }
 
 TEST_F(SegmentedWalTest, MissingFirstSegmentAfterCheckpointFailsReplay) {
@@ -965,6 +967,42 @@ TEST_F(ServiceCheckpointTest, HoleAfterTheCheckpointRefusesTheRestart) {
   reg().disarm_all();
   // Segment 2 alone holds {3, 4}.
   ASSERT_EQ(::unlink(numbered_path(path("wal"), 2).c_str()), 0);
+  EXPECT_THROW(ConnectivityService(64, opts), std::runtime_error);
+}
+
+// With every retained checkpoint corrupt the restart falls back to the WAL
+// alone, which must then run from segment 1: segment 1 was retired, so its
+// acked edges are gone and the restart refuses rather than serve without
+// them.
+TEST_F(ServiceCheckpointTest, NoValidCheckpointAfterRetirementRefusesTheRestart) {
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 0;
+  {
+    ConnectivityService service(64, opts);
+    ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
+    ASSERT_TRUE(service.checkpoint_now());  // covers segment 1
+    ASSERT_EQ(service.submit({{3, 4}}), Admission::kAccepted);
+    ASSERT_TRUE(service.checkpoint_now());  // covers 2; the floor retires 1
+    ASSERT_EQ(service.submit({{5, 6}}), Admission::kAccepted);
+    service.flush();
+    arm("svc.ckpt.write", fault::Action::kFail, 100);  // no final checkpoint
+    service.stop();
+  }
+  reg().disarm_all();
+  ASSERT_FALSE(exists(numbered_path(path("wal"), 1)));
+  const auto checkpoints = list_numbered_files(path("ckpt"));
+  ASSERT_EQ(checkpoints.size(), 2u);
+  for (const auto& file : checkpoints) {  // flip the last byte of each
+    std::FILE* f = std::fopen(file.path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
+    const int last = std::fgetc(f);
+    ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);
+    std::fputc(last ^ 0xff, f);
+    std::fclose(f);
+  }
   EXPECT_THROW(ConnectivityService(64, opts), std::runtime_error);
 }
 

@@ -13,10 +13,12 @@
 // dead one is released after replica_hold_ms), the fetch loop's cadence (an
 // immediate first fetch; stop() cuts the interval wait short), and an
 // end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
-// against a live Server + Replicator pair.
+// against a live Server + Replicator pair, whose log ends on a record
+// boundary when the Replicator stops mid-record.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -1057,6 +1059,48 @@ TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
       << "local mirror replay must restore pre-restart state";
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(0, 3, ReadMode::kFresh); }));
+}
+
+// Records are 808 bytes and the primary seals every 1 KiB segment after two,
+// while each fetch takes 83 bytes. The Replicator's one tick stops after
+// 256 fetches, 20 per segment: 12 segments, then 1328 bytes into the 13th,
+// partway through its second record. Only whole records reach the replica's
+// log, so it ends on a record boundary, and each of its segments is a
+// prefix of the primary's.
+TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
+  for (vertex_t b = 0; b < 40; ++b) {
+    ConnectivityService::EdgeBatch batch;
+    for (vertex_t i = 0; i < 100; ++i) batch.emplace_back(i, (b * 7 + i + 1) % kVertices);
+    ASSERT_EQ(primary_->submit(std::move(batch)), Admission::kAccepted);
+  }
+  ropts_.fetch_max_bytes = 83;
+  ropts_.fetch_interval_ms = 60000;  // one tick
+  const std::uint64_t served = server_->requests_served();
+  start_replica();
+  // The bootstrap's kFetchCkpt, then the tick's 256 kFetchWal: once the
+  // last is served the Replicator has only to apply it.
+  ASSERT_TRUE(wait_until([&] { return server_->requests_served() >= served + 257; }));
+  replicator_->stop();
+  EXPECT_EQ(replicator_->fetch_rounds(), 1u);
+  EXPECT_EQ(replicator_->applied_records(), 25u);
+
+  const auto read = [](const std::string& file) {
+    std::ifstream in(file, std::ios::binary);
+    return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in), {}};
+  };
+  const auto segments = list_numbered_files(ropts_.wal_path);
+  ASSERT_EQ(segments.size(), 13u);
+  for (const auto& seg : segments) {
+    SCOPED_TRACE("segment " + std::to_string(seg.seq));
+    const auto replay = WriteAheadLog::replay_and_truncate(seg.path, /*truncate_tail=*/false);
+    ASSERT_TRUE(replay.ok) << replay.error;
+    EXPECT_EQ(replay.truncated_bytes, 0u);
+    const std::vector<std::uint8_t> mine = read(seg.path);
+    const std::vector<std::uint8_t> primary = read(numbered_path(path("p/wal"), seg.seq));
+    ASSERT_LE(mine.size(), primary.size());
+    EXPECT_TRUE(std::equal(mine.begin(), mine.end(), primary.begin()));
+  }
+  EXPECT_EQ(segments.back().bytes, 8u + 808u);  // the magic and record 25
 }
 
 }  // namespace

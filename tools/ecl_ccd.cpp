@@ -36,7 +36,7 @@
 //   --replica-of=ENDPOINT   run as a read-only replica of the primary at
 //                           ENDPOINT (a unix socket path if it contains '/',
 //                           else HOST:PORT). Requires --wal and --checkpoint
-//                           (the replica's local mirror + bootstrap state).
+//                           (the replica's local WAL + bootstrap state).
 //                           Writes answer kNotPrimary until a kPromote
 //                           (ecl_cc_client promote) flips this daemon into a
 //                           writable primary. See docs/REPLICATION.md.
@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
     if (sopts.wal_path.empty() || sopts.checkpoint_path.empty()) {
       std::fprintf(stderr,
                    "error: --replica-of requires --wal and --checkpoint (the "
-                   "replica's local mirror and bootstrap state)\n");
+                   "replica's local WAL and bootstrap state)\n");
       return 1;
     }
     ropts.wal_path = sopts.wal_path;
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
 
   if (replica_mode) {
     // Before the service exists: fetch the primary's newest checkpoint (or
-    // resume from local mirror state) so the ctor below recovers from it.
+    // resume from local state) so the ctor below recovers from it.
     std::string berr;
     if (!svc::Replicator::bootstrap(ropts, &berr)) {
       std::fprintf(stderr, "error: replica bootstrap failed: %s\n", berr.c_str());
@@ -254,7 +254,7 @@ int main(int argc, char** argv) {
   if (replica_mode) {
     replicator = std::make_unique<svc::Replicator>(*service, ropts);
     // kPromote must stop the stream before flipping the service: promote()
-    // assumes no more bytes land in the WAL mirror.
+    // assumes no replicated record is logged after it.
     nopts.promote = [&service, &replicator] {
       if (replicator) replicator->stop();
       return service->promote(nullptr);
