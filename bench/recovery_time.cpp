@@ -17,7 +17,7 @@
 // linearly. --report= writes the cells as JSON (cell graph = "history_<H>",
 // code = mode, rep_ms = restart times) for the CI artifact; each wal+ckpt
 // cell also carries load_ms, the mean checkpoint load (mapping plus checks)
-// per restart, read from the ecl.svc.ckpt.load_ms histogram.
+// per restart in ms, read from the ecl.svc.ckpt.load_us histogram.
 //
 //   $ recovery_time --vertices=200000 --base-edges=200000 --reps=3 \
 //       --report=recovery_time.json
@@ -44,7 +44,7 @@ using ecl::svc::ServiceOptions;
 
 struct ModeResult {
   double restart_ms = 0;
-  double load_ms = 0;  // ecl.svc.ckpt.load_ms recorded during the restart
+  double load_ms = 0;  // ecl.svc.ckpt.load_us recorded during the restart, in ms
   std::uint64_t watermark = 0;
   std::uint64_t wal_bytes = 0;
 };
@@ -91,13 +91,13 @@ ModeResult run_mode(const std::string& dir, ecl::vertex_t n, std::uint64_t edges
     svc.stop();
   }
   ModeResult r;
-  const auto& load_ms = ecl::obs::registry().histogram(
-      "ecl.svc.ckpt.load_ms", ecl::obs::Histogram::pow2_bounds(16));
-  const std::uint64_t load_ms_before = load_ms.sum();
+  const auto& load_us = ecl::obs::registry().histogram(
+      "ecl.svc.ckpt.load_us", ecl::obs::Histogram::pow2_bounds(22));
+  const std::uint64_t load_us_before = load_us.sum();
   ecl::Timer t;
   ConnectivityService revived(n, make_opts(dir, checkpoints));
   r.restart_ms = t.millis();
-  r.load_ms = static_cast<double>(load_ms.sum() - load_ms_before);
+  r.load_ms = static_cast<double>(load_us.sum() - load_us_before) / 1000;
   const auto stats = revived.stats();
   r.watermark = stats.watermark;
   r.wal_bytes = stats.wal_bytes;

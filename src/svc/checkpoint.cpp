@@ -1,11 +1,14 @@
 #include "svc/checkpoint.h"
 
 #include <fcntl.h>
+#include <pthread.h>
+#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -44,7 +47,8 @@ std::uint64_t get_u64(const std::uint8_t* p) {
          static_cast<std::uint64_t>(get_u32(p + 4)) << 32;
 }
 
-// Label bytes checked per step; small enough to stay in L2.
+// Labels per unit of the validation pass: 1 MiB, small enough to stay in
+// L2 while both of its checks run over it.
 constexpr std::size_t kChunkLabels = (std::size_t{1} << 20) / sizeof(vertex_t);
 
 /// Parses the image header `hdr` into *data (labels untouched). Checks the
@@ -66,32 +70,104 @@ const char* parse_header(const std::uint8_t* hdr, std::uint64_t image_bytes,
   return nullptr;
 }
 
-/// The one validation pass over the n labels (little-endian bytes) of the
-/// image whose header is `hdr`, one chunk at a time while it is in cache:
-/// the CRC chained over the chunk's bytes, then the canonical-forest test
-/// label[v] <= v && label[label[v]] == label[v] with the root count. The
-/// verdict follows the format's order (CRC, version, forest): why it
-/// refuses, or nullptr with the root count in *roots.
-const char* check_labels(const std::uint8_t* hdr, const std::uint8_t* labels, vertex_t n,
-                         vertex_t* roots) {
+/// One chunk's share of the validation pass.
+struct ChunkCheck {
+  std::size_t bytes = 0;  // the chunk's length
+  std::uint32_t crc = 0;  // crc32 of the chunk's bytes alone
+  bool canonical = true;
+  vertex_t roots = 0;
+};
+
+/// Checks chunk i of the n little-endian labels at `labels`: its CRC, then
+/// the canonical-forest test label[v] <= v && label[label[v]] == label[v]
+/// with the root count, while it is in cache.
+ChunkCheck check_chunk(const std::uint8_t* labels, vertex_t n, std::size_t i) {
   const auto label = [labels](vertex_t v) {
     return get_u32(labels + std::size_t{v} * sizeof(vertex_t));
   };
+  const auto lo = static_cast<vertex_t>(i * kChunkLabels);
+  const auto hi = static_cast<vertex_t>(lo + std::min<std::size_t>(kChunkLabels, n - lo));
+  ChunkCheck out;
+  out.bytes = std::size_t{hi - lo} * sizeof(vertex_t);
+  out.crc = crc32(labels + std::size_t{lo} * sizeof(vertex_t), out.bytes);
+  for (vertex_t v = lo; v < hi; ++v) {
+    const vertex_t l = label(v);
+    // l > v first: label(l) of a corrupt l >= n would read past the
+    // labels, off the end of a mapped file.
+    if (l > v || label(l) != l) out.canonical = false;
+    out.roots += l == v ? 1 : 0;
+  }
+  return out;
+}
+
+/// Runs work(i) once for every i < count: the caller and one helper thread
+/// per other CPU in its affinity mask (at most count workers in all) claim
+/// indices from one counter until none are left, and every helper is joined
+/// before this returns. Each helper is pinned to its CPU at creation: an
+/// unpinned thread starts on the CPU that spawned it and stays there long
+/// enough to serialize a pass this short. A helper that cannot be created
+/// only leaves fewer workers; one allowed CPU means the caller works alone.
+void for_each_claimed(std::size_t count, const std::function<void(std::size_t)>& work) {
+  struct Claims {
+    const std::function<void(std::size_t)>& work;
+    std::size_t count;
+    std::atomic<std::size_t> next{0};
+    std::size_t claim() { return next.fetch_add(1, std::memory_order_relaxed); }
+    void drain() {
+      for (std::size_t i = claim(); i < count; i = claim()) work(i);
+    }
+  } claims{work, count};
+
+  std::vector<pthread_t> helpers;
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (count > 1 && ::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    helpers.reserve(std::min<std::size_t>(CPU_COUNT(&allowed), count - 1));
+    const int self = ::sched_getcpu();
+    for (int cpu = 0; cpu < CPU_SETSIZE && helpers.size() + 1 < count; ++cpu) {
+      if (cpu == self || !CPU_ISSET(cpu, &allowed)) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      pthread_attr_t attr;
+      if (::pthread_attr_init(&attr) != 0) break;
+      pthread_t t;
+      const bool started =
+          ::pthread_attr_setaffinity_np(&attr, sizeof(one), &one) == 0 &&
+          ::pthread_create(
+              &t, &attr,
+              [](void* arg) -> void* {
+                static_cast<Claims*>(arg)->drain();
+                return nullptr;
+              },
+              &claims) == 0;
+      ::pthread_attr_destroy(&attr);
+      if (!started) break;
+      helpers.push_back(t);
+    }
+  }
+  claims.drain();
+  for (const pthread_t t : helpers) ::pthread_join(t, nullptr);
+}
+
+/// The one validation pass over the n labels (little-endian bytes) of the
+/// image whose header is `hdr`, checked one 1 MiB chunk per claim by
+/// for_each_claimed(). The chunks' CRCs fold in order onto the fixed
+/// payload's, so the verdict is the sequential one and follows the format's
+/// order (CRC, version, forest): why it refuses, or nullptr with the root
+/// count in *roots.
+const char* check_labels(const std::uint8_t* hdr, const std::uint8_t* labels, vertex_t n,
+                         vertex_t* roots) {
+  std::vector<ChunkCheck> chunks((std::size_t{n} + kChunkLabels - 1) / kChunkLabels);
+  for_each_claimed(chunks.size(),
+                   [&](std::size_t i) { chunks[i] = check_chunk(labels, n, i); });
   std::uint32_t crc = crc32(hdr + kHeaderBytes, kFixedPayloadBytes);
   bool canonical = true;
   vertex_t count = 0;
-  for (vertex_t lo = 0; lo < n;) {
-    const auto hi = static_cast<vertex_t>(lo + std::min<std::size_t>(kChunkLabels, n - lo));
-    crc = crc32_update(crc, labels + std::size_t{lo} * sizeof(vertex_t),
-                       std::size_t{hi - lo} * sizeof(vertex_t));
-    for (vertex_t v = lo; v < hi; ++v) {
-      const vertex_t l = label(v);
-      // l > v first: label(l) of a corrupt l >= n would read past the
-      // labels, off the end of a mapped file.
-      if (l > v || label(l) != l) canonical = false;
-      count += l == v ? 1 : 0;
-    }
-    lo = hi;
+  for (const ChunkCheck& c : chunks) {
+    crc = crc32_combine(crc, c.crc, c.bytes);
+    canonical = canonical && c.canonical;
+    count += c.roots;
   }
   if (crc != get_u32(hdr + 8)) return "CRC mismatch (torn or corrupt)";
   if (get_u32(hdr + kHeaderBytes) != kCkptVersion) return "unsupported version";
@@ -172,8 +248,8 @@ bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
                                 std::string* err) {
   Timer t;
   const bool ok = map_checkpoint(path, out, err);
-  ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt.load_ms", ::ecl::obs::Histogram::pow2_bounds(16),
-                           static_cast<std::uint64_t>(t.millis()));
+  ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt.load_us", ::ecl::obs::Histogram::pow2_bounds(22),
+                           static_cast<std::uint64_t>(t.micros()));
   return ok;
 }
 

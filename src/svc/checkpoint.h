@@ -26,7 +26,11 @@
 // A restart maps the file instead of reading it: the checked read-only
 // mapping is the first snapshot, and a copy-on-write mapping of the same
 // range is the live union-find's parent array, so a restart is one
-// validation pass over page-cache pages with no fill and no copy.
+// validation pass over page-cache pages with no fill and no copy. The pass
+// runs on every CPU the loading thread may use: it and one helper per
+// other CPU in its affinity mask, each pinned to its CPU at creation, claim
+// the labels' 1 MiB chunks, and each chunk's CRC folds into the file's in
+// chunk order, so the verdict is that of one sequential pass.
 //
 // Checkpoints are numbered files `<base>.000001, <base>.000002, ...`
 // (shared naming with WAL segments, svc/wal.h). CheckpointStore is the only
@@ -156,9 +160,10 @@ class CheckpointStore {
 
   /// Parses one checkpoint file: the header and its length check, then the
   /// label array mapped read-only into out->labels and checked in place
-  /// (CRC, canonical forest, root count) in one pass. Each call is timed
-  /// in the ecl.svc.ckpt.load_ms histogram. Exposed for tests and fallback
-  /// logic.
+  /// (CRC, canonical forest, root count) in one pass split over the
+  /// allowed CPUs, whose helper threads are joined before it returns. Each
+  /// call is timed in the ecl.svc.ckpt.load_us histogram. Exposed for
+  /// tests and fallback logic.
   [[nodiscard]] static bool read_file(const std::string& path, CheckpointData* out,
                                       std::string* err);
 

@@ -172,17 +172,23 @@ constexpr std::uint32_t crc_multmodp(std::uint32_t a, std::uint32_t b) {
   return p;
 }
 
+/// x^(8 * n) mod P by square-and-multiply: multiplying a register by it
+/// feeds n zero bytes through the register.
+constexpr std::uint32_t crc_zero_bytes_op(std::size_t n) {
+  std::uint32_t op = 1u << 31;      // x^0
+  std::uint32_t square = 1u << 23;  // x^8, one zero byte
+  for (; n != 0; n >>= 1) {
+    if ((n & 1u) != 0) op = crc_multmodp(op, square);
+    square = crc_multmodp(square, square);
+  }
+  return op;
+}
+
 /// S as four byte tables: S(c) = t[0][c & 0xFF] ^ ... ^ t[3][c >> 24].
 using CrcShiftTables = std::array<std::array<std::uint32_t, 256>, 4>;
 
 constexpr CrcShiftTables make_crc_lane_shift() {
-  // x^(8 * kCrcLaneBytes) mod P by square-and-multiply.
-  std::uint32_t shift = 1u << 31;  // x^0
-  std::uint32_t square = 1u << 30;  // x^1
-  for (std::size_t e = 8 * kCrcLaneBytes; e != 0; e >>= 1) {
-    if ((e & 1u) != 0) shift = crc_multmodp(shift, square);
-    square = crc_multmodp(square, square);
-  }
+  const std::uint32_t shift = crc_zero_bytes_op(kCrcLaneBytes);
   CrcShiftTables t{};
   for (std::uint32_t k = 0; k < 4; ++k) {
     for (std::uint32_t b = 0; b < 256; ++b) t[k][b] = crc_multmodp(shift, b << (8 * k));
@@ -221,6 +227,10 @@ std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t n) { return crc32_update(0, data, n); }
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::size_t len_b) {
+  return crc_multmodp(crc_zero_bytes_op(len_b), crc_a) ^ crc_b;
+}
 
 const char* to_string(FsyncPolicy p) {
   switch (p) {

@@ -339,6 +339,12 @@ inline constexpr std::size_t kCrc32LaneThresholdBytes = 16 * 1024;
 /// fresh checksum. Lets a reader checksum a file chunk by chunk.
 [[nodiscard]] std::uint32_t crc32_update(std::uint32_t crc, const void* data, std::size_t n);
 
+/// The CRC32 of a followed by b from crc_a = crc32(a), crc_b = crc32(b) and
+/// len_b = |b|, like zlib's crc32_combine: lets independently checksummed
+/// pieces of one input be folded in order.
+[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                                          std::size_t len_b);
+
 /// Little-endian u32 at p (both on-disk formats are little-endian).
 inline void put_u32(std::uint8_t* p, std::uint32_t v) {
   p[0] = static_cast<std::uint8_t>(v);

@@ -14,6 +14,7 @@
 // Same registry discipline as test_fault_svc.cpp: every case that arms the
 // process-wide fault registry disarms it again in TearDown.
 #include <gtest/gtest.h>
+#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -153,6 +154,7 @@ TEST(Crc32Test, KnownAnswer) {
 TEST(Crc32Test, ChainedUpdateMatchesOneShotAtEverySplit) {
   constexpr std::size_t kStripe = kCrc32LaneThresholdBytes;
   constexpr std::size_t kLane = kStripe / 4;
+  constexpr std::size_t kChunk = std::size_t{1} << 20;  // the checkpoint check's unit
   constexpr std::size_t kLarge = (std::size_t{3} << 20) + 5;
   std::vector<std::uint8_t> buf(kLarge + 8);
   for (std::size_t i = 0; i < buf.size(); ++i) {
@@ -173,17 +175,27 @@ TEST(Crc32Test, ChainedUpdateMatchesOneShotAtEverySplit) {
       ASSERT_EQ(one_shot, reference_crc32(p, len)) << "off " << off << " len " << len;
       // Splits 0..15 cut inside and across the 8-byte steps; the rest cut
       // inside a lane and at lane and stripe boundaries, so a chained
-      // update starts a stripe mid-input.
+      // update starts a stripe mid-input, and at 1 MiB +-1 on either side,
+      // the checkpoint chunks that crc32_combine folds. Split len leaves
+      // an empty second piece.
       std::vector<std::size_t> splits;
       for (std::size_t split = 0; split <= 15; ++split) splits.push_back(split);
-      for (const std::size_t split : {kLane / 2, kLane, kLane + 3, 3 * kLane - 1, kStripe,
-                                      kStripe + kLane + 1, len / 2, len - 1}) {
+      for (const std::size_t split :
+           {kLane / 2, kLane, kLane + 3, 3 * kLane - 1, kStripe, kStripe + kLane + 1,
+            kChunk - 1, kChunk, kChunk + 1, len - kChunk - 1, len - kChunk, len - kChunk + 1,
+            len / 2, len - 1, len}) {
         splits.push_back(split);
       }
       for (const std::size_t split : splits) {
         if (split > len) continue;
-        ASSERT_EQ(crc32_update(crc32(p, split), p + split, len - split), one_shot)
+        const std::uint32_t head = crc32(p, split);
+        ASSERT_EQ(crc32_update(head, p + split, len - split), one_shot)
             << "off " << off << " len " << len << " split " << split;
+        // crc32_combine sees only CRCs and a length, never the bytes, so
+        // one alignment covers it.
+        if (off != 0) continue;
+        ASSERT_EQ(crc32_combine(head, crc32(p + split, len - split), len - split), one_shot)
+            << "len " << len << " split " << split;
       }
     }
   }
@@ -308,6 +320,92 @@ TEST_F(CheckpointStoreTest, NonCanonicalLabelsFallBackToPrevious) {
     EXPECT_EQ(load.data.watermark, 10u) << i;
     EXPECT_EQ(load.data.components, (bad[i].n + 1) / 2) << i;
     EXPECT_EQ(CheckpointStore::read_newest_image(base).seq, 1u) << i;
+  }
+}
+
+TEST_F(CheckpointStoreTest, LastChunkViolationsAreRefused) {
+  // Five 1 MiB chunks, the last one 5 labels long. The loader and one
+  // helper thread per other CPU claim the chunks, so on a multi-CPU host
+  // the last chunk is usually a helper's: its verdict must reach the
+  // loader with the sequential pass's text.
+  constexpr std::uint32_t kChunk = (1u << 20) / sizeof(vertex_t);
+  constexpr std::uint32_t kN = 4 * kChunk + 5;  // sample_data: label = v / 2 * 2
+  const std::string base = path("ckpt");
+  CheckpointStore store;
+  store.open(base);
+  ASSERT_TRUE(store.write(sample_data(kN, 10, 1, 1)).ok);
+  CheckpointData out;
+  std::string err;
+  ASSERT_TRUE(CheckpointStore::read_file(numbered_path(base, 1), &out, &err)) << err;
+  EXPECT_EQ(out.components, (kN + 1) / 2);
+
+  // A flipped byte of the last label: the CRC refuses it before the forest
+  // test would.
+  const std::string flipped = path("flipped");
+  std::filesystem::copy_file(numbered_path(base, 1), flipped);
+  std::FILE* f = std::fopen(flipped.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, -2, SEEK_END), 0);
+  std::fputc(0x5a, f);
+  std::fclose(f);
+  EXPECT_FALSE(CheckpointStore::read_file(flipped, &out, &err));
+  EXPECT_NE(err.find("CRC mismatch (torn or corrupt)"), std::string::npos) << err;
+
+  // A CRC-valid chain in the last chunk.
+  auto data = sample_data(kN, 20, 2, 2);
+  data.labels[kN - 2] = 3;
+  ASSERT_TRUE(store.write(data).ok);
+  EXPECT_FALSE(CheckpointStore::read_file(numbered_path(base, 2), &out, &err));
+  EXPECT_NE(err.find("labels are not a canonical forest"), std::string::npos) << err;
+  const auto load = store.load_latest_valid();
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.seq, 1u);
+}
+
+TEST_F(CheckpointStoreTest, OneCpuLoadMatchesAllCpuLoad) {
+  // The worker count comes only from the affinity mask: with one allowed
+  // CPU the loader checks every chunk itself, and the result is the same.
+  constexpr std::uint32_t kN = 3 * (1u << 18) + 7;
+  std::vector<vertex_t> labels(kN);
+  Xoshiro256 rng(7);
+  for (std::uint32_t v = 0; v < kN; ++v) {
+    labels[v] = v < 64 || rng.next() % 4 == 0 ? v : labels[rng.next() % v];
+  }
+  CheckpointData data;
+  data.n = kN;
+  data.watermark = 99;
+  data.epoch = 5;
+  data.wal_seq = 4;
+  data.labels = PageArray(labels);
+  CheckpointStore store;
+  store.open(path("ckpt"));
+  ASSERT_TRUE(store.write(data).ok);
+
+  cpu_set_t all;
+  CPU_ZERO(&all);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(all), &all), 0);
+  struct RestoreMask {  // also when an assertion below returns early
+    const cpu_set_t& mask;
+    ~RestoreMask() { EXPECT_EQ(::sched_setaffinity(0, sizeof(mask), &mask), 0); }
+  } restore{all};
+  const auto full = store.load_latest_valid();
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  int first = 0;
+  while (!CPU_ISSET(first, &all)) ++first;
+  CPU_SET(first, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const auto single = store.load_latest_valid();
+
+  for (const auto* load : {&full, &single}) {
+    ASSERT_TRUE(load->ok) << load->error;
+    EXPECT_EQ(load->data.labels, labels);
+    EXPECT_EQ(load->data.components,
+              static_cast<vertex_t>(std::ranges::count_if(
+                  std::views::iota(0u, kN), [&](vertex_t v) { return labels[v] == v; })));
+    EXPECT_EQ(load->data.watermark, 99u);
+    EXPECT_EQ(load->data.epoch, 5u);
+    EXPECT_EQ(load->data.wal_seq, 4u);
   }
 }
 

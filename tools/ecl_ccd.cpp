@@ -239,15 +239,15 @@ int main(int argc, char** argv) {
   if (!sopts.checkpoint_path.empty()) {
     const auto st = service->stats();
     // Every checkpoint load so far (fallbacks included): mapping plus checks.
-    const auto& load_ms =
-        obs::registry().histogram("ecl.svc.ckpt.load_ms", obs::Histogram::pow2_bounds(16));
+    const auto& load_us =
+        obs::registry().histogram("ecl.svc.ckpt.load_us", obs::Histogram::pow2_bounds(22));
     std::printf(
         "checkpoint %s (interval %d ms): recovered epoch %llu, watermark %llu, "
-        "loaded in %llu ms\n",
+        "loaded in %.1f ms\n",
         sopts.checkpoint_path.c_str(), sopts.checkpoint_interval_ms,
         static_cast<unsigned long long>(st.last_checkpoint_epoch),
         static_cast<unsigned long long>(st.watermark),
-        static_cast<unsigned long long>(load_ms.sum()));
+        static_cast<double>(load_us.sum()) / 1000);
   }
 
   std::unique_ptr<svc::Replicator> replicator;
