@@ -9,15 +9,15 @@
 #include "dsu/find.h"
 #include "dsu/hook.h"
 #include "graph/generators.h"
+#include "graph/rmat_lanes.h"
 
 namespace {
 
 using namespace ecl;
 
-/// Worst-case chain: parent[i] = i - 1.
+/// Worst-case chain: parent[i] = i - 1, and parent[0] = 0.
 std::vector<vertex_t> chain(vertex_t n) {
   std::vector<vertex_t> parent(n);
-  parent[0] = 0;
   for (vertex_t v = 1; v < n; ++v) parent[v] = v - 1;
   return parent;
 }
@@ -131,8 +131,26 @@ void BM_GraphGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphGeneration)->Arg(12)->Arg(15)->Arg(17)->UseRealTime();
 
+// gen_rmat's descent alone, on one thread with no graph build: core_solve's
+// kron input, 2^21 edges of 34 draws, at the lane count this CPU runs.
+void BM_RmatDescent(benchmark::State& state) {
+  constexpr int kScale = 17;
+  constexpr edge_t kEdges = edge_t{16} << kScale;
+  const auto thresholds = rmat::Thresholds::of(RmatParams{0.57, 0.19, 0.19, 0.05});
+  std::vector<Edge> edges(kEdges);
+  for (auto _ : state) {
+    rmat::draw_edges_for_cpu(Xoshiro256(3), kScale, thresholds, edges.data(), kEdges);
+    benchmark::DoNotOptimize(edges.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kEdges));
+}
+BENCHMARK(BM_RmatDescent)->Unit(benchmark::kMillisecond);
+
 // The jump-ahead that splits gen_rmat's stream. core_solve's kron input
-// (2^21 edges of 34 draws, in 4 chunks) jumps by up to ~2^25.7 draws.
+// (2^21 edges of 34 draws) is 4 chunks, each jumped by up to ~2^25.7 draws,
+// then on AVX2 4 lanes per chunk, 3 more jumps of ~2^22.1 draws each: 16
+// jumps in all.
 void BM_XoshiroDiscard(benchmark::State& state) {
   Xoshiro256 rng(3);
   for (auto _ : state) {

@@ -34,6 +34,7 @@ class SplitMix64 {
 class Xoshiro256 {
  public:
   using result_type = std::uint64_t;
+  using State = std::array<std::uint64_t, 4>;
 
   explicit constexpr Xoshiro256(std::uint64_t seed) : state_{} {
     SplitMix64 sm(seed);
@@ -78,6 +79,10 @@ class Xoshiro256 {
     }
     state_ = sum;
   }
+
+  /// The four state words, for a loop that steps several streams in
+  /// lock-step (gen_rmat's lanes).
+  [[nodiscard]] constexpr const State& state() const { return state_; }
 
   friend constexpr bool operator==(const Xoshiro256&, const Xoshiro256&) = default;
 
@@ -133,7 +138,7 @@ class Xoshiro256 {
     return r;
   }
 
-  std::array<std::uint64_t, 4> state_;
+  State state_;
 };
 
 }  // namespace ecl

@@ -8,8 +8,31 @@
 #include "common/rng.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
+#include "graph/rmat_lanes.h"
 
 namespace ecl {
+
+namespace rmat {
+#if defined(__x86_64__) || defined(__i386__)
+namespace {
+[[gnu::target("avx2")]] void draw_edges_avx2(Xoshiro256 rng, int scale, const Thresholds& t,
+                                             Edge* out, edge_t count) {
+  draw_edges<4>(rng, scale, t, out, count);
+}
+}  // namespace
+#endif
+
+// The descent is ALU-bound. AVX2's 256-bit registers step four lanes at once;
+// SSE2's 128-bit ones hold two, and four lanes there spill. Neither target
+// enables FMA, so both draw the same edges.
+void draw_edges_for_cpu(Xoshiro256 rng, int scale, const Thresholds& t, Edge* out,
+                        edge_t count) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) return draw_edges_avx2(rng, scale, t, out, count);
+#endif
+  draw_edges<2>(rng, scale, t, out, count);
+}
+}  // namespace rmat
 
 Graph gen_uniform_random(vertex_t n, edge_t num_undirected_edges, std::uint64_t seed) {
   if (n == 0) return Graph();
@@ -38,15 +61,14 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
 
   const vertex_t n = vertex_t{1} << scale;
   const edge_t m = edge_factor * static_cast<edge_t>(n);
-  const double pa = p.a / total;
-  const double pb = p.b / total;
-  const double pc = p.c / total;
+  const rmat::Thresholds thresholds = rmat::Thresholds::of(p);
 
   // Every edge draws exactly 2 * scale numbers, so the chunk starting at
   // edge lo draws from the seed's stream advanced by 2 * scale * lo: the
   // edges are the same however many chunks, and threads, there are. A chunk
   // of at least 2^16 edges (2^17 draws or more) outweighs its jump, which
-  // costs about 256 draws plus 64 polynomial products.
+  // costs about 256 draws plus 64 polynomial products; the AVX2 loop jumps
+  // three more times per chunk, one per extra lane.
   constexpr edge_t kMinChunkEdges = edge_t{1} << 16;
   const edge_t max_chunks = static_cast<edge_t>(omp_get_max_threads());
   const edge_t chunks = std::clamp<edge_t>(m / kMinChunkEdges, 1, max_chunks);
@@ -58,27 +80,7 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
     const edge_t hi = m * (c + 1) / chunks;
     Xoshiro256 rng(seed);
     rng.discard(draws_per_edge * lo);
-    for (edge_t e = lo; e < hi; ++e) {
-      vertex_t u = 0;
-      vertex_t v = 0;
-      for (int bit = scale - 1; bit >= 0; --bit) {
-        // Recursively descend into one of the four adjacency-matrix quadrants
-        // with a little noise per level, as in the Graph500 reference code,
-        // so the degree distribution stays heavy-tailed instead of
-        // collapsing. The quadrant is the number of ascending thresholds r
-        // reaches: 0 top-left, 1 top-right (v bit), 2 bottom-left (u bit),
-        // 3 both bits. Branch-free: the outcome is random at every level, so
-        // branches on it would mispredict.
-        const double noise = 0.9 + 0.2 * rng.uniform();
-        const double r = rng.uniform();
-        const bool past_a = r >= pa * noise;
-        const bool past_b = r >= (pa + pb) * noise;
-        const bool past_c = r >= (pa + pb + pc) * noise;
-        u |= vertex_t{past_b} << bit;
-        v |= static_cast<vertex_t>(past_a ^ past_b ^ past_c) << bit;
-      }
-      edges[e] = {u, v};
-    }
+    rmat::draw_edges_for_cpu(rng, scale, thresholds, edges.data() + lo, hi - lo);
   }
   return build_graph(n, edges);
 }

@@ -174,6 +174,13 @@ TEST(Generators, OutputIsBitStable) {
       // 262,144 edges each: gen_rmat splits these across up to 4 chunks.
       {"kron_chunked", gen_kronecker(14, 16, 7), 0xe07638e9006d8c45ull},
       {"rmat_chunked", gen_rmat(15, 8, RmatParams{}, 7), 0x94bff71adabc5059ull},
+      // Fewer edges than lanes, and edge counts that are not a multiple of
+      // four: gen_rmat's lane loop draws these in its one-lane remainder.
+      {"rmat_2_edges", gen_rmat(1, 1, RmatParams{}, 7), 0x81d23fd7003c2305ull},
+      {"rmat_6_edges", gen_rmat(1, 3, RmatParams{}, 7), 0xa2d159d5c13a85e7ull},
+      // 327,680 edges: five chunks' worth, so chunk boundaries at 3
+      // threads are not multiples of four.
+      {"kron_327680_edges", gen_kronecker(16, 5, 7), 0x0156c54c05dc0387ull},
   };
   for (const auto& c : cases) EXPECT_EQ(csr_hash(c.g), c.hash) << c.name;
 }
@@ -186,7 +193,8 @@ TEST(GenRmat, OutputIndependentOfThreadCount) {
   for (int threads = 1; threads <= 4; ++threads) {
     omp_set_num_threads(threads);
     const std::vector<std::uint64_t> hashes = {
-        csr_hash(gen_kronecker(14, 16, 7)), csr_hash(gen_rmat(15, 8, RmatParams{}, 7))};
+        csr_hash(gen_kronecker(14, 16, 7)), csr_hash(gen_rmat(15, 8, RmatParams{}, 7)),
+        csr_hash(gen_kronecker(16, 5, 7))};
     if (first.empty()) first = hashes;
     EXPECT_EQ(hashes, first) << threads << " threads";
   }
