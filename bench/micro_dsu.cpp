@@ -122,14 +122,38 @@ void BM_EclSerialOnKron(benchmark::State& state) {
 }
 BENCHMARK(BM_EclSerialOnKron)->Arg(12)->Arg(15);
 
-// gen_rmat runs OpenMP-parallel, so time the wall clock, not the calling
-// thread's CPU. Scale 17 is core_solve's kron input.
+// gen_kronecker runs OpenMP-parallel, so time the wall clock, not the
+// calling thread's CPU. Scale 17 is core_solve's kron input.
 void BM_GraphGeneration(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gen_rmat(static_cast<int>(state.range(0)), 8, RmatParams{}, 3));
+    benchmark::DoNotOptimize(gen_kronecker(static_cast<int>(state.range(0)), 16, 3));
   }
 }
 BENCHMARK(BM_GraphGeneration)->Arg(12)->Arg(15)->Arg(17)->UseRealTime();
+
+// The serial generators core_solve runs beside kron, each at its core_solve
+// size: road on 2^20 vertices, a 1024 x 1024 grid, web on 2^19 vertices.
+void BM_GenRoad(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen_road_network(static_cast<vertex_t>(state.range(0)), 3));
+  }
+}
+BENCHMARK(BM_GenRoad)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
+
+void BM_GenGrid(benchmark::State& state) {
+  const auto side = static_cast<vertex_t>(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen_grid2d(side, side));
+  }
+}
+BENCHMARK(BM_GenGrid)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+void BM_GenWeb(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gen_web_graph(static_cast<vertex_t>(state.range(0)), 3));
+  }
+}
+BENCHMARK(BM_GenWeb)->Arg(1 << 19)->Unit(benchmark::kMillisecond);
 
 // gen_rmat's descent alone, on one thread with no graph build: core_solve's
 // kron input, 2^21 edges of 34 draws, at the lane count this CPU runs.

@@ -1,9 +1,13 @@
 // GraphBuilder: edge list -> clean CSR graph.
 //
-// Every graph the library loads or generates goes through build_graph, which
-// applies the paper's input conditioning (§4) and nothing else: "we modified
-// the graphs to eliminate loops and multiple edges between the same two
-// vertices. We added any missing back edges to make the graphs undirected."
+// Every graph the library loads or generates is conditioned as the paper's §4
+// says, and build_graph applies that conditioning and nothing else: "we
+// modified the graphs to eliminate loops and multiple edges between the same
+// two vertices. We added any missing back edges to make the graphs
+// undirected." Three generators, gen_grid2d, gen_road_network and
+// gen_web_graph, know every vertex's sorted, distinct neighbours and write
+// the same conditioned CSR directly; tests/test_generators.cpp pins them bit
+// for bit to build_graph run on their edges.
 // The conditioning is fixed because ECL-CC depends on it: each vertex v
 // processes only its neighbors u < v, so an undirected edge is handled once,
 // from its larger endpoint's list, and is missed if only the smaller

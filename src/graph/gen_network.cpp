@@ -1,8 +1,10 @@
 // Network-shaped generators: road maps, preferential attachment, citation
 // networks, and web crawls.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -20,8 +22,11 @@ Graph gen_road_network(vertex_t n, std::uint64_t seed) {
   // like europe_osm / USA-road-d.
   const auto side = static_cast<vertex_t>(std::ceil(std::sqrt(static_cast<double>(n))));
   Xoshiro256 rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(2 * static_cast<std::size_t>(n));  // ~1.89 per vertex expected
+  // Each vertex's roads to its right, lower and lower-right neighbours, as
+  // flag bits; a flag is set only when that neighbour exists.
+  constexpr std::uint8_t kRight = 1, kDown = 2, kDiagonal = 4;
+  std::vector<std::uint8_t> roads(n);
+  edge_t m = 0;
   auto id = [side](vertex_t r, vertex_t c) { return r * side + c; };
   for (vertex_t r = 0; r < side; ++r) {
     for (vertex_t c = 0; c < side; ++c) {
@@ -29,18 +34,36 @@ Graph gen_road_network(vertex_t n, std::uint64_t seed) {
       if (u >= n) continue;
       const bool right_ok = c + 1 < side && id(r, c + 1) < n;
       const bool down_ok = r + 1 < side && id(r + 1, c) < n;
-      if (right_ok && rng.uniform() < 0.92) {
-        edges.emplace_back(static_cast<vertex_t>(u), id(r, c + 1));
-      }
-      if (down_ok && rng.uniform() < 0.92) {
-        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c));
-      }
+      std::uint8_t flags = 0;
+      if (right_ok && rng.uniform() < 0.92) flags |= kRight;
+      if (down_ok && rng.uniform() < 0.92) flags |= kDown;
       if (right_ok && down_ok && id(r + 1, c + 1) < n && rng.uniform() < 0.05) {
-        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c + 1));
+        flags |= kDiagonal;
       }
+      roads[u] = flags;
+      m += 2 * static_cast<edge_t>(std::popcount(flags));
     }
   }
-  return build_graph(n, edges);
+  // Writes the conditioned CSR directly. v's list is v - side - 1, v - side,
+  // v - 1 (roads into v) then v + 1, v + side, v + side + 1 (roads out of
+  // v), each present if its flag is set: ascending and duplicate-free, so
+  // build_graph would return these same arrays. A vertex in column 0 takes
+  // no road from v - 1 or v - side - 1, which lie in the last column, whose
+  // right and diagonal flags are never set.
+  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<vertex_t> adjacency(m);
+  edge_t k = 0;
+  for (vertex_t v = 0; v < n; ++v) {
+    offsets[v] = k;
+    if (v > side && (roads[v - side - 1] & kDiagonal)) adjacency[k++] = v - side - 1;
+    if (v >= side && (roads[v - side] & kDown)) adjacency[k++] = v - side;
+    if (v > 0 && (roads[v - 1] & kRight)) adjacency[k++] = v - 1;
+    if (roads[v] & kRight) adjacency[k++] = v + 1;
+    if (roads[v] & kDown) adjacency[k++] = v + side;
+    if (roads[v] & kDiagonal) adjacency[k++] = v + side + 1;
+  }
+  offsets[n] = k;
+  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 Graph gen_preferential_attachment(vertex_t n, vertex_t edges_per_vertex, std::uint64_t seed) {
@@ -115,9 +138,13 @@ Graph gen_citation(vertex_t n, vertex_t refs_per_vertex, double recency_bias,
 Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
   if (n == 0) return Graph();
   Xoshiro256 rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * 12);
-  auto b_edge = [&edges](vertex_t a, vertex_t b) { edges.emplace_back(a, b); };
+  // A site has at most 63 pages, so each page's links within its site fit
+  // one 64-bit row: bit i of rows[u] links u to its site's hub + i. Links to
+  // other sites (to an earlier hub) are kept as arcs, both directions.
+  constexpr vertex_t kMaxSitePages = 63;
+  static_assert(kMaxSitePages <= 64, "a site's links must fit one row");
+  std::vector<std::uint64_t> rows(n, 0);
+  std::vector<Edge> cross;
 
   // Model a crawl as a sequence of "sites": dense star-like clusters whose
   // hub pages also link to earlier hubs. This yields the web-graph signature
@@ -128,10 +155,18 @@ Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
   vertex_t v = 0;
   while (v < n) {
     const vertex_t site_size =
-        static_cast<vertex_t>(2 + rng.bounded(62));  // pages in this site
+        static_cast<vertex_t>(2 + rng.bounded(kMaxSitePages - 1));  // pages in this site
     const vertex_t hub = v;
     const vertex_t end = static_cast<vertex_t>(
         std::min<std::uint64_t>(n, static_cast<std::uint64_t>(v) + site_size));
+    auto site_link = [&rows, hub](vertex_t a, vertex_t b) {
+      rows[a] |= std::uint64_t{1} << (b - hub);
+      rows[b] |= std::uint64_t{1} << (a - hub);
+    };
+    auto cross_link = [&cross](vertex_t a, vertex_t b) {
+      cross.emplace_back(a, b);
+      cross.emplace_back(b, a);
+    };
     // ~2% of sites are crawl fragments disconnected from everything else.
     const bool connected_site = rng.uniform() > 0.02;
     // ~3% of pages are crawled but never linked: the dmin = 0 vertices of
@@ -141,17 +176,17 @@ Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
       if (rng.uniform() >= 0.03) linked_pages.push_back(page);
     }
     for (const vertex_t page : linked_pages) {
-      b_edge(hub, page);
+      site_link(hub, page);
       // Dense intra-site navigation (menus, breadcrumbs, related links):
       // web crawls average ~20-28 directed edges per page (Table 2).
       const int nav_links = 4 + static_cast<int>(rng.bounded(8));
       for (int l = 0; l < nav_links; ++l) {
         const vertex_t other = linked_pages[rng.bounded(linked_pages.size())];
-        if (other != page) b_edge(page, other);
+        if (other != page) site_link(page, other);
       }
       // Occasional outbound link from a plain page to an earlier site.
       if (!hubs.empty() && rng.uniform() < 0.15 && connected_site) {
-        b_edge(page, hubs[rng.bounded(hubs.size())]);
+        cross_link(page, hubs[rng.bounded(hubs.size())]);
       }
     }
     if (connected_site && !hubs.empty()) {
@@ -159,13 +194,41 @@ Graph gen_web_graph(vertex_t n, std::uint64_t seed) {
       const int out_links = 1 + static_cast<int>(rng.bounded(3));
       for (int j = 0; j < out_links; ++j) {
         const vertex_t target = hubs[rng.bounded(hubs.size())];
-        b_edge(hub, target);
+        cross_link(hub, target);
       }
     }
     hubs.push_back(hub);
     v = end;
   }
-  return build_graph(n, edges);
+
+  // Writes the conditioned CSR directly. u's list is its links to earlier
+  // sites' hubs, then its row's bits, then its in-links from later sites:
+  // ascending and duplicate-free, so build_graph would return these same
+  // arrays.
+  std::sort(cross.begin(), cross.end());
+  cross.erase(std::unique(cross.begin(), cross.end()), cross.end());
+  edge_t m = cross.size();
+  for (const std::uint64_t row : rows) m += static_cast<edge_t>(std::popcount(row));
+  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1);
+  std::vector<vertex_t> adjacency(m);
+  edge_t k = 0;
+  auto link = cross.cbegin();
+  for (std::size_t s = 0; s < hubs.size(); ++s) {
+    const vertex_t hub = hubs[s];
+    const vertex_t end = s + 1 < hubs.size() ? hubs[s + 1] : n;
+    for (vertex_t u = hub; u < end; ++u) {
+      offsets[u] = k;
+      for (; link != cross.cend() && link->first == u && link->second < hub; ++link) {
+        adjacency[k++] = link->second;
+      }
+      for (std::uint64_t bits = rows[u]; bits != 0; bits &= bits - 1) {
+        adjacency[k++] = hub + static_cast<vertex_t>(std::countr_zero(bits));
+      }
+      for (; link != cross.cend() && link->first == u; ++link) adjacency[k++] = link->second;
+    }
+  }
+  offsets[n] = k;
+  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace ecl

@@ -2,6 +2,7 @@
 // cliques. These have exactly known component structure and are the
 // backbone of the correctness tests.
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "graph/builder.h"
@@ -14,16 +15,25 @@ Graph gen_grid2d(vertex_t rows, vertex_t cols) {
   if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
     throw std::invalid_argument("gen_grid2d: grid too large");
   }
-  std::vector<Edge> edges;
-  edges.reserve(2 * n);
-  auto id = [cols](vertex_t r, vertex_t c) { return r * cols + c; };
+  if (n == 0) return Graph();
+  // Writes the conditioned CSR directly: each list is v - cols, v - 1,
+  // v + 1, v + cols, whichever exist, which is already ascending and
+  // duplicate-free, so build_graph would return these same arrays.
+  std::vector<edge_t> offsets(n + 1);
+  std::vector<vertex_t> adjacency(2 * ((n - rows) + (n - cols)));
+  edge_t k = 0;
   for (vertex_t r = 0; r < rows; ++r) {
     for (vertex_t c = 0; c < cols; ++c) {
-      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
+      const vertex_t v = r * cols + c;
+      offsets[v] = k;
+      if (r > 0) adjacency[k++] = v - cols;
+      if (c > 0) adjacency[k++] = v - 1;
+      if (c + 1 < cols) adjacency[k++] = v + 1;
+      if (r + 1 < rows) adjacency[k++] = v + cols;
     }
   }
-  return build_graph(static_cast<vertex_t>(n), edges);
+  offsets[n] = k;
+  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 Graph gen_delaunay_like(vertex_t rows, vertex_t cols) {

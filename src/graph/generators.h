@@ -6,7 +6,11 @@
 // original datasets, so each family gets a generator that reproduces the
 // properties that drive CC performance: diameter, degree distribution, and
 // component structure. All generators are deterministic in (parameters,
-// seed) and emit conditioned (undirected, loop-free, deduplicated) graphs.
+// seed) and emit conditioned (undirected, loop-free, deduplicated, sorted)
+// graphs. Most condition an edge list with build_graph; gen_grid2d,
+// gen_road_network and gen_web_graph write the same conditioned CSR
+// directly, with no edge list, and a test pins their output bit for bit to
+// build_graph's on the edges they used to list.
 #pragma once
 
 #include <cstdint>

@@ -3,14 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <omp.h>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "graph/suite.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {
@@ -182,7 +188,132 @@ TEST(Generators, OutputIsBitStable) {
       // threads are not multiples of four.
       {"kron_327680_edges", gen_kronecker(16, 5, 7), 0x0156c54c05dc0387ull},
   };
-  for (const auto& c : cases) EXPECT_EQ(csr_hash(c.g), c.hash) << c.name;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(csr_hash(c.g), c.hash);
+    testing::expect_conditioned(c.g);
+  }
+}
+
+// gen_grid2d, gen_road_network and gen_web_graph write their CSR directly.
+// These oracles are their former bodies, which drew the same edges into an
+// edge list and conditioned it with build_graph; the generators must return
+// the oracles' arrays bit for bit.
+
+Graph grid_oracle(vertex_t rows, vertex_t cols) {
+  const auto n = static_cast<std::uint64_t>(rows) * cols;
+  std::vector<Edge> edges;
+  auto id = [cols](vertex_t r, vertex_t c) { return r * cols + c; };
+  for (vertex_t r = 0; r < rows; ++r) {
+    for (vertex_t c = 0; c < cols; ++c) {
+      if (c + 1 < cols) edges.emplace_back(id(r, c), id(r, c + 1));
+      if (r + 1 < rows) edges.emplace_back(id(r, c), id(r + 1, c));
+    }
+  }
+  return build_graph(static_cast<vertex_t>(n), edges);
+}
+
+Graph road_oracle(vertex_t n, std::uint64_t seed) {
+  if (n == 0) return Graph();
+  const auto side = static_cast<vertex_t>(std::ceil(std::sqrt(static_cast<double>(n))));
+  Xoshiro256 rng(seed);
+  std::vector<Edge> edges;
+  auto id = [side](vertex_t r, vertex_t c) { return r * side + c; };
+  for (vertex_t r = 0; r < side; ++r) {
+    for (vertex_t c = 0; c < side; ++c) {
+      const std::uint64_t u = id(r, c);
+      if (u >= n) continue;
+      const bool right_ok = c + 1 < side && id(r, c + 1) < n;
+      const bool down_ok = r + 1 < side && id(r + 1, c) < n;
+      if (right_ok && rng.uniform() < 0.92) {
+        edges.emplace_back(static_cast<vertex_t>(u), id(r, c + 1));
+      }
+      if (down_ok && rng.uniform() < 0.92) {
+        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c));
+      }
+      if (right_ok && down_ok && id(r + 1, c + 1) < n && rng.uniform() < 0.05) {
+        edges.emplace_back(static_cast<vertex_t>(u), id(r + 1, c + 1));
+      }
+    }
+  }
+  return build_graph(n, edges);
+}
+
+Graph web_oracle(vertex_t n, std::uint64_t seed) {
+  if (n == 0) return Graph();
+  Xoshiro256 rng(seed);
+  std::vector<Edge> edges;
+  std::vector<vertex_t> hubs;
+  std::vector<vertex_t> linked_pages;
+  vertex_t v = 0;
+  while (v < n) {
+    const vertex_t site_size = static_cast<vertex_t>(2 + rng.bounded(62));
+    const vertex_t hub = v;
+    const vertex_t end = static_cast<vertex_t>(
+        std::min<std::uint64_t>(n, static_cast<std::uint64_t>(v) + site_size));
+    const bool connected_site = rng.uniform() > 0.02;
+    linked_pages.clear();
+    for (vertex_t page = v + 1; page < end; ++page) {
+      if (rng.uniform() >= 0.03) linked_pages.push_back(page);
+    }
+    for (const vertex_t page : linked_pages) {
+      edges.emplace_back(hub, page);
+      const int nav_links = 4 + static_cast<int>(rng.bounded(8));
+      for (int l = 0; l < nav_links; ++l) {
+        const vertex_t other = linked_pages[rng.bounded(linked_pages.size())];
+        if (other != page) edges.emplace_back(page, other);
+      }
+      if (!hubs.empty() && rng.uniform() < 0.15 && connected_site) {
+        edges.emplace_back(page, hubs[rng.bounded(hubs.size())]);
+      }
+    }
+    if (connected_site && !hubs.empty()) {
+      const int out_links = 1 + static_cast<int>(rng.bounded(3));
+      for (int j = 0; j < out_links; ++j) {
+        edges.emplace_back(hub, hubs[rng.bounded(hubs.size())]);
+      }
+    }
+    hubs.push_back(hub);
+    v = end;
+  }
+  return build_graph(n, edges);
+}
+
+void expect_same_csr(const Graph& got, const Graph& want) {
+  EXPECT_TRUE(std::ranges::equal(got.offsets(), want.offsets()));
+  EXPECT_TRUE(std::ranges::equal(got.adjacency(), want.adjacency()));
+}
+
+// 1x1 and single rows and columns have no neighbour on some side; 40x50 is
+// OutputIsBitStable's grid.
+TEST(GenGrid, MatchesBuildGraphOracle) {
+  const std::pair<vertex_t, vertex_t> shapes[] = {{1, 1}, {1, 5}, {5, 1},
+                                                  {2, 2}, {3, 7}, {40, 50}};
+  for (const auto& [rows, cols] : shapes) {
+    SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+    expect_same_csr(gen_grid2d(rows, cols), grid_oracle(rows, cols));
+  }
+}
+
+// Sizes that are not squares leave the lattice's last row partial.
+TEST(GenRoad, MatchesBuildGraphOracle) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const vertex_t n : {1, 2, 3, 5, 99, 100, 101, 4000, 12345}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      expect_same_csr(gen_road_network(n, seed), road_oracle(n, seed));
+    }
+  }
+}
+
+// Sites hold 2-63 pages: n = 1..3 is at most a site or two, and most sizes
+// cut the last site short.
+TEST(GenWeb, MatchesBuildGraphOracle) {
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    for (const vertex_t n : {1, 2, 3, 63, 64, 65, 1000, 20000, 32768}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      expect_same_csr(gen_web_graph(n, seed), web_oracle(n, seed));
+    }
+  }
 }
 
 // gen_rmat splits its edges into one chunk per OpenMP thread, each drawing

@@ -1,6 +1,8 @@
 // Shared fixtures/helpers for the test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cstddef>
 #include <string>
@@ -64,6 +66,37 @@ inline Graph with_descending_lists(const Graph& g) {
                  adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
   }
   return Graph(std::vector<edge_t>(offsets.begin(), offsets.end()), std::move(adjacency));
+}
+
+/// Checks the paper's §4 conditioning, which build_graph applies and the
+/// generators that write their CSR directly must match: every adjacency list
+/// strictly ascending (so no parallel edges), no self-loop, and the reverse
+/// of every arc. Reports the first violation only.
+inline void expect_conditioned(const Graph& g) {
+  const vertex_t n = g.num_vertices();
+  for (vertex_t v = 0; v < n; ++v) {
+    const auto list = g.neighbors(v);
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      const vertex_t u = list[i];
+      if (i > 0 && list[i - 1] >= u) {
+        ADD_FAILURE() << "list of " << v << " not strictly ascending at " << u;
+        return;
+      }
+      if (u == v) {
+        ADD_FAILURE() << "self-loop at " << v;
+        return;
+      }
+      if (u >= n) {
+        ADD_FAILURE() << "arc " << v << "->" << u << " leaves the graph";
+        return;
+      }
+      const auto back = g.neighbors(u);
+      if (!std::binary_search(back.begin(), back.end(), v)) {
+        ADD_FAILURE() << "arc " << v << "->" << u << " has no reverse";
+        return;
+      }
+    }
+  }
 }
 
 /// A few larger graphs for stress tests.
