@@ -8,6 +8,7 @@
 #include "dsu/rank_dsu.h"
 #include "dsu/find.h"
 #include "dsu/hook.h"
+#include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/rmat_lanes.h"
 
@@ -122,8 +123,9 @@ void BM_EclSerialOnKron(benchmark::State& state) {
 }
 BENCHMARK(BM_EclSerialOnKron)->Arg(12)->Arg(15);
 
-// gen_kronecker runs OpenMP-parallel, so time the wall clock, not the
-// calling thread's CPU. Scale 17 is core_solve's kron input.
+// gen_kronecker draws and builds on every CPU in the caller's mask, so time
+// the wall clock, not the calling thread's CPU. Scale 17 is core_solve's
+// kron input.
 void BM_GraphGeneration(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(gen_kronecker(static_cast<int>(state.range(0)), 16, 3));
@@ -155,6 +157,21 @@ void BM_GenWeb(benchmark::State& state) {
 }
 BENCHMARK(BM_GenWeb)->Arg(1 << 19)->Unit(benchmark::kMillisecond);
 
+// build_graph alone on core_solve's kron edge list (2^21 edges on 2^17
+// vertices, drawn once): on every CPU in the caller's mask, so wall clock.
+void BM_BuildGraphKron(benchmark::State& state) {
+  constexpr int kScale = 17;
+  std::vector<Edge> edges(edge_t{16} << kScale);
+  rmat::draw_edges_for_cpu(Xoshiro256(3), kScale,
+                           rmat::Thresholds::of(RmatParams{0.57, 0.19, 0.19, 0.05}),
+                           edges.data(), edges.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(build_graph(vertex_t{1} << kScale, edges));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(edges.size()));
+}
+BENCHMARK(BM_BuildGraphKron)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 // gen_rmat's descent alone, on one thread with no graph build: core_solve's
 // kron input, 2^21 edges of 34 draws, at the lane count this CPU runs.
 void BM_RmatDescent(benchmark::State& state) {
@@ -172,9 +189,9 @@ void BM_RmatDescent(benchmark::State& state) {
 BENCHMARK(BM_RmatDescent)->Unit(benchmark::kMillisecond);
 
 // The jump-ahead that splits gen_rmat's stream. core_solve's kron input
-// (2^21 edges of 34 draws) is 4 chunks, each jumped by up to ~2^25.7 draws,
-// then on AVX2 4 lanes per chunk, 3 more jumps of ~2^22.1 draws each: 16
-// jumps in all.
+// (2^21 edges of 34 draws) is 32 chunks, each jumped by up to ~2^26 draws,
+// then on AVX2 4 lanes per chunk, 3 more jumps of ~2^19.1 draws each: 128
+// jumps in all, spread over the CPUs that claim the chunks.
 void BM_XoshiroDiscard(benchmark::State& state) {
   Xoshiro256 rng(3);
   for (auto _ : state) {

@@ -18,8 +18,23 @@
 // The CSR is built by counting sorts, not a comparison sort: one pass counts
 // each vertex's arcs, then two stable scatters (by head, then by tail) leave
 // every adjacency list sorted, and duplicates are dropped list by list. That
-// costs O(n + m) time; besides the CSR (8 B per vertex, 4 B per arc before
-// deduplication) it allocates 8 B per vertex and 4 B per arc of scratch.
+// costs O(n + m) time.
+//
+// Each pass runs on every CPU in the caller's affinity mask: the caller and
+// pinned helpers claim its units (for_each_claimed, common/claim.h). An
+// input of m edges on n vertices has C = m / max(n, 2^16) units, at least 1
+// and at most 4 per allowed CPU, or 1 when only one CPU is allowed; then
+// no thread starts. The count and the first scatter take C edge chunks,
+// each with its own row of n cursors, so within a head a later chunk's arcs
+// follow an earlier one's whichever CPU writes them; the second scatter and
+// the deduplication take C ranges of heads with about equal arcs. The CSR is
+// a function of the edge multiset, so it is bit-identical for every C and
+// every mask.
+//
+// Memory: besides the CSR (8 B per vertex, 4 B per arc before
+// deduplication) it allocates 4 B per arc of scratch, left uninitialised so
+// the workers fault its pages in, and C rows of 8 B per vertex, which by the
+// unit rule cost at most the 8 B per edge of the input list.
 #pragma once
 
 #include <span>

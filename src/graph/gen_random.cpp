@@ -1,10 +1,10 @@
 // Randomized generators: uniform random, R-MAT/Kronecker, small world.
 #include <algorithm>
 #include <cmath>
-#include <omp.h>
 #include <stdexcept>
 #include <vector>
 
+#include "common/claim.h"
 #include "common/rng.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
@@ -65,23 +65,24 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
 
   // Every edge draws exactly 2 * scale numbers, so the chunk starting at
   // edge lo draws from the seed's stream advanced by 2 * scale * lo: the
-  // edges are the same however many chunks, and threads, there are. A chunk
-  // of at least 2^16 edges (2^17 draws or more) outweighs its jump, which
-  // costs about 256 draws plus 64 polynomial products; the AVX2 loop jumps
-  // three more times per chunk, one per extra lane.
+  // edges are the same however many chunks there are, and whichever CPU
+  // draws each. A chunk of at least 2^16 edges (2^17 draws or more)
+  // outweighs its jump, which costs about 256 draws plus 64 polynomial
+  // products; the AVX2 loop jumps three more times per chunk, one per extra
+  // lane. The count depends on m alone; up to 32 chunks let the CPUs of the
+  // caller's mask even out their loads by claiming.
   constexpr edge_t kMinChunkEdges = edge_t{1} << 16;
-  const edge_t max_chunks = static_cast<edge_t>(omp_get_max_threads());
-  const edge_t chunks = std::clamp<edge_t>(m / kMinChunkEdges, 1, max_chunks);
+  constexpr edge_t kMaxChunks = 32;
+  const edge_t chunks = std::clamp<edge_t>(m / kMinChunkEdges, 1, kMaxChunks);
   const auto draws_per_edge = static_cast<std::uint64_t>(2 * scale);
   std::vector<Edge> edges(m);
-#pragma omp parallel for schedule(static)
-  for (edge_t c = 0; c < chunks; ++c) {
+  for_each_claimed(chunks, [&](std::size_t c) {
     const edge_t lo = m * c / chunks;
     const edge_t hi = m * (c + 1) / chunks;
     Xoshiro256 rng(seed);
     rng.discard(draws_per_edge * lo);
     rmat::draw_edges_for_cpu(rng, scale, thresholds, edges.data() + lo, hi - lo);
-  }
+  });
   return build_graph(n, edges);
 }
 

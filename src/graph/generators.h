@@ -38,18 +38,20 @@ struct RmatParams {
   double c = 0.22;
   double d = 0.11;
 };
-/// Draws its edges OpenMP-parallel, each thread from the seed's stream jumped
-/// ahead to its slice (Xoshiro256::discard), so the graph is the same for
-/// every thread count. Within a slice it descends several edges at once, each
-/// lane from the stream jumped to its own run: four lanes on a CPU with AVX2,
-/// picked at run time, else two. Neither build uses FMA, so the graph is also
-/// the same on every x86-64 CPU.
+/// Draws its edges on every CPU in the caller's affinity mask: up to 32
+/// chunks, their count set by the edge count alone, each drawn by whichever
+/// CPU claims it (for_each_claimed) from the seed's stream jumped ahead to
+/// the chunk (Xoshiro256::discard), so the graph is the same under any mask.
+/// Within a chunk it descends several edges at once, each lane from the
+/// stream jumped to its own run: four lanes on a CPU with AVX2, picked at run
+/// time, else two. Neither build uses FMA, so the graph is also the same on
+/// every x86-64 CPU. build_graph conditions the edges, on the same CPUs.
 [[nodiscard]] Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& params,
                              std::uint64_t seed);
 
 /// Graph500 Kronecker parameters (a=0.57, b=0.19, c=0.19, d=0.05); gen_rmat,
-/// so also OpenMP-parallel and lane-parallel, and independent of the thread
-/// count and the CPU.
+/// so also run on every CPU in the caller's mask and lane-parallel, and
+/// independent of the mask and the CPU.
 [[nodiscard]] Graph gen_kronecker(int scale, edge_t edge_factor, std::uint64_t seed);
 
 /// Road-map-like graph ("europe_osm", "USA-road-d.*"): vertices embedded on

@@ -1,18 +1,16 @@
 #include "svc/checkpoint.h"
 
 #include <fcntl.h>
-#include <pthread.h>
-#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 
+#include "common/claim.h"
 #include "common/page_array.h"
 #include "common/timer.h"
 #include "fault/fault.h"
@@ -98,56 +96,6 @@ ChunkCheck check_chunk(const std::uint8_t* labels, vertex_t n, std::size_t i) {
     out.roots += l == v ? 1 : 0;
   }
   return out;
-}
-
-/// Runs work(i) once for every i < count: the caller and one helper thread
-/// per other CPU in its affinity mask (at most count workers in all) claim
-/// indices from one counter until none are left, and every helper is joined
-/// before this returns. Each helper is pinned to its CPU at creation: an
-/// unpinned thread starts on the CPU that spawned it and stays there long
-/// enough to serialize a pass this short. A helper that cannot be created
-/// only leaves fewer workers; one allowed CPU means the caller works alone.
-void for_each_claimed(std::size_t count, const std::function<void(std::size_t)>& work) {
-  struct Claims {
-    const std::function<void(std::size_t)>& work;
-    std::size_t count;
-    std::atomic<std::size_t> next{0};
-    std::size_t claim() { return next.fetch_add(1, std::memory_order_relaxed); }
-    void drain() {
-      for (std::size_t i = claim(); i < count; i = claim()) work(i);
-    }
-  } claims{work, count};
-
-  std::vector<pthread_t> helpers;
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  if (count > 1 && ::sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
-    helpers.reserve(std::min<std::size_t>(CPU_COUNT(&allowed), count - 1));
-    const int self = ::sched_getcpu();
-    for (int cpu = 0; cpu < CPU_SETSIZE && helpers.size() + 1 < count; ++cpu) {
-      if (cpu == self || !CPU_ISSET(cpu, &allowed)) continue;
-      cpu_set_t one;
-      CPU_ZERO(&one);
-      CPU_SET(cpu, &one);
-      pthread_attr_t attr;
-      if (::pthread_attr_init(&attr) != 0) break;
-      pthread_t t;
-      const bool started =
-          ::pthread_attr_setaffinity_np(&attr, sizeof(one), &one) == 0 &&
-          ::pthread_create(
-              &t, &attr,
-              [](void* arg) -> void* {
-                static_cast<Claims*>(arg)->drain();
-                return nullptr;
-              },
-              &claims) == 0;
-      ::pthread_attr_destroy(&attr);
-      if (!started) break;
-      helpers.push_back(t);
-    }
-  }
-  claims.drain();
-  for (const pthread_t t : helpers) ::pthread_join(t, nullptr);
 }
 
 /// The one validation pass over the n labels (little-endian bytes) of the

@@ -14,7 +14,6 @@
 // Same registry discipline as test_fault_svc.cpp: every case that arms the
 // process-wide fault registry disarms it again in TearDown.
 #include <gtest/gtest.h>
-#include <sched.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "cpu_mask.h"
 #include "core/ecl_cc.h"
 #include "core/incremental.h"
 #include "fault/fault.h"
@@ -381,20 +381,9 @@ TEST_F(CheckpointStoreTest, OneCpuLoadMatchesAllCpuLoad) {
   store.open(path("ckpt"));
   ASSERT_TRUE(store.write(data).ok);
 
-  cpu_set_t all;
-  CPU_ZERO(&all);
-  ASSERT_EQ(::sched_getaffinity(0, sizeof(all), &all), 0);
-  struct RestoreMask {  // also when an assertion below returns early
-    const cpu_set_t& mask;
-    ~RestoreMask() { EXPECT_EQ(::sched_setaffinity(0, sizeof(mask), &mask), 0); }
-  } restore{all};
+  const testing::CpuMaskScope mask;
   const auto full = store.load_latest_valid();
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  int first = 0;
-  while (!CPU_ISSET(first, &all)) ++first;
-  CPU_SET(first, &one);
-  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  ASSERT_TRUE(mask.limit(1));
   const auto single = store.load_latest_valid();
 
   for (const auto* load : {&full, &single}) {

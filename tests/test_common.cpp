@@ -1,15 +1,21 @@
-// Unit tests for src/common: statistics, tables, CLI parsing, RNG.
+// Unit tests for src/common: statistics, tables, CLI parsing, RNG, work
+// claiming.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <set>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/claim.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
+#include "cpu_mask.h"
 
 namespace ecl {
 namespace {
@@ -197,6 +203,32 @@ TEST(Rng, UniformInUnitInterval) {
     sum += u;
   }
   EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+// Every index runs exactly once, whether the caller works alone (one
+// allowed CPU, or fewer than two indices) or with pinned helpers.
+TEST(Claim, EveryIndexRunsExactlyOnce) {
+  const testing::CpuMaskScope mask;
+  for (const int cpus : {1, mask.cpus()}) {
+    ASSERT_TRUE(mask.limit(cpus));
+    EXPECT_EQ(allowed_cpus(), static_cast<std::size_t>(cpus));
+    for (const std::size_t count : {0, 1, 2, 1000}) {
+      SCOPED_TRACE(std::to_string(cpus) + " cpus, count " + std::to_string(count));
+      std::vector<std::atomic<int>> runs(count);
+      std::atomic<std::size_t> out_of_range{0};
+      for_each_claimed(count, [&](std::size_t i) {
+        if (i < count) {
+          runs[i].fetch_add(1, std::memory_order_relaxed);
+        } else {
+          out_of_range.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      EXPECT_EQ(out_of_range.load(), 0u);
+      std::size_t once = 0;
+      for (const auto& r : runs) once += r.load() == 1 ? 1 : 0;
+      EXPECT_EQ(once, count);
+    }
+  }
 }
 
 }  // namespace

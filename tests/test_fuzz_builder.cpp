@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/rng.h"
@@ -72,8 +73,8 @@ std::vector<Edge> random_messy_edges(std::uint64_t seed, vertex_t n, std::size_t
         u = v = static_cast<vertex_t>(rng.bounded(n));
         break;
       case 1:  // duplicate-prone: small endpoint range
-        u = static_cast<vertex_t>(rng.bounded(8));
-        v = static_cast<vertex_t>(rng.bounded(8));
+        u = static_cast<vertex_t>(rng.bounded(std::min<vertex_t>(n, 8)));
+        v = static_cast<vertex_t>(rng.bounded(std::min<vertex_t>(n, 8)));
         break;
       case 2:  // hub edge
         u = 0;
@@ -150,12 +151,67 @@ TEST(BuilderOracle, EdgeCasesMatchUnderEveryOption) {
   expect_matches_oracle(42, hub);
 }
 
+// build_graph splits an input of m edges on n vertices into
+// m / max(n, 2^16) units, at most 4 per CPU of the caller's mask, and its
+// passes run them on every such CPU; the inputs above are all one unit.
+// These span 1 to 16 units, including inputs where nearly every edge is a
+// loop (n = 1) or a duplicate (n = 2), and must match the oracle alike.
+TEST(BuilderOracle, MultiUnitInputsMatch) {
+  for (const std::size_t m : {std::size_t{1} << 17, std::size_t{300000}, std::size_t{1100000}}) {
+    for (const vertex_t n : {1u, 2u, 1000u, 70000u, (1u << 17) + 1}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " n=" + std::to_string(n));
+      expect_matches_oracle(n, random_messy_edges(m + n, n, m));
+    }
+  }
+}
+
+// A hub in a third of 2^20 edges, as tail and as head, so its list gathers
+// arcs from every unit, and the second scatter's head ranges split around it.
+TEST(BuilderOracle, MultiUnitHubMatches) {
+  constexpr vertex_t kN = 5000;
+  Xoshiro256 rng(3);
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < (std::size_t{1} << 20); ++i) {
+    const auto v = static_cast<vertex_t>(rng.bounded(kN));
+    switch (i % 3) {
+      case 0:
+        edges.emplace_back(0, v);
+        break;
+      case 1:
+        edges.emplace_back(v, 0);
+        break;
+      default:
+        edges.emplace_back(static_cast<vertex_t>(rng.bounded(kN)), v);
+        break;
+    }
+  }
+  expect_matches_oracle(kN, edges);
+}
+
+// Runs of 7 copies of one edge, every third run a loop, so whatever the
+// unit count most unit boundaries split a run of duplicates or of loops;
+// the same edges recur every kN runs, in other units.
+TEST(BuilderOracle, LoopsAndDuplicatesAcrossUnitBoundariesMatch) {
+  constexpr vertex_t kN = 3000;
+  std::vector<Edge> edges;
+  for (std::size_t i = 0; i < 1000003; ++i) {
+    const auto run = static_cast<vertex_t>(i / 7);
+    const vertex_t u = run % kN;
+    edges.emplace_back(u, run % 3 == 0 ? u : (u * 31 + 1) % kN);
+  }
+  expect_matches_oracle(kN, edges);
+}
+
 TEST(BuilderOracle, OutOfRangeEndpointThrows) {
   EXPECT_THROW((void)build_graph(3, std::vector<Edge>{{0, 1}, {0, 3}}), std::out_of_range);
   EXPECT_THROW((void)build_graph(3, std::vector<Edge>{{3, 0}}), std::out_of_range);
   EXPECT_THROW((void)build_graph(0, std::vector<Edge>{{0, 0}}), std::out_of_range);
   // A loop is range-checked even when it would be dropped.
   EXPECT_THROW((void)build_graph(2, std::vector<Edge>{{2, 2}}), std::out_of_range);
+  // The only bad endpoint is the last edge's, in the last of several units.
+  std::vector<Edge> many(std::size_t{1} << 18, Edge{1, 2});
+  many.back() = {5, 1000};
+  EXPECT_THROW((void)build_graph(1000, many), std::out_of_range);
 }
 
 TEST(SuiteDeterminism, SameNameAndScaleYieldIdenticalGraphs) {

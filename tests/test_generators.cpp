@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <omp.h>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "graph/suite.h"
+#include "cpu_mask.h"
 #include "test_util.h"
 
 namespace ecl {
@@ -177,16 +177,18 @@ TEST(Generators, OutputIsBitStable) {
       {"citation", gen_citation(2000, 4, 0.7, 7), 0x56854614eb484970ull},
       {"small_world", gen_small_world(2000, 3, 0.1, 7), 0xa2d8774f72d79e90ull},
       {"delaunay", gen_delaunay_like(40, 50), 0xbdd457bea0d26f4bull},
-      // 262,144 edges each: gen_rmat splits these across up to 4 chunks.
+      // 262,144 edges each: gen_rmat splits these into 4 chunks.
       {"kron_chunked", gen_kronecker(14, 16, 7), 0xe07638e9006d8c45ull},
       {"rmat_chunked", gen_rmat(15, 8, RmatParams{}, 7), 0x94bff71adabc5059ull},
       // Fewer edges than lanes, and edge counts that are not a multiple of
       // four: gen_rmat's lane loop draws these in its one-lane remainder.
       {"rmat_2_edges", gen_rmat(1, 1, RmatParams{}, 7), 0x81d23fd7003c2305ull},
       {"rmat_6_edges", gen_rmat(1, 3, RmatParams{}, 7), 0xa2d159d5c13a85e7ull},
-      // 327,680 edges: five chunks' worth, so chunk boundaries at 3
-      // threads are not multiples of four.
+      // 327,680 edges: five chunks.
       {"kron_327680_edges", gen_kronecker(16, 5, 7), 0x0156c54c05dc0387ull},
+      // 229,376 edges: three chunks, whose boundaries 76,458 and 152,917
+      // are not multiples of four.
+      {"rmat_229376_edges", gen_rmat(15, 7, RmatParams{}, 7), 0xf5a24a75ad8d6e4bull},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
@@ -316,20 +318,29 @@ TEST(GenWeb, MatchesBuildGraphOracle) {
   }
 }
 
-// gen_rmat splits its edges into one chunk per OpenMP thread, each drawing
-// from a jumped-ahead copy of the stream: the chunk count must not show.
+// gen_rmat and build_graph split their work into chunks that the caller
+// and one pinned helper per other CPU of its affinity mask claim: neither
+// the number of CPUs nor which one took which chunk may show. 2^19 skewed
+// edges on 2^15 vertices are 8 of build_graph's units on two or more CPUs.
 TEST(GenRmat, OutputIndependentOfThreadCount) {
-  const int previous = omp_get_max_threads();
+  constexpr vertex_t kN = vertex_t{1} << 15;
+  std::vector<Edge> edges(std::size_t{1} << 19);
+  Xoshiro256 rng(7);
+  for (auto& [u, v] : edges) {
+    u = static_cast<vertex_t>(rng.bounded(kN));
+    v = static_cast<vertex_t>(rng.bounded(1 + rng.bounded(kN)));
+  }
+  const testing::CpuMaskScope mask;
   std::vector<std::uint64_t> first;
-  for (int threads = 1; threads <= 4; ++threads) {
-    omp_set_num_threads(threads);
+  for (const int cpus : {1, 2, 3, mask.cpus()}) {
+    if (cpus > mask.cpus()) continue;
+    ASSERT_TRUE(mask.limit(cpus));
     const std::vector<std::uint64_t> hashes = {
         csr_hash(gen_kronecker(14, 16, 7)), csr_hash(gen_rmat(15, 8, RmatParams{}, 7)),
-        csr_hash(gen_kronecker(16, 5, 7))};
+        csr_hash(gen_kronecker(16, 5, 7)), csr_hash(build_graph(kN, edges))};
     if (first.empty()) first = hashes;
-    EXPECT_EQ(hashes, first) << threads << " threads";
+    EXPECT_EQ(hashes, first) << cpus << " CPUs";
   }
-  omp_set_num_threads(previous);
 }
 
 TEST(Suite, AllEighteenGraphsPresent) {
