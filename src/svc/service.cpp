@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/timer.h"
@@ -19,24 +18,21 @@ namespace ecl::svc {
 namespace {
 
 /// The canonical labels `prev` after `hooks`, applied in order to the
-/// union-find whose labels `prev` were. A hook links a root under a root,
-/// which never becomes a root again, so a hook's parent can only be hooked
-/// later: resolving the hooks last to first finds each parent's final root
-/// before its children need it. One streaming pass then relabels.
+/// union-find whose labels `prev` were, by the paper's finalization and no
+/// map. `prev` is canonical: prev[v] is the minimum of v's component, so
+/// prev[v] <= v, and prev[r] == r for every root r. Every hook links a root
+/// under a smaller root, and both were roots at `prev`, because a root is
+/// hooked at most once and never becomes a root again. Walked last to
+/// first, every later hook of a parent p has been written when hook (c, p)
+/// is visited, so labels[p] is p's final root; after the walk labels[r] is
+/// final for every root r of `prev`, and labels[x] <= x everywhere. The
+/// ascending pass then reads only indices <= v that it has already
+/// finalized, and a final root maps to itself, as in the serial ECL-CC's
+/// finalization.
 PageArray remap_labels(const PageArray& prev, const std::vector<Hook>& hooks) {
-  std::unordered_map<vertex_t, vertex_t> final_root;
-  final_root.reserve(hooks.size());
-  std::vector<bool> hooked(prev.size());
-  for (auto h = hooks.rbegin(); h != hooks.rend(); ++h) {
-    const auto up = final_root.find(h->parent);
-    final_root.emplace(h->child, up == final_root.end() ? h->parent : up->second);
-    hooked[h->child] = true;
-  }
-  // Copy, then relabel in place: faster than one fused pass into fresh pages.
   PageArray labels(prev);
-  for (vertex_t& root : labels) {
-    if (hooked[root]) root = final_root.find(root)->second;
-  }
+  for (auto h = hooks.rbegin(); h != hooks.rend(); ++h) labels[h->child] = labels[h->parent];
+  for (vertex_t& label : labels) label = labels[label];
   return labels;
 }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/incremental.h"
+#include "dsu/hook.h"
 #include "fault/fault.h"
 #include "graph/builder.h"
 #include "svc/client.h"
@@ -286,6 +287,20 @@ TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
   EXPECT_EQ(svc.component_count(), 1u);
 }
 
+// `count` edges over [0, n) from a fixed xorshift64 stream.
+std::vector<Edge> xorshift_edges(vertex_t n, std::size_t count) {
+  std::vector<Edge> edges(count);
+  std::uint64_t x = 0x9E3779B97F4A7C15ull;
+  const auto next = [&x, n] {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return static_cast<vertex_t>(x % n);
+  };
+  for (auto& e : edges) e = {next(), next()};
+  return edges;
+}
+
 // Every epoch is exactly the first `watermark` applied edges: a recorder
 // checks each new epoch against a reference union-find advanced to its
 // watermark, and against the previous epoch (snapshots may only coarsen),
@@ -295,15 +310,7 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   constexpr vertex_t kN = 1 << 16;
   constexpr std::size_t kEdges = 1 << 18;
   constexpr std::size_t kBatch = 64;
-  std::vector<Edge> edges(kEdges);
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  const auto next = [&x] {  // xorshift64
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    return static_cast<vertex_t>(x % kN);
-  };
-  for (auto& e : edges) e = {next(), next()};
+  const std::vector<Edge> edges = xorshift_edges(kN, kEdges);
 
   ServiceOptions opts;
   opts.compact_interval_ms = 1;
@@ -365,6 +372,60 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   fresh_reader.join();
   EXPECT_EQ(prev->watermark, kEdges);
   EXPECT_GE(checked, 2);
+}
+
+// The prepare shape: compactions only when forced, one per half of the
+// stream, so each epoch carries thousands of hooks and the second remaps a
+// snapshot that is not the identity. Each snapshot must equal a reference
+// union-find at its watermark, and the second must coarsen the first. The
+// reference's hook log shows that the second epoch hooks some parent that
+// is itself hooked later in the epoch: a chain of hooks, whose child's
+// final root is known only once the later hook has been walked, so a remap
+// that resolves each hook one level would fail here.
+TEST(ConnectivityService, HookHeavyEpochsAreExactPrefixes) {
+  constexpr vertex_t kN = 1 << 16;
+  constexpr std::size_t kEdges = 1 << 18;
+  constexpr std::size_t kBatch = 64;
+  const std::vector<Edge> edges = xorshift_edges(kN, kEdges);
+
+  ServiceOptions opts;
+  opts.compact_interval_ms = 3600 * 1000;  // only explicit compactions
+  opts.compact_min_new_edges = ~0ull;
+  ConnectivityService svc(kN, opts);
+
+  IncrementalCC reference(kN);
+  SnapshotPtr prev = svc.snapshot();
+  for (std::size_t begin = 0; begin < kEdges; begin += kEdges / 2) {
+    const std::size_t end = begin + kEdges / 2;
+    for (std::size_t off = begin; off < end; off += kBatch) {
+      const ConnectivityService::EdgeBatch batch(edges.begin() + off,
+                                                 edges.begin() + off + kBatch);
+      while (svc.submit(batch) == Admission::kShed) std::this_thread::yield();
+    }
+    svc.compact_now();
+    const SnapshotPtr snap = svc.snapshot();
+    HookLog log;
+    reference.add_edges(edges.data() + begin, end - begin, &log);
+
+    ASSERT_EQ(snap->epoch, prev->epoch + 1);
+    ASSERT_EQ(snap->watermark, end);
+    EXPECT_TRUE(snap->labels == reference.labels()) << "watermark " << end;
+    EXPECT_EQ(snap->num_components, reference.num_components());
+    EXPECT_EQ(snap->num_components, prev->num_components - log.hooks.size());
+    for (vertex_t v = 0; v < kN; ++v) {
+      ASSERT_EQ(snap->labels[prev->labels[v]], snap->labels[v]) << "splits " << v;
+    }
+    if (begin > 0) {
+      std::vector<bool> hooked_later(kN);
+      bool chained = false;
+      for (auto h = log.hooks.rbegin(); h != log.hooks.rend(); ++h) {
+        chained = chained || hooked_later[h->parent];
+        hooked_later[h->child] = true;
+      }
+      EXPECT_TRUE(chained) << log.hooks.size() << " hooks, none to a later-hooked parent";
+    }
+    prev = snap;
+  }
 }
 
 // ------------------------------------------------------------- protocol ----

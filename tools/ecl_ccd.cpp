@@ -55,7 +55,8 @@
 //                           burst overflows the old 64 before accept runs)
 //   --ready-file=PATH       write "unix <path>" or "tcp <host> <port>" once
 //                           listening (lets scripts wait for startup); with
-//                           --metrics-port a "metrics <port>" line follows
+//                           --metrics-port a "metrics <port>" line follows;
+//                           the file appears complete (written, then renamed)
 //   --report=FILE.json      write an obs run report on shutdown
 //   --trace=FILE.json       record trace spans (batches, compactions, and
 //                           one "svc.request" span per served request with
@@ -311,13 +312,20 @@ int main(int argc, char** argv) {
   }
   std::fflush(stdout);
   if (!ready_file.empty()) {
-    std::ofstream ready(ready_file);
-    if (!nopts.unix_path.empty()) {
-      ready << "unix " << nopts.unix_path << "\n";
-    } else {
-      ready << "tcp " << nopts.host << " " << server.port() << "\n";
+    // A waiter polls for the file to exist, so it must never see it partial.
+    const std::string tmp = ready_file + ".tmp";
+    {
+      std::ofstream ready(tmp);
+      if (!nopts.unix_path.empty()) {
+        ready << "unix " << nopts.unix_path << "\n";
+      } else {
+        ready << "tcp " << nopts.host << " " << server.port() << "\n";
+      }
+      if (exporter_enabled) ready << "metrics " << exporter.port() << "\n";
     }
-    if (exporter_enabled) ready << "metrics " << exporter.port() << "\n";
+    if (std::rename(tmp.c_str(), ready_file.c_str()) != 0) {
+      std::fprintf(stderr, "warning: cannot write --ready-file=%s\n", ready_file.c_str());
+    }
   }
 
   server.wait();          // until signal or kShutdown request
