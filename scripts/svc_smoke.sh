@@ -95,7 +95,10 @@ python3 "$SCRIPT_DIR/check_metrics_export.py" \
     --require=ecl_wal_enabled --require=ecl_ckpt_enabled \
     --require=ecl_svc_op_us_connected --require=ecl_exporter_scrapes_total \
     --require=ecl_svc_num_vertices --require=ecl_svc_applied_batches_total \
-    --require=ecl_svc_degraded_entries_total
+    --require=ecl_svc_degraded_entries_total \
+    --require=ecl_svc_accepted_batches_total --require=ecl_svc_shed_batches_total \
+    --require=ecl_svc_open_connections --require=ecl_svc_evicted_slow_total \
+    --require=ecl_ckpt_last_epoch
 
 echo "== graceful shutdown"
 "$CLIENT" --unix="$SOCK" shutdown

@@ -11,8 +11,6 @@
 #include <cerrno>
 #include <utility>
 
-#include "obs/metrics.h"
-
 namespace ecl::exec {
 
 namespace {
@@ -26,21 +24,6 @@ constexpr std::size_t kMaxReadPerWake = 256 * 1024;
 constexpr int kMaxPollMs = 500;
 
 }  // namespace
-
-const char* close_reason_name(CloseReason r) {
-  switch (r) {
-    case CloseReason::kAppClose: return "app_close";
-    case CloseReason::kPeerClosed: return "peer_closed";
-    case CloseReason::kProtocolError: return "protocol_error";
-    case CloseReason::kSocketError: return "socket_error";
-    case CloseReason::kIdleTimeout: return "idle_timeout";
-    case CloseReason::kFrameTimeout: return "frame_timeout";
-    case CloseReason::kWriteStall: return "write_stall";
-    case CloseReason::kWriteOverflow: return "write_overflow";
-    case CloseReason::kShutdown: return "shutdown";
-  }
-  return "unknown";
-}
 
 // --- Conn ------------------------------------------------------------------
 
@@ -173,8 +156,6 @@ Conn* EventLoop::adopt(int fd, ConnCallbacks cbs, ConnOptions opts) {
   c->events_ = EPOLLIN;
   conns_.emplace(fd, std::move(conn));
   counters_->open_conns.fetch_add(1, std::memory_order_relaxed);
-  ECL_OBS_GAUGE_SET("ecl.exec.conns.open",
-                    static_cast<double>(counters_->open_conns.load(std::memory_order_relaxed)));
   update_deadlines(c);
   return c;
 }
@@ -251,8 +232,6 @@ void EventLoop::do_read(Conn* c) {
     if (r > 0) {
       c->rbuf_.resize(old + static_cast<std::size_t>(r));
       got += static_cast<std::size_t>(r);
-      counters_->bytes_in.fetch_add(static_cast<std::uint64_t>(r),
-                                    std::memory_order_relaxed);
       if (static_cast<std::size_t>(r) < kReadChunk) break;  // drained
       continue;
     }
@@ -296,7 +275,6 @@ void EventLoop::parse_frames(Conn* c) {
     if (avail < 4 + static_cast<std::size_t>(len)) break;  // partial frame
     const std::span<const std::uint8_t> payload(buf.data() + c->roff_ + 4, len);
     c->roff_ += 4 + static_cast<std::size_t>(len);
-    counters_->frames.fetch_add(1, std::memory_order_relaxed);
     if (c->cbs_.on_frame) c->cbs_.on_frame(*c, payload);
   }
   if (c->closing_) return;
@@ -344,8 +322,6 @@ void EventLoop::flush_writes(Conn* c) {
                                c->wbuf_.size() - c->woff_, MSG_NOSIGNAL);
     if (put > 0) {
       c->woff_ += static_cast<std::size_t>(put);
-      counters_->bytes_out.fetch_add(static_cast<std::uint64_t>(put),
-                                     std::memory_order_relaxed);
       progressed = true;
       continue;
     }
@@ -425,8 +401,6 @@ void EventLoop::destroy_pending() {
             break;
           }
           c->woff_ += static_cast<std::size_t>(put);
-          counters_->bytes_out.fetch_add(static_cast<std::uint64_t>(put),
-                                         std::memory_order_relaxed);
         }
       }
       switch (c->close_reason_) {
@@ -454,8 +428,6 @@ void EventLoop::destroy_pending() {
       conns_.erase(fd);  // frees c
     }
   }
-  ECL_OBS_GAUGE_SET("ecl.exec.conns.open",
-                    static_cast<double>(counters_->open_conns.load(std::memory_order_relaxed)));
 }
 
 void EventLoop::drain_posts() {
@@ -488,7 +460,6 @@ void EventLoop::run() {
     const int timeout = compute_timeout_ms();
     const int n = ::epoll_wait(epfd_, evs.data(), static_cast<int>(evs.size()), timeout);
     counters_->wakeups.fetch_add(1, std::memory_order_relaxed);
-    ECL_OBS_COUNTER_ADD("ecl.exec.wakeups", 1);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;
@@ -558,7 +529,6 @@ void EventLoop::run() {
     posts_.clear();
   }
   timed_posts_.clear();
-  exited_.store(true, std::memory_order_release);
   if (on_exit) on_exit();
 }
 

@@ -62,8 +62,6 @@ enum class CloseReason : std::uint8_t {
   kShutdown,        // loop is stopping
 };
 
-[[nodiscard]] const char* close_reason_name(CloseReason r);
-
 struct ConnOptions {
   /// Frames above this length close the connection (kProtocolError).
   std::size_t max_frame_bytes = 64u << 20;
@@ -96,9 +94,6 @@ struct ConnCallbacks {
 struct LoopCounters {
   std::atomic<std::uint64_t> open_conns{0};
   std::atomic<std::uint64_t> wakeups{0};        // epoll_wait returns
-  std::atomic<std::uint64_t> frames{0};         // complete frames delivered
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
   std::atomic<std::uint64_t> write_buf_hwm{0};  // high-watermark bytes, any conn
   std::atomic<std::uint64_t> evicted_idle{0};
   std::atomic<std::uint64_t> evicted_frame{0};
@@ -126,12 +121,7 @@ class Conn {
   [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] EventLoop& loop() { return *loop_; }
   [[nodiscard]] std::size_t write_buffer_bytes() const { return wbuf_.size() - woff_; }
-  [[nodiscard]] bool read_paused() const { return read_paused_; }
   [[nodiscard]] bool closing() const { return closing_; }
-
-  /// Free slot for the layer above (the svc server parks its per-connection
-  /// context here; the loop never touches it).
-  void* user_data = nullptr;
 
  private:
   friend class EventLoop;
@@ -180,9 +170,6 @@ class EventLoop {
   /// Joins the loop thread. Idempotent; call after request_stop().
   void join();
 
-  /// True once the loop thread has exited (its connections are closed).
-  [[nodiscard]] bool exited() const { return exited_.load(std::memory_order_acquire); }
-
   /// Runs `fn` on the loop thread (thread-safe, wakes the loop). Tasks
   /// posted after the loop exits are discarded.
   void post(std::function<void()> fn);
@@ -205,8 +192,6 @@ class EventLoop {
 
   /// Milliseconds since loop construction (the wheel's clock).
   [[nodiscard]] std::uint64_t now_ms() const;
-
-  [[nodiscard]] std::size_t open_conns() const { return conns_.size(); }
 
   /// Set before start(): invoked on the loop thread right before it exits.
   std::function<void()> on_exit;
@@ -231,7 +216,6 @@ class EventLoop {
   int epfd_ = -1;
   int wakefd_ = -1;
   std::atomic<bool> stop_{false};
-  std::atomic<bool> exited_{false};
   bool started_ = false;
   std::thread thread_;
   LoopCounters* counters_ = nullptr;

@@ -204,27 +204,9 @@ void MetricsExporter::handle_client(int fd) {
 std::string MetricsExporter::render() {
   std::string out;
   out.reserve(4096);
-  // Collectors run first so their families can shadow registry metrics of
-  // the same sanitized name: a collector samples live state at scrape time
-  // (e.g. ecl_ccd's ecl_svc_epoch from Service::stats()), while a registry
-  // gauge of the same name lags behind its last record site — emitting both
-  // would be a duplicate family, which Prometheus rejects.
-  std::string extra;
-  for (const auto& collect : collectors_) collect(extra);
-  std::vector<std::string> shadowed;
-  for (std::size_t pos = extra.find("# TYPE "); pos != std::string::npos;
-       pos = extra.find("# TYPE ", pos + 1)) {
-    const std::size_t begin = pos + 7;
-    const std::size_t end = extra.find(' ', begin);
-    if (end != std::string::npos) shadowed.push_back(extra.substr(begin, end - begin));
-  }
-  const auto is_shadowed = [&](const std::string& name) {
-    return std::find(shadowed.begin(), shadowed.end(), name) != shadowed.end();
-  };
   const auto metrics = registry().snapshot();
   for (const auto& m : metrics) {
     const std::string name = sanitize_name(m.name);
-    if (is_shadowed(name)) continue;
     switch (m.kind) {
       case MetricSnapshot::Kind::kCounter:
         append_type(out, name, "counter");
@@ -272,7 +254,6 @@ std::string MetricsExporter::render() {
     if (!w.valid) continue;
     window_s = std::max(window_s, w.window_s);
     const std::string name = sanitize_name(raw_name);
-    if (is_shadowed(name)) continue;
     switch (w.kind) {
       case MetricSnapshot::Kind::kCounter:
         append_gauge(out, name + "_window_rate", w.rate_per_s);
@@ -292,7 +273,7 @@ std::string MetricsExporter::render() {
   out += "ecl_exporter_scrapes_total ";
   append_number(out, scrapes_.load(std::memory_order_relaxed));
   out += '\n';
-  out += extra;
+  for (const auto& collect : collectors_) collect(out);
   return out;
 }
 

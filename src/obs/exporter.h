@@ -18,11 +18,11 @@
 //     `<name>_window_rate` gauge and each histogram adds `_window_rate`,
 //     `_window_p50/_p95/_p99` gauges covering the sliding window
 //   * registered collector callbacks append extra families (the daemon
-//     injects service/WAL/checkpoint stats this way, so the exporter layer
-//     itself never depends on ecl::svc); a collector family shadows any
-//     registry metric with the same sanitized name — the collector samples
-//     live state at scrape time, and a duplicate family would be invalid
-//     exposition
+//     injects its stats table, svc::ECL_SVC_STATS_FIELDS, this way, so the
+//     exporter layer itself never depends on ecl::svc). A quantity that is
+//     a table row is never also a registry metric, so no collector family
+//     shares a name with a registry one (the metric_names_check ctest,
+//     scripts/check_metric_names.py, enforces that)
 //
 // This header lives in obs (not svc) deliberately: the service library
 // links obs, so the exporter cannot use svc::net without a cycle. Its

@@ -96,7 +96,6 @@ bool Replicator::start(std::string* err) {
   }
   decoder_ = WalDecoder(file_bytes_);
   caught_up_at_ms_ = mono_ms();
-  ECL_OBS_GAUGE_SET("ecl.svc.role", 1.0);
   thread_ = std::thread([this] { run(); });
   return true;
 }

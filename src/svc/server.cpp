@@ -111,12 +111,6 @@ void Server::request_shutdown() {
   if (pool_) pool_->request_stop();
 }
 
-std::size_t Server::active_connections() const {
-  if (!pool_) return 0;
-  return static_cast<std::size_t>(
-      pool_->counters().open_conns.load(std::memory_order_relaxed));
-}
-
 void Server::add_conn_stats(ServiceStats& s) const {
   s.requests_served = requests_served();
   s.accept_shed_fds = accept_shed_.load(std::memory_order_relaxed);
@@ -154,7 +148,6 @@ void Server::on_accept_ready() {
         // back the spare fd so accept() can succeed, then close the peer)
         // and pause the listener instead of spinning on a ready backlog.
         accept_shed_.fetch_add(1, std::memory_order_relaxed);
-        ECL_OBS_COUNTER_ADD("ecl.svc.accept.shed_fds", 1);
         if (spare_fd_ >= 0) {
           ::close(spare_fd_);
           spare_fd_ = -1;
@@ -192,7 +185,6 @@ void Server::rearm_accept() {
 void Server::adopt_connection(exec::EventLoop& loop, int fd) {
   exec::ConnCallbacks cbs;
   cbs.on_frame = [this](exec::Conn& c, std::span<const std::uint8_t> p) { on_frame(c, p); };
-  cbs.on_close = [this](exec::Conn& c, exec::CloseReason r) { on_close(c, r); };
   exec::ConnOptions copts;
   copts.max_frame_bytes = kMaxFrameBytes;
   copts.write_buffer_limit = opts_.write_buffer_limit;
@@ -201,23 +193,6 @@ void Server::adopt_connection(exec::EventLoop& loop, int fd) {
   copts.frame_timeout_ms = opts_.frame_timeout_ms;
   copts.write_stall_timeout_ms = opts_.send_timeout_ms;
   (void)loop.adopt(fd, std::move(cbs), copts);
-}
-
-void Server::on_close(exec::Conn&, exec::CloseReason reason) {
-  switch (reason) {
-    case exec::CloseReason::kIdleTimeout:
-      ECL_OBS_COUNTER_ADD("ecl.svc.server.evicted_idle", 1);
-      break;
-    case exec::CloseReason::kFrameTimeout:
-      ECL_OBS_COUNTER_ADD("ecl.svc.server.evicted_slow", 1);
-      break;
-    case exec::CloseReason::kWriteStall:
-    case exec::CloseReason::kWriteOverflow:
-      ECL_OBS_COUNTER_ADD("ecl.svc.server.evicted_backpressure", 1);
-      break;
-    default:
-      break;
-  }
 }
 
 void Server::on_frame(exec::Conn& conn, std::span<const std::uint8_t> payload) {
@@ -366,10 +341,6 @@ Response Server::dispatch(const Request& req) {
       break;
     case MsgType::kStats:
       resp.stats = stats();
-      ECL_OBS_GAUGE_SET("ecl.svc.conn.open",
-                        static_cast<double>(resp.stats.open_connections));
-      ECL_OBS_GAUGE_SET("ecl.svc.conn.write_buf_hwm_bytes",
-                        static_cast<double>(resp.stats.write_buf_hwm_bytes));
       break;
     case MsgType::kFetchCkpt: {
       if (service_.is_replica()) {

@@ -20,8 +20,8 @@
 // writes one eventfd byte per loop, so it is safe from I/O threads and
 // signal handlers alike; each loop notices, closes its connections, and
 // exits. accept() is hardened against fd exhaustion: EMFILE/ENFILE sheds
-// the pending connection (counted in ecl.svc.accept.shed_fds) and pauses
-// the listener briefly instead of spinning hot.
+// the pending connection (counted in ecl_svc_accept_shed_fds_total) and
+// pauses the listener briefly instead of spinning hot.
 #pragma once
 
 #include <atomic>
@@ -51,7 +51,7 @@ struct ServerOptions {
   int port = 0;
   int backlog = 64;
   /// A client that starts a frame must deliver the rest within this bound,
-  /// or it is evicted (counted in ecl.svc.server.evicted_slow) — one stuck
+  /// or it is evicted (counted in ecl_svc_evicted_slow_total) — one stuck
   /// or malicious peer must never pin an I/O thread's attention forever.
   /// 0 disables.
   int frame_timeout_ms = 10000;
@@ -60,7 +60,7 @@ struct ServerOptions {
   int idle_timeout_ms = 0;
   /// Write-stall eviction bound: a peer with buffered responses whose
   /// socket accepts no bytes for this long is evicted (counted in
-  /// ecl.svc.server.evicted_backpressure). 0 disables.
+  /// ecl_svc_evicted_backpressure_total). 0 disables.
   int send_timeout_ms = 10000;
   /// Event-loop (I/O) threads multiplexing the connections.
   int io_threads = 2;
@@ -119,9 +119,6 @@ class Server {
     return requests_served_.load(std::memory_order_relaxed);
   }
 
-  /// Connections currently owned by the I/O loops.
-  [[nodiscard]] std::size_t active_connections() const;
-
   /// The server's own rows only: requests_served and the connection fields
   /// (open_connections .. accept_shed_fds); every service row is zero.
   [[nodiscard]] ServiceStats conn_stats() const;
@@ -135,7 +132,6 @@ class Server {
   void rearm_accept();
   void adopt_connection(exec::EventLoop& loop, int fd);
   void on_frame(exec::Conn& conn, std::span<const std::uint8_t> payload);
-  void on_close(exec::Conn& conn, exec::CloseReason reason);
   Response dispatch(const Request& req);
   /// Fills the server's rows of `s` (see conn_stats()).
   void add_conn_stats(ServiceStats& s) const;

@@ -196,7 +196,7 @@ bool ConnectivityService::open_wal_for_appends(std::uint64_t covered_seq,
 }
 
 bool ConnectivityService::log_batch(const EdgeBatch& batch) {
-  if (opts_.wal_path.empty()) return true;
+  if (opts_.wal_path.empty() || batch.empty()) return true;
   if (!wal_.append(batch)) {
     wal_healthy_.store(false, std::memory_order_release);
     enter_degraded("WAL append/fsync failed");
@@ -221,7 +221,6 @@ void ConnectivityService::rotate_wal() {
 void ConnectivityService::enter_degraded(const char* reason) {
   if (!degraded_.exchange(true, std::memory_order_acq_rel)) {
     degraded_entries_.fetch_add(1, std::memory_order_relaxed);
-    ECL_OBS_COUNTER_ADD("ecl.svc.degraded.entries", 1);
     std::fprintf(stderr, "[ecl::svc] entering read-only degraded mode: %s\n", reason);
   }
 }
@@ -235,7 +234,6 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
     // worker died) ever apply. A replica takes writes only from the
     // replication stream; the server answers kNotPrimary before submit().
     shed_batches_.fetch_add(1, std::memory_order_relaxed);
-    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
     return Admission::kShed;
   }
   // A record holds exactly the edges the ingest thread will apply.
@@ -258,15 +256,10 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
       if (verdict == Admission::kAccepted) {
         logged_edges_ += edges;
         accepted_batches_.fetch_add(1, std::memory_order_relaxed);
-        ECL_OBS_COUNTER_ADD("ecl.svc.ingest.batches", 1);
       }
     }
   }
-  if (verdict == Admission::kShed) {
-    shed_batches_.fetch_add(1, std::memory_order_relaxed);
-    ECL_OBS_COUNTER_ADD("ecl.svc.ingest.shed", 1);
-  }
-  ECL_OBS_GAUGE_SET("ecl.svc.queue.depth", static_cast<double>(queue_.size()));
+  if (verdict == Admission::kShed) shed_batches_.fetch_add(1, std::memory_order_relaxed);
   return verdict;
 }
 
@@ -305,7 +298,6 @@ void ConnectivityService::ingest_loop() {
     ECL_OBS_HISTOGRAM_RECORD("ecl.svc.batch_apply_us",
                              ::ecl::obs::Histogram::pow2_bounds(22),
                              static_cast<std::uint64_t>(t.micros()));
-    ECL_OBS_GAUGE_SET("ecl.svc.queue.depth", static_cast<double>(queue_.size()));
     span.arg("edges", static_cast<std::uint64_t>(batch.size()));
   }
 }
@@ -434,7 +426,6 @@ void ConnectivityService::write_checkpoint(const Cut& cut, const Snapshot& snap)
     last_ckpt_epoch_.store(snap.epoch, std::memory_order_relaxed);
     last_ckpt_watermark_.store(snap.watermark, std::memory_order_relaxed);
     last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
-    ECL_OBS_GAUGE_SET("ecl.svc.ckpt.last_epoch", static_cast<double>(snap.epoch));
     ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt_ms", ::ecl::obs::Histogram::pow2_bounds(16),
                              static_cast<std::uint64_t>(t.millis()));
     // Retire the segments the *oldest retained* checkpoint covers, so a
@@ -511,11 +502,6 @@ std::optional<ConnectivityService::Cut> ConnectivityService::run_compaction() {
   snapshot_.store(snap, std::memory_order_release);
 
   ECL_OBS_COUNTER_ADD("ecl.svc.compactions", 1);
-  ECL_OBS_GAUGE_SET("ecl.svc.epoch", static_cast<double>(snap->epoch));
-  const std::uint64_t applied_now = applied_edges_.load(std::memory_order_acquire);
-  ECL_OBS_GAUGE_SET("ecl.svc.staleness_edges",
-                    static_cast<double>(
-                        applied_now > snap->watermark ? applied_now - snap->watermark : 0));
   ECL_OBS_HISTOGRAM_RECORD("ecl.svc.compact_ms",
                            ::ecl::obs::Histogram::pow2_bounds(16),
                            static_cast<std::uint64_t>(snap->build_ms));
@@ -680,8 +666,6 @@ void ConnectivityService::set_replication_lag(std::uint64_t lag_seq,
                                               std::uint64_t lag_ms) {
   repl_lag_seq_.store(lag_seq, std::memory_order_relaxed);
   repl_lag_ms_.store(lag_ms, std::memory_order_relaxed);
-  ECL_OBS_GAUGE_SET("ecl.svc.replica.lag_seq", static_cast<double>(lag_seq));
-  ECL_OBS_GAUGE_SET("ecl.svc.replica.lag_ms", static_cast<double>(lag_ms));
 }
 
 bool ConnectivityService::may_rebase_to(const CheckpointData& data) const {
@@ -763,7 +747,6 @@ void ConnectivityService::prune_replicas() {
     return now - peer.second.last_seen_ms > hold;  // dead: stop holding retention
   });
   replicas_connected_.store(replicas_.size(), std::memory_order_relaxed);
-  ECL_OBS_GAUGE_SET("ecl.svc.replica.connected", static_cast<double>(replicas_.size()));
 }
 
 std::uint64_t ConnectivityService::replica_fetch_floor() {
@@ -837,7 +820,6 @@ bool ConnectivityService::promote(std::string* err) {
   replica_.store(false, std::memory_order_release);
   set_replication_lag(0, 0);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.promotions", 1);
-  ECL_OBS_GAUGE_SET("ecl.svc.role", 0.0);
   std::fprintf(stderr, "[ecl::svc] promoted to primary (wal tail seq >= %llu)\n",
                static_cast<unsigned long long>(covered + 1));
   // Wake the compaction thread: checkpointing (disabled while a replica)

@@ -417,8 +417,10 @@ class ConnectivityService {
   /// WAL cannot be opened.
   [[nodiscard]] bool open_wal_for_appends(std::uint64_t covered_seq,
                                           std::uint64_t segment_bytes, std::string* err);
-  /// Under wal_mu_: appends `batch` (true without a WAL) and publishes the
-  /// log's size; a failed append degrades the service.
+  /// Under wal_mu_: appends `batch` and publishes the log's size; a failed
+  /// append degrades the service. True without a WAL, and for an empty
+  /// batch (as submitted, or emptied by drop_out_of_universe), which writes
+  /// no record and so is not counted in wal_records.
   [[nodiscard]] bool log_batch(const EdgeBatch& batch);
   /// Under wal_mu_: seals the active segment, if the WAL is open, and
   /// publishes the log's size; a failed rotation degrades the service.

@@ -4,7 +4,8 @@
 // corruption, replay idempotence, fsync-policy matrix, WalDecoder fed in
 // chunks, a file cut at every byte), degraded mode (ingest- or
 // compaction-worker death, WAL failure), the client retry/reconnect policy,
-// server slow/idle-client eviction, and the health rows of kStats end to end.
+// server slow/idle-client eviction, the health rows of kStats end to end, and
+// one /metrics family per service quantity.
 //
 // Every test that arms the process-wide fault registry disarms it again in
 // TearDown — gtest_discover_tests runs cases in separate processes, but the
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -845,6 +847,105 @@ TEST_F(DegradedModeTest, MetricsExporterKeepsServingWhileDegraded) {
   exporter.stop();
   service.stop();
   std::remove(wal.c_str());
+}
+
+/// The value of the sample line `name <value>` in an exposition body, or -1.
+double sample_value(const std::string& body, const std::string& name) {
+  const std::size_t pos = body.find("\n" + name + " ");
+  if (pos == std::string::npos) return -1.0;
+  return std::strtod(body.c_str() + pos + name.size() + 2, nullptr);
+}
+
+using ExporterTest = FaultTest;
+
+TEST_F(ExporterTest, EveryServiceQuantityIsOneFamily) {
+  const std::string wal = temp_path("one_family.wal");
+  const std::string ckpt = temp_path("one_family.ckpt");
+  const std::string sock = temp_path("one_family.sock");
+  const auto remove_files = [&] {
+    for (const std::string& base : {wal, ckpt}) {
+      for (const auto& f : list_numbered_files(base)) std::remove(f.path.c_str());
+    }
+    std::remove(sock.c_str());
+  };
+  remove_files();
+  ServiceOptions opts;
+  opts.wal_path = wal;
+  opts.checkpoint_path = ckpt;
+  opts.checkpoint_interval_ms = 0;
+  opts.queue_capacity = 1;
+  ConnectivityService service(64, opts);
+  ServerOptions sopts;
+  sopts.unix_path = sock;
+  Server server(service, sopts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  // ecl_ccd's wiring: the registry plus the stats table as a collector.
+  obs::ExporterOptions eopts;
+  eopts.sample_interval_ms = 10;
+  obs::MetricsExporter exporter(eopts);
+  exporter.add_collector(
+      [&server](std::string& out) { render_prometheus(server.stats(), out); });
+  ASSERT_TRUE(exporter.start(&err)) << err;
+
+  // An ingest over the wire, from a client that stays connected.
+  auto client = Client::connect_unix(sock);
+  ASSERT_NE(client, nullptr);
+  ASSERT_EQ(client->ingest({{1, 2}}), Status::kOk);
+  // A shed: with the worker stalled on one batch and one more queued, the
+  // rest of four back-to-back submits find the queue full.
+  arm("svc.ingest.worker", fault::Action::kDelay, 2, 300000);
+  std::uint64_t shed = 0;
+  for (vertex_t v = 10; v < 18; v += 2) {
+    shed += service.submit({{v, v + 1}}) == Admission::kShed ? 1 : 0;
+  }
+  EXPECT_GE(shed, 2u);
+  service.flush();
+  ASSERT_TRUE(service.checkpoint_now());
+  service.set_replication_lag(3, 40);
+
+  std::string body;
+  ASSERT_TRUE(eventually([&] {
+    body = exporter.render();
+    return body.find("ecl_svc_ingest_edges_window_rate ") != std::string::npos;
+  }));
+
+  std::vector<std::string> types;
+  for (std::size_t pos = body.find("# TYPE "); pos != std::string::npos;
+       pos = body.find("# TYPE ", pos + 1)) {
+    const std::size_t begin = pos + 7;
+    types.push_back(body.substr(begin, body.find(' ', begin) - begin));
+  }
+  std::sort(types.begin(), types.end());
+  EXPECT_EQ(std::adjacent_find(types.begin(), types.end()), types.end())
+      << "a family is declared twice";
+#define ECL_EXPECT_FAMILY(tag, member, family, type) \
+  EXPECT_TRUE(std::binary_search(types.begin(), types.end(), family)) << family;
+  ECL_SVC_STATS_FIELDS(ECL_EXPECT_FAMILY)
+#undef ECL_EXPECT_FAMILY
+  // The registry twins these rows replaced are gone, window rates included.
+  for (const std::string twin : {"ecl_svc_ingest_batches", "ecl_svc_ingest_shed",
+                                 "ecl_svc_conn_open", "ecl_svc_ckpt_last_epoch",
+                                 "ecl_svc_server_evicted_slow", "ecl_svc_degraded_entries"}) {
+    EXPECT_FALSE(std::binary_search(types.begin(), types.end(), twin)) << twin;
+    EXPECT_FALSE(std::binary_search(types.begin(), types.end(), twin + "_window_rate"));
+  }
+
+  const ServiceStats st = server.stats();
+  EXPECT_EQ(st.open_connections, 1u);
+  EXPECT_EQ(sample_value(body, "ecl_svc_open_connections"),
+            static_cast<double>(st.open_connections));
+  EXPECT_EQ(sample_value(body, "ecl_svc_shed_batches_total"),
+            static_cast<double>(shed));
+  EXPECT_EQ(sample_value(body, "ecl_ckpt_last_epoch"),
+            static_cast<double>(st.last_checkpoint_epoch));
+  EXPECT_EQ(sample_value(body, "ecl_svc_replica_lag_seq"), 3.0);
+
+  client.reset();
+  exporter.stop();
+  server.stop();
+  service.stop();
+  remove_files();
 }
 
 // -------------------------------------------------- client retry policy ----

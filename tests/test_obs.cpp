@@ -856,23 +856,6 @@ TEST(ObsExporter, CollectorsAppendExtraFamilies) {
   EXPECT_NE(body.find("test_collector_up 1\n"), std::string::npos);
 }
 
-TEST(ObsExporter, CollectorFamiliesShadowRegistryMetricsOfTheSameName) {
-  // The daemon's collector samples ecl_svc_epoch live at scrape time while
-  // the registry holds a gauge that sanitizes to the same family; emitting
-  // both would be a duplicate family (invalid exposition), so the collector
-  // wins and the registry copy is suppressed.
-  obs::registry().gauge("test.shadowed.epoch").set(1.0);
-  obs::MetricsExporter exporter;
-  exporter.add_collector([](std::string& out) {
-    out += "# TYPE test_shadowed_epoch gauge\ntest_shadowed_epoch 7\n";
-  });
-  const std::string body = exporter.render();
-  EXPECT_NE(body.find("test_shadowed_epoch 7\n"), std::string::npos);
-  EXPECT_EQ(body.find("test_shadowed_epoch 1\n"), std::string::npos);
-  EXPECT_EQ(body.find("# TYPE test_shadowed_epoch gauge"),
-            body.rfind("# TYPE test_shadowed_epoch gauge"));
-}
-
 // One raw-socket HTTP GET; keeps the test free of any client library.
 std::string http_get(int port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

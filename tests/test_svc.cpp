@@ -26,6 +26,7 @@
 #include "svc/queue.h"
 #include "svc/server.h"
 #include "svc/service.h"
+#include "svc/wal.h"
 
 namespace ecl::svc {
 namespace {
@@ -150,6 +151,32 @@ TEST(ConnectivityService, OutOfRangeVerticesAreSafe) {
   EXPECT_TRUE(svc.connected(0, 1));
   EXPECT_FALSE(svc.connected(2, 3));
   EXPECT_EQ(svc.stats().applied_edges, 1u);
+}
+
+TEST(ConnectivityService, EmptyBatchesWriteNoWalRecord) {
+  const std::string wal =
+      ::testing::TempDir() + "ecl_svc_empty_" + std::to_string(::getpid()) + ".wal";
+  const auto remove_segments = [&] {
+    for (const auto& seg : list_numbered_files(wal)) std::remove(seg.path.c_str());
+  };
+  remove_segments();
+  {
+    ServiceOptions opts;
+    opts.wal_path = wal;
+    ConnectivityService svc(100, opts);
+    ASSERT_EQ(svc.submit({{1, 2}}), Admission::kAccepted);
+    const ServiceStats before = svc.stats();
+    EXPECT_EQ(before.wal_records, 1u);
+    // Both are admitted and acked, but there is nothing to log: one loses
+    // every edge to drop_out_of_universe, the other has none.
+    EXPECT_EQ(svc.submit({{200, 201}, {202, 203}}), Admission::kAccepted);
+    EXPECT_EQ(svc.submit({}), Admission::kAccepted);
+    const ServiceStats after = svc.stats();
+    EXPECT_EQ(after.accepted_batches, 3u);
+    EXPECT_EQ(after.wal_records, before.wal_records);
+    EXPECT_EQ(after.wal_bytes, before.wal_bytes);
+  }
+  remove_segments();
 }
 
 /// Slows the ingest worker by `us` microseconds per batch until destroyed.
@@ -892,12 +919,12 @@ TEST_F(SvcSocketTest, FinishedConnectionsAreReaped) {
     ASSERT_NE(client, nullptr) << err;
     EXPECT_TRUE(client->ping());
   }
-  // The accept loop joins finished handlers on its next wakeups (its poll
-  // timeout is 200ms); a long-running daemon must not accumulate threads.
-  std::size_t live = server_->active_connections();
+  // Each loop closes a connection once it reads the client's EOF; a
+  // long-running daemon must not accumulate connections.
+  std::uint64_t live = server_->conn_stats().open_connections;
   for (int tries = 0; tries < 150 && live > 0; ++tries) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    live = server_->active_connections();
+    live = server_->conn_stats().open_connections;
   }
   EXPECT_EQ(live, 0u);
 }
