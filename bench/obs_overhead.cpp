@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
   (void)with_exporter;  // record sites are compiled out; nothing to exercise
 #else
   obs::ExporterOptions eopts;
-  eopts.port = 0;                  // ephemeral; nothing scrapes it, the cost
-  eopts.sample_interval_ms = 100;  // under test is sampling + thread noise
+  eopts.port = 0;  // ephemeral; nothing scrapes it
   obs::MetricsExporter exporter(eopts);
   std::string trace_path;
   if (with_exporter) {

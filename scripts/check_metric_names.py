@@ -9,8 +9,8 @@ under one family name, and the exporter does not resolve that.
 
 This scans every "ecl.<...>" string literal in the .cpp/.h files under src/
 and tools/, maps it onto the Prometheus charset the way
-MetricsExporter::sanitize_name does, and fails if the result, or one of the
-`_window_*` gauges the exporter derives from it, is a table family.
+MetricsExporter::sanitize_name does, and fails if the result is a table
+family.
 
 Exit codes: 0 clean, 1 collision found, 2 usage error (table not found).
 
@@ -23,8 +23,6 @@ import sys
 
 ROW_RE = re.compile(r'X\(\s*\d+\s*,\s*\w+\s*,\s*"([A-Za-z0-9_:]+)"')
 LITERAL_RE = re.compile(r'"(ecl\.[^"\\]*)"')
-# Gauges the exporter adds next to a registry counter or histogram.
-WINDOW_SUFFIXES = ("", "_window_rate", "_window_p50", "_window_p95", "_window_p99")
 
 
 def sanitize(name):
@@ -53,12 +51,11 @@ def main(argv):
                 continue
             for lineno, line in enumerate(path.read_text().splitlines(), 1):
                 for literal in LITERAL_RE.findall(line):
-                    for suffix in WINDOW_SUFFIXES:
-                        family = sanitize(literal) + suffix
-                        if family in families:
-                            rel = path.relative_to(root)
-                            collisions.append(f"{rel}:{lineno}: \"{literal}\" -> {family}")
-                            names.add(literal)
+                    family = sanitize(literal)
+                    if family in families:
+                        rel = path.relative_to(root)
+                        collisions.append(f"{rel}:{lineno}: \"{literal}\" -> {family}")
+                        names.add(literal)
     for c in collisions:
         print(c)
     if collisions:

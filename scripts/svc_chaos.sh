@@ -12,8 +12,8 @@
 #   4. (corrupt scenario) flips bytes in the newest checkpoint file,
 #   5. restarts on the same on-disk state and lets the load generator's
 #      retry + reconnect policy ride through the outage,
-#   6. verifies, over the wire, that every edge of every acked batch is
-#      connected in the revived daemon, and
+#   6. verifies that every edge of every acked batch is connected in the
+#      revived daemon, from one read of every vertex's label, and
 #   7. shuts down gracefully and checks the daemon never went degraded.
 #
 # Scenario matrix:
@@ -94,8 +94,9 @@ PYEOF
       --require=ecl_wal_enabled --require=ecl_wal_healthy
 }
 
-# Wire-level verifier: drains the queue, checks health, then checks every
-# acked edge. argv: <sock> <acked-file> <recovery: replay|any|none>
+# Wire-level verifier: drains the ingest pipeline, checks health, reads
+# every vertex's label and checks every acked edge against the labels.
+# argv: <sock> <acked-file> <recovery: replay|any|none|ckpt>
 # ('none' skips the recovery-evidence assertions: the target never
 # restarted — e.g. a just-promoted replica that got its state by streaming)
 VERIFY="$WORK/verify.py"
@@ -113,23 +114,37 @@ def recv_exact(s, n):
         buf += chunk
     return buf
 
+# Requests are pipelined in windows (responses come back in request order),
+# so a window costs one round trip instead of one per request.
+WINDOW = 512
 next_id = 0
-def request(s, rtype, body=b''):
+def pipelined(rtype, bodies):
+    """Sends one request per body; returns the (status, response body) list."""
     global next_id
-    next_id += 1
-    payload = struct.pack('<BQ', rtype, next_id) + body
-    s.sendall(struct.pack('<I', len(payload)) + payload)
-    (n,) = struct.unpack('<I', recv_exact(s, 4))
-    resp = recv_exact(s, n)
-    rt, rid, status = struct.unpack_from('<BQB', resp, 0)
-    assert rid == next_id, f'response id {rid} != request id {next_id}'
-    return status, resp[10:]
+    answers = []
+    for start in range(0, len(bodies), WINDOW):
+        window = bodies[start:start + WINDOW]
+        first_id = next_id + 1
+        frames = []
+        for body in window:
+            next_id += 1
+            payload = struct.pack('<BQ', rtype, next_id) + body
+            frames.append(struct.pack('<I', len(payload)) + payload)
+        s.sendall(b''.join(frames))
+        for i in range(len(window)):
+            (size,) = struct.unpack('<I', recv_exact(s, 4))
+            resp = recv_exact(s, size)
+            rt, rid, status = struct.unpack_from('<BQB', resp, 0)
+            assert rid == first_id + i, f'response id {rid} != request id {first_id + i}'
+            answers.append((status, resp[10:]))
+    return answers
 
-edges = []
+def u64(body):
+    return struct.unpack('<Q', body)[0]
+
 with open(acked_path) as f:
-    for line in f:
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    ends = list(map(int, f.read().split()))
+edges = list(zip(ends[0::2], ends[1::2]))
 print(f'{len(edges)} acked edges to verify')
 
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -149,20 +164,23 @@ def parse_stats(body):
         off += 10
     return fields
 
-QUEUE_DEPTH, LAST_CKPT_EPOCH, WAL_SEGMENTS, DEGRADED, REPLAYED_EDGES = 7, 11, 12, 14, 16
-WORKER_ALIVE, WAL_ENABLED, WAL_HEALTHY, CKPT_ENABLED = 25, 26, 27, 32
+QUEUE_DEPTH, NUM_VERTICES, LAST_CKPT_EPOCH, WAL_SEGMENTS = 7, 9, 11, 12
+DEGRADED, REPLAYED_EDGES, WORKER_ALIVE, WAL_ENABLED, WAL_HEALTHY = 14, 16, 25, 26, 27
+INGEST_LAG_BATCHES, CKPT_ENABLED = 29, 32
 
 # Drain: batches acked in the loadgen's final moments may still sit in the
-# admission queue; wait for queue_depth == 0 before reading (kStats = 5).
+# admission queue, and the ingest thread pops a batch (queue_depth drops)
+# before it applies it; wait until the queue is empty and every accepted
+# batch is applied (ingest_lag_batches == 0) before reading (kStats = 5).
 for _ in range(200):
-    status, body = request(s, 5)
+    [(status, body)] = pipelined(5, [b''])
     assert status == 0, f'stats status {status}'
     stats = parse_stats(body)
-    if stats.get(QUEUE_DEPTH, 0) == 0:
+    if stats.get(QUEUE_DEPTH, 0) == 0 and stats.get(INGEST_LAG_BATCHES, 0) == 0:
         break
     time.sleep(0.05)
 else:
-    sys.exit('ingest queue never drained after restart')
+    sys.exit('ingest pipeline never drained after restart')
 
 # The same drained sample: the revived daemon must be fully healthy, with a
 # WAL.
@@ -192,33 +210,37 @@ else:
 if ckpt_enabled and recovery == 'ckpt':
     assert last_ckpt_epoch > 0, 'expected recovery from a checkpoint'
 
-# kConnected (2) in kFresh mode (reads the live union-find, so edges applied
-# after the restart count too). acked => durable: every acked edge must be
-# connected. No sampling — every line in the file is checked. The queries
-# are pipelined in windows (responses come back in request order), so the
-# check costs a few round trips per window instead of one per edge: a fast
-# daemon acks millions of edges in a scenario.
-WINDOW = 512
+# acked => durable: every acked edge must be connected. No sampling: every
+# line in the file is checked, against one kComponentOf (3) read of every
+# vertex's label in kFresh mode (read_mode 1: the live union-find, so edges
+# applied after the restart count too). kFresh answers a vertex's current
+# root. A match is exact: if u's root was r at its read and v's root is r
+# at a later read, r was still a root then (a hooked root never becomes a
+# root again), so u and v were both in r's tree, i.e. connected, and
+# connectivity only grows. A mismatch may only mean a hook landed between
+# the two reads, so each one is confirmed with a kConnected (2) for that
+# edge before it counts as lost.
+n = stats.get(NUM_VERTICES, 0)
+labels = []
+for v, (status, body) in enumerate(pipelined(3, [struct.pack('<IB', v, 1) for v in range(n)])):
+    assert status == 0, f'component_of({v}) status {status}'
+    labels.append(u64(body))
+suspects = [i for i, (u, v) in enumerate(edges)
+            if u >= n or v >= n or labels[u] != labels[v]]
+# A fixed 1,000-edge sample also goes through kConnected, so the wire op
+# stays covered even when every label matches.
+sample = range(0, len(edges), max(1, len(edges) // 1000))[:1000]
+print(f'{n} labels read; {len(suspects)} label mismatches and a '
+      f'{len(sample)}-edge sample to confirm with kConnected')
+checked = [edges[i] for i in sorted(set(suspects).union(sample))]
+answers = pipelined(2, [struct.pack('<IIB', u, v, 1) for (u, v) in checked])
 lost = 0
-for start in range(0, len(edges), WINDOW):
-    window = edges[start:start + WINDOW]
-    first_id = next_id + 1
-    frames = []
-    for (u, v) in window:
-        next_id += 1
-        payload = struct.pack('<BQ', 2, next_id) + struct.pack('<IIB', u, v, 1)
-        frames.append(struct.pack('<I', len(payload)) + payload)
-    s.sendall(b''.join(frames))
-    for i, (u, v) in enumerate(window):
-        (n,) = struct.unpack('<I', recv_exact(s, 4))
-        resp = recv_exact(s, n)
-        rt, rid, status = struct.unpack_from('<BQB', resp, 0)
-        assert rid == first_id + i, f'response id {rid} != request id {first_id + i}'
-        (value,) = struct.unpack('<Q', resp[10:])
-        if status != 0 or value != 1:
-            lost += 1
-            if lost <= 5:
-                print(f'LOST acked edge ({u}, {v}): status={status} value={value}')
+for (u, v), (status, body) in zip(checked, answers):
+    value = u64(body) if status == 0 else None
+    if status != 0 or value != 1:
+        lost += 1
+        if lost <= 5:
+            print(f'LOST acked edge ({u}, {v}): status={status} value={value}')
 if lost:
     sys.exit(f'{lost} of {len(edges)} acked edges missing after crash recovery')
 print(f'all {len(edges)} acked edges survived the crash')

@@ -4,20 +4,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 
 #include "common/sock.h"
+#include "obs/metrics.h"
 
 namespace ecl::obs {
 
 namespace {
 
-/// Ring capacity per metric; 64 x 1 s ~= a one-minute window.
-constexpr std::size_t kWindowSamples = 64;
 /// Per-scrape socket deadline: a stuck scraper is dropped, never waited on.
 constexpr int kIoTimeoutMs = 2000;
 
@@ -52,16 +49,9 @@ void append_gauge(std::string& out, const std::string& name, double v) {
   out += '\n';
 }
 
-std::uint64_t mono_ms() {
-  return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
-                                        std::chrono::steady_clock::now().time_since_epoch())
-                                        .count());
-}
-
 }  // namespace
 
-MetricsExporter::MetricsExporter(ExporterOptions opts) : opts_(std::move(opts)),
-                                                         series_(kWindowSamples) {}
+MetricsExporter::MetricsExporter(ExporterOptions opts) : opts_(std::move(opts)) {}
 
 MetricsExporter::~MetricsExporter() { stop(); }
 
@@ -91,9 +81,6 @@ bool MetricsExporter::start(std::string* err) {
     listen_fd_ = -1;
     return false;
   }
-  // First sample before the thread starts: a scrape that races startup still
-  // sees every already-registered metric (windows just aren't valid yet).
-  series_.sample_now();
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { serve_loop(); });
@@ -118,26 +105,12 @@ void MetricsExporter::stop() {
 }
 
 void MetricsExporter::serve_loop() {
-  const int interval =
-      opts_.sample_interval_ms > 0 ? opts_.sample_interval_ms : 1000;
-  std::uint64_t next_sample_ms = mono_ms() + static_cast<std::uint64_t>(interval);
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    const std::uint64_t now = mono_ms();
-    if (now >= next_sample_ms) {
-      series_.sample_now();
-      // Skip forward rather than bursting if a slow scrape blocked us past
-      // several periods.
-      while (next_sample_ms <= now) next_sample_ms += static_cast<std::uint64_t>(interval);
-    }
-    const int wait_ms =
-        static_cast<int>(std::min<std::uint64_t>(next_sample_ms - now, 200));
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_pipe_[0], POLLIN, 0}};
-    const int ready = ::poll(fds, 2, wait_ms);
-    if (ready < 0) {
+    if (::poll(fds, 2, -1) < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    if (ready == 0) continue;
     if ((fds[1].revents & POLLIN) != 0) break;  // stop() wake-up
     if ((fds[0].revents & POLLIN) == 0) continue;
     const int client_fd = ::accept(listen_fd_, nullptr, nullptr);
@@ -248,27 +221,6 @@ std::string MetricsExporter::render() {
       }
     }
   }
-  // Windowed views: rates for counters, rate + quantiles for histograms.
-  double window_s = 0.0;
-  for (const auto& [raw_name, w] : series_.window()) {
-    if (!w.valid) continue;
-    window_s = std::max(window_s, w.window_s);
-    const std::string name = sanitize_name(raw_name);
-    switch (w.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        append_gauge(out, name + "_window_rate", w.rate_per_s);
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        break;  // a gauge's window view is its current value, already exported
-      case MetricSnapshot::Kind::kHistogram:
-        append_gauge(out, name + "_window_rate", w.rate_per_s);
-        append_gauge(out, name + "_window_p50", w.p50);
-        append_gauge(out, name + "_window_p95", w.p95);
-        append_gauge(out, name + "_window_p99", w.p99);
-        break;
-    }
-  }
-  append_gauge(out, "ecl_exporter_window_seconds", window_s);
   append_type(out, "ecl_exporter_scrapes_total", "counter");
   out += "ecl_exporter_scrapes_total ";
   append_number(out, scrapes_.load(std::memory_order_relaxed));

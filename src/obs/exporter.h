@@ -1,22 +1,19 @@
 // ecl::obs metrics exporter — a tiny HTTP endpoint serving Prometheus text
-// exposition (format 0.0.4) of everything in the registry, plus windowed
-// rates/quantiles from an embedded TimeSeries.
+// exposition (format 0.0.4) of everything in the registry.
 //
-// One background thread does everything: it polls the listening socket,
-// answers `GET /metrics` scrapes (HTTP/1.0, Connection: close — every
-// scraper and `curl` speak that), and samples the registry into the time
-// series on a fixed cadence between requests. There is no request pipeline
-// to keep alive and no concurrency to manage: a scrape renders a snapshot,
-// writes it, and closes.
+// One background thread does everything: it blocks in poll() on the
+// listening socket and a wake pipe, and answers `GET /metrics` scrapes
+// (HTTP/1.0, Connection: close — every scraper and `curl` speak that).
+// There is no request pipeline to keep alive, no timer and no concurrency
+// to manage: a scrape renders a registry snapshot, writes it, and closes.
+// Every family is cumulative; a scraper derives windowed rates and
+// quantiles itself (`rate()`, `histogram_quantile()`).
 //
 // Rendering (docs/OBSERVABILITY.md "Live exporter"):
 //   * dotted registry names are sanitized to the Prometheus charset
 //     ("ecl.svc.op_us.ingest" -> "ecl_svc_op_us_ingest")
 //   * counters/gauges map directly; histograms emit cumulative
 //     `_bucket{le="..."}` lines plus `_sum` and `_count`
-//   * once the time series holds two samples, each counter adds a
-//     `<name>_window_rate` gauge and each histogram adds `_window_rate`,
-//     `_window_p50/_p95/_p99` gauges covering the sliding window
 //   * registered collector callbacks append extra families (the daemon
 //     injects its stats table, svc::ECL_SVC_STATS_FIELDS, this way, so the
 //     exporter layer itself never depends on ecl::svc). A quantity that is
@@ -37,16 +34,12 @@
 #include <thread>
 #include <vector>
 
-#include "obs/timeseries.h"
-
 namespace ecl::obs {
 
 struct ExporterOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (see port() after start()).
   int port = 0;
-  /// Registry sampling cadence for the windowed stats.
-  int sample_interval_ms = 1000;
 };
 
 class MetricsExporter {
@@ -64,8 +57,8 @@ class MetricsExporter {
   /// Registers a collector. Must be called before start().
   void add_collector(Collector c);
 
-  /// Binds, listens, takes an immediate first sample, and spawns the serve
-  /// thread. False (with the reason in *err) if the endpoint failed.
+  /// Binds, listens and spawns the serve thread. False (with the reason in
+  /// *err) if the endpoint failed.
   [[nodiscard]] bool start(std::string* err = nullptr);
 
   /// Stops the thread and closes the socket. Idempotent.
@@ -83,11 +76,7 @@ class MetricsExporter {
     return scrapes_.load(std::memory_order_relaxed);
   }
 
-  /// The sliding windows the serve loop maintains (for ecl_cc_top-style
-  /// consumers living in the same process, and tests).
-  [[nodiscard]] const TimeSeries& series() const { return series_; }
-
-  /// Renders the full exposition body (registry + windows + collectors).
+  /// Renders the full exposition body (registry + collectors).
   /// What a scrape returns; exposed so tests need no socket.
   [[nodiscard]] std::string render();
 
@@ -100,7 +89,6 @@ class MetricsExporter {
   void handle_client(int fd);
 
   const ExporterOptions opts_;
-  TimeSeries series_;
   std::vector<Collector> collectors_;
   int listen_fd_ = -1;
   int port_ = 0;

@@ -142,8 +142,8 @@ class Histogram {
 /// ascending inclusive upper edges with the UINT64_MAX overflow sentinel
 /// last (the shape Histogram::bounds() returns), `counts` the parallel
 /// per-bucket sample counts. This is the one quantile implementation in the
-/// repo — Histogram::percentile and the windowed time-series estimates both
-/// delegate here, so the edge cases are defined once:
+/// repo — Histogram::percentile delegates here, so the edge cases are
+/// defined once:
 ///
 ///   * no samples            -> 0.0 for every q (an empty histogram has no
 ///                              quantiles; 0 is the documented sentinel)

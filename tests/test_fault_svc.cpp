@@ -881,9 +881,7 @@ TEST_F(ExporterTest, EveryServiceQuantityIsOneFamily) {
   std::string err;
   ASSERT_TRUE(server.start(&err)) << err;
   // ecl_ccd's wiring: the registry plus the stats table as a collector.
-  obs::ExporterOptions eopts;
-  eopts.sample_interval_ms = 10;
-  obs::MetricsExporter exporter(eopts);
+  obs::MetricsExporter exporter;
   exporter.add_collector(
       [&server](std::string& out) { render_prometheus(server.stats(), out); });
   ASSERT_TRUE(exporter.start(&err)) << err;
@@ -904,11 +902,7 @@ TEST_F(ExporterTest, EveryServiceQuantityIsOneFamily) {
   ASSERT_TRUE(service.checkpoint_now());
   service.set_replication_lag(3, 40);
 
-  std::string body;
-  ASSERT_TRUE(eventually([&] {
-    body = exporter.render();
-    return body.find("ecl_svc_ingest_edges_window_rate ") != std::string::npos;
-  }));
+  const std::string body = exporter.render();
 
   std::vector<std::string> types;
   for (std::size_t pos = body.find("# TYPE "); pos != std::string::npos;
@@ -923,13 +917,18 @@ TEST_F(ExporterTest, EveryServiceQuantityIsOneFamily) {
   EXPECT_TRUE(std::binary_search(types.begin(), types.end(), family)) << family;
   ECL_SVC_STATS_FIELDS(ECL_EXPECT_FAMILY)
 #undef ECL_EXPECT_FAMILY
-  // The registry twins these rows replaced are gone, window rates included.
+  // The registry twins these rows replaced are gone.
   for (const std::string twin : {"ecl_svc_ingest_batches", "ecl_svc_ingest_shed",
                                  "ecl_svc_conn_open", "ecl_svc_ckpt_last_epoch",
                                  "ecl_svc_server_evicted_slow", "ecl_svc_degraded_entries"}) {
     EXPECT_FALSE(std::binary_search(types.begin(), types.end(), twin)) << twin;
-    EXPECT_FALSE(std::binary_search(types.begin(), types.end(), twin + "_window_rate"));
   }
+  // Every family is cumulative: no derived windowed family rides along,
+  // and no window-width gauge either (no sample line names a window).
+  for (const std::string& type : types) {
+    EXPECT_EQ(type.find("window"), std::string::npos) << type;
+  }
+  EXPECT_EQ(body.find("window"), std::string::npos);
 
   const ServiceStats st = server.stats();
   EXPECT_EQ(st.open_connections, 1u);

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -28,7 +27,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
-#include "obs/timeseries.h"
 #include "obs/trace.h"
 
 namespace ecl {
@@ -564,7 +562,7 @@ TEST(ObsInstrumentation, ComputeCountersPopulated) {
 
 // ---------------------------------------------------------------------------
 // percentile_from_buckets — the shared estimator's defined edge cases
-// (Histogram::percentile and the windowed TimeSeries both delegate here).
+// (Histogram::percentile delegates here).
 
 TEST(PercentileFromBuckets, EmptyDistributionIsZero) {
   const std::vector<std::uint64_t> bounds{10, 20, ~std::uint64_t{0}};
@@ -612,124 +610,6 @@ TEST(PercentileFromBuckets, EstimateNeverExceedsObservedMax) {
   // All ten samples were really 3; interpolation inside (0, 100] would claim
   // more, but the clamp to the observed max keeps the estimate honest.
   EXPECT_DOUBLE_EQ(obs::percentile_from_buckets(bounds, counts, 0.99, 3), 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// TimeSeries — sliding windows over registry snapshots
-
-obs::MetricSnapshot make_counter_snap(const std::string& name, std::uint64_t v) {
-  obs::MetricSnapshot m;
-  m.name = name;
-  m.kind = obs::MetricSnapshot::Kind::kCounter;
-  m.count = v;
-  return m;
-}
-
-obs::MetricSnapshot make_gauge_snap(const std::string& name, double v) {
-  obs::MetricSnapshot m;
-  m.name = name;
-  m.kind = obs::MetricSnapshot::Kind::kGauge;
-  m.value = v;
-  return m;
-}
-
-obs::MetricSnapshot make_hist_snap(const std::string& name,
-                                   std::vector<std::pair<std::uint64_t, std::uint64_t>> buckets,
-                                   std::uint64_t sum, std::uint64_t max) {
-  obs::MetricSnapshot m;
-  m.name = name;
-  m.kind = obs::MetricSnapshot::Kind::kHistogram;
-  m.buckets = std::move(buckets);
-  for (const auto& [bound, count] : m.buckets) m.count += count;
-  m.sum = sum;
-  m.max = max;
-  return m;
-}
-
-TEST(ObsTimeSeries, SingleSampleIsNotAValidWindow) {
-  obs::TimeSeries ts(8);
-  ts.sample({make_counter_snap("c", 10)}, 0);
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("c", w));
-  EXPECT_FALSE(w.valid);
-  EXPECT_FALSE(ts.lookup("never.sampled", w));
-}
-
-TEST(ObsTimeSeries, CounterDeltaAndRate) {
-  obs::TimeSeries ts(8);
-  ts.sample({make_counter_snap("c", 100)}, 0);
-  ts.sample({make_counter_snap("c", 350)}, 2000);
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("c", w));
-  EXPECT_TRUE(w.valid);
-  EXPECT_EQ(w.kind, obs::MetricSnapshot::Kind::kCounter);
-  EXPECT_EQ(w.delta, 250u);
-  EXPECT_DOUBLE_EQ(w.window_s, 2.0);
-  EXPECT_DOUBLE_EQ(w.rate_per_s, 125.0);
-}
-
-TEST(ObsTimeSeries, RegistryResetClampsDeltaToZero) {
-  obs::TimeSeries ts(8);
-  ts.sample({make_counter_snap("c", 100)}, 0);
-  ts.sample({make_counter_snap("c", 40)}, 1000);  // reset() mid-window
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("c", w));
-  EXPECT_EQ(w.delta, 0u);
-  EXPECT_DOUBLE_EQ(w.rate_per_s, 0.0);
-}
-
-TEST(ObsTimeSeries, GaugeReportsNewestValue) {
-  obs::TimeSeries ts(8);
-  ts.sample({make_gauge_snap("g", 1.0)}, 0);
-  ts.sample({make_gauge_snap("g", -7.5)}, 1000);
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("g", w));
-  EXPECT_EQ(w.kind, obs::MetricSnapshot::Kind::kGauge);
-  EXPECT_DOUBLE_EQ(w.last, -7.5);
-}
-
-TEST(ObsTimeSeries, WindowedHistogramPercentilesCoverOnlyTheWindow) {
-  const std::uint64_t inf = ~std::uint64_t{0};
-  obs::TimeSeries ts(8);
-  // Before the window: ten fast samples (all <= 10).
-  ts.sample({make_hist_snap("h", {{10, 10}, {20, 0}, {inf, 0}}, 50, 5)}, 0);
-  // Inside the window: ten slow samples in (10, 20].
-  ts.sample({make_hist_snap("h", {{10, 10}, {20, 10}, {inf, 0}}, 200, 18)}, 1000);
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("h", w));
-  EXPECT_TRUE(w.valid);
-  EXPECT_EQ(w.delta, 10u);
-  EXPECT_DOUBLE_EQ(w.avg, 15.0);  // (200 - 50) / 10
-  // The lifetime p50 would sit at 10 (half fast, half slow); the windowed
-  // p50 sees only the slow bucket.
-  EXPECT_DOUBLE_EQ(w.p50, 15.0);
-  // Interpolation would claim 19.9, but the observed max clamps it.
-  EXPECT_DOUBLE_EQ(w.p99, 18.0);
-}
-
-TEST(ObsTimeSeries, CapacityEvictsOldestSamples) {
-  obs::TimeSeries ts(2);  // minimum window: newest two samples
-  for (std::uint64_t i = 0; i <= 4; ++i) {
-    ts.sample({make_counter_snap("c", i * 10)}, i * 1000);
-  }
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("c", w));
-  EXPECT_EQ(w.delta, 10u);  // only the last step survives eviction
-  EXPECT_DOUBLE_EQ(w.window_s, 1.0);
-  EXPECT_EQ(ts.samples(), 5u);
-}
-
-TEST(ObsTimeSeries, SampleNowFoldsTheLiveRegistry) {
-  obs::Counter& c = obs::registry().counter("test.ts.live");
-  c.reset();
-  obs::TimeSeries ts(4);
-  ts.sample_now();
-  c.add(5);
-  ts.sample_now();
-  obs::WindowStats w;
-  ASSERT_TRUE(ts.lookup("test.ts.live", w));
-  EXPECT_TRUE(w.valid);
-  EXPECT_EQ(w.delta, 5u);
 }
 
 // ---------------------------------------------------------------------------
@@ -885,7 +765,6 @@ TEST(ObsExporter, ServesScrapesOnEphemeralPort) {
   obs::registry().counter("test.exp.live").add(1);
   obs::ExporterOptions opts;
   opts.port = 0;  // ephemeral
-  opts.sample_interval_ms = 10;
   obs::MetricsExporter exporter(opts);
   std::string err;
   ASSERT_TRUE(exporter.start(&err)) << err;
@@ -900,18 +779,6 @@ TEST(ObsExporter, ServesScrapesOnEphemeralPort) {
   const std::string missing = http_get(exporter.port(), "/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404 Not Found"), std::string::npos) << missing;
   EXPECT_EQ(exporter.scrapes(), 1u);  // the 404 is not a scrape
-
-  // The serve loop samples on its cadence; once two samples exist the body
-  // grows windowed gauges.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (exporter.series().samples() < 2 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_GE(exporter.series().samples(), 2u);
-  const std::string windowed = http_get(exporter.port(), "/metrics");
-  EXPECT_NE(windowed.find("_window_rate"), std::string::npos) << windowed.substr(0, 512);
-  EXPECT_NE(windowed.find("ecl_exporter_window_seconds"), std::string::npos);
 
   exporter.stop();
   EXPECT_FALSE(exporter.running());

@@ -6,7 +6,7 @@
 //
 // Polls the kStats RPC (one request per tick) and renders one screen
 // per sample: request and ingest throughput (rates come from differencing
-// consecutive samples, the same way the exporter's windowed gauges do),
+// consecutive samples, as a scraper's rate() does with /metrics counters),
 // snapshot epoch/watermark lag, queue depth, WAL and checkpoint activity,
 // and a DEGRADED banner the moment the service drops to read-only mode.
 //

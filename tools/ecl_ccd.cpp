@@ -65,10 +65,11 @@
 //   --metrics-port=P        serve Prometheus text exposition on
 //                           http://<metrics-host>:P/metrics (port 0 =
 //                           ephemeral, printed and written to --ready-file);
-//                           includes windowed rates and p50/p95/p99 plus
-//                           service/WAL/checkpoint families — see
-//                           docs/OBSERVABILITY.md "Live exporter". Omit the
-//                           flag to disable the exporter entirely.
+//                           includes the registry's counters, gauges and
+//                           histograms plus service/WAL/checkpoint
+//                           families — see docs/OBSERVABILITY.md "Live
+//                           exporter". Omit the flag to disable the
+//                           exporter entirely.
 //   --metrics-host=A        exporter bind address (default 127.0.0.1)
 //   --slow-log=FILE         append a JSON line per slow request (request id,
 //                           op, queue depth, latency breakdown)
