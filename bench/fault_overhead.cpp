@@ -9,8 +9,10 @@
 // ecl_fault library is ODR-safe.
 //
 // The workload walks the three fault-point-bearing hot paths: ingest
-// (svc.ingest.worker, svc.wal.append per batch), fresh connectivity queries
-// (no points — the read path must stay free), and socketpair frame echo
+// (svc.ingest.worker, svc.wal.append per batch), snapshot connectivity
+// queries after a compaction covering every batch (no points — the read
+// path must stay free; the snapshot makes the answers, and so the checksum,
+// deterministic), and socketpair frame echo
 // (svc.net.read / svc.net.write per I/O call). scripts/check_obs_overhead.py
 // gates the instrumented build at +5% (plus a 2 ms absolute epsilon) and
 // requires identical checksums from both builds.
@@ -86,11 +88,11 @@ int main(int argc, char** argv) {
         service.flush();  // closed loop: drain instead of dropping work
       }
     }
-    service.flush();
+    (void)service.compact_now();  // flushes first
     for (std::size_t q = 0; q < queries; ++q) {
       const auto u = static_cast<vertex_t>(next() % vertices);
       const auto v = static_cast<vertex_t>(next() % vertices);
-      fold(service.connected(u, v, svc::ReadMode::kFresh) ? 1 : 0);
+      fold(service.connected(u, v, svc::ReadMode::kSnapshot) ? 1 : 0);
     }
     for (std::size_t f = 0; f < frames; ++f) {
       if (!svc::net::write_frame(pair[0], frame) ||

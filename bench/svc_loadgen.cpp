@@ -25,7 +25,6 @@
 //                        loop, i.e. back-to-back requests; default 0)
 //   --ingest-frac=F      fraction of ops that are ingests (default 0.25)
 //   --batch=N            edges per ingest batch (default 64)
-//   --mode=snapshot|fresh  read mode for queries (default snapshot)
 //   --seed=N             RNG seed (default 1)
 //   --report=FILE.json   obs run report (throughput + latency percentiles)
 //   --shutdown           send a graceful-shutdown request when done
@@ -118,7 +117,6 @@ struct LoadConfig {
   double rate = 0.0;  // ops/sec per worker; 0 = closed loop
   double ingest_frac = 0.25;
   std::size_t batch = 64;
-  svc::ReadMode mode = svc::ReadMode::kSnapshot;
   std::uint64_t seed = 1;
   vertex_t num_vertices = 0;
   bool chaos = false;
@@ -264,7 +262,7 @@ void worker(const LoadConfig& cfg, int tid, obs::Histogram& query_us,
       svc::Client& client = *clients[ti];
       svc::Status st = svc::Status::kOk;
       Timer t;
-      (void)client.connected(pick_vertex(rng), pick_vertex(rng), cfg.mode, &st);
+      (void)client.connected(pick_vertex(rng), pick_vertex(rng), svc::ReadMode::kSnapshot, &st);
       const auto us = static_cast<std::uint64_t>(t.micros());
       query_us.record(us);
       if (g_targets != nullptr) (*g_targets)[ti].query_us->record(us);
@@ -343,7 +341,6 @@ void c10k_send_one(ecl::exec::Conn& conn, C10kConn& st) {
     req.type = svc::MsgType::kConnected;
     req.u = pick(st.rng);
     req.v = pick(st.rng);
-    req.mode = cfg.mode;
   }
   op.type = req.type;
   thread_local std::vector<std::uint8_t> buf;
@@ -542,8 +539,6 @@ int main(int argc, char** argv) {
   cfg.ingest_frac = args.get_double("ingest-frac", 0.25);
   cfg.batch = static_cast<std::size_t>(args.get_int("batch", 64));
   cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  const std::string mode_name = args.get("mode", "snapshot");
-  cfg.mode = mode_name == "fresh" ? svc::ReadMode::kFresh : svc::ReadMode::kSnapshot;
   const std::string report_file = args.get("report", "");
   const bool send_shutdown = args.has("shutdown");
   cfg.chaos = args.has("chaos");

@@ -2,8 +2,8 @@
 // ecl::svc ConnectivityService in-process: friendship batches are submitted
 // through the bounded admission queue (retrying on backpressure shed), a
 // background thread compacts epoch snapshots from the roots the ingest
-// worker hooked, and queries are answered in both read modes — the epoch
-// snapshot (stale but canonical) and the live union-find (fresh).
+// worker hooked, and queries are answered from the latest epoch snapshot
+// (canonical labels, current once compact_now() returns).
 //
 //   $ ./social_stream [--users=N] [--batches=N] [--seed=N]
 //
@@ -84,14 +84,12 @@ int main(int argc, char** argv) {
                 100.0 * static_cast<double>(giant) / static_cast<double>(users));
   }
 
-  std::printf("\nlive connectivity queries (snapshot vs fresh, no recomputation):\n");
+  std::printf("\nsnapshot connectivity queries (no recomputation):\n");
   for (int q = 0; q < 5; ++q) {
     const auto a = static_cast<vertex_t>(rng.bounded(users));
     const auto b = static_cast<vertex_t>(rng.bounded(users));
-    const bool snap_conn = service.connected(a, b, svc::ReadMode::kSnapshot);
-    const bool fresh_conn = service.connected(a, b, svc::ReadMode::kFresh);
-    std::printf("  user %6u and user %6u: %s (snapshot), %s (fresh)\n", a, b,
-                snap_conn ? "connected" : "apart", fresh_conn ? "connected" : "apart");
+    std::printf("  user %6u and user %6u: %s\n", a, b,
+                service.connected(a, b) ? "connected" : "apart");
   }
 
   const auto stats = service.stats();

@@ -187,19 +187,26 @@ def parse_stats(body):
         off += 10
     return fields
 
-QUEUE_DEPTH = 7  # ECL_SVC_STATS_FIELDS tag (src/svc/service.h)
-for _ in range(200):  # drain: late acks may still sit in the admission queue
+# ECL_SVC_STATS_FIELDS tags (src/svc/service.h).
+QUEUE_DEPTH, STALENESS_EDGES, INGEST_LAG_BATCHES = 7, 28, 29
+# Drain: an ack precedes the apply, so late acks may still sit in the
+# admission queue, and the ingest thread pops a batch (queue_depth drops)
+# before it applies it. Every acked edge is in the snapshot once no batch
+# is queued or unapplied and no applied edge is uncompacted.
+for _ in range(200):
     status, body = request(s, 5)
     assert status == 0, f'stats status {status}'
-    if parse_stats(body).get(QUEUE_DEPTH, 0) == 0:
+    stats = parse_stats(body)
+    if all(stats.get(tag, 0) == 0
+           for tag in (QUEUE_DEPTH, INGEST_LAG_BATCHES, STALENESS_EDGES)):
         break
     time.sleep(0.05)
 else:
-    sys.exit('ingest queue never drained')
+    sys.exit('ingest pipeline never drained')
 
 lost = 0
 for (u, v) in edges:
-    status, body = request(s, 2, struct.pack('<IIB', u, v, 1))  # kFresh
+    status, body = request(s, 2, struct.pack('<IIB', u, v, 0))  # read_mode 0
     (value,) = struct.unpack('<Q', body)
     if status != 0 or value != 1:
         lost += 1

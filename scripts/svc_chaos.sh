@@ -25,6 +25,9 @@
 #   corrupt-newest  checkpoints on; the newest checkpoint is corrupted after
 #                   the kill — the loader must fall back to the previous one
 #                   (retention keeps segments the *oldest* checkpoint needs)
+#   sparse-tail     WAL only, a rate-limited load of ~3,000 edges that ends
+#                   before the kill: nearly every acked edge is a bridge, so
+#                   a replay that loses one acked record fails the check
 #   kill-replica    WAL-shipping replica (docs/REPLICATION.md) SIGKILLed
 #                   mid-stream: the primary must not notice, and the revived
 #                   replica resumes from its local WAL, catches up (lag
@@ -166,17 +169,20 @@ def parse_stats(body):
 
 QUEUE_DEPTH, NUM_VERTICES, LAST_CKPT_EPOCH, WAL_SEGMENTS = 7, 9, 11, 12
 DEGRADED, REPLAYED_EDGES, WORKER_ALIVE, WAL_ENABLED, WAL_HEALTHY = 14, 16, 25, 26, 27
-INGEST_LAG_BATCHES, CKPT_ENABLED = 29, 32
+STALENESS_EDGES, INGEST_LAG_BATCHES, CKPT_ENABLED = 28, 29, 32
 
-# Drain: batches acked in the loadgen's final moments may still sit in the
-# admission queue, and the ingest thread pops a batch (queue_depth drops)
-# before it applies it; wait until the queue is empty and every accepted
-# batch is applied (ingest_lag_batches == 0) before reading (kStats = 5).
+# Drain: an ack precedes the apply, so batches acked in the loadgen's final
+# moments may still sit in the admission queue, and the ingest thread pops
+# a batch (queue_depth drops) before it applies it. Every acked edge is in
+# the snapshot once the queue is empty, every accepted batch is applied
+# (ingest_lag_batches == 0) and compacted (staleness_edges == 0); only then
+# read (kStats = 5).
 for _ in range(200):
     [(status, body)] = pipelined(5, [b''])
     assert status == 0, f'stats status {status}'
     stats = parse_stats(body)
-    if stats.get(QUEUE_DEPTH, 0) == 0 and stats.get(INGEST_LAG_BATCHES, 0) == 0:
+    if all(stats.get(tag, 0) == 0
+           for tag in (QUEUE_DEPTH, INGEST_LAG_BATCHES, STALENESS_EDGES)):
         break
     time.sleep(0.05)
 else:
@@ -212,17 +218,15 @@ if ckpt_enabled and recovery == 'ckpt':
 
 # acked => durable: every acked edge must be connected. No sampling: every
 # line in the file is checked, against one kComponentOf (3) read of every
-# vertex's label in kFresh mode (read_mode 1: the live union-find, so edges
-# applied after the restart count too). kFresh answers a vertex's current
-# root. A match is exact: if u's root was r at its read and v's root is r
-# at a later read, r was still a root then (a hooked root never becomes a
-# root again), so u and v were both in r's tree, i.e. connected, and
-# connectivity only grows. A mismatch may only mean a hook landed between
-# the two reads, so each one is confirmed with a kConnected (2) for that
-# edge before it counts as lost.
+# vertex's label (read_mode 0, the only one: a snapshot read). A snapshot
+# label is the minimum of the vertex's component. A match is exact: if
+# label[u] == label[v] == m, u and v were each in m's component at their
+# reads, and snapshots only coarsen, so they are connected. A mismatch may
+# only mean a newer epoch landed between the two reads, so each one is
+# confirmed with a kConnected (2) for that edge before it counts as lost.
 n = stats.get(NUM_VERTICES, 0)
 labels = []
-for v, (status, body) in enumerate(pipelined(3, [struct.pack('<IB', v, 1) for v in range(n)])):
+for v, (status, body) in enumerate(pipelined(3, [struct.pack('<IB', v, 0) for v in range(n)])):
     assert status == 0, f'component_of({v}) status {status}'
     labels.append(u64(body))
 suspects = [i for i, (u, v) in enumerate(edges)
@@ -233,7 +237,7 @@ sample = range(0, len(edges), max(1, len(edges) // 1000))[:1000]
 print(f'{n} labels read; {len(suspects)} label mismatches and a '
       f'{len(sample)}-edge sample to confirm with kConnected')
 checked = [edges[i] for i in sorted(set(suspects).union(sample))]
-answers = pipelined(2, [struct.pack('<IIB', u, v, 1) for (u, v) in checked])
+answers = pipelined(2, [struct.pack('<IIB', u, v, 0) for (u, v) in checked])
 lost = 0
 for (u, v), (status, body) in zip(checked, answers):
     value = u64(body) if status == 0 else None
@@ -246,7 +250,12 @@ if lost:
 print(f'all {len(edges)} acked edges survived the crash')
 PYEOF
 
+# The load every scenario but sparse-tail runs: 1-4M uniform edges on 20,000
+# vertices, one component long before the kill.
+DENSE_LOAD='--threads=3 --duration-ms=5000 --batch=32 --ingest-frac=0.5 --seed=3'
+
 # run_scenario <name> <run1-env> <recovery-mode> <corrupt-newest-ckpt> [daemon args...]
+# The svc_loadgen load is $LOAD, else $DENSE_LOAD.
 run_scenario() {
   local name=$1 env1=$2 recovery=$3 corrupt=$4
   shift 4
@@ -267,8 +276,7 @@ run_scenario() {
   grep -q "^ecl_svc_up 1$" "$WORK/last_scrape.txt"
 
   echo "== chaos load (background)"
-  "$LOADGEN" --unix="$sock" --threads=3 --duration-ms=5000 --batch=32 \
-             --ingest-frac=0.5 --seed=3 --chaos --acked-file="$acked" \
+  "$LOADGEN" --unix="$sock" ${LOAD:-$DENSE_LOAD} --chaos --acked-file="$acked" \
              >"$loadlog" 2>&1 &
   LOADGEN_PID=$!
 
@@ -363,6 +371,17 @@ run_scenario corrupt-newest \
   any 1 \
   --wal="$WORK/corrupt-newest/edges.wal" \
   --checkpoint="$WORK/corrupt-newest/ckpt" --checkpoint-interval-ms=150
+
+# One lost record: a dense scenario's acked graph is one component, so no
+# lost batch disconnects an acked edge. Here one open-loop worker acks ~96
+# 32-edge batches in 0.8 s on 20,000 vertices (a forest: nearly every edge
+# is a bridge) and is idle by the SIGKILL at 1.5 s, so the WAL's last record
+# is acked and a replay that dropped it would lose its edges.
+LOAD='--threads=1 --rate=120 --duration-ms=800 --batch=32 --ingest-frac=1 --seed=29' \
+run_scenario sparse-tail \
+  'ECL_FAULT=' \
+  replay 0 \
+  --wal="$WORK/sparse-tail/edges.wal"
 
 # SIGKILL under a C10K flood: the daemon dies holding thousands of open
 # pipelined connections (every one of them left half-open, mid-request),

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,25 +22,15 @@ class IncrementalCC {
   /// A universe of n vertices, initially all singletons.
   explicit IncrementalCC(vertex_t n) : dsu_(n) {}
 
-  /// Starts from the components of a canonical labelling (label[v] <= v,
-  /// label[label[v]] == label[v]; e.g. labels(), ECL-CC's output or a
-  /// checkpoint), copied once as the union-find's parent array: O(n), no
-  /// unions.
-  explicit IncrementalCC(std::span<const vertex_t> labels) : dsu_(labels) {}
-
-  /// The same, adopting a writable `labels` as the parent array with no copy
-  /// (a checkpoint's copy-on-write mapping, on restart).
-  explicit IncrementalCC(PageArray labels) : dsu_(std::move(labels)) {}
-
-  /// Inserts the undirected edge (u, v). Thread-safe. `log` as in add_edges.
-  void add_edge(vertex_t u, vertex_t v, HookLog* log = nullptr) { dsu_.unite(u, v, log); }
+  /// Inserts the undirected edge (u, v). Thread-safe.
+  void add_edge(vertex_t u, vertex_t v) { dsu_.unite(u, v); }
 
   /// Bulk insert of `count` undirected edges, in order, on the calling
   /// thread (each hook is the same lock-free CAS as add_edge). Thread-safe
-  /// with respect to concurrent add_edge/add_edges/connected calls. This is
-  /// the service ingest path: one call per batch instead of one virtual
-  /// dispatch per edge. A `log` gets every hook, in order: with one hooking
-  /// thread, exactly what turns the labels() before into those after.
+  /// with respect to concurrent add_edge/add_edges/connected calls: one call
+  /// per batch instead of one virtual dispatch per edge. A `log` gets every
+  /// hook, in order: with one hooking thread, exactly what turns the
+  /// labels() before into those after.
   void add_edges(const std::pair<vertex_t, vertex_t>* edges, std::size_t count,
                  HookLog* log = nullptr) {
     for (std::size_t i = 0; i < count; ++i) {

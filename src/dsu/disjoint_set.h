@@ -80,17 +80,6 @@ class ConcurrentDisjointSet {
     std::iota(parent_.begin(), parent_.end(), vertex_t{0});
   }
 
-  /// The sets of the forest `parents` describes, copied once into a fresh
-  /// parent array with no unions. Precondition: parents[v] <= v for every v
-  /// (the invariant hooks maintain and find relies on) — e.g. a flattened
-  /// labelling, the paper's Fini output.
-  explicit ConcurrentDisjointSet(std::span<const vertex_t> parents) : parent_(parents) {}
-
-  /// The same, adopting `parents` itself as the parent array, with no copy
-  /// (e.g. a copy-on-write mapping of a checkpoint's labels). It must be
-  /// writable.
-  explicit ConcurrentDisjointSet(PageArray parents) : parent_(std::move(parents)) {}
-
   /// Representative of v's set, compressing the path by halving.
   [[nodiscard]] vertex_t find(vertex_t v) {
     return find_intermediate(v, AtomicParentOps(parent_.data()));

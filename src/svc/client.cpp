@@ -134,12 +134,11 @@ Status Client::ingest(const std::vector<Edge>& edges) {
   return resp.status;
 }
 
-bool Client::connected(vertex_t u, vertex_t v, ReadMode mode, Status* status) {
+bool Client::connected(vertex_t u, vertex_t v, ReadMode, Status* status) {
   Request req;
   req.type = MsgType::kConnected;
   req.u = u;
   req.v = v;
-  req.mode = mode;
   Response resp;
   if (!call(req, resp)) {
     if (status != nullptr) *status = Status::kError;
@@ -149,11 +148,10 @@ bool Client::connected(vertex_t u, vertex_t v, ReadMode mode, Status* status) {
   return resp.status == Status::kOk && resp.value != 0;
 }
 
-vertex_t Client::component_of(vertex_t v, ReadMode mode, Status* status) {
+vertex_t Client::component_of(vertex_t v, Status* status) {
   Request req;
   req.type = MsgType::kComponentOf;
   req.v = v;
-  req.mode = mode;
   Response resp;
   if (!call(req, resp)) {
     if (status != nullptr) *status = Status::kError;

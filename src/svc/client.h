@@ -75,16 +75,14 @@ class Client {
   /// back as kInvalid without touching the socket — split them first.
   [[nodiscard]] Status ingest(const std::vector<Edge>& edges);
 
-  /// Connectivity query. Transport/protocol failures surface as kError in
-  /// *status (when provided) with a false result.
-  [[nodiscard]] bool connected(vertex_t u, vertex_t v,
-                               ReadMode mode = ReadMode::kSnapshot,
+  /// Snapshot connectivity query. Transport/protocol failures surface as
+  /// kError in *status (when provided) with a false result.
+  [[nodiscard]] bool connected(vertex_t u, vertex_t v, ReadMode = ReadMode::kSnapshot,
                                Status* status = nullptr);
 
-  /// Component label of v (canonical under kSnapshot). kInvalidVertex on
-  /// invalid v or failure.
-  [[nodiscard]] vertex_t component_of(vertex_t v, ReadMode mode = ReadMode::kSnapshot,
-                                      Status* status = nullptr);
+  /// Canonical (minimum-ID) snapshot label of v's component. kInvalidVertex
+  /// on invalid v or failure.
+  [[nodiscard]] vertex_t component_of(vertex_t v, Status* status = nullptr);
 
   /// Snapshot component count. False on failure.
   [[nodiscard]] bool component_count(std::uint64_t& count);

@@ -192,11 +192,11 @@ void encode_request(const Request& req, std::vector<std::uint8_t>& out) {
     case MsgType::kConnected:
       put_u32(out, req.u);
       put_u32(out, req.v);
-      put_u8(out, static_cast<std::uint8_t>(req.mode));
+      put_u8(out, static_cast<std::uint8_t>(ReadMode::kSnapshot));
       break;
     case MsgType::kComponentOf:
       put_u32(out, req.v);
-      put_u8(out, static_cast<std::uint8_t>(req.mode));
+      put_u8(out, static_cast<std::uint8_t>(ReadMode::kSnapshot));
       break;
     case MsgType::kFetchWal:
       put_u64(out, req.replica_id);
@@ -264,7 +264,6 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
   if (!r.u64(req.id)) return false;
   req.u = 0;
   req.v = 0;
-  req.mode = ReadMode::kSnapshot;
   req.edges.clear();
   req.replica_id = 0;
   req.seq = 0;
@@ -288,12 +287,10 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
       break;
     }
     case MsgType::kConnected:
-      if (!r.u32(req.u) || !r.u32(req.v) || !r.u8(mode) || mode > 1) return false;
-      req.mode = static_cast<ReadMode>(mode);
+      if (!r.u32(req.u) || !r.u32(req.v) || !r.u8(mode) || mode != 0) return false;
       break;
     case MsgType::kComponentOf:
-      if (!r.u32(req.v) || !r.u8(mode) || mode > 1) return false;
-      req.mode = static_cast<ReadMode>(mode);
+      if (!r.u32(req.v) || !r.u8(mode) || mode != 0) return false;
       break;
     case MsgType::kFetchWal:
       if (!r.u64(req.replica_id) || !r.u64(req.seq) || !r.u64(req.offset) ||

@@ -12,6 +12,8 @@
 //   kIngest          u32 edge_count | edge_count x (u32 u | u32 v)
 //   kConnected       u32 u | u32 v | u8 read_mode
 //   kComponentOf     u32 v | u8 read_mode
+//                    (read_mode is 0, a snapshot read; any other byte makes
+//                    the request malformed)
 //   kComponentCount  (empty)
 //   kStats           (empty)
 //   kShutdown        (empty)
@@ -112,7 +114,6 @@ struct Request {
   std::uint64_t id = 0;
   vertex_t u = 0;
   vertex_t v = 0;
-  ReadMode mode = ReadMode::kSnapshot;
   std::vector<Edge> edges;  // kIngest only
   // kFetchWal only: which replica is asking (retention bookkeeping) and
   // which byte range of which segment it wants.

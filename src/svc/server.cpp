@@ -324,11 +324,11 @@ Response Server::dispatch(const Request& req) {
       if (req.u >= service_.num_vertices() || req.v >= service_.num_vertices()) {
         resp.status = Status::kInvalid;
       } else {
-        resp.value = service_.connected(req.u, req.v, req.mode) ? 1 : 0;
+        resp.value = service_.connected(req.u, req.v) ? 1 : 0;
       }
       break;
     case MsgType::kComponentOf: {
-      const vertex_t label = service_.component_of(req.v, req.mode);
+      const vertex_t label = service_.component_of(req.v);
       if (label == kInvalidVertex) {
         resp.status = Status::kInvalid;
       } else {

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "common/timer.h"
 #include "core/ecl_cc.h"
+#include "dsu/find.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -16,6 +18,29 @@
 namespace ecl::svc {
 
 namespace {
+
+/// The paper's Fini pass, in place, over a forest with parent[v] <= v: in
+/// ascending order each vertex reads only a parent it has already pointed
+/// at its root, and a root maps to itself, as in the serial ECL-CC.
+void finalize(PageArray& parents) {
+  for (vertex_t& p : parents) p = parents[p];
+}
+
+/// Unites u and v in the union-find `parent` with the paper's serial find
+/// and hook: one thread owns it, so no atomics and no retry loop. A `log`
+/// gets the hook, if one happens.
+void unite(PageArray& parent, vertex_t u, vertex_t v, HookLog* log) {
+  SerialParentOps ops(parent.data());
+  const vertex_t u_root = find_intermediate(u, ops);
+  hook_representatives(u_root, find_intermediate(v, ops), ops, log);
+}
+
+/// The parent array of n singletons.
+PageArray singletons(vertex_t n) {
+  PageArray parent = PageArray::uninitialized(n);
+  std::iota(parent.begin(), parent.end(), vertex_t{0});
+  return parent;
+}
 
 /// The canonical labels `prev` after `hooks`, applied in order to the
 /// union-find whose labels `prev` were, by the paper's finalization and no
@@ -25,14 +50,12 @@ namespace {
 /// hooked at most once and never becomes a root again. Walked last to
 /// first, every later hook of a parent p has been written when hook (c, p)
 /// is visited, so labels[p] is p's final root; after the walk labels[r] is
-/// final for every root r of `prev`, and labels[x] <= x everywhere. The
-/// ascending pass then reads only indices <= v that it has already
-/// finalized, and a final root maps to itself, as in the serial ECL-CC's
-/// finalization.
+/// final for every root r of `prev`, and labels[x] <= x everywhere, so the
+/// Fini pass finishes the job.
 PageArray remap_labels(const PageArray& prev, const std::vector<Hook>& hooks) {
   PageArray labels(prev);
   for (auto h = hooks.rbegin(); h != hooks.rend(); ++h) labels[h->child] = labels[h->parent];
-  for (vertex_t& label : labels) label = labels[label];
+  finalize(labels);
   return labels;
 }
 
@@ -55,9 +78,9 @@ ConnectivityService::ConnectivityService(const Graph& seed, ServiceOptions opts)
 ConnectivityService::ConnectivityService(Recovered rec, ServiceOptions opts)
     : num_vertices_(rec.n),
       opts_(opts),
-      live_(rec.ckpt ? IncrementalCC(rec.ckpt->labels.writable_copy())
-            : rec.seed != nullptr ? IncrementalCC(ecl_cc_omp(*rec.seed))
-                                  : IncrementalCC(rec.n)),
+      live_(rec.ckpt ? rec.ckpt->labels.writable_copy()
+            : rec.seed != nullptr ? PageArray(ecl_cc_omp(*rec.seed))
+                                  : singletons(rec.n)),
       queue_(opts.queue_capacity),
       ckpt_store_(std::move(rec.store)) {
   replica_.store(opts_.replica, std::memory_order_release);
@@ -156,17 +179,20 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     }
     drop_out_of_universe(rep.edges, num_vertices_);
     replayed_edges_ = rep.edges.size();
-    live_.add_edges(rep.edges.data(), rep.edges.size(), ckpt ? &batch_hooks_ : nullptr);
+    HookLog* log = ckpt ? &batch_hooks_ : nullptr;
+    for (const auto& [u, v] : rep.edges) unite(live_, u, v, log);
     applied_edges_.fetch_add(rep.edges.size(), std::memory_order_release);
   }
   // The first snapshot reflects everything recovered, built before any thread
   // runs: the live union-find itself (seed graph, whole WAL, or singletons),
-  // or the checkpoint's labels remapped through the tail's hooks.
+  // flattened in place, or the checkpoint's labels remapped through the
+  // tail's hooks.
   if (!ckpt) {
     auto snap = std::make_shared<Snapshot>();
     snap->watermark = applied_edges_.load(std::memory_order_relaxed);
-    snap->labels = PageArray(live_.labels());
-    snap->num_components = live_.num_components();
+    finalize(live_);
+    snap->labels = live_;
+    for (vertex_t v = 0; v < num_vertices_; ++v) snap->num_components += live_[v] == v ? 1 : 0;
     live_components_ = snap->num_components;
     snapshot_.store(std::move(snap));
   } else if (replayed_edges_ > 0) {
@@ -240,13 +266,13 @@ Admission ConnectivityService::submit(EdgeBatch batch) {
   drop_out_of_universe(batch, num_vertices_);
   Admission verdict = Admission::kShed;
   {
-    // Log before enqueue: a batch reaches the worker (and with it kFresh
-    // reads, snapshots and checkpoints) only once its record is written, and
-    // a failed append queues nothing. Every push and count happens under
-    // wal_mu_, so the room checked here is still there at the push, and a
-    // cut, which reads logged_edges_ and rotates under wal_mu_, counts
-    // exactly the edges of the records it seals. A stop() racing the append
-    // answers kClosed and leaves an unacked, uncounted record.
+    // Log before enqueue: a batch reaches the worker (and with it snapshots
+    // and checkpoints) only once its record is written, and a failed append
+    // queues nothing. Every push and count happens under wal_mu_, so the
+    // room checked here is still there at the push, and a cut, which reads
+    // logged_edges_ and rotates under wal_mu_, counts exactly the edges of
+    // the records it seals. A stop() racing the append answers kClosed and
+    // leaves an unacked, uncounted record.
     std::lock_guard<std::mutex> lock(wal_mu_);
     if (queue_.closed()) {
       verdict = Admission::kClosed;
@@ -269,7 +295,7 @@ void ConnectivityService::run_loop(void (ConnectivityService::*loop)(),
     (this->*loop)();
   } catch (const std::exception& e) {
     // A failure (e.g. allocation) must not crash the process: degrade, and
-    // keep serving reads, the snapshot ones from the last published epoch.
+    // keep serving reads from the last published epoch.
     std::fprintf(stderr, "[ecl::svc] %s: %s\n", death, e.what());
     {
       // Under the mutex, so a flush(), compact_now() or checkpoint_now()
@@ -305,7 +331,7 @@ void ConnectivityService::ingest_loop() {
 void ConnectivityService::apply_batch(EdgeBatch& batch) {
   // Replicated records may come from a log written before submit() filtered.
   drop_out_of_universe(batch, num_vertices_);
-  live_.add_edges(batch.data(), batch.size(), &batch_hooks_);
+  for (const auto& [u, v] : batch) unite(live_, u, v, &batch_hooks_);
   {
     // The batch's hooks and its edges reach the compaction together, and a
     // cut is crossed on this batch boundary.
@@ -564,18 +590,16 @@ void ConnectivityService::stop() {
   }
 }
 
-bool ConnectivityService::connected(vertex_t u, vertex_t v, ReadMode mode) {
+bool ConnectivityService::connected(vertex_t u, vertex_t v, ReadMode) {
   if (u >= num_vertices_ || v >= num_vertices_) return false;
   ECL_OBS_COUNTER_ADD("ecl.svc.reads.connected", 1);
-  if (mode == ReadMode::kFresh) return live_.connected(u, v);
   const auto snap = snapshot_.load(std::memory_order_acquire);
   return snap->connected(u, v);
 }
 
-vertex_t ConnectivityService::component_of(vertex_t v, ReadMode mode) {
+vertex_t ConnectivityService::component_of(vertex_t v) {
   if (v >= num_vertices_) return kInvalidVertex;
   ECL_OBS_COUNTER_ADD("ecl.svc.reads.component_of", 1);
-  if (mode == ReadMode::kFresh) return live_.component_of(v);
   const auto snap = snapshot_.load(std::memory_order_acquire);
   return snap->labels[v];
 }
@@ -712,7 +736,7 @@ bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
   // connectivity on a replica only ever grows. The labels' edges count as
   // applied, so the watermark covers a superset of them from here on.
   for (vertex_t v = 0; v < num_vertices_; ++v) {
-    if (data.labels[v] != v) live_.add_edge(v, data.labels[v], &batch_hooks_);
+    if (data.labels[v] != v) unite(live_, v, data.labels[v], &batch_hooks_);
   }
   {
     // Handed over like a batch's hooks, and published at once whatever

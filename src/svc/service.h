@@ -7,8 +7,8 @@
 //
 //   writer side   Edge batches are admitted through a bounded queue
 //                 (explicit shed on overflow — see svc/queue.h) and applied
-//                 by a single ingest worker to the lock-free IncrementalCC
-//                 union-find — the paper's hooking phase, kept live.
+//                 by a single ingest worker to a private union-find — the
+//                 paper's serial hooking phase, no atomics, kept live.
 //
 //   reader side   Queries are answered against an immutable epoch Snapshot:
 //                 the canonical labels of exactly the first `watermark`
@@ -19,10 +19,10 @@
 //                 of shared_ptr lifetime: the old epoch stays alive until its
 //                 last reader drops it).
 //
-// Two read modes are exposed: kSnapshot (stale but epoch-consistent, pure
-// array reads, no synchronization with writers) and kFresh (reads the live
-// union-find — sees edges the moment the worker applies them, at the cost
-// of pointer chasing against concurrent hooks).
+// Every read is a snapshot read: epoch-consistent, pure array reads, no
+// synchronization with writers. submit() acks before the worker applies a
+// batch, so an acked edge is visible once ingest_lag_batches and
+// staleness_edges are both 0 (flush() then compact_now() in process).
 //
 // Everything is observable through ecl::obs: ingest/shed counters, queue
 // depth and epoch-staleness gauges, batch-apply and compaction latency
@@ -42,8 +42,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/page_array.h"
 #include "common/types.h"
-#include "core/incremental.h"
+#include "dsu/hook.h"
 #include "graph/graph.h"
 #include "svc/checkpoint.h"
 #include "svc/queue.h"
@@ -96,10 +97,12 @@ struct ServiceOptions {
   int replica_hold_ms = 10000;
 };
 
-/// Which consistency a read wants (docs/SERVICE.md "Consistency model").
+/// The one read semantics (docs/SERVICE.md "Consistency model"): reads are
+/// answered from the published snapshot, epoch-consistent and possibly
+/// stale. It survives only as the parameter that connected()'s existing
+/// callers pass.
 enum class ReadMode : std::uint8_t {
-  kSnapshot = 0,  // epoch-consistent, possibly stale
-  kFresh = 1,     // sees applied edges immediately; not epoch-consistent
+  kSnapshot = 0,
 };
 
 /// Every service quantity, one row each:
@@ -235,16 +238,13 @@ class ConnectivityService {
 
   // --- reader side ---------------------------------------------------------
 
-  /// True if u and v are connected. kSnapshot answers from the published
-  /// epoch; kFresh consults the live union-find. Out-of-range vertices
-  /// return false.
-  [[nodiscard]] bool connected(vertex_t u, vertex_t v, ReadMode mode = ReadMode::kSnapshot);
+  /// True if u and v are connected in the published snapshot. Out-of-range
+  /// vertices return false.
+  [[nodiscard]] bool connected(vertex_t u, vertex_t v, ReadMode = ReadMode::kSnapshot);
 
-  /// Component representative of v. Under kSnapshot this is the canonical
-  /// (minimum-ID) label; under kFresh it is the current DSU representative,
-  /// which is *not* canonical until the next compaction. kInvalidVertex if
-  /// v is out of range.
-  [[nodiscard]] vertex_t component_of(vertex_t v, ReadMode mode = ReadMode::kSnapshot);
+  /// The snapshot's canonical (minimum-ID) label of v's component;
+  /// kInvalidVertex if v is out of range.
+  [[nodiscard]] vertex_t component_of(vertex_t v);
 
   /// Component count of the published snapshot.
   [[nodiscard]] vertex_t component_count() const;
@@ -271,8 +271,8 @@ class ConnectivityService {
 
   /// True once the service has dropped to read-only degraded mode (the
   /// ingest or compaction thread died, or the WAL hit an I/O error).
-  /// Queries keep serving, the snapshot ones from the last epoch;
-  /// submit() sheds. There is no way back up short of a restart.
+  /// Queries keep serving from the last published epoch; submit() sheds.
+  /// There is no way back up short of a restart.
   [[nodiscard]] bool degraded() const {
     return degraded_.load(std::memory_order_acquire);
   }
@@ -315,14 +315,14 @@ class ConnectivityService {
 
   /// Replica side: rebases onto a newer checkpoint fetched from the primary
   /// after falling behind retention. Unites every vertex with its label in
-  /// the live structure (monotone-safe: connectivity only grows — the live
-  /// structure keeps taking reads, so its array cannot simply be replaced)
-  /// and raises applied edges to at least the checkpoint's watermark; the
-  /// compaction publishes any change at once, even when the watermark did
-  /// not rise. Runs on the Replicator's thread, the replica's one hooker.
-  /// False, changing nothing, when not a replica, on a vertex-count
-  /// mismatch, or for a checkpoint older than the last one written, loaded
-  /// or rebased onto.
+  /// the live structure (monotone-safe: connectivity only grows — and the
+  /// compaction remaps the previous snapshot through the hooks this logs,
+  /// so the array cannot simply be replaced) and raises applied edges to
+  /// at least the checkpoint's watermark; the compaction publishes any
+  /// change at once, even when the watermark did not rise. Runs on the
+  /// Replicator's thread, the replica's one hooker. False, changing
+  /// nothing, when not a replica, on a vertex-count mismatch, or for a
+  /// checkpoint older than the last one written, loaded or rebased onto.
   [[nodiscard]] bool rebase_to_checkpoint(const CheckpointData& data);
 
   /// Replica side of a rebootstrap: installs a fetched checkpoint image
@@ -406,9 +406,10 @@ class ConnectivityService {
   /// Ctor-only recovery: publish the checkpoint's read-only mapping (moved,
   /// not copied) as the initial snapshot, then replay only the WAL tail
   /// segments past it, remapping the snapshot through the tail's hooks, and
-  /// open the WAL for appending. Without a checkpoint the first snapshot is
-  /// the labels of the live union-find after the seed graph and the whole
-  /// WAL. Throws std::runtime_error on an unusable WAL state.
+  /// open the WAL for appending. Without a checkpoint the live union-find,
+  /// after the seed graph and the whole WAL, is flattened in place and
+  /// copied once into the first snapshot. Throws std::runtime_error on an
+  /// unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
   /// Ctor (no thread running yet) and promote() (under wal_mu_): counts
   /// every applied edge as logged and, with a WAL path, opens the WAL for
@@ -436,14 +437,14 @@ class ConnectivityService {
   const vertex_t num_vertices_;
   const ServiceOptions opts_;
 
-  IncrementalCC live_;
+  // The live union-find's parent array (parent[v] <= v). One thread at a
+  // time touches it, and logs its hooks in batch_hooks_: the constructor's
+  // WAL replay, then the ingest worker on a primary, or the Replicator's
+  // thread (apply_replicated, rebase_to_checkpoint) on a replica, whose
+  // queue stays empty (promote() follows Replicator::stop()). No read
+  // touches it, so its finds and hooks are the paper's serial port.
+  PageArray live_;
   BoundedQueue<EdgeBatch> queue_;
-
-  // One thread at a time hooks live_, and logs its hooks here: the
-  // constructor's WAL replay, then the ingest worker on a primary, or the
-  // Replicator's thread (apply_replicated, rebase_to_checkpoint) on a
-  // replica, whose queue stays empty (promote() follows Replicator::stop()).
-  // kFresh finds racing it halve only non-root links (paper §3).
   HookLog batch_hooks_;
   // rebase_to_checkpoint()'s precondition: a replica, the same vertex
   // count, and no older than the last checkpoint loaded or rebased onto.

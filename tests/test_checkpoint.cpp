@@ -804,26 +804,25 @@ TEST_F(ServiceCheckpointTest, RestartReplaysOnlyTheUncheckpointedTail) {
   EXPECT_FALSE(revived.connected(1, 20));
 
   // The installed labels are a working union-find, not just a label copy:
-  // the live structure agrees with the snapshot on every vertex...
-  const auto modes_agree = [&revived] {
+  // every vertex's label is the reference one...
+  std::vector<Edge> all = {{1, 2}, {2, 3}, {10, 12}, {12, 11}, {20, 21}};
+  const auto labels_exact = [&] {
+    const std::vector<vertex_t> ref = ecl_cc_serial(build_graph(64, all));
     for (vertex_t v = 0; v < revived.num_vertices(); ++v) {
-      if (revived.component_of(v, ReadMode::kFresh) !=
-          revived.component_of(v, ReadMode::kSnapshot)) {
-        return false;
-      }
+      if (revived.component_of(v) != ref[v]) return false;
     }
     return true;
   };
-  EXPECT_TRUE(modes_agree());
+  EXPECT_TRUE(labels_exact());
   // ...and an ingest joining two checkpointed components through non-root
-  // members merges them in both read modes.
+  // members merges them.
   ASSERT_EQ(revived.submit({{11, 3}}), Admission::kAccepted);
+  all.emplace_back(11, 3);
   revived.flush();
-  EXPECT_TRUE(revived.connected(2, 12, ReadMode::kFresh));
   (void)revived.compact_now();
   EXPECT_TRUE(revived.connected(2, 12, ReadMode::kSnapshot));
-  EXPECT_EQ(revived.component_of(12, ReadMode::kSnapshot), 1u);
-  EXPECT_TRUE(modes_agree());
+  EXPECT_EQ(revived.component_of(12), 1u);
+  EXPECT_TRUE(labels_exact());
   revived.stop();
 }
 
@@ -854,20 +853,17 @@ TEST_F(ServiceCheckpointTest, LargeRestartKeepsComponentsAndTakesNewJoins) {
   EXPECT_EQ(revived.replayed_edges(), 0u);
   constexpr vertex_t kComponents = (kN + kRun - 1) / kRun;
   EXPECT_EQ(revived.snapshot()->num_components, kComponents);
-  for (const ReadMode mode : {ReadMode::kSnapshot, ReadMode::kFresh}) {
-    EXPECT_TRUE(revived.connected(0, kRun - 1, mode));
-    EXPECT_FALSE(revived.connected(kRun - 1, kRun, mode));
-    EXPECT_TRUE(revived.connected(kN - 1, kN / kRun * kRun, mode));
-    EXPECT_EQ(revived.component_of(kN - 1, mode), kN / kRun * kRun);
-  }
+  EXPECT_TRUE(revived.connected(0, kRun - 1));
+  EXPECT_FALSE(revived.connected(kRun - 1, kRun));
+  EXPECT_TRUE(revived.connected(kN - 1, kN / kRun * kRun));
+  EXPECT_EQ(revived.component_of(kN - 1), kN / kRun * kRun);
 
   // Join two checkpointed components through non-root members.
   ASSERT_EQ(revived.submit({{5 * kRun + 7, 2 * kRun + 500}}), Admission::kAccepted);
   revived.flush();
-  EXPECT_TRUE(revived.connected(2 * kRun, 6 * kRun - 1, ReadMode::kFresh));
   (void)revived.compact_now();
   EXPECT_TRUE(revived.connected(2 * kRun, 6 * kRun - 1, ReadMode::kSnapshot));
-  EXPECT_EQ(revived.component_of(5 * kRun, ReadMode::kSnapshot), 2 * kRun);
+  EXPECT_EQ(revived.component_of(5 * kRun), 2 * kRun);
   EXPECT_EQ(revived.snapshot()->num_components, kComponents - 1);
   revived.stop();
 }
@@ -913,7 +909,7 @@ TEST_F(ServiceCheckpointTest, RestartNeverWritesItsCheckpointFile) {
     all.insert(all.end(), batch.begin(), batch.end());
     revived.flush();
     (void)revived.compact_now();
-    EXPECT_TRUE(revived.connected(512, kN - 2, ReadMode::kFresh));
+    EXPECT_TRUE(revived.connected(512, kN - 2));
     EXPECT_TRUE(revived.connected(1, 10, ReadMode::kSnapshot));
     EXPECT_EQ(read_bytes(loaded), original);
 
@@ -963,8 +959,7 @@ TEST_F(ServiceCheckpointTest, MappedCheckpointOutlivesRetirement) {
     EXPECT_EQ(svc.component_count(), roots);
     EXPECT_EQ(svc.snapshot()->labels, ref);
     for (vertex_t v = 0; v < kN; ++v) {
-      ASSERT_EQ(svc.component_of(v, ReadMode::kFresh), ref[v]) << v;
-      ASSERT_EQ(svc.component_of(v, ReadMode::kSnapshot), ref[v]) << v;
+      ASSERT_EQ(svc.component_of(v), ref[v]) << v;
     }
   };
 

@@ -570,8 +570,8 @@ TEST_F(ServiceWalTest, AckedBatchesSurviveRestart) {
     ConnectivityService service(256, opts);
     ASSERT_EQ(service.submit({{1, 2}, {2, 3}}), Admission::kAccepted);
     ASSERT_EQ(service.submit({{10, 11}}), Admission::kAccepted);
-    service.flush();
-    EXPECT_TRUE(service.connected(1, 3, ReadMode::kFresh));
+    service.compact_now();
+    EXPECT_TRUE(service.connected(1, 3));
     service.stop();
   }  // process "crash" boundary: nothing carries over but the WAL file
 
@@ -721,11 +721,11 @@ TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {
   EXPECT_EQ(h.degraded_entries, 1u);
 
   EXPECT_EQ(service.submit({{5, 6}}), Admission::kShed);  // ingest stays shut
-  EXPECT_TRUE(service.connected(1, 2, ReadMode::kFresh)); // reads keep serving
+  service.compact_now();  // compaction outlives the WAL
+  EXPECT_TRUE(service.connected(1, 2));  // reads keep serving
   // The batch whose record failed was never queued: it is not applied, so
   // it can never be visible without being durable.
-  service.flush();
-  EXPECT_FALSE(service.connected(3, 4, ReadMode::kFresh));
+  EXPECT_FALSE(service.connected(3, 4));
   service.stop();  // and shutdown still drains cleanly
 }
 
@@ -739,7 +739,7 @@ TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
   ConnectivityService service(64, opts);
   ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
   (void)service.compact_now();  // the epoch the snapshot reads below serve from
-  ASSERT_TRUE(service.connected(1, 2, ReadMode::kFresh));
+  ASSERT_TRUE(service.connected(1, 2));
 
   arm("svc.ingest.worker", fault::Action::kKill, 1);
   ASSERT_EQ(service.submit({{3, 4}}), Admission::kAccepted);  // poison pill
@@ -752,7 +752,7 @@ TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
 
   service.flush();  // must return despite the dead worker, not hang
   EXPECT_EQ(service.submit({{5, 6}}), Admission::kShed);
-  EXPECT_TRUE(service.connected(1, 2, ReadMode::kFresh));
+  EXPECT_EQ(service.stats().applied_edges, 1u);  // the poison pill never applied
   EXPECT_TRUE(service.connected(1, 2));
   EXPECT_EQ(service.component_of(9), 9u);
   service.stop();  // joins the already-dead worker without deadlock
@@ -779,7 +779,7 @@ TEST_F(DegradedModeTest, CompactionWorkerDeathDegradesButReadsServe) {
   EXPECT_EQ(service.snapshot()->epoch, epoch);
   EXPECT_TRUE(service.connected(1, 2));
   EXPECT_FALSE(service.connected(3, 4));
-  EXPECT_TRUE(service.connected(3, 4, ReadMode::kFresh));
+  EXPECT_EQ(service.stats().applied_edges, 2u);  // {3, 4} applied, never published
   EXPECT_EQ(service.submit({{5, 6}}), Admission::kShed);
   // Neither waits forever on a thread that will never publish again.
   EXPECT_EQ(service.compact_now(), epoch);

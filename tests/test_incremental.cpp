@@ -155,28 +155,6 @@ TEST(IncrementalCC, ConcurrentBulkAddAndQuery) {
   EXPECT_TRUE(cc.connected(0, kN - 1));
 }
 
-TEST(IncrementalCC, AssignedLabelsActAsTheUnionFind) {
-  // A structure built from a canonical labelling answers like the one that
-  // produced it, and later insertions merge across it.
-  const Graph g = gen_uniform_random(2000, 1500, 41);
-  const auto labels = reference_components(g);
-  IncrementalCC cc{std::span<const vertex_t>(labels)};
-  EXPECT_EQ(cc.num_components(), count_components(g));
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) ASSERT_EQ(cc.component_of(v), labels[v]);
-
-  // Join two non-root members of different components.
-  std::vector<vertex_t> members;
-  for (vertex_t v = 0; v < g.num_vertices() && members.size() < 2; ++v) {
-    if (labels[v] != v && (members.empty() || labels[v] != labels[members[0]])) {
-      members.push_back(v);
-    }
-  }
-  ASSERT_EQ(members.size(), 2u);
-  cc.add_edge(members[1], members[0]);
-  EXPECT_TRUE(cc.connected(labels[members[0]], labels[members[1]]));
-  EXPECT_EQ(cc.num_components(), count_components(g) - 1);
-}
-
 TEST(IncrementalCC, LabelsAreCanonicalMinima) {
   IncrementalCC cc(10);
   cc.add_edge(9, 7);

@@ -368,7 +368,8 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
 
   // Replicated records flow through the normal apply path.
   svc.apply_replicated({{0, 1}, {1, 2}});
-  EXPECT_TRUE(wait_until([&] { return svc.connected(0, 2, ReadMode::kFresh); }));
+  svc.compact_now();
+  EXPECT_TRUE(svc.connected(0, 2));
   EXPECT_EQ(svc.stats().applied_edges, 2u);
 
   svc.set_replication_lag(5, 1234);
@@ -383,8 +384,8 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   EXPECT_FALSE(svc.is_replica());
   ASSERT_TRUE(svc.promote(&err)) << err;
   EXPECT_EQ(svc.submit({{2, 3}}), Admission::kAccepted);
-  svc.flush();
-  EXPECT_TRUE(svc.connected(0, 3, ReadMode::kFresh));
+  svc.compact_now();
+  EXPECT_TRUE(svc.connected(0, 3));
   EXPECT_GE(svc.stats().wal_records, 1u);
   svc.stop();
 
@@ -393,14 +394,14 @@ TEST_F(ReplicaServiceTest, ReplicaShedsSubmitUntilPromoted) {
   ropts.wal_path = path("wal");
   ropts.checkpoint_path = path("ckpt");
   ConnectivityService restarted(16, ropts);
-  EXPECT_TRUE(restarted.connected(2, 3, ReadMode::kFresh));
+  EXPECT_TRUE(restarted.connected(2, 3));  // the first snapshot replays the WAL
   restarted.stop();
 }
 
 // rebase_to_checkpoint on its own: the checkpoint's components are united
-// into the live structure (kFresh sees them at once, the next snapshot as a
-// later epoch), applied edges rise to max(applied, checkpoint watermark),
-// and an older checkpoint is refused without changing anything.
+// into the live structure (the next snapshot shows them as a later epoch),
+// applied edges rise to max(applied, checkpoint watermark), and an older
+// checkpoint is refused without changing anything.
 TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   constexpr vertex_t kN = 16;
   const auto checkpoint = [](std::uint64_t watermark, std::uint64_t epoch,
@@ -434,10 +435,6 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
 
   // Newer checkpoint: {0, 1, 2, 3} and {4, 5} joined, watermark 10 > 3.
   ASSERT_TRUE(svc.rebase_to_checkpoint(checkpoint(10, 7, 4, {{1, 0}, {2, 0}, {3, 0}, {5, 4}})));
-  EXPECT_TRUE(svc.connected(1, 3, ReadMode::kFresh));
-  EXPECT_TRUE(svc.connected(4, 5, ReadMode::kFresh));
-  EXPECT_TRUE(svc.connected(8, 9, ReadMode::kFresh));
-  EXPECT_FALSE(svc.connected(0, 4, ReadMode::kFresh));
   EXPECT_EQ(svc.stats().applied_edges, 10u);
   EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
   EXPECT_EQ(svc.stats().last_checkpoint_epoch, 7u);
@@ -449,12 +446,12 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   EXPECT_TRUE(snap->connected(1, 3));
   EXPECT_TRUE(snap->connected(4, 5));
   EXPECT_TRUE(snap->connected(8, 9));
+  EXPECT_FALSE(snap->connected(0, 4));
   EXPECT_EQ(snap->num_components, kN - 5);
 
   // Older checkpoint (watermark 6 < 10): refused, nothing changes.
   svc.apply_replicated({{10, 11}});
   EXPECT_FALSE(svc.rebase_to_checkpoint(checkpoint(6, 5, 2, {{7, 6}})));
-  EXPECT_FALSE(svc.connected(6, 7, ReadMode::kFresh));
   EXPECT_EQ(svc.stats().applied_edges, 11u);
   EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 4u);
   EXPECT_EQ(svc.stats().last_checkpoint_epoch, 7u);
@@ -464,8 +461,8 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   // the next snapshot must still show the rebased union.
   const std::uint64_t caught_up_epoch = svc.compact_now();
   EXPECT_EQ(svc.snapshot()->watermark, 11u);
+  EXPECT_FALSE(svc.connected(6, 7));  // the refused rebase united nothing
   ASSERT_TRUE(svc.rebase_to_checkpoint(checkpoint(10, 8, 5, {{13, 12}})));
-  EXPECT_TRUE(svc.connected(12, 13, ReadMode::kFresh));
   EXPECT_EQ(svc.stats().applied_edges, 11u);
   EXPECT_EQ(svc.checkpoint_covered_wal_seq(), 5u);
   EXPECT_GT(svc.compact_now(), caught_up_epoch);
@@ -479,8 +476,7 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
 // restart that remaps a WAL tail onto the checkpoint's labels, and a
 // replica's rebase onto a newer checkpoint, at a random point of its own
 // stream before or after the checkpoint's watermark. Compactions run only
-// when forced, so each one is checked to publish exactly one epoch, while a
-// kFresh reader keeps path halving running against the hooks.
+// when forced, so each one is checked to publish exactly one epoch.
 TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
   constexpr vertex_t kN = 1 << 12;
   constexpr std::size_t kEdges = 3 * kN / 2;
@@ -518,12 +514,6 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
     const auto stream = [&](ConnectivityService& svc, std::size_t from, std::size_t to,
                             const std::function<void(ConnectivityService::EdgeBatch)>& apply) {
       std::uint64_t epoch = svc.snapshot()->epoch;
-      std::atomic<bool> done{false};
-      std::thread fresh_reader([&] {
-        for (vertex_t v = 0; !done.load(std::memory_order_acquire); v = (v + 97) % kN) {
-          (void)svc.component_of(v, ReadMode::kFresh);
-        }
-      });
       while (from < to) {
         for (std::uint64_t b = 1 + rng.bounded(4); b > 0 && from < to; --b) {
           const std::size_t end = std::min(to, from + 1 + rng.bounded(32));
@@ -533,8 +523,6 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
         (void)svc.compact_now();
         expect_next_epoch(svc, epoch, from);
       }
-      done.store(true, std::memory_order_release);
-      fresh_reader.join();
     };
     const auto submit = [](ConnectivityService& svc) {
       return [&svc](ConnectivityService::EdgeBatch batch) {
@@ -773,7 +761,7 @@ TEST_F(ReplicaServiceTest, PromotedAfterRebootstrapKeepsAckedEdgesAcrossRestart)
   ASSERT_TRUE(first.has);
   bootstrap_install(first);
   auto replica = std::make_unique<ConnectivityService>(kVertices, replica_options());
-  EXPECT_TRUE(replica->connected(0, 1, ReadMode::kFresh));
+  EXPECT_TRUE(replica->connected(0, 1));  // the installed image is the first snapshot
 
   CkptImage newest;
   for (vertex_t u = 2; u < 12; u += 2) newest = checkpoint_with(u);
@@ -781,7 +769,8 @@ TEST_F(ReplicaServiceTest, PromotedAfterRebootstrapKeepsAckedEdgesAcrossRestart)
   ASSERT_EQ(newest.wal_seq, 6u);
   std::string err;
   ASSERT_TRUE(replica->rebase_to_image(newest.image, &err)) << err;
-  EXPECT_TRUE(replica->connected(10, 11, ReadMode::kFresh));
+  replica->compact_now();
+  EXPECT_TRUE(replica->connected(10, 11));
 
   ASSERT_TRUE(replica->promote(&err)) << err;
   ASSERT_EQ(replica->submit({{100, 101}}), Admission::kAccepted);
@@ -795,9 +784,9 @@ TEST_F(ReplicaServiceTest, PromotedAfterRebootstrapKeepsAckedEdgesAcrossRestart)
   plain.wal_path = path("r/wal");
   plain.checkpoint_path = path("r/ckpt");
   ConnectivityService restarted(kVertices, plain);
-  EXPECT_TRUE(restarted.connected(100, 101, ReadMode::kFresh));
-  EXPECT_TRUE(restarted.connected(102, 103, ReadMode::kFresh));
-  EXPECT_TRUE(restarted.connected(10, 11, ReadMode::kFresh));
+  EXPECT_TRUE(restarted.connected(100, 101));
+  EXPECT_TRUE(restarted.connected(102, 103));
+  EXPECT_TRUE(restarted.connected(10, 11));
   restarted.stop();
 }
 
@@ -865,7 +854,7 @@ TEST_F(ReplicaTest, FirstFetchIsImmediateAndStopSkipsTheInterval) {
   ConnectivityService replica(kN, o);
   Replicator replicator(replica, ropts);
   ASSERT_TRUE(replicator.start(&err)) << err;
-  EXPECT_TRUE(wait_until([&] { return replica.connected(1, 2, ReadMode::kFresh); }))
+  EXPECT_TRUE(wait_until([&] { return replica.connected(1, 2); }))
       << "the first fetch must not wait out the interval";
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -962,13 +951,13 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   // Everything acked before the replica joined becomes visible: checkpoint
   // labels + streamed WAL tail.
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 3, ReadMode::kFresh); }))
+      [&] { return replica_->connected(0, 3); }))
       << "replica never caught up with pre-join state";
 
   // Live streaming: new primary writes show up with bounded, observable lag.
   ASSERT_EQ(pc->ingest({{3, 4}, {4, 5}}), Status::kOk);
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 5, ReadMode::kFresh); }));
+      [&] { return replica_->connected(0, 5); }));
   ASSERT_TRUE(wait_until([&] { return replica_->stats().replica_lag_seq == 0; }));
 
   // The primary sees exactly one registered replica; replica reads serve
@@ -978,7 +967,7 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   auto rc = Client::connect_unix(path("replica.sock"), &err);
   ASSERT_NE(rc, nullptr) << err;
   Status qst = Status::kOk;
-  EXPECT_TRUE(rc->connected(0, 5, ReadMode::kFresh, &qst));
+  EXPECT_TRUE(rc->connected(0, 5, ReadMode::kSnapshot, &qst));
   EXPECT_EQ(qst, Status::kOk);
   EXPECT_EQ(rc->ingest({{9, 10}}), Status::kNotPrimary);
   ServiceStats rh{};
@@ -990,11 +979,11 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   ASSERT_TRUE(rc->promote(&st)) << status_name(st);
   EXPECT_EQ(rc->ingest({{9, 10}}), Status::kOk);
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(9, 10, ReadMode::kFresh); }));
+      [&] { return replica_->connected(9, 10); }));
   ASSERT_TRUE(rc->stats(rh));
   EXPECT_FALSE(rh.replica);
   // Everything replicated before the failover survived the promotion.
-  EXPECT_TRUE(replica_->connected(0, 5, ReadMode::kFresh));
+  EXPECT_TRUE(replica_->connected(0, 5));
 }
 
 TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
@@ -1005,7 +994,7 @@ TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
   ASSERT_EQ(pc->ingest({{0, 1}}), Status::kOk);
   start_replica();
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 1, ReadMode::kFresh); }));
+      [&] { return replica_->connected(0, 1); }));
 
   // Stop streaming, then push the primary far past retention: enough bytes
   // to rotate several 1 KiB segments, two checkpoint cuts, and a wait past
@@ -1028,7 +1017,7 @@ TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
   replicator_ = std::make_unique<Replicator>(*replica_, ropts_);
   ASSERT_TRUE(replicator_->start(&err)) << err;
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 301, ReadMode::kFresh); }))
+      [&] { return replica_->connected(0, 301); }))
       << "replica never re-bootstrapped past retention";
   EXPECT_GE(replicator_->rebootstraps(), 1u);
 }
@@ -1041,7 +1030,7 @@ TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
 
   start_replica();
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 2, ReadMode::kFresh); }));
+      [&] { return replica_->connected(0, 2); }));
 
   // Tear the whole replica stack down (clean stop, mirror stays on disk)
   // and bring it back: recovery runs off the local mirror, then streaming
@@ -1055,10 +1044,10 @@ TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
 
   ASSERT_EQ(pc->ingest({{2, 3}}), Status::kOk);
   start_replica();
-  EXPECT_TRUE(replica_->connected(0, 2, ReadMode::kFresh))
+  EXPECT_TRUE(replica_->connected(0, 2))
       << "local mirror replay must restore pre-restart state";
   ASSERT_TRUE(wait_until(
-      [&] { return replica_->connected(0, 3, ReadMode::kFresh); }));
+      [&] { return replica_->connected(0, 3); }));
 }
 
 // Records are 808 bytes and the primary seals every 1 KiB segment after two,

@@ -96,14 +96,15 @@ TEST(ConnectivityService, SnapshotSeesCompactedEdgesOnly) {
 
   // The snapshot reflects everything accepted before compact_now()...
   EXPECT_TRUE(svc.connected(0, 2, ReadMode::kSnapshot));
-  EXPECT_EQ(svc.component_of(2, ReadMode::kSnapshot), 0u);  // canonical min-ID
-  EXPECT_EQ(svc.component_count(), 8u);                     // {0,1,2} + 7 singletons
+  EXPECT_EQ(svc.component_of(2), 0u);    // canonical min-ID
+  EXPECT_EQ(svc.component_count(), 8u);  // {0,1,2} + 7 singletons
 
-  // ...but edges applied after it are only visible to kFresh reads.
+  // ...but an edge applied after it stays invisible until the next one.
   ASSERT_EQ(svc.submit({{2, 3}}), Admission::kAccepted);
   svc.flush();
   EXPECT_FALSE(svc.connected(0, 3, ReadMode::kSnapshot));
-  EXPECT_TRUE(svc.connected(0, 3, ReadMode::kFresh));
+  EXPECT_EQ(svc.stats().applied_edges, 3u);
+  EXPECT_EQ(svc.stats().staleness_edges, 1u);
 
   const std::uint64_t epoch2 = svc.compact_now();
   EXPECT_GT(epoch2, epoch);
@@ -143,7 +144,7 @@ TEST(ConnectivityService, SeedGraphCountsAsEpochZero) {
 TEST(ConnectivityService, OutOfRangeVerticesAreSafe) {
   ConnectivityService svc(4);
   EXPECT_FALSE(svc.connected(0, 99));
-  EXPECT_FALSE(svc.connected(99, 100, ReadMode::kFresh));
+  EXPECT_FALSE(svc.connected(99, 100));
   EXPECT_EQ(svc.component_of(99), kInvalidVertex);
   // A batch mixing valid and invalid edges applies only the valid ones.
   ASSERT_EQ(svc.submit({{0, 1}, {2, 99}, {100, 101}}), Admission::kAccepted);
@@ -289,16 +290,15 @@ TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
 
   std::vector<std::thread> readers;
   for (int r = 0; r < 3; ++r) {
-    readers.emplace_back([&, r] {
-      const ReadMode mode = r == 0 ? ReadMode::kFresh : ReadMode::kSnapshot;
+    readers.emplace_back([&] {
       // frontier = highest vertex seen connected to 0 so far; connectivity
       // along the path 0-1-2-... may never regress below it.
       vertex_t frontier = 0;
       while (!writer_done.load(std::memory_order_acquire)) {
-        if (frontier + 1 < kN && svc.connected(0, frontier + 1, mode)) {
+        if (frontier + 1 < kN && svc.connected(0, frontier + 1, ReadMode::kSnapshot)) {
           ++frontier;
-        } else if (frontier > 0 && !svc.connected(0, frontier, ReadMode::kFresh)) {
-          // kFresh is at least as fresh as any earlier observation.
+        } else if (frontier > 0 && !svc.connected(0, frontier, ReadMode::kSnapshot)) {
+          // A snapshot is at least as coarse as any earlier one.
           violation.store(true);
           return;
         }
@@ -330,9 +330,7 @@ std::vector<Edge> xorshift_edges(vertex_t n, std::size_t count) {
 
 // Every epoch is exactly the first `watermark` applied edges: a recorder
 // checks each new epoch against a reference union-find advanced to its
-// watermark, and against the previous epoch (snapshots may only coarsen),
-// while a kFresh reader keeps path halving running against the worker's
-// hooks.
+// watermark, and against the previous epoch (snapshots may only coarsen).
 TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   constexpr vertex_t kN = 1 << 16;
   constexpr std::size_t kEdges = 1 << 18;
@@ -352,13 +350,6 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
     }
     svc.compact_now();
     done.store(true, std::memory_order_release);
-  });
-  std::thread fresh_reader([&] {
-    vertex_t v = 0;
-    while (!done.load(std::memory_order_acquire)) {
-      (void)svc.component_of(v, ReadMode::kFresh);
-      v = (v + 7919) % kN;
-    }
   });
 
   IncrementalCC reference(kN);  // advanced to `prefix` edges
@@ -396,7 +387,6 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
     ++checked;
   }
   submitter.join();
-  fresh_reader.join();
   EXPECT_EQ(prev->watermark, kEdges);
   EXPECT_GE(checked, 2);
 }
@@ -488,7 +478,6 @@ TEST(Protocol, RequestRoundTripAllTypes) {
     req.id = 42;
     req.u = 7;
     req.v = 9;
-    req.mode = ReadMode::kFresh;
     buf.clear();
     encode_request(req, buf);
     Request got;
@@ -498,13 +487,23 @@ TEST(Protocol, RequestRoundTripAllTypes) {
     if (t == MsgType::kConnected) {
       EXPECT_EQ(got.u, 7u);
       EXPECT_EQ(got.v, 9u);
-      EXPECT_EQ(got.mode, ReadMode::kFresh);
     }
     if (t == MsgType::kComponentOf) {
       EXPECT_EQ(got.v, 9u);
-      EXPECT_EQ(got.mode, ReadMode::kFresh);
     }
   }
+}
+
+// A read's last byte is its read mode: 0 (a snapshot read) is the only one.
+std::vector<std::uint8_t> read_frame_with_mode(MsgType type, std::uint8_t mode) {
+  Request req;
+  req.type = type;
+  req.u = 1;
+  req.v = 2;
+  std::vector<std::uint8_t> frame;
+  encode_request(req, frame);
+  frame.back() = mode;
+  return frame;
 }
 
 TEST(Protocol, ResponseRoundTripCarriesStatsAndStatus) {
@@ -737,14 +736,13 @@ TEST(Protocol, RejectsMalformedPayloads) {
   padded.push_back(0);
   EXPECT_FALSE(decode_request(padded, req));
 
-  // Bad read-mode byte.
-  Request conn;
-  conn.type = MsgType::kConnected;
-  buf.clear();
-  encode_request(conn, buf);
-  std::vector<std::uint8_t> bad_mode(payload_of(buf).begin(), payload_of(buf).end());
-  bad_mode.back() = 7;
-  EXPECT_FALSE(decode_request(bad_mode, req));
+  // Any read-mode byte but 0.
+  for (const MsgType t : {MsgType::kConnected, MsgType::kComponentOf}) {
+    for (const std::uint8_t mode : {1, 2, 7, 255}) {
+      EXPECT_FALSE(decode_request(payload_of(read_frame_with_mode(t, mode)), req))
+          << static_cast<int>(t) << " mode " << static_cast<int>(mode);
+    }
+  }
 }
 
 TEST(Protocol, RejectsIngestCountBeyondPayload) {
@@ -812,7 +810,7 @@ TEST_F(SvcSocketTest, FullRequestResponseCycle) {
   EXPECT_TRUE(client->connected(1, 3, ReadMode::kSnapshot, &st));
   EXPECT_EQ(st, Status::kOk);
   EXPECT_FALSE(client->connected(1, 4, ReadMode::kSnapshot, &st));
-  EXPECT_EQ(client->component_of(3, ReadMode::kSnapshot, &st), 1u);
+  EXPECT_EQ(client->component_of(3, &st), 1u);
 
   // Out-of-range vertices are a definitive kInvalid, not a dropped conn.
   (void)client->connected(1, kVertices + 5, ReadMode::kSnapshot, &st);
@@ -849,7 +847,7 @@ TEST_F(SvcSocketTest, ConcurrentClients) {
         }
         if (ing != Status::kOk) ++failures;
         Status st = Status::kOk;
-        (void)client->connected(base, base + i, ReadMode::kFresh, &st);
+        (void)client->connected(base, base + i, ReadMode::kSnapshot, &st);
         if (st != Status::kOk) ++failures;
       }
     });
@@ -903,6 +901,23 @@ TEST_F(SvcSocketTest, HostileIngestCountDoesNotKillServer) {
   EXPECT_TRUE(client->ping());
 }
 
+TEST_F(SvcSocketTest, NonSnapshotModeByteAnswersInvalidAndCloses) {
+  std::string err;
+  for (const MsgType t : {MsgType::kConnected, MsgType::kComponentOf}) {
+    const int fd = net::connect_unix(unix_path_, &err);
+    ASSERT_GE(fd, 0) << err;
+    const std::vector<std::uint8_t> frame = read_frame_with_mode(t, 1);
+    ASSERT_TRUE(net::write_full(fd, frame.data(), frame.size()));
+    std::vector<std::uint8_t> payload;
+    ASSERT_TRUE(net::read_frame(fd, payload));
+    Response resp;
+    ASSERT_TRUE(decode_response(payload, resp));
+    EXPECT_EQ(resp.status, Status::kInvalid) << static_cast<int>(t);
+    EXPECT_FALSE(net::read_frame(fd, payload)) << "the connection stays open";
+    ::close(fd);
+  }
+}
+
 TEST_F(SvcSocketTest, OversizedIngestBatchRejectedClientSide) {
   std::string err;
   auto client = Client::connect_unix(unix_path_, &err);
@@ -954,7 +969,6 @@ TEST_F(SvcSocketTest, PipelinedRequestsAnswerInOrder) {
         req.type = MsgType::kConnected;
         req.u = 1;
         req.v = 2;
-        req.mode = ReadMode::kFresh;
         break;
     }
     types.push_back(req.type);
