@@ -24,10 +24,6 @@ using CcRunner = std::function<std::vector<vertex_t>()>;
 
 // --- parallel CPU comparators ---------------------------------------------
 
-/// Shiloach & Vishkin's classic hook + pointer-jump iteration [28]. Also the
-/// algorithm CRONO implements.
-[[nodiscard]] std::vector<vertex_t> shiloach_vishkin(const Graph& g, int threads = 0);
-
 /// Ligra+ "Comp" [22]: frontier-based label propagation that keeps the
 /// previous label of every vertex and only processes vertices whose label
 /// changed in the prior iteration.
@@ -47,14 +43,10 @@ using CcRunner = std::function<std::vector<vertex_t>()>;
 /// vertex, and recursion on the contracted graph.
 [[nodiscard]] std::vector<vertex_t> ndhybrid(const Graph& g, int threads = 0);
 
-/// CRONO [1]: Shiloach-Vishkin on an n x dmax adjacency matrix. Mirrors the
-/// original's memory behaviour: throws std::bad_alloc-like failure by
-/// returning an empty vector when the matrix would exceed `memory_limit`
-/// bytes (the paper reports "n/a" for those inputs).
-[[nodiscard]] std::vector<vertex_t> crono(const Graph& g, int threads = 0,
-                                          std::size_t memory_limit = std::size_t{2} << 30);
-
-/// CRONO with its matrix prebuilt in the (untimed) prepare step.
+/// CRONO [1]: Shiloach-Vishkin on an n x dmax adjacency matrix, prebuilt in
+/// the (untimed) prepare step. Mirrors the original's memory behaviour: the
+/// runner returns an empty vector when the matrix would exceed
+/// `memory_limit` bytes (the paper reports "n/a" for those inputs).
 [[nodiscard]] CcRunner make_crono_runner(const Graph& g, int threads = 0,
                                          std::size_t memory_limit = std::size_t{2} << 30);
 
@@ -72,16 +64,13 @@ using CcRunner = std::function<std::vector<vertex_t>()>;
 /// Boost incremental_components flavour [3]: rank + full-path-compression
 /// union-find accessed through property-map indirection, over a
 /// vector-of-vectors adjacency_list.
-[[nodiscard]] std::vector<vertex_t> boost_style(const Graph& g);
 [[nodiscard]] CcRunner make_boost_runner(const Graph& g);
 
 /// igraph flavour [17]: dqueue-based BFS over igraph's edge arrays with
 /// sorted incidence indices (double indirection per neighbor).
-[[nodiscard]] std::vector<vertex_t> igraph_style(const Graph& g);
 [[nodiscard]] CcRunner make_igraph_runner(const Graph& g);
 
 /// LEMON flavour [20]: DFS over ListGraph-style linked arc lists.
-[[nodiscard]] std::vector<vertex_t> lemon_style(const Graph& g);
 [[nodiscard]] CcRunner make_lemon_runner(const Graph& g);
 
 /// Galois serial CC: the asynchronous algorithm run through the Galois

@@ -110,8 +110,4 @@ CcRunner make_crono_runner(const Graph& g, int threads, std::size_t memory_limit
   return [m, threads] { return run_crono(*m, threads); };
 }
 
-std::vector<vertex_t> crono(const Graph& g, int threads, std::size_t memory_limit) {
-  return make_crono_runner(g, threads, memory_limit)();
-}
-
 }  // namespace ecl::baselines

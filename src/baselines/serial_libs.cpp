@@ -84,8 +84,6 @@ CcRunner make_boost_runner(const Graph& g) {
   return [native] { return run_boost(*native); };
 }
 
-std::vector<vertex_t> boost_style(const Graph& g) { return make_boost_runner(g)(); }
-
 // ---------------------------------------------------------------------------
 // LEMON: ListGraph (linked arc lists) + connectedComponents (DFS + NodeMap).
 
@@ -146,8 +144,6 @@ CcRunner make_lemon_runner(const Graph& g) {
   }
   return [native] { return run_lemon(*native); };
 }
-
-std::vector<vertex_t> lemon_style(const Graph& g) { return make_lemon_runner(g)(); }
 
 // ---------------------------------------------------------------------------
 // igraph: edge arrays (from/to) + sorted incidence index, BFS with dqueue.
@@ -229,7 +225,5 @@ CcRunner make_igraph_runner(const Graph& g) {
   }
   return [native] { return run_igraph(*native); };
 }
-
-std::vector<vertex_t> igraph_style(const Graph& g) { return make_igraph_runner(g)(); }
 
 }  // namespace ecl::baselines

@@ -30,33 +30,12 @@ double geometric_mean(std::span<const double> xs) {
   return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
-double stddev(std::span<const double> xs) {
-  if (xs.size() < 2) return 0.0;
-  const double m = mean(xs);
-  double ss = 0.0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size()));
-}
-
 double minimum(std::span<const double> xs) {
   return xs.empty() ? 0.0 : *std::min_element(xs.begin(), xs.end());
 }
 
 double maximum(std::span<const double> xs) {
   return xs.empty() ? 0.0 : *std::max_element(xs.begin(), xs.end());
-}
-
-double percentile(std::span<const double> xs, double p) {
-  if (xs.empty()) return 0.0;
-  std::vector<double> v(xs.begin(), xs.end());
-  std::sort(v.begin(), v.end());
-  if (v.size() == 1) return v.front();
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  const double rank = clamped / 100.0 * static_cast<double>(v.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, v.size() - 1);
-  const double frac = rank - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
 }
 
 }  // namespace ecl

@@ -18,17 +18,11 @@ namespace ecl {
 /// Geometric mean; 0 for an empty sample. All inputs must be > 0.
 [[nodiscard]] double geometric_mean(std::span<const double> xs);
 
-/// Population standard deviation; 0 for fewer than two samples.
-[[nodiscard]] double stddev(std::span<const double> xs);
-
 /// Smallest element; 0 for an empty sample.
 [[nodiscard]] double minimum(std::span<const double> xs);
 
 /// Largest element; 0 for an empty sample.
 [[nodiscard]] double maximum(std::span<const double> xs);
-
-/// p-th percentile (0..100) by linear interpolation; 0 for an empty sample.
-[[nodiscard]] double percentile(std::span<const double> xs, double p);
 
 /// Runs `fn` `repetitions` times, timing each run, and returns the median
 /// elapsed milliseconds — the measurement protocol of the paper (§4:

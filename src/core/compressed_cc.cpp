@@ -1,7 +1,5 @@
 #include "core/compressed_cc.h"
 
-#include <omp.h>
-
 #include "common/timer.h"
 #include "core/engine.h"
 
@@ -26,36 +24,6 @@ std::vector<vertex_t> ecl_cc_serial(const CompressedGraph& g, const EclOptions& 
   if (times != nullptr) times->compute_ms = timer.millis();
 
   timer.reset();
-  for (vertex_t v = 0; v < n; ++v) {
-    detail::finalize_vertex(opts.finalize, v, ops);
-  }
-  if (times != nullptr) times->finalize_ms = timer.millis();
-  return parent;
-}
-
-std::vector<vertex_t> ecl_cc_omp(const CompressedGraph& g, const EclOptions& opts,
-                                 PhaseTimes* times) {
-  const vertex_t n = g.num_vertices();
-  const int threads = opts.num_threads > 0 ? opts.num_threads : omp_get_max_threads();
-  std::vector<vertex_t> parent(n);
-  AtomicParentOps ops(parent.data());
-  Timer timer;
-
-#pragma omp parallel for schedule(guided) num_threads(threads)
-  for (vertex_t v = 0; v < n; ++v) {
-    parent[v] = detail::initial_parent(g, opts.init, v);
-  }
-  if (times != nullptr) times->init_ms = timer.millis();
-
-  timer.reset();
-#pragma omp parallel for schedule(guided) num_threads(threads)
-  for (vertex_t v = 0; v < n; ++v) {
-    detail::compute_vertex(g, opts.jump, v, ops);
-  }
-  if (times != nullptr) times->compute_ms = timer.millis();
-
-  timer.reset();
-#pragma omp parallel for schedule(guided) num_threads(threads)
   for (vertex_t v = 0; v < n; ++v) {
     detail::finalize_vertex(opts.finalize, v, ops);
   }

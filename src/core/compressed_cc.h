@@ -15,9 +15,4 @@ namespace ecl {
                                                   const EclOptions& opts = {},
                                                   PhaseTimes* times = nullptr);
 
-/// OpenMP ECL-CC on a compressed graph.
-[[nodiscard]] std::vector<vertex_t> ecl_cc_omp(const CompressedGraph& g,
-                                               const EclOptions& opts = {},
-                                               PhaseTimes* times = nullptr);
-
 }  // namespace ecl

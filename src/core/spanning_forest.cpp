@@ -6,9 +6,17 @@
 
 namespace ecl {
 
-namespace {
+SpanningForest minimum_spanning_forest(const Graph& g, const WeightFn& weight) {
+  std::vector<ForestEdge> edges;
+  edges.reserve(g.num_edges() / 2);
+  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
+    for (const vertex_t u : g.neighbors(v)) {
+      if (u < v) edges.push_back({v, u, weight(v, u)});
+    }
+  }
+  std::sort(edges.begin(), edges.end(),
+            [](const ForestEdge& a, const ForestEdge& b) { return a.weight < b.weight; });
 
-SpanningForest kruskal(const Graph& g, std::vector<ForestEdge> edges) {
   ConcurrentDisjointSet dsu(g.num_vertices());
   SpanningForest forest;
   forest.edges.reserve(g.num_vertices());
@@ -22,32 +30,6 @@ SpanningForest kruskal(const Graph& g, std::vector<ForestEdge> edges) {
   dsu.flatten();
   forest.num_trees = dsu.count();
   return forest;
-}
-
-}  // namespace
-
-SpanningForest minimum_spanning_forest(const Graph& g, const WeightFn& weight) {
-  std::vector<ForestEdge> edges;
-  edges.reserve(g.num_edges() / 2);
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    for (const vertex_t u : g.neighbors(v)) {
-      if (u < v) edges.push_back({v, u, weight(v, u)});
-    }
-  }
-  std::sort(edges.begin(), edges.end(),
-            [](const ForestEdge& a, const ForestEdge& b) { return a.weight < b.weight; });
-  return kruskal(g, std::move(edges));
-}
-
-SpanningForest spanning_forest(const Graph& g) {
-  std::vector<ForestEdge> edges;
-  edges.reserve(g.num_edges() / 2);
-  for (vertex_t v = 0; v < g.num_vertices(); ++v) {
-    for (const vertex_t u : g.neighbors(v)) {
-      if (u < v) edges.push_back({v, u, 1.0});
-    }
-  }
-  return kruskal(g, std::move(edges));
 }
 
 }  // namespace ecl

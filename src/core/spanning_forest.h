@@ -39,9 +39,4 @@ using WeightFn = std::function<double(vertex_t, vertex_t)>;
 /// hooks). O(m log m) for the sort; near-linear for the union phase.
 [[nodiscard]] SpanningForest minimum_spanning_forest(const Graph& g, const WeightFn& weight);
 
-/// Unweighted spanning forest (any spanning tree per component): processes
-/// edges in CSR order, skipping the sort entirely — the pure union-find
-/// workload the paper's conclusion targets.
-[[nodiscard]] SpanningForest spanning_forest(const Graph& g);
-
 }  // namespace ecl

@@ -63,15 +63,4 @@ vertex_t count_labels(std::span<const vertex_t> labels) {
   return static_cast<vertex_t>(sorted.size());
 }
 
-std::vector<vertex_t> canonical_labels(std::span<const vertex_t> labels) {
-  const auto n = static_cast<vertex_t>(labels.size());
-  std::vector<vertex_t> min_of(n, kInvalidVertex);
-  for (vertex_t v = 0; v < n; ++v) {
-    min_of[labels[v]] = std::min(min_of[labels[v]], v);
-  }
-  std::vector<vertex_t> out(n);
-  for (vertex_t v = 0; v < n; ++v) out[v] = min_of[labels[v]];
-  return out;
-}
-
 }  // namespace ecl

@@ -5,7 +5,6 @@
 
 #include <span>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 
@@ -31,9 +30,5 @@ struct VerifyResult {
 
 /// Number of distinct labels.
 [[nodiscard]] vertex_t count_labels(std::span<const vertex_t> labels);
-
-/// Rewrites labels so each component is labeled by its minimum vertex ID
-/// (the canonical form produced by ECL-CC itself).
-[[nodiscard]] std::vector<vertex_t> canonical_labels(std::span<const vertex_t> labels);
 
 }  // namespace ecl

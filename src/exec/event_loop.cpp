@@ -54,18 +54,6 @@ void Conn::send(const void* data, std::size_t n) {
   if (!in_event_) loop_->flush_writes(this);
 }
 
-void Conn::send_frame(const void* payload, std::size_t n) {
-  std::uint8_t prefix[4];
-  for (int i = 0; i < 4; ++i) {
-    prefix[i] = static_cast<std::uint8_t>((n >> (8 * i)) & 0xff);
-  }
-  const bool was_in_event = in_event_;
-  in_event_ = true;  // suppress the flush between prefix and payload
-  send(prefix, sizeof(prefix));
-  in_event_ = was_in_event;
-  send(payload, n);
-}
-
 void Conn::close(CloseReason reason) { loop_->queue_close(this, reason); }
 
 // --- EventLoop -------------------------------------------------------------

@@ -111,9 +111,6 @@ class Conn {
   /// its limit.
   void send(const void* data, std::size_t n);
 
-  /// send() with the u32 length prefix prepended.
-  void send_frame(const void* payload, std::size_t n);
-
   /// Flushes what it can and closes (on_close fires before the fd closes).
   /// Safe to call repeatedly; the first reason wins.
   void close(CloseReason reason = CloseReason::kAppClose);

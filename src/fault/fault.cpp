@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "obs/metrics.h"
@@ -29,8 +28,6 @@ struct Registry::Clause {
 struct Registry::Impl {
   mutable std::mutex mu;
   std::vector<Clause> clauses;
-  std::unordered_map<std::string, std::uint64_t> fired_by_point;
-  std::uint64_t total_fired = 0;
 };
 
 Registry::Impl& Registry::impl() const {
@@ -151,8 +148,6 @@ void Registry::disarm_all() {
   Impl& i = impl();
   std::lock_guard<std::mutex> lock(i.mu);
   i.clauses.clear();
-  i.fired_by_point.clear();
-  i.total_fired = 0;
   armed_.store(false, std::memory_order_release);
 }
 
@@ -167,25 +162,10 @@ Outcome Registry::evaluate(std::string_view point) noexcept {
     if ((pass - c.spec.after) % c.spec.every != 0) continue;
     if (c.spec.prob < 1.0 && next_unit(c.rng) >= c.spec.prob) continue;
     ++c.fires;
-    ++i.fired_by_point[std::string(point)];
-    ++i.total_fired;
     ECL_OBS_COUNTER_ADD("ecl.fault.injected", 1);
     return Outcome{c.spec.action, c.spec.arg};
   }
   return Outcome{};
-}
-
-std::uint64_t Registry::fired(std::string_view point) const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  const auto it = i.fired_by_point.find(std::string(point));
-  return it == i.fired_by_point.end() ? 0 : it->second;
-}
-
-std::uint64_t Registry::total_fired() const {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  return i.total_fired;
 }
 
 Registry& Registry::instance() {

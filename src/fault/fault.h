@@ -77,7 +77,7 @@ class Registry {
   /// Arms one clause programmatically.
   void arm_point(PointSpec spec);
 
-  /// Removes every armed clause and zeroes the per-point counters.
+  /// Removes every armed clause.
   void disarm_all();
 
   /// True when at least one clause is armed. One relaxed load — this is the
@@ -89,12 +89,6 @@ class Registry {
   /// Evaluates one pass of `point`. Returns the first matching clause's
   /// outcome, or kNone. Thread-safe; deterministic per clause.
   [[nodiscard]] Outcome evaluate(std::string_view point) noexcept;
-
-  /// Times a fault actually fired at `point` (all clauses combined).
-  [[nodiscard]] std::uint64_t fired(std::string_view point) const;
-
-  /// Total faults fired across every point since the last disarm_all().
-  [[nodiscard]] std::uint64_t total_fired() const;
 
   /// The process-wide registry. On first use it arms itself from the
   /// ECL_FAULT environment variable (a malformed value is reported to

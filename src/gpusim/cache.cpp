@@ -56,17 +56,6 @@ CacheSim::AccessResult CacheSim::access(std::uint64_t addr, bool is_write) {
   return {Outcome::kMiss, dirty_eviction};
 }
 
-std::uint64_t CacheSim::flush() {
-  std::uint64_t dirty = 0;
-  for (auto& way : ways_) {
-    if (way.valid && way.dirty) ++dirty;
-    way.valid = false;
-    way.dirty = false;
-    way.tag = ~std::uint64_t{0};
-  }
-  return dirty;
-}
-
 MemoryCounters& MemoryCounters::operator-=(const MemoryCounters& other) {
   reads -= other.reads;
   writes -= other.writes;
@@ -145,14 +134,6 @@ std::uint32_t MemorySystem::atomic(std::uint64_t addr) {
   if (result.dirty_eviction) ++counters_.dram_accesses;
   if (result.outcome == CacheSim::Outcome::kMiss) ++counters_.dram_accesses;
   return spec_.atomic_cycles;
-}
-
-void MemorySystem::flush_all() {
-  for (auto& l1 : l1_) {
-    const std::uint64_t dirty = l1.flush();
-    counters_.l2_writes += dirty;
-  }
-  counters_.dram_accesses += l2_.flush();
 }
 
 }  // namespace ecl::gpusim

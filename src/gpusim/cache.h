@@ -31,9 +31,6 @@ class CacheSim {
   /// Looks up `addr`; on miss, fills the line (possibly evicting).
   AccessResult access(std::uint64_t addr, bool is_write);
 
-  /// Evicts everything, reporting the number of dirty lines written back.
-  std::uint64_t flush();
-
   [[nodiscard]] std::uint32_t line_bytes() const { return line_bytes_; }
 
  private:
@@ -80,10 +77,6 @@ class MemorySystem {
 
   /// An atomic RMW; bypasses L1 and resolves at the L2, as on real GPUs.
   std::uint32_t atomic(std::uint64_t addr);
-
-  /// Writes back all dirty L1/L2 lines (kernel boundary semantics are not
-  /// modeled; call at simulation end if total write-back traffic matters).
-  void flush_all();
 
   [[nodiscard]] const MemoryCounters& counters() const { return counters_; }
 

@@ -1,158 +1,19 @@
 #include "graph/bfs.h"
 
 #include <atomic>
+#include <cstdint>
 #include <omp.h>
 
 namespace ecl {
-
-namespace {
-
-/// One direction-optimizing traversal (Beamer-style top-down/bottom-up).
-/// The visit predicate owns the "visited" state, which doubles as the
-/// output: distances for bfs(), labels for bfs_label().
-class Traversal {
- public:
-  Traversal(const Graph& graph, const BfsOptions& opts)
-      : g_(graph),
-        nt_(opts.num_threads > 0 ? opts.num_threads : omp_get_max_threads()),
-        alpha_(opts.alpha),
-        beta_(opts.beta),
-        in_frontier_(graph.num_vertices(), 0) {}
-
-  /// Runs from `source` (already marked visited by the caller).
-  ///   try_visit(u) — atomically claims an unvisited vertex, returns true
-  ///                  if this call claimed it;
-  ///   is_unvisited(u) — non-claiming check for the bottom-up sweep;
-  ///   on_wave_done() — called after each completed level (for distances).
-  /// Returns the number of vertices reached, including the source.
-  template <typename TryVisit, typename IsUnvisited, typename WaveDone>
-  vertex_t run(vertex_t source, TryVisit&& try_visit, IsUnvisited&& is_unvisited,
-               WaveDone&& on_wave_done) {
-    const vertex_t n = g_.num_vertices();
-    const std::uint64_t m = g_.num_edges();
-    std::vector<vertex_t> frontier{source};
-    std::uint64_t frontier_degree = g_.degree(source);
-    vertex_t reached = 1;
-    bool bottom_up = false;
-
-    while (!frontier.empty()) {
-      // Direction heuristic: dense sweeps pay off while the frontier
-      // covers a large fraction of the edges.
-      const bool want_bottom_up =
-          frontier_degree > static_cast<std::uint64_t>(static_cast<double>(m) / alpha_) ||
-          (bottom_up &&
-           frontier.size() > static_cast<std::size_t>(static_cast<double>(n) / beta_));
-      if (want_bottom_up != bottom_up) {
-        bottom_up = want_bottom_up;
-        ++switches_;
-      }
-
-      std::vector<vertex_t> next;
-      std::uint64_t next_degree = 0;
-
-      if (bottom_up) {
-        for (const vertex_t v : frontier) in_frontier_[v] = 1;
-#pragma omp parallel num_threads(nt_)
-        {
-          std::vector<vertex_t> local;
-          std::uint64_t local_degree = 0;
-#pragma omp for schedule(guided) nowait
-          for (vertex_t u = 0; u < n; ++u) {
-            if (!is_unvisited(u)) continue;
-            // An unvisited vertex joins the next frontier if any neighbor
-            // is in the current one.
-            for (const vertex_t w : g_.neighbors(u)) {
-              if (in_frontier_[w]) {
-                if (try_visit(u)) {
-                  local.push_back(u);
-                  local_degree += g_.degree(u);
-                }
-                break;
-              }
-            }
-          }
-#pragma omp critical(ecl_bfs_merge)
-          {
-            next.insert(next.end(), local.begin(), local.end());
-            next_degree += local_degree;
-          }
-        }
-        for (const vertex_t v : frontier) in_frontier_[v] = 0;
-      } else {
-#pragma omp parallel num_threads(nt_)
-        {
-          std::vector<vertex_t> local;
-          std::uint64_t local_degree = 0;
-#pragma omp for schedule(guided) nowait
-          for (std::size_t i = 0; i < frontier.size(); ++i) {
-            for (const vertex_t u : g_.neighbors(frontier[i])) {
-              if (try_visit(u)) {
-                local.push_back(u);
-                local_degree += g_.degree(u);
-              }
-            }
-          }
-#pragma omp critical(ecl_bfs_merge)
-          {
-            next.insert(next.end(), local.begin(), local.end());
-            next_degree += local_degree;
-          }
-        }
-      }
-
-      reached += static_cast<vertex_t>(next.size());
-      frontier = std::move(next);
-      frontier_degree = next_degree;
-      on_wave_done();
-    }
-    return reached;
-  }
-
-  [[nodiscard]] int switches() const { return switches_; }
-
- private:
-  const Graph& g_;
-  int nt_;
-  double alpha_;
-  double beta_;
-  std::vector<std::uint8_t> in_frontier_;
-  int switches_ = 0;
-};
-
-}  // namespace
-
-BfsResult bfs(const Graph& g, vertex_t source, const BfsOptions& opts) {
-  BfsResult result;
-  result.distance.assign(g.num_vertices(), kUnreachable);
-  if (g.num_vertices() == 0) return result;
-  result.distance[source] = 0;
-  std::vector<std::uint32_t>& dist = result.distance;
-
-  // All vertices claimed during wave k receive distance `level` = k+1.
-  std::uint32_t level = 1;
-  const auto try_visit = [&dist, &level](vertex_t u) {
-    std::atomic_ref<std::uint32_t> slot(dist[u]);
-    std::uint32_t expected = kUnreachable;
-    return slot.load(std::memory_order_relaxed) == kUnreachable &&
-           slot.compare_exchange_strong(expected, level, std::memory_order_relaxed);
-  };
-  const auto is_unvisited = [&dist](vertex_t u) {
-    return std::atomic_ref<std::uint32_t>(dist[u]).load(std::memory_order_relaxed) ==
-           kUnreachable;
-  };
-
-  Traversal traversal(g, opts);
-  result.num_reached =
-      traversal.run(source, try_visit, is_unvisited, [&level] { ++level; });
-  result.direction_switches = traversal.switches();
-  return result;
-}
 
 vertex_t bfs_label(const Graph& g, vertex_t source, vertex_t label_value,
                    std::vector<vertex_t>& label, const BfsOptions& opts) {
   if (label[source] != kInvalidVertex) return 0;
   label[source] = label_value;
 
+  // The label array owns the "visited" state: try_visit atomically claims
+  // an unlabeled vertex, is_unvisited is the bottom-up sweep's non-claiming
+  // check.
   const auto try_visit = [&label, label_value](vertex_t u) {
     std::atomic_ref<vertex_t> slot(label[u]);
     vertex_t expected = kInvalidVertex;
@@ -164,8 +25,81 @@ vertex_t bfs_label(const Graph& g, vertex_t source, vertex_t label_value,
            kInvalidVertex;
   };
 
-  Traversal traversal(g, opts);
-  return traversal.run(source, try_visit, is_unvisited, [] {});
+  const int nt = opts.num_threads > 0 ? opts.num_threads : omp_get_max_threads();
+  const vertex_t n = g.num_vertices();
+  const std::uint64_t m = g.num_edges();
+  std::vector<std::uint8_t> in_frontier(n, 0);
+  std::vector<vertex_t> frontier{source};
+  std::uint64_t frontier_degree = g.degree(source);
+  vertex_t reached = 1;
+  bool bottom_up = false;
+
+  while (!frontier.empty()) {
+    // Direction heuristic: dense sweeps pay off while the frontier covers a
+    // large fraction of the edges.
+    bottom_up =
+        frontier_degree > static_cast<std::uint64_t>(static_cast<double>(m) / opts.alpha) ||
+        (bottom_up &&
+         frontier.size() > static_cast<std::size_t>(static_cast<double>(n) / opts.beta));
+
+    std::vector<vertex_t> next;
+    std::uint64_t next_degree = 0;
+
+    if (bottom_up) {
+      for (const vertex_t v : frontier) in_frontier[v] = 1;
+#pragma omp parallel num_threads(nt)
+      {
+        std::vector<vertex_t> local;
+        std::uint64_t local_degree = 0;
+#pragma omp for schedule(guided) nowait
+        for (vertex_t u = 0; u < n; ++u) {
+          if (!is_unvisited(u)) continue;
+          // An unvisited vertex joins the next frontier if any neighbor is
+          // in the current one.
+          for (const vertex_t w : g.neighbors(u)) {
+            if (in_frontier[w]) {
+              if (try_visit(u)) {
+                local.push_back(u);
+                local_degree += g.degree(u);
+              }
+              break;
+            }
+          }
+        }
+#pragma omp critical(ecl_bfs_merge)
+        {
+          next.insert(next.end(), local.begin(), local.end());
+          next_degree += local_degree;
+        }
+      }
+      for (const vertex_t v : frontier) in_frontier[v] = 0;
+    } else {
+#pragma omp parallel num_threads(nt)
+      {
+        std::vector<vertex_t> local;
+        std::uint64_t local_degree = 0;
+#pragma omp for schedule(guided) nowait
+        for (std::size_t i = 0; i < frontier.size(); ++i) {
+          for (const vertex_t u : g.neighbors(frontier[i])) {
+            if (try_visit(u)) {
+              local.push_back(u);
+              local_degree += g.degree(u);
+            }
+          }
+        }
+#pragma omp critical(ecl_bfs_merge)
+        {
+          next.insert(next.end(), local.begin(), local.end());
+          next_degree += local_degree;
+        }
+      }
+    }
+
+    reached += static_cast<vertex_t>(next.size());
+    frontier = std::move(next);
+    frontier_degree = next_degree;
+  }
+  return reached;
 }
 
 }  // namespace ecl

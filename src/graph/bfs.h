@@ -3,13 +3,10 @@
 // Ligra's BFS — the engine behind the paper's Ligra+ BFSCC comparator and
 // part of Multistep — switches between sparse top-down expansion and dense
 // bottom-up sweeps depending on frontier size (Beamer et al.'s
-// direction-optimizing BFS). This module provides that engine as a public
-// utility: full single-source BFS with distances, and a labeling variant
-// used by the CC codes.
+// direction-optimizing BFS). This module provides that engine as the
+// labeling traversal the CC codes use.
 #pragma once
 
-#include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,21 +23,6 @@ struct BfsOptions {
   /// OpenMP threads (0 = runtime default).
   int num_threads = 0;
 };
-
-inline constexpr std::uint32_t kUnreachable = std::numeric_limits<std::uint32_t>::max();
-
-/// Result of a single-source BFS.
-struct BfsResult {
-  /// distance[v] = hops from the source, kUnreachable if not reached.
-  std::vector<std::uint32_t> distance;
-  /// Number of vertices reached (including the source).
-  vertex_t num_reached = 0;
-  /// Number of direction switches the optimizer performed.
-  int direction_switches = 0;
-};
-
-/// Single-source direction-optimizing BFS.
-[[nodiscard]] BfsResult bfs(const Graph& g, vertex_t source, const BfsOptions& opts = {});
 
 /// CC building block: runs a BFS from `source` writing `label_value` into
 /// `label` for every reached vertex. Entries must be kInvalidVertex for

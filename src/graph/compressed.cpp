@@ -3,8 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "graph/builder.h"
-
 namespace ecl {
 
 namespace {
@@ -102,21 +100,6 @@ CompressedGraph::NeighborRange CompressedGraph::neighbors(vertex_t v) const {
   assert(v < num_vertices());
   return {NeighborIterator(bytes_.data() + offsets_[v], v, degrees_[v]),
           NeighborIterator(nullptr, 0, 0)};
-}
-
-Graph CompressedGraph::decompress() const {
-  const vertex_t n = num_vertices();
-  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<vertex_t> adjacency;
-  adjacency.reserve(num_edges_);
-  for (vertex_t v = 0; v < n; ++v) {
-    offsets[v] = static_cast<edge_t>(adjacency.size());
-    for (const vertex_t u : neighbors(v)) {
-      adjacency.push_back(u);
-    }
-  }
-  offsets[n] = static_cast<edge_t>(adjacency.size());
-  return Graph(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace ecl

@@ -30,9 +30,6 @@ class CompressedGraph {
   /// which GraphBuilder guarantees by default).
   [[nodiscard]] static CompressedGraph compress(const Graph& g);
 
-  /// Reconstructs the plain CSR graph (exact round-trip).
-  [[nodiscard]] Graph decompress() const;
-
   [[nodiscard]] vertex_t num_vertices() const {
     return offsets_.empty() ? 0 : static_cast<vertex_t>(offsets_.size() - 1);
   }

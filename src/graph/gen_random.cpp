@@ -1,4 +1,4 @@
-// Randomized generators: uniform random, R-MAT/Kronecker, small world.
+// Randomized generators: uniform random and R-MAT/Kronecker.
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -88,24 +88,6 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
 
 Graph gen_kronecker(int scale, edge_t edge_factor, std::uint64_t seed) {
   return gen_rmat(scale, edge_factor, RmatParams{0.57, 0.19, 0.19, 0.05}, seed);
-}
-
-Graph gen_small_world(vertex_t n, vertex_t k, double rewire_probability, std::uint64_t seed) {
-  if (n == 0) return Graph();
-  if (k >= n / 2 && n > 1) throw std::invalid_argument("gen_small_world: k too large");
-  Xoshiro256 rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(n) * k);
-  for (vertex_t v = 0; v < n; ++v) {
-    for (vertex_t j = 1; j <= k; ++j) {
-      vertex_t w = static_cast<vertex_t>((v + j) % n);
-      if (rng.uniform() < rewire_probability) {
-        w = static_cast<vertex_t>(rng.bounded(n));
-      }
-      edges.emplace_back(v, w);
-    }
-  }
-  return build_graph(n, edges);
 }
 
 }  // namespace ecl

@@ -1,6 +1,5 @@
-// Structured (non-random) generators: grids, triangulations, paths, stars,
-// cliques. These have exactly known component structure and are the
-// backbone of the correctness tests.
+// Structured (non-random) generators: grids and triangulations, each one
+// component.
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -58,49 +57,6 @@ Graph gen_delaunay_like(vertex_t rows, vertex_t cols) {
       }
     }
   }
-  return b.build();
-}
-
-Graph gen_star(vertex_t n) {
-  if (n == 0) return Graph();
-  GraphBuilder b(n);
-  for (vertex_t v = 1; v < n; ++v) b.add_edge(0, v);
-  return b.build();
-}
-
-Graph gen_path(vertex_t n) {
-  GraphBuilder b(n);
-  for (vertex_t v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
-  return b.build();
-}
-
-Graph gen_complete(vertex_t n) {
-  GraphBuilder b(n);
-  for (vertex_t u = 0; u < n; ++u) {
-    for (vertex_t v = u + 1; v < n; ++v) b.add_edge(u, v);
-  }
-  return b.build();
-}
-
-Graph gen_clique_forest(vertex_t count, vertex_t clique_size) {
-  const auto n = static_cast<std::uint64_t>(count) * clique_size;
-  if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
-    throw std::invalid_argument("gen_clique_forest: too many vertices");
-  }
-  GraphBuilder b(static_cast<vertex_t>(n));
-  for (vertex_t k = 0; k < count; ++k) {
-    const vertex_t base = k * clique_size;
-    for (vertex_t u = 0; u < clique_size; ++u) {
-      for (vertex_t v = u + 1; v < clique_size; ++v) {
-        b.add_edge(base + u, base + v);
-      }
-    }
-  }
-  return b.build();
-}
-
-Graph gen_isolated(vertex_t n) {
-  GraphBuilder b(n);
   return b.build();
 }
 

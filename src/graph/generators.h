@@ -80,26 +80,4 @@ struct RmatParams {
 /// diagonals; degree ~6, planar-scale diameter, single component.
 [[nodiscard]] Graph gen_delaunay_like(vertex_t rows, vertex_t cols);
 
-/// Watts-Strogatz small world ("internet" topology flavour): ring lattice of
-/// degree 2k with probability-p rewiring.
-[[nodiscard]] Graph gen_small_world(vertex_t n, vertex_t k, double rewire_probability,
-                                    std::uint64_t seed);
-
-/// Star graph: one hub connected to n-1 leaves. Stresses the high-degree
-/// (thread-block granularity) compute kernel.
-[[nodiscard]] Graph gen_star(vertex_t n);
-
-/// Path graph 0-1-2-...-(n-1): the pointer-jumping worst case.
-[[nodiscard]] Graph gen_path(vertex_t n);
-
-/// Complete graph on n vertices (n small!).
-[[nodiscard]] Graph gen_complete(vertex_t n);
-
-/// Disjoint union of `count` cliques of size `clique_size`: known component
-/// structure for verification tests.
-[[nodiscard]] Graph gen_clique_forest(vertex_t count, vertex_t clique_size);
-
-/// Graph with n vertices and no edges: n singleton components.
-[[nodiscard]] Graph gen_isolated(vertex_t n);
-
 }  // namespace ecl

@@ -8,6 +8,7 @@
 
 #include "common/stats.h"
 #include "graph/suite.h"
+#include "obs/report.h"
 
 namespace ecl::harness {
 
@@ -67,9 +68,9 @@ void emit(const Table& table, const BenchConfig& cfg, const std::string& csv_nam
     // Rewrite the accumulated report on every emit: the first emit names the
     // bench, later emits refresh the cells and metrics snapshot, and the
     // file on disk is valid even if the bench stops between tables.
-    report().set_bench_name(csv_name);
-    report().set_config(cfg.scale, cfg.reps);
-    if (!report().write_file(cfg.report_path)) {
+    obs::run_report().set_bench_name(csv_name);
+    obs::run_report().set_config(cfg.scale, cfg.reps);
+    if (!obs::run_report().write_file(cfg.report_path)) {
       std::cerr << "warning: could not write " << cfg.report_path << "\n";
     }
   }
@@ -90,10 +91,6 @@ Measurement measure(const BenchConfig& cfg, const std::function<void()>& fn) {
   return m;
 }
 
-double measure_ms(const BenchConfig& cfg, const std::function<void()>& fn) {
-  return measure(cfg, fn).median_ms;
-}
-
 double measure_cell(const BenchConfig& cfg, const std::string& graph,
                     const std::string& code, const std::function<void()>& fn) {
   Measurement m = measure(cfg, fn);
@@ -104,10 +101,8 @@ double measure_cell(const BenchConfig& cfg, const std::string& graph,
 void record_cell(const BenchConfig& cfg, const std::string& graph, const std::string& code,
                  std::vector<double> rep_ms) {
   if (cfg.report_path.empty()) return;
-  report().add_cell(graph, code, std::move(rep_ms));
+  obs::run_report().add_cell(graph, code, std::move(rep_ms));
 }
-
-obs::RunReport& report() { return obs::run_report(); }
 
 RatioTable::RatioTable(std::string caption, std::string reference_name,
                        std::vector<std::string> code_names)

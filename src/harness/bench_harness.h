@@ -13,7 +13,6 @@
 #include "common/cli.h"
 #include "common/table.h"
 #include "graph/graph.h"
-#include "obs/report.h"
 
 namespace ecl::harness {
 
@@ -61,9 +60,6 @@ struct Measurement {
 /// discarding everything but the median.
 [[nodiscard]] Measurement measure(const BenchConfig& cfg, const std::function<void()>& fn);
 
-/// Median-of-reps wall-clock milliseconds of `fn` (the paper's protocol).
-[[nodiscard]] double measure_ms(const BenchConfig& cfg, const std::function<void()>& fn);
-
 /// measure() + record the raw repetition times into the run report under
 /// (graph, code) when --report is active. Returns the median, which is what
 /// the paper's tables use.
@@ -74,9 +70,6 @@ double measure_cell(const BenchConfig& cfg, const std::string& graph,
 /// kernel times, which are not wall-clock measured) into the run report.
 void record_cell(const BenchConfig& cfg, const std::string& graph, const std::string& code,
                  std::vector<double> rep_ms);
-
-/// The process-wide run report the helpers above record into.
-[[nodiscard]] obs::RunReport& report();
 
 /// Builder for the paper's normalized figures: rows are graphs, columns are
 /// codes, cells are runtime relative to the reference code (> 1 = slower,

@@ -122,11 +122,6 @@ void JsonWriter::value(bool b) {
   os_ << (b ? "true" : "false");
 }
 
-void JsonWriter::null() {
-  before_value();
-  os_ << "null";
-}
-
 void JsonWriter::raw_value(std::string_view s) {
   before_value();
   os_ << s;

@@ -45,7 +45,6 @@ class JsonWriter {
   void value(int i) { value(static_cast<std::int64_t>(i)); }
   void value(unsigned u) { value(static_cast<std::uint64_t>(u)); }
   void value(bool b);
-  void null();
 
   /// Writes `s` verbatim (caller guarantees it is valid JSON), with the same
   /// comma handling as any other value. Used for pre-rendered fragments.

@@ -180,14 +180,6 @@ std::vector<MetricSnapshot> Registry::snapshot() const {
   return out;
 }
 
-void Registry::reset() {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  for (auto& [name, c] : im.counters) c->reset();
-  for (auto& [name, g] : im.gauges) g->reset();
-  for (auto& [name, h] : im.histograms) h->reset();
-}
-
 Registry& registry() {
   static Registry instance;
   return instance;

@@ -17,7 +17,7 @@
 //      can cache a reference in a function-local static.
 //
 // Snapshots are monotonic process-wide aggregates; callers that want
-// per-run deltas reset() first (single-run tools) or diff two snapshots.
+// per-run deltas diff two snapshots.
 #pragma once
 
 #include <array>
@@ -186,9 +186,6 @@ class Registry {
 
   /// All metrics, sorted by name.
   [[nodiscard]] std::vector<MetricSnapshot> snapshot() const;
-
-  /// Zeroes every metric (registrations survive). For per-run reporting.
-  void reset();
 
  private:
   struct Impl;

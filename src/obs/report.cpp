@@ -139,19 +139,6 @@ void RunReport::add_cell(std::string graph, std::string code, std::vector<double
   cells_.push_back({std::move(graph), std::move(code), std::move(rep_ms), std::move(extra)});
 }
 
-std::size_t RunReport::cell_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return cells_.size();
-}
-
-void RunReport::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  bench_name_.clear();
-  scale_ = 1.0;
-  reps_ = 0;
-  cells_.clear();
-}
-
 void RunReport::write(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   JsonWriter w(os);

@@ -53,9 +53,6 @@ class RunReport {
   void add_cell(std::string graph, std::string code, std::vector<double> rep_ms,
                 std::vector<std::pair<std::string, double>> extra = {});
 
-  [[nodiscard]] std::size_t cell_count() const;
-  void clear();
-
   /// Serializes the report (including the current metrics-registry snapshot
   /// and host metadata) to `os`.
   void write(std::ostream& os) const;

@@ -188,10 +188,6 @@ void CheckpointStore::open(std::string base, std::size_t keep) {
   }
 }
 
-std::uint64_t CheckpointStore::latest_seq() const {
-  return entries_.empty() ? 0 : entries_.back().seq;
-}
-
 bool CheckpointStore::read_file(const std::string& path, CheckpointData* out,
                                 std::string* err) {
   Timer t;
@@ -300,7 +296,7 @@ bool CheckpointStore::stage(std::span<const std::uint8_t> head,
 
 CheckpointWriteResult CheckpointStore::publish(std::uint64_t wal_seq,
                                                std::uint64_t image_bytes) {
-  const std::uint64_t seq = latest_seq() + 1;
+  const std::uint64_t seq = (entries_.empty() ? 0 : entries_.back().seq) + 1;
   const std::string tmp = tmp_path();
   const std::string final_path = numbered_path(base_, seq);
   if (ECL_FAULT_POINT("svc.ckpt.rename").fired() ||

@@ -155,7 +155,6 @@ class CheckpointStore {
   [[nodiscard]] std::uint64_t retention_floor_wal_seq() const;
 
   [[nodiscard]] const std::string& base() const { return base_; }
-  [[nodiscard]] std::uint64_t latest_seq() const;
   [[nodiscard]] std::size_t count() const { return entries_.size(); }
 
   /// Parses one checkpoint file: the header and its length check, then the

@@ -94,13 +94,13 @@ TEST(Crono, ReportsUnsupportedForHighDegreeGraphs) {
   // limit — the "n/a" cases in the paper's Tables 7/8.
   const Graph star = gen_star(200'000);
   EXPECT_FALSE(baselines::crono_supports(star, 64 << 20));
-  EXPECT_TRUE(baselines::crono(star, 1, 64 << 20).empty());
+  EXPECT_TRUE(baselines::make_crono_runner(star, 1, 64 << 20)().empty());
 }
 
 TEST(Crono, SupportsLowDegreeGraphs) {
   const Graph grid = gen_grid2d(50, 50);
   EXPECT_TRUE(baselines::crono_supports(grid));
-  EXPECT_FALSE(baselines::crono(grid).empty());
+  EXPECT_FALSE(baselines::make_crono_runner(grid)().empty());
 }
 
 TEST(Multistep, HandlesGraphWhereBfsSwallowsEverything) {
@@ -129,20 +129,14 @@ TEST(NdHybrid, DeepRecursionOnPath) {
   EXPECT_TRUE(same_partition(labels, reference_components(g)));
 }
 
-TEST(ShiloachVishkin, PathologicalChain) {
-  const Graph g = gen_path(10000);
-  const auto labels = baselines::shiloach_vishkin(g);
-  EXPECT_EQ(count_labels(labels), 1u);
-}
-
 TEST(SerialLibs, AllProduceCanonicalMinLabels) {
   // These three label components by the smallest vertex (by construction of
   // their sweeps), so they must agree with the reference exactly.
   const Graph g = gen_uniform_random(5000, 6000, 77);
   const auto reference = reference_components(g);
-  EXPECT_EQ(baselines::boost_style(g), reference);
-  EXPECT_EQ(baselines::igraph_style(g), reference);
-  EXPECT_EQ(baselines::lemon_style(g), reference);
+  EXPECT_EQ(baselines::make_boost_runner(g)(), reference);
+  EXPECT_EQ(baselines::make_igraph_runner(g)(), reference);
+  EXPECT_EQ(baselines::make_lemon_runner(g)(), reference);
   EXPECT_EQ(baselines::galois_serial(g), reference);
 }
 

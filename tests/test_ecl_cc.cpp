@@ -208,11 +208,5 @@ TEST(Verify, SamePartitionIgnoresRepresentativeChoice) {
   EXPECT_FALSE(same_partition(a, c));
 }
 
-TEST(Verify, CanonicalLabelsPickMinimum) {
-  const std::vector<vertex_t> labels{1, 1, 3, 3, 3};
-  const auto canon = canonical_labels(labels);
-  EXPECT_EQ(canon, (std::vector<vertex_t>{0, 0, 2, 2, 2}));
-}
-
 }  // namespace
 }  // namespace ecl

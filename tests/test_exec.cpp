@@ -95,7 +95,8 @@ class EchoLoopTest : public ::testing::Test {
     ConnCallbacks cbs;
     cbs.on_frame = [this](Conn& c, std::span<const std::uint8_t> p) {
       frames_.fetch_add(1);
-      c.send_frame(p.data(), p.size());
+      const auto frame = make_frame({reinterpret_cast<const char*>(p.data()), p.size()});
+      c.send(frame.data(), frame.size());
     };
     cbs.on_close = [this](Conn&, CloseReason r) {
       {

@@ -51,15 +51,6 @@ TEST(CacheSim, DirtyEvictionReported) {
   EXPECT_TRUE(result.dirty_eviction);
 }
 
-TEST(CacheSim, FlushCountsDirtyLines) {
-  CacheSim c(tiny_cache());
-  (void)c.access(0x0000, true);
-  (void)c.access(0x0040, true);
-  (void)c.access(0x0080, false);
-  EXPECT_EQ(c.flush(), 2u);
-  EXPECT_EQ(c.access(0x0000, false).outcome, CacheSim::Outcome::kMiss);  // empty now
-}
-
 TEST(MemorySystem, CountsLevelsCorrectly) {
   DeviceSpec spec = titanx_like();
   spec.l1 = tiny_cache();
@@ -257,18 +248,6 @@ TEST(Divergence, UniformWarpsCostTheSameEitherWay) {
   };
   // Identical per-lane operation counts: lockstep charging adds nothing.
   EXPECT_EQ(run(true), run(false));
-}
-
-TEST(MemorySystemFlush, WritesBackDirtyLines) {
-  DeviceSpec spec = titanx_like();
-  spec.l1 = CacheSpec{512, 64, 2};
-  MemorySystem mem(spec);
-  (void)mem.write(0, 0x0000);
-  (void)mem.write(0, 0x1000);
-  const auto before = mem.counters();
-  mem.flush_all();
-  const auto delta = mem.counters().delta_since(before);
-  EXPECT_EQ(delta.l2_writes, 2u);  // both dirty L1 lines written back
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/stats.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {

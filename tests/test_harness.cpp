@@ -9,9 +9,18 @@
 
 #include "common/table.h"
 #include "harness/bench_harness.h"
+#include "obs/report.h"
+#include "test_util.h"
 
 namespace ecl::harness {
 namespace {
+
+/// Cells in the process-wide run report, counted in its JSON.
+std::size_t report_cells() {
+  std::ostringstream os;
+  obs::run_report().write(os);
+  return testing::count_occurrences(os.str(), "\"rep_ms\":");
+}
 
 TEST(ParseConfig, Defaults) {
   const char* argv[] = {"bench"};
@@ -64,7 +73,7 @@ TEST(MeasureMs, UsesAtLeastOneRep) {
   BenchConfig cfg;
   cfg.reps = 0;
   int calls = 0;
-  (void)measure_ms(cfg, [&] { ++calls; });
+  (void)measure(cfg, [&] { ++calls; });
   EXPECT_EQ(calls, 1);
 }
 
@@ -92,19 +101,18 @@ TEST(Measure, ExposesMinMedianMaxOverAllReps) {
 }
 
 TEST(MeasureCell, RecordsIntoReportWhenRequested) {
-  report().clear();
+  const std::size_t before = report_cells();
   BenchConfig cfg;
   cfg.reps = 2;
   cfg.report_path = "unused-but-non-empty.json";
   (void)measure_cell(cfg, "graphX", "codeY", [] {});
-  EXPECT_EQ(report().cell_count(), 1u);
+  EXPECT_EQ(report_cells(), before + 1);
 
   // Without a report path, nothing accumulates.
-  report().clear();
   cfg.report_path.clear();
   (void)measure_cell(cfg, "graphX", "codeY", [] {});
   record_cell(cfg, "graphX", "codeZ", {1.0});
-  EXPECT_EQ(report().cell_count(), 0u);
+  EXPECT_EQ(report_cells(), before + 1);
 }
 
 TEST(Emit, CreatesMissingCsvAndReportDirectories) {
@@ -112,7 +120,6 @@ TEST(Emit, CreatesMissingCsvAndReportDirectories) {
       std::filesystem::temp_directory_path() / "ecl_harness_emit_test";
   std::filesystem::remove_all(base);
 
-  report().clear();
   BenchConfig cfg;
   cfg.csv_dir = (base / "csv" / "deep").string();
   cfg.report_path = (base / "reports" / "deep" / "run.json").string();
@@ -124,9 +131,9 @@ TEST(Emit, CreatesMissingCsvAndReportDirectories) {
   std::ostringstream discard;
   {
     // emit() writes the table to stdout; keep the test output clean.
-    testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStdout();
     emit(t, cfg, "emit_test");
-    testing::internal::GetCapturedStdout();
+    ::testing::internal::GetCapturedStdout();
   }
   (void)discard;
 
@@ -141,7 +148,6 @@ TEST(Emit, CreatesMissingCsvAndReportDirectories) {
   EXPECT_NE(json.find("\"code\":\"c\""), std::string::npos);
   EXPECT_NE(json.find("\"rep_ms\":[1,2]"), std::string::npos);
 
-  report().clear();
   std::filesystem::remove_all(base);
 }
 

@@ -13,6 +13,7 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/stats.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {

@@ -9,6 +9,7 @@
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "gpusim/mst_gpu.h"
+#include "test_util.h"
 
 namespace ecl::gpusim {
 namespace {

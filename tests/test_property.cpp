@@ -12,6 +12,7 @@
 #include "graph/generators.h"
 #include "graph/stats.h"
 #include "gpusim/gpu_cc.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {

@@ -1,5 +1,6 @@
 // Tests for the spanning-forest extension (the union-find application the
-// paper's conclusion proposes).
+// paper's conclusion proposes). With unit weights any spanning forest is
+// minimum, so the SpanningForest cases check the forest's structure.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +10,7 @@
 #include "dsu/disjoint_set.h"
 #include "graph/generators.h"
 #include "graph/stats.h"
+#include "test_util.h"
 
 namespace ecl {
 namespace {
@@ -18,7 +20,7 @@ double unit_weight(vertex_t, vertex_t) { return 1.0; }
 TEST(SpanningForest, TreeEdgeCountMatchesComponents) {
   for (const auto& g : {gen_grid2d(30, 30), gen_clique_forest(10, 6),
                         gen_uniform_random(2000, 5000, 3), gen_isolated(50)}) {
-    const auto forest = spanning_forest(g);
+    const auto forest = minimum_spanning_forest(g, unit_weight);
     const vertex_t components = count_components(g);
     EXPECT_EQ(forest.num_trees, components);
     EXPECT_EQ(forest.edges.size(), g.num_vertices() - components);
@@ -27,7 +29,7 @@ TEST(SpanningForest, TreeEdgeCountMatchesComponents) {
 
 TEST(SpanningForest, EdgesFormAcyclicSpanningStructure) {
   const Graph g = gen_uniform_random(1000, 3000, 9);
-  const auto forest = spanning_forest(g);
+  const auto forest = minimum_spanning_forest(g, unit_weight);
   DisjointSet check(g.num_vertices());
   for (const auto& e : forest.edges) {
     EXPECT_TRUE(check.unite(e.u, e.v)) << "cycle edge " << e.u << "-" << e.v;
@@ -95,7 +97,7 @@ TEST(Mst, MatchesPrimOnRandomWeightedGraph) {
 }
 
 TEST(SpanningForest, EmptyGraph) {
-  const auto forest = spanning_forest(Graph());
+  const auto forest = minimum_spanning_forest(Graph(), unit_weight);
   EXPECT_TRUE(forest.edges.empty());
   EXPECT_EQ(forest.num_trees, 0u);
 }

@@ -5,13 +5,94 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+
+namespace ecl {
+
+// Fixture graphs with exactly known component structure. They live with the
+// tests because only tests build them; the generators in graph/generators.h
+// are the ones the benches and tools use.
+
+/// Star graph: one hub connected to n-1 leaves. Stresses the high-degree
+/// (thread-block granularity) compute kernel.
+inline Graph gen_star(vertex_t n) {
+  if (n == 0) return Graph();
+  GraphBuilder b(n);
+  for (vertex_t v = 1; v < n; ++v) b.add_edge(0, v);
+  return b.build();
+}
+
+/// Path graph 0-1-2-...-(n-1): the pointer-jumping worst case.
+inline Graph gen_path(vertex_t n) {
+  GraphBuilder b(n);
+  for (vertex_t v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1);
+  return b.build();
+}
+
+/// Complete graph on n vertices (n small!).
+inline Graph gen_complete(vertex_t n) {
+  GraphBuilder b(n);
+  for (vertex_t u = 0; u < n; ++u) {
+    for (vertex_t v = u + 1; v < n; ++v) b.add_edge(u, v);
+  }
+  return b.build();
+}
+
+/// Disjoint union of `count` cliques of size `clique_size`.
+inline Graph gen_clique_forest(vertex_t count, vertex_t clique_size) {
+  const auto n = static_cast<std::uint64_t>(count) * clique_size;
+  if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
+    throw std::invalid_argument("gen_clique_forest: too many vertices");
+  }
+  GraphBuilder b(static_cast<vertex_t>(n));
+  for (vertex_t k = 0; k < count; ++k) {
+    const vertex_t base = k * clique_size;
+    for (vertex_t u = 0; u < clique_size; ++u) {
+      for (vertex_t v = u + 1; v < clique_size; ++v) {
+        b.add_edge(base + u, base + v);
+      }
+    }
+  }
+  return b.build();
+}
+
+/// Graph with n vertices and no edges: n singleton components.
+inline Graph gen_isolated(vertex_t n) {
+  GraphBuilder b(n);
+  return b.build();
+}
+
+/// Watts-Strogatz small world: ring lattice of degree 2k with probability-p
+/// rewiring.
+inline Graph gen_small_world(vertex_t n, vertex_t k, double rewire_probability,
+                             std::uint64_t seed) {
+  if (n == 0) return Graph();
+  if (k >= n / 2 && n > 1) throw std::invalid_argument("gen_small_world: k too large");
+  Xoshiro256 rng(seed);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(n) * k);
+  for (vertex_t v = 0; v < n; ++v) {
+    for (vertex_t j = 1; j <= k; ++j) {
+      vertex_t w = static_cast<vertex_t>((v + j) % n);
+      if (rng.uniform() < rewire_probability) {
+        w = static_cast<vertex_t>(rng.bounded(n));
+      }
+      edges.emplace_back(v, w);
+    }
+  }
+  return build_graph(n, edges);
+}
+
+}  // namespace ecl
 
 namespace ecl::testing {
 
@@ -97,6 +178,16 @@ inline void expect_conditioned(const Graph& g) {
       }
     }
   }
+}
+
+/// Non-overlapping occurrences of `needle` in `text`.
+inline std::size_t count_occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (auto at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
 }
 
 /// A few larger graphs for stress tests.
