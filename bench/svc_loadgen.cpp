@@ -10,15 +10,8 @@
 //                 --report=loadgen.json
 //
 // Flags:
-//   --unix=PATH | --host=A --port=P   daemon endpoint
-//   --target=T[,T,...]   read-replica fan-out: each T is host:port or a unix
-//                        socket path (anything containing '/'). Snapshot
-//                        queries round-robin across all targets; ingests go
-//                        to the first one (the primary). Per-target
-//                        throughput and p99 land in the --report JSON under
-//                        ecl.loadgen.target.<label>.* names. Overrides
-//                        --unix/--host/--port (the first target doubles as
-//                        the probe/shutdown endpoint).
+//   --unix=PATH | --host=A --port=P   daemon endpoint (to load a primary
+//                        and its replicas, run one load generator per daemon)
 //   --threads=N          worker threads / connections (default 4)
 //   --duration-ms=N      run length per worker (default 2000)
 //   --rate=R             open loop: target ops/sec per worker (0 = closed
@@ -95,23 +88,10 @@ struct WorkerResult {
   double wall_ms = 0.0;
 };
 
-/// One --target endpoint. label is the raw flag text (for printing); the
-/// metric-name-safe form is derived where needed.
-struct TargetSpec {
-  std::string unix_path;
-  std::string host = "127.0.0.1";
-  int port = 0;
-  std::string label;
-};
-
 struct LoadConfig {
   std::string unix_path;
   std::string host;
   int port = 0;
-  /// Always holds >= 1 entry once main() finishes parsing; entry 0 is the
-  /// ingest/probe endpoint. per_target gates the per-target report section.
-  std::vector<TargetSpec> targets;
-  bool per_target = false;
   int threads = 4;
   int duration_ms = 2000;
   double rate = 0.0;  // ops/sec per worker; 0 = closed loop
@@ -158,56 +138,25 @@ void record_slow(const svc::Client& client, const char* op, std::uint64_t us,
   std::fflush(g_slow_file);
 }
 
-std::unique_ptr<svc::Client> connect_target(const LoadConfig& cfg,
-                                            const TargetSpec& t,
-                                            std::string* err, int tid = 0) {
-  svc::ClientOptions copts = cfg.copts;
-  copts.backoff_seed = cfg.seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(tid);
-  return t.unix_path.empty()
-             ? svc::Client::connect_tcp(t.host, t.port, err, copts)
-             : svc::Client::connect_unix(t.unix_path, err, copts);
-}
-
 std::unique_ptr<svc::Client> connect(const LoadConfig& cfg, std::string* err,
                                      int tid = 0) {
-  TargetSpec t;
-  t.unix_path = cfg.unix_path;
-  t.host = cfg.host;
-  t.port = cfg.port;
-  return connect_target(cfg, t, err, tid);
+  svc::ClientOptions copts = cfg.copts;
+  copts.backoff_seed = cfg.seed * 0x9E3779B97F4A7C15ull + static_cast<std::uint64_t>(tid);
+  return cfg.unix_path.empty()
+             ? svc::Client::connect_tcp(cfg.host, cfg.port, err, copts)
+             : svc::Client::connect_unix(cfg.unix_path, err, copts);
 }
-
-/// Per-target aggregation for --target fan-out: each target gets its own
-/// query histogram plus shared atomic tallies the workers bump directly.
-struct TargetAgg {
-  obs::Histogram* query_us = nullptr;
-  std::string key;  // metric-name-safe label (':' and '/' mapped to '_')
-  std::atomic<std::uint64_t> queries{0};
-  std::atomic<std::uint64_t> errors{0};
-};
-std::vector<TargetAgg>* g_targets = nullptr;
 
 void worker(const LoadConfig& cfg, int tid, obs::Histogram& query_us,
             obs::Histogram& ingest_us, WorkerResult& out) {
   std::string err;
-  // One connection per target; clients[0] is the primary (ingests), queries
-  // round-robin across the whole set.
-  std::vector<std::unique_ptr<svc::Client>> clients;
-  clients.reserve(cfg.targets.size());
-  for (std::size_t i = 0; i < cfg.targets.size(); ++i) {
-    auto c = connect_target(cfg, cfg.targets[i], &err,
-                            tid + static_cast<int>(i) * cfg.threads);
-    if (!c) {
-      std::fprintf(stderr, "worker %d: connect to %s failed: %s\n", tid,
-                   cfg.targets[i].label.c_str(), err.c_str());
-      out.errors = 1;
-      return;
-    }
-    clients.push_back(std::move(c));
+  const auto conn = connect(cfg, &err, tid);
+  if (!conn) {
+    std::fprintf(stderr, "worker %d: connect failed: %s\n", tid, err.c_str());
+    out.errors = 1;
+    return;
   }
-  // Stagger each worker's starting target so short runs still spread reads
-  // evenly instead of all hammering target 0 first.
-  std::size_t rr = static_cast<std::size_t>(tid) % clients.size();
+  svc::Client& client = *conn;
 
   std::mt19937_64 rng(cfg.seed * 1315423911u + static_cast<std::uint64_t>(tid));
   std::uniform_int_distribution<vertex_t> pick_vertex(0, cfg.num_vertices - 1);
@@ -233,7 +182,6 @@ void worker(const LoadConfig& cfg, int tid, obs::Histogram& query_us,
       next_slot += period;
     }
     if (coin(rng) < cfg.ingest_frac) {
-      svc::Client& client = *clients[0];  // ingests always hit the primary
       batch.clear();
       for (std::size_t i = 0; i < cfg.batch; ++i) {
         batch.emplace_back(pick_vertex(rng), pick_vertex(rng));
@@ -257,35 +205,23 @@ void worker(const LoadConfig& cfg, int tid, obs::Histogram& query_us,
         if (st == svc::Status::kError && !cfg.chaos) break;
       }
     } else {
-      const std::size_t ti = rr;
-      rr = (rr + 1) % clients.size();
-      svc::Client& client = *clients[ti];
       svc::Status st = svc::Status::kOk;
       Timer t;
       (void)client.connected(pick_vertex(rng), pick_vertex(rng), svc::ReadMode::kSnapshot, &st);
       const auto us = static_cast<std::uint64_t>(t.micros());
       query_us.record(us);
-      if (g_targets != nullptr) (*g_targets)[ti].query_us->record(us);
       record_slow(client, "connected", us, cfg.slow_us);
       if (st == svc::Status::kOk) {
         ++out.queries;
-        if (g_targets != nullptr) {
-          (*g_targets)[ti].queries.fetch_add(1, std::memory_order_relaxed);
-        }
       } else {
         ++out.errors;
-        if (g_targets != nullptr) {
-          (*g_targets)[ti].errors.fetch_add(1, std::memory_order_relaxed);
-        }
         if (st == svc::Status::kError && !cfg.chaos) break;
       }
     }
   }
   out.wall_ms = wall.millis();
-  for (const auto& c : clients) {
-    out.retries += c->retries();
-    out.reconnects += c->reconnects();
-  }
+  out.retries = client.retries();
+  out.reconnects = client.reconnects();
 }
 
 // ---- C10K mode -------------------------------------------------------------
@@ -558,57 +494,12 @@ int main(int argc, char** argv) {
   }
   cfg.pipeline = static_cast<int>(args.get_int("pipeline", 8));
   cfg.io_threads = static_cast<int>(args.get_int("io-threads", 2));
-  const std::string target_arg = args.get("target", "");
-  for (std::size_t pos = 0; pos < target_arg.size();) {
-    const std::size_t comma = std::min(target_arg.find(',', pos), target_arg.size());
-    const std::string tok = target_arg.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (tok.empty()) continue;
-    TargetSpec t;
-    t.label = tok;
-    if (tok.find('/') != std::string::npos) {
-      t.unix_path = tok;
-    } else {
-      const std::size_t colon = tok.rfind(':');
-      t.host = colon == std::string::npos ? "" : tok.substr(0, colon);
-      t.port = colon == std::string::npos ? 0 : std::atoi(tok.c_str() + colon + 1);
-      if (t.host.empty() || t.port <= 0) {
-        std::fprintf(stderr,
-                     "error: --target entry '%s' is neither host:port nor a "
-                     "unix socket path\n",
-                     tok.c_str());
-        return 1;
-      }
-    }
-    cfg.targets.push_back(std::move(t));
-  }
-  cfg.per_target = !cfg.targets.empty();
   for (const auto& flag : args.unused()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", flag.c_str());
   }
-  if (cfg.per_target) {
-    if (!cfg.connections.empty()) {
-      std::fprintf(stderr, "error: --target does not combine with --connections\n");
-      return 1;
-    }
-    // The first target is the primary: probe, ingests, and --shutdown all
-    // land there via the legacy endpoint fields.
-    cfg.unix_path = cfg.targets[0].unix_path;
-    cfg.host = cfg.targets[0].host.empty() ? "127.0.0.1" : cfg.targets[0].host;
-    cfg.port = cfg.targets[0].port;
-  } else if (cfg.unix_path.empty() && cfg.port == 0) {
-    std::fprintf(stderr,
-                 "error: no endpoint; pass --unix=PATH, --port=P, or --target=T\n");
+  if (cfg.unix_path.empty() && cfg.port == 0) {
+    std::fprintf(stderr, "error: no endpoint; pass --unix=PATH or --port=P\n");
     return 1;
-  }
-  if (cfg.targets.empty()) {
-    TargetSpec t;
-    t.unix_path = cfg.unix_path;
-    t.host = cfg.host;
-    t.port = cfg.port;
-    t.label = cfg.unix_path.empty() ? cfg.host + ":" + std::to_string(cfg.port)
-                                    : cfg.unix_path;
-    cfg.targets.push_back(std::move(t));
   }
   if (cfg.threads < 1 || cfg.batch < 1) {
     std::fprintf(stderr, "error: --threads and --batch must be >= 1\n");
@@ -664,21 +555,6 @@ int main(int argc, char** argv) {
       "ecl.loadgen.query_us", obs::Histogram::pow2_bounds(22));
   obs::Histogram& ingest_us = obs::registry().histogram(
       "ecl.loadgen.ingest_us", obs::Histogram::pow2_bounds(22));
-
-  std::vector<TargetAgg> target_aggs(cfg.targets.size());
-  if (cfg.per_target) {
-    for (std::size_t i = 0; i < cfg.targets.size(); ++i) {
-      std::string key = cfg.targets[i].label;
-      for (auto& ch : key) {
-        if (ch == ':' || ch == '/') ch = '_';
-      }
-      target_aggs[i].query_us = &obs::registry().histogram(
-          "ecl.loadgen.target." + key + ".query_us",
-          obs::Histogram::pow2_bounds(22));
-      target_aggs[i].key = std::move(key);
-    }
-    g_targets = &target_aggs;
-  }
 
   WorkerResult total;
   double wall_ms = 0.0;
@@ -754,27 +630,6 @@ int main(int argc, char** argv) {
   };
   print_latency("query ", query_us);
   print_latency("ingest", ingest_us);
-  if (cfg.per_target) {
-    const double wall_s = wall_ms > 0.0 ? wall_ms / 1000.0 : 0.0;
-    for (std::size_t i = 0; i < cfg.targets.size(); ++i) {
-      TargetAgg& agg = target_aggs[i];
-      const std::uint64_t q = agg.queries.load(std::memory_order_relaxed);
-      const std::uint64_t e = agg.errors.load(std::memory_order_relaxed);
-      const double thr = wall_s > 0.0 ? static_cast<double>(q) / wall_s : 0.0;
-      const double p99 =
-          agg.query_us->count() > 0 ? agg.query_us->percentile(0.99) : 0.0;
-      std::printf("target[%zu] %s: %llu queries (%.0f/s), p99=%.1f us, "
-                  "%llu errors\n",
-                  i, cfg.targets[i].label.c_str(),
-                  static_cast<unsigned long long>(q), thr, p99,
-                  static_cast<unsigned long long>(e));
-      obs::registry()
-          .gauge("ecl.loadgen.target." + agg.key + ".throughput_ops")
-          .set(thr);
-      obs::registry().gauge("ecl.loadgen.target." + agg.key + ".p99_us").set(p99);
-      obs::run_report().add_cell("targets", agg.key, {wall_ms});
-    }
-  }
   if (total.retries > 0 || total.reconnects > 0) {
     std::printf("resilience: %llu retries, %llu reconnects\n",
                 static_cast<unsigned long long>(total.retries),

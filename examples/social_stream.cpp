@@ -43,7 +43,6 @@ int main(int argc, char** argv) {
 
   svc::ServiceOptions opts;
   opts.queue_capacity = 32;
-  opts.compact_interval_ms = 10;
   svc::ConnectivityService service(users, opts);
   Xoshiro256 rng(seed);
   const std::size_t batch_size = (stream.size() + batches - 1) / batches;

@@ -35,6 +35,8 @@ ALLOWLIST = {
         "oracle: test_generators' road and web component shapes, test_graph",
     "ecl::minimum_spanning_forest":
         "oracle: test_mst_gpu compares the simulated GPU MST against it",
+    "ecl::exec::EventLoop::EventLoop":
+        "same-file caller EventLoopPool::EventLoopPool (src/exec/event_loop.cpp)",
     "ecl::exec::EventLoop::join":
         "same-file callers ~EventLoop and EventLoopPool (src/exec/event_loop.cpp)",
     "ecl::exec::EventLoop::request_stop":

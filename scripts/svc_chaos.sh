@@ -28,6 +28,14 @@
 #   sparse-tail     WAL only, a rate-limited load of ~3,000 edges that ends
 #                   before the kill: nearly every acked edge is a bridge, so
 #                   a replay that loses one acked record fails the check
+#   sparse-torn     sparse-tail's load, but the 65th append writes only 20
+#                   bytes of its record and fails: the kill leaves a torn
+#                   tail right after the last acked record, which the
+#                   replay must cut without losing that record
+#   c10k-halfopen   SIGKILL while 1,500 pipelined connections are open; the
+#                   restart replays the WAL and keeps every acked batch
+#   degraded-exporter  a WAL append failure drops the daemon to read-only;
+#                   /metrics keeps answering with ecl_svc_degraded 1
 #   kill-replica    WAL-shipping replica (docs/REPLICATION.md) SIGKILLed
 #                   mid-stream: the primary must not notice, and the revived
 #                   replica resumes from its local WAL, catches up (lag
@@ -44,9 +52,7 @@
 #
 #   observability rider: every daemon run also serves /metrics on an
 #   ephemeral port; the harness scrapes and lint-checks the exposition both
-#   before the SIGKILL and after the restart, and a final degraded-mode
-#   scenario checks the endpoint keeps answering (ecl_svc_degraded 1) after
-#   a WAL failure drops the service to read-only.
+#   before the SIGKILL and after the restart.
 #
 #   usage: svc_chaos.sh <ecl_ccd> <ecl_cc_client> <svc_loadgen>
 set -euo pipefail
@@ -230,11 +236,28 @@ run_scenario corrupt-newest \
 # 32-edge batches in 0.8 s on 20,000 vertices (a forest: nearly every edge
 # is a bridge) and is idle by the SIGKILL at 1.5 s, so the WAL's last record
 # is acked and a replay that dropped it would lose its edges.
-LOAD='--threads=1 --rate=120 --duration-ms=800 --batch=32 --ingest-frac=1 --seed=29' \
+SPARSE_LOAD='--threads=1 --rate=120 --duration-ms=800 --batch=32 --ingest-frac=1 --seed=29'
+LOAD=$SPARSE_LOAD \
 run_scenario sparse-tail \
   'ECL_FAULT=' \
   replay 0 \
   --wal="$WORK/sparse-tail/edges.wal"
+
+# One lost record behind a torn tail: after 64 acked batches the next append
+# writes 20 bytes of its record and fails, so that batch is shed (never
+# acked) and the daemon turns read-only. The SIGKILL then finds the torn
+# record right after the last acked one: the replay must cut exactly the
+# 20 bytes and keep every whole record.
+LOAD=$SPARSE_LOAD \
+run_scenario sparse-torn \
+  'ECL_FAULT=svc.wal.append=short,arg=20,after=64' \
+  replay 0 \
+  --wal="$WORK/sparse-torn/edges.wal"
+grep -q "^ecl_svc_wal_truncated_bytes 20$" "$WORK/last_scrape.txt" || {
+  echo "the restart did not cut a 20-byte torn tail:"
+  grep "truncated" "$WORK/last_scrape.txt" || true
+  exit 1
+}
 
 # SIGKILL under a C10K flood: the daemon dies holding thousands of open
 # pipelined connections (every one of them left half-open, mid-request),

@@ -64,9 +64,10 @@ echo "   metrics exporter on port $MPORT"
 echo "== client round trips"
 "$CLIENT" --unix="$SOCK" ping
 "$CLIENT" --unix="$SOCK" ingest 1 2 2 3
-# Neither the ingest ack nor a snapshot read promises visibility (snapshots
-# are stale by up to one compaction interval, docs/SERVICE.md), so poll the
-# snapshot read for up to ~5 s before asserting it.
+# Neither the ingest ack nor a snapshot read promises visibility (the ack
+# precedes the apply, and the applied batch then wakes a compaction,
+# docs/SERVICE.md), so poll the snapshot read for up to ~5 s before
+# asserting it.
 for _ in $(seq 1 50); do
   [[ "$("$CLIENT" --unix="$SOCK" connected 1 3)" == "connected" ]] && break
   sleep 0.1

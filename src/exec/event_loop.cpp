@@ -19,8 +19,8 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Per-wake read cap: level-triggered epoll re-fires for the rest, so one
 /// firehose connection cannot starve its loop-mates.
 constexpr std::size_t kMaxReadPerWake = 256 * 1024;
-/// Safety cap on epoll_wait sleeps; the wake eventfd makes longer sleeps
-/// unnecessary and this bounds the damage of any stale timer hint.
+/// Safety cap on epoll_wait sleeps; the wake eventfd and the deadline bound
+/// make longer sleeps unnecessary.
 constexpr int kMaxPollMs = 500;
 
 }  // namespace
@@ -133,7 +133,6 @@ Conn* EventLoop::adopt(int fd, ConnCallbacks cbs, ConnOptions opts) {
   c->loop_ = this;
   c->cbs_ = std::move(cbs);
   c->opts_ = opts;
-  c->timer_.owner = c;
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = fd;
@@ -187,16 +186,27 @@ void EventLoop::update_deadlines(Conn* c) {
   }
   // mid-frame deadlines are armed once at the frame's start (parse_frames)
   // and deliberately not refreshed by trickling bytes.
-  std::uint64_t deadline = 0;
-  if (c->read_deadline_ms_ != 0) deadline = c->read_deadline_ms_;
-  if (c->write_deadline_ms_ != 0 &&
-      (deadline == 0 || c->write_deadline_ms_ < deadline)) {
-    deadline = c->write_deadline_ms_;
-  }
-  if (deadline == 0) {
-    wheel_.disarm(&c->timer_);
-  } else {
-    wheel_.arm(&c->timer_, deadline);
+  arm(c->read_deadline_ms_);
+}
+
+void EventLoop::arm(std::uint64_t deadline_ms) {
+  if (deadline_ms != 0 && deadline_ms < next_deadline_ms_) next_deadline_ms_ = deadline_ms;
+}
+
+void EventLoop::expire_deadlines(std::uint64_t now) {
+  next_deadline_ms_ = UINT64_MAX;
+  for (auto& kv : conns_) {
+    Conn* c = kv.second.get();
+    if (c->closing_) continue;
+    if (c->write_deadline_ms_ != 0 && now >= c->write_deadline_ms_) {
+      queue_close(c, CloseReason::kWriteStall);
+    } else if (c->read_deadline_ms_ != 0 && now >= c->read_deadline_ms_) {
+      queue_close(c, c->mid_frame_ ? CloseReason::kFrameTimeout
+                                   : CloseReason::kIdleTimeout);
+    } else {
+      arm(c->read_deadline_ms_);
+      arm(c->write_deadline_ms_);
+    }
   }
 }
 
@@ -296,6 +306,7 @@ void EventLoop::parse_frames(Conn* c) {
         c->opts_.frame_timeout_ms > 0
             ? now_ms() + static_cast<std::uint64_t>(c->opts_.frame_timeout_ms)
             : 0;
+    arm(c->read_deadline_ms_);
   } else if (!incomplete && c->mid_frame_) {
     c->mid_frame_ = false;
     c->read_deadline_ms_ = 0;  // update_deadlines re-arms the idle clock
@@ -328,6 +339,7 @@ void EventLoop::flush_writes(Conn* c) {
         c->opts_.write_stall_timeout_ms > 0
             ? now_ms() + static_cast<std::uint64_t>(c->opts_.write_stall_timeout_ms)
             : 0;
+    arm(c->write_deadline_ms_);
   }
   if (c->read_paused_ &&
       c->write_buffer_bytes() <= c->opts_.write_buffer_pause / 2) {
@@ -407,7 +419,6 @@ void EventLoop::destroy_pending() {
         default:
           break;
       }
-      wheel_.remove(&c->timer_);
       const int fd = c->fd_;
       (void)::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
       if (c->cbs_.on_close) c->cbs_.on_close(*c, c->close_reason_);
@@ -432,14 +443,11 @@ int EventLoop::compute_timeout_ms() {
     std::lock_guard<std::mutex> lock(posts_mu_);
     if (!posts_.empty()) return 0;
   }
+  std::uint64_t due = next_deadline_ms_;
+  for (const auto& tp : timed_posts_) due = std::min(due, tp.due_ms);
   const std::uint64_t now = now_ms();
-  int timeout = wheel_.next_timeout_ms(now);
-  for (const auto& tp : timed_posts_) {
-    const int left = tp.due_ms > now ? static_cast<int>(tp.due_ms - now) : 0;
-    if (timeout < 0 || left < timeout) timeout = left;
-  }
-  if (timeout < 0 || timeout > kMaxPollMs) timeout = kMaxPollMs;
-  return timeout;
+  if (due <= now) return 0;
+  return static_cast<int>(std::min<std::uint64_t>(due - now, kMaxPollMs));
 }
 
 void EventLoop::run() {
@@ -488,20 +496,7 @@ void EventLoop::run() {
       }
       for (auto& fn : due) fn();
     }
-    wheel_.advance(now_ms(), [this](void* owner) {
-      auto* c = static_cast<Conn*>(owner);
-      if (c->closing_) return;
-      const std::uint64_t now = now_ms();
-      if (c->write_deadline_ms_ != 0 && now >= c->write_deadline_ms_) {
-        queue_close(c, CloseReason::kWriteStall);
-      } else if (c->read_deadline_ms_ != 0 && now >= c->read_deadline_ms_) {
-        queue_close(c, c->mid_frame_ ? CloseReason::kFrameTimeout
-                                     : CloseReason::kIdleTimeout);
-      } else {
-        // Deadline moved while the entry aged out of its slot: re-arm.
-        update_deadlines(c);
-      }
-    });
+    if (const std::uint64_t now = now_ms(); now >= next_deadline_ms_) expire_deadlines(now);
     destroy_pending();
   }
 
@@ -517,7 +512,6 @@ void EventLoop::run() {
     posts_.clear();
   }
   timed_posts_.clear();
-  if (on_exit) on_exit();
 }
 
 // --- EventLoopPool ---------------------------------------------------------
@@ -535,18 +529,8 @@ EventLoopPool::~EventLoopPool() { stop(); }
 bool EventLoopPool::start(std::string* err) {
   if (started_) return true;
   for (auto& loop : loops_) {
-    loop->on_exit = [this] {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++exited_;
-      }
-      cv_.notify_all();
-    };
-  }
-  for (auto& loop : loops_) {
     if (!loop->start(err)) {
-      request_stop();
-      for (auto& l : loops_) l->join();
+      stop();
       return false;
     }
   }
@@ -559,18 +543,12 @@ void EventLoopPool::request_stop() {
 }
 
 void EventLoopPool::wait() {
-  if (!started_) return;
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return exited_ >= loops_.size(); });
+  for (auto& loop : loops_) loop->join();
 }
 
 void EventLoopPool::stop() {
-  if (!started_) return;
   request_stop();
   wait();
-  if (joined_) return;
-  for (auto& loop : loops_) loop->join();
-  joined_ = true;
 }
 
 EventLoop& EventLoopPool::next() {

@@ -21,17 +21,18 @@
 //
 // A slow reader first stops being *read from* (its pipelined requests stay
 // in its socket; the kernel's TCP window pushes back), and is evicted only
-// when it also stops draining its responses. Idle and mid-frame deadlines
-// ride a hashed timer wheel (timer_wheel.h), so deadline updates are O(1)
-// per wake instead of a per-connection blocking read with SO_RCVTIMEO.
+// when it also stops draining its responses. Each connection stores its
+// idle or mid-frame deadline and its write-stall deadline; the loop keeps a
+// lower bound on all of them, sleeps in epoll_wait until that bound (or the
+// next post_after() task), and then closes every expired connection in one
+// pass over its connections, which also recomputes the exact next deadline.
 //
 // Shutdown: request_stop() is async-signal-safe (one atomic store + one
-// eventfd write), mirroring the old server's self-pipe contract.
+// eventfd write).
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -41,8 +42,6 @@
 #include <thread>
 #include <unordered_map>
 #include <vector>
-
-#include "exec/timer_wheel.h"
 
 namespace ecl::exec {
 
@@ -144,7 +143,6 @@ class Conn {
   bool mid_frame_ = false;            // partial frame sits in rbuf_
   std::uint64_t read_deadline_ms_ = 0;   // idle or frame deadline; 0 = none
   std::uint64_t write_deadline_ms_ = 0;  // stall deadline; 0 = none
-  TimerWheel::Timer timer_;
 };
 
 class EventLoop {
@@ -187,15 +185,11 @@ class EventLoop {
   [[nodiscard]] bool watch(int fd, std::function<void(std::uint32_t)> cb);
   void unwatch(int fd);
 
-  /// Milliseconds since loop construction (the wheel's clock).
-  [[nodiscard]] std::uint64_t now_ms() const;
-
-  /// Set before start(): invoked on the loop thread right before it exits.
-  std::function<void()> on_exit;
-
   friend class Conn;
 
  private:
+  /// Milliseconds since loop construction (the deadlines' clock).
+  [[nodiscard]] std::uint64_t now_ms() const;
   void run();
   void handle_conn_event(Conn* c, std::uint32_t events);
   void do_read(Conn* c);
@@ -205,6 +199,11 @@ class EventLoop {
   void flush_writes(Conn* c);
   void update_interest(Conn* c);
   void update_deadlines(Conn* c);
+  /// Lowers next_deadline_ms_ to `deadline_ms` (0 = none).
+  void arm(std::uint64_t deadline_ms);
+  /// Closes every connection whose deadline has passed and sets
+  /// next_deadline_ms_ to the earliest deadline left.
+  void expire_deadlines(std::uint64_t now);
   void queue_close(Conn* c, CloseReason reason);
   void destroy_pending();
   void drain_posts();
@@ -230,7 +229,8 @@ class EventLoop {
   };
   std::vector<TimedPost> timed_posts_;  // loop-thread-only; scanned linearly
 
-  TimerWheel wheel_;
+  // At or before every connection's armed deadline; UINT64_MAX = none.
+  std::uint64_t next_deadline_ms_ = UINT64_MAX;
   std::chrono::steady_clock::time_point start_tp_;
 };
 
@@ -243,10 +243,10 @@ class EventLoopPool {
   [[nodiscard]] bool start(std::string* err = nullptr);
   /// Async-signal-safe fan-out of EventLoop::request_stop().
   void request_stop();
-  /// Blocks until every loop thread has exited (connections closed). Does
-  /// not join; stop() does.
+  /// Joins every loop thread (each exits once stopped, its connections
+  /// closed). Idempotent.
   void wait();
-  /// request_stop() + wait() + join all threads. Idempotent.
+  /// request_stop() + wait(). Idempotent.
   void stop();
 
   [[nodiscard]] std::size_t size() const { return loops_.size(); }
@@ -260,12 +260,7 @@ class EventLoopPool {
   LoopCounters counters_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<std::size_t> rr_{0};
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t exited_ = 0;
   bool started_ = false;
-  bool joined_ = false;
 };
 
 }  // namespace ecl::exec

@@ -10,7 +10,7 @@
 // is non-blocking: bounded-queue admission or lock-free snapshot reads),
 // and a connection may pipeline many requests on the wire — responses come
 // back in request order. Slow or hostile peers are evicted by the loop's
-// timer wheel (idle / mid-frame deadlines) and by the per-connection write
+// idle / mid-frame deadlines and by the per-connection write
 // buffer's backpressure ladder: above write_buffer_pause the server stops
 // reading from the peer; a peer that also stops draining its responses is
 // evicted after send_timeout_ms (write stall) or when the buffer would

@@ -354,22 +354,30 @@ void ConnectivityService::hand_over_hooks() {
 }
 
 void ConnectivityService::compact_loop() {
-  const auto interval = std::chrono::milliseconds(
-      std::max(1, opts_.compact_interval_ms));
   const auto due = [this] {
     std::lock_guard<std::mutex> lock(progress_mu_);
     return compaction_due();
   };
+  std::uint64_t cut_ms = 0;  // when this thread last cut for an interval checkpoint
   for (;;) {
     bool exiting = false;
-    bool cut_pending = false;
+    bool ckpt_due = false;
     {
-      // A compaction blocks no hook, so enough applied edges wake one at
-      // once; otherwise the wait is at most one interval.
+      // Whatever makes a compaction due notifies compact_cv_; only an
+      // interval checkpoint comes due with the clock, so the wait is timed
+      // only while one can, and the deadline is recomputed on every wake.
       std::unique_lock<std::mutex> lock(progress_mu_);
-      compact_cv_.wait_for(lock, interval, [&] { return stopping_ || compaction_due(); });
-      exiting = stopping_;
-      cut_pending = cut_.has_value();
+      for (;;) {
+        exiting = stopping_;
+        const auto ckpt_at = checkpoint_deadline(cut_.has_value(), cut_ms);
+        ckpt_due = ckpt_at && now_ms() >= *ckpt_at;
+        if (exiting || ckpt_due || compaction_due()) break;
+        if (ckpt_at) {
+          compact_cv_.wait_until(lock, start_tp_ + std::chrono::milliseconds(*ckpt_at));
+        } else {
+          compact_cv_.wait(lock);
+        }
+      }
     }
     if (ECL_FAULT_POINT("svc.compact.worker").fired()) {
       throw std::runtime_error("injected fault: svc.compact.worker");
@@ -377,7 +385,10 @@ void ConnectivityService::compact_loop() {
     // On exit the ingest thread has applied every logged edge, so the final
     // cut is reached at once: a clean stop leaves a checkpoint covering
     // everything, making the next boot instant.
-    if (checkpoint_due(exiting, cut_pending)) (void)cut_wal();
+    if (exiting ? checkpoint_progressed() : ckpt_due) {
+      cut_ms = now_ms();
+      (void)cut_wal();
+    }
     // A compaction that reaches a cut is followed by one catching up past
     // it before the write, so readers do not wait out its fsync. A newer cut
     // reached by the second replaces the first.
@@ -403,18 +414,25 @@ bool ConnectivityService::compaction_due() const {
           (stopping_ || applied - snap->watermark >= opts_.compact_min_new_edges));
 }
 
-bool ConnectivityService::checkpoint_due(bool exiting, bool cut_pending) const {
+bool ConnectivityService::checkpoint_progressed() const {
   // Replicas never cut: their WAL rotates only where the primary's segments
   // end, and their checkpoints are the primary's images. After promote()
-  // the next cycle cuts again.
+  // the compaction thread cuts again.
   if (opts_.checkpoint_path.empty() || replica_.load(std::memory_order_acquire)) return false;
-  const std::uint64_t applied = applied_edges_.load(std::memory_order_acquire);
-  const bool progressed = !has_ckpt_.load(std::memory_order_acquire) ||
-                          applied > last_ckpt_watermark_.load(std::memory_order_relaxed);
-  if (exiting) return progressed;
-  return !cut_pending && progressed && applied > 0 && opts_.checkpoint_interval_ms > 0 &&
-         now_ms() - last_ckpt_ms_.load(std::memory_order_relaxed) >=
-             static_cast<std::uint64_t>(opts_.checkpoint_interval_ms);
+  return !has_ckpt_.load(std::memory_order_acquire) ||
+         applied_edges_.load(std::memory_order_acquire) >
+             last_ckpt_watermark_.load(std::memory_order_relaxed);
+}
+
+std::optional<std::uint64_t> ConnectivityService::checkpoint_deadline(
+    bool cut_pending, std::uint64_t cut_ms) const {
+  if (cut_pending || opts_.checkpoint_interval_ms <= 0 ||
+      applied_edges_.load(std::memory_order_acquire) == 0 || !checkpoint_progressed()) {
+    return std::nullopt;
+  }
+  // From the last checkpoint, or from the last cut if its write failed.
+  return std::max(last_ckpt_ms_.load(std::memory_order_relaxed), cut_ms) +
+         static_cast<std::uint64_t>(opts_.checkpoint_interval_ms);
 }
 
 std::uint64_t ConnectivityService::cut_wal() {
@@ -841,13 +859,18 @@ bool ConnectivityService::promote(std::string* err) {
       return false;
     }
   }
-  replica_.store(false, std::memory_order_release);
+  {
+    // Under the mutex, so the compaction thread cannot read the role between
+    // its deadline check and its wait and miss the notify below.
+    std::lock_guard<std::mutex> lock(progress_mu_);
+    replica_.store(false, std::memory_order_release);
+  }
   set_replication_lag(0, 0);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.promotions", 1);
   std::fprintf(stderr, "[ecl::svc] promoted to primary (wal tail seq >= %llu)\n",
                static_cast<unsigned long long>(covered + 1));
   // Wake the compaction thread: checkpointing (disabled while a replica)
-  // resumes on its next cycle.
+  // resumes with a new deadline.
   compact_cv_.notify_all();
   return true;
 }

@@ -57,12 +57,9 @@ struct ServiceOptions {
   /// Maximum number of *batches* admitted but not yet applied. A full queue
   /// sheds (Admission::kShed) instead of blocking.
   std::size_t queue_capacity = 64;
-  /// Longest wait of the compaction thread between checks. An applied batch
-  /// bringing compact_min_new_edges wakes it at once (as do compact_now(),
-  /// checkpoints and stop()).
-  int compact_interval_ms = 20;
-  /// Skip a compaction cycle unless at least this many edges arrived since
-  /// the published snapshot's watermark (forced compactions ignore it).
+  /// The compaction thread sleeps until an applied batch brings at least
+  /// this many edges past the published snapshot's watermark (forced
+  /// compactions, checkpoints and stop() wake it regardless).
   std::uint64_t compact_min_new_edges = 1;
   /// Write-ahead log base path; empty disables the WAL. When set, the
   /// constructor replays the segment chain (`<path>.000001, ...`,
@@ -378,8 +375,15 @@ class ConnectivityService {
   std::uint64_t cut_wal();
   /// A reached cut, a forced target or enough new edges; progress_mu_ held.
   [[nodiscard]] bool compaction_due() const;
-  /// Compaction thread: whether an interval or exit checkpoint should cut.
-  [[nodiscard]] bool checkpoint_due(bool exiting, bool cut_pending) const;
+  /// A primary with a checkpoint path has applied edges past its last
+  /// checkpoint (or has none): what a checkpoint on exit needs.
+  [[nodiscard]] bool checkpoint_progressed() const;
+  /// Compaction thread: when the next interval checkpoint comes due, or
+  /// none if none can (an interval, progress, no pending cut). It is one
+  /// interval after the later of the last checkpoint and `cut_ms`, this
+  /// thread's last interval cut, so a failed write is retried an interval on.
+  [[nodiscard]] std::optional<std::uint64_t> checkpoint_deadline(bool cut_pending,
+                                                                 std::uint64_t cut_ms) const;
   /// Publishes the next epoch: takes the pending hooks and the applied edge
   /// count (the watermark) in one critical section and remaps the previous
   /// snapshot's labels through those hooks, exactly `watermark` edges. It

@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -38,6 +39,7 @@
 #include "svc/checkpoint.h"
 #include "svc/service.h"
 #include "svc/wal.h"
+#include "test_util.h"
 
 namespace ecl::svc {
 namespace {
@@ -1266,6 +1268,83 @@ TEST_F(ServiceCheckpointTest, FailedTruncateRefusesTheReopen) {
   EXPECT_EQ(revived.replayed_edges(), 1u);
   EXPECT_TRUE(revived.connected(1, 2));
   revived.stop();
+}
+
+
+// An interval checkpoint comes due only while edges arrive past the last
+// one: steady traffic cuts one per interval, an idle service none.
+TEST_F(ServiceCheckpointTest, IntervalCheckpointsFollowTheTraffic) {
+  using namespace std::chrono_literals;
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 100;
+  ConnectivityService service(64, opts);
+  const auto start = std::chrono::steady_clock::now();
+  vertex_t v = 0;
+  for (auto next = start; next - start < 600ms; next += 30ms) {
+    std::this_thread::sleep_until(next);
+    ASSERT_EQ(service.submit({{v, v + 1}}), Admission::kAccepted);
+    v = (v + 1) % 63;
+  }
+  EXPECT_GE(service.stats().checkpoints, 3u);
+  // The last batches are checkpointed an interval after the checkpoint
+  // before them; from then on the newest checkpoint covers every edge.
+  ASSERT_TRUE(eventually([&] {
+    const ServiceStats s = service.stats();
+    return s.ingest_lag_batches == 0 && s.staleness_edges == 0 &&
+           s.last_checkpoint_epoch == s.epoch;
+  }));
+  const std::uint64_t written = service.stats().checkpoints;
+  std::this_thread::sleep_for(300ms);
+  EXPECT_EQ(service.stats().checkpoints, written);
+  service.stop();
+}
+
+// A failed interval checkpoint is retried an interval after its cut: the
+// compaction thread never spins on a deadline that has already passed.
+// Every cut seals a WAL segment, and only a written checkpoint retires one.
+TEST_F(ServiceCheckpointTest, FailedIntervalCheckpointIsRetriedAnIntervalLater) {
+  using namespace std::chrono_literals;
+  ServiceOptions opts;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 100;
+  arm("svc.ckpt.write", fault::Action::kFail, 1000);
+  ConnectivityService service(64, opts);
+  ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
+  std::this_thread::sleep_for(550ms);
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.checkpoints, 0u);
+  // About five cuts at 100 ms apart, each leaving one more segment.
+  EXPECT_GE(s.wal_segments, 3u);
+  EXPECT_LE(s.wal_segments, 8u);
+  reg().disarm_all();
+  service.stop();
+}
+
+// A replica never cuts. Promoted with edges past its last checkpoint, it
+// writes an interval checkpoint on its own, with no further call.
+TEST_F(ServiceCheckpointTest, PromotedReplicaWritesAnIntervalCheckpoint) {
+  using namespace std::chrono_literals;
+  ServiceOptions opts;
+  opts.replica = true;
+  opts.wal_path = path("wal");
+  opts.checkpoint_path = path("ckpt");
+  opts.checkpoint_interval_ms = 100;
+  ConnectivityService replica(64, opts);
+  ASSERT_TRUE(replica.apply_replicated({{1, 2}, {2, 3}}));
+  std::this_thread::sleep_for(250ms);
+  EXPECT_EQ(replica.stats().checkpoints, 0u);
+  std::string err;
+  ASSERT_TRUE(replica.promote(&err)) << err;
+  ASSERT_TRUE(eventually([&] { return replica.stats().checkpoints >= 1; }));
+  CheckpointStore store;
+  store.open(path("ckpt"));
+  const auto load = store.load_latest_valid();
+  ASSERT_TRUE(load.ok) << load.error;
+  EXPECT_EQ(load.data.watermark, 2u);
+  replica.stop();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Tests for the ecl::exec subsystem: the timer wheel's lazy re-arm
-// semantics and the epoll event loop (framing, pipelining, protocol-error
-// and EOF closes, idle eviction, post()/stop ordering). Waits block on a
-// condition variable or future with a deadline instead of polling.
+// Tests for the ecl::exec subsystem: the epoll event loop (framing,
+// pipelining, protocol-error and EOF closes, deadline eviction, post()/stop
+// ordering). Waits block on a condition variable or future with a deadline
+// instead of polling.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -17,58 +17,11 @@
 #include <vector>
 
 #include "exec/event_loop.h"
-#include "exec/timer_wheel.h"
 
 namespace ecl::exec {
 namespace {
 
 using namespace std::chrono_literals;
-
-// ---------------------------------------------------------- timer wheel ----
-
-TEST(TimerWheel, ExpiresInDeadlineOrderAcrossSlots) {
-  TimerWheel wheel(/*slots=*/8, /*tick_ms=*/10);
-  TimerWheel::Timer a;
-  TimerWheel::Timer b;
-  int owner_a = 1;
-  int owner_b = 2;
-  a.owner = &owner_a;
-  b.owner = &owner_b;
-  wheel.arm(&a, 30);
-  wheel.arm(&b, 250);  // more than one revolution of an 8x10ms wheel
-  std::vector<int> fired;
-  wheel.advance(100, [&](void* o) { fired.push_back(*static_cast<int*>(o)); });
-  EXPECT_EQ(fired, std::vector<int>({1}));
-  wheel.advance(400, [&](void* o) { fired.push_back(*static_cast<int*>(o)); });
-  EXPECT_EQ(fired, std::vector<int>({1, 2}));
-  EXPECT_FALSE(wheel.armed());
-}
-
-TEST(TimerWheel, ReArmMovesDeadlineWithoutRefiling) {
-  TimerWheel wheel(8, 10);
-  TimerWheel::Timer t;
-  int owner = 7;
-  t.owner = &owner;
-  wheel.arm(&t, 20);
-  wheel.arm(&t, 500);  // O(1) deadline move; lazily re-filed at slot expiry
-  int fired = 0;
-  wheel.advance(100, [&](void*) { ++fired; });
-  EXPECT_EQ(fired, 0);  // original slot passed, deadline had moved
-  wheel.advance(600, [&](void*) { ++fired; });
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(TimerWheel, RemoveUnlinksEagerly) {
-  TimerWheel wheel(8, 10);
-  TimerWheel::Timer t;
-  int owner = 7;
-  t.owner = &owner;
-  wheel.arm(&t, 20);
-  wheel.remove(&t);
-  int fired = 0;
-  wheel.advance(1000, [&](void*) { ++fired; });
-  EXPECT_EQ(fired, 0);
-}
 
 // ----------------------------------------------------------- event loop ----
 
@@ -258,6 +211,95 @@ TEST(EventLoop, IdleTimeoutEvicts) {
   auto reason = closed.get_future();
   ASSERT_EQ(reason.wait_for(3s), std::future_status::ready);
   EXPECT_EQ(reason.get(), CloseReason::kIdleTimeout);
+  loop.request_stop();
+  loop.join();
+  ::close(fds[1]);
+}
+
+using Clock = std::chrono::steady_clock;
+
+// The loop's clock counts whole milliseconds, so a deadline armed at time t
+// for d ms fires no earlier than t + d - 1 ms of real time.
+constexpr auto kClockGrain = 1ms;
+
+// Deadlines fire at their own time, in order, on one loop: no connection
+// closes before its idle deadline.
+TEST(EventLoop, DeadlinesEvictInOrder) {
+  constexpr int kIdleMs[3] = {40, 120, 300};
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> order;
+  Clock::time_point closed_at[3];
+  Clock::time_point adopted_at[3];
+  int fds[3][2];
+  EventLoop loop;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds[i]), 0);
+    ConnCallbacks cbs;
+    cbs.on_frame = [](Conn&, std::span<const std::uint8_t>) {};
+    cbs.on_close = [&, i](Conn&, CloseReason r) {
+      EXPECT_EQ(r, CloseReason::kIdleTimeout);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        closed_at[i] = Clock::now();
+        order.push_back(i);
+      }
+      cv.notify_all();
+    };
+    ConnOptions copts;
+    copts.idle_timeout_ms = kIdleMs[i];
+    adopted_at[i] = Clock::now();
+    ASSERT_NE(loop.adopt(fds[i][0], std::move(cbs), copts), nullptr);
+  }
+  std::string err;
+  ASSERT_TRUE(loop.start(&err)) << err;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, 3s, [&] { return order.size() == 3; }));
+  }
+  loop.request_stop();
+  loop.join();
+  EXPECT_EQ(order, std::vector<int>({0, 1, 2}));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GE(closed_at[i] - adopted_at[i], std::chrono::milliseconds(kIdleMs[i]) - kClockGrain)
+        << "connection " << i << " closed before its deadline";
+    ::close(fds[i][1]);
+  }
+}
+
+// Every complete frame pushes the idle deadline out; once the frames stop,
+// the connection closes an idle timeout after the last one.
+TEST(EventLoop, TrafficPushesTheIdleDeadlineOut) {
+  std::promise<CloseReason> closed;
+  std::atomic<bool> is_closed{false};
+  Clock::time_point last_frame_at;  // loop thread; read after the promise
+  Clock::time_point closed_at;
+  EventLoop loop;
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ConnCallbacks cbs;
+  cbs.on_frame = [&](Conn&, std::span<const std::uint8_t>) { last_frame_at = Clock::now(); };
+  cbs.on_close = [&](Conn&, CloseReason r) {
+    closed_at = Clock::now();
+    is_closed.store(true);
+    closed.set_value(r);
+  };
+  ConnOptions copts;
+  copts.idle_timeout_ms = 60;
+  ASSERT_NE(loop.adopt(fds[0], std::move(cbs), copts), nullptr);
+  std::string err;
+  ASSERT_TRUE(loop.start(&err)) << err;
+  const auto f = make_frame("tick");
+  const auto start = Clock::now();
+  for (auto next = start; next - start < 400ms; next += 20ms) {
+    std::this_thread::sleep_until(next);
+    ASSERT_EQ(::write(fds[1], f.data(), f.size()), static_cast<ssize_t>(f.size()));
+  }
+  EXPECT_FALSE(is_closed.load()) << "evicted while a frame arrived every 20 ms";
+  auto reason = closed.get_future();
+  ASSERT_EQ(reason.wait_for(3s), std::future_status::ready);
+  EXPECT_EQ(reason.get(), CloseReason::kIdleTimeout);
+  EXPECT_GE(closed_at - last_frame_at, 60ms - kClockGrain);
   loop.request_stop();
   loop.join();
   ::close(fds[1]);

@@ -42,6 +42,7 @@
 #include "svc/server.h"
 #include "svc/service.h"
 #include "svc/wal.h"
+#include "test_util.h"
 
 namespace ecl::svc {
 namespace {
@@ -70,16 +71,6 @@ class FaultTest : public ::testing::Test {
            "_" + name;
   }
 };
-
-/// Polls `pred` for up to ~5 s. Chaos tests must never hang the suite.
-template <typename Pred>
-bool eventually(Pred pred) {
-  for (int i = 0; i < 500; ++i) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return pred();
-}
 
 // ------------------------------------------------------- fault registry ----
 
@@ -562,7 +553,6 @@ using ServiceWalTest = WalTest;
 TEST_F(ServiceWalTest, AckedBatchesSurviveRestart) {
   ServiceOptions opts;
   opts.wal_path = path_;
-  opts.compact_interval_ms = 5;
   {
     ConnectivityService service(256, opts);
     ASSERT_EQ(service.submit({{1, 2}, {2, 3}}), Admission::kAccepted);
@@ -732,7 +722,6 @@ using DegradedModeTest = FaultTest;
 
 TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
   ServiceOptions opts;
-  opts.compact_interval_ms = 5;
   ConnectivityService service(64, opts);
   ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
   (void)service.compact_now();  // the epoch the snapshot reads below serve from
@@ -757,7 +746,6 @@ TEST_F(DegradedModeTest, IngestWorkerDeathDegradesButReadsServe) {
 
 TEST_F(DegradedModeTest, CompactionWorkerDeathDegradesButReadsServe) {
   ServiceOptions opts;
-  opts.compact_interval_ms = 5;
   opts.compact_min_new_edges = 1u << 30;  // compact only when forced
   opts.checkpoint_path = temp_path("compact_death.ckpt");
   opts.checkpoint_interval_ms = 0;
@@ -769,6 +757,9 @@ TEST_F(DegradedModeTest, CompactionWorkerDeathDegradesButReadsServe) {
   service.flush();
 
   arm("svc.compact.worker", fault::Action::kKill, 1);
+  // The forced compaction wakes the worker into the fault; compact_now()
+  // returns once the worker is dead, with nothing new published.
+  EXPECT_EQ(service.compact_now(), epoch);
   ASSERT_TRUE(eventually([&] { return service.degraded(); }));
   EXPECT_TRUE(service.stats().ingest_worker_alive);  // only compaction died
 
@@ -965,7 +956,6 @@ class RetryTest : public FaultTest {
 
   void start_server() {
     ServiceOptions opts;
-    opts.compact_interval_ms = 5;
     service_ = std::make_unique<ConnectivityService>(kVertices, opts);
     ServerOptions sopts;
     sopts.unix_path = unix_path_;

@@ -420,8 +420,7 @@ TEST_F(ReplicaServiceTest, RebaseUnitesCheckpointAndRefusesOlderOnes) {
   };
   ServiceOptions opts;
   opts.replica = true;
-  opts.compact_interval_ms = 3600 * 1000;  // explicit compactions only
-  opts.compact_min_new_edges = ~0ull;
+  opts.compact_min_new_edges = ~0ull;  // explicit compactions only
   ConnectivityService svc(kN, opts);
   svc.apply_replicated({{0, 1}, {2, 3}, {8, 9}});
   const std::uint64_t epoch = svc.compact_now();
@@ -533,8 +532,7 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
     opts.wal_path = path("p/wal");
     opts.checkpoint_path = path("p/ckpt");
     opts.checkpoint_interval_ms = 0;
-    opts.compact_interval_ms = 3600 * 1000;  // forced compactions only
-    opts.compact_min_new_edges = ~0ull;
+    opts.compact_min_new_edges = ~0ull;  // forced compactions only
     const std::size_t cut = kEdges / 4 + rng.bounded(kEdges / 4);
     const std::size_t crash = cut + 1 + rng.bounded(kEdges / 4);
     {
@@ -568,7 +566,6 @@ TEST_F(ReplicaServiceTest, EveryEpochIsTheExactPrefixAcrossRestartAndRebase) {
     ASSERT_TRUE(image.has);
 
     ServiceOptions ropts = replica_options();
-    ropts.compact_interval_ms = opts.compact_interval_ms;
     ropts.compact_min_new_edges = opts.compact_min_new_edges;
     ConnectivityService replica(kN, ropts);
     const auto replicate = [&replica](ConnectivityService::EdgeBatch batch) {
@@ -638,8 +635,7 @@ TEST_F(ReplicaServiceTest, RebaseOntoACheckpointCutUnderLiveIngestThenStreamTheT
     std::filesystem::remove_all(path("r"));
     ASSERT_TRUE(std::filesystem::create_directories(path("r")));
     ServiceOptions ropts = replica_options();
-    ropts.compact_interval_ms = 3600 * 1000;  // forced compactions only
-    ropts.compact_min_new_edges = ~0ull;
+    ropts.compact_min_new_edges = ~0ull;  // forced compactions only
     ConnectivityService replica(kN, ropts);
     IncrementalCC ref(kN);
     std::uint64_t ref_edges = 0;
@@ -686,7 +682,6 @@ TEST_F(ReplicaServiceTest, SlowReplicaPinsSegmentsDeadReplicaReleases) {
   opts.wal_path = path("wal");
   opts.checkpoint_path = path("ckpt");
   opts.checkpoint_interval_ms = 0;  // explicit checkpoints only
-  opts.compact_interval_ms = 5;
   opts.replica_hold_ms = 150;
   ConnectivityService svc(64, opts);
 
@@ -875,7 +870,6 @@ class ReplicationE2ETest : public ReplicaTest {
     popts.wal_path = path("p/wal");
     popts.checkpoint_path = path("p/ckpt");
     popts.checkpoint_interval_ms = 0;  // test drives checkpoints explicitly
-    popts.compact_interval_ms = 5;
     popts.wal_segment_bytes = 1024;  // rotate often: exercise sealed advance
     popts.replica_hold_ms = 100;
     ASSERT_TRUE(std::filesystem::create_directories(path("p")));
@@ -911,7 +905,6 @@ class ReplicationE2ETest : public ReplicaTest {
     o.replica = true;
     o.wal_path = ropts_.wal_path;
     o.checkpoint_path = ropts_.checkpoint_path;
-    o.compact_interval_ms = 5;
     replica_ = std::make_unique<ConnectivityService>(kVertices, o);
     replicator_ = std::make_unique<Replicator>(*replica_, ropts_);
     ServerOptions so;

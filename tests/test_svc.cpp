@@ -86,8 +86,7 @@ TEST(ConnectivityService, StartsAsSingletons) {
 
 TEST(ConnectivityService, SnapshotSeesCompactedEdgesOnly) {
   ServiceOptions opts;
-  opts.compact_interval_ms = 3600 * 1000;  // only explicit compactions
-  opts.compact_min_new_edges = ~0ull;
+  opts.compact_min_new_edges = ~0ull;  // only explicit compactions
   ConnectivityService svc(10, opts);
 
   ASSERT_EQ(svc.submit({{0, 1}, {1, 2}}), Admission::kAccepted);
@@ -113,7 +112,6 @@ TEST(ConnectivityService, SnapshotSeesCompactedEdgesOnly) {
 
 TEST(ConnectivityService, SnapshotPinsItsEpoch) {
   ServiceOptions opts;
-  opts.compact_interval_ms = 3600 * 1000;
   opts.compact_min_new_edges = ~0ull;
   ConnectivityService svc(6, opts);
 
@@ -139,6 +137,28 @@ TEST(ConnectivityService, SeedGraphCountsAsEpochZero) {
   EXPECT_FALSE(svc.connected(0, 3));
   EXPECT_EQ(svc.component_count(), 2u);
   EXPECT_GT(svc.stats().watermark, 0u);  // seed edges are pre-applied
+}
+
+// The compaction thread waits for work, not for a clock: an idle service
+// with checkpoints on makes no compaction pass at all, so a kill armed for
+// the eleventh pass never fires.
+TEST(ConnectivityService, IdleCompactionThreadSleeps) {
+  const std::string ckpt =
+      ::testing::TempDir() + "ecl_svc_idle_" + std::to_string(::getpid()) + ".ckpt";
+  const auto remove_checkpoints = [&] {
+    for (const auto& f : list_numbered_files(ckpt)) std::remove(f.path.c_str());
+  };
+  remove_checkpoints();
+  {
+    ServiceOptions opts;
+    opts.checkpoint_path = ckpt;  // the default checkpoint_interval_ms
+    ConnectivityService svc(100, opts);
+    ASSERT_TRUE(fault::Registry::instance().arm("svc.compact.worker=kill,after=10"));
+    std::this_thread::sleep_for(std::chrono::seconds(1));
+    fault::Registry::instance().disarm_all();
+    EXPECT_FALSE(svc.degraded());
+  }
+  remove_checkpoints();
 }
 
 TEST(ConnectivityService, OutOfRangeVerticesAreSafe) {
@@ -196,7 +216,6 @@ TEST(ConnectivityService, BackpressureShedsInsteadOfBlocking) {
   const SlowIngest slow(2000);  // slow consumer → queue fills
   ServiceOptions opts;
   opts.queue_capacity = 2;
-  opts.compact_interval_ms = 3600 * 1000;
   opts.compact_min_new_edges = ~0ull;
   ConnectivityService svc(1000, opts);
 
@@ -227,7 +246,6 @@ TEST(ConnectivityService, GracefulShutdownAppliesInFlightBatches) {
   const SlowIngest slow(500);  // keep batches in flight at stop() time
   ServiceOptions opts;
   opts.queue_capacity = 64;
-  opts.compact_interval_ms = 3600 * 1000;
   opts.compact_min_new_edges = ~0ull;
   ConnectivityService svc(64, opts);
 
@@ -272,7 +290,6 @@ TEST(ConnectivityService, ConcurrentStopIsSafe) {
 TEST(ConnectivityService, ConnectivityIsMonotoneUnderConcurrency) {
   constexpr vertex_t kN = 512;
   ServiceOptions opts;
-  opts.compact_interval_ms = 1;  // aggressive snapshot churn
   ConnectivityService svc(kN, opts);
 
   std::atomic<bool> writer_done{false};
@@ -338,7 +355,6 @@ TEST(ConnectivityService, SnapshotsAreExactPrefixesAndOnlyCoarsen) {
   const std::vector<Edge> edges = xorshift_edges(kN, kEdges);
 
   ServiceOptions opts;
-  opts.compact_interval_ms = 1;
   ConnectivityService svc(kN, opts);
 
   std::atomic<bool> done{false};
@@ -406,8 +422,7 @@ TEST(ConnectivityService, HookHeavyEpochsAreExactPrefixes) {
   const std::vector<Edge> edges = xorshift_edges(kN, kEdges);
 
   ServiceOptions opts;
-  opts.compact_interval_ms = 3600 * 1000;  // only explicit compactions
-  opts.compact_min_new_edges = ~0ull;
+  opts.compact_min_new_edges = ~0ull;  // only explicit compactions
   ConnectivityService svc(kN, opts);
 
   IncrementalCC reference(kN);
@@ -771,7 +786,6 @@ class SvcSocketTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ServiceOptions opts;
-    opts.compact_interval_ms = 5;
     service_ = std::make_unique<ConnectivityService>(kVertices, opts);
     ServerOptions sopts;
     // Unique per process: ctest runs discovered cases in parallel, and
@@ -996,7 +1010,6 @@ class SvcBackpressureTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ServiceOptions opts;
-    opts.compact_interval_ms = 5;
     service_ = std::make_unique<ConnectivityService>(256, opts);
     ServerOptions sopts;
     sopts.unix_path = ::testing::TempDir() + "ecl_svc_bp_" +

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,17 @@
 #include "graph/graph.h"
 
 namespace ecl {
+
+/// Polls `pred` for up to ~5 s, so a test waiting on another thread never
+/// hangs the suite.
+template <typename Pred>
+bool eventually(Pred pred) {
+  for (int i = 0; i < 500; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return pred();
+}
 
 // Fixture graphs with exactly known component structure. They live with the
 // tests because only tests build them; the generators in graph/generators.h

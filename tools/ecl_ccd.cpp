@@ -18,8 +18,8 @@
 //   --host=A --port=P       serve on TCP (default 127.0.0.1:4280; port 0 =
 //                           ephemeral, printed and written to --ready-file)
 //   --queue-capacity=N      ingest admission queue, in batches (default 64)
-//   --compact-interval-ms=N background compaction cadence (default 20)
-//   --compact-min-edges=N   min new edges before compacting (default 1)
+//   --compact-min-edges=N   min new edges before compacting (default 1); the
+//                           compaction thread sleeps until a batch brings them
 //   --wal=PATH              write-ahead edge log (segments PATH.000001, ...):
 //                           replay the tail on startup (truncating any torn
 //                           final record) and append every accepted batch
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
 
   svc::ServiceOptions sopts;
   sopts.queue_capacity = static_cast<std::size_t>(args.get_int("queue-capacity", 64));
-  sopts.compact_interval_ms = static_cast<int>(args.get_int("compact-interval-ms", 20));
   sopts.compact_min_new_edges =
       static_cast<std::uint64_t>(args.get_int("compact-min-edges", 1));
   sopts.wal_path = args.get("wal", "");
