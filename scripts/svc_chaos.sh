@@ -465,6 +465,9 @@ rccd_exit=0
 wait "$RCCD_PID" || rccd_exit=$?
 RCCD_PID=
 [[ "$rccd_exit" -eq 0 ]] || { echo "replica exit code $rccd_exit"; cat "$KDIR/r2.log"; exit 1; }
+# The revival resumed from its own log end: it never fetched a checkpoint.
+grep -q "^replication: .*, 0 re-bootstraps$" "$KDIR/r2.log" || {
+  echo "revived replica re-bootstrapped:"; cat "$KDIR/r2.log"; exit 1; }
 "$CLIENT" --unix="$KDIR/p.sock" shutdown
 ccd_exit=0
 wait "$CCD_PID" || ccd_exit=$?
@@ -482,7 +485,7 @@ echo "==== scenario kill-replica: OK"
 echo "==== scenario: kill-primary-then-promote"
 FDIR="$WORK/kill-primary"
 mkdir -p "$FDIR/p" "$FDIR/r"
-echo "== starting primary (WAL only: bootstrap-without-checkpoint path)"
+echo "== starting primary (WAL only: the replica streams from segment 1)"
 "$CCD" --vertices=20000 --unix="$FDIR/p.sock" --wal="$FDIR/p/wal" \
        --wal-fsync=batch \
        --ready-file="$FDIR/ready_p" --metrics-port=0 >"$FDIR/p.log" 2>&1 &

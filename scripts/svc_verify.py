@@ -64,14 +64,13 @@ print(f'{len(edges)} acked edges to verify')
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sock_path)
 
-# The kStats body is tag-indexed: u8 format | u16 count | count x (u16 tag,
-# u64 value). Tags are the ECL_SVC_STATS_FIELDS rows in src/svc/service.h.
+# The kStats body is tag-indexed: u16 count | count x (u16 tag, u64 value).
+# Tags are the ECL_SVC_STATS_FIELDS rows in src/svc/service.h.
 def parse_stats(body):
     fields = {}
-    fmt, count = struct.unpack_from('<BH', body, 0)
-    assert fmt == 1, f'unknown stats format byte {fmt}'
-    assert len(body) == 3 + 10 * count, (len(body), count)
-    off = 3
+    (count,) = struct.unpack_from('<H', body, 0)
+    assert len(body) == 2 + 10 * count, (len(body), count)
+    off = 2
     for _ in range(count):
         tag, value = struct.unpack_from('<HQ', body, off)
         fields[tag] = value
@@ -129,7 +128,7 @@ if ckpt_enabled and recovery == 'ckpt':
 
 # acked => durable: every acked edge must be connected. No sampling: every
 # line in the file is checked, against one kComponentOf (3) read of every
-# vertex's label (read_mode 0, the only one: a snapshot read). A snapshot
+# vertex's label (a snapshot read, the only kind). A snapshot
 # label is the minimum of the vertex's component. A match is exact: if
 # label[u] == label[v] == m, u and v were each in m's component at their
 # reads, and snapshots only coarsen, so they are connected. A mismatch may
@@ -137,7 +136,7 @@ if ckpt_enabled and recovery == 'ckpt':
 # confirmed with a kConnected (2) for that edge before it counts as lost.
 n = stats.get(NUM_VERTICES, 0)
 labels = []
-for v, (status, body) in enumerate(pipelined(3, [struct.pack('<IB', v, 0) for v in range(n)])):
+for v, (status, body) in enumerate(pipelined(3, [struct.pack('<I', v) for v in range(n)])):
     assert status == 0, f'component_of({v}) status {status}'
     labels.append(u64(body))
 suspects = [i for i, (u, v) in enumerate(edges)
@@ -148,7 +147,7 @@ sample = range(0, len(edges), max(1, len(edges) // 1000))[:1000]
 print(f'{n} labels read; {len(suspects)} label mismatches and a '
       f'{len(sample)}-edge sample to confirm with kConnected')
 checked = [edges[i] for i in sorted(set(suspects).union(sample))]
-answers = pipelined(2, [struct.pack('<IIB', u, v, 0) for (u, v) in checked])
+answers = pipelined(2, [struct.pack('<II', u, v) for (u, v) in checked])
 lost = 0
 for (u, v), (status, body) in zip(checked, answers):
     value = u64(body) if status == 0 else None

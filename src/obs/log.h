@@ -17,8 +17,9 @@
 // call can grep its id here and read the server-side breakdown. Lines are
 // written under one mutex and flushed individually — a crash loses at most
 // the line being written, and `tail -f` sees requests as they happen.
-// queue_us is reserved for a queued front end (the thread-per-connection
-// server executes immediately, so it logs 0).
+// queue_us is reserved for a queued front end (the server's event loops
+// dispatch each request inline on the I/O thread that decoded it, so it
+// logs 0).
 //
 // JSON-lines (one object per line, no enclosing array) so the file can be
 // consumed incrementally by jq, Python, or a log shipper without parsing the

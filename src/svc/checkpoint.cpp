@@ -176,9 +176,8 @@ bool map_checkpoint(const std::string& path, CheckpointData* out, std::string* e
 
 }  // namespace
 
-void CheckpointStore::open(std::string base, std::size_t keep) {
+void CheckpointStore::open(std::string base) {
   base_ = std::move(base);
-  keep_ = std::max<std::size_t>(keep, 1);
   entries_.clear();
   for (auto& f : list_numbered_files(base_)) {
     Entry e;
@@ -314,9 +313,9 @@ CheckpointWriteResult CheckpointStore::publish(std::uint64_t wal_seq,
   e.wal_seq_known = true;
   entries_.push_back(std::move(e));
 
-  // Retention: keep the newest keep_ checkpoints. Deletion failures are
+  // Retention: keep the newest kKeep checkpoints. Deletion failures are
   // disk-cost only; the entry stays listed and is retried next write.
-  while (entries_.size() > keep_) {
+  while (entries_.size() > kKeep) {
     if (::unlink(entries_.front().path.c_str()) != 0 && errno != ENOENT) {
       ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.retire_errors", 1);
       break;
@@ -330,7 +329,7 @@ CheckpointWriteResult CheckpointStore::publish(std::uint64_t wal_seq,
 }
 
 std::uint64_t CheckpointStore::retention_floor_wal_seq() const {
-  if (entries_.size() < keep_) return 0;
+  if (entries_.size() < kKeep) return 0;
   const Entry& oldest = entries_.front();
   if (oldest.wal_seq_known) return oldest.wal_seq;
   CheckpointData data;

@@ -101,9 +101,8 @@ struct CheckpointLoadResult {
 
 /// kFetchCkpt payload: the primary's newest valid checkpoint as a raw file
 /// image, plus where it sits in the checkpoint/WAL chains. `has == false`
-/// (and empty image) when the primary has no valid checkpoint — the replica
-/// then streams the WAL from segment 1, which is complete because a primary
-/// that never checkpointed never retired anything.
+/// (and empty image) when the primary has no valid checkpoint; a primary
+/// that never checkpointed never retired a segment, so no replica needs one.
 struct CkptImage {
   bool has = false;
   std::uint64_t seq = 0;      // the primary's file number (diagnostic only)
@@ -119,9 +118,8 @@ struct CkptImage {
 class CheckpointStore {
  public:
   /// Binds the store to `base` and scans for existing checkpoints. Never
-  /// creates anything. `keep` is the retention count (min 1; default 2 so
-  /// a corrupt newest checkpoint still has a fallback).
-  void open(std::string base, std::size_t keep = 2);
+  /// creates anything.
+  void open(std::string base);
 
   /// Loads the newest checkpoint that validates, skipping (not deleting)
   /// torn/corrupt newer ones. `!found_any` on a fresh directory is not an
@@ -130,7 +128,7 @@ class CheckpointStore {
 
   /// Writes `data` as the next checkpoint (seq = newest + 1) via the
   /// crash-atomic temp -> fsync -> rename -> dir-fsync protocol, then
-  /// applies retention (unlinking checkpoints beyond the keep count).
+  /// applies retention (unlinking all but the newest two).
   /// Counted in ecl.svc.ckpt.writes / .write_errors / .bytes. The labels
   /// are written straight from `labels` (n of them), with no file image.
   [[nodiscard]] CheckpointWriteResult write(const CheckpointHeader& header,
@@ -149,7 +147,7 @@ class CheckpointStore {
       const std::function<bool(const CheckpointData&)>& accept = {});
 
   /// The highest WAL segment seq that is safe to retire: the wal_seq of the
-  /// *oldest retained* checkpoint (0 when fewer than `keep` checkpoints
+  /// *oldest retained* checkpoint (0 when fewer than kKeep checkpoints
   /// exist). Using the oldest — not the newest — means a fallback load
   /// after a corrupt newest checkpoint still finds every segment it needs.
   [[nodiscard]] std::uint64_t retention_floor_wal_seq() const;
@@ -191,8 +189,10 @@ class CheckpointStore {
     bool wal_seq_known = false;
   };
 
+  /// Checkpoints retained: two, so a corrupt newest one has a fallback.
+  static constexpr std::size_t kKeep = 2;
+
   std::string base_;
-  std::size_t keep_ = 2;
   std::vector<Entry> entries_;  // ascending seq
 };
 

@@ -1,5 +1,7 @@
-// Blocking client for the ecl::svc protocol, used by tools/ecl_cc_client
-// and bench/svc_loadgen. One request in flight per client; not thread-safe
+// Blocking client for the ecl::svc protocol, used by tools/ecl_cc_client,
+// tools/ecl_cc_top, bench/svc_loadgen, the replica's Replicator
+// (svc/replica.h) and the service benchmark (benchmark/). One request in
+// flight per client; not thread-safe
 // (load generators open one client per worker thread, which also gives the
 // kernel one socket per connection to spread accept/wakeup costs).
 //

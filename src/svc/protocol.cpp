@@ -91,7 +91,6 @@ void encode_stats_body(const ServiceStats& st, std::vector<std::uint8_t>& out) {
 #define ECL_SVC_COUNT_ROW(tag, member, family, type) ++count;
   ECL_SVC_STATS_FIELDS(ECL_SVC_COUNT_ROW)
 #undef ECL_SVC_COUNT_ROW
-  put_u8(out, kStatsTaggedFormat);
   put_u16(out, count);
 #define ECL_SVC_ENCODE_ROW(tag, member, family, type) \
   put_u16(out, tag);                                   \
@@ -101,8 +100,6 @@ void encode_stats_body(const ServiceStats& st, std::vector<std::uint8_t>& out) {
 }
 
 bool decode_stats_body(Reader& r, ServiceStats& st) {
-  std::uint8_t format = 0;
-  if (!r.u8(format) || format != kStatsTaggedFormat) return false;
   std::uint16_t field_count = 0;
   if (!r.u16(field_count)) return false;
   if (r.remaining() != static_cast<std::size_t>(field_count) * 10) return false;
@@ -192,11 +189,9 @@ void encode_request(const Request& req, std::vector<std::uint8_t>& out) {
     case MsgType::kConnected:
       put_u32(out, req.u);
       put_u32(out, req.v);
-      put_u8(out, static_cast<std::uint8_t>(ReadMode::kSnapshot));
       break;
     case MsgType::kComponentOf:
       put_u32(out, req.v);
-      put_u8(out, static_cast<std::uint8_t>(ReadMode::kSnapshot));
       break;
     case MsgType::kFetchWal:
       put_u64(out, req.replica_id);
@@ -269,7 +264,6 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
   req.seq = 0;
   req.offset = 0;
   req.max_bytes = 0;
-  std::uint8_t mode = 0;
   switch (req.type) {
     case MsgType::kIngest: {
       std::uint32_t count = 0;
@@ -287,10 +281,10 @@ bool decode_request(std::span<const std::uint8_t> payload, Request& req) {
       break;
     }
     case MsgType::kConnected:
-      if (!r.u32(req.u) || !r.u32(req.v) || !r.u8(mode) || mode != 0) return false;
+      if (!r.u32(req.u) || !r.u32(req.v)) return false;
       break;
     case MsgType::kComponentOf:
-      if (!r.u32(req.v) || !r.u8(mode) || mode != 0) return false;
+      if (!r.u32(req.v)) return false;
       break;
     case MsgType::kFetchWal:
       if (!r.u64(req.replica_id) || !r.u64(req.seq) || !r.u64(req.offset) ||

@@ -10,10 +10,8 @@
 // Request bodies:
 //   kPing            (empty)
 //   kIngest          u32 edge_count | edge_count x (u32 u | u32 v)
-//   kConnected       u32 u | u32 v | u8 read_mode
-//   kComponentOf     u32 v | u8 read_mode
-//                    (read_mode is 0, a snapshot read; any other byte makes
-//                    the request malformed)
+//   kConnected       u32 u | u32 v
+//   kComponentOf     u32 v
 //   kComponentCount  (empty)
 //   kStats           (empty)
 //   kShutdown        (empty)
@@ -26,7 +24,7 @@
 //   kConnected                    u64 value (0/1)
 //   kComponentOf                  u64 value (label; kInvalidVertex if bad v)
 //   kComponentCount               u64 value
-//   kStats                        u8 format (= 1) | u16 field_count |
+//   kStats                        u16 field_count |
 //                                 field_count x (u16 tag | u64 value), one
 //                                 pair per ECL_SVC_STATS_FIELDS row
 //                                 (svc/service.h). Unknown tags are skipped
@@ -70,9 +68,10 @@ enum class MsgType : std::uint8_t {
   kStats = 5,
   kShutdown = 6,
   // 7 is retired and fails to decode; never reuse it.
-  // Replication (docs/REPLICATION.md): a replica bootstraps with kFetchCkpt,
-  // then streams raw segment bytes with kFetchWal; kPromote flips a replica
-  // into a writable primary for failover.
+  // Replication (docs/REPLICATION.md): a replica streams raw segment bytes
+  // with kFetchWal and, when the primary has retired the segment it needs,
+  // rebootstraps from the checkpoint kFetchCkpt serves; kPromote flips a
+  // replica into a writable primary for failover.
   kFetchCkpt = 8,
   kFetchWal = 9,
   kPromote = 10,
@@ -91,9 +90,6 @@ enum class Status : std::uint8_t {
 
 /// Protocol op name ("ping", "ingest", ...), for logs and dashboards.
 [[nodiscard]] const char* msg_type_name(MsgType t);
-
-/// Marker byte opening the tagged kStats body.
-inline constexpr std::uint8_t kStatsTaggedFormat = 1;
 
 /// Server-side clamp on one kFetchWal chunk; a client asking for more gets
 /// this much. Well under kMaxFrameBytes so the response header always fits.

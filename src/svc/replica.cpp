@@ -5,10 +5,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <tuple>
 #include <utility>
 
 #include "obs/metrics.h"
-#include "svc/checkpoint.h"
 #include "svc/wal.h"
 
 namespace ecl::svc {
@@ -22,47 +22,12 @@ std::uint64_t mono_ms() {
           .count());
 }
 
-std::unique_ptr<Client> connect_primary(const ReplicatorOptions& opts,
-                                        std::string* err) {
-  return opts.unix_path.empty()
-             ? Client::connect_tcp(opts.host, opts.port, err)
-             : Client::connect_unix(opts.unix_path, err);
+std::unique_ptr<Client> connect_primary(const ReplicatorOptions& opts) {
+  return opts.unix_path.empty() ? Client::connect_tcp(opts.host, opts.port)
+                                : Client::connect_unix(opts.unix_path);
 }
 
 }  // namespace
-
-bool Replicator::bootstrap(const ReplicatorOptions& opts, std::string* err) {
-  // Resume from local state when any exists: a valid checkpoint, or a WAL
-  // (a replica that bootstrapped from a checkpoint-less primary has only
-  // the latter). The service ctor recovers from both natively.
-  CheckpointStore store;
-  store.open(opts.checkpoint_path);
-  if (store.load_latest_valid().ok) return true;
-  if (!list_numbered_files(opts.wal_path).empty()) return true;
-
-  auto client = connect_primary(opts, err);
-  if (client == nullptr) return false;
-  CkptImage img;
-  Status st = Status::kOk;
-  if (!client->fetch_ckpt(img, &st)) {
-    if (err != nullptr) {
-      *err = std::string("replica bootstrap: kFetchCkpt failed (") +
-             status_name(st) + ")";
-    }
-    return false;
-  }
-  if (!img.has) return true;  // stream from segment 1; nothing was retired
-  // The store validates the image before renaming it into place, so a
-  // truncated or corrupt one fails here, not as a mysterious ctor throw.
-  CheckpointData data;
-  const auto wr = store.install(img.image, &data);
-  if (!wr.ok) {
-    if (err != nullptr) *err = "replica bootstrap: " + wr.error;
-    return false;
-  }
-  ECL_OBS_COUNTER_ADD("ecl.svc.replica.bootstraps", 1);
-  return true;
-}
 
 Replicator::Replicator(ConnectivityService& service, ReplicatorOptions opts)
     : service_(service), opts_(std::move(opts)) {
@@ -83,16 +48,13 @@ bool Replicator::start(std::string* err) {
     if (err != nullptr) *err = "replicator: stopped; start a fresh Replicator";
     return false;
   }
-  // Resume where the local WAL ends. The service ctor replayed it and
+  // Resume where the local log ends. The service ctor replayed it and
   // opened its highest segment, whose size is a record boundary (records
   // are logged whole) with everything before it applied.
-  const auto segments = list_numbered_files(opts_.wal_path);
-  if (!segments.empty()) {
-    cur_seq_ = segments.back().seq;
-    file_bytes_ = segments.back().bytes;
-  } else {
-    cur_seq_ = service_.checkpoint_covered_wal_seq() + 1;
-    file_bytes_ = 0;
+  std::tie(cur_seq_, file_bytes_) = service_.wal_end();
+  if (cur_seq_ == 0) {
+    if (err != nullptr) *err = "replicator: the service has no WAL";
+    return false;
   }
   decoder_ = WalDecoder(file_bytes_);
   caught_up_at_ms_ = mono_ms();
@@ -138,13 +100,21 @@ void Replicator::fetch_tick() {
 
 bool Replicator::ensure_client() {
   if (client_ != nullptr) return true;
-  std::string err;
-  client_ = connect_primary(opts_, &err);
-  if (client_ == nullptr) {
-    ECL_OBS_COUNTER_ADD("ecl.svc.replica.connect_errors", 1);
-    return false;
+  client_ = connect_primary(opts_);
+  ServiceStats primary;
+  if (client_ != nullptr && client_->stats(primary)) {
+    if (primary.num_vertices == service_.num_vertices()) return true;
+    if (!std::exchange(refused_logged_, true)) {
+      std::fprintf(stderr,
+                   "[ecl::svc::replica] refusing a primary of %llu vertices: this "
+                   "replica has %u\n",
+                   static_cast<unsigned long long>(primary.num_vertices),
+                   service_.num_vertices());
+    }
   }
-  return true;
+  client_.reset();
+  ECL_OBS_COUNTER_ADD("ecl.svc.replica.connect_errors", 1);
+  return false;
 }
 
 bool Replicator::fetch_once() {

@@ -3,15 +3,9 @@
 //
 // Topology: one primary, N read replicas. Each replica runs a full
 // ConnectivityService in replica mode (submit() sheds, checkpoints off)
-// plus one Replicator, which drives the whole lifecycle:
-//
-//   bootstrap   Before the service is constructed: if the local checkpoint
-//               or WAL already holds state, resume from it; else
-//               fetch the primary's newest checkpoint image (kFetchCkpt)
-//               and install it through a CheckpointStore on the local
-//               checkpoint base (validated, crash-atomic, numbered locally).
-//               The service ctor then recovers from it exactly like a
-//               primary restarting.
+// plus one Replicator, which drives the whole lifecycle. The service is
+// built from local state alone, exactly like a primary restarting (empty
+// on first start), and the Replicator streams from where its log ends:
 //
 //   stream      The Replicator's thread fetches bounded chunks of the
 //               primary's WAL segments (kFetchWal), decodes whole records
@@ -26,14 +20,20 @@
 //               offset); a sealed segment consumed to its end makes the
 //               service seal its copy and advances to seq + 1.
 //
-//   rebootstrap If the primary answers `retired` (this replica fell behind
-//               the retention floor — e.g. it was dead past the primary's
-//               replica_hold_ms), the Replicator fetches a fresh
-//               checkpoint and hands it to the service, which installs it
-//               into its own checkpoint chain, rebases the live state onto
-//               it and resets its WAL past it (rebase_to_image); the
-//               Replicator resumes streaming past the new checkpoint's
-//               covered segment.
+//   rebootstrap If the primary answers `retired` (a fresh replica of a
+//               primary that has retired segment 1, or a replica that fell
+//               behind the retention floor — e.g. it was dead past the
+//               primary's replica_hold_ms), the Replicator fetches the
+//               primary's newest checkpoint (kFetchCkpt) and hands it to
+//               the service, which installs it into its own checkpoint
+//               chain, unites it into the live state and resets its WAL
+//               past it (rebase_to_image); the Replicator resumes
+//               streaming past the new checkpoint's covered segment. Union-
+//               find only ever joins sets, so this is safe from any state.
+//
+// Every (re)connect first reads the primary's kStats: a primary with
+// another vertex count is refused (logged once, counted as a connect
+// error), since streaming it would drop every edge past this universe.
 //
 // Lag is observable, not bounded by backpressure: after every fetch round
 // the Replicator pushes (lag_seq, lag_ms) into the service, which surfaces
@@ -71,11 +71,6 @@ struct ReplicatorOptions {
   std::string unix_path;
   std::string host = "127.0.0.1";
   int port = 0;
-  /// Local WAL base and checkpoint base, the service's. Both required —
-  /// they are the replica's durable identity across restarts and after
-  /// promotion.
-  std::string wal_path;
-  std::string checkpoint_path;
   /// Pause between the end of one fetch tick and the start of the next.
   /// Lag in steady state is bounded by roughly one interval plus one
   /// chunk's transfer time.
@@ -89,28 +84,17 @@ struct ReplicatorOptions {
 
 class Replicator {
  public:
-  /// One-time, *pre-service* bootstrap: ensures the local checkpoint/WAL
-  /// state is good enough to construct the replica's ConnectivityService.
-  /// Resumes from existing local state when present; otherwise fetches the
-  /// primary's newest checkpoint image and installs it with
-  /// CheckpointStore::install (validate, then tmp -> fsync -> rename ->
-  /// dir-fsync). A primary with no checkpoint is
-  /// fine — the replica streams the WAL from segment 1. False only when
-  /// the primary is unreachable (or serves an unusable image) *and* there
-  /// is no local state to fall back on.
-  [[nodiscard]] static bool bootstrap(const ReplicatorOptions& opts, std::string* err);
-
-  /// The service must be constructed in replica mode over the same
-  /// wal_path/checkpoint_path that bootstrap() prepared, and must outlive
-  /// this object.
+  /// The service must be constructed in replica mode with a WAL and a
+  /// checkpoint path, and must outlive this object.
   Replicator(ConnectivityService& service, ReplicatorOptions opts);
   ~Replicator();
 
   Replicator(const Replicator&) = delete;
   Replicator& operator=(const Replicator&) = delete;
 
-  /// Resumes the stream position from local disk and starts the fetch
-  /// thread, whose first tick runs at once. False after stop().
+  /// Resumes streaming where the service's log ends (wal_end()) and starts
+  /// the fetch thread, whose first tick runs at once. False after stop(),
+  /// and for a service without a WAL.
   [[nodiscard]] bool start(std::string* err = nullptr);
 
   /// Wakes the fetch thread out of its interval wait and joins it. After
@@ -144,7 +128,8 @@ class Replicator {
   /// the (seq, offset) position. Returns false when the tick should stop
   /// looping (caught up, transport error, degraded, or rebootstrap).
   [[nodiscard]] bool fetch_once();
-  /// Ensures the fetch client exists (reconnecting lazily after failures).
+  /// Ensures the fetch client exists (reconnecting lazily after failures)
+  /// and that its primary has this service's vertex count.
   [[nodiscard]] bool ensure_client();
   /// Fell behind retention: fetch a fresh checkpoint, rebase the service
   /// (which resets its WAL), reset the position past the checkpoint.
@@ -163,6 +148,7 @@ class Replicator {
   /// the partial magic) between fetches.
   WalDecoder decoder_;
   std::uint64_t caught_up_at_ms_ = 0;  // mono_ms() of last full catch-up
+  bool refused_logged_ = false;        // a primary's size mismatch was logged
 
   std::atomic<std::uint64_t> fetch_rounds_{0};
   std::atomic<std::uint64_t> fetch_errors_{0};

@@ -49,7 +49,9 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (see port() after start()).
   int port = 0;
-  int backlog = 64;
+  /// listen(2) backlog: deep enough for a C10K connect burst to queue
+  /// before the accept loop runs.
+  int backlog = 256;
   /// A client that starts a frame must deliver the rest within this bound,
   /// or it is evicted (counted in ecl_svc_evicted_slow_total) — one stuck
   /// or malicious peer must never pin an I/O thread's attention forever.

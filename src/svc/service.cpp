@@ -782,6 +782,11 @@ std::uint64_t ConnectivityService::checkpoint_covered_wal_seq() {
   return ckpt_covered_seq_.load(std::memory_order_relaxed);
 }
 
+std::pair<std::uint64_t, std::uint64_t> ConnectivityService::wal_end() {
+  std::lock_guard<std::mutex> lock(wal_mu_);
+  return {wal_.active_seq(), wal_.active_bytes()};
+}
+
 void ConnectivityService::prune_replicas() {
   const std::uint64_t now = now_ms();
   const auto hold = static_cast<std::uint64_t>(std::max(0, opts_.replica_hold_ms));
@@ -809,10 +814,7 @@ CkptImage ConnectivityService::fetch_checkpoint_image() const {
 WalChunk ConnectivityService::fetch_wal_chunk(std::uint64_t replica_id,
                                               std::uint64_t seq, std::uint64_t offset,
                                               std::uint32_t max_bytes) {
-  WalChunk out;
-  out.seq = seq;
-  out.offset = offset;
-  if (opts_.wal_path.empty() || seq == 0) return out;
+  if (opts_.wal_path.empty() || seq == 0) return {};
   std::uint64_t active = 0;
   {
     std::lock_guard<std::mutex> lock(wal_mu_);
@@ -828,16 +830,11 @@ WalChunk ConnectivityService::fetch_wal_chunk(std::uint64_t replica_id,
     prune_replicas();
   }
   // File I/O deliberately outside wal_mu_: a slow disk serving a replica
-  // must not stall ingest appends. WalSegmentReader is rotation/retirement
-  // safe on its own (satellite: open-by-name + ENOENT retry).
-  auto chunk = WalSegmentReader::read(opts_.wal_path, seq, offset, max_bytes);
-  if (!chunk.ok) return out;  // server answers kError
-  out.ok = true;
-  out.retired = chunk.retired;
-  out.sealed = chunk.exists && seq < active;
-  out.segment_bytes = chunk.segment_bytes;
-  out.active_seq = active;
-  out.data = std::move(chunk.data);
+  // must not stall ingest appends. The reader classifies a missing segment
+  // against `active`, read before it. (SegmentedWal::reset() unlinks every
+  // segment, but it runs only on a replica, and the server answers a
+  // replica's kFetchWal with kNotPrimary.)
+  WalChunk out = read_wal_segment(opts_.wal_path, seq, offset, max_bytes, active);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.wal_bytes_served", out.data.size());
   return out;
 }

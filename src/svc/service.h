@@ -40,6 +40,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/page_array.h"
@@ -159,24 +160,6 @@ struct ServiceStats {
 /// Appends one Prometheus family per table row ("# TYPE" line + value),
 /// preceded by the constant `ecl_svc_up 1`.
 void render_prometheus(const ServiceStats& s, std::string& out);
-
-/// kFetchWal payload: one bounded chunk of raw segment bytes. `retired`
-/// means the requested segment is gone on the primary (the replica fell
-/// behind retention and must re-bootstrap from a checkpoint); `sealed`
-/// means no more bytes will ever appear in this segment, so a reader that
-/// has consumed segment_bytes of it advances to seq + 1. `ok` is the
-/// serving side's I/O verdict and never travels on the wire — the server
-/// answers !ok with Status::kError.
-struct WalChunk {
-  bool ok = false;
-  bool retired = false;
-  bool sealed = false;
-  std::uint64_t seq = 0;            // echoed segment sequence
-  std::uint64_t offset = 0;         // echoed start offset
-  std::uint64_t segment_bytes = 0;  // size of that segment at read time
-  std::uint64_t active_seq = 0;     // primary's active (highest) segment
-  std::vector<std::uint8_t> data;
-};
 
 class ConnectivityService {
  public:
@@ -332,19 +315,25 @@ class ConnectivityService {
   [[nodiscard]] bool rebase_to_image(std::span<const std::uint8_t> image,
                                      std::string* err = nullptr);
 
-  /// wal_seq covered by the checkpoint this service recovered from (0 when
-  /// none); the Replicator resumes streaming at the next segment.
+  /// wal_seq covered by the checkpoint this service recovered from or
+  /// rebased onto (0 when none); a rebootstrap resumes streaming at the
+  /// next segment.
   [[nodiscard]] std::uint64_t checkpoint_covered_wal_seq();
+
+  /// Where the local log ends: the active WAL segment's seq and byte size,
+  /// read under wal_mu_ ({0, 0} without a WAL). Records are logged whole,
+  /// so the size is a record boundary; the Replicator resumes there.
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> wal_end();
 
   /// Primary serving side of kFetchCkpt: CheckpointStore::read_newest_image
   /// on this service's chain. has == false when checkpoints are disabled,
-  /// none exists yet, or every file failed validation (the replica streams
-  /// from segment 1 then).
+  /// none exists yet, or every file failed validation (a rebootstrapping
+  /// replica retries on its next tick).
   [[nodiscard]] CkptImage fetch_checkpoint_image() const;
 
   /// Primary serving side of kFetchWal: registers/refreshes the replica in
-  /// the retention registry, then reads up to max_bytes of the segment via
-  /// WalSegmentReader (rotation/retirement safe). replica_id 0 reads
+  /// the retention registry, then reads up to max_bytes of the segment with
+  /// read_wal_segment against the writer's active seq. replica_id 0 reads
   /// without registering.
   [[nodiscard]] WalChunk fetch_wal_chunk(std::uint64_t replica_id, std::uint64_t seq,
                                          std::uint64_t offset, std::uint32_t max_bytes);

@@ -617,69 +617,40 @@ bool SegmentedWal::append(const std::vector<Edge>& batch) {
   return true;
 }
 
-// -------------------------------------------------- WalSegmentReader ----
+// -------------------------------------------------- read_wal_segment ----
 
-SegmentChunk WalSegmentReader::read(const std::string& base, std::uint64_t seq,
-                                    std::uint64_t offset, std::uint32_t max_bytes) {
-  SegmentChunk out;
-  const std::string path = numbered_path(base, seq);
-  for (int attempt = 0;; ++attempt) {
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      if (errno != ENOENT) {
-        out.error = "wal chunk open " + path + ": " + std::strerror(errno);
-        return out;
-      }
-      // ENOENT is ambiguous: the segment may be retired (writer unlinked
-      // it), not created yet (reader ahead of writer), or we raced the
-      // rename/creation window. Consult the segment index to classify, and
-      // retry the open once if the listing claims the file exists — a
-      // listing taken *after* the failed open that still shows the segment
-      // means the open itself raced.
-      const auto listed = list_numbered_files(base);
-      bool present = false;
-      bool newer = false;
-      for (const auto& f : listed) {
-        if (f.seq == seq) present = true;
-        if (f.seq > seq) newer = true;
-      }
-      if (present && attempt < 2) continue;
-      out.ok = true;
-      out.exists = false;
-      // The writer only ever unlinks segments below its active one, so a
-      // missing segment with a higher-numbered sibling was retired; a
-      // missing segment with nothing newer just hasn't been written yet.
-      out.retired = newer;
-      return out;
-    }
-    struct stat st{};
-    if (::fstat(fd, &st) != 0) {
-      out.error = "wal chunk fstat " + path + ": " + std::strerror(errno);
-      ::close(fd);
-      return out;
-    }
-    out.segment_bytes = static_cast<std::uint64_t>(st.st_size);
-    if (offset < out.segment_bytes && max_bytes > 0) {
-      const std::uint64_t want = std::min<std::uint64_t>(
-          max_bytes, out.segment_bytes - offset);
-      out.data.resize(static_cast<std::size_t>(want));
-      std::size_t done = 0;
-      // A short read means the reader raced a concurrent truncate: serve
-      // the prefix.
-      if (::lseek(fd, static_cast<off_t>(offset), SEEK_SET) < 0 ||
-          !read_upto(fd, out.data.data(), out.data.size(), &done)) {
-        out.error = "wal chunk read " + path + ": " + std::strerror(errno);
-        out.data.clear();
-        ::close(fd);
-        return out;
-      }
-      out.data.resize(done);
-    }
-    ::close(fd);
+WalChunk read_wal_segment(const std::string& base, std::uint64_t seq, std::uint64_t offset,
+                          std::uint32_t max_bytes, std::uint64_t active_seq) {
+  WalChunk out;
+  out.seq = seq;
+  out.offset = offset;
+  out.active_seq = active_seq;
+  if (seq > active_seq) {  // not written yet
     out.ok = true;
-    out.exists = true;
     return out;
   }
+  const int fd = ::open(numbered_path(base, seq).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    out.ok = out.retired = errno == ENOENT;
+    return out;
+  }
+  struct stat st{};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok) {
+    out.segment_bytes = static_cast<std::uint64_t>(st.st_size);
+    if (offset < out.segment_bytes) {
+      out.data.resize(static_cast<std::size_t>(
+          std::min<std::uint64_t>(max_bytes, out.segment_bytes - offset)));
+      std::size_t done = 0;
+      ok = ::lseek(fd, static_cast<off_t>(offset), SEEK_SET) >= 0 &&
+           read_upto(fd, out.data.data(), out.data.size(), &done);
+      out.data.resize(ok ? done : 0);
+    }
+  }
+  ::close(fd);
+  out.ok = ok;
+  out.sealed = ok && seq < active_seq;
+  return out;
 }
 
 std::size_t SegmentedWal::retire_through(std::uint64_t upto) {

@@ -270,6 +270,8 @@ class SegmentedWal {
   [[nodiscard]] bool is_open() const { return wal_.is_open(); }
 
   [[nodiscard]] std::uint64_t active_seq() const { return active_seq_; }
+  /// On-disk size of the active segment: where the log ends.
+  [[nodiscard]] std::uint64_t active_bytes() const { return wal_.size_bytes(); }
   /// Retained segments, active included.
   [[nodiscard]] std::size_t segment_count() const { return sealed_.size() + 1; }
   /// Total on-disk bytes across retained segments, active included.
@@ -293,36 +295,37 @@ class SegmentedWal {
 // ---------------------------------------------------------------------------
 // Segment reader (replication serving side, docs/REPLICATION.md)
 
-/// Result of one bounded segment read. ok == false only on a real I/O
-/// error; a missing segment is classified instead: `retired` when a
-/// higher-numbered segment exists (the writer only ever unlinks below its
-/// active segment, so the file was retired and the reader must
-/// re-bootstrap), plain !exists when the reader is simply ahead of the
-/// writer (segment not created yet).
-struct SegmentChunk {
+/// kFetchWal payload: one bounded chunk of raw segment bytes. `retired`
+/// means the requested segment is gone (the replica fell behind retention
+/// and must re-bootstrap from a checkpoint); `sealed` means no more bytes
+/// will ever appear in it, so a reader that has consumed segment_bytes of it
+/// advances to seq + 1. `ok` is the serving side's I/O verdict and never
+/// travels on the wire — the server answers !ok with Status::kError.
+struct WalChunk {
   bool ok = false;
-  std::string error;
-  bool exists = false;
   bool retired = false;
-  std::uint64_t segment_bytes = 0;  // file size observed by this read
-  std::vector<std::uint8_t> data;   // bytes [offset, offset + <= max_bytes)
+  bool sealed = false;
+  std::uint64_t seq = 0;            // echoed segment sequence
+  std::uint64_t offset = 0;         // echoed start offset
+  std::uint64_t segment_bytes = 0;  // size of that segment at read time
+  std::uint64_t active_seq = 0;     // the writer's active (highest) segment
+  std::vector<std::uint8_t> data;
 };
 
-/// Reads WAL segments concurrently with the writer rotating and retiring
-/// them. Stateless: every read opens `<base>.NNNNNN` by name (never holding
-/// an fd across calls, so a retirement between reads cannot strand the
-/// reader on an unlinked file) and resolves ENOENT against the segment
-/// index with a retry — a listing that shows the segment means the open
-/// raced its creation or retirement, so the open is tried again before the
-/// missing file is classified. Reading a file the writer is appending to is
-/// safe: segments are append-only, so a bounded pread returns a stable
-/// prefix (at worst ending mid-record, which the consumer buffers until the
-/// rest arrives).
-class WalSegmentReader {
- public:
-  [[nodiscard]] static SegmentChunk read(const std::string& base, std::uint64_t seq,
-                                         std::uint64_t offset, std::uint32_t max_bytes);
-};
+/// Reads up to max_bytes of segment `seq` of the log at `base`, from
+/// `offset`, concurrently with its writer, whose active segment was
+/// `active_seq` before the call. A segment past it is not written yet: the
+/// answer is empty, and the disk is not touched. At or below it, a missing
+/// file was retired: the writer creates a segment's file before the segment
+/// becomes active, and unlinks only sealed segments below the active one.
+/// The file is opened by name on every call and no fd is held across calls,
+/// so a retirement between reads cannot strand the reader on an unlinked
+/// file. Segments are append-only, so a bounded read of the active one
+/// returns a stable prefix (at worst ending mid-record, which the consumer
+/// buffers until the rest arrives).
+[[nodiscard]] WalChunk read_wal_segment(const std::string& base, std::uint64_t seq,
+                                        std::uint64_t offset, std::uint32_t max_bytes,
+                                        std::uint64_t active_seq);
 
 /// CRC32 (reflected 0xEDB88320, zlib-compatible), computed slice-by-8;
 /// every whole kCrc32LaneThresholdBytes stripe of the input runs as four

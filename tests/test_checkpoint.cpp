@@ -242,7 +242,7 @@ TEST_F(CheckpointStoreTest, FreshDirectoryIsNotAnError) {
 
 TEST_F(CheckpointStoreTest, RetentionKeepsNewestTwo) {
   CheckpointStore store;
-  store.open(path("ckpt"), /*keep=*/2);
+  store.open(path("ckpt"));
   for (std::uint64_t i = 1; i <= 3; ++i) {
     const auto w = store.write(sample_data(4, i * 10, i, i));
     ASSERT_TRUE(w.ok) << w.error;
@@ -444,7 +444,7 @@ TEST_F(CheckpointStoreTest, AllCorruptReportsErrorNotGarbage) {
 
 TEST_F(CheckpointStoreTest, RetentionFloorIsOldestRetainedWalSeq) {
   CheckpointStore store;
-  store.open(path("ckpt"), /*keep=*/2);
+  store.open(path("ckpt"));
   // Fewer checkpoints than the keep count: retiring anything could strand
   // the fallback path, so the floor must be 0.
   ASSERT_TRUE(store.write(sample_data(4, 10, 1, /*wal_seq=*/7)).ok);

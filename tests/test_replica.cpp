@@ -1,7 +1,8 @@
 // Tests for WAL-shipping replication (docs/REPLICATION.md): the kFetchCkpt /
 // kFetchWal / kPromote wire round-trips and the replication rows of kStats, the
-// rotation/retirement-safe WalSegmentReader (regression: a reader iterating
-// while the writer rotates must keep making progress), the service-level
+// rotation/retirement-safe read_wal_segment (regression: a reader iterating
+// while the writer rotates must keep making progress; a missing segment is
+// classified against the writer's active seq), the service-level
 // replica contract (submit sheds, apply_replicated feeds the live structure,
 // rebase_to_checkpoint unites a newer checkpoint and refuses an older one,
 // promote flips to writable), exact snapshots (every epoch is the prefix of
@@ -11,9 +12,11 @@
 // keep-2; a replica promoted after a rebootstrap restarts from its own
 // chain), the retention floor interaction (a slow replica pins segments; a
 // dead one is released after replica_hold_ms), the fetch loop's cadence (an
-// immediate first fetch; stop() cuts the interval wait short), and an
-// end-to-end bootstrap -> stream -> lag -> rebootstrap -> promote run
-// against a live Server + Replicator pair, whose log ends on a record
+// immediate first fetch; stop() cuts the interval wait short) and its
+// refusal of a primary of another vertex count, and end-to-end stream ->
+// lag -> rebootstrap -> promote runs against a live Server + Replicator
+// pair: a fresh replica of a primary that retired segment 1 rebases once
+// and then restarts from its own log, and a replica's log ends on a record
 // boundary when the Replicator stops mid-record.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -208,7 +211,7 @@ TEST(ReplicaProtocol, NotPrimaryStatusRoundTrip) {
   EXPECT_STREQ(status_name(Status::kNotPrimary), "not_primary");
 }
 
-// ---------------------------------------------------- WalSegmentReader ----
+// ---------------------------------------------------- read_wal_segment ----
 
 using SegmentReaderTest = ReplicaTest;
 
@@ -218,10 +221,12 @@ TEST_F(SegmentReaderTest, ReadsActiveSegmentAndClassifiesMissing) {
   ASSERT_TRUE(wal.open(path("wal"), {}, 1, &err)) << err;
   ASSERT_TRUE(wal.append({{0, 1}, {1, 2}}));
 
-  SegmentChunk c = WalSegmentReader::read(path("wal"), 1, 0, 1u << 20);
-  ASSERT_TRUE(c.ok) << c.error;
-  EXPECT_TRUE(c.exists);
+  WalChunk c = read_wal_segment(path("wal"), 1, 0, 1u << 20, wal.active_seq());
+  ASSERT_TRUE(c.ok);
   EXPECT_FALSE(c.retired);
+  EXPECT_FALSE(c.sealed);  // the active segment
+  EXPECT_EQ(c.active_seq, 1u);
+  EXPECT_EQ(c.segment_bytes, wal.active_bytes());
   EXPECT_EQ(c.data.size(), c.segment_bytes);
   // The chunk is the whole segment: the magic, then the one record.
   WalDecoder decoder;
@@ -232,11 +237,13 @@ TEST_F(SegmentReaderTest, ReadsActiveSegmentAndClassifiesMissing) {
   EXPECT_EQ(decoder.next(&edges), WalDecoder::Status::kNeedMore);
   EXPECT_EQ(decoder.offset(), c.data.size());
 
-  // A segment the writer has not created yet is "not exists", not retired.
-  c = WalSegmentReader::read(path("wal"), 99, 0, 1024);
-  ASSERT_TRUE(c.ok) << c.error;
-  EXPECT_FALSE(c.exists);
+  // A segment past the writer's active one is not written yet: neither
+  // retired nor sealed, and empty.
+  c = read_wal_segment(path("wal"), 99, 0, 1024, wal.active_seq());
+  ASSERT_TRUE(c.ok);
   EXPECT_FALSE(c.retired);
+  EXPECT_FALSE(c.sealed);
+  EXPECT_TRUE(c.data.empty());
   wal.close();
 }
 
@@ -250,9 +257,10 @@ TEST_F(SegmentReaderTest, RotationWhileReaderIterates) {
   ASSERT_TRUE(wal.append({{0, 1}}));
 
   // First bounded read of segment 1 while it is still active.
-  SegmentChunk first = WalSegmentReader::read(path("wal"), 1, 0, 8);
-  ASSERT_TRUE(first.ok) << first.error;
-  ASSERT_TRUE(first.exists);
+  WalChunk first = read_wal_segment(path("wal"), 1, 0, 8, wal.active_seq());
+  ASSERT_TRUE(first.ok);
+  ASSERT_FALSE(first.retired);
+  ASSERT_FALSE(first.sealed);
   ASSERT_EQ(first.data.size(), 8u);  // bounded: just the magic
 
   // Writer rotates and keeps appending to segment 2 mid-iteration.
@@ -264,9 +272,10 @@ TEST_F(SegmentReaderTest, RotationWhileReaderIterates) {
   // the sealed file byte for byte.
   std::vector<std::uint8_t> acc = first.data;
   while (true) {
-    SegmentChunk c = WalSegmentReader::read(path("wal"), 1, acc.size(), 16);
-    ASSERT_TRUE(c.ok) << c.error;
-    ASSERT_TRUE(c.exists);  // sealed, not retired: still readable
+    WalChunk c = read_wal_segment(path("wal"), 1, acc.size(), 16, wal.active_seq());
+    ASSERT_TRUE(c.ok);
+    ASSERT_FALSE(c.retired);  // sealed, not retired: still readable
+    ASSERT_TRUE(c.sealed);
     if (c.data.empty()) {
       EXPECT_EQ(acc.size(), c.segment_bytes);
       break;
@@ -296,10 +305,42 @@ TEST_F(SegmentReaderTest, RetiredSegmentClassifiedForRebootstrap) {
   ASSERT_TRUE(wal.rotate(&err)) << err;
   ASSERT_EQ(wal.retire_through(2), 2u);
 
-  SegmentChunk c = WalSegmentReader::read(path("wal"), 1, 0, 1024);
-  ASSERT_TRUE(c.ok) << c.error;
-  EXPECT_FALSE(c.exists);
-  EXPECT_TRUE(c.retired);  // a higher-numbered segment exists: re-bootstrap
+  WalChunk c = read_wal_segment(path("wal"), 1, 0, 1024, wal.active_seq());
+  ASSERT_TRUE(c.ok);
+  EXPECT_TRUE(c.retired);  // missing below the active segment: re-bootstrap
+  EXPECT_FALSE(c.sealed);
+  EXPECT_TRUE(c.data.empty());
+  wal.close();
+}
+
+// The writer's active seq alone classifies a missing segment: one unlinked
+// out of band below it reads as retired, while the segment after it is not
+// written yet, whatever the directory holds.
+TEST_F(SegmentReaderTest, MissingSegmentIsClassifiedByTheActiveSeq) {
+  SegmentedWal wal;
+  std::string err;
+  ASSERT_TRUE(wal.open(path("wal"), {}, 1, &err)) << err;
+  ASSERT_TRUE(wal.append({{0, 1}}));
+  ASSERT_TRUE(wal.rotate(&err)) << err;
+  ASSERT_TRUE(wal.rotate(&err)) << err;
+  ASSERT_EQ(wal.active_seq(), 3u);
+  ASSERT_TRUE(std::filesystem::remove(numbered_path(path("wal"), 2)));
+
+  WalChunk c = read_wal_segment(path("wal"), 2, 0, 1024, wal.active_seq());
+  ASSERT_TRUE(c.ok);
+  EXPECT_TRUE(c.retired);
+  EXPECT_FALSE(c.sealed);
+
+  c = read_wal_segment(path("wal"), 1, 0, 1024, wal.active_seq());
+  ASSERT_TRUE(c.ok);
+  EXPECT_FALSE(c.retired);
+  EXPECT_TRUE(c.sealed);  // still on disk below the active segment
+
+  c = read_wal_segment(path("wal"), wal.active_seq() + 1, 0, 1024, wal.active_seq());
+  ASSERT_TRUE(c.ok);
+  EXPECT_FALSE(c.retired);
+  EXPECT_FALSE(c.sealed);
+  EXPECT_EQ(c.segment_bytes, 0u);
   wal.close();
 }
 
@@ -335,7 +376,8 @@ class ReplicaServiceTest : public ReplicaTest {
     return primary_->fetch_checkpoint_image();
   }
 
-  /// What Replicator::bootstrap does with a fetched image.
+  /// Installs a fetched image into the replica's empty chain: the state a
+  /// replica restarts from after a rebootstrap onto that image.
   void bootstrap_install(const CkptImage& img) {
     CheckpointStore store;
     store.open(path("r/ckpt"));
@@ -838,14 +880,11 @@ TEST_F(ReplicaTest, FirstFetchIsImmediateAndStopSkipsTheInterval) {
 
   ReplicatorOptions ropts;
   ropts.unix_path = sopts.unix_path;
-  ropts.wal_path = path("r/wal");
-  ropts.checkpoint_path = path("r/ckpt");
   ropts.fetch_interval_ms = 60000;  // far past wait_until's deadline
-  ASSERT_TRUE(Replicator::bootstrap(ropts, &err)) << err;
   ServiceOptions o;
   o.replica = true;
-  o.wal_path = ropts.wal_path;
-  o.checkpoint_path = ropts.checkpoint_path;
+  o.wal_path = path("r/wal");
+  o.checkpoint_path = path("r/ckpt");
   ConnectivityService replica(kN, o);
   Replicator replicator(replica, ropts);
   ASSERT_TRUE(replicator.start(&err)) << err;
@@ -857,6 +896,49 @@ TEST_F(ReplicaTest, FirstFetchIsImmediateAndStopSkipsTheInterval) {
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
   EXPECT_EQ(replicator.fetch_rounds(), 1u);
   EXPECT_FALSE(replicator.start(&err)) << "stop() is terminal";
+  server.stop();
+}
+
+// A replica must not stream from a primary of another size: it would drop
+// every edge at or above its own vertex count and answer queries wrong.
+// Every connect reads the primary's kStats first and refuses a mismatch,
+// even when the primary has no checkpoint to compare against.
+TEST_F(ReplicaTest, ReplicaRefusesAPrimaryOfAnotherVertexCount) {
+  ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+  ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+  ServiceOptions popts;
+  popts.wal_path = path("p/wal");  // and no checkpoint
+  ConnectivityService primary(512, popts);
+  ServerOptions sopts;
+  sopts.unix_path = path("primary.sock");
+  Server server(primary, sopts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+  ASSERT_EQ(primary.submit({{0, 1}}), Admission::kAccepted);
+  ASSERT_EQ(primary.submit({{300, 301}}), Admission::kAccepted);
+
+  ServiceOptions o;
+  o.replica = true;
+  o.wal_path = path("r/wal");
+  o.checkpoint_path = path("r/ckpt");
+  ConnectivityService replica(256, o);
+  ReplicatorOptions ropts;
+  ropts.unix_path = sopts.unix_path;
+  ropts.fetch_interval_ms = 5;
+  Replicator replicator(replica, ropts);
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(replicator.start(&err)) << err;
+  const bool refused = wait_until([&] { return replicator.fetch_errors() >= 3; });
+  replicator.stop();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_TRUE(refused) << "every connect must be refused";
+  EXPECT_EQ(replicator.applied_records(), 0u);
+  EXPECT_EQ(replica.stats().applied_edges, 0u);
+  const std::string line = "refusing a primary of 512 vertices";
+  const std::size_t first = log.find(line);
+  ASSERT_NE(first, std::string::npos) << log;
+  EXPECT_EQ(log.find(line, first + 1), std::string::npos) << "logged once: " << log;
+  replica.stop();
   server.stop();
 }
 
@@ -882,29 +964,24 @@ class ReplicationE2ETest : public ReplicaTest {
     ASSERT_TRUE(server_->start(&err)) << err;
 
     ropts_.unix_path = sopts.unix_path;
-    ropts_.wal_path = path("r/wal");
-    ropts_.checkpoint_path = path("r/ckpt");
     ropts_.fetch_interval_ms = 10;
   }
 
   void TearDown() override {
-    if (replicator_) replicator_->stop();
-    if (replica_server_) replica_server_->stop();
-    if (replica_) replica_->stop();
+    stop_replica();
     if (server_) server_->stop();
     if (primary_) primary_->stop();
     ReplicaTest::TearDown();
   }
 
-  /// Bootstraps + constructs + starts the replica stack (service, optional
-  /// server on its own socket, replicator).
+  /// Constructs and starts the replica stack (service, server on its own
+  /// socket, replicator) on the local state in r/, empty on first start.
   void start_replica() {
     std::string err;
-    ASSERT_TRUE(Replicator::bootstrap(ropts_, &err)) << err;
     ServiceOptions o;
     o.replica = true;
-    o.wal_path = ropts_.wal_path;
-    o.checkpoint_path = ropts_.checkpoint_path;
+    o.wal_path = path("r/wal");
+    o.checkpoint_path = path("r/ckpt");
     replica_ = std::make_unique<ConnectivityService>(kVertices, o);
     replicator_ = std::make_unique<Replicator>(*replica_, ropts_);
     ServerOptions so;
@@ -917,6 +994,16 @@ class ReplicationE2ETest : public ReplicaTest {
     replica_server_ = std::make_unique<Server>(*replica_, so);
     ASSERT_TRUE(replica_server_->start(&err)) << err;
     ASSERT_TRUE(replicator_->start(&err)) << err;
+  }
+
+  /// Tears the replica stack down cleanly; its state stays on disk in r/.
+  void stop_replica() {
+    if (replicator_) replicator_->stop();
+    if (replica_server_) replica_server_->stop();
+    if (replica_) replica_->stop();
+    replicator_.reset();
+    replica_server_.reset();
+    replica_.reset();
   }
 
   static constexpr vertex_t kVertices = 512;
@@ -933,16 +1020,16 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   auto pc = Client::connect_unix(path("primary.sock"), &err);
   ASSERT_NE(pc, nullptr) << err;
 
-  // Seed the primary before the replica exists: a checkpoint plus WAL tail,
-  // so bootstrap exercises the checkpoint-image path.
+  // Seed the primary before the replica exists: a checkpoint plus WAL tail.
+  // One checkpoint retires nothing (retention keeps two), so the fresh
+  // replica streams the whole log from segment 1.
   ASSERT_EQ(pc->ingest({{0, 1}, {1, 2}}), Status::kOk);
   ASSERT_TRUE(primary_->checkpoint_now());
   ASSERT_EQ(pc->ingest({{2, 3}}), Status::kOk);
 
   start_replica();
 
-  // Everything acked before the replica joined becomes visible: checkpoint
-  // labels + streamed WAL tail.
+  // Everything acked before the replica joined becomes visible.
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(0, 3); }))
       << "replica never caught up with pre-join state";
@@ -1015,6 +1102,43 @@ TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
   EXPECT_GE(replicator_->rebootstraps(), 1u);
 }
 
+// A fresh replica has one way in. Its empty log ends in segment 1, which a
+// primary past two checkpoints has retired, so the first fetch answers
+// `retired` and one rebootstrap installs the newest checkpoint; the stream
+// resumes past it. Restarted on the same dirs, the replica resumes from its
+// own log end and rebootstraps no more.
+TEST_F(ReplicationE2ETest, FreshReplicaOfARetiredLogRebasesOnce) {
+  std::string err;
+  auto pc = Client::connect_unix(path("primary.sock"), &err);
+  ASSERT_NE(pc, nullptr) << err;
+  std::vector<Edge> acked;
+  for (vertex_t v = 0; v + 1 < 200; ++v) acked.push_back({v, v + 1});
+  ASSERT_EQ(pc->ingest(acked), Status::kOk);
+  ASSERT_TRUE(primary_->checkpoint_now());
+  acked.push_back({200, 201});
+  ASSERT_EQ(pc->ingest({acked.back()}), Status::kOk);
+  ASSERT_TRUE(primary_->checkpoint_now());
+  acked.push_back({201, 202});  // a WAL tail past the newest checkpoint
+  ASSERT_EQ(pc->ingest({acked.back()}), Status::kOk);
+  ASSERT_FALSE(std::filesystem::exists(numbered_path(path("p/wal"), 1)))
+      << "the primary must have retired segment 1";
+  const auto serves_all = [&] {
+    return std::all_of(acked.begin(), acked.end(),
+                       [&](const Edge& e) { return replica_->connected(e.first, e.second); });
+  };
+
+  start_replica();
+  ASSERT_TRUE(wait_until(serves_all)) << "the fresh replica never caught up";
+  EXPECT_EQ(replicator_->rebootstraps(), 1u);
+
+  stop_replica();
+  acked.push_back({300, 301});
+  ASSERT_EQ(pc->ingest({acked.back()}), Status::kOk);
+  start_replica();
+  ASSERT_TRUE(wait_until(serves_all)) << "the restarted replica never caught up";
+  EXPECT_EQ(replicator_->rebootstraps(), 0u);
+}
+
 TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
   std::string err;
   auto pc = Client::connect_unix(path("primary.sock"), &err);
@@ -1028,12 +1152,7 @@ TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
   // Tear the whole replica stack down (clean stop, mirror stays on disk)
   // and bring it back: recovery runs off the local mirror, then streaming
   // resumes where it left off.
-  replicator_->stop();
-  replica_server_->stop();
-  replica_->stop();
-  replicator_.reset();
-  replica_server_.reset();
-  replica_.reset();
+  stop_replica();
 
   ASSERT_EQ(pc->ingest({{2, 3}}), Status::kOk);
   start_replica();
@@ -1059,8 +1178,8 @@ TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
   ropts_.fetch_interval_ms = 60000;  // one tick
   const std::uint64_t served = server_->requests_served();
   start_replica();
-  // The bootstrap's kFetchCkpt, then the tick's 256 kFetchWal: once the
-  // last is served the Replicator has only to apply it.
+  // The connect's kStats (the vertex-count check), then the tick's 256
+  // kFetchWal: once the last is served the Replicator has only to apply it.
   ASSERT_TRUE(wait_until([&] { return server_->requests_served() >= served + 257; }));
   replicator_->stop();
   EXPECT_EQ(replicator_->fetch_rounds(), 1u);
@@ -1070,7 +1189,7 @@ TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
     std::ifstream in(file, std::ios::binary);
     return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in), {}};
   };
-  const auto segments = list_numbered_files(ropts_.wal_path);
+  const auto segments = list_numbered_files(path("r/wal"));
   ASSERT_EQ(segments.size(), 13u);
   for (const auto& seg : segments) {
     SCOPED_TRACE("segment " + std::to_string(seg.seq));

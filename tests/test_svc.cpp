@@ -509,7 +509,8 @@ TEST(Protocol, RequestRoundTripAllTypes) {
   }
 }
 
-// A read's last byte is its read mode: 0 (a snapshot read) is the only one.
+// A read as an older client framed it, ending in a read-mode byte: one
+// byte longer than the read, so malformed whatever the byte.
 std::vector<std::uint8_t> read_frame_with_mode(MsgType type, std::uint8_t mode) {
   Request req;
   req.type = type;
@@ -517,7 +518,9 @@ std::vector<std::uint8_t> read_frame_with_mode(MsgType type, std::uint8_t mode) 
   req.v = 2;
   std::vector<std::uint8_t> frame;
   encode_request(req, frame);
-  frame.back() = mode;
+  frame.push_back(mode);
+  const std::uint32_t len = static_cast<std::uint32_t>(frame.size() - 4);
+  for (int i = 0; i < 4; ++i) frame[i] = static_cast<std::uint8_t>(len >> (8 * i));
   return frame;
 }
 
@@ -600,8 +603,8 @@ TEST(Protocol, StatsTaggedRoundTripCarriesEveryField) {
   in.stats = distinct_stats();
   std::vector<std::uint8_t> buf;
   encode_response(in, buf);
-  // u32 length | u8 type | u64 id | u8 status | u8 format | u16 count | rows
-  EXPECT_EQ(buf.size(), 4u + 10 + 3 + 10 * stats_rows().size());
+  // u32 length | u8 type | u64 id | u8 status | u16 count | rows
+  EXPECT_EQ(buf.size(), 4u + 10 + 2 + 10 * stats_rows().size());
 
   Response out;
   ASSERT_TRUE(decode_response(payload_of(buf), out));
@@ -671,7 +674,6 @@ TEST(Protocol, StatsUnknownTagsAreSkipped) {
   // A future daemon sends a field this build doesn't know: decode keeps the
   // fields it recognizes and ignores the rest.
   std::vector<std::uint8_t> p = stats_response_header();
-  p.push_back(kStatsTaggedFormat);
   push_u16(p, 3);
   push_u16(p, 1);  // epoch
   push_u64(p, 5);
@@ -691,7 +693,6 @@ TEST(Protocol, StatsMalformedTaggedBodiesFail) {
   {
     // Count claims two fields but only one is present.
     std::vector<std::uint8_t> p = stats_response_header();
-    p.push_back(kStatsTaggedFormat);
     push_u16(p, 2);
     push_u16(p, 1);  // epoch
     push_u64(p, 5);
@@ -701,7 +702,6 @@ TEST(Protocol, StatsMalformedTaggedBodiesFail) {
   {
     // Trailing garbage beyond the declared fields.
     std::vector<std::uint8_t> p = stats_response_header();
-    p.push_back(kStatsTaggedFormat);
     push_u16(p, 1);
     push_u16(p, 1);  // epoch
     push_u64(p, 5);
@@ -710,10 +710,12 @@ TEST(Protocol, StatsMalformedTaggedBodiesFail) {
     EXPECT_FALSE(decode_response(p, out));
   }
   {
-    // Unknown format byte.
+    // A field count that disagrees with the body length: no fields claimed,
+    // one sent.
     std::vector<std::uint8_t> p = stats_response_header();
-    p.push_back(kStatsTaggedFormat + 1);
     push_u16(p, 0);
+    push_u16(p, 1);  // epoch
+    push_u64(p, 5);
     Response out;
     EXPECT_FALSE(decode_response(p, out));
   }
@@ -751,9 +753,9 @@ TEST(Protocol, RejectsMalformedPayloads) {
   padded.push_back(0);
   EXPECT_FALSE(decode_request(padded, req));
 
-  // Any read-mode byte but 0.
+  // A trailing read-mode byte, whatever its value.
   for (const MsgType t : {MsgType::kConnected, MsgType::kComponentOf}) {
-    for (const std::uint8_t mode : {1, 2, 7, 255}) {
+    for (const std::uint8_t mode : {0, 1, 2, 7, 255}) {
       EXPECT_FALSE(decode_request(payload_of(read_frame_with_mode(t, mode)), req))
           << static_cast<int>(t) << " mode " << static_cast<int>(mode);
     }
@@ -916,19 +918,23 @@ TEST_F(SvcSocketTest, HostileIngestCountDoesNotKillServer) {
 }
 
 TEST_F(SvcSocketTest, NonSnapshotModeByteAnswersInvalidAndCloses) {
+  // An older client's reads, the snapshot mode byte 0 included.
   std::string err;
   for (const MsgType t : {MsgType::kConnected, MsgType::kComponentOf}) {
-    const int fd = net::connect_unix(unix_path_, &err);
-    ASSERT_GE(fd, 0) << err;
-    const std::vector<std::uint8_t> frame = read_frame_with_mode(t, 1);
-    ASSERT_TRUE(net::write_full(fd, frame.data(), frame.size()));
-    std::vector<std::uint8_t> payload;
-    ASSERT_TRUE(net::read_frame(fd, payload));
-    Response resp;
-    ASSERT_TRUE(decode_response(payload, resp));
-    EXPECT_EQ(resp.status, Status::kInvalid) << static_cast<int>(t);
-    EXPECT_FALSE(net::read_frame(fd, payload)) << "the connection stays open";
-    ::close(fd);
+    for (const std::uint8_t mode : {0, 1}) {
+      const int fd = net::connect_unix(unix_path_, &err);
+      ASSERT_GE(fd, 0) << err;
+      const std::vector<std::uint8_t> frame = read_frame_with_mode(t, mode);
+      ASSERT_TRUE(net::write_full(fd, frame.data(), frame.size()));
+      std::vector<std::uint8_t> payload;
+      ASSERT_TRUE(net::read_frame(fd, payload));
+      Response resp;
+      ASSERT_TRUE(decode_response(payload, resp));
+      EXPECT_EQ(resp.status, Status::kInvalid)
+          << static_cast<int>(t) << " mode " << static_cast<int>(mode);
+      EXPECT_FALSE(net::read_frame(fd, payload)) << "the connection stays open";
+      ::close(fd);
+    }
   }
 }
 

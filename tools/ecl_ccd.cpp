@@ -17,15 +17,11 @@
 //   --unix=PATH             serve on a Unix-domain socket
 //   --host=A --port=P       serve on TCP (default 127.0.0.1:4280; port 0 =
 //                           ephemeral, printed and written to --ready-file)
-//   --queue-capacity=N      ingest admission queue, in batches (default 64)
-//   --compact-min-edges=N   min new edges before compacting (default 1); the
-//                           compaction thread sleeps until a batch brings them
 //   --wal=PATH              write-ahead edge log (segments PATH.000001, ...):
 //                           replay the tail on startup (truncating any torn
 //                           final record) and append every accepted batch
 //                           before acking it
 //   --wal-fsync=POLICY      none | batch | always (default batch)
-//   --wal-fsync-every=N     under batch: fsync once per N appends (def. 16)
 //   --wal-segment-bytes=N   rotate WAL segments at this size (def. 64 MiB)
 //   --checkpoint=PATH       durable label-array checkpoints (PATH.000001,
 //                           ...): restart loads the newest valid checkpoint
@@ -36,12 +32,18 @@
 //   --replica-of=ENDPOINT   run as a read-only replica of the primary at
 //                           ENDPOINT (a unix socket path if it contains '/',
 //                           else HOST:PORT). Requires --wal and --checkpoint
-//                           (the replica's local WAL + bootstrap state).
+//                           (the replica's local WAL and the checkpoint a
+//                           rebootstrap installs). The replica starts from
+//                           its local state (empty on first start) and
+//                           streams from where its log ends; a primary that
+//                           retired that segment sends its newest checkpoint.
+//                           It serves and retries while the primary is
+//                           unreachable, and refuses a primary of another
+//                           vertex count.
 //                           Writes answer kNotPrimary until a kPromote
 //                           (ecl_cc_client promote) flips this daemon into a
 //                           writable primary. See docs/REPLICATION.md.
 //   --replica-fetch-interval-ms=N  WAL fetch cadence on a replica (def. 150)
-//   --replica-fetch-bytes=N bytes per WAL fetch (def. 1 MiB, server-capped)
 //   --replica-hold-ms=N     primary side: a replica unseen for this long
 //                           stops pinning WAL retention (def. 10000)
 //   --frame-timeout-ms=N    evict clients that stall mid-frame (def. 10000)
@@ -51,8 +53,7 @@
 //   --io-threads=N          event-loop threads multiplexing the connections
 //                           (def. 2); connection capacity is bounded by fds,
 //                           not by this
-//   --backlog=N             listen(2) backlog (def. 256 — a C10K connect
-//                           burst overflows the old 64 before accept runs)
+//   --backlog=N             listen(2) backlog (def. 256)
 //   --ready-file=PATH       write "unix <path>" or "tcp <host> <port>" once
 //                           listening (lets scripts wait for startup); with
 //                           --metrics-port a "metrics <port>" line follows;
@@ -61,7 +62,6 @@
 //   --trace=FILE.json       record trace spans (batches, compactions, and
 //                           one "svc.request" span per served request with
 //                           its decode/execute/encode/write breakdown)
-//   --metrics               print the metrics snapshot on shutdown
 //   --metrics-port=P        serve Prometheus text exposition on
 //                           http://<metrics-host>:P/metrics (port 0 =
 //                           ephemeral, printed and written to --ready-file);
@@ -75,6 +75,10 @@
 //                           op, queue depth, latency breakdown)
 //   --slow-threshold-us=N   requests at least this slow are logged (default
 //                           10000; 0 logs every request)
+//
+// Every default but --port and --vertices is the default of the option
+// struct the flag sets (ServiceOptions, ServerOptions, ReplicatorOptions,
+// ExporterOptions).
 //
 // Shutdown: SIGINT/SIGTERM or a protocol kShutdown message; either way the
 // daemon stops accepting, drains in-flight batches, runs a final compaction
@@ -111,31 +115,27 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
 
   svc::ServiceOptions sopts;
-  sopts.queue_capacity = static_cast<std::size_t>(args.get_int("queue-capacity", 64));
-  sopts.compact_min_new_edges =
-      static_cast<std::uint64_t>(args.get_int("compact-min-edges", 1));
-  sopts.wal_path = args.get("wal", "");
-  const std::string fsync_policy = args.get("wal-fsync", "batch");
+  sopts.wal_path = args.get("wal", sopts.wal_path);
+  const std::string fsync_policy =
+      args.get("wal-fsync", svc::to_string(sopts.wal.fsync_policy));
   if (!svc::parse_fsync_policy(fsync_policy, &sopts.wal.fsync_policy)) {
     std::fprintf(stderr, "error: bad --wal-fsync=%s (none|batch|always)\n",
                  fsync_policy.c_str());
     return 1;
   }
-  sopts.wal.fsync_every = static_cast<std::uint32_t>(args.get_int("wal-fsync-every", 16));
-  sopts.wal_segment_bytes =
-      static_cast<std::uint64_t>(args.get_int("wal-segment-bytes", 64ll << 20));
-  sopts.checkpoint_path = args.get("checkpoint", "");
+  sopts.wal_segment_bytes = static_cast<std::uint64_t>(args.get_int(
+      "wal-segment-bytes", static_cast<std::int64_t>(sopts.wal_segment_bytes)));
+  sopts.checkpoint_path = args.get("checkpoint", sopts.checkpoint_path);
   sopts.checkpoint_interval_ms =
-      static_cast<int>(args.get_int("checkpoint-interval-ms", 5000));
-  sopts.replica_hold_ms = static_cast<int>(args.get_int("replica-hold-ms", 10000));
+      static_cast<int>(args.get_int("checkpoint-interval-ms", sopts.checkpoint_interval_ms));
+  sopts.replica_hold_ms =
+      static_cast<int>(args.get_int("replica-hold-ms", sopts.replica_hold_ms));
 
   const std::string replica_of = args.get("replica-of", "");
   const bool replica_mode = !replica_of.empty();
   svc::ReplicatorOptions ropts;
   ropts.fetch_interval_ms =
-      static_cast<int>(args.get_int("replica-fetch-interval-ms", 150));
-  ropts.fetch_max_bytes =
-      static_cast<std::uint32_t>(args.get_int("replica-fetch-bytes", 1 << 20));
+      static_cast<int>(args.get_int("replica-fetch-interval-ms", ropts.fetch_interval_ms));
   if (replica_mode) {
     if (replica_of.find('/') != std::string::npos) {
       ropts.unix_path = replica_of;
@@ -152,23 +152,24 @@ int main(int argc, char** argv) {
     if (sopts.wal_path.empty() || sopts.checkpoint_path.empty()) {
       std::fprintf(stderr,
                    "error: --replica-of requires --wal and --checkpoint (the "
-                   "replica's local WAL and bootstrap state)\n");
+                   "replica's local WAL and rebootstrap state)\n");
       return 1;
     }
-    ropts.wal_path = sopts.wal_path;
-    ropts.checkpoint_path = sopts.checkpoint_path;
     sopts.replica = true;
   }
 
   svc::ServerOptions nopts;
-  nopts.unix_path = args.get("unix", "");
-  nopts.host = args.get("host", "127.0.0.1");
+  nopts.unix_path = args.get("unix", nopts.unix_path);
+  nopts.host = args.get("host", nopts.host);
   nopts.port = static_cast<int>(args.get_int("port", 4280));
-  nopts.frame_timeout_ms = static_cast<int>(args.get_int("frame-timeout-ms", 10000));
-  nopts.idle_timeout_ms = static_cast<int>(args.get_int("idle-timeout-ms", 0));
-  nopts.send_timeout_ms = static_cast<int>(args.get_int("send-timeout-ms", 10000));
-  nopts.io_threads = static_cast<int>(args.get_int("io-threads", 2));
-  nopts.backlog = static_cast<int>(args.get_int("backlog", 256));
+  nopts.frame_timeout_ms =
+      static_cast<int>(args.get_int("frame-timeout-ms", nopts.frame_timeout_ms));
+  nopts.idle_timeout_ms =
+      static_cast<int>(args.get_int("idle-timeout-ms", nopts.idle_timeout_ms));
+  nopts.send_timeout_ms =
+      static_cast<int>(args.get_int("send-timeout-ms", nopts.send_timeout_ms));
+  nopts.io_threads = static_cast<int>(args.get_int("io-threads", nopts.io_threads));
+  nopts.backlog = static_cast<int>(args.get_int("backlog", nopts.backlog));
 
   const std::string graph_file = args.get("graph", "");
   const std::string gen = args.get("gen", "");
@@ -177,11 +178,10 @@ int main(int argc, char** argv) {
   const std::string ready_file = args.get("ready-file", "");
   const std::string report_file = args.get("report", "");
   const std::string trace_file = args.get("trace", "");
-  const bool print_metrics = args.has("metrics");
   const bool exporter_enabled = args.has("metrics-port");
   obs::ExporterOptions eopts;
-  eopts.host = args.get("metrics-host", "127.0.0.1");
-  eopts.port = static_cast<int>(args.get_int("metrics-port", 0));
+  eopts.host = args.get("metrics-host", eopts.host);
+  eopts.port = static_cast<int>(args.get_int("metrics-port", eopts.port));
   const std::string slow_log_file = args.get("slow-log", "");
   const auto slow_threshold_us =
       static_cast<std::uint64_t>(args.get_int("slow-threshold-us", 10000));
@@ -200,16 +200,6 @@ int main(int argc, char** argv) {
     nopts.slow_log = &slow_log;
     std::printf("slow-request log %s (threshold %llu us)\n", slow_log_file.c_str(),
                 static_cast<unsigned long long>(slow_threshold_us));
-  }
-
-  if (replica_mode) {
-    // Before the service exists: fetch the primary's newest checkpoint (or
-    // resume from local state) so the ctor below recovers from it.
-    std::string berr;
-    if (!svc::Replicator::bootstrap(ropts, &berr)) {
-      std::fprintf(stderr, "error: replica bootstrap failed: %s\n", berr.c_str());
-      return 1;
-    }
   }
 
   std::unique_ptr<svc::ConnectivityService> service;
@@ -280,8 +270,8 @@ int main(int argc, char** argv) {
       service->stop();
       return 1;
     }
-    std::printf("replica of %s (fetch every %d ms, %u bytes/fetch)\n",
-                replica_of.c_str(), ropts.fetch_interval_ms, ropts.fetch_max_bytes);
+    std::printf("replica of %s (fetch every %d ms)\n", replica_of.c_str(),
+                ropts.fetch_interval_ms);
   }
 
   obs::MetricsExporter exporter(eopts);
@@ -374,20 +364,6 @@ int main(int argc, char** argv) {
     if (!obs::run_report().write_file(report_file)) {
       std::fprintf(stderr, "error: cannot write report to %s\n", report_file.c_str());
       return 1;
-    }
-  }
-  if (print_metrics) {
-    for (const auto& m : obs::registry().snapshot()) {
-      if (m.kind == obs::MetricSnapshot::Kind::kHistogram) {
-        std::printf("%-36s count=%llu avg=%.1f p50=%.1f p95=%.1f p99=%.1f\n",
-                    m.name.c_str(), static_cast<unsigned long long>(m.count), m.value,
-                    m.p50, m.p95, m.p99);
-      } else if (m.kind == obs::MetricSnapshot::Kind::kCounter) {
-        std::printf("%-36s %llu\n", m.name.c_str(),
-                    static_cast<unsigned long long>(m.count));
-      } else {
-        std::printf("%-36s %.2f\n", m.name.c_str(), m.value);
-      }
     }
   }
   if (!trace_file.empty()) obs::Tracer::instance().stop();
