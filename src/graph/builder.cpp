@@ -33,13 +33,11 @@ namespace {
 /// How many units each pass of build_graph splits its work into: one per
 /// max(n, 2^16) edges, so each unit's row of n cursors costs at most as
 /// many bytes as the unit's edges, and a small input stays one unit. At
-/// most 4 per allowed CPU, which lets claiming even out uneven units; 1
-/// when the caller may use only one CPU.
+/// most one per allowed CPU: every unit adds a row of n cursors that the
+/// scans walk, and more rows cost more than claiming evens out.
 std::size_t unit_count(std::size_t n, std::size_t m) {
   constexpr std::size_t kMinUnitEdges = std::size_t{1} << 16;
-  const std::size_t cpus = allowed_cpus();
-  const std::size_t cap = cpus == 1 ? 1 : 4 * cpus;
-  return std::clamp<std::size_t>(m / std::max(n, kMinUnitEdges), 1, cap);
+  return std::clamp<std::size_t>(m / std::max(n, kMinUnitEdges), 1, allowed_cpus());
 }
 
 }  // namespace
@@ -95,7 +93,8 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges) {
   });
   edge_t arcs = 0;
   for (edge_t& start : range_start) arcs += std::exchange(start, arcs);
-  std::vector<edge_t> offsets(n + 1, 0);
+  UninitVector<edge_t> offsets(n + 1);
+  offsets[0] = 0;
   for_each_claimed(units, [&](std::size_t r) {
     edge_t cursor = range_start[r];
     for (std::size_t v = vertex_begin(r); v < vertex_begin(r + 1); ++v) {
@@ -147,7 +146,7 @@ Graph build_graph(vertex_t num_vertices, std::span<const Edge> edges) {
       }
     }
   });
-  std::vector<vertex_t> adjacency(arcs);
+  UninitVector<vertex_t> adjacency(arcs);
   for_each_claimed(units, [&](std::size_t r) {
     edge_t* const cursor = row(r);
     for (std::size_t h = range_head[r]; h < range_head[r + 1]; ++h) {

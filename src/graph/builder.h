@@ -23,18 +23,22 @@
 // Each pass runs on every CPU in the caller's affinity mask: the caller and
 // pinned helpers claim its units (for_each_claimed, common/claim.h). An
 // input of m edges on n vertices has C = m / max(n, 2^16) units, at least 1
-// and at most 4 per allowed CPU, or 1 when only one CPU is allowed; then
-// no thread starts. The count and the first scatter take C edge chunks,
-// each with its own row of n cursors, so within a head a later chunk's arcs
-// follow an earlier one's whichever CPU writes them; the second scatter and
-// the deduplication take C ranges of heads with about equal arcs. The CSR is
-// a function of the edge multiset, so it is bit-identical for every C and
-// every mask.
+// and at most one per allowed CPU, so 1 when only one CPU is allowed; then
+// no thread starts. Each unit adds a row of n cursors that the scans walk,
+// so more units than CPUs cost more than claiming evens out. The count and
+// the first scatter take C edge chunks, each with its own row, so within a
+// head a later chunk's arcs follow an earlier one's whichever CPU writes
+// them; the second scatter and the deduplication take C ranges of heads
+// with about equal arcs. The CSR is a function of the edge multiset, so it
+// is bit-identical for every C and every mask.
 //
 // Memory: besides the CSR (8 B per vertex, 4 B per arc before
-// deduplication) it allocates 4 B per arc of scratch, left uninitialised so
-// the workers fault its pages in, and C rows of 8 B per vertex, which by the
-// unit rule cost at most the 8 B per edge of the input list.
+// deduplication) it allocates 4 B per arc of scratch and C rows of 8 B per
+// vertex, which by the unit rule cost at most the 8 B per edge of the input
+// list. All of it, the CSR too, is left uninitialised, so the workers that
+// first write each part fault its pages in: the caller may share its CPU
+// with other threads (a thread starts on the CPU of the one that spawned
+// it), so it should do as little of the work as the pool lets it.
 #pragma once
 
 #include <span>

@@ -75,7 +75,8 @@ Graph gen_rmat(int scale, edge_t edge_factor, const RmatParams& p, std::uint64_t
   constexpr edge_t kMaxChunks = 32;
   const edge_t chunks = std::clamp<edge_t>(m / kMinChunkEdges, 1, kMaxChunks);
   const auto draws_per_edge = static_cast<std::uint64_t>(2 * scale);
-  std::vector<Edge> edges(m);
+  // Left unwritten, so the workers that draw each chunk fault its pages in.
+  UninitVector<Edge> edges(m);
   for_each_claimed(chunks, [&](std::size_t c) {
     const edge_t lo = m * c / chunks;
     const edge_t hi = m * (c + 1) / chunks;

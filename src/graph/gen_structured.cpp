@@ -2,9 +2,10 @@
 // component.
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
+#include "common/claim.h"
 #include "graph/builder.h"
+#include "graph/claim_blocks.h"
 #include "graph/generators.h"
 
 namespace ecl {
@@ -17,21 +18,34 @@ Graph gen_grid2d(vertex_t rows, vertex_t cols) {
   if (n == 0) return Graph();
   // Writes the conditioned CSR directly: each list is v - cols, v - 1,
   // v + 1, v + cols, whichever exist, which is already ascending and
-  // duplicate-free, so build_graph would return these same arrays.
-  std::vector<edge_t> offsets(n + 1);
-  std::vector<vertex_t> adjacency(2 * ((n - rows) + (n - cols)));
-  edge_t k = 0;
-  for (vertex_t r = 0; r < rows; ++r) {
-    for (vertex_t c = 0; c < cols; ++c) {
-      const vertex_t v = r * cols + c;
-      offsets[v] = k;
-      if (r > 0) adjacency[k++] = v - cols;
-      if (c > 0) adjacency[k++] = v - 1;
-      if (c + 1 < cols) adjacency[k++] = v + 1;
-      if (r + 1 < rows) adjacency[k++] = v + cols;
+  // duplicate-free, so build_graph would return these same arrays. Row r's
+  // lists start after the earlier rows' links along a row, 2 (cols - 1)
+  // arcs each, the links between two earlier rows, 2 cols arcs each, and,
+  // when row r exists, row r - 1's cols links down into it. So every block
+  // of rows knows where it starts and is written by the worker claiming it.
+  const auto row_start = [rows, cols](vertex_t r) -> edge_t {
+    const edge_t along = edge_t{2} * (cols - 1) * r;
+    return r == 0 ? 0 : along + edge_t{2} * cols * (r - 1) + (r < rows ? cols : 0);
+  };
+  UninitVector<edge_t> offsets(n + 1);
+  UninitVector<vertex_t> adjacency(row_start(rows));
+  const ClaimBlocks blocks(n, rows);
+  for_each_claimed(blocks.count, [&](std::size_t b) {
+    const auto first = static_cast<vertex_t>(blocks.begin(b));
+    const auto last = static_cast<vertex_t>(blocks.begin(b + 1));
+    edge_t k = row_start(first);
+    for (vertex_t r = first; r < last; ++r) {
+      for (vertex_t c = 0; c < cols; ++c) {
+        const vertex_t v = r * cols + c;
+        offsets[v] = k;
+        if (r > 0) adjacency[k++] = v - cols;
+        if (c > 0) adjacency[k++] = v - 1;
+        if (c + 1 < cols) adjacency[k++] = v + 1;
+        if (r + 1 < rows) adjacency[k++] = v + cols;
+      }
     }
-  }
-  offsets[n] = k;
+  });
+  offsets[n] = adjacency.size();
   return Graph(std::move(offsets), std::move(adjacency));
 }
 

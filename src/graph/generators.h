@@ -9,7 +9,8 @@
 // seed) and emit conditioned (undirected, loop-free, deduplicated, sorted)
 // graphs. Most condition an edge list with build_graph; gen_grid2d,
 // gen_road_network and gen_web_graph write the same conditioned CSR
-// directly, with no edge list, and a test pins their output bit for bit to
+// directly, in blocks of lattice rows or sites that every CPU of the
+// caller's mask claims, and a test pins their output bit for bit to
 // build_graph's on the edges they used to list.
 #pragma once
 
@@ -20,7 +21,8 @@
 namespace ecl {
 
 /// rows x cols 4-neighbor mesh ("2d-2e20.sym"): degree <= 4, one component,
-/// huge diameter — stresses pointer jumping depth.
+/// huge diameter — stresses pointer jumping depth. Each block of rows knows
+/// where its lists start, so every CPU in the caller's mask writes blocks.
 [[nodiscard]] Graph gen_grid2d(vertex_t rows, vertex_t cols);
 
 /// Uniform random multigraph with ~`num_undirected_edges` edges
@@ -56,7 +58,10 @@ struct RmatParams {
 
 /// Road-map-like graph ("europe_osm", "USA-road-d.*"): vertices embedded on
 /// a jittered grid, edges to a few nearest neighbors; degree ~2-4, very
-/// long paths, single giant component.
+/// long paths, single giant component. Each row's draw count is fixed by
+/// its position, so every CPU in the caller's mask draws and writes blocks
+/// of rows, each from the seed's stream jumped to the block's first row:
+/// the graph is the same under any mask.
 [[nodiscard]] Graph gen_road_network(vertex_t n, std::uint64_t seed);
 
 /// Preferential-attachment (Barabasi-Albert) graph ("amazon0601",
@@ -73,7 +78,9 @@ struct RmatParams {
 
 /// Web-crawl-like graph ("in-2004", "uk-2002"): host-level clustering with
 /// very high-degree hub pages, plus a sprinkling of isolated vertices and
-/// small disconnected sites.
+/// small disconnected sites. The sites are drawn serially; then every CPU
+/// in the caller's mask sorts the links between sites and writes the CSR,
+/// in blocks of sites.
 [[nodiscard]] Graph gen_web_graph(vertex_t n, std::uint64_t seed);
 
 /// Planar-triangulation-like graph ("delaunay_n24"): grid triangulated with

@@ -187,8 +187,8 @@ Graph load_binary(const std::string& path) {
       m > (file_size - body_bytes - (n + 1) * sizeof(edge_t)) / sizeof(vertex_t)) {
     fail("binary graph header declares more data than the file holds: " + path);
   }
-  std::vector<edge_t> offsets(n + 1);
-  std::vector<vertex_t> adjacency(m);
+  UninitVector<edge_t> offsets(n + 1);
+  UninitVector<vertex_t> adjacency(m);
   in.read(reinterpret_cast<char*>(offsets.data()),
           static_cast<std::streamsize>(offsets.size() * sizeof(edge_t)));
   in.read(reinterpret_cast<char*>(adjacency.data()),

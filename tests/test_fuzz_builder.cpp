@@ -44,10 +44,10 @@ Graph sort_oracle(vertex_t n, std::vector<Edge> edges) {
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
-  std::vector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
+  UninitVector<edge_t> offsets(static_cast<std::size_t>(n) + 1, 0);
   for (const auto& [u, v] : edges) ++offsets[u + 1];
   for (std::size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-  std::vector<vertex_t> adjacency;
+  UninitVector<vertex_t> adjacency;
   for (const auto& [u, v] : edges) adjacency.push_back(v);
   return Graph(std::move(offsets), std::move(adjacency));
 }
@@ -152,10 +152,11 @@ TEST(BuilderOracle, EdgeCasesMatchUnderEveryOption) {
 }
 
 // build_graph splits an input of m edges on n vertices into
-// m / max(n, 2^16) units, at most 4 per CPU of the caller's mask, and its
+// m / max(n, 2^16) units, at most one per CPU of the caller's mask, and its
 // passes run them on every such CPU; the inputs above are all one unit.
-// These span 1 to 16 units, including inputs where nearly every edge is a
-// loop (n = 1) or a duplicate (n = 2), and must match the oracle alike.
+// These span 1 to 16 units before the cap, including inputs where nearly
+// every edge is a loop (n = 1) or a duplicate (n = 2), and must match the
+// oracle alike.
 TEST(BuilderOracle, MultiUnitInputsMatch) {
   for (const std::size_t m : {std::size_t{1} << 17, std::size_t{300000}, std::size_t{1100000}}) {
     for (const vertex_t n : {1u, 2u, 1000u, 70000u, (1u << 17) + 1}) {

@@ -189,6 +189,12 @@ TEST(Generators, OutputIsBitStable) {
       // 229,376 edges: three chunks, whose boundaries 76,458 and 152,917
       // are not multiples of four.
       {"rmat_229376_edges", gen_rmat(15, 7, RmatParams{}, 7), 0xf5a24a75ad8d6e4bull},
+      // Several claimed blocks each: road's 362 lattice rows in 4 blocks,
+      // the last row holding 32 vertices; grid's 300 rows in 6; web's sites
+      // in 4, the last site cut short.
+      {"road_4_blocks", gen_road_network((1u << 17) + 3, 7), 0x8e1287dcb9f642f0ull},
+      {"grid_6_blocks", gen_grid2d(300, 700), 0x6d53c9b6cd60fa75ull},
+      {"web_4_blocks", gen_web_graph((1u << 17) + 77, 7), 0x371ac64b9b12eb68ull},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.name);
@@ -287,20 +293,21 @@ void expect_same_csr(const Graph& got, const Graph& want) {
 }
 
 // 1x1 and single rows and columns have no neighbour on some side; 40x50 is
-// OutputIsBitStable's grid.
+// OutputIsBitStable's grid, and 300x700 its grid of several blocks.
 TEST(GenGrid, MatchesBuildGraphOracle) {
-  const std::pair<vertex_t, vertex_t> shapes[] = {{1, 1}, {1, 5}, {5, 1},
-                                                  {2, 2}, {3, 7}, {40, 50}};
+  const std::pair<vertex_t, vertex_t> shapes[] = {{1, 1}, {1, 5}, {5, 1},   {2, 2},
+                                                  {3, 7}, {40, 50}, {300, 700}};
   for (const auto& [rows, cols] : shapes) {
     SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
     expect_same_csr(gen_grid2d(rows, cols), grid_oracle(rows, cols));
   }
 }
 
-// Sizes that are not squares leave the lattice's last row partial.
+// Sizes that are not squares leave the lattice's last row partial; 2^17 + 3
+// is written in 4 claimed blocks of rows.
 TEST(GenRoad, MatchesBuildGraphOracle) {
   for (const std::uint64_t seed : {1, 2, 3}) {
-    for (const vertex_t n : {1, 2, 3, 5, 99, 100, 101, 4000, 12345}) {
+    for (const vertex_t n : {1u, 2u, 3u, 5u, 99u, 100u, 101u, 4000u, 12345u, (1u << 17) + 3}) {
       SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
       expect_same_csr(gen_road_network(n, seed), road_oracle(n, seed));
     }
@@ -308,21 +315,24 @@ TEST(GenRoad, MatchesBuildGraphOracle) {
 }
 
 // Sites hold 2-63 pages: n = 1..3 is at most a site or two, and most sizes
-// cut the last site short.
+// cut the last site short; 2^17 + 77 is written in 4 claimed blocks of sites.
 TEST(GenWeb, MatchesBuildGraphOracle) {
   for (const std::uint64_t seed : {1, 2, 3}) {
-    for (const vertex_t n : {1, 2, 3, 63, 64, 65, 1000, 20000, 32768}) {
+    for (const vertex_t n :
+         {1u, 2u, 3u, 63u, 64u, 65u, 1000u, 20000u, 32768u, (1u << 17) + 77}) {
       SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
       expect_same_csr(gen_web_graph(n, seed), web_oracle(n, seed));
     }
   }
 }
 
-// gen_rmat and build_graph split their work into chunks that the caller
-// and one pinned helper per other CPU of its affinity mask claim: neither
-// the number of CPUs nor which one took which chunk may show. 2^19 skewed
-// edges on 2^15 vertices are 8 of build_graph's units on two or more CPUs.
-TEST(GenRmat, OutputIndependentOfThreadCount) {
+// Every generator that runs on the caller's mask splits its work into
+// chunks or blocks that the caller and one pinned helper per other CPU of
+// the mask claim: gen_rmat its edges, build_graph its passes, gen_road_network,
+// gen_grid2d and gen_web_graph their lattice rows or sites. Neither the
+// number of CPUs nor which one took which part may show. 2^19 skewed edges
+// on 2^15 vertices are several of build_graph's units on two or more CPUs.
+TEST(Generators, OutputIndependentOfThreadCount) {
   constexpr vertex_t kN = vertex_t{1} << 15;
   std::vector<Edge> edges(std::size_t{1} << 19);
   Xoshiro256 rng(7);
@@ -336,8 +346,13 @@ TEST(GenRmat, OutputIndependentOfThreadCount) {
     if (cpus > mask.cpus()) continue;
     ASSERT_TRUE(mask.limit(cpus));
     const std::vector<std::uint64_t> hashes = {
-        csr_hash(gen_kronecker(14, 16, 7)), csr_hash(gen_rmat(15, 8, RmatParams{}, 7)),
-        csr_hash(gen_kronecker(16, 5, 7)), csr_hash(build_graph(kN, edges))};
+        csr_hash(gen_kronecker(14, 16, 7)),
+        csr_hash(gen_rmat(15, 8, RmatParams{}, 7)),
+        csr_hash(gen_kronecker(16, 5, 7)),
+        csr_hash(build_graph(kN, edges)),
+        csr_hash(gen_road_network((1u << 17) + 3, 7)),
+        csr_hash(gen_grid2d(300, 700)),
+        csr_hash(gen_web_graph((1u << 17) + 77, 7))};
     if (first.empty()) first = hashes;
     EXPECT_EQ(hashes, first) << cpus << " CPUs";
   }

@@ -153,13 +153,13 @@ inline std::vector<NamedGraph> correctness_graphs() {
 /// `g` with every adjacency list reversed (descending), for tests of code
 /// that reads list order; build_graph always sorts lists ascending.
 inline Graph with_descending_lists(const Graph& g) {
-  std::vector<vertex_t> adjacency(g.adjacency().begin(), g.adjacency().end());
+  UninitVector<vertex_t> adjacency(g.adjacency().begin(), g.adjacency().end());
   const auto offsets = g.offsets();
   for (vertex_t v = 0; v < g.num_vertices(); ++v) {
     std::reverse(adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
                  adjacency.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
   }
-  return Graph(std::vector<edge_t>(offsets.begin(), offsets.end()), std::move(adjacency));
+  return Graph(UninitVector<edge_t>(offsets.begin(), offsets.end()), std::move(adjacency));
 }
 
 /// Checks the paper's §4 conditioning, which build_graph applies and the
