@@ -1,24 +1,23 @@
-// ECL-CC for real NVIDIA GPUs — the CUDA realization of the pipeline that
-// src/gpusim/ecl_cc_gpu.cpp simulates, kernel for kernel (paper §3):
+// ECL-CC for real NVIDIA GPUs (paper §3). The five kernels run the bodies
+// in core/kernels.h, the same ones src/gpusim/ecl_cc_gpu.cpp simulates;
+// this file holds only the CUDA side of them: the thread context, the
+// parent array's atomicCAS, device memory, the worklist cursors and the
+// launches. It runs Init3, Jump4 and Fini3 with the 16/352 degree split.
 //
-//   init_kernel      — Init3 seeding of the parent array;
-//   compute1_kernel  — thread granularity, degree <= 16; larger vertices go
-//                      to the double-sided worklist (mid-degree on top,
-//                      high-degree on the bottom, two atomic cursors);
-//   compute2_kernel  — warp granularity (lanes stride the adjacency list);
-//   compute3_kernel  — thread-block granularity;
-//   finalize_kernel  — single pointer jumping to flatten the labels.
-//
-// Built only when -DECLCC_ENABLE_CUDA=ON and a CUDA toolchain is present;
-// this container has no GPU, so this backend is compiled and validated by
-// users on real hardware (see cuda/README.md). The host-side graph types
-// come from the main library.
+// nvcc compiles it with -DECLCC_ENABLE_CUDA=ON (cuda/README.md). Without
+// nvcc, tests/cuda_host_shim.h supplies the CUDA names it uses, so a host
+// compiler can build and run it too.
+#ifdef __CUDACC__
 #include <cuda_runtime.h>
+#define ECL_LAUNCH(kernel, grid, block, ...) kernel<<<(grid), (block)>>>(__VA_ARGS__)
+#endif
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
+#include "core/kernels.h"
 #include "cuda/ecl_cc_cuda.h"
 #include "graph/graph.h"
 
@@ -27,8 +26,8 @@ namespace ecl::cuda {
 namespace {
 
 constexpr int kBlockSize = 256;
-constexpr unsigned kThreadDegreeLimit = 16;
-constexpr unsigned kWarpDegreeLimit = 352;
+constexpr vertex_t kThreadDegreeLimit = 16;
+constexpr vertex_t kWarpDegreeLimit = 352;
 
 #define ECL_CUDA_CHECK(call)                                                  \
   do {                                                                        \
@@ -40,142 +39,82 @@ constexpr unsigned kWarpDegreeLimit = 352;
     }                                                                         \
   } while (0)
 
-/// Intermediate pointer jumping (paper Fig. 5), verbatim.
-__device__ vertex_t find_repres(vertex_t v, vertex_t* const parent) {
-  vertex_t par = parent[v];
-  if (par != v) {
-    vertex_t next, prev = v;
-    while (par > (next = parent[par])) {
-      parent[prev] = next;
-      prev = par;
-      par = next;
-    }
+/// The calling thread's place in the grid, from CUDA's index builtins.
+struct CudaCtx {
+  __device__ std::uint64_t global_id() const { return blockIdx.x * blockDim.x + threadIdx.x; }
+  __device__ std::uint64_t grid_size() const { return gridDim.x * blockDim.x; }
+};
+
+/// The CSR in device memory.
+struct CudaReader {
+  const edge_t* offsets;
+  const vertex_t* adjacency;
+
+  __device__ edge_t offset(vertex_t v) const { return offsets[v]; }
+  __device__ vertex_t neighbor(edge_t e) const { return adjacency[e]; }
+};
+
+/// The parent array as the paper's kernels access it: plain loads and
+/// stores, and atomicCAS for the hook.
+struct CudaParentOps {
+  vertex_t* parent;
+
+  __device__ vertex_t load(vertex_t i) const { return parent[i]; }
+  __device__ void store(vertex_t i, vertex_t value) { parent[i] = value; }
+  __device__ vertex_t cas(vertex_t i, vertex_t expected, vertex_t desired) {
+    return atomicCAS(&parent[i], expected, desired);
   }
-  return par;
-}
+};
+static_assert(ParentOps<CudaParentOps>);
 
-/// Hooking (paper Fig. 6): CAS the larger representative under the smaller.
-__device__ vertex_t hook(vertex_t v_rep, vertex_t u_rep, vertex_t* const parent) {
-  bool repeat;
-  do {
-    repeat = false;
-    if (v_rep != u_rep) {
-      vertex_t ret;
-      if (v_rep < u_rep) {
-        if ((ret = atomicCAS(&parent[u_rep], u_rep, v_rep)) != u_rep) {
-          u_rep = ret;
-          repeat = true;
-        }
-      } else {
-        if ((ret = atomicCAS(&parent[v_rep], v_rep, u_rep)) != v_rep) {
-          v_rep = ret;
-          repeat = true;
-        }
-      }
-    }
-  } while (repeat);
-  return min(v_rep, u_rep);
-}
+/// The double-sided worklist: size n, compute-2 vertices pushed from the
+/// top (cursors[0] counts up), compute-3 vertices from the bottom
+/// (cursors[1] counts down from n).
+struct CudaWorklist {
+  vertex_t* slots;
+  vertex_t* cursors;
 
-__global__ void init_kernel(vertex_t n, const unsigned long long* __restrict__ offsets,
-                            const vertex_t* __restrict__ adjacency, vertex_t* parent) {
-  for (unsigned long long v = blockIdx.x * blockDim.x + threadIdx.x; v < n;
-       v += gridDim.x * blockDim.x) {
-    const unsigned long long beg = offsets[v];
-    const unsigned long long end = offsets[v + 1];
-    vertex_t label = static_cast<vertex_t>(v);
-    for (unsigned long long e = beg; e < end; ++e) {  // Init3: first smaller
-      const vertex_t u = adjacency[e];
-      if (u < v) {
-        label = u;
-        break;
-      }
-    }
-    parent[v] = label;
+  __device__ void push_top(const CudaCtx& /*ctx*/, vertex_t v) const {
+    slots[atomicAdd(&cursors[0], 1u)] = v;
   }
-}
-
-__global__ void compute1_kernel(vertex_t n, const unsigned long long* __restrict__ offsets,
-                                const vertex_t* __restrict__ adjacency, vertex_t* parent,
-                                vertex_t* worklist, vertex_t* top_cursor,
-                                vertex_t* bottom_cursor) {
-  for (unsigned long long v = blockIdx.x * blockDim.x + threadIdx.x; v < n;
-       v += gridDim.x * blockDim.x) {
-    const unsigned long long beg = offsets[v];
-    const unsigned long long end = offsets[v + 1];
-    const unsigned degree = static_cast<unsigned>(end - beg);
-    if (degree > kThreadDegreeLimit) {
-      if (degree <= kWarpDegreeLimit) {
-        worklist[atomicAdd(top_cursor, 1)] = static_cast<vertex_t>(v);
-      } else {
-        worklist[atomicSub(bottom_cursor, 1) - 1] = static_cast<vertex_t>(v);
-      }
-      continue;
-    }
-    vertex_t v_rep = find_repres(static_cast<vertex_t>(v), parent);
-    for (unsigned long long e = beg; e < end; ++e) {
-      const vertex_t u = adjacency[e];
-      if (v > u) {
-        v_rep = hook(v_rep, find_repres(u, parent), parent);
-      }
-    }
+  __device__ void push_bottom(const CudaCtx& /*ctx*/, vertex_t v) const {
+    slots[atomicSub(&cursors[1], 1u) - 1] = v;
   }
+  __device__ vertex_t read(const CudaCtx& /*ctx*/, vertex_t i) const { return slots[i]; }
+};
+
+__global__ void init_kernel(CudaReader g, vertex_t n, CudaParentOps parent) {
+  kernels::init(CudaCtx{}, g, n, InitPolicy::kFirstSmallerNeighbor, parent);
 }
 
-__global__ void compute2_kernel(vertex_t num_mid, const vertex_t* __restrict__ worklist,
-                                const unsigned long long* __restrict__ offsets,
-                                const vertex_t* __restrict__ adjacency, vertex_t* parent) {
-  const unsigned lane = threadIdx.x % warpSize;
-  const unsigned long long warp_id =
-      (blockIdx.x * blockDim.x + threadIdx.x) / warpSize;
-  const unsigned long long num_warps = (gridDim.x * blockDim.x) / warpSize;
-  for (unsigned long long w = warp_id; w < num_mid; w += num_warps) {
-    const vertex_t v = worklist[w];
-    const unsigned long long beg = offsets[v];
-    const unsigned long long end = offsets[v + 1];
-    vertex_t v_rep = find_repres(v, parent);
-    for (unsigned long long e = beg + lane; e < end; e += warpSize) {
-      const vertex_t u = adjacency[e];
-      if (v > u) {
-        v_rep = hook(v_rep, find_repres(u, parent), parent);
-      }
-    }
-  }
+__global__ void compute1_kernel(CudaReader g, vertex_t n, CudaParentOps parent,
+                                CudaWorklist worklist) {
+  kernels::compute_thread(CudaCtx{}, g, worklist, n, kThreadDegreeLimit, kWarpDegreeLimit,
+                          JumpPolicy::kIntermediate, parent);
 }
 
-__global__ void compute3_kernel(vertex_t num_high, vertex_t bottom,
-                                const vertex_t* __restrict__ worklist,
-                                const unsigned long long* __restrict__ offsets,
-                                const vertex_t* __restrict__ adjacency, vertex_t* parent) {
-  for (unsigned long long i = blockIdx.x; i < num_high; i += gridDim.x) {
-    const vertex_t v = worklist[bottom + i];
-    const unsigned long long beg = offsets[v];
-    const unsigned long long end = offsets[v + 1];
-    vertex_t v_rep = find_repres(v, parent);
-    for (unsigned long long e = beg + threadIdx.x; e < end; e += blockDim.x) {
-      const vertex_t u = adjacency[e];
-      if (v > u) {
-        v_rep = hook(v_rep, find_repres(u, parent), parent);
-      }
-    }
-  }
+__global__ void compute2_kernel(CudaReader g, vertex_t num_mid, std::uint32_t warp,
+                                CudaParentOps parent, CudaWorklist worklist) {
+  const CudaCtx ctx{};
+  kernels::compute_group(ctx, g, worklist, 0, num_mid, warp, ctx.global_id() / warp,
+                         threadIdx.x % warp, JumpPolicy::kIntermediate, parent);
 }
 
-__global__ void finalize_kernel(vertex_t n, vertex_t* parent) {
-  for (unsigned long long v = blockIdx.x * blockDim.x + threadIdx.x; v < n;
-       v += gridDim.x * blockDim.x) {
-    vertex_t root = parent[v];
-    vertex_t next;
-    while (root > (next = parent[root])) root = next;  // Fini3: walk + write
-    parent[v] = root;
-  }
+__global__ void compute3_kernel(CudaReader g, vertex_t bottom, vertex_t num_high,
+                                CudaParentOps parent, CudaWorklist worklist) {
+  kernels::compute_group(CudaCtx{}, g, worklist, bottom, num_high, blockDim.x, blockIdx.x,
+                         threadIdx.x, JumpPolicy::kIntermediate, parent);
 }
 
-int grid_for(unsigned long long work, int device_blocks_cap) {
-  const unsigned long long blocks = (work + kBlockSize - 1) / kBlockSize;
-  return static_cast<int>(
-      blocks < static_cast<unsigned long long>(device_blocks_cap) ? blocks
-                                                                  : device_blocks_cap);
+__global__ void finalize_kernel(vertex_t n, CudaParentOps parent) {
+  kernels::finalize(CudaCtx{}, n, FinalizePolicy::kSingle, parent);
+}
+
+/// Blocks that cover `work` threads, capped at `cap` (the kernels'
+/// grid-stride loops take the rest).
+int grid_for(unsigned long long work, int cap) {
+  return static_cast<int>(std::min<unsigned long long>((work + kBlockSize - 1) / kBlockSize,
+                                                       static_cast<unsigned long long>(cap)));
 }
 
 }  // namespace
@@ -196,21 +135,19 @@ std::vector<vertex_t> ecl_cc_cuda(const Graph& g) {
   ECL_CUDA_CHECK(cudaGetDeviceProperties(&prop, device));
   const int blocks_cap = prop.multiProcessorCount * 32;
 
-  unsigned long long* d_offsets = nullptr;
+  edge_t* d_offsets = nullptr;
   vertex_t* d_adjacency = nullptr;
   vertex_t* d_parent = nullptr;
   vertex_t* d_worklist = nullptr;
   vertex_t* d_cursors = nullptr;  // [0] = top, [1] = bottom
-  ECL_CUDA_CHECK(cudaMalloc(&d_offsets, (n + 1ULL) * sizeof(unsigned long long)));
+  ECL_CUDA_CHECK(cudaMalloc(&d_offsets, (n + 1ULL) * sizeof(edge_t)));
   ECL_CUDA_CHECK(
       cudaMalloc(&d_adjacency, std::max<std::size_t>(1, g.num_edges()) * sizeof(vertex_t)));
   ECL_CUDA_CHECK(cudaMalloc(&d_parent, n * sizeof(vertex_t)));
   ECL_CUDA_CHECK(cudaMalloc(&d_worklist, n * sizeof(vertex_t)));
   ECL_CUDA_CHECK(cudaMalloc(&d_cursors, 2 * sizeof(vertex_t)));
 
-  static_assert(sizeof(edge_t) == sizeof(unsigned long long));
-  ECL_CUDA_CHECK(cudaMemcpy(d_offsets, g.offsets().data(),
-                            (n + 1ULL) * sizeof(unsigned long long),
+  ECL_CUDA_CHECK(cudaMemcpy(d_offsets, g.offsets().data(), (n + 1ULL) * sizeof(edge_t),
                             cudaMemcpyHostToDevice));
   ECL_CUDA_CHECK(cudaMemcpy(d_adjacency, g.adjacency().data(),
                             g.num_edges() * sizeof(vertex_t), cudaMemcpyHostToDevice));
@@ -218,30 +155,29 @@ std::vector<vertex_t> ecl_cc_cuda(const Graph& g) {
   ECL_CUDA_CHECK(
       cudaMemcpy(d_cursors, cursors_init, sizeof(cursors_init), cudaMemcpyHostToDevice));
 
-  init_kernel<<<grid_for(n, blocks_cap), kBlockSize>>>(n, d_offsets, d_adjacency, d_parent);
-  compute1_kernel<<<grid_for(n, blocks_cap), kBlockSize>>>(
-      n, d_offsets, d_adjacency, d_parent, d_worklist, &d_cursors[0], &d_cursors[1]);
+  const CudaReader graph{d_offsets, d_adjacency};
+  const CudaParentOps parent{d_parent};
+  const CudaWorklist worklist{d_worklist, d_cursors};
+  ECL_LAUNCH(init_kernel, grid_for(n, blocks_cap), kBlockSize, graph, n, parent);
+  ECL_LAUNCH(compute1_kernel, grid_for(n, blocks_cap), kBlockSize, graph, n, parent, worklist);
 
-  vertex_t cursors_host[2];
-  ECL_CUDA_CHECK(
-      cudaMemcpy(cursors_host, d_cursors, sizeof(cursors_host), cudaMemcpyDeviceToHost));
-  const vertex_t num_mid = cursors_host[0];
-  const vertex_t bottom = cursors_host[1];
+  vertex_t cursors[2];
+  ECL_CUDA_CHECK(cudaMemcpy(cursors, d_cursors, sizeof(cursors), cudaMemcpyDeviceToHost));
+  const vertex_t num_mid = cursors[0];
+  const vertex_t bottom = cursors[1];
   const vertex_t num_high = n - bottom;
 
   if (num_mid > 0) {
-    const unsigned long long threads = static_cast<unsigned long long>(num_mid) * 32;
-    compute2_kernel<<<grid_for(threads, blocks_cap), kBlockSize>>>(num_mid, d_worklist,
-                                                                   d_offsets, d_adjacency,
-                                                                   d_parent);
+    const auto warp = static_cast<std::uint32_t>(prop.warpSize);
+    const int blocks = grid_for(static_cast<unsigned long long>(num_mid) * warp, blocks_cap);
+    ECL_LAUNCH(compute2_kernel, blocks, kBlockSize, graph, num_mid, warp, parent, worklist);
   }
   if (num_high > 0) {
-    const int blocks =
-        static_cast<int>(std::min<unsigned long long>(num_high, prop.multiProcessorCount * 8));
-    compute3_kernel<<<blocks, kBlockSize>>>(num_high, bottom, d_worklist, d_offsets,
-                                            d_adjacency, d_parent);
+    const auto blocks = static_cast<int>(
+        std::min<unsigned long long>(num_high, prop.multiProcessorCount * 8));
+    ECL_LAUNCH(compute3_kernel, blocks, kBlockSize, graph, bottom, num_high, parent, worklist);
   }
-  finalize_kernel<<<grid_for(n, blocks_cap), kBlockSize>>>(n, d_parent);
+  ECL_LAUNCH(finalize_kernel, grid_for(n, blocks_cap), kBlockSize, n, parent);
   ECL_CUDA_CHECK(cudaGetLastError());
 
   ECL_CUDA_CHECK(

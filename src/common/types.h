@@ -3,6 +3,15 @@
 
 #include <cstdint>
 
+// Marks the templates the GPU kernels call (dsu/find.h, dsu/hook.h,
+// core/engine.h) for both host and device when nvcc compiles them; nothing
+// for a host compiler.
+#ifdef __CUDACC__
+#define ECL_HD __host__ __device__
+#else
+#define ECL_HD
+#endif
+
 namespace ecl {
 
 /// Vertex identifier. 32 bits suffice for the graph scales this library

@@ -1,5 +1,5 @@
 // The phase templates shared by every ECL-CC variant (serial, OpenMP, and —
-// through gpusim's SimParentOps — the virtual-GPU kernels). Keeping the
+// through core/kernels.h — the simulated and CUDA GPU kernels). Keeping the
 // algorithm in one place means the correctness tests on one backend cover
 // the algorithmic logic of all of them.
 #pragma once
@@ -15,7 +15,7 @@ namespace ecl::detail {
 /// Templated over the graph representation: any type with a
 /// `neighbors(vertex_t)` range (plain CSR Graph or CompressedGraph) works.
 template <typename GraphT>
-vertex_t initial_parent(const GraphT& g, InitPolicy policy, vertex_t v) {
+ECL_HD vertex_t initial_parent(const GraphT& g, InitPolicy policy, vertex_t v) {
   switch (policy) {
     case InitPolicy::kSelf:
       return v;
@@ -39,8 +39,8 @@ vertex_t initial_parent(const GraphT& g, InitPolicy policy, vertex_t v) {
 /// (only the v > u direction), hooking u's representative with v's running
 /// representative.
 template <typename GraphT, ParentOps Ops, typename Rec = PathLengthRecorder>
-void compute_vertex(const GraphT& g, JumpPolicy jump, vertex_t v, Ops ops,
-                    Rec* rec = nullptr) {
+ECL_HD void compute_vertex(const GraphT& g, JumpPolicy jump, vertex_t v, Ops ops,
+                           Rec* rec = nullptr) {
   vertex_t v_rep = find_repres(jump, v, ops, rec);
   for (const vertex_t u : g.neighbors(v)) {
     if (v > u) {

@@ -80,7 +80,7 @@ struct ComputeStats {
 /// One traversal; every visited element is made to skip its successor,
 /// halving the path for everyone while heading to the representative.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t find_intermediate(vertex_t v, Ops ops, Rec* rec = nullptr) {
+ECL_HD vertex_t find_intermediate(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
   vertex_t par = ops.load(v);
   if (par != v) {
@@ -100,7 +100,7 @@ vertex_t find_intermediate(vertex_t v, Ops ops, Rec* rec = nullptr) {
 /// Jump2 — single pointer jumping: walk to the representative, then point
 /// only the start vertex at it.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t find_single(vertex_t v, Ops ops, Rec* rec = nullptr) {
+ECL_HD vertex_t find_single(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
   const vertex_t first = ops.load(v);
   vertex_t root = first;
@@ -119,7 +119,7 @@ vertex_t find_single(vertex_t v, Ops ops, Rec* rec = nullptr) {
 
 /// Jump3 — no pointer jumping: traverse only.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t find_none(vertex_t v, Ops ops, Rec* rec = nullptr) {
+ECL_HD vertex_t find_none(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
   vertex_t root = ops.load(v);
   vertex_t next;
@@ -134,7 +134,7 @@ vertex_t find_none(vertex_t v, Ops ops, Rec* rec = nullptr) {
 /// Jump1 — multiple pointer jumping: first pass finds the representative,
 /// second pass re-points every element on the path at it.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t find_multiple(vertex_t v, Ops ops, Rec* rec = nullptr) {
+ECL_HD vertex_t find_multiple(vertex_t v, Ops ops, Rec* rec = nullptr) {
   std::uint64_t steps = 0;
   vertex_t root = ops.load(v);
   vertex_t next;
@@ -154,7 +154,7 @@ vertex_t find_multiple(vertex_t v, Ops ops, Rec* rec = nullptr) {
 
 /// Runtime dispatch over the four variants.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t find_repres(JumpPolicy policy, vertex_t v, Ops ops, Rec* rec = nullptr) {
+ECL_HD vertex_t find_repres(JumpPolicy policy, vertex_t v, Ops ops, Rec* rec = nullptr) {
   switch (policy) {
     case JumpPolicy::kMultiple:
       return find_multiple(v, ops, rec);

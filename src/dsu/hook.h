@@ -1,8 +1,8 @@
 // The hooking (union) operation of the paper's Fig. 6, as an algorithm
-// template shared by the serial, OpenMP and simulated-GPU implementations.
+// template shared by the serial, OpenMP and GPU (simulated and CUDA)
+// implementations.
 #pragma once
 
-#include <algorithm>
 #include <vector>
 
 #include "dsu/find.h"
@@ -26,7 +26,7 @@ struct HookLog : ComputeStats {
 
 /// Tallies a successful hook into `rec`, and logs it when `rec` keeps a log.
 template <typename Rec>
-void record_hook(Rec* rec, vertex_t child, vertex_t parent) {
+ECL_HD void record_hook(Rec* rec, vertex_t child, vertex_t parent) {
   ++rec->hooks_performed;
   if constexpr (requires { rec->hooked(child, parent); }) rec->hooked(child, parent);
 }
@@ -46,8 +46,8 @@ void record_hook(Rec* rec, vertex_t child, vertex_t parent) {
 /// or static-initialized counters here would wreck the compute loop's
 /// inlining and codegen. A HookLog also records each successful hook.
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
-                              Rec* rec = nullptr) {
+ECL_HD vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
+                                     Rec* rec = nullptr) {
   bool repeat;
   do {
     repeat = false;
@@ -72,15 +72,15 @@ vertex_t hook_representatives(vertex_t v_rep, vertex_t u_rep, Ops ops,
       }
     }
   } while (repeat);
-  return std::min(v_rep, u_rep);
+  return u_rep < v_rep ? u_rep : v_rep;
 }
 
 /// Full edge processing for edge (v, u) given v's current representative:
 /// find u's representative with the configured pointer-jumping flavour, then
 /// hook. Callers must already have filtered to one direction (v > u).
 template <ParentOps Ops, typename Rec = PathLengthRecorder>
-vertex_t process_edge(JumpPolicy jump, vertex_t v_rep, vertex_t u, Ops ops,
-                      Rec* rec = nullptr) {
+ECL_HD vertex_t process_edge(JumpPolicy jump, vertex_t v_rep, vertex_t u, Ops ops,
+                             Rec* rec = nullptr) {
   const vertex_t u_rep = find_repres(jump, u, ops, rec);
   return hook_representatives(v_rep, u_rep, ops, rec);
 }

@@ -12,6 +12,7 @@
 //     instead of UB while compiling to the same instructions.
 //   * gpusim's SimParentOps — routes every access through the simulated
 //     memory hierarchy so cache statistics (paper Table 3) can be collected.
+//   * the CUDA backend's CudaParentOps — device memory and atomicCAS.
 //
 // The concept below documents the required shape.
 #pragma once

@@ -1,6 +1,7 @@
 // The ECL-CC GPU pipeline (paper §3) on the virtual device.
 //
-// Five kernels:
+// Five kernels, whose bodies live in core/kernels.h (shared with the CUDA
+// backend):
 //   initialization — seed parent[] per the init policy;
 //   compute 1      — thread granularity, vertices of degree <= 16; larger
 //                    vertices are pushed onto the double-sided worklist
@@ -11,7 +12,7 @@
 //   finalization   — point every parent at the representative.
 #include <algorithm>
 
-#include "dsu/hook.h"
+#include "core/kernels.h"
 #include "graph/graph.h"
 #include "gpusim/gpu_cc.h"
 #include "gpusim/sim_parent_ops.h"
@@ -34,45 +35,15 @@ struct DeviceGraph {
   }
 };
 
-/// Device-side Init policy evaluation for vertex v (paper Fig. 7).
-vertex_t initial_parent_gpu(const ThreadCtx& ctx, const DeviceGraph& dg, InitPolicy policy,
-                            vertex_t v) {
-  const edge_t beg = dg.offsets.load(ctx, v);
-  const edge_t end = dg.offsets.load(ctx, v + 1);
-  switch (policy) {
-    case InitPolicy::kSelf:
-      return v;
-    case InitPolicy::kMinNeighbor: {
-      vertex_t best = v;
-      for (edge_t e = beg; e < end; ++e) {
-        best = std::min(best, dg.adjacency.load(ctx, e));
-      }
-      return best;
-    }
-    case InitPolicy::kFirstSmallerNeighbor:
-      break;
-  }
-  for (edge_t e = beg; e < end; ++e) {
-    const vertex_t u = dg.adjacency.load(ctx, e);
-    if (u < v) return u;
-  }
-  return v;
-}
+/// The CSR as one virtual thread reads it: every load goes through the
+/// cache model.
+struct SimReader {
+  const DeviceGraph& dg;
+  const ThreadCtx& ctx;
 
-/// Processes the adjacency range [beg+lane, end) of vertex v with stride
-/// `step` — the shared body of all three compute kernels.
-void compute_edges(const ThreadCtx& ctx, const DeviceGraph& dg,
-                   DeviceBuffer<vertex_t>& parent, JumpPolicy jump, vertex_t v, edge_t beg,
-                   edge_t end, edge_t first, edge_t step) {
-  SimParentOps ops(parent, ctx);
-  vertex_t v_rep = find_repres(jump, v, ops);
-  for (edge_t e = beg + first; e < end; e += step) {
-    const vertex_t u = dg.adjacency.load(ctx, e);
-    if (v > u) {
-      v_rep = process_edge(jump, v_rep, u, ops);
-    }
-  }
-}
+  [[nodiscard]] edge_t offset(vertex_t v) const { return dg.offsets.load(ctx, v); }
+  [[nodiscard]] vertex_t neighbor(edge_t e) const { return dg.adjacency.load(ctx, e); }
+};
 
 }  // namespace
 
@@ -93,28 +64,12 @@ GpuRunResult ecl_cc_gpu(const Graph& g, const DeviceSpec& spec, const GpuEclOpti
   const std::uint32_t bs = opts.block_size;
 
   dev.launch("initialization", dev.blocks_for(n, bs), bs, [&](const ThreadCtx& ctx) {
-    for (std::uint64_t v = ctx.global_id(); v < n; v += ctx.grid_size()) {
-      parent.store(ctx, v, initial_parent_gpu(ctx, dg, opts.init, static_cast<vertex_t>(v)));
-    }
+    kernels::init(ctx, SimReader{dg, ctx}, n, opts.init, SimParentOps(parent, ctx));
   });
 
   dev.launch("compute 1", dev.blocks_for(n, bs), bs, [&](const ThreadCtx& ctx) {
-    for (std::uint64_t vv = ctx.global_id(); vv < n; vv += ctx.grid_size()) {
-      const auto v = static_cast<vertex_t>(vv);
-      const edge_t beg = dg.offsets.load(ctx, v);
-      const edge_t end = dg.offsets.load(ctx, v + 1);
-      const auto degree = static_cast<vertex_t>(end - beg);
-      if (degree > opts.thread_degree_limit) {
-        // Defer to the warp- or block-granularity kernel via the worklist.
-        if (degree <= opts.warp_degree_limit) {
-          worklist.push_top(ctx, v);
-        } else {
-          worklist.push_bottom(ctx, v);
-        }
-        continue;
-      }
-      compute_edges(ctx, dg, parent, opts.jump, v, beg, end, 0, 1);
-    }
+    kernels::compute_thread(ctx, SimReader{dg, ctx}, worklist, n, opts.thread_degree_limit,
+                            opts.warp_degree_limit, opts.jump, SimParentOps(parent, ctx));
   });
 
   const vertex_t num_mid = worklist.top_count();
@@ -125,53 +80,23 @@ GpuRunResult ecl_cc_gpu(const Graph& g, const DeviceSpec& spec, const GpuEclOpti
     const std::uint32_t warp = spec.warp_size;
     const std::uint64_t threads = static_cast<std::uint64_t>(num_mid) * warp;
     dev.launch("compute 2", dev.blocks_for(threads, bs), bs, [&](const ThreadCtx& ctx) {
-      const std::uint64_t warp_id = ctx.global_id() / warp;
-      const std::uint64_t num_warps = ctx.grid_size() / warp;
-      const std::uint32_t lane = ctx.lane();
-      for (std::uint64_t w = warp_id; w < num_mid; w += num_warps) {
-        const vertex_t v = worklist.read(ctx, static_cast<vertex_t>(w));
-        const edge_t beg = dg.offsets.load(ctx, v);
-        const edge_t end = dg.offsets.load(ctx, v + 1);
-        compute_edges(ctx, dg, parent, opts.jump, v, beg, end, lane, warp);
-      }
+      kernels::compute_group(ctx, SimReader{dg, ctx}, worklist, 0, num_mid, warp,
+                             ctx.global_id() / warp, ctx.lane(), opts.jump,
+                             SimParentOps(parent, ctx));
     });
   }
 
   if (num_high > 0) {
     dev.launch("compute 3", std::max(1u, std::min<std::uint32_t>(num_high, spec.num_sms * 8)),
                bs, [&](const ThreadCtx& ctx) {
-                 const std::uint32_t num_blocks =
-                     static_cast<std::uint32_t>(ctx.grid_size() / bs);
-                 for (std::uint64_t i = ctx.block(); i < num_high; i += num_blocks) {
-                   const vertex_t v = worklist.read(ctx, static_cast<vertex_t>(bottom + i));
-                   const edge_t beg = dg.offsets.load(ctx, v);
-                   const edge_t end = dg.offsets.load(ctx, v + 1);
-                   compute_edges(ctx, dg, parent, opts.jump, v, beg, end,
-                                 ctx.thread_in_block(), bs);
-                 }
+                 kernels::compute_group(ctx, SimReader{dg, ctx}, worklist, bottom, num_high,
+                                        bs, ctx.block(), ctx.thread_in_block(), opts.jump,
+                                        SimParentOps(parent, ctx));
                });
   }
 
   dev.launch("finalization", dev.blocks_for(n, bs), bs, [&](const ThreadCtx& ctx) {
-    SimParentOps ops(parent, ctx);
-    for (std::uint64_t vv = ctx.global_id(); vv < n; vv += ctx.grid_size()) {
-      const auto v = static_cast<vertex_t>(vv);
-      switch (opts.finalize) {
-        case FinalizePolicy::kIntermediate:
-          ops.store(v, find_intermediate(v, ops));
-          break;
-        case FinalizePolicy::kMultiple:
-          ops.store(v, find_multiple(v, ops));
-          break;
-        case FinalizePolicy::kSingle: {
-          vertex_t root = ops.load(v);
-          vertex_t next;
-          while (root > (next = ops.load(root))) root = next;
-          ops.store(v, root);
-          break;
-        }
-      }
-    }
+    kernels::finalize(ctx, n, opts.finalize, SimParentOps(parent, ctx));
   });
 
   result.labels = parent.host();

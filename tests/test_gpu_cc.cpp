@@ -3,6 +3,9 @@
 // reference partition on the full graph fixture, on both device configs.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/verify.h"
 #include "graph/stats.h"
 #include "gpusim/gpu_cc.h"
@@ -65,18 +68,82 @@ TEST(EclCcGpu, LabelsAreCanonicalMinima) {
 }
 
 TEST(EclCcGpu, FiveKernelsLaunchedOnMixedDegreeGraph) {
-  // A graph with low-, mid- and high-degree vertices must exercise all
-  // three compute kernels.
-  GraphBuilder b(2000);
-  for (vertex_t v = 0; v + 1 < 1000; ++v) b.add_edge(v, v + 1);          // degree <= 2
-  for (vertex_t v = 1000; v < 1100; ++v) b.add_edge(1000, v);            // mid degree
-  for (vertex_t v = 1100; v < 2000; ++v) b.add_edge(1100, v);            // high degree
-  const Graph g = b.build();
+  const Graph g = ecl::testing::mixed_degree_graph();
   const auto result = ecl_cc_gpu(g, titanx_like());
   EXPECT_TRUE(same_partition(result.labels, reference_components(g)));
   EXPECT_EQ(result.time_by_kernel.size(), 5u);
   EXPECT_TRUE(result.time_by_kernel.contains("compute 2"));
   EXPECT_TRUE(result.time_by_kernel.contains("compute 3"));
+}
+
+/// FNV-1a over the labels and, for every launch, its name, geometry,
+/// cycles, modeled time and memory counters (the counts of issued loads,
+/// stores and atomics included).
+std::uint64_t cost_hash(const GpuRunResult& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](const void* data, std::size_t size) {
+    for (std::size_t i = 0; i < size; ++i) {
+      h ^= static_cast<const unsigned char*>(data)[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  const auto mix_u64 = [&mix](std::uint64_t x) { mix(&x, sizeof x); };
+  mix(r.labels.data(), r.labels.size() * sizeof(vertex_t));
+  for (const KernelStats& k : r.kernels) {
+    mix(k.name.data(), k.name.size());
+    for (const std::uint64_t x :
+         {std::uint64_t{k.num_blocks}, std::uint64_t{k.block_size}, k.max_sm_cycles,
+          k.divergence_cycles, std::bit_cast<std::uint64_t>(k.time_ms), k.memory.reads,
+          k.memory.writes, k.memory.atomics, k.memory.l1_hits, k.memory.l2_reads,
+          k.memory.l2_writes, k.memory.l2_hits, k.memory.dram_accesses}) {
+      mix_u64(x);
+    }
+  }
+  return h;
+}
+
+TEST(EclCcGpu, SimulatedCostsAreStable) {
+  // Pins what the simulated figures print: a change to a kernel body or to
+  // the shared find/hook templates that moves any access or cost shows up
+  // here. The hashes are regenerated only for a deliberate model change.
+  const Graph g = gen_kronecker(11, 16, 23);
+  struct Case {
+    const char* name;
+    GpuEclOptions opts;
+    std::uint64_t hash;
+  };
+  const auto with = [](auto set) {
+    GpuEclOptions opts;
+    set(opts);
+    return opts;
+  };
+  const Case cases[] = {
+      {"Init1", with([](auto& o) { o.init = InitPolicy::kSelf; }),
+       0x903663b37e22eed7ULL},
+      {"Init2", with([](auto& o) { o.init = InitPolicy::kMinNeighbor; }),
+       0xfdc25db4ee8234ccULL},
+      {"Init3", with([](auto& o) { o.init = InitPolicy::kFirstSmallerNeighbor; }),
+       0x8641673a95760be1ULL},
+      {"Jump1", with([](auto& o) { o.jump = JumpPolicy::kMultiple; }),
+       0x73adfe7dcd11716eULL},
+      {"Jump2", with([](auto& o) { o.jump = JumpPolicy::kSingle; }),
+       0x3fd950074bc81358ULL},
+      {"Jump3", with([](auto& o) { o.jump = JumpPolicy::kNone; }),
+       0x2cc9a6c7446274cfULL},
+      {"Jump4", with([](auto& o) { o.jump = JumpPolicy::kIntermediate; }),
+       0x8641673a95760be1ULL},
+      {"Fini1", with([](auto& o) { o.finalize = FinalizePolicy::kIntermediate; }),
+       0x315062bcf70f089eULL},
+      {"Fini2", with([](auto& o) { o.finalize = FinalizePolicy::kMultiple; }),
+       0x26d7fa10985f17daULL},
+      {"Fini3", with([](auto& o) { o.finalize = FinalizePolicy::kSingle; }),
+       0x8641673a95760be1ULL},
+  };
+  for (const Case& c : cases) {
+    const auto result = ecl_cc_gpu(g, titanx_like(), c.opts);
+    ASSERT_EQ(result.kernels.size(), 5u) << c.name;
+    EXPECT_EQ(cost_hash(result), c.hash) << c.name << ": 0x" << std::hex << cost_hash(result);
+  }
 }
 
 TEST(EclCcGpu, LowDegreeGraphSkipsWorklistKernels) {

@@ -150,6 +150,18 @@ inline std::vector<NamedGraph> correctness_graphs() {
   return graphs;
 }
 
+/// Low-, mid- and high-degree vertices, so a GPU pipeline runs all three
+/// compute kernels: a path (degree <= 2), a hub of degree 99 and one of
+/// degree 899. Each hub has the largest ID of its star, so only the hub's
+/// own kernel (compute 2 or compute 3) processes the star's edges.
+inline Graph mixed_degree_graph() {
+  GraphBuilder b(2000);
+  for (vertex_t v = 0; v + 1 < 1000; ++v) b.add_edge(v, v + 1);
+  for (vertex_t v = 1000; v < 1099; ++v) b.add_edge(1099, v);
+  for (vertex_t v = 1100; v < 1999; ++v) b.add_edge(1999, v);
+  return b.build();
+}
+
 /// `g` with every adjacency list reversed (descending), for tests of code
 /// that reads list order; build_graph always sorts lists ascending.
 inline Graph with_descending_lists(const Graph& g) {
