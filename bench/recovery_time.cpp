@@ -53,7 +53,6 @@ ServiceOptions make_opts(const std::string& dir, bool checkpoints) {
   ServiceOptions opts;
   opts.wal_path = dir + "/wal";
   opts.wal.fsync_policy = ecl::svc::FsyncPolicy::kNone;  // measuring recovery, not ingest
-  opts.wal_segment_bytes = 1ull << 20;
   if (checkpoints) {
     opts.checkpoint_path = dir + "/ckpt";
     opts.checkpoint_interval_ms = 0;  // explicit checkpoint_now() only

@@ -20,8 +20,8 @@
 #   wal-replay      WAL only, injected socket faults (the PR 3 baseline)
 #   mid-checkpoint  checkpoints every 150 ms, each checkpoint write delayed
 #                   200 ms so the SIGKILL lands mid-write (torn .tmp image)
-#   mid-rotation    8 KiB segments (constant rotation), rotations delayed so
-#                   the SIGKILL lands mid-rotation
+#   mid-rotation    a checkpoint cut (and with it a rotation) every 1 ms,
+#                   rotations delayed so the SIGKILL lands mid-rotation
 #   corrupt-newest  checkpoints on; the newest checkpoint is corrupted after
 #                   the kill — the loader must fall back to the previous one
 #                   (retention keeps segments the *oldest* checkpoint needs)
@@ -214,13 +214,15 @@ run_scenario mid-checkpoint \
   --wal="$WORK/mid-checkpoint/edges.wal" \
   --checkpoint="$WORK/mid-checkpoint/ckpt" --checkpoint-interval-ms=150
 
-# SIGKILL mid-rotation: 8 KiB segments force constant rotation; half the
-# rotations are stalled 20 ms so the kill lands mid-rotation.
+# SIGKILL mid-rotation: only a checkpoint cut ends a segment, so cuts every
+# 1 ms force constant rotation (~130 before the kill, as many as 8 KiB
+# segments gave); half the rotations are stalled 20 ms so the kill lands
+# mid-rotation.
 run_scenario mid-rotation \
   'ECL_FAULT=svc.wal.rotate=delay,arg=20000,prob=0.5,seed=5' \
   any 0 \
-  --wal="$WORK/mid-rotation/edges.wal" --wal-segment-bytes=8192 \
-  --checkpoint="$WORK/mid-rotation/ckpt" --checkpoint-interval-ms=200
+  --wal="$WORK/mid-rotation/edges.wal" \
+  --checkpoint="$WORK/mid-rotation/ckpt" --checkpoint-interval-ms=1
 
 # Corrupt newest checkpoint: frequent checkpoints build a chain, the newest
 # is corrupted after the kill, and the loader must fall back to the previous
@@ -386,13 +388,13 @@ wait_caught_up() {
 # revived replica (same dirs) must resume, catch up, and serve every
 # edge the *primary* acked. --replica-hold-ms is generous so the dead
 # replica's segments survive the outage and the revival streams the gap
-# instead of re-bootstrapping.
+# instead of re-bootstrapping; the 300 ms cuts seal two segments in it.
 echo "==== scenario: kill-replica"
 KDIR="$WORK/kill-replica"
 mkdir -p "$KDIR/p" "$KDIR/r"
 echo "== starting primary"
 "$CCD" --vertices=20000 --unix="$KDIR/p.sock" --wal="$KDIR/p/wal" \
-       --wal-fsync=batch --wal-segment-bytes=32768 \
+       --wal-fsync=batch \
        --checkpoint="$KDIR/p/ckpt" --checkpoint-interval-ms=300 \
        --replica-hold-ms=30000 \
        --ready-file="$KDIR/ready_p" --metrics-port=0 >"$KDIR/p.log" 2>&1 &

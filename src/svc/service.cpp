@@ -200,25 +200,16 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     (void)run_compaction();
   }
 
-  // A replica's segments end where the primary's do, so it never rotates on
-  // size (promote() reopens the log with size rotation).
-  std::string err;
-  if (!open_wal_for_appends(covered_seq, opts_.replica ? 0 : opts_.wal_segment_bytes, &err)) {
-    throw std::runtime_error("ecl::svc WAL open failed: " + err);
-  }
-}
-
-bool ConnectivityService::open_wal_for_appends(std::uint64_t covered_seq,
-                                               std::uint64_t segment_bytes, std::string* err) {
+  // Every applied edge is logged. Appends go after the checkpoint's
+  // segments, on a primary and a replica alike: only a cut ends a segment.
   logged_edges_ = applied_edges_.load(std::memory_order_acquire);
-  if (opts_.wal_path.empty()) return true;
-  if (!wal_.open(opts_.wal_path, {.wal = opts_.wal, .segment_bytes = segment_bytes},
-                 covered_seq + 1, err)) {
-    return false;
+  if (opts_.wal_path.empty()) return;
+  std::string err;
+  if (!wal_.open(opts_.wal_path, {.wal = opts_.wal}, covered_seq + 1, &err)) {
+    throw std::runtime_error("ecl::svc WAL open failed: " + err);
   }
   wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
   wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
-  return true;
 }
 
 bool ConnectivityService::log_batch(const EdgeBatch& batch) {
@@ -846,15 +837,14 @@ bool ConnectivityService::promote(std::string* err) {
     if (err != nullptr) *err = "promote: service is stopped";
     return false;
   }
-  const std::uint64_t covered = ckpt_covered_seq_.load(std::memory_order_relaxed);
+  std::uint64_t tail_seq = 0;
   {
+    // The log stays open as it is: it holds whole records and ends its
+    // segments where the primary's end. The next cut counts every edge
+    // applied so far as logged.
     std::lock_guard<std::mutex> lock(wal_mu_);
-    wal_.close();
-    std::string werr;
-    if (!open_wal_for_appends(covered, opts_.wal_segment_bytes, &werr)) {
-      if (err != nullptr) *err = "promote: WAL open failed: " + werr;
-      return false;
-    }
+    logged_edges_ = applied_edges_.load(std::memory_order_acquire);
+    tail_seq = wal_.active_seq();
   }
   {
     // Under the mutex, so the compaction thread cannot read the role between
@@ -864,8 +854,8 @@ bool ConnectivityService::promote(std::string* err) {
   }
   set_replication_lag(0, 0);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.promotions", 1);
-  std::fprintf(stderr, "[ecl::svc] promoted to primary (wal tail seq >= %llu)\n",
-               static_cast<unsigned long long>(covered + 1));
+  std::fprintf(stderr, "[ecl::svc] promoted to primary (wal tail seq %llu)\n",
+               static_cast<unsigned long long>(tail_seq));
   // Wake the compaction thread: checkpointing (disabled while a replica)
   // resumes with a new deadline.
   compact_cv_.notify_all();

@@ -71,9 +71,6 @@ struct ServiceOptions {
   std::string wal_path;
   /// Durability policy for the WAL (ignored when wal_path is empty).
   WalOptions wal;
-  /// Rotate WAL segments once the active one reaches this size. 0 keeps a
-  /// single segment (rotation still happens at every checkpoint cut).
-  std::uint64_t wal_segment_bytes = 64ull << 20;
   /// Checkpoint base path; empty disables checkpoints. When set, the
   /// compaction thread persists the snapshot's label array every
   /// checkpoint_interval_ms and retires WAL segments the checkpoint chain
@@ -85,8 +82,8 @@ struct ServiceOptions {
   int checkpoint_interval_ms = 5000;
   /// Replica mode (docs/REPLICATION.md): recover from the local checkpoint
   /// and WAL exactly like a primary, log the replication stream through the
-  /// same WAL (rotating only where the primary's segments end, never on
-  /// size), never write checkpoints, and shed submit() until promote().
+  /// same WAL (ending a segment where the primary's ends), never write
+  /// checkpoints, and shed submit() until promote().
   bool replica = false;
   /// Primary side: a registered replica unseen for longer than this stops
   /// holding the WAL retention floor (a dead replica must not wedge
@@ -268,12 +265,13 @@ class ConnectivityService {
     return replica_.load(std::memory_order_acquire);
   }
 
-  /// Replica -> primary failover: reopens the WAL with size rotation (the
-  /// replica's log holds whole records only, so it takes appends as it is)
-  /// and starts accepting submit(). Checkpointing (and with it local segment
-  /// retirement) resumes on the next compaction cycle. The caller must stop
-  /// the Replicator first, so no replicated record is logged after this.
-  /// Idempotent: true immediately on an already-primary service.
+  /// Replica -> primary failover: counts every applied edge as logged and
+  /// starts accepting submit(). The WAL stays open as it is (the replica's
+  /// log holds whole records only), so the next append lands in the active
+  /// segment. Checkpointing (and with it local segment retirement) resumes
+  /// on the next compaction cycle. The caller must stop the Replicator
+  /// first, so no replicated record is logged after this. Idempotent: true
+  /// immediately on an already-primary service.
   [[nodiscard]] bool promote(std::string* err = nullptr);
 
   /// Replica side: logs one primary WAL record through this service's WAL
@@ -401,16 +399,11 @@ class ConnectivityService {
   /// segments past it, remapping the snapshot through the tail's hooks, and
   /// open the WAL for appending. Without a checkpoint the live union-find,
   /// after the seed graph and the whole WAL, is flattened in place and
-  /// copied once into the first snapshot. Throws std::runtime_error on an
-  /// unusable WAL state.
+  /// copied once into the first snapshot. Then counts every applied edge as
+  /// logged and opens the WAL for appends after the checkpoint's segments,
+  /// the same way on a primary and a replica. Throws std::runtime_error on
+  /// an unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
-  /// Ctor (no thread running yet) and promote() (under wal_mu_): counts
-  /// every applied edge as logged and, with a WAL path, opens the WAL for
-  /// appends after the checkpoint's segment `covered_seq`, rotating at
-  /// `segment_bytes` (0: only when asked). False, with `err` set, if the
-  /// WAL cannot be opened.
-  [[nodiscard]] bool open_wal_for_appends(std::uint64_t covered_seq,
-                                          std::uint64_t segment_bytes, std::string* err);
   /// Under wal_mu_: appends `batch` and publishes the log's size; a failed
   /// append degrades the service. True without a WAL, and for an empty
   /// batch (as submitted, or emptied by drop_out_of_universe), which writes
@@ -480,7 +473,7 @@ class ConnectivityService {
   // stats() and submit().
   std::mutex wal_mu_;
   SegmentedWal wal_;
-  std::uint64_t logged_edges_ = 0;  // a cut's count: applied at open + accepted since
+  std::uint64_t logged_edges_ = 0;  // a cut's count: applied at open/promote + accepted since
   std::uint64_t replayed_edges_ = 0;
   std::atomic<std::uint64_t> wal_records_{0};
   std::atomic<bool> wal_healthy_{true};

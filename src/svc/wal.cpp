@@ -291,7 +291,6 @@ bool WriteAheadLog::open(const std::string& path, WalOptions opts, std::string* 
   fd_ = fd;
   opts_ = opts;
   path_ = path;
-  appended_records_ = 0;
   file_bytes_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(st.st_size),
                                         sizeof(kMagic));
   unsynced_appends_ = 0;
@@ -327,7 +326,7 @@ bool WriteAheadLog::append(const std::vector<Edge>& batch) {
   // Every record must be one the decoder accepts, or a restart would cut
   // this acked batch off as a corrupt tail.
   std::vector<std::uint8_t> rec;
-  const std::size_t records = encode_wal_records(batch, kMaxPayloadBytes, &rec);
+  encode_wal_records(batch, kMaxPayloadBytes, &rec);
 
   // Injected faults: kFail dies before any byte lands, kShort writes `arg`
   // bytes of the record first (the mid-record crash the torn-tail replay
@@ -351,7 +350,6 @@ bool WriteAheadLog::append(const std::vector<Edge>& batch) {
     return false;
   }
   file_bytes_ += rec.size();
-  appended_records_ += records;
   ++unsynced_appends_;
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.appends", 1);
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.appended_edges", batch.size());
@@ -549,7 +547,6 @@ bool SegmentedWal::open(const std::string& base, SegmentedWalOptions opts,
   opts_ = opts;
   sealed_.clear();
   sealed_bytes_ = 0;
-  appended_records_ = 0;
 
   auto segments = list_numbered_files(base);
   std::uint64_t open_seq = std::max<std::uint64_t>(first_seq, 1);
@@ -602,18 +599,6 @@ bool SegmentedWal::rotate(std::string* err) {
   sealed_bytes_ += sealed.bytes;
   sealed_.push_back(std::move(sealed));
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.rotations", 1);
-  return true;
-}
-
-bool SegmentedWal::append(const std::vector<Edge>& batch) {
-  if (!wal_.is_open()) return false;
-  if (batch.empty()) return true;
-  if (opts_.segment_bytes > 0 && wal_.appended_records() > 0 &&
-      wal_.size_bytes() >= opts_.segment_bytes) {
-    if (!rotate(nullptr)) return false;
-  }
-  if (!wal_.append(batch)) return false;
-  ++appended_records_;
   return true;
 }
 

@@ -33,10 +33,10 @@
 // each append before acking. Fault points: svc.wal.append, svc.wal.fsync,
 // svc.wal.truncate, svc.wal.rotate, svc.wal.retire.
 //
-// SegmentedWal composes WriteAheadLog into a rotating segment chain
-// (`<base>.000001`, `<base>.000002`, ...) so that, together with durable
-// checkpoints (svc/checkpoint.h), disk usage and recovery time are bounded
-// by the un-checkpointed *tail* instead of lifetime ingest
+// SegmentedWal composes WriteAheadLog into a segment chain (`<base>.000001`,
+// `<base>.000002`, ...) that only checkpoint cuts end, so that, together
+// with durable checkpoints (svc/checkpoint.h), disk usage and recovery time
+// are bounded by the un-checkpointed *tail* instead of lifetime ingest
 // (docs/ROBUSTNESS.md "Segmented WAL + checkpoints").
 //
 // The byte and fd helpers at the bottom (get_u32/put_u32, write_all,
@@ -159,10 +159,9 @@ class WriteAheadLog {
   void close();
 
   [[nodiscard]] bool is_open() const { return fd_ >= 0; }
-  [[nodiscard]] std::uint64_t appended_records() const { return appended_records_; }
 
   /// Current on-disk size (header + records appended so far). Valid while
-  /// open; drives SegmentedWal's rotation decision.
+  /// open; SegmentedWal records it as a segment's size when it seals one.
   [[nodiscard]] std::uint64_t size_bytes() const { return file_bytes_; }
 
   /// Feeds `path` to a WalDecoder in bounded chunks and truncates any torn
@@ -182,7 +181,6 @@ class WriteAheadLog {
   int fd_ = -1;
   WalOptions opts_;
   std::string path_;
-  std::uint64_t appended_records_ = 0;
   std::uint64_t file_bytes_ = 0;
   std::uint32_t unsynced_appends_ = 0;
 };
@@ -210,15 +208,16 @@ struct NumberedFile {
 /// blocks were synced. Returns false on failure (errno preserved).
 [[nodiscard]] bool fsync_parent_dir(const std::string& path);
 
+/// A segment ends only at rotate() (a checkpoint cut, or a replica mirroring
+/// the primary's), never on size, so the durability policy is the one
+/// option. It stays a struct, not a bare WalOptions parameter, because the
+/// service benchmark declares one and sets its `wal` member.
 struct SegmentedWalOptions {
   WalOptions wal;  // per-segment durability policy
-  /// Rotate to a fresh segment once the active one reaches this size
-  /// (0 = never rotate on size; explicit rotate() still works).
-  std::uint64_t segment_bytes = 64ull << 20;
 };
 
-/// A write-ahead log split across rotating segment files. Appends go to the
-/// highest-numbered (active) segment; rotation seals it and opens the next.
+/// A write-ahead log split across segment files. Appends go to the
+/// highest-numbered (active) segment; rotate() seals it and opens the next.
 /// Sealed segments are immutable and individually retirable once a durable
 /// checkpoint covers them. Not thread-safe — the service serializes all
 /// access under its WAL mutex.
@@ -244,10 +243,10 @@ class SegmentedWal {
   [[nodiscard]] bool open(const std::string& base, SegmentedWalOptions opts,
                           std::uint64_t first_seq, std::string* err);
 
-  /// Appends one batch to the active segment, rotating first when the size
-  /// threshold is reached. False on any append or rotation failure (the log
-  /// is closed — same contract as WriteAheadLog::append).
-  [[nodiscard]] bool append(const std::vector<Edge>& batch);
+  /// Appends one batch to the active segment, however large it grows. False
+  /// on any append failure (the log is closed — same contract as
+  /// WriteAheadLog::append).
+  [[nodiscard]] bool append(const std::vector<Edge>& batch) { return wal_.append(batch); }
 
   /// Seals the active segment and opens the next one (the checkpoint cut).
   /// Fault point svc.wal.rotate. On failure the log is closed and false is
@@ -278,7 +277,6 @@ class SegmentedWal {
   [[nodiscard]] std::uint64_t total_bytes() const {
     return sealed_bytes_ + wal_.size_bytes();
   }
-  [[nodiscard]] std::uint64_t appended_records() const { return appended_records_; }
 
  private:
   [[nodiscard]] bool open_segment(std::uint64_t seq, std::string* err);
@@ -287,7 +285,6 @@ class SegmentedWal {
   std::string base_;
   SegmentedWalOptions opts_;
   std::uint64_t active_seq_ = 0;
-  std::uint64_t appended_records_ = 0;
   std::vector<NumberedFile> sealed_;  // ascending seq
   std::uint64_t sealed_bytes_ = 0;
 };

@@ -570,24 +570,25 @@ TEST_F(CheckpointStoreTest, InstallValidatesFirstAndTakesTheNextLocalNumber) {
 
 using SegmentedWalTest = DurabilityTest;
 
-TEST_F(SegmentedWalTest, SizeRotationSplitsAndReplayPreservesOrder) {
+TEST_F(SegmentedWalTest, RotationSplitsAndReplayPreservesOrder) {
   const std::string base = path("wal");
-  SegmentedWalOptions opts;
-  opts.segment_bytes = 64;  // a couple of records per segment
   SegmentedWal wal;
   std::string err;
-  ASSERT_TRUE(wal.open(base, opts, 1, &err)) << err;
+  ASSERT_TRUE(wal.open(base, {}, 1, &err)) << err;
   for (vertex_t i = 0; i < 10; ++i) {
     ASSERT_TRUE(wal.append({{i, i + 100}}));
+    if (i % 3 == 2) {
+      ASSERT_TRUE(wal.rotate(&err)) << err;  // a cut every third record
+    }
   }
-  EXPECT_GT(wal.segment_count(), 2u);
-  EXPECT_GT(wal.active_seq(), 2u);
-  EXPECT_EQ(wal.appended_records(), 10u);
+  EXPECT_EQ(wal.segment_count(), 4u);
+  EXPECT_EQ(wal.active_seq(), 4u);
   wal.close();
 
   const auto rep = SegmentedWal::replay(base, 0);
   ASSERT_TRUE(rep.ok) << rep.error;
-  EXPECT_GT(rep.segments, 2u);
+  EXPECT_EQ(rep.segments, 4u);
+  EXPECT_EQ(rep.records, 10u);
   ASSERT_EQ(rep.edges.size(), 10u);
   for (vertex_t i = 0; i < 10; ++i) {
     EXPECT_EQ(rep.edges[i], (Edge{i, i + 100}));  // cross-segment order
@@ -996,30 +997,30 @@ TEST_F(ServiceCheckpointTest, CheckpointNowRetiresCoveredSegments) {
   opts.wal_path = path("wal");
   opts.checkpoint_path = path("ckpt");
   opts.checkpoint_interval_ms = 0;
-  opts.wal_segment_bytes = 256;  // rotate every few batches
-  // Room for all 100 batches below: each rotation fsyncs, so the worker can
-  // trail the submit loop by more than the default 64 and shed one.
-  opts.queue_capacity = 128;
 
+  // Each checkpoint_now() cuts: it seals the active segment and writes a
+  // checkpoint covering it. Retention keeps two checkpoints, so the first
+  // cut retires nothing and every later cut k retires segment k - 1, which
+  // the older retained checkpoint covers.
   ConnectivityService service(1024, opts);
-  for (vertex_t i = 0; i + 1 < 200; i += 2) {
-    ASSERT_EQ(service.submit({{i, i + 1}}), Admission::kAccepted);
+  const std::string wal = path("wal");
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    for (vertex_t i = 50 * (k - 1); i < 50 * k; i += 2) {
+      ASSERT_EQ(service.submit({{i, i + 1}}), Admission::kAccepted);
+    }
+    ASSERT_TRUE(service.checkpoint_now());
+    SCOPED_TRACE("cut " + std::to_string(k));
+    EXPECT_EQ(service.wal_end().first, k + 1);
+    EXPECT_EQ(service.stats().wal_segments, 2u);
+    EXPECT_TRUE(exists(numbered_path(wal, k)));
+    if (k > 1) {
+      EXPECT_FALSE(exists(numbered_path(wal, k - 1)));  // retired
+    }
   }
-  service.flush();
-  const auto before = service.stats().wal_segments;
-  EXPECT_GT(before, 3u);  // rotation actually happened
-
-  // Two checkpoints with progress in between: the retention floor advances
-  // to the first checkpoint's cut, retiring every segment before it.
-  ASSERT_TRUE(service.checkpoint_now());
+  EXPECT_EQ(service.stats().checkpoints, 4u);
+  EXPECT_GT(service.stats().last_checkpoint_epoch, 0u);
   ASSERT_EQ(service.submit({{500, 501}}), Admission::kAccepted);
   service.flush();
-  ASSERT_TRUE(service.checkpoint_now());
-
-  const auto stats = service.stats();
-  EXPECT_LT(stats.wal_segments, before);
-  EXPECT_GE(stats.checkpoints, 2u);
-  EXPECT_GT(stats.last_checkpoint_epoch, 0u);
   service.stop();
 
   // The retained tail + checkpoint still answer everything.

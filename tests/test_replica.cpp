@@ -948,30 +948,41 @@ class ReplicationE2ETest : public ReplicaTest {
  protected:
   void SetUp() override {
     ReplicaTest::SetUp();
+    ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+    ASSERT_TRUE(std::filesystem::create_directories(path("r")));
+    start_primary();
+    ropts_.unix_path = path("primary.sock");
+    ropts_.fetch_interval_ms = 10;
+  }
+
+  void TearDown() override {
+    stop_replica();
+    stop_primary();
+    ReplicaTest::TearDown();
+  }
+
+  /// Starts the primary service and its server on the state in p/. Only a
+  /// checkpoint_now() cut seals one of its segments.
+  void start_primary() {
     ServiceOptions popts;
     popts.wal_path = path("p/wal");
     popts.checkpoint_path = path("p/ckpt");
     popts.checkpoint_interval_ms = 0;  // test drives checkpoints explicitly
-    popts.wal_segment_bytes = 1024;  // rotate often: exercise sealed advance
     popts.replica_hold_ms = 100;
-    ASSERT_TRUE(std::filesystem::create_directories(path("p")));
-    ASSERT_TRUE(std::filesystem::create_directories(path("r")));
     primary_ = std::make_unique<ConnectivityService>(kVertices, popts);
     ServerOptions sopts;
     sopts.unix_path = path("primary.sock");
     server_ = std::make_unique<Server>(*primary_, sopts);
     std::string err;
     ASSERT_TRUE(server_->start(&err)) << err;
-
-    ropts_.unix_path = sopts.unix_path;
-    ropts_.fetch_interval_ms = 10;
   }
 
-  void TearDown() override {
-    stop_replica();
+  /// Tears the primary stack down cleanly; its state stays on disk in p/.
+  void stop_primary() {
     if (server_) server_->stop();
     if (primary_) primary_->stop();
-    ReplicaTest::TearDown();
+    server_.reset();
+    primary_.reset();
   }
 
   /// Constructs and starts the replica stack (service, server on its own
@@ -982,6 +993,7 @@ class ReplicationE2ETest : public ReplicaTest {
     o.replica = true;
     o.wal_path = path("r/wal");
     o.checkpoint_path = path("r/ckpt");
+    o.checkpoint_interval_ms = 0;  // a promoted replica cuts only when stopped
     replica_ = std::make_unique<ConnectivityService>(kVertices, o);
     replicator_ = std::make_unique<Replicator>(*replica_, ropts_);
     ServerOptions so;
@@ -1029,10 +1041,12 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
 
   start_replica();
 
-  // Everything acked before the replica joined becomes visible.
+  // Everything acked before the replica joined becomes visible, across the
+  // one sealed segment the checkpoint's cut ended.
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(0, 3); }))
       << "replica never caught up with pre-join state";
+  EXPECT_EQ(replica_->wal_end().first, 2u);
 
   // Live streaming: new primary writes show up with bounded, observable lag.
   ASSERT_EQ(pc->ingest({{3, 4}, {4, 5}}), Status::kOk);
@@ -1055,15 +1069,34 @@ TEST_F(ReplicationE2ETest, BootstrapStreamLagAndPromote) {
   EXPECT_TRUE(rh.replica);
 
   // Failover: promote over the wire (the hook stops the Replicator first).
+  // The log stays open as it is: the promotion ends no segment, and the
+  // first write lands in the segment streamed last, as one 16-byte record.
+  const auto end = replica_->wal_end();
   Status st = Status::kOk;
   ASSERT_TRUE(rc->promote(&st)) << status_name(st);
+  EXPECT_EQ(replica_->wal_end(), end);
   EXPECT_EQ(rc->ingest({{9, 10}}), Status::kOk);
+  EXPECT_EQ(replica_->wal_end(), std::make_pair(end.first, end.second + 16));
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(9, 10); }));
   ASSERT_TRUE(rc->stats(rh));
   EXPECT_FALSE(rh.replica);
   // Everything replicated before the failover survived the promotion.
   EXPECT_TRUE(replica_->connected(0, 5));
+
+  // The promoted node's own directories hold the 5 replicated edges and the
+  // new one: its stop() checkpoints at a cut counting all 6 as logged.
+  rc.reset();
+  stop_replica();
+  ServiceOptions o;
+  o.wal_path = path("r/wal");
+  o.checkpoint_path = path("r/ckpt");
+  ConnectivityService restarted(kVertices, o);
+  EXPECT_EQ(restarted.stats().applied_edges, 6u);
+  EXPECT_EQ(restarted.replayed_edges(), 0u);  // that checkpoint covers them all
+  EXPECT_TRUE(restarted.connected(0, 5));
+  EXPECT_TRUE(restarted.connected(9, 10));
+  restarted.stop();
 }
 
 TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
@@ -1076,9 +1109,9 @@ TEST_F(ReplicationE2ETest, FallenBehindReplicaRebootstraps) {
   ASSERT_TRUE(wait_until(
       [&] { return replica_->connected(0, 1); }));
 
-  // Stop streaming, then push the primary far past retention: enough bytes
-  // to rotate several 1 KiB segments, two checkpoint cuts, and a wait past
-  // replica_hold_ms so the dead replica stops pinning the floor.
+  // Stop streaming, then push the primary past retention: two checkpoint
+  // cuts, with a wait past replica_hold_ms between them so the dead
+  // replica stops pinning the floor, retire segment 1.
   replicator_->stop();
   std::vector<Edge> chain;
   for (vertex_t v = 1; v + 1 < 300; ++v) chain.push_back({v, v + 1});
@@ -1162,18 +1195,34 @@ TEST_F(ReplicationE2ETest, ReplicaRestartResumesFromLocalMirror) {
       [&] { return replica_->connected(0, 3); }));
 }
 
-// Records are 808 bytes and the primary seals every 1 KiB segment after two,
-// while each fetch takes 83 bytes. The Replicator's one tick stops after
-// 256 fetches, 20 per segment: 12 segments, then 1328 bytes into the 13th,
-// partway through its second record. Only whole records reach the replica's
-// log, so it ends on a record boundary, and each of its segments is a
-// prefix of the primary's.
+// The primary's log is 40 records of 808 bytes, cut after every second
+// one, while each fetch takes 83 bytes. The Replicator's one tick stops
+// after 256 fetches, 20 per segment: it crosses 12 sealed segments, then
+// reads 1328 bytes into the 13th, partway through its second record. Only
+// whole records reach the replica's log, so it ends on a record boundary,
+// and each of its segments is a prefix of the primary's.
 TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
-  for (vertex_t b = 0; b < 40; ++b) {
-    ConnectivityService::EdgeBatch batch;
-    for (vertex_t i = 0; i < 100; ++i) batch.emplace_back(i, (b * 7 + i + 1) % kVertices);
-    ASSERT_EQ(primary_->submit(std::move(batch)), Admission::kAccepted);
+  // Twenty checkpoint_now() cuts would also retire all but the last two
+  // segments before the replica starts, so the primary restarts on a log
+  // cut at the WAL layer instead.
+  stop_primary();
+  std::filesystem::remove_all(path("p"));
+  ASSERT_TRUE(std::filesystem::create_directories(path("p")));
+  {
+    SegmentedWal wal;
+    std::string err;
+    ASSERT_TRUE(wal.open(path("p/wal"), {}, 1, &err)) << err;
+    for (vertex_t b = 0; b < 40; ++b) {
+      std::vector<Edge> batch;
+      for (vertex_t i = 0; i < 100; ++i) batch.emplace_back(i, (b * 7 + i + 1) % kVertices);
+      ASSERT_TRUE(wal.append(batch));
+      if (b % 2 == 1) {
+        ASSERT_TRUE(wal.rotate(&err)) << err;
+      }
+    }
   }
+  start_primary();
+  ASSERT_EQ(primary_->wal_end(), std::make_pair(std::uint64_t{21}, std::uint64_t{8}));
   ropts_.fetch_max_bytes = 83;
   ropts_.fetch_interval_ms = 60000;  // one tick
   const std::uint64_t served = server_->requests_served();
@@ -1202,6 +1251,7 @@ TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
     EXPECT_TRUE(std::equal(mine.begin(), mine.end(), primary.begin()));
   }
   EXPECT_EQ(segments.back().bytes, 8u + 808u);  // the magic and record 25
+  EXPECT_EQ(replica_->wal_end(), std::make_pair(std::uint64_t{13}, std::uint64_t{8 + 808}));
 }
 
 }  // namespace

@@ -22,10 +22,10 @@
 //                           final record) and append every accepted batch
 //                           before acking it
 //   --wal-fsync=POLICY      none | batch | always (default batch)
-//   --wal-segment-bytes=N   rotate WAL segments at this size (def. 64 MiB)
 //   --checkpoint=PATH       durable label-array checkpoints (PATH.000001,
-//                           ...): restart loads the newest valid checkpoint
-//                           and replays only WAL segments past it; covered
+//                           ...): each checkpoint cut ends a WAL segment;
+//                           restart loads the newest valid checkpoint and
+//                           replays only WAL segments past it; covered
 //                           segments are retired (bounded recovery + disk)
 //   --checkpoint-interval-ms=N  min period between checkpoints (def. 5000;
 //                           0 = only the final checkpoint on clean stop)
@@ -123,8 +123,6 @@ int main(int argc, char** argv) {
                  fsync_policy.c_str());
     return 1;
   }
-  sopts.wal_segment_bytes = static_cast<std::uint64_t>(args.get_int(
-      "wal-segment-bytes", static_cast<std::int64_t>(sopts.wal_segment_bytes)));
   sopts.checkpoint_path = args.get("checkpoint", sopts.checkpoint_path);
   sopts.checkpoint_interval_ms =
       static_cast<int>(args.get_int("checkpoint-interval-ms", sopts.checkpoint_interval_ms));
