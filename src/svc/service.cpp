@@ -159,15 +159,11 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
     snap->num_components = ckpt->components;
     applied_edges_.store(snap->watermark, std::memory_order_release);
     live_components_ = snap->num_components;
-    has_ckpt_.store(true, std::memory_order_release);
-    last_ckpt_epoch_.store(snap->epoch, std::memory_order_relaxed);
-    last_ckpt_watermark_.store(snap->watermark, std::memory_order_relaxed);
-    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+    record_checkpoint(*ckpt);
     ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loads", 1);
     ECL_OBS_COUNTER_ADD("ecl.svc.ckpt.loaded_edges", snap->watermark);
     snapshot_.store(std::move(snap));
   }
-  ckpt_covered_seq_.store(covered_seq, std::memory_order_relaxed);
 
   if (!opts_.wal_path.empty()) {
     auto rep = SegmentedWal::replay(opts_.wal_path, covered_seq);
@@ -208,8 +204,6 @@ void ConnectivityService::init_durability(std::optional<CheckpointData> ckpt) {
   if (!wal_.open(opts_.wal_path, {.wal = opts_.wal}, covered_seq + 1, &err)) {
     throw std::runtime_error("ecl::svc WAL open failed: " + err);
   }
-  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
 }
 
 bool ConnectivityService::log_batch(const EdgeBatch& batch) {
@@ -220,8 +214,6 @@ bool ConnectivityService::log_batch(const EdgeBatch& batch) {
     return false;
   }
   wal_records_.fetch_add(1, std::memory_order_relaxed);
-  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
   return true;
 }
 
@@ -231,8 +223,14 @@ void ConnectivityService::rotate_wal() {
     wal_healthy_.store(false, std::memory_order_release);
     enter_degraded(("WAL rotate failed: " + err).c_str());
   }
-  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+}
+
+void ConnectivityService::record_checkpoint(const CheckpointHeader& header) {
+  ckpt_covered_seq_.store(header.wal_seq, std::memory_order_relaxed);
+  last_ckpt_epoch_.store(header.epoch, std::memory_order_relaxed);
+  last_ckpt_watermark_.store(header.watermark, std::memory_order_relaxed);
+  last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+  has_ckpt_.store(true, std::memory_order_release);
 }
 
 void ConnectivityService::enter_degraded(const char* reason) {
@@ -455,12 +453,8 @@ void ConnectivityService::write_checkpoint(const Cut& cut, const Snapshot& snap)
                                 .wal_seq = cut.seq};
   const auto wr = ckpt_store_.write(header, snap.labels);
   if (wr.ok) {
-    ckpt_covered_seq_.store(cut.seq, std::memory_order_relaxed);
-    has_ckpt_.store(true, std::memory_order_release);
+    record_checkpoint(header);
     ckpt_written_.fetch_add(1, std::memory_order_release);
-    last_ckpt_epoch_.store(snap.epoch, std::memory_order_relaxed);
-    last_ckpt_watermark_.store(snap.watermark, std::memory_order_relaxed);
-    last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
     ECL_OBS_HISTOGRAM_RECORD("ecl.svc.ckpt_ms", ::ecl::obs::Histogram::pow2_bounds(16),
                              static_cast<std::uint64_t>(t.millis()));
     // Retire the segments the *oldest retained* checkpoint covers, so a
@@ -468,11 +462,9 @@ void ConnectivityService::write_checkpoint(const Cut& cut, const Snapshot& snap)
     // (one unseen past replica_hold_ms re-bootstraps instead).
     const std::uint64_t floor =
         std::min(ckpt_store_.retention_floor_wal_seq(), replica_fetch_floor());
-    {
+    if (floor > 0 && floor != UINT64_MAX) {
       std::lock_guard<std::mutex> lock(wal_mu_);
-      if (floor > 0 && floor != UINT64_MAX) (void)wal_.retire_through(floor);
-      wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-      wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
+      (void)wal_.retire_through(floor);
     }
     span.arg("epoch", snap.epoch);
     span.arg("watermark", snap.watermark);
@@ -636,8 +628,8 @@ ServiceStats ConnectivityService::stats() const {
   s.num_vertices = num_vertices_;
   s.checkpoints = ckpt_written_.load(std::memory_order_relaxed);
   s.last_checkpoint_epoch = last_ckpt_epoch_.load(std::memory_order_relaxed);
-  s.wal_segments = wal_segments_.load(std::memory_order_relaxed);
-  s.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
+  s.wal_segments = wal_.segment_count();
+  s.wal_bytes = wal_.total_bytes();
   s.degraded = degraded_.load(std::memory_order_acquire) ? 1 : 0;
   s.uptime_ms = now_ms();
   s.replayed_edges = replayed_edges_;
@@ -733,8 +725,6 @@ bool ConnectivityService::rebase_to_image(std::span<const std::uint8_t> image,
     wal_healthy_.store(false, std::memory_order_release);
     enter_degraded(("WAL reset failed: " + werr).c_str());
   }
-  wal_segments_.store(wal_.segment_count(), std::memory_order_relaxed);
-  wal_bytes_.store(wal_.total_bytes(), std::memory_order_relaxed);
   return true;
 }
 
@@ -760,11 +750,7 @@ bool ConnectivityService::rebase_to_checkpoint(const CheckpointData& data) {
     force_components_ = std::min(force_components_, live_components_);
   }
   compact_cv_.notify_all();
-  ckpt_covered_seq_.store(data.wal_seq, std::memory_order_relaxed);
-  has_ckpt_.store(true, std::memory_order_release);
-  last_ckpt_epoch_.store(data.epoch, std::memory_order_relaxed);
-  last_ckpt_watermark_.store(data.watermark, std::memory_order_relaxed);
-  last_ckpt_ms_.store(now_ms(), std::memory_order_relaxed);
+  record_checkpoint(data);
   ECL_OBS_COUNTER_ADD("ecl.svc.replica.rebases", 1);
   return true;
 }

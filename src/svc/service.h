@@ -404,14 +404,17 @@ class ConnectivityService {
   /// the same way on a primary and a replica. Throws std::runtime_error on
   /// an unusable WAL state.
   void init_durability(std::optional<CheckpointData> ckpt);
-  /// Under wal_mu_: appends `batch` and publishes the log's size; a failed
-  /// append degrades the service. True without a WAL, and for an empty
-  /// batch (as submitted, or emptied by drop_out_of_universe), which writes
-  /// no record and so is not counted in wal_records.
+  /// Under wal_mu_: appends `batch`; a failed append degrades the service.
+  /// True without a WAL, and for an empty batch (as submitted, or emptied by
+  /// drop_out_of_universe), which writes no record and so is not counted in
+  /// wal_records.
   [[nodiscard]] bool log_batch(const EdgeBatch& batch);
-  /// Under wal_mu_: seals the active segment, if the WAL is open, and
-  /// publishes the log's size; a failed rotation degrades the service.
+  /// Under wal_mu_: seals the active segment, if the WAL is open; a failed
+  /// rotation degrades the service.
   void rotate_wal();
+  /// Stores the facts of a checkpoint loaded, written or rebased onto: the
+  /// WAL seq it covers, its epoch and watermark, and when (now_ms()).
+  void record_checkpoint(const CheckpointHeader& header);
   /// Compaction thread: persists the snapshot published at `cut`, retires
   /// covered WAL segments and settles the cut for checkpoint_now().
   void write_checkpoint(const Cut& cut, const Snapshot& snap);
@@ -470,7 +473,7 @@ class ConnectivityService {
   // Robustness state. wal_mu_ serializes appends from concurrent submit()
   // callers or the Replicator's thread (and the checkpoint cut's
   // rotation/retirement against them); the flags are read lock-free by
-  // stats() and submit().
+  // stats() and submit(), and wal_'s own size accessors by stats().
   std::mutex wal_mu_;
   SegmentedWal wal_;
   std::uint64_t logged_edges_ = 0;  // a cut's count: applied at open/promote + accepted since
@@ -494,8 +497,6 @@ class ConnectivityService {
   std::atomic<std::uint64_t> last_ckpt_watermark_{0};
   std::atomic<std::uint64_t> last_ckpt_ms_{0};    // now_ms() of write/load
   std::atomic<bool> has_ckpt_{false};             // written or loaded one
-  std::atomic<std::uint64_t> wal_segments_{0};
-  std::atomic<std::uint64_t> wal_bytes_{0};
 
   // Replication state. replica_ flips exactly once (promote, serialized by
   // promote_mu_); the registry is primary-side bookkeeping mapping each

@@ -248,55 +248,6 @@ bool parse_fsync_policy(std::string_view s, FsyncPolicy* out) {
   return false;
 }
 
-WriteAheadLog::~WriteAheadLog() { close(); }
-
-bool WriteAheadLog::open(const std::string& path, WalOptions opts, std::string* err) {
-  close();
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    set_error(err, "wal open " + path);
-    return false;
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    set_error(err, "wal fstat " + path);
-    ::close(fd);
-    return false;
-  }
-  if (st.st_size == 0) {
-    if (!write_all(fd, kMagic, sizeof(kMagic))) {
-      set_error(err, "wal write header " + path);
-      ::close(fd);
-      return false;
-    }
-    // A brand-new (or just-headered) file: make the file itself and its
-    // directory entry durable now. Without the directory fsync a crash
-    // right after creation can lose the WAL file wholesale — and with it
-    // every batch acked against it (docs/ROBUSTNESS.md).
-    if (::fsync(fd) != 0 || !fsync_parent_dir(path)) {
-      set_error(err, "wal create-sync " + path);
-      ::close(fd);
-      return false;
-    }
-  } else {
-    char magic[sizeof(kMagic)] = {};
-    if (st.st_size < static_cast<off_t>(sizeof(kMagic)) ||
-        ::pread(fd, magic, sizeof(magic), 0) != static_cast<ssize_t>(sizeof(magic)) ||
-        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-      if (err != nullptr) *err = "wal open " + path + ": not a WAL file (bad magic)";
-      ::close(fd);
-      return false;
-    }
-  }
-  fd_ = fd;
-  opts_ = opts;
-  path_ = path;
-  file_bytes_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(st.st_size),
-                                        sizeof(kMagic));
-  unsynced_appends_ = 0;
-  return true;
-}
-
 std::size_t encode_wal_records(std::span<const Edge> batch, std::uint32_t max_payload_bytes,
                                std::vector<std::uint8_t>* out) {
   const std::size_t per_record = std::max<std::size_t>(max_payload_bytes / 8, 1);
@@ -318,70 +269,6 @@ std::size_t encode_wal_records(std::span<const Edge> batch, std::uint32_t max_pa
     rec = p;
   }
   return records;
-}
-
-bool WriteAheadLog::append(const std::vector<Edge>& batch) {
-  if (fd_ < 0) return false;
-  if (batch.empty()) return true;
-  // Every record must be one the decoder accepts, or a restart would cut
-  // this acked batch off as a corrupt tail.
-  std::vector<std::uint8_t> rec;
-  encode_wal_records(batch, kMaxPayloadBytes, &rec);
-
-  // Injected faults: kFail dies before any byte lands, kShort writes `arg`
-  // bytes of the record first (the mid-record crash the torn-tail replay
-  // must cut back off), kDelay just stalls the append.
-  const auto outcome = ECL_FAULT_POINT("svc.wal.append");
-  fault::apply_delay(outcome);
-  bool append_fault = outcome.action == fault::Action::kFail ||
-                      outcome.action == fault::Action::kOom ||
-                      outcome.action == fault::Action::kKill;
-  if (outcome.action == fault::Action::kShort) {
-    const std::size_t partial = std::min<std::size_t>(outcome.arg, rec.size());
-    (void)write_all(fd_, rec.data(), partial);
-    file_bytes_ += partial;
-    append_fault = true;
-  }
-  if (append_fault || !write_all(fd_, rec.data(), rec.size())) {
-    // A record may have been half-written; the half-record is exactly the
-    // torn tail replay knows how to cut off. Close so the service degrades.
-    ECL_OBS_COUNTER_ADD("ecl.svc.wal.errors", 1);
-    close();
-    return false;
-  }
-  file_bytes_ += rec.size();
-  ++unsynced_appends_;
-  ECL_OBS_COUNTER_ADD("ecl.svc.wal.appends", 1);
-  ECL_OBS_COUNTER_ADD("ecl.svc.wal.appended_edges", batch.size());
-
-  const bool want_fsync =
-      opts_.fsync_policy == FsyncPolicy::kAlways ||
-      (opts_.fsync_policy == FsyncPolicy::kBatch && opts_.fsync_every != 0 &&
-       unsynced_appends_ >= opts_.fsync_every);
-  if (want_fsync && !sync()) {
-    ECL_OBS_COUNTER_ADD("ecl.svc.wal.errors", 1);
-    close();
-    return false;
-  }
-  return true;
-}
-
-bool WriteAheadLog::sync() {
-  if (fd_ < 0) return true;
-  if (ECL_FAULT_POINT("svc.wal.fsync").fired()) return false;
-  if (::fsync(fd_) != 0) return false;
-  unsynced_appends_ = 0;
-  ECL_OBS_COUNTER_ADD("ecl.svc.wal.fsyncs", 1);
-  return true;
-}
-
-void WriteAheadLog::close() {
-  if (fd_ < 0) return;
-  if (opts_.fsync_policy != FsyncPolicy::kNone && unsynced_appends_ > 0) {
-    (void)::fsync(fd_);
-  }
-  ::close(fd_);
-  fd_ = -1;
 }
 
 void WalDecoder::feed(std::span<const std::uint8_t> bytes) {
@@ -416,8 +303,8 @@ WalDecoder::Status WalDecoder::next(std::vector<Edge>* edges) {
   return Status::kRecord;
 }
 
-WalReplayResult WriteAheadLog::replay_and_truncate(const std::string& path,
-                                                   bool truncate_tail) {
+WalReplayResult SegmentedWal::replay_and_truncate(const std::string& path,
+                                                  bool truncate_tail) {
   WalReplayResult out;
   const int fd = ::open(path.c_str(), truncate_tail ? O_RDWR : O_RDONLY);
   if (fd < 0) {
@@ -509,7 +396,7 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& base,
     // Sealed segments are validated read-only: damage there is refused
     // below, and truncating would destroy any acked records past the
     // damage point that a manual repair could still recover.
-    auto rep = WriteAheadLog::replay_and_truncate(seg.path, /*truncate_tail=*/is_last);
+    auto rep = replay_and_truncate(seg.path, /*truncate_tail=*/is_last);
     if (!rep.ok) {
       out.error = rep.error;
       return out;
@@ -534,10 +421,57 @@ SegmentedWal::ReplayResult SegmentedWal::replay(const std::string& base,
   return out;
 }
 
+SegmentedWal::~SegmentedWal() { close(); }
+
 bool SegmentedWal::open_segment(std::uint64_t seq, std::string* err) {
-  if (!wal_.open(numbered_path(base_, seq), opts_.wal, err)) return false;
+  const std::string path = numbered_path(base_, seq);
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_APPEND, 0644);
+  if (fd < 0) {
+    set_error(err, "wal open " + path);
+    return false;
+  }
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) {
+    set_error(err, "wal fstat " + path);
+    ::close(fd);
+    return false;
+  }
+  if (st.st_size == 0) {
+    if (!write_all(fd, kMagic, sizeof(kMagic))) {
+      set_error(err, "wal write header " + path);
+      ::close(fd);
+      return false;
+    }
+    // A brand-new (or just-headered) file: make the file itself and its
+    // directory entry durable now. Without the directory fsync a crash
+    // right after creation can lose the segment wholesale — and with it
+    // every batch acked against it (docs/ROBUSTNESS.md).
+    if (::fsync(fd) != 0 || !fsync_parent_dir(path)) {
+      set_error(err, "wal create-sync " + path);
+      ::close(fd);
+      return false;
+    }
+  } else {
+    char magic[sizeof(kMagic)] = {};
+    if (st.st_size < static_cast<off_t>(sizeof(kMagic)) ||
+        ::pread(fd, magic, sizeof(magic), 0) != static_cast<ssize_t>(sizeof(magic)) ||
+        std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+      if (err != nullptr) *err = "wal open " + path + ": not a WAL file (bad magic)";
+      ::close(fd);
+      return false;
+    }
+  }
+  fd_ = fd;
   active_seq_ = seq;
+  active_bytes_ = std::max<std::uint64_t>(static_cast<std::uint64_t>(st.st_size),
+                                          sizeof(kMagic));
+  unsynced_appends_ = 0;
   return true;
+}
+
+void SegmentedWal::publish_size() {
+  segment_count_.store(sealed_.size() + 1, std::memory_order_relaxed);
+  total_bytes_.store(sealed_bytes_ + active_bytes_, std::memory_order_relaxed);
 }
 
 bool SegmentedWal::open(const std::string& base, SegmentedWalOptions opts,
@@ -547,6 +481,7 @@ bool SegmentedWal::open(const std::string& base, SegmentedWalOptions opts,
   opts_ = opts;
   sealed_.clear();
   sealed_bytes_ = 0;
+  active_bytes_ = 0;
 
   auto segments = list_numbered_files(base);
   std::uint64_t open_seq = std::max<std::uint64_t>(first_seq, 1);
@@ -564,7 +499,70 @@ bool SegmentedWal::open(const std::string& base, SegmentedWalOptions opts,
       sealed_.push_back(segments.back());
     }
   }
-  return open_segment(open_seq, err);
+  const bool ok = open_segment(open_seq, err);
+  publish_size();
+  return ok;
+}
+
+bool SegmentedWal::append(const std::vector<Edge>& batch) {
+  if (fd_ < 0) return false;
+  if (batch.empty()) return true;
+  // Every record must be one the decoder accepts, or a restart would cut
+  // this acked batch off as a corrupt tail.
+  std::vector<std::uint8_t> rec;
+  encode_wal_records(batch, kMaxPayloadBytes, &rec);
+
+  // Injected faults: kFail dies before any byte lands, kShort writes `arg`
+  // bytes of the record first (the mid-record crash the torn-tail replay
+  // must cut back off), kDelay just stalls the append.
+  const auto outcome = ECL_FAULT_POINT("svc.wal.append");
+  fault::apply_delay(outcome);
+  if (outcome.action == fault::Action::kShort) {
+    (void)write_all(fd_, rec.data(), std::min<std::size_t>(outcome.arg, rec.size()));
+  }
+  const bool written =
+      (outcome.action == fault::Action::kNone || outcome.action == fault::Action::kDelay) &&
+      write_all(fd_, rec.data(), rec.size());
+  if (written) {
+    active_bytes_ += rec.size();
+    ++unsynced_appends_;
+    ECL_OBS_COUNTER_ADD("ecl.svc.wal.appends", 1);
+    ECL_OBS_COUNTER_ADD("ecl.svc.wal.appended_edges", batch.size());
+  } else {
+    // A record may have been half-written: exactly the torn tail replay
+    // cuts off. It is on disk until then, so it counts.
+    struct stat st{};
+    if (::fstat(fd_, &st) == 0) active_bytes_ = static_cast<std::uint64_t>(st.st_size);
+  }
+  publish_size();
+
+  const bool want_fsync = opts_.wal.fsync_policy == FsyncPolicy::kAlways ||
+                          (opts_.wal.fsync_policy == FsyncPolicy::kBatch &&
+                           unsynced_appends_ >= kBatchFsyncAppends);
+  if (!written || (want_fsync && !sync())) {
+    // A log that can no longer persist closes, so the service degrades.
+    ECL_OBS_COUNTER_ADD("ecl.svc.wal.errors", 1);
+    close();
+    return false;
+  }
+  return true;
+}
+
+bool SegmentedWal::sync() {
+  if (ECL_FAULT_POINT("svc.wal.fsync").fired()) return false;
+  if (::fsync(fd_) != 0) return false;
+  unsynced_appends_ = 0;
+  ECL_OBS_COUNTER_ADD("ecl.svc.wal.fsyncs", 1);
+  return true;
+}
+
+void SegmentedWal::close() {
+  if (fd_ < 0) return;
+  if (opts_.wal.fsync_policy != FsyncPolicy::kNone && unsynced_appends_ > 0) {
+    (void)::fsync(fd_);
+  }
+  ::close(fd_);
+  fd_ = -1;
 }
 
 bool SegmentedWal::reset(std::uint64_t first_seq, std::string* err) {
@@ -574,7 +572,7 @@ bool SegmentedWal::reset(std::uint64_t first_seq, std::string* err) {
 }
 
 bool SegmentedWal::rotate(std::string* err) {
-  if (!wal_.is_open()) {
+  if (fd_ < 0) {
     if (err != nullptr) *err = "wal rotate: log is closed";
     return false;
   }
@@ -590,14 +588,15 @@ bool SegmentedWal::rotate(std::string* err) {
   NumberedFile sealed;
   sealed.seq = active_seq_;
   sealed.path = numbered_path(base_, active_seq_);
-  sealed.bytes = wal_.size_bytes();
-  wal_.close();  // fsyncs any unsynced tail per policy
+  sealed.bytes = active_bytes_;
+  close();  // fsyncs any unsynced tail per policy
   if (!open_segment(active_seq_ + 1, err)) {
     ECL_OBS_COUNTER_ADD("ecl.svc.wal.errors", 1);
     return false;
   }
   sealed_bytes_ += sealed.bytes;
   sealed_.push_back(std::move(sealed));
+  publish_size();
   ECL_OBS_COUNTER_ADD("ecl.svc.wal.rotations", 1);
   return true;
 }
@@ -652,6 +651,7 @@ std::size_t SegmentedWal::retire_through(std::uint64_t upto) {
     it = sealed_.erase(it);
     ++deleted;
   }
+  publish_size();
   if (deleted > 0) {
     ECL_OBS_COUNTER_ADD("ecl.svc.wal.retired_segments", deleted);
     (void)fsync_parent_dir(base_);

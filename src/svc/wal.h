@@ -3,22 +3,22 @@
 //
 // The service appends every accepted batch to this log *before* the submit
 // call returns kAccepted, so an acked batch survives a crash of the daemon
-// process: on restart, replay_and_truncate() returns every durably logged
+// process: on restart, SegmentedWal::replay() returns every durably logged
 // edge and the service re-inserts them into the union-find (idempotent, so
 // a batch that was both logged and applied before the crash is harmless).
 //
-// On-disk layout (little-endian throughout):
+// On-disk layout of each segment file (little-endian throughout):
 //
 //   header   8 bytes   magic "ECLWAL01"
 //   record   u32 payload_len | u32 crc32(payload) | payload
 //   payload  payload_len/8 edges, each u32 u | u32 v
 //
 // This file owns that framing: encode_wal_records() (through
-// WriteAheadLog::append()) is its one writer and WalDecoder its one reader,
+// SegmentedWal::append()) is its one writer and WalDecoder its one reader,
 // and both hold records to the same 2^26-byte payload limit. Restart replay
 // and the replica's stream (svc/replica.h) both feed bytes to a WalDecoder,
 // so the two can never disagree on what a valid record is; a replica logs
-// each decoded record through its own WriteAheadLog, which re-encodes it
+// each decoded record through its own SegmentedWal, which re-encodes it
 // byte for byte.
 //
 // A crash can tear the final record (partial write, or payload written but
@@ -28,22 +28,24 @@
 // polynomial 0xEDB88320 (same function zlib computes), implemented locally
 // so the dependency stays zero.
 //
-// Durability is configurable per service (FsyncPolicy): kNone trusts the
-// page cache, kBatch fsyncs every `fsync_every` appends, kAlways fsyncs
-// each append before acking. Fault points: svc.wal.append, svc.wal.fsync,
-// svc.wal.truncate, svc.wal.rotate, svc.wal.retire.
-//
-// SegmentedWal composes WriteAheadLog into a segment chain (`<base>.000001`,
+// One class, SegmentedWal, is the log: a segment chain (`<base>.000001`,
 // `<base>.000002`, ...) that only checkpoint cuts end, so that, together
 // with durable checkpoints (svc/checkpoint.h), disk usage and recovery time
 // are bounded by the un-checkpointed *tail* instead of lifetime ingest
-// (docs/ROBUSTNESS.md "Segmented WAL + checkpoints").
+// (docs/ROBUSTNESS.md "Segmented WAL + checkpoints"). It owns the active
+// segment's fd, and reports its own segment count and bytes on disk.
+//
+// Durability is configurable per service (FsyncPolicy): kNone trusts the
+// page cache, kBatch fsyncs every 16 appends (kBatchFsyncAppends), kAlways
+// fsyncs each append before acking. Fault points: svc.wal.append,
+// svc.wal.fsync, svc.wal.truncate, svc.wal.rotate, svc.wal.retire.
 //
 // The byte and fd helpers at the bottom (get_u32/put_u32, write_all,
 // read_upto, numbered_path, fsync_parent_dir, crc32) are the shared file
 // primitives of both on-disk formats; svc/checkpoint.cpp uses them too.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -58,7 +60,7 @@ namespace ecl::svc {
 /// When the WAL calls fsync (docs/ROBUSTNESS.md "Durability levels").
 enum class FsyncPolicy : std::uint8_t {
   kNone = 0,    // never; page cache only — survives process death, not OS crash
-  kBatch = 1,   // every WalOptions::fsync_every appends (and on close)
+  kBatch = 1,   // every kBatchFsyncAppends appends (and on close)
   kAlways = 2,  // every append, before the caller is acked
 };
 
@@ -66,10 +68,11 @@ enum class FsyncPolicy : std::uint8_t {
 /// Parses "none" | "batch" | "always". False (out unchanged) otherwise.
 [[nodiscard]] bool parse_fsync_policy(std::string_view s, FsyncPolicy* out);
 
+/// Under kBatch: the log fsyncs once per this many appends (and on close).
+inline constexpr std::uint32_t kBatchFsyncAppends = 16;
+
 struct WalOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kBatch;
-  /// Under kBatch: fsync once per this many appends (and on close).
-  std::uint32_t fsync_every = 16;
 };
 
 /// What replay recovered. `ok == false` means the file exists but is not a
@@ -126,64 +129,10 @@ class WalDecoder {
 
 /// Frames `batch` as WAL records in order, each holding at most
 /// `max_payload_bytes` (>= 8) of payload, into *out (replacing its
-/// contents); returns the record count. WriteAheadLog::append passes the
+/// contents); returns the record count. SegmentedWal::append passes the
 /// decoder's limit; a small limit splits small batches the same way.
 std::size_t encode_wal_records(std::span<const Edge> batch, std::uint32_t max_payload_bytes,
                                std::vector<std::uint8_t>* out);
-
-class WriteAheadLog {
- public:
-  WriteAheadLog() = default;
-  ~WriteAheadLog();
-
-  WriteAheadLog(const WriteAheadLog&) = delete;
-  WriteAheadLog& operator=(const WriteAheadLog&) = delete;
-
-  /// Opens `path` for appending, creating it (with header) if absent or
-  /// empty. An existing file must carry the WAL magic; replay it first —
-  /// open() does not validate record bodies, only the header, and positions
-  /// at end-of-file. Returns false with *err filled in on failure.
-  [[nodiscard]] bool open(const std::string& path, WalOptions opts, std::string* err);
-
-  /// Appends one batch as CRC-framed records (one, unless the batch exceeds
-  /// the decoder's 2^26-byte payload limit) with one write, and applies the
-  /// fsync policy. False on any I/O failure (the log is closed: a WAL that can no
-  /// longer persist must not pretend to — the service reacts by entering
-  /// degraded mode). Empty batches are a no-op.
-  [[nodiscard]] bool append(const std::vector<Edge>& batch);
-
-  /// Explicit fsync (e.g. before a clean shutdown). No-op when closed.
-  [[nodiscard]] bool sync();
-
-  /// Fsyncs (per policy) and closes the fd. Idempotent.
-  void close();
-
-  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
-
-  /// Current on-disk size (header + records appended so far). Valid while
-  /// open; SegmentedWal records it as a segment's size when it seals one.
-  [[nodiscard]] std::uint64_t size_bytes() const { return file_bytes_; }
-
-  /// Feeds `path` to a WalDecoder in bounded chunks and truncates any torn
-  /// tail in place, back to the decoder's offset(). A missing file is a
-  /// clean empty result (ok, no edges) so first boot and restart share one
-  /// code path.
-  ///
-  /// With `truncate_tail == false` the file is never modified: a torn tail
-  /// is still reported via truncated_bytes, but left on disk. SegmentedWal
-  /// validates *sealed* segments this way — damage there is refused, and
-  /// cutting the file would destroy acked records past the damage point
-  /// that a manual repair could still recover.
-  [[nodiscard]] static WalReplayResult replay_and_truncate(const std::string& path,
-                                                           bool truncate_tail = true);
-
- private:
-  int fd_ = -1;
-  WalOptions opts_;
-  std::string path_;
-  std::uint64_t file_bytes_ = 0;
-  std::uint32_t unsynced_appends_ = 0;
-};
 
 // ---------------------------------------------------------------------------
 // Segmented WAL
@@ -216,37 +165,66 @@ struct SegmentedWalOptions {
   WalOptions wal;  // per-segment durability policy
 };
 
-/// A write-ahead log split across segment files. Appends go to the
+/// The write-ahead log, split across segment files. Appends go to the
 /// highest-numbered (active) segment; rotate() seals it and opens the next.
 /// Sealed segments are immutable and individually retirable once a durable
 /// checkpoint covers them. Not thread-safe — the service serializes all
-/// access under its WAL mutex.
+/// access under its WAL mutex — except segment_count() and total_bytes(),
+/// which any thread may read at any time.
 class SegmentedWal {
  public:
-  /// Replays every segment with seq > after_seq, in sequence order, exactly
-  /// like WriteAheadLog::replay_and_truncate per segment. A torn tail is
-  /// only legal in the *final* segment (the only one a crash can tear);
-  /// torn or corrupt records in an earlier segment fail the replay
-  /// (ok == false) rather than silently dropping later acked edges. The
-  /// segments past after_seq (a checkpoint covers those up to it; 0 when
-  /// none does) must run after_seq + 1, after_seq + 2, ... with no hole: a
-  /// missing segment fails the replay, naming its seq.
+  SegmentedWal() = default;
+  ~SegmentedWal();
+
+  SegmentedWal(const SegmentedWal&) = delete;
+  SegmentedWal& operator=(const SegmentedWal&) = delete;
+
+  /// What replay() recovered across the segments.
   struct ReplayResult : WalReplayResult {
     std::uint64_t segments = 0;  // segments replayed
   };
+  /// Replays every segment with seq > after_seq, in sequence order, each
+  /// like replay_and_truncate(). A torn tail is only legal in the *final*
+  /// segment (the only one a crash can tear); torn or corrupt records in an
+  /// earlier segment fail the replay (ok == false) rather than silently
+  /// dropping later acked edges. The segments past after_seq (a checkpoint
+  /// covers those up to it; 0 when none does) must run after_seq + 1,
+  /// after_seq + 2, ... with no hole: a missing segment fails the replay,
+  /// naming its seq.
   [[nodiscard]] static ReplayResult replay(const std::string& base,
                                            std::uint64_t after_seq);
 
+  /// Feeds the one segment file `path` to a WalDecoder in bounded chunks
+  /// and truncates any torn tail in place, back to the decoder's offset(). A
+  /// missing file is a clean empty result (ok, no edges) so first boot and
+  /// restart share one code path.
+  ///
+  /// With `truncate_tail == false` the file is never modified: a torn tail
+  /// is still reported via truncated_bytes, but left on disk. replay()
+  /// validates *sealed* segments this way — damage there is refused, and
+  /// cutting the file would destroy acked records past the damage point
+  /// that a manual repair could still recover.
+  [[nodiscard]] static WalReplayResult replay_and_truncate(const std::string& path,
+                                                           bool truncate_tail = true);
+
   /// Opens the highest existing segment for appending, or creates segment
   /// max(first_seq, 1) when none exist (first_seq lets a checkpoint-led
-  /// recovery keep sequence numbers monotonic after full retention).
+  /// recovery keep sequence numbers monotonic after full retention). An
+  /// existing segment must carry the WAL magic; replay it first — open()
+  /// does not validate record bodies, only the header, and positions at
+  /// end-of-file. A new (or empty) one gets the magic, fsynced with its
+  /// directory entry. Returns false with *err filled in on failure.
   [[nodiscard]] bool open(const std::string& base, SegmentedWalOptions opts,
                           std::uint64_t first_seq, std::string* err);
 
-  /// Appends one batch to the active segment, however large it grows. False
-  /// on any append failure (the log is closed — same contract as
-  /// WriteAheadLog::append).
-  [[nodiscard]] bool append(const std::vector<Edge>& batch) { return wal_.append(batch); }
+  /// Appends one batch to the active segment, however large it grows, as
+  /// CRC-framed records (one, unless the batch exceeds the decoder's
+  /// 2^26-byte payload limit) with one write, and applies the fsync policy.
+  /// False on any I/O failure (the log is closed: a WAL that can no longer
+  /// persist must not pretend to — the service reacts by entering degraded
+  /// mode); the bytes that did land count in total_bytes(). Empty batches
+  /// are a no-op.
+  [[nodiscard]] bool append(const std::vector<Edge>& batch);
 
   /// Seals the active segment and opens the next one (the checkpoint cut).
   /// Fault point svc.wal.rotate. On failure the log is closed and false is
@@ -264,29 +242,41 @@ class SegmentedWal {
   /// leftover segment costs disk, not correctness.
   std::size_t retire_through(std::uint64_t upto);
 
-  [[nodiscard]] bool sync() { return wal_.sync(); }
-  void close() { wal_.close(); }
-  [[nodiscard]] bool is_open() const { return wal_.is_open(); }
+  /// Fsyncs (per policy) and closes the active segment. Idempotent.
+  void close();
+
+  [[nodiscard]] bool is_open() const { return fd_ >= 0; }
 
   [[nodiscard]] std::uint64_t active_seq() const { return active_seq_; }
   /// On-disk size of the active segment: where the log ends.
-  [[nodiscard]] std::uint64_t active_bytes() const { return wal_.size_bytes(); }
-  /// Retained segments, active included.
-  [[nodiscard]] std::size_t segment_count() const { return sealed_.size() + 1; }
+  [[nodiscard]] std::uint64_t active_bytes() const { return active_bytes_; }
+  /// Retained segments, active included (0 before the first open()).
+  [[nodiscard]] std::uint64_t segment_count() const {
+    return segment_count_.load(std::memory_order_relaxed);
+  }
   /// Total on-disk bytes across retained segments, active included.
   [[nodiscard]] std::uint64_t total_bytes() const {
-    return sealed_bytes_ + wal_.size_bytes();
+    return total_bytes_.load(std::memory_order_relaxed);
   }
 
  private:
+  /// Opens (creating, with the magic) segment `seq` as the active one.
   [[nodiscard]] bool open_segment(std::uint64_t seq, std::string* err);
+  /// Fsyncs the open active segment.
+  [[nodiscard]] bool sync();
+  /// Stores segment_count() and total_bytes() from the fields below.
+  void publish_size();
 
-  WriteAheadLog wal_;  // the active segment
+  int fd_ = -1;  // the active segment
   std::string base_;
   SegmentedWalOptions opts_;
   std::uint64_t active_seq_ = 0;
+  std::uint64_t active_bytes_ = 0;
+  std::uint32_t unsynced_appends_ = 0;
   std::vector<NumberedFile> sealed_;  // ascending seq
   std::uint64_t sealed_bytes_ = 0;
+  std::atomic<std::uint64_t> segment_count_{0};
+  std::atomic<std::uint64_t> total_bytes_{0};
 };
 
 // ---------------------------------------------------------------------------

@@ -595,6 +595,47 @@ TEST_F(SegmentedWalTest, RotationSplitsAndReplayPreservesOrder) {
   }
 }
 
+// The log reports its own size: segment_count() and total_bytes() match
+// the segment files after every call that changes them, and a reopen.
+TEST_F(SegmentedWalTest, ReportedSizeMatchesTheSegmentFiles) {
+  const std::string base = path("wal");
+  SegmentedWal wal;
+  const auto expect_files = [&](const char* after) {
+    const auto files = list_numbered_files(base);
+    std::uint64_t bytes = 0;
+    for (const auto& f : files) bytes += f.bytes;
+    EXPECT_EQ(wal.segment_count(), files.size()) << after;
+    EXPECT_EQ(wal.total_bytes(), bytes) << after;
+  };
+  EXPECT_EQ(wal.segment_count(), 0u);
+  EXPECT_EQ(wal.total_bytes(), 0u);
+  std::string err;
+  ASSERT_TRUE(wal.open(base, {}, 1, &err)) << err;
+  expect_files("open");
+  for (vertex_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(wal.append({{i, i + 1}, {i, i + 2}}));
+    expect_files("append");
+    ASSERT_TRUE(wal.rotate(&err)) << err;
+    expect_files("rotate");
+  }
+  ASSERT_TRUE(wal.append({{7, 8}}));
+  EXPECT_EQ(wal.segment_count(), 4u);
+  EXPECT_EQ(wal.retire_through(2), 2u);
+  expect_files("retire_through");
+  wal.close();
+  expect_files("close");
+
+  SegmentedWal reopened;
+  ASSERT_TRUE(reopened.open(base, {}, 1, &err)) << err;
+  EXPECT_EQ(reopened.segment_count(), 2u);
+  EXPECT_EQ(reopened.total_bytes(), wal.total_bytes());
+  ASSERT_TRUE(reopened.reset(9, &err)) << err;
+  EXPECT_EQ(reopened.segment_count(), 1u);
+  EXPECT_EQ(reopened.total_bytes(), 8u);  // one empty segment: the magic
+  EXPECT_EQ(list_numbered_files(base).size(), 1u);
+  reopened.close();
+}
+
 TEST_F(SegmentedWalTest, ReplayAfterSeqSkipsCoveredSegments) {
   const std::string base = path("wal");
   SegmentedWal wal;
@@ -1168,6 +1209,16 @@ TEST_F(ServiceCheckpointTest, CheckpointUnderLiveIngestCountsExactlyItsSegments)
       }
     }
   });
+  // A third thread samples stats() while appends and cuts change the log's
+  // size, which the log publishes itself.
+  std::uint64_t samples = 0;
+  std::uint64_t bad_samples = 0;  // no segment, or less than its magic
+  std::jthread sampler([&](const std::stop_token& stop) {
+    for (; !stop.stop_requested(); ++samples) {
+      const ServiceStats s = service.stats();
+      bad_samples += s.wal_segments == 0 || s.wal_bytes < 8 ? 1 : 0;
+    }
+  });
 
   IncrementalCC segments_ref(kN);  // the in-universe edges of segments <= seq
   std::uint64_t segment_edges = 0;
@@ -1175,7 +1226,7 @@ TEST_F(ServiceCheckpointTest, CheckpointUnderLiveIngestCountsExactlyItsSegments)
     ASSERT_TRUE(service.checkpoint_now());
     const CheckpointData ckpt = newest();
     for (++seq; seq <= ckpt.wal_seq; ++seq) {
-      auto rep = WriteAheadLog::replay_and_truncate(numbered_path(path("wal"), seq), false);
+      auto rep = SegmentedWal::replay_and_truncate(numbered_path(path("wal"), seq), false);
       ASSERT_TRUE(rep.ok) << rep.error;
       ASSERT_EQ(rep.truncated_bytes, 0u) << "sealed segment " << seq;
       std::erase_if(rep.edges, [&](const Edge& e) { return !in_universe(e); });
@@ -1188,6 +1239,10 @@ TEST_F(ServiceCheckpointTest, CheckpointUnderLiveIngestCountsExactlyItsSegments)
   }
   submitter.request_stop();
   submitter.join();
+  sampler.request_stop();
+  sampler.join();
+  EXPECT_GT(samples, 0u);
+  EXPECT_EQ(bad_samples, 0u);
   service.flush();
   ASSERT_GT(segment_edges, 0u);
 

@@ -36,6 +36,7 @@
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "obs/exporter.h"
+#include "obs/metrics.h"
 #include "svc/client.h"
 #include "svc/net.h"
 #include "svc/protocol.h"
@@ -226,11 +227,14 @@ TEST_F(NetFaultTest, InjectedConnectFailure) {
 
 // --------------------------------------------------------------- WAL ----
 
+/// The WalTest cases work on segment 1 (path_) of the log at base_, which
+/// is also the service's wal_path in the ServiceWalTest cases.
 class WalTest : public FaultTest {
  protected:
   void SetUp() override {
     FaultTest::SetUp();
-    path_ = temp_path("test.wal");
+    base_ = temp_path("test.wal");
+    path_ = numbered_path(base_, 1);
     remove_wal_files();
   }
   void TearDown() override {
@@ -238,22 +242,25 @@ class WalTest : public FaultTest {
     FaultTest::TearDown();
   }
 
-  /// Removes the bare file and its segment family: the WalTest cases write
-  /// the bare path, the service writes segments `<path>.000001, ...`, and
-  /// leftovers of either would leak into the next same-process case.
+  /// Removes the segment family, whose leftovers would leak into the next
+  /// same-process case.
   void remove_wal_files() {
-    std::remove(path_.c_str());
-    for (const auto& seg : list_numbered_files(path_)) {
+    for (const auto& seg : list_numbered_files(base_)) {
       std::remove(seg.path.c_str());
     }
+  }
+
+  /// Opens the log at base_: segment 1 unless a higher one exists.
+  void open_wal(SegmentedWal& wal, WalOptions opts = {}) {
+    std::string err;
+    ASSERT_TRUE(wal.open(base_, {.wal = opts}, 1, &err)) << err;
   }
 
   /// Appends `batches` through a fresh log and closes it.
   void write_batches(const std::vector<std::vector<Edge>>& batches,
                      WalOptions opts = {}) {
-    WriteAheadLog wal;
-    std::string err;
-    ASSERT_TRUE(wal.open(path_, opts, &err)) << err;
+    SegmentedWal wal;
+    open_wal(wal, opts);
     for (const auto& b : batches) ASSERT_TRUE(wal.append(b));
     wal.close();
   }
@@ -281,11 +288,12 @@ class WalTest : public FaultTest {
     return bytes;
   }
 
+  std::string base_;
   std::string path_;
 };
 
 TEST_F(WalTest, MissingFileReplaysCleanAndEmpty) {
-  const auto r = WriteAheadLog::replay_and_truncate(path_ + ".does-not-exist");
+  const auto r = SegmentedWal::replay_and_truncate(path_ + ".does-not-exist");
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.edges.empty());
   EXPECT_EQ(r.records, 0u);
@@ -294,21 +302,20 @@ TEST_F(WalTest, MissingFileReplaysCleanAndEmpty) {
 
 TEST_F(WalTest, EmptyFileReplaysCleanAndEmpty) {
   std::fclose(std::fopen(path_.c_str(), "wb"));  // zero-byte file
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.edges.empty());
 
   // open() then upgrades it in place with the magic header.
-  WriteAheadLog wal;
-  std::string err;
-  ASSERT_TRUE(wal.open(path_, {}, &err)) << err;
+  SegmentedWal wal;
+  open_wal(wal);
   wal.close();
   EXPECT_EQ(file_size(), 8u);
 }
 
 TEST_F(WalTest, AppendReplayRoundTripPreservesOrder) {
   write_batches({{{1, 2}, {3, 4}}, {{5, 6}}});
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.records, 2u);
   EXPECT_EQ(r.truncated_bytes, 0u);
@@ -326,14 +333,14 @@ TEST_F(WalTest, TornTailIsTruncatedOnceThenStable) {
   const std::uint8_t torn[5] = {0xde, 0xad, 0xbe, 0xef, 0x01};
   append_raw(torn, sizeof(torn));
 
-  const auto first = WriteAheadLog::replay_and_truncate(path_);
+  const auto first = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(first.ok) << first.error;
   EXPECT_EQ(first.records, 1u);
   EXPECT_EQ(first.truncated_bytes, sizeof(torn));
   EXPECT_EQ(file_size(), clean_size);  // the torn tail is physically gone
 
   // Idempotence: a second replay (the double-restart case) sees a clean log.
-  const auto second = WriteAheadLog::replay_and_truncate(path_);
+  const auto second = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(second.ok) << second.error;
   EXPECT_EQ(second.records, 1u);
   EXPECT_EQ(second.truncated_bytes, 0u);
@@ -350,7 +357,7 @@ TEST_F(WalTest, CorruptCrcTruncatesBackToLastGoodRecord) {
   std::fputc(0x7f, f);
   std::fclose(f);
 
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.records, 1u);  // only the intact record survives
   ASSERT_EQ(r.edges.size(), 1u);
@@ -372,7 +379,7 @@ TEST_F(WalTest, HandCraftedRecordMatchesTheWriterFormat) {
   std::fwrite(payload, 1, sizeof(payload), f);
   std::fclose(f);
 
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.edges.size(), 1u);
   EXPECT_EQ(r.edges[0], (Edge{7, 9}));
@@ -391,7 +398,7 @@ TEST_F(WalTest, BatchOverTheRecordLimitSplitsAndReplaysInOrder) {
   write_batches({});  // a WAL holding just its magic
   append_raw(records.data(), records.size());
 
-  const auto whole = WriteAheadLog::replay_and_truncate(path_);
+  const auto whole = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(whole.ok) << whole.error;
   EXPECT_EQ(whole.records, 3u);
   EXPECT_EQ(whole.truncated_bytes, 0u);
@@ -399,7 +406,7 @@ TEST_F(WalTest, BatchOverTheRecordLimitSplitsAndReplaysInOrder) {
 
   // Torn inside the second record: only the first record replays.
   ASSERT_EQ(::truncate(path_.c_str(), 8 + (8 + 24) + 8 + 5), 0);
-  const auto torn = WriteAheadLog::replay_and_truncate(path_);
+  const auto torn = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(torn.ok) << torn.error;
   EXPECT_EQ(torn.records, 1u);
   EXPECT_EQ(torn.edges, std::vector<Edge>(batch.begin(), batch.begin() + 3));
@@ -411,14 +418,14 @@ TEST_F(WalTest, ForeignFileIsRefusedNotTruncated) {
   append_raw(junk, sizeof(junk));
   const auto before = file_size();
 
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   EXPECT_FALSE(r.ok);  // bad magic: refuse, never destroy foreign data
   EXPECT_FALSE(r.error.empty());
   EXPECT_EQ(file_size(), before);
 
-  WriteAheadLog wal;  // open() must refuse it too
+  SegmentedWal wal;  // open() must refuse it too
   std::string err;
-  EXPECT_FALSE(wal.open(path_, {}, &err));
+  EXPECT_FALSE(wal.open(base_, {}, 1, &err));
 }
 
 // WalDecoder is the one reader of the record framing, for replay and the
@@ -447,7 +454,7 @@ TEST_P(WalDecoderChunkTest, YieldsTheBatchesReplayReads) {
   write_batches(batches);
   const std::vector<std::uint8_t> image = read_all();
 
-  const auto replay = WriteAheadLog::replay_and_truncate(path_);
+  const auto replay = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(replay.ok) << replay.error;
   EXPECT_EQ(replay.records, batches.size());
   EXPECT_EQ(replay.edges, flatten(batches));
@@ -489,7 +496,7 @@ TEST_F(WalTest, CutAtEveryOffsetKeepsTheWholeRecordsBeforeIt) {
     ASSERT_NE(f, nullptr);
     ASSERT_EQ(std::fwrite(image.data(), 1, cut, f), cut);
     std::fclose(f);
-    const auto r = WriteAheadLog::replay_and_truncate(path_);
+    const auto r = SegmentedWal::replay_and_truncate(path_);
     ASSERT_TRUE(r.ok) << "cut " << cut << ": " << r.error;
     std::size_t whole = 0;
     while (whole < ends.size() && ends[whole] <= cut) ++whole;
@@ -501,18 +508,28 @@ TEST_F(WalTest, CutAtEveryOffsetKeepsTheWholeRecordsBeforeIt) {
   }
 }
 
+// One record past kBatchFsyncAppends: under kBatch the log has fsynced
+// before it closes, so that fsync is not left to close().
 TEST_F(WalTest, FsyncPolicyMatrixRoundTrips) {
+  constexpr vertex_t kRecords = kBatchFsyncAppends + 1;
+  auto& fsyncs = obs::registry().counter("ecl.svc.wal.fsyncs");
   for (const auto policy :
        {FsyncPolicy::kNone, FsyncPolicy::kBatch, FsyncPolicy::kAlways}) {
     std::remove(path_.c_str());
-    WalOptions opts;
-    opts.fsync_policy = policy;
-    opts.fsync_every = 2;
-    write_batches({{{1, 2}}, {{3, 4}}, {{5, 6}}}, opts);
-    const auto r = WriteAheadLog::replay_and_truncate(path_);
+    SegmentedWal wal;
+    open_wal(wal, {.fsync_policy = policy});
+    [[maybe_unused]] const std::uint64_t fsyncs_before = fsyncs.value();
+    for (vertex_t i = 0; i < kRecords; ++i) ASSERT_TRUE(wal.append({{i, i + 1}}));
+#if !defined(ECL_OBS_DISABLED)
+    if (policy == FsyncPolicy::kBatch) {
+      EXPECT_GT(fsyncs.value(), fsyncs_before) << "no fsync in " << kRecords << " appends";
+    }
+#endif
+    wal.close();
+    const auto r = SegmentedWal::replay_and_truncate(path_);
     ASSERT_TRUE(r.ok) << to_string(policy) << ": " << r.error;
-    EXPECT_EQ(r.records, 3u) << to_string(policy);
-    EXPECT_EQ(r.edges.size(), 3u) << to_string(policy);
+    EXPECT_EQ(r.records, kRecords) << to_string(policy);
+    EXPECT_EQ(r.edges.size(), kRecords) << to_string(policy);
   }
 }
 
@@ -530,9 +547,8 @@ TEST_F(WalTest, ParseFsyncPolicyRoundTrips) {
 }
 
 TEST_F(WalTest, InjectedAppendFailureClosesTheLog) {
-  WriteAheadLog wal;
-  std::string err;
-  ASSERT_TRUE(wal.open(path_, {}, &err)) << err;
+  SegmentedWal wal;
+  open_wal(wal);
   ASSERT_TRUE(wal.append({{1, 2}}));
 
   arm("svc.wal.append", fault::Action::kFail, 1);
@@ -541,7 +557,7 @@ TEST_F(WalTest, InjectedAppendFailureClosesTheLog) {
   EXPECT_FALSE(wal.append({{5, 6}}));  // stays closed
 
   // The record that failed was never acked; the earlier one replays fine.
-  const auto r = WriteAheadLog::replay_and_truncate(path_);
+  const auto r = SegmentedWal::replay_and_truncate(path_);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.records, 1u);
 }
@@ -552,7 +568,7 @@ using ServiceWalTest = WalTest;
 
 TEST_F(ServiceWalTest, AckedBatchesSurviveRestart) {
   ServiceOptions opts;
-  opts.wal_path = path_;
+  opts.wal_path = base_;
   {
     ConnectivityService service(256, opts);
     ASSERT_EQ(service.submit({{1, 2}, {2, 3}}), Admission::kAccepted);
@@ -576,7 +592,7 @@ TEST_F(ServiceWalTest, AckedBatchesSurviveRestart) {
 
 TEST_F(ServiceWalTest, DoubleRestartIsIdempotent) {
   ServiceOptions opts;
-  opts.wal_path = path_;
+  opts.wal_path = base_;
   {
     ConnectivityService service(64, opts);
     ASSERT_EQ(service.submit({{4, 5}}), Admission::kAccepted);
@@ -604,7 +620,7 @@ TEST_F(ServiceWalTest, DoubleRestartIsIdempotent) {
 TEST_F(ServiceWalTest, ReplayedOutOfRangeEdgesAreDropped) {
   {
     ServiceOptions opts;
-    opts.wal_path = path_;
+    opts.wal_path = base_;
     ConnectivityService big(1024, opts);
     ASSERT_EQ(big.submit({{2, 3}, {900, 901}}), Admission::kAccepted);
     big.stop();
@@ -612,7 +628,7 @@ TEST_F(ServiceWalTest, ReplayedOutOfRangeEdgesAreDropped) {
   // Reopen the same WAL in a smaller universe: edge (900, 901) no longer
   // fits and must be silently dropped, not crash the replay.
   ServiceOptions opts;
-  opts.wal_path = path_;
+  opts.wal_path = base_;
   ConnectivityService small(16, opts);
   EXPECT_TRUE(small.connected(2, 3));
   EXPECT_FALSE(small.connected(4, 5));
@@ -690,7 +706,7 @@ TEST_F(ServiceWalTest, SeededServiceRestartsToSeedPlusLog) {
 
 TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {
   ServiceOptions opts;
-  opts.wal_path = path_;
+  opts.wal_path = base_;
   ConnectivityService service(64, opts);
   ASSERT_EQ(service.submit({{1, 2}}), Admission::kAccepted);
   service.flush();
@@ -714,6 +730,21 @@ TEST_F(ServiceWalTest, WalFailureDegradesToReadOnly) {
   // it can never be visible without being durable.
   EXPECT_FALSE(service.connected(3, 4));
   service.stop();  // and shutdown still drains cleanly
+}
+
+// A short write leaves a torn record on disk until a restart cuts it, so
+// ecl_wal_bytes counts it: the row reads what the segment files hold.
+TEST_F(ServiceWalTest, ShortAppendCountsTheBytesOnDisk) {
+  ServiceOptions opts;
+  opts.wal_path = base_;
+  ConnectivityService service(64, opts);
+  arm("svc.wal.append", fault::Action::kShort, 1, /*arg=*/20);
+  EXPECT_EQ(service.submit({{1, 2}, {3, 4}}), Admission::kShed);
+  std::uint64_t on_disk = 0;
+  for (const auto& seg : list_numbered_files(base_)) on_disk += seg.bytes;
+  EXPECT_EQ(on_disk, 8u + 20u);  // the magic and 20 of the record's 24 bytes
+  EXPECT_EQ(service.stats().wal_bytes, on_disk);
+  service.stop();
 }
 
 // ------------------------------------------------------- degraded mode ----

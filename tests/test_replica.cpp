@@ -287,8 +287,8 @@ TEST_F(SegmentReaderTest, RotationWhileReaderIterates) {
   EXPECT_EQ(acc.size(), files[0].bytes);
 
   // The replayed segment parses: magic + one intact record for edge {0,1}.
-  const auto replay = WriteAheadLog::replay_and_truncate(files[0].path,
-                                                         /*truncate_tail=*/false);
+  const auto replay = SegmentedWal::replay_and_truncate(files[0].path,
+                                                        /*truncate_tail=*/false);
   ASSERT_TRUE(replay.ok) << replay.error;
   ASSERT_EQ(replay.edges.size(), 1u);
   EXPECT_EQ(replay.edges[0], (Edge{0, 1}));
@@ -1242,7 +1242,7 @@ TEST_F(ReplicationE2ETest, LiveReplicaLogEndsOnARecordBoundary) {
   ASSERT_EQ(segments.size(), 13u);
   for (const auto& seg : segments) {
     SCOPED_TRACE("segment " + std::to_string(seg.seq));
-    const auto replay = WriteAheadLog::replay_and_truncate(seg.path, /*truncate_tail=*/false);
+    const auto replay = SegmentedWal::replay_and_truncate(seg.path, /*truncate_tail=*/false);
     ASSERT_TRUE(replay.ok) << replay.error;
     EXPECT_EQ(replay.truncated_bytes, 0u);
     const std::vector<std::uint8_t> mine = read(seg.path);
